@@ -88,14 +88,6 @@ fn bench_kernels(c: &mut Criterion) {
     g.bench_function("axpy_f32_4096", |bench| {
         bench.iter(|| kernels::axpy_f32(black_box(&mut y32), 1.000001, black_box(&b32)))
     });
-    g.bench_function("squared_distance_f32_4096", |bench| {
-        bench.iter(|| {
-            black_box(kernels::squared_distance_f32(
-                black_box(&a32),
-                black_box(&b32),
-            ))
-        })
-    });
     let m1_32 = MatrixF32::from_matrix(&m1);
     let m2_32 = MatrixF32::from_matrix(&m2);
     let mut out32 = MatrixF32::zeros(64, 64);
@@ -177,15 +169,8 @@ fn throughput_report_and_assertions() {
     let axpy32_ns = median_ns(iters, || {
         kernels::axpy_f32(black_box(&mut y32), 1.000001, black_box(&b32));
     });
-    let sqd32_ns = median_ns(iters, || {
-        black_box(kernels::squared_distance_f32(
-            black_box(&a32),
-            black_box(&b32),
-        ));
-    });
     let dot32_gflops = gflops(2.0, dot32_ns);
     let axpy32_gflops = gflops(2.0, axpy32_ns);
-    let sqd32_gflops = gflops(3.0, sqd32_ns);
     let m1_32 = MatrixF32::from_matrix(&m1);
     let m2_32 = MatrixF32::from_matrix(&m2);
     let mut out32 = MatrixF32::zeros(128, 72);
@@ -212,13 +197,11 @@ fn throughput_report_and_assertions() {
             "f32": json!({
                 "dot": dot32_gflops,
                 "axpy": axpy32_gflops,
-                "squared_distance": sqd32_gflops,
                 "matmul_128x36x72": mm32_gflops,
             }),
             "f32_vs_f64": json!({
                 "dot": dot_ns / dot32_ns,
                 "axpy": axpy_ns / axpy32_ns,
-                "squared_distance": sqd_ns / sqd32_ns,
                 "matmul_128x36x72": mm_ns / mm32_ns,
             }),
         }),
@@ -232,10 +215,9 @@ fn throughput_report_and_assertions() {
     );
     println!(
         "f32: dot {dot32_gflops:.2} GF/s ({:.2}x f64) | axpy {axpy32_gflops:.2} GF/s ({:.2}x) | \
-         sqdist {sqd32_gflops:.2} GF/s ({:.2}x) | matmul {mm32_gflops:.2} GF/s ({:.2}x)",
+         matmul {mm32_gflops:.2} GF/s ({:.2}x)",
         dot_ns / dot32_ns,
         axpy_ns / axpy32_ns,
-        sqd_ns / sqd32_ns,
         mm_ns / mm32_ns,
     );
 
@@ -280,15 +262,11 @@ fn throughput_report_and_assertions() {
             "axpy_f32 throughput cliff: {axpy32_gflops} GF/s"
         );
         assert!(
-            sqd32_gflops > 0.05,
-            "sqdist_f32 throughput cliff: {sqd32_gflops} GF/s"
-        );
-        assert!(
             mm32_gflops > 0.05,
             "matmul_f32 throughput cliff: {mm32_gflops} GF/s"
         );
-        // Bandwidth-parity canaries on the streaming hot-path kernels:
-        // f32 halves the bytes per element, so a vectorized f32 kernel
+        // Bandwidth-parity canary on the f32 reduction kernel: f32
+        // halves the bytes per element, so a vectorized f32 kernel
         // should run its f64 twin's length in well under the f64 time.
         // 1.5x (not the ideal 2x) absorbs runner noise; failing it means
         // the f32 loop stopped vectorizing and the precision tier no
@@ -297,11 +275,6 @@ fn throughput_report_and_assertions() {
             dot_ns / dot32_ns >= 1.5,
             "dot_f32 lost bandwidth parity: {:.2}x f64 (want >=1.5x)",
             dot_ns / dot32_ns
-        );
-        assert!(
-            sqd_ns / sqd32_ns >= 1.5,
-            "sqdist_f32 lost bandwidth parity: {:.2}x f64 (want >=1.5x)",
-            sqd_ns / sqd32_ns
         );
     }
 }

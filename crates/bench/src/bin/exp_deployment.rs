@@ -317,7 +317,6 @@ fn shard_scaling(
         let mut engine_cfg = EngineConfig::new(split);
         engine_cfg.n_shards = n_shards;
         engine_cfg.smooth_window = 1;
-        engine_cfg.batch_scoring = true;
         let engine = Engine::new(Arc::clone(model), engine_cfg);
         let t0 = Instant::now();
         let mut cycle: Vec<Tick> = Vec::with_capacity(raws.len() * steps_per_hour);
@@ -429,8 +428,8 @@ fn main() {
     // scoring phase and exercise the batched forward.
     // Shards cap at the machine's actual parallelism: oversubscribed
     // worker threads preempt each other mid-measurement and inflate the
-    // wall-clock latency histograms (worst for the batched mode, whose
-    // scoring phases align across shards at tick-batch boundaries).
+    // wall-clock latency histograms (the shards' scoring phases align at
+    // tick-batch boundaries).
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -440,11 +439,10 @@ fn main() {
     let transition_sets: Vec<HashSet<usize>> = (0..ds.n_nodes())
         .map(|n| transitions_of(&ds, n).into_iter().collect())
         .collect();
-    let replay = |span_name: &'static str, batch_scoring: bool, precision: ScoringPrecision| {
+    let replay = |span_name: &'static str, precision: ScoringPrecision| {
         let mut engine_cfg = EngineConfig::new(ds.split);
         engine_cfg.n_shards = n_shards;
         engine_cfg.smooth_window = 1; // raw k-sigma verdicts, as in the paper's loop
-        engine_cfg.batch_scoring = batch_scoring;
         engine_cfg.scoring_precision = precision;
         let engine = Engine::new(Arc::clone(&model), engine_cfg);
         let replay_span = ns_obs::trace::span(span_name);
@@ -471,35 +469,7 @@ fn main() {
     let reg = ns_obs::metrics::global();
     let q = |name: &str, q: f64| reg.histogram_quantile(name, &[], q).unwrap_or(0.0);
 
-    // Baseline replay through the taped autodiff forward (the engine's
-    // only scoring path before the inference fast path existed), so the
-    // benchmark record carries the before/after delta. Verdicts are
-    // bit-identical either way (tests/fastpath_equivalence.rs).
-    ns_nn::set_fast_path(false);
-    let (_taped_report, taped_wall) = replay("stream_replay_taped", true, ScoringPrecision::F64);
-    let taped_score_p50 = q(ns_stream::metrics::SCORE_SECONDS, 0.50) * 1e3;
-    let taped_match_p50 = q(ns_stream::metrics::MATCH_SECONDS, 0.50) * 1e3;
-    reg.reset();
-
-    // Unbatched fast-path replay: eager per-segment scoring, so the
-    // record carries the batched-vs-unbatched delta on the same feed.
-    // Verdicts are bit-identical (tests/batch_equivalence.rs).
-    ns_nn::set_fast_path(true);
-    let (_unbatched_report, unbatched_wall) =
-        replay("stream_replay_unbatched", false, ScoringPrecision::F64);
-    let unbatched = |name: &str| (q(name, 0.50) * 1e3, q(name, 0.99) * 1e3);
-    let (unbatched_score_p50, unbatched_score_p99) = unbatched(ns_stream::metrics::SCORE_SECONDS);
-    let (unbatched_match_p50, unbatched_match_p99) = unbatched(ns_stream::metrics::MATCH_SECONDS);
-    let samples = |name: &str| {
-        reg.find_histogram(name, &[])
-            .map(|h| h.count())
-            .unwrap_or(0)
-    };
-    let unbatched_score_n = samples(ns_stream::metrics::SCORE_SECONDS);
-    let unbatched_match_n = samples(ns_stream::metrics::MATCH_SECONDS);
-    reg.reset();
-
-    let (report, stream_wall) = replay("stream_replay", true, ScoringPrecision::F64);
+    let (report, stream_wall) = replay("stream_replay", ScoringPrecision::F64);
 
     // Evaluate verdicts against the injected ground truth — shared by
     // the headline replay and the precision-tier pass below.
@@ -562,8 +532,7 @@ fn main() {
 
     // Machine-readable benchmark record: wall time, the per-point and
     // per-match latency distribution read back from the live ns-obs
-    // histograms (fast-path run), the taped-baseline deltas, and every
-    // fault counter (all zero on this clean feed).
+    // histograms, and every fault counter (all zero on this clean feed).
     let latency = |name: &str| {
         json!({
             "p50_ms": q(name, 0.50) * 1e3,
@@ -571,40 +540,6 @@ fn main() {
             "p99_ms": q(name, 0.99) * 1e3,
         })
     };
-    let fast_score_p50 = q(ns_stream::metrics::SCORE_SECONDS, 0.50) * 1e3;
-    let fast_score_p99 = q(ns_stream::metrics::SCORE_SECONDS, 0.99) * 1e3;
-    let fast_match_p50 = q(ns_stream::metrics::MATCH_SECONDS, 0.50) * 1e3;
-    let fast_match_p99 = q(ns_stream::metrics::MATCH_SECONDS, 0.99) * 1e3;
-    let fast_score_n = samples(ns_stream::metrics::SCORE_SECONDS);
-    let fast_match_n = samples(ns_stream::metrics::MATCH_SECONDS);
-    // A p99 speedup ratio is reported only when both legs back their
-    // tail with at least 64 samples; below that the p99 is a single
-    // straggler and the ratio is noise (the curated record once carried
-    // a 0.5x "regression" from exactly this).
-    let p99_ratio = |slow: f64, fast: f64, n_slow: u64, n_fast: u64| {
-        if n_slow >= 64 && n_fast >= 64 {
-            json!(slow / fast.max(1e-12))
-        } else {
-            json!(null)
-        }
-    };
-    println!(
-        "fast-path p50: score {:.2} ms (taped {:.2} ms, {:.2}x), match {:.2} ms (taped {:.2} ms, {:.2}x)",
-        fast_score_p50,
-        taped_score_p50,
-        taped_score_p50 / fast_score_p50.max(1e-12),
-        fast_match_p50,
-        taped_match_p50,
-        taped_match_p50 / fast_match_p50.max(1e-12),
-    );
-    println!(
-        "batched vs eager: score p50 {:.2} ms vs {:.2} ms, p99 {:.2} ms vs {:.2} ms",
-        fast_score_p50, unbatched_score_p50, fast_score_p99, unbatched_score_p99,
-    );
-    println!(
-        "                  match p50 {:.3} ms vs {:.3} ms, p99 {:.3} ms vs {:.3} ms",
-        fast_match_p50, unbatched_match_p50, fast_match_p99, unbatched_match_p99,
-    );
     let occupancy = |name: &str| {
         json!({
             "p50": q(name, 0.50),
@@ -632,7 +567,6 @@ fn main() {
     let mut wire_cfg = EngineConfig::new(ds.split);
     wire_cfg.n_shards = n_shards;
     wire_cfg.smooth_window = 1;
-    wire_cfg.batch_scoring = true;
     let wire = over_the_wire(
         &model,
         &report,
@@ -651,12 +585,11 @@ fn main() {
     // replay from minutes earlier would measure machine drift, not the
     // journal. Verdict bit-identity under the recorder is pinned by
     // tests/obs_equivalence.rs; here we measure what it costs.
-    let (off_report, off_wall) = replay("stream_replay_recorder_off", true, ScoringPrecision::F64);
+    let (off_report, off_wall) = replay("stream_replay_recorder_off", ScoringPrecision::F64);
     let recorder_off_throughput = off_report.stats.n_ticks as f64 / off_wall.max(1e-9);
     ns_obs::events::set_enabled(true);
     ns_obs::incident::set_armed(true);
-    let (recorder_report, recorder_wall) =
-        replay("stream_replay_recorder", true, ScoringPrecision::F64);
+    let (recorder_report, recorder_wall) = replay("stream_replay_recorder", ScoringPrecision::F64);
     ns_obs::incident::set_armed(false);
     ns_obs::events::set_enabled(false);
     let recorder_throughput = recorder_report.stats.n_ticks as f64 / recorder_wall.max(1e-9);
@@ -692,18 +625,14 @@ fn main() {
     // next to the speedup that buys them.
     println!("\n=== precision tiers (f64 vs f32 scoring) ===");
     reg.reset();
-    let (tier64_report, tier64_wall) =
-        replay("stream_replay_tier_f64", true, ScoringPrecision::F64);
+    let (tier64_report, tier64_wall) = replay("stream_replay_tier_f64", ScoringPrecision::F64);
     let tier64_tp = tier64_report.stats.n_ticks as f64 / tier64_wall.max(1e-9);
     let tier_lat = |name: &str| (q(name, 0.50) * 1e3, q(name, 0.99) * 1e3);
     let (t64_score_p50, t64_score_p99) = tier_lat(ns_stream::metrics::SCORE_SECONDS);
-    let (t64_match_p50, t64_match_p99) = tier_lat(ns_stream::metrics::MATCH_SECONDS);
     reg.reset();
-    let (tier32_report, tier32_wall) =
-        replay("stream_replay_tier_f32", true, ScoringPrecision::F32);
+    let (tier32_report, tier32_wall) = replay("stream_replay_tier_f32", ScoringPrecision::F32);
     let tier32_tp = tier32_report.stats.n_ticks as f64 / tier32_wall.max(1e-9);
     let (t32_score_p50, t32_score_p99) = tier_lat(ns_stream::metrics::SCORE_SECONDS);
-    let (t32_match_p50, t32_match_p99) = tier_lat(ns_stream::metrics::MATCH_SECONDS);
     reg.reset();
 
     assert_eq!(
@@ -745,8 +674,6 @@ fn main() {
             "ticks_per_s": tier64_tp,
             "score_p50_ms": t64_score_p50,
             "score_p99_ms": t64_score_p99,
-            "match_p50_ms": t64_match_p50,
-            "match_p99_ms": t64_match_p99,
             "precision": agg64.precision,
             "recall": agg64.recall,
         }),
@@ -755,14 +682,11 @@ fn main() {
             "ticks_per_s": tier32_tp,
             "score_p50_ms": t32_score_p50,
             "score_p99_ms": t32_score_p99,
-            "match_p50_ms": t32_match_p50,
-            "match_p99_ms": t32_match_p99,
             "precision": agg32.precision,
             "recall": agg32.recall,
         }),
         "score_stage_speedup_p50": t64_score_p50 / t32_score_p50.max(1e-12),
         "score_stage_speedup_p99": t64_score_p99 / t32_score_p99.max(1e-12),
-        "match_stage_speedup_p50": t64_match_p50 / t32_match_p50.max(1e-12),
         "throughput_ratio_f32_over_f64": tier32_tp / tier64_tp.max(1e-9),
         "n_verdicts": tier64_report.verdicts.len(),
         "verdict_agreement": agreement,
@@ -792,32 +716,6 @@ fn main() {
             "score_latency": score_latency,
             "match_latency": match_latency,
             "batch_occupancy": batch_occupancy,
-            "unbatched_baseline": json!({
-                "wall_s": unbatched_wall,
-                "score_p50_ms": unbatched_score_p50,
-                "score_p99_ms": unbatched_score_p99,
-                "match_p50_ms": unbatched_match_p50,
-                "match_p99_ms": unbatched_match_p99,
-                "score_samples": unbatched_score_n,
-                "match_samples": unbatched_match_n,
-                "score_speedup_p50":
-                    unbatched_score_p50 / fast_score_p50.max(1e-12),
-                "score_speedup_p99":
-                    p99_ratio(unbatched_score_p99, fast_score_p99, unbatched_score_n, fast_score_n),
-                "match_speedup_p50":
-                    unbatched_match_p50 / fast_match_p50.max(1e-12),
-                "match_speedup_p99":
-                    p99_ratio(unbatched_match_p99, fast_match_p99, unbatched_match_n, fast_match_n),
-            }),
-            "taped_baseline": json!({
-                "wall_s": taped_wall,
-                "score_p50_ms": taped_score_p50,
-                "match_p50_ms": taped_match_p50,
-                "score_speedup_p50":
-                    taped_score_p50 / fast_score_p50.max(1e-12),
-                "match_speedup_p50":
-                    taped_match_p50 / fast_match_p50.max(1e-12),
-            }),
             "precision": agg.precision,
             "recall": agg.recall,
             "faults": faults,

@@ -8,7 +8,6 @@ use ns_cluster::{linkage_from_distance, select_k, Linkage};
 use ns_features::FeatureCatalog;
 use ns_linalg::distance::CondensedDistance;
 use ns_linalg::matrix::Matrix;
-use ns_linalg::matrix_f32::MatrixF32;
 use ns_linalg::{stats, vecops};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -188,59 +187,6 @@ impl ClusterModel {
         for (c, v) in cen.iter_mut().zip(z) {
             *c += alpha * (v - *c);
         }
-    }
-
-    /// Bake an f32 copy of the probe-matching library for the opt-in
-    /// precision tier. The bake is a point-in-time snapshot: callers that
-    /// mutate the library afterwards ([`ClusterModel::add_cluster`],
-    /// [`ClusterModel::refine_centroid`]) must re-bake — the streaming
-    /// engine holds the fitted model immutable for the lifetime of a run
-    /// (fingerprinted at checkpoint), so it bakes once per model.
-    pub fn probe_library_f32(&self) -> ProbeLibraryF32 {
-        ProbeLibraryF32 {
-            mean: self.probe_feat_mean.iter().map(|&v| v as f32).collect(),
-            std: self.probe_feat_std.iter().map(|&v| v as f32).collect(),
-            centroids: MatrixF32::from_matrix(&self.probe_centroids),
-        }
-    }
-}
-
-/// f32 twin of the probe-matching library: down-converted scaler and
-/// contiguous centroid matrix for the precision-tiered
-/// [`ProbeLibraryF32::match_pattern_into`] scan. Standardization and the
-/// early-abandon distance scan both run in f32; the returned distance is
-/// widened to f64 so [`ClusterModel::is_match`] compares it against the
-/// same f64 radius as the default tier.
-#[derive(Clone, Debug, Default)]
-pub struct ProbeLibraryF32 {
-    mean: Vec<f32>,
-    std: Vec<f32>,
-    centroids: MatrixF32,
-}
-
-impl ProbeLibraryF32 {
-    /// f32 twin of [`ClusterModel::match_pattern_into`]: standardize the
-    /// raw probe features into `scratch` (f32 arithmetic) and scan the
-    /// centroid library with the early-abandon
-    /// [`ns_linalg::distance::nearest_row_f32`] kernel.
-    pub fn match_pattern_into(
-        &self,
-        raw_probe_feat: &[f64],
-        scratch: &mut Vec<f32>,
-    ) -> (usize, f64) {
-        scratch.clear();
-        scratch.extend(
-            raw_probe_feat
-                .iter()
-                .zip(self.mean.iter().zip(&self.std))
-                .map(|(&v, (&m, &s))| (v as f32 - m) / s),
-        );
-        ns_linalg::distance::nearest_row_f32(&self.centroids, scratch)
-    }
-
-    /// Number of centroids in the baked library.
-    pub fn k(&self) -> usize {
-        self.centroids.rows()
     }
 }
 
@@ -472,35 +418,6 @@ mod tests {
             "distance {dist} vs radius {}",
             model.match_radius
         );
-    }
-
-    #[test]
-    fn f32_probe_library_agrees_with_f64_matcher() {
-        let segs = two_family_segments();
-        let cfg = fast_cfg();
-        let (model, _) = fit(&cfg, &segs);
-        let lib = model.probe_library_f32();
-        assert_eq!(lib.k(), model.k());
-        let mut scratch = Vec::new();
-        // Fresh members of both families plus the alien spike pattern:
-        // cluster assignment and the is_match verdict must agree between
-        // tiers, and distances must track closely.
-        let probes = [
-            Matrix::from_fn(77, 3, |r, c| ((r as f64) * 0.2 + c as f64).sin()),
-            Matrix::from_fn(68, 3, |r, c| {
-                ((r % 4) as f64) * 1.5 - 2.0 + 0.03 * r as f64 + c as f64 * 0.2
-            }),
-            Matrix::from_fn(60, 3, |r, _| if r % 10 == 0 { 500.0 } else { -300.0 }),
-        ];
-        for probe in &probes {
-            let f = segment_features(&cfg, probe);
-            let (c64, d64) = model.match_pattern(&f);
-            let (c32, d32) = lib.match_pattern_into(&f, &mut scratch);
-            assert_eq!(c32, c64);
-            assert_eq!(model.is_match(d32), model.is_match(d64));
-            let rel = (d32 - d64).abs() / d64.max(1e-12);
-            assert!(rel < 1e-3, "f32 distance {d32} vs f64 {d64} (rel {rel})");
-        }
     }
 
     #[test]

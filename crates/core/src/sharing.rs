@@ -7,8 +7,8 @@ use crate::preprocess::Segment;
 use ns_linalg::matrix::Matrix;
 use ns_linalg::stats;
 use ns_nn::{
-    sinusoidal_pe_at, Adam, BlockKind, Graph, ParamStore, ReconstructionTransformer, SessionPool,
-    SessionPoolF32, TransformerConfig,
+    sinusoidal_pe_at, Adam, BlockKind, Graph, InferenceSession, InferenceSessionF32, ParamStore,
+    ReconstructionTransformer, SessionPool, SessionPoolF32, TransformerConfig, WindowSpec,
 };
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -186,6 +186,55 @@ fn windows_of(segments: &[&Matrix], cfg: &SharingConfig, ranks: &[usize]) -> Vec
     out
 }
 
+/// Segment-relative position of row `r` in a `t`-row series, spanning
+/// `0..REL_PE_SCALE`. (Pre-dividing the scale would not be bit-identical
+/// to `r * SCALE / t`.)
+fn rel_position(t: usize) -> impl Fn(usize) -> f64 {
+    move |r| r as f64 * REL_PE_SCALE / t as f64
+}
+
+/// Fold one window's per-row errors into its rows of a series' scores:
+/// rows covered twice (the end-aligned tail window overlaps its
+/// predecessor) keep the max error.
+fn merge_max(rows: &mut [f64], errs: &[f64]) {
+    for (slot, &v) in rows.iter_mut().zip(errs) {
+        *slot = slot.max(v);
+    }
+}
+
+/// What the tiling and merge code needs from a pooled tape-free session,
+/// so it is written once for both precision tiers.
+trait TierSession: Sized {
+    fn acquire(m: &SharedModel) -> Self;
+    fn release(self, m: &SharedModel);
+    /// Concatenated per-row weighted reconstruction errors of `specs`.
+    fn window_errors(&mut self, m: &SharedModel, specs: &[WindowSpec<'_>]) -> &[f64];
+}
+
+impl TierSession for InferenceSession {
+    fn acquire(m: &SharedModel) -> Self {
+        m.infer.acquire()
+    }
+    fn release(self, m: &SharedModel) {
+        m.infer.release(self)
+    }
+    fn window_errors(&mut self, m: &SharedModel, specs: &[WindowSpec<'_>]) -> &[f64] {
+        self.score_windows_batch(&m.params, &m.model, specs)
+    }
+}
+
+impl TierSession for InferenceSessionF32 {
+    fn acquire(m: &SharedModel) -> Self {
+        m.infer32.acquire()
+    }
+    fn release(self, m: &SharedModel) {
+        m.infer32.release(self)
+    }
+    fn window_errors(&mut self, m: &SharedModel, specs: &[WindowSpec<'_>]) -> &[f64] {
+        self.score_windows_batch(&m.params, &m.model, specs)
+    }
+}
+
 impl SharedModel {
     /// Train a shared model for one cluster from its selected segments.
     pub fn train(cfg: &SharingConfig, segments: &[&Matrix]) -> SharedModel {
@@ -322,11 +371,13 @@ impl SharedModel {
     /// Calibrated per-timestep anomaly scores: raw weighted
     /// reconstruction error, centered and scaled by the model's own
     /// training-error distribution (z-units, clamped at 0 below).
+    ///
+    /// One long series: its windows fan out over the rayon workers, each
+    /// through a warm pooled [`InferenceSession`].
     pub fn score_series(&self, data: &Matrix) -> Vec<f64> {
-        self.score_series_raw(data)
-            .into_iter()
-            .map(|s| ((s - self.score_mean) / self.score_std).max(0.0))
-            .collect()
+        let mut scores = self.score_series_raw(data);
+        self.calibrate_scores(&mut scores);
+        scores
     }
 
     /// Per-timestep anomaly scores for a (preprocessed) series: weighted
@@ -334,52 +385,30 @@ impl SharedModel {
     /// final window aligns to the series end.
     pub fn score_series_raw(&self, data: &Matrix) -> Vec<f64> {
         let t = data.rows();
-        if t == 0 {
-            return Vec::new();
-        }
-        let w = self.cfg.window.min(t).max(1);
-        // Window start offsets tiling [0, t).
-        let mut starts: Vec<usize> = (0..t.saturating_sub(w - 1)).step_by(w).collect();
-        if starts.is_empty() {
-            starts.push(0);
-        }
-        if starts.last().map(|&s| s + w < t).unwrap_or(false) {
-            starts.push(t - w);
-        }
-        if ns_nn::fast_path_enabled() {
-            // Tape-free fast path: each rayon worker pulls a warm
-            // `InferenceSession` from the pool and scores whole windows
-            // without allocating. Bit-identical to the taped branch below
-            // (see crates/nn/src/infer.rs); the max-merge runs under a
-            // lock in arbitrary order, which is safe because the errors
-            // are non-negative finite values and `f64::max` over those is
-            // order-independent.
-            let scores = std::sync::Mutex::new(vec![0.0f64; t]);
-            starts.par_iter().for_each(|&s| {
-                let e = (s + w).min(t);
-                let mut sess = self.infer.acquire();
-                let err = sess.score_window(
-                    &self.params,
-                    &self.model,
-                    data,
-                    s,
-                    e,
-                    |r| r as f64 * REL_PE_SCALE / t as f64,
-                    &self.weights,
-                );
-                {
-                    let mut sc = scores.lock().unwrap();
-                    for (k, &v) in err.iter().enumerate() {
-                        let slot = &mut sc[s + k];
-                        *slot = slot.max(v);
-                    }
-                }
-                self.infer.release(sess);
+        let pos_of = rel_position(t);
+        // The max-merge runs under a lock in arbitrary order, which is
+        // safe because the errors are non-negative finite values and
+        // `f64::max` over those is order-independent.
+        let scores = std::sync::Mutex::new(vec![0.0f64; t]);
+        self.window_starts(t).par_iter().for_each(|&s| {
+            let spec = self.window_spec(data, s, &pos_of);
+            self.score_specs::<InferenceSession>(std::slice::from_ref(&spec), |_, errs| {
+                merge_max(&mut scores.lock().unwrap()[spec.start..spec.end], errs);
             });
-            return scores.into_inner().unwrap();
-        }
+        });
+        scores.into_inner().unwrap()
+    }
+
+    /// Taped reference for [`SharedModel::score_series`]: the same
+    /// scores through the autodiff [`Graph`] forward that training uses.
+    /// The equivalence tests hold both serving schedules to it bit for
+    /// bit; serving itself never reaches the tape.
+    pub fn score_series_taped(&self, data: &Matrix) -> Vec<f64> {
+        let t = data.rows();
+        let w = self.cfg.window.min(t).max(1);
         let mut scores = vec![0.0f64; t];
-        let partial: Vec<(usize, Vec<f64>)> = starts
+        let partial: Vec<(usize, Vec<f64>)> = self
+            .window_starts(t)
             .par_iter()
             .map(|&s| {
                 let e = (s + w).min(t);
@@ -406,12 +435,9 @@ impl SharedModel {
             })
             .collect();
         for (s, per_row) in partial {
-            for (k, v) in per_row.into_iter().enumerate() {
-                // Overlapping tail windows keep the max error.
-                let slot = &mut scores[s + k];
-                *slot = slot.max(v);
-            }
+            merge_max(&mut scores[s..s + per_row.len()], &per_row);
         }
+        self.calibrate_scores(&mut scores);
         scores
     }
 
@@ -422,94 +448,27 @@ impl SharedModel {
     /// back out, max-merged and calibrated per series.
     ///
     /// Bit-identical per series to [`SharedModel::score_series`]: window
-    /// tiling is the same, per-window errors are `to_bits`-identical
+    /// tiling is the same code, per-window errors are `to_bits`-identical
     /// (`crates/nn/tests/infer_batch_equivalence.rs`), and the max-merge
-    /// over non-negative finite errors is order-independent. When the
-    /// fast path is disabled this falls back to per-series scoring so the
-    /// taped reference stays reachable.
+    /// over non-negative finite errors is order-independent.
     pub fn score_series_batch(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
-        if !ns_nn::fast_path_enabled() {
-            return series.iter().map(|d| self.score_series(d)).collect();
-        }
-        // The PE position scale depends on each series' own length, so
-        // every series gets its own closure (pre-dividing the scale would
-        // not be bit-identical to `r * SCALE / t`).
-        let pos_fns: Vec<_> = series
-            .iter()
-            .map(|d| {
-                let t = d.rows();
-                move |r: usize| r as f64 * REL_PE_SCALE / t as f64
-            })
-            .collect();
-        let mut specs: Vec<ns_nn::WindowSpec> = Vec::new();
-        let mut owners: Vec<usize> = Vec::new();
-        for (si, data) in series.iter().enumerate() {
-            let t = data.rows();
-            if t == 0 {
-                continue;
-            }
-            let win = self.cfg.window.min(t).max(1);
-            // Same start tiling as `score_series_raw`.
-            let mut starts: Vec<usize> = (0..t.saturating_sub(win - 1)).step_by(win).collect();
-            if starts.is_empty() {
-                starts.push(0);
-            }
-            if starts.last().map(|&s| s + win < t).unwrap_or(false) {
-                starts.push(t - win);
-            }
-            for s in starts {
-                specs.push(ns_nn::WindowSpec {
-                    data,
-                    start: s,
-                    end: (s + win).min(t),
-                    pos_of: &pos_fns[si],
-                    weights: &self.weights,
-                });
-                owners.push(si);
-            }
-        }
-        let mut out: Vec<Vec<f64>> = series.iter().map(|d| vec![0.0f64; d.rows()]).collect();
-        if !specs.is_empty() {
-            let mut sess = self.infer.acquire();
-            let errs = sess.score_windows_batch(&self.params, &self.model, &specs);
-            let mut off = 0usize;
-            for (sp, &si) in specs.iter().zip(&owners) {
-                let n = sp.end - sp.start;
-                for (k, &v) in errs[off..off + n].iter().enumerate() {
-                    // Overlapping tail windows keep the max error.
-                    let slot = &mut out[si][sp.start + k];
-                    *slot = slot.max(v);
-                }
-                off += n;
-            }
-            self.infer.release(sess);
-        }
-        for sc in &mut out {
-            for v in sc.iter_mut() {
-                *v = ((*v - self.score_mean) / self.score_std).max(0.0);
-            }
-        }
-        out
+        self.score_stacked::<InferenceSession>(series)
     }
 
-    /// f32-tier calibrated per-timestep scores — the precision-tiered
-    /// twin of [`SharedModel::score_series`]. Same window tiling, same
-    /// max-merge, same f64 calibration arithmetic on the widened errors;
-    /// only the forward pass runs in f32 (through a pooled
-    /// [`ns_nn::InferenceSessionF32`] with prebaked weights). There is no
-    /// taped fallback — the f32 tier has no tape; its reference is the
-    /// f64 oracle, compared statistically, not bitwise.
-    pub fn score_series_f32(&self, data: &Matrix) -> Vec<f64> {
-        self.score_series_raw_f32(data)
-            .into_iter()
-            .map(|s| ((s - self.score_mean) / self.score_std).max(0.0))
-            .collect()
+    /// f32-tier [`SharedModel::score_series_batch`]: same stacking,
+    /// merge and f64 calibration arithmetic on the widened errors; only
+    /// the forward pass runs in f32 (through a pooled
+    /// [`InferenceSessionF32`] with prebaked weights). The f32 tier has
+    /// no tape; its reference is the f64 tier, compared statistically,
+    /// not bitwise.
+    pub fn score_series_batch_f32(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
+        self.score_stacked::<InferenceSessionF32>(series)
     }
 
-    /// Raw f32-tier per-timestep errors (widened to f64), tiled exactly
-    /// as [`SharedModel::score_series_raw`].
-    pub fn score_series_raw_f32(&self, data: &Matrix) -> Vec<f64> {
-        let t = data.rows();
+    /// Window start offsets tiling `[0, t)` in steps of the model's
+    /// window, plus a final window aligned to the series end when the
+    /// tiling leaves a ragged tail. Empty for an empty series.
+    fn window_starts(&self, t: usize) -> Vec<usize> {
         if t == 0 {
             return Vec::new();
         }
@@ -521,89 +480,79 @@ impl SharedModel {
         if starts.last().map(|&s| s + w < t).unwrap_or(false) {
             starts.push(t - w);
         }
-        let scores = std::sync::Mutex::new(vec![0.0f64; t]);
-        starts.par_iter().for_each(|&s| {
-            let e = (s + w).min(t);
-            let mut sess = self.infer32.acquire();
-            let err = sess.score_window(
-                &self.params,
-                &self.model,
-                data,
-                s,
-                e,
-                |r| r as f64 * REL_PE_SCALE / t as f64,
-                &self.weights,
-            );
-            {
-                let mut sc = scores.lock().unwrap();
-                for (k, &v) in err.iter().enumerate() {
-                    let slot = &mut sc[s + k];
-                    *slot = slot.max(v);
-                }
-            }
-            self.infer32.release(sess);
-        });
-        scores.into_inner().unwrap()
+        starts
     }
 
-    /// f32-tier batched scoring — the precision-tiered twin of
-    /// [`SharedModel::score_series_batch`]: same window stacking and
-    /// per-series fan-out, one batched f32 forward per sub-batch.
-    pub fn score_series_batch_f32(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
-        let pos_fns: Vec<_> = series
-            .iter()
-            .map(|d| {
-                let t = d.rows();
-                move |r: usize| r as f64 * REL_PE_SCALE / t as f64
-            })
-            .collect();
-        let mut specs: Vec<ns_nn::WindowSpec> = Vec::new();
+    /// The window of `data` starting at row `start`.
+    fn window_spec<'a>(
+        &'a self,
+        data: &'a Matrix,
+        start: usize,
+        pos_of: &'a (dyn Fn(usize) -> f64 + 'a),
+    ) -> WindowSpec<'a> {
+        let t = data.rows();
+        WindowSpec {
+            data,
+            start,
+            end: (start + self.cfg.window.min(t).max(1)).min(t),
+            pos_of,
+            weights: &self.weights,
+        }
+    }
+
+    /// Run `specs` through one pooled session of tier `S` as a single
+    /// batched forward and hand each window's per-row errors to
+    /// `sink(window index, errors)`.
+    fn score_specs<S: TierSession>(
+        &self,
+        specs: &[WindowSpec<'_>],
+        mut sink: impl FnMut(usize, &[f64]),
+    ) {
+        if specs.is_empty() {
+            return;
+        }
+        let mut sess = S::acquire(self);
+        let errs = sess.window_errors(self, specs);
+        let mut off = 0usize;
+        for (i, sp) in specs.iter().enumerate() {
+            let n = sp.end - sp.start;
+            sink(i, &errs[off..off + n]);
+            off += n;
+        }
+        sess.release(self);
+    }
+
+    /// Both tiers' `score_series_batch`: stack every window of every
+    /// series into one [`SharedModel::score_specs`] call, max-merge the
+    /// errors back per series, calibrate.
+    fn score_stacked<S: TierSession>(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
+        // The PE position scale depends on each series' own length, so
+        // every series gets its own closure.
+        let pos_fns: Vec<_> = series.iter().map(|d| rel_position(d.rows())).collect();
+        let mut specs: Vec<WindowSpec> = Vec::new();
         let mut owners: Vec<usize> = Vec::new();
         for (si, data) in series.iter().enumerate() {
-            let t = data.rows();
-            if t == 0 {
-                continue;
-            }
-            let win = self.cfg.window.min(t).max(1);
-            let mut starts: Vec<usize> = (0..t.saturating_sub(win - 1)).step_by(win).collect();
-            if starts.is_empty() {
-                starts.push(0);
-            }
-            if starts.last().map(|&s| s + win < t).unwrap_or(false) {
-                starts.push(t - win);
-            }
-            for s in starts {
-                specs.push(ns_nn::WindowSpec {
-                    data,
-                    start: s,
-                    end: (s + win).min(t),
-                    pos_of: &pos_fns[si],
-                    weights: &self.weights,
-                });
+            for s in self.window_starts(data.rows()) {
+                specs.push(self.window_spec(data, s, &pos_fns[si]));
                 owners.push(si);
             }
         }
         let mut out: Vec<Vec<f64>> = series.iter().map(|d| vec![0.0f64; d.rows()]).collect();
-        if !specs.is_empty() {
-            let mut sess = self.infer32.acquire();
-            let errs = sess.score_windows_batch(&self.params, &self.model, &specs);
-            let mut off = 0usize;
-            for (sp, &si) in specs.iter().zip(&owners) {
-                let n = sp.end - sp.start;
-                for (k, &v) in errs[off..off + n].iter().enumerate() {
-                    let slot = &mut out[si][sp.start + k];
-                    *slot = slot.max(v);
-                }
-                off += n;
-            }
-            self.infer32.release(sess);
-        }
+        self.score_specs::<S>(&specs, |i, errs| {
+            merge_max(&mut out[owners[i]][specs[i].start..specs[i].end], errs);
+        });
         for sc in &mut out {
-            for v in sc.iter_mut() {
-                *v = ((*v - self.score_mean) / self.score_std).max(0.0);
-            }
+            self.calibrate_scores(sc);
         }
         out
+    }
+
+    /// Raw errors → z-units of the model's own training-error
+    /// distribution, clamped at 0 below.
+    fn calibrate_scores(&self, scores: &mut [f64]) {
+        for v in scores.iter_mut() {
+            *v = ((*v - self.score_mean) / self.score_std).max(0.0);
+        }
     }
 
     /// Final training loss (None before training).
@@ -774,41 +723,18 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_scores_bit_identical_to_taped() {
+    fn serving_schedules_bit_identical_to_taped() {
         let segs = [pattern_segment(48, 3, 0.3), pattern_segment(60, 3, 0.3)];
         let refs: Vec<&Matrix> = segs.iter().collect();
         let mut cfg = quick_cfg();
         cfg.epochs = 3;
-        for dense in [false, true] {
-            cfg.dense_ffn = dense;
-            let shared = SharedModel::train(&cfg, &refs);
-            // Mix of exact-tile, ragged-tail and shorter-than-window series.
-            for t in [5usize, 12, 29, 40] {
-                let series = pattern_segment(t, 3, 0.45);
-                ns_nn::set_fast_path(true);
-                let fast = shared.score_series(&series);
-                let fast2 = shared.score_series(&series); // warm pool
-                ns_nn::set_fast_path(false);
-                let taped = shared.score_series(&series);
-                ns_nn::set_fast_path(true);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&fast), bits(&taped), "dense={dense} t={t}");
-                assert_eq!(bits(&fast), bits(&fast2), "warm pool dense={dense} t={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn score_series_batch_bit_identical_per_series() {
-        let segs = [pattern_segment(48, 3, 0.3), pattern_segment(60, 3, 0.3)];
-        let refs: Vec<&Matrix> = segs.iter().collect();
-        let mut cfg = quick_cfg();
-        cfg.epochs = 3;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for dense in [false, true] {
             cfg.dense_ffn = dense;
             let shared = SharedModel::train(&cfg, &refs);
             // Mixed burst: exact-tile, ragged-tail, shorter-than-window
-            // and empty series all stacked into one batched forward.
+            // and empty series, scored one by one and stacked into one
+            // batched forward.
             let series: Vec<Matrix> = [40usize, 5, 12, 29, 0, 17]
                 .iter()
                 .enumerate()
@@ -816,51 +742,37 @@ mod tests {
                 .collect();
             let srefs: Vec<&Matrix> = series.iter().collect();
             let batched = shared.score_series_batch(&srefs);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(batched.len(), series.len());
             for (i, s) in series.iter().enumerate() {
-                let single = shared.score_series(s);
-                assert_eq!(
-                    bits(&batched[i]),
-                    bits(&single),
-                    "dense={dense} series {i} (t={})",
-                    s.rows()
-                );
-            }
-            // Taped fallback: per-series scoring, still identical.
-            ns_nn::set_fast_path(false);
-            let taped = shared.score_series_batch(&srefs);
-            ns_nn::set_fast_path(true);
-            for (i, sc) in taped.iter().enumerate() {
-                assert_eq!(bits(sc), bits(&batched[i]), "taped fallback series {i}");
+                let taped = bits(&shared.score_series_taped(s));
+                let ctx = format!("dense={dense} series {i} (t={})", s.rows());
+                assert_eq!(bits(&shared.score_series(s)), taped, "{ctx}");
+                assert_eq!(bits(&shared.score_series(s)), taped, "warm pool {ctx}");
+                assert_eq!(bits(&batched[i]), taped, "batched {ctx}");
             }
         }
     }
 
     #[test]
-    fn f32_scores_track_f64_and_batch_matches_single() {
+    fn f32_batched_scores_track_f64() {
         let segs = [pattern_segment(48, 3, 0.3), pattern_segment(60, 3, 0.3)];
         let refs: Vec<&Matrix> = segs.iter().collect();
         let mut cfg = quick_cfg();
         cfg.epochs = 3;
         let shared = SharedModel::train(&cfg, &refs);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let series: Vec<Matrix> = [40usize, 5, 12, 29, 0, 17]
             .iter()
             .enumerate()
             .map(|(i, &t)| pattern_segment(t, 3, 0.45 + i as f64 * 0.07))
             .collect();
         let srefs: Vec<&Matrix> = series.iter().collect();
-        let batched = shared.score_series_batch_f32(&srefs);
-        for (i, s) in series.iter().enumerate() {
-            // f32 batched and f32 per-series are the same tier — they
-            // must agree to the bit (the tier's own determinism).
-            let single = shared.score_series_f32(s);
-            assert_eq!(bits(&batched[i]), bits(&single), "series {i}");
+        let f32_scores = shared.score_series_batch_f32(&srefs);
+        let f64_scores = shared.score_series_batch(&srefs);
+        for (i, (lo, hi)) in f32_scores.iter().zip(&f64_scores).enumerate() {
+            assert_eq!(lo.len(), hi.len(), "series {i}");
             // Across tiers the agreement is statistical: calibrated
             // scores are O(1) z-units, so compare absolutely.
-            let f64_scores = shared.score_series(s);
-            for (a, b) in single.iter().zip(&f64_scores) {
+            for (a, b) in lo.iter().zip(hi) {
                 assert!(
                     (a - b).abs() < 1e-2,
                     "f32 tier drifted from f64: {a} vs {b} (series {i})"

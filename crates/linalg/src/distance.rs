@@ -8,7 +8,6 @@
 //! that is the dominant allocation of the coarse-clustering stage.
 
 use crate::matrix::Matrix;
-use crate::matrix_f32::MatrixF32;
 use rayon::prelude::*;
 
 /// Index and Euclidean distance of the row of `rows` nearest to `query`,
@@ -59,37 +58,6 @@ pub fn nearest_row(rows: &Matrix, query: &[f64]) -> (usize, f64) {
         }
     }
     (best_idx, best_sq.sqrt())
-}
-
-/// f32 twin of [`nearest_row`] for the precision-tiered probe matcher:
-/// same strict-`<` argmin in squared space, with early-abandon pruning
-/// through [`crate::kernels::squared_distance_bounded_f32`] (8-lane
-/// accumulation, bound checked every 32 elements), same NaN-skip and
-/// empty-matrix behavior. Row sums carry the f32 kernels' fixed lane
-/// association — the argmin argument in [`nearest_row`]'s doc only
-/// needs sums to be nondecreasing in elements and consistent between
-/// the pruned and full scans, which the bounded kernel's
-/// survival-equality contract provides. The returned distance is
-/// widened to `f64` so callers compare it against the same f64 match
-/// radius the default tier uses; the comparison itself ran in f32.
-pub fn nearest_row_f32(rows: &MatrixF32, query: &[f32]) -> (usize, f64) {
-    let mut best_idx = 0usize;
-    let mut best_sq = f32::INFINITY;
-    if rows.rows() > 0 {
-        assert_eq!(
-            query.len(),
-            rows.cols(),
-            "query length must match row width"
-        );
-    }
-    for c in 0..rows.rows() {
-        let s = crate::kernels::squared_distance_bounded_f32(query, rows.row(c), best_sq);
-        if s < best_sq {
-            best_idx = c;
-            best_sq = s;
-        }
-    }
-    (best_idx, (best_sq as f64).sqrt())
 }
 
 /// Condensed upper-triangular pairwise distance matrix over `n` items.
@@ -288,55 +256,6 @@ mod tests {
     fn nearest_row_empty_matrix_is_infinite() {
         let empty = Matrix::zeros(0, 0);
         let (i, d) = nearest_row(&empty, &[]);
-        assert_eq!(i, 0);
-        assert!(d.is_infinite());
-    }
-
-    /// The f32 scan must reproduce a strict-< argmin over *full* f32
-    /// squared distances — the unpruned kernel scan in the f32 tier's
-    /// pinned lane association — widened to f64 at the end.
-    fn reference_nearest_f32(rows: &MatrixF32, query: &[f32]) -> (usize, f64) {
-        let mut best = (0usize, f32::INFINITY);
-        for c in 0..rows.rows() {
-            let d = crate::kernels::squared_distance_f32(query, rows.row(c));
-            if d < best.1 {
-                best = (c, d);
-            }
-        }
-        (best.0, (best.1 as f64).sqrt())
-    }
-
-    #[test]
-    fn nearest_row_f32_matches_reference_scan() {
-        for width in [1, 3, 8, 11, 19, 64] {
-            let rows = MatrixF32::from_fn(13, width, |r, c| {
-                (((r * 31 + c * 7) as f64 * 0.37).sin() * 3.0) as f32
-            });
-            for qseed in 0..8 {
-                let query: Vec<f32> = (0..width)
-                    .map(|c| (((qseed * 17 + c * 5) as f64 * 0.23).cos() * 3.0) as f32)
-                    .collect();
-                let (ri, rd) = reference_nearest_f32(&rows, &query);
-                let (i, d) = nearest_row_f32(&rows, &query);
-                assert_eq!(i, ri, "argmin index (width {width}, qseed {qseed})");
-                assert_eq!(d.to_bits(), rd.to_bits(), "distance bits");
-            }
-        }
-    }
-
-    #[test]
-    fn nearest_row_f32_skips_nan_and_handles_empty() {
-        let rows = MatrixF32::from_rows(&[
-            vec![f32::NAN; 10],
-            vec![2.0; 10],
-            vec![f32::NAN; 10],
-            vec![1.5; 10],
-        ]);
-        let q = vec![1.0f32; 10];
-        assert_eq!(nearest_row_f32(&rows, &q).0, 3);
-
-        let empty = MatrixF32::zeros(0, 0);
-        let (i, d) = nearest_row_f32(&empty, &[]);
         assert_eq!(i, 0);
         assert!(d.is_infinite());
     }

@@ -197,11 +197,10 @@ pub fn squared_distance_bounded(a: &[f64], b: &[f64], bound: f64) -> f64 {
 //   triple loop and `matmul_pre_t_into` bit-identical to `matmul_into`
 //   — the same elegance argument as f64, and elementwise/interleaved
 //   chains vectorise fine without reassociation.
-// * The **reduction kernels on the scoring hot path** (`dot_f32`,
-//   `squared_distance_f32`, `squared_distance_bounded_f32`) use a
-//   *fixed 8-lane association*: lane `j` accumulates elements `i` with
-//   `i % 8 == j` over `chunks_exact(8)`, lanes reduce in one pinned
-//   tree, the `< 8` tail folds serially after. A single serial chain is
+// * The **reduction kernel** `dot_f32` uses a *fixed 8-lane
+//   association*: lane `j` accumulates elements `i` with `i % 8 == j`
+//   over `chunks_exact(8)`, lanes reduce in one pinned tree, the `< 8`
+//   tail folds serially after. A single serial chain is
 //   FP-add-latency-bound — f32 runs it no faster than f64, which
 //   forfeits exactly the bandwidth win the tier exists for — while
 //   eight independent chains fill an AVX2 f32 vector and let f32
@@ -308,75 +307,6 @@ pub fn dot4_f32(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> (f
         s3 += av * b3[kk];
     }
     (s0, s1, s2, s3)
-}
-
-/// f32 squared Euclidean distance in the fixed 8-lane association
-/// (see the module section comment): lanes seed `-0.0` (observable
-/// only on empty input — squares are never `-0.0`), pinned tree
-/// reduction, serial `< 8` tail. Deterministic, not the rolled order.
-#[inline]
-pub fn squared_distance_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let (a8, atail) = a[..n].split_at(n - n % 8);
-    let (b8, btail) = b[..n].split_at(n - n % 8);
-    let mut l = [-0.0f32; 8];
-    for (ac, bc) in a8.chunks_exact(8).zip(b8.chunks_exact(8)) {
-        for j in 0..8 {
-            let d = ac[j] - bc[j];
-            l[j] += d * d;
-        }
-    }
-    let mut s = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
-    for (av, bv) in atail.iter().zip(btail) {
-        let d = av - bv;
-        s += d * d;
-    }
-    s
-}
-
-/// Early-abandon twin of [`squared_distance_f32`]: the same 8-lane
-/// accumulation (lanes seed `+0.0`, the matcher's historical
-/// convention — indistinguishable from `-0.0` seeds on any non-empty
-/// row, since squares are `≥ +0.0`), with the running tree-reduced sum
-/// checked against `bound` once per **4 blocks (32 elements)**. The
-/// horizontal lane reduction is the expensive step the serial f64 scan
-/// never needed, so the check cadence is coarser than f64's 8; rows
-/// shorter than 8 elements fold entirely in the serial tail, exactly
-/// as before.
-///
-/// Contract, mirroring [`squared_distance_bounded`]: a surviving row's
-/// sum is bit-identical to the full [`squared_distance_f32`] scan, an
-/// abandoned row returns some partial sum `≥ bound`, and a NaN sum
-/// (which compares false against any bound) always runs to completion.
-#[inline]
-pub fn squared_distance_bounded_f32(a: &[f32], b: &[f32], bound: f32) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let tree = |l: &[f32; 8]| ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
-    let mut l = [0.0f32; 8];
-    let mut achunks = a.chunks_exact(8);
-    let mut bchunks = b.chunks_exact(8);
-    let mut blocks_since_check = 0usize;
-    for (ac, bc) in (&mut achunks).zip(&mut bchunks) {
-        for j in 0..8 {
-            let d = ac[j] - bc[j];
-            l[j] += d * d;
-        }
-        blocks_since_check += 1;
-        if blocks_since_check == 4 {
-            blocks_since_check = 0;
-            let s = tree(&l);
-            if s >= bound {
-                return s;
-            }
-        }
-    }
-    let mut s = tree(&l);
-    for (av, bv) in achunks.remainder().iter().zip(bchunks.remainder()) {
-        let d = av - bv;
-        s += d * d;
-    }
-    s
 }
 
 #[cfg(test)]
@@ -603,63 +533,5 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
             }
         }
-    }
-
-    #[test]
-    fn f32_squared_distance_bit_identical_to_lane8_reference() {
-        for n in WIDTHS {
-            let a = series32(6, n);
-            let b = series32(7, n);
-            let want = lane8_reduce(-0.0, n, |i| {
-                let d = a[i] - b[i];
-                d * d
-            });
-            assert_eq!(
-                squared_distance_f32(&a, &b).to_bits(),
-                want.to_bits(),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn f32_bounded_distance_exact_when_surviving() {
-        for n in WIDTHS {
-            if n == 0 {
-                let z = squared_distance_bounded_f32(&[], &[], f32::INFINITY);
-                assert_eq!(z.to_bits(), 0.0f32.to_bits());
-                assert_eq!(
-                    squared_distance_f32(&[], &[]).to_bits(),
-                    (-0.0f32).to_bits()
-                );
-                continue;
-            }
-            let a = series32(8, n);
-            let b = series32(9, n);
-            let full = squared_distance_f32(&a, &b);
-            let got = squared_distance_bounded_f32(&a, &b, f32::INFINITY);
-            assert_eq!(got.to_bits(), full.to_bits(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn f32_bounded_distance_abandons_at_or_over_bound() {
-        let a = vec![10.0f32; 64];
-        let b = vec![0.0f32; 64];
-        let s = squared_distance_bounded_f32(&a, &b, 150.0);
-        // Abandoned: the partial sum must already disqualify the row …
-        assert!(s >= 150.0);
-        // … at the first check point (4 blocks = 32 × 100), not the
-        // full row.
-        assert_eq!(s, 3200.0);
-    }
-
-    #[test]
-    fn f32_bounded_distance_runs_nan_rows_to_completion() {
-        let mut a = vec![0.0f32; 16];
-        a[0] = f32::NAN;
-        let b = vec![1.0f32; 16];
-        let s = squared_distance_bounded_f32(&a, &b, 0.5);
-        assert!(s.is_nan());
     }
 }

@@ -7,6 +7,12 @@
 //! scoring performs **zero heap allocations** per window (proved by the
 //! counting-allocator test in `tests/infer_zero_alloc.rs`).
 //!
+//! There is one forward body per session type, and it is the batched
+//! one: `B` windows stacked row-major, every linear layer one matmul over
+//! all rows, attention and the MoE scatter per window
+//! ([`InferenceSession::forward_batch`]). A single window is the `B = 1`
+//! case of the same code, not a second path.
+//!
 //! Linear layers multiply the [`ParamStore`] weights *in their stored
 //! orientation* through the blocked-axpy [`Matrix::matmul_into`] kernel —
 //! the same kernel the tape uses, so bit-identity is by construction, and
@@ -47,7 +53,6 @@ use crate::transformer::{EncoderLayer, ReconstructionTransformer};
 use ns_linalg::matrix::Matrix;
 use ns_linalg::matrix_f32::MatrixF32;
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 
 /// Upper bound on stacked rows per batched forward sub-batch
@@ -62,21 +67,6 @@ use std::sync::Mutex;
 /// unobservable in the output (windows are arithmetically independent),
 /// so this is purely a locality/footprint knob.
 const BATCH_ROW_BUDGET: usize = 512;
-
-/// Process-global switch for the inference fast path (default: on).
-/// Scoring call sites branch on this, so equivalence tests can run the
-/// same workload through both the taped and the tape-free forward.
-static FAST_PATH: AtomicBool = AtomicBool::new(true);
-
-/// Is the tape-free scoring path enabled?
-pub fn fast_path_enabled() -> bool {
-    FAST_PATH.load(AtomicOrdering::Relaxed)
-}
-
-/// Enable or disable the tape-free scoring path process-wide.
-pub fn set_fast_path(on: bool) {
-    FAST_PATH.store(on, AtomicOrdering::Relaxed);
-}
 
 /// One window of a batched scoring call
 /// ([`InferenceSession::score_windows_batch`]): rows `[start, end)` of
@@ -143,8 +133,9 @@ impl InferenceSession {
     }
 
     /// Tape-free forward of a `T × input_dim` window with a precomputed
-    /// positional-encoding table. Returns the reconstruction, borrowed
-    /// from the session's scratch (valid until the next call).
+    /// positional-encoding table — the `B = 1` case of
+    /// [`InferenceSession::forward_batch`]. Returns the reconstruction,
+    /// borrowed from the session's scratch (valid until the next call).
     pub fn forward(
         &mut self,
         params: &ParamStore,
@@ -152,20 +143,16 @@ impl InferenceSession {
         x: &Matrix,
         pe: &Matrix,
     ) -> &Matrix {
-        self.x.resize(x.rows(), x.cols());
-        self.x.as_mut_slice().copy_from_slice(x.as_slice());
-        self.pe.resize(pe.rows(), pe.cols());
-        self.pe.as_mut_slice().copy_from_slice(pe.as_slice());
-        self.forward_scratch(params, model);
-        &self.out
+        self.forward_batch(params, model, &[(x, pe)]).0
     }
 
-    /// Score one window of a longer series: fills the input scratch from
-    /// `data[start..end)`, builds the positional encoding from `pos_of`
-    /// (bit-identical to `sinusoidal_pe_at`), runs the forward, and
-    /// returns per-row weighted reconstruction errors — the exact
-    /// arithmetic of the taped `score_series_raw`. The slice is borrowed
-    /// from the session's scratch.
+    /// Score one window of a longer series — the `B = 1` case of
+    /// [`InferenceSession::score_windows_batch`]: fills the input scratch
+    /// from `data[start..end)`, builds the positional encoding from
+    /// `pos_of` (bit-identical to `sinusoidal_pe_at`), runs the forward,
+    /// and returns per-row weighted reconstruction errors — the exact
+    /// arithmetic of the taped `SharedModel::score_series_taped`. The
+    /// slice is borrowed from the session's scratch.
     #[allow(clippy::too_many_arguments)]
     pub fn score_window(
         &mut self,
@@ -177,47 +164,14 @@ impl InferenceSession {
         pos_of: impl Fn(usize) -> f64,
         weights: &[f64],
     ) -> &[f64] {
-        let t = end - start;
-        let m = data.cols();
-        self.x.resize(t, m);
-        for r in 0..t {
-            self.x.row_mut(r).copy_from_slice(data.row(start + r));
-        }
-        let d_model = model.cfg.d_model;
-        if self.pe_div.len() != d_model {
-            self.pe_div.clear();
-            self.pe_div.extend(
-                (0..d_model).map(|i| (10000.0_f64).powf((2 * (i / 2)) as f64 / d_model as f64)),
-            );
-        }
-        self.pe.resize(t, d_model);
-        for r in 0..t {
-            let p = pos_of(start + r);
-            // Same expression as `sinusoidal_pe_value` with the divisor
-            // hoisted — bit-identical to `sinusoidal_pe_at`.
-            for (i, (slot, &div)) in self.pe.row_mut(r).iter_mut().zip(&self.pe_div).enumerate() {
-                *slot = if i % 2 == 0 {
-                    (p / div).sin()
-                } else {
-                    (p / div).cos()
-                };
-            }
-        }
-        self.forward_scratch(params, model);
-        self.err.clear();
-        for r in 0..t {
-            let e = self
-                .x
-                .row(r)
-                .iter()
-                .zip(self.out.row(r))
-                .zip(weights)
-                .map(|((a, b), w)| w * (a - b) * (a - b))
-                .sum::<f64>()
-                / m.max(1) as f64;
-            self.err.push(e);
-        }
-        &self.err
+        let spec = WindowSpec {
+            data,
+            start,
+            end,
+            pos_of: &pos_of,
+            weights,
+        };
+        self.score_windows_batch(params, model, &[spec])
     }
 
     /// Batched forward of `B` windows stacked row-major into one scratch
@@ -266,24 +220,23 @@ impl InferenceSession {
                 self.pe.row_mut(r0 + r).copy_from_slice(pe.row(r));
             }
         }
-        self.forward_scratch_batch(params, model);
+        self.forward_scratch(params, model);
         (&self.out, &self.boffsets)
     }
 
-    /// Batched analogue of [`InferenceSession::score_window`]: stacks
+    /// Score many windows through one batched forward: stacks
     /// `specs` into row-budgeted sub-batches, runs [`forward_batch`]'s
     /// pipeline per sub-batch, and returns the concatenated per-row
     /// weighted reconstruction errors (window `b`'s errors are the
     /// `specs[b].end - specs[b].start` slots after those of windows
-    /// `0..b`). Each window's error slice is bit-identical to a
-    /// standalone `score_window` call — windows are arithmetically
-    /// independent, so the sub-batch grouping is unobservable in the
-    /// output.
+    /// `0..b`). Each window's error slice is bit-identical to scoring
+    /// that window alone — windows are arithmetically independent, so the
+    /// sub-batch grouping is unobservable in the output.
     ///
     /// Sub-batches are capped at `BATCH_ROW_BUDGET` stacked rows so the
     /// ~15 live scratch matrices stay cache-resident: one unbounded stack
-    /// measurably loses to the per-window loop on large bursts purely
-    /// through L2 eviction between the forward's passes.
+    /// measurably loses to a loop of one-window calls on large bursts
+    /// purely through L2 eviction between the forward's passes.
     ///
     /// [`forward_batch`]: InferenceSession::forward_batch
     pub fn score_windows_batch(
@@ -353,7 +306,8 @@ impl InferenceSession {
                     .row_mut(r0 + r)
                     .copy_from_slice(s.data.row(s.start + r));
                 let p = (s.pos_of)(s.start + r);
-                // Same expression as `score_window`'s PE fill.
+                // Same expression as `sinusoidal_pe_value` with the divisor
+                // hoisted — bit-identical to `sinusoidal_pe_at`.
                 for (i, (slot, &div)) in self
                     .pe
                     .row_mut(r0 + r)
@@ -369,7 +323,7 @@ impl InferenceSession {
                 }
             }
         }
-        self.forward_scratch_batch(params, model);
+        self.forward_scratch(params, model);
         for (b, s) in specs.iter().enumerate() {
             let r0 = self.boffsets[b];
             for r in 0..s.end - s.start {
@@ -387,10 +341,12 @@ impl InferenceSession {
         }
     }
 
-    /// The forward pass proper, reading `self.x` / `self.pe`, leaving the
-    /// reconstruction in `self.out`.
+    /// The forward pass proper, reading the stacked `self.x` / `self.pe`
+    /// and `self.boffsets`, leaving the stacked reconstruction in
+    /// `self.out`. Every linear layer is one kernel call over all rows;
+    /// only the cross-row ops (attention, MoE accumulation) iterate
+    /// windows.
     fn forward_scratch(&mut self, params: &ParamStore, model: &ReconstructionTransformer) {
-        // h = embed(x) + pe
         linear_into(&self.x, params, &model.embed, &mut self.h);
         self.h.add_assign(&self.pe);
         for layer in &model.layers {
@@ -399,151 +355,12 @@ impl InferenceSession {
         linear_into(&self.h, params, &model.decoder, &mut self.out);
     }
 
-    /// One encoder layer over the `self.h` carrier (post-norm residual
-    /// blocks, exactly as `EncoderLayer::forward`).
+    /// One encoder layer over the stacked `self.h` carrier (post-norm
+    /// residual blocks, exactly as `EncoderLayer::forward` per window):
+    /// the q/k/v/wo/FFN linears and the norm/residual ops are row-wise
+    /// (batched whole), and attention runs per `(window, head)` over that
+    /// window's row range so no window ever attends across another.
     fn encoder_layer(&mut self, params: &ParamStore, layer: &EncoderLayer) {
-        let t = self.h.rows();
-        let mha = &layer.attn;
-        let d_model = mha.d_model;
-        let dh = d_model / mha.n_heads;
-        let scale = 1.0 / (dh as f64).sqrt();
-        linear_into(&self.h, params, &mha.wq, &mut self.q);
-        linear_into(&self.h, params, &mha.wk, &mut self.k);
-        linear_into(&self.h, params, &mha.wv, &mut self.v);
-        self.cat.resize(t, d_model);
-        for hd in 0..mha.n_heads {
-            let lo = hd * dh;
-            let hi = lo + dh;
-            slice_cols_into(&self.q, lo, hi, &mut self.qh);
-            slice_cols_into(&self.k, lo, hi, &mut self.kh);
-            slice_cols_into(&self.v, lo, hi, &mut self.vh);
-            // scores = qh · khᵀ; kh is naturally the pre-transposed
-            // operand, so no transpose is materialised.
-            self.qh.matmul_pre_t_into(&self.kh, &mut self.scores);
-            self.scores.map_inplace(|x| x * scale);
-            softmax_rows_inplace(&mut self.scores);
-            self.scores.matmul_into(&self.vh, &mut self.head);
-            for r in 0..t {
-                self.cat.row_mut(r)[lo..hi].copy_from_slice(self.head.row(r));
-            }
-        }
-        linear_into(&self.cat, params, &mha.wo, &mut self.attn);
-        add_into(&self.h, &self.attn, &mut self.res1);
-        layer_norm_into(
-            &self.res1,
-            params.get(layer.norm1.gamma),
-            params.get(layer.norm1.beta),
-            &mut self.n1,
-        );
-        match (&layer.moe, &layer.ffn) {
-            (Some(moe), _) => self.moe_block(params, moe),
-            (None, Some(ffn)) => {
-                linear_into(&self.n1, params, &ffn.lin1, &mut self.hid);
-                self.hid.map_inplace(|x| x.max(0.0));
-                linear_into(&self.hid, params, &ffn.lin2, &mut self.block);
-            }
-            _ => unreachable!("layer has either moe or ffn"),
-        }
-        add_into(&self.n1, &self.block, &mut self.res2);
-        // h no longer read past res1 — overwrite it with this layer's output.
-        layer_norm_into(
-            &self.res2,
-            params.get(layer.norm2.gamma),
-            params.get(layer.norm2.beta),
-            &mut self.h,
-        );
-    }
-
-    /// Sparse-MoE block over `self.n1` into `self.block`, replicating
-    /// `MoeLayer::forward` (inference skips only the aux loss, which the
-    /// scoring path never reads).
-    fn moe_block(&mut self, params: &ParamStore, moe: &crate::moe::MoeLayer) {
-        let t = self.n1.rows();
-        let d = self.n1.cols();
-        let n_exp = moe.experts.len();
-        // Gate probabilities p = softmax(n1 · Wr).
-        self.n1.matmul_into(params.get(moe.gate), &mut self.gate);
-        softmax_rows_inplace(&mut self.gate);
-        // Top-k routing with top_k_indices' exact tie-breaking.
-        if self.assign.len() < n_exp {
-            self.assign.resize_with(n_exp, Vec::new);
-        }
-        for a in &mut self.assign[..n_exp] {
-            a.clear();
-        }
-        for tok in 0..t {
-            let row = self.gate.row(tok);
-            top_k_into(row, moe.top_k, &mut self.order);
-            for &e in &self.order {
-                self.assign[e].push(tok);
-            }
-        }
-        let mut init = false;
-        for (e, expert) in moe.experts.iter().enumerate() {
-            let idx = &self.assign[e];
-            if idx.is_empty() {
-                continue;
-            }
-            // xe = gather(n1, idx)
-            self.xe.resize(idx.len(), d);
-            for (r, &tok) in idx.iter().enumerate() {
-                self.xe.row_mut(r).copy_from_slice(self.n1.row(tok));
-            }
-            // ye = expert(xe) = lin2(relu(lin1(xe)))
-            linear_into(&self.xe, params, &expert.lin1, &mut self.hid);
-            self.hid.map_inplace(|x| x.max(0.0));
-            linear_into(&self.hid, params, &expert.lin2, &mut self.ye);
-            // Gate-weight each token's row, scatter to full size, and
-            // accumulate with a full-matrix add — the tape's exact
-            // sequence (including the adds over untouched zero rows).
-            for (r, &tok) in idx.iter().enumerate() {
-                let w = self.gate[(tok, e)];
-                for x in self.ye.row_mut(r).iter_mut() {
-                    *x *= w;
-                }
-            }
-            self.full.resize(t, d);
-            for (r, &tok) in idx.iter().enumerate() {
-                self.full.row_mut(tok).copy_from_slice(self.ye.row(r));
-            }
-            if init {
-                self.block.add_assign(&self.full);
-            } else {
-                self.block.resize(t, d);
-                self.block
-                    .as_mut_slice()
-                    .copy_from_slice(self.full.as_slice());
-                init = true;
-            }
-        }
-        if !init {
-            // No assignments (empty input): tape falls back to x · 0.0.
-            self.block.resize(t, d);
-            for (o, &v) in self.block.as_mut_slice().iter_mut().zip(self.n1.as_slice()) {
-                *o = v * 0.0;
-            }
-        }
-    }
-
-    /// Batched forward pass, reading the stacked `self.x` / `self.pe` and
-    /// `self.boffsets`, leaving the stacked reconstruction in `self.out`.
-    /// Every linear layer is one kernel call over all rows; only the
-    /// cross-row ops (attention, MoE accumulation) iterate windows.
-    fn forward_scratch_batch(&mut self, params: &ParamStore, model: &ReconstructionTransformer) {
-        linear_into(&self.x, params, &model.embed, &mut self.h);
-        self.h.add_assign(&self.pe);
-        for layer in &model.layers {
-            self.encoder_layer_batch(params, layer);
-        }
-        linear_into(&self.h, params, &model.decoder, &mut self.out);
-    }
-
-    /// One encoder layer over the stacked carrier. Identical arithmetic to
-    /// [`InferenceSession::encoder_layer`] per window: the q/k/v/wo/FFN
-    /// linears and the norm/residual ops are row-wise (batched whole), and
-    /// attention runs per `(window, head)` over that window's row range so
-    /// no window ever attends across another.
-    fn encoder_layer_batch(&mut self, params: &ParamStore, layer: &EncoderLayer) {
         let total = self.h.rows();
         let mha = &layer.attn;
         let d_model = mha.d_model;
@@ -579,7 +396,7 @@ impl InferenceSession {
             &mut self.n1,
         );
         match (&layer.moe, &layer.ffn) {
-            (Some(moe), _) => self.moe_block_batch(params, moe),
+            (Some(moe), _) => self.moe_block(params, moe),
             (None, Some(ffn)) => {
                 linear_into(&self.n1, params, &ffn.lin1, &mut self.hid);
                 self.hid.map_inplace(|x| x.max(0.0));
@@ -596,11 +413,14 @@ impl InferenceSession {
         );
     }
 
-    /// Batched sparse-MoE block over the stacked `self.n1`.
+    /// Sparse-MoE block over the stacked `self.n1` into `self.block`,
+    /// replicating `MoeLayer::forward` per window (inference skips only
+    /// the aux loss, which the scoring path never reads).
     ///
-    /// Gating and routing are per token (batched whole); each expert runs
-    /// **once** over its tokens gathered across every window (row-wise, so
-    /// per-token results match the per-window run); but the
+    /// Gating and routing are per token (batched whole, with
+    /// `top_k_indices`' exact tie-breaking); each expert runs **once**
+    /// over its tokens gathered across every window (row-wise, so
+    /// per-token results match a per-window run); but the
     /// scatter-then-accumulate into `self.block` replicates the tape **per
     /// window**: within each window's row range, the first expert holding
     /// any of its tokens *copies* its zero-padded scatter and later
@@ -609,7 +429,7 @@ impl InferenceSession {
     /// zeros: `-0.0` copied stays `-0.0`, while `0.0 + -0.0` is `+0.0` —
     /// and which experts are nonempty differs per window, so a whole-batch
     /// copy-then-add would not be bit-safe.
-    fn moe_block_batch(&mut self, params: &ParamStore, moe: &crate::moe::MoeLayer) {
+    fn moe_block(&mut self, params: &ParamStore, moe: &crate::moe::MoeLayer) {
         let total = self.n1.rows();
         let d = self.n1.cols();
         let n_exp = moe.experts.len();
@@ -708,20 +528,11 @@ fn linear_into(x: &Matrix, params: &ParamStore, lin: &Linear, out: &mut Matrix) 
 }
 
 /// Copy the `[r0, r1) × [lo, hi)` block of `src` into `out` (reshaped in
-/// place) — the batched analogue of [`slice_cols_into`] restricted to one
-/// window's row range.
+/// place): one head's columns restricted to one window's row range.
 fn slice_block_into(src: &Matrix, r0: usize, r1: usize, lo: usize, hi: usize, out: &mut Matrix) {
     out.resize(r1 - r0, hi - lo);
     for r in r0..r1 {
         out.row_mut(r - r0).copy_from_slice(&src.row(r)[lo..hi]);
-    }
-}
-
-/// Copy columns `[lo, hi)` of `src` into `out` (reshaped in place).
-fn slice_cols_into(src: &Matrix, lo: usize, hi: usize, out: &mut Matrix) {
-    out.resize(src.rows(), hi - lo);
-    for r in 0..src.rows() {
-        out.row_mut(r).copy_from_slice(&src.row(r)[lo..hi]);
     }
 }
 
@@ -880,8 +691,9 @@ impl InferenceSessionF32 {
     }
 
     /// f32 forward of a `T × input_dim` window with a precomputed
-    /// positional-encoding table (both down-converted at fill). Returns
-    /// the reconstruction, borrowed from the session's scratch.
+    /// positional-encoding table (both down-converted at fill) — the
+    /// `B = 1` case of [`InferenceSessionF32::forward_batch`]. Returns the
+    /// reconstruction, borrowed from the session's scratch.
     pub fn forward(
         &mut self,
         params: &ParamStore,
@@ -889,66 +701,7 @@ impl InferenceSessionF32 {
         x: &Matrix,
         pe: &Matrix,
     ) -> &MatrixF32 {
-        self.bake(params);
-        self.x.copy_from_matrix(x);
-        self.pe.copy_from_matrix(pe);
-        self.forward_scratch(model);
-        &self.out
-    }
-
-    /// f32 twin of [`InferenceSession::score_window`]: per-row weighted
-    /// reconstruction errors of one window, accumulated in f32 and
-    /// widened to f64 on return.
-    #[allow(clippy::too_many_arguments)]
-    pub fn score_window(
-        &mut self,
-        params: &ParamStore,
-        model: &ReconstructionTransformer,
-        data: &Matrix,
-        start: usize,
-        end: usize,
-        pos_of: impl Fn(usize) -> f64,
-        weights: &[f64],
-    ) -> &[f64] {
-        self.bake(params);
-        let t = end - start;
-        let m = data.cols();
-        self.x.resize(t, m);
-        for r in 0..t {
-            for (slot, &v) in self.x.row_mut(r).iter_mut().zip(data.row(start + r)) {
-                *slot = v as f32;
-            }
-        }
-        let d_model = model.cfg.d_model;
-        self.fill_pe_div(d_model);
-        self.pe.resize(t, d_model);
-        for r in 0..t {
-            let p = pos_of(start + r);
-            for (i, (slot, &div)) in self.pe.row_mut(r).iter_mut().zip(&self.pe_div).enumerate() {
-                // Trig in f64 (same expression as the f64 tier), rounded
-                // once at the store.
-                *slot = if i % 2 == 0 {
-                    (p / div).sin() as f32
-                } else {
-                    (p / div).cos() as f32
-                };
-            }
-        }
-        self.forward_scratch(model);
-        self.err.clear();
-        for r in 0..t {
-            let e = self
-                .x
-                .row(r)
-                .iter()
-                .zip(self.out.row(r))
-                .zip(weights)
-                .map(|((a, b), w)| (*w as f32) * (a - b) * (a - b))
-                .sum::<f32>()
-                / m.max(1) as f32;
-            self.err.push(e as f64);
-        }
-        &self.err
+        self.forward_batch(params, model, &[(x, pe)]).0
     }
 
     /// f32 twin of [`InferenceSession::forward_batch`]: stacked batched
@@ -989,7 +742,7 @@ impl InferenceSessionF32 {
                 }
             }
         }
-        self.forward_scratch_batch(model);
+        self.forward_scratch(model);
         (&self.out, &self.boffsets)
     }
 
@@ -1082,7 +835,7 @@ impl InferenceSessionF32 {
                 }
             }
         }
-        self.forward_scratch_batch(model);
+        self.forward_scratch(model);
         for (b, s) in specs.iter().enumerate() {
             let r0 = self.boffsets[b];
             for r in 0..s.end - s.start {
@@ -1100,8 +853,9 @@ impl InferenceSessionF32 {
         }
     }
 
-    /// The f32 forward pass proper, reading `self.x` / `self.pe` and the
-    /// prebaked `self.weights`, leaving the reconstruction in `self.out`.
+    /// The f32 forward pass proper over the stacked `self.x` / `self.pe`
+    /// and the prebaked `self.weights`, leaving the stacked reconstruction
+    /// in `self.out`.
     fn forward_scratch(&mut self, model: &ReconstructionTransformer) {
         linear_into_f32(&self.x, &self.weights, &model.embed, &mut self.h);
         self.h.add_assign(&self.pe);
@@ -1111,134 +865,9 @@ impl InferenceSessionF32 {
         linear_into_f32(&self.h, &self.weights, &model.decoder, &mut self.out);
     }
 
-    /// One encoder layer over the `self.h` carrier — the f64 session's
-    /// exact structure with f32 scratch and prebaked weights.
-    fn encoder_layer(&mut self, layer: &EncoderLayer) {
-        let t = self.h.rows();
-        let mha = &layer.attn;
-        let d_model = mha.d_model;
-        let dh = d_model / mha.n_heads;
-        let scale = (1.0 / (dh as f64).sqrt()) as f32;
-        linear_into_f32(&self.h, &self.weights, &mha.wq, &mut self.q);
-        linear_into_f32(&self.h, &self.weights, &mha.wk, &mut self.k);
-        linear_into_f32(&self.h, &self.weights, &mha.wv, &mut self.v);
-        self.cat.resize(t, d_model);
-        for hd in 0..mha.n_heads {
-            let lo = hd * dh;
-            let hi = lo + dh;
-            slice_cols_into_f32(&self.q, lo, hi, &mut self.qh);
-            slice_cols_into_f32(&self.k, lo, hi, &mut self.kh);
-            slice_cols_into_f32(&self.v, lo, hi, &mut self.vh);
-            self.qh.matmul_pre_t_into(&self.kh, &mut self.scores);
-            self.scores.map_inplace(|x| x * scale);
-            softmax_rows_inplace_f32(&mut self.scores);
-            self.scores.matmul_into(&self.vh, &mut self.head);
-            for r in 0..t {
-                self.cat.row_mut(r)[lo..hi].copy_from_slice(self.head.row(r));
-            }
-        }
-        linear_into_f32(&self.cat, &self.weights, &mha.wo, &mut self.attn);
-        add_into_f32(&self.h, &self.attn, &mut self.res1);
-        layer_norm_into_f32(
-            &self.res1,
-            &self.weights[layer.norm1.gamma],
-            &self.weights[layer.norm1.beta],
-            &mut self.n1,
-        );
-        match (&layer.moe, &layer.ffn) {
-            (Some(moe), _) => self.moe_block(moe),
-            (None, Some(ffn)) => {
-                linear_into_f32(&self.n1, &self.weights, &ffn.lin1, &mut self.hid);
-                self.hid.map_inplace(|x| x.max(0.0));
-                linear_into_f32(&self.hid, &self.weights, &ffn.lin2, &mut self.block);
-            }
-            _ => unreachable!("layer has either moe or ffn"),
-        }
-        add_into_f32(&self.n1, &self.block, &mut self.res2);
-        layer_norm_into_f32(
-            &self.res2,
-            &self.weights[layer.norm2.gamma],
-            &self.weights[layer.norm2.beta],
-            &mut self.h,
-        );
-    }
-
-    /// Sparse-MoE block over `self.n1` into `self.block` — same routing
-    /// tie-breaking and scatter/copy-or-add sequence as the f64 session,
-    /// with gate probabilities computed in f32.
-    fn moe_block(&mut self, moe: &crate::moe::MoeLayer) {
-        let t = self.n1.rows();
-        let d = self.n1.cols();
-        let n_exp = moe.experts.len();
-        self.n1.matmul_into(&self.weights[moe.gate], &mut self.gate);
-        softmax_rows_inplace_f32(&mut self.gate);
-        if self.assign.len() < n_exp {
-            self.assign.resize_with(n_exp, Vec::new);
-        }
-        for a in &mut self.assign[..n_exp] {
-            a.clear();
-        }
-        for tok in 0..t {
-            let row = self.gate.row(tok);
-            top_k_into_f32(row, moe.top_k, &mut self.order);
-            for &e in &self.order {
-                self.assign[e].push(tok);
-            }
-        }
-        let mut init = false;
-        for (e, expert) in moe.experts.iter().enumerate() {
-            let idx = &self.assign[e];
-            if idx.is_empty() {
-                continue;
-            }
-            self.xe.resize(idx.len(), d);
-            for (r, &tok) in idx.iter().enumerate() {
-                self.xe.row_mut(r).copy_from_slice(self.n1.row(tok));
-            }
-            linear_into_f32(&self.xe, &self.weights, &expert.lin1, &mut self.hid);
-            self.hid.map_inplace(|x| x.max(0.0));
-            linear_into_f32(&self.hid, &self.weights, &expert.lin2, &mut self.ye);
-            for (r, &tok) in idx.iter().enumerate() {
-                let w = self.gate[(tok, e)];
-                for x in self.ye.row_mut(r).iter_mut() {
-                    *x *= w;
-                }
-            }
-            self.full.resize(t, d);
-            for (r, &tok) in idx.iter().enumerate() {
-                self.full.row_mut(tok).copy_from_slice(self.ye.row(r));
-            }
-            if init {
-                self.block.add_assign(&self.full);
-            } else {
-                self.block.resize(t, d);
-                self.block
-                    .as_mut_slice()
-                    .copy_from_slice(self.full.as_slice());
-                init = true;
-            }
-        }
-        if !init {
-            self.block.resize(t, d);
-            for (o, &v) in self.block.as_mut_slice().iter_mut().zip(self.n1.as_slice()) {
-                *o = v * 0.0;
-            }
-        }
-    }
-
-    /// Batched f32 forward pass over the stacked `self.x` / `self.pe`.
-    fn forward_scratch_batch(&mut self, model: &ReconstructionTransformer) {
-        linear_into_f32(&self.x, &self.weights, &model.embed, &mut self.h);
-        self.h.add_assign(&self.pe);
-        for layer in &model.layers {
-            self.encoder_layer_batch(layer);
-        }
-        linear_into_f32(&self.h, &self.weights, &model.decoder, &mut self.out);
-    }
-
     /// One encoder layer over the stacked carrier — batched linears,
     /// per-(window, head) attention, as in the f64 session.
-    fn encoder_layer_batch(&mut self, layer: &EncoderLayer) {
+    fn encoder_layer(&mut self, layer: &EncoderLayer) {
         let total = self.h.rows();
         let mha = &layer.attn;
         let d_model = mha.d_model;
@@ -1274,7 +903,7 @@ impl InferenceSessionF32 {
             &mut self.n1,
         );
         match (&layer.moe, &layer.ffn) {
-            (Some(moe), _) => self.moe_block_batch(moe),
+            (Some(moe), _) => self.moe_block(moe),
             (None, Some(ffn)) => {
                 linear_into_f32(&self.n1, &self.weights, &ffn.lin1, &mut self.hid);
                 self.hid.map_inplace(|x| x.max(0.0));
@@ -1291,9 +920,11 @@ impl InferenceSessionF32 {
         );
     }
 
-    /// Batched sparse-MoE block — per-window copy-or-add scatter, exactly
-    /// the f64 session's signed-zero-safe sequence in f32.
-    fn moe_block_batch(&mut self, moe: &crate::moe::MoeLayer) {
+    /// Sparse-MoE block over the stacked `self.n1` — same routing
+    /// tie-breaking and per-window copy-or-add scatter as the f64
+    /// session's signed-zero-safe sequence, with gate probabilities
+    /// computed in f32.
+    fn moe_block(&mut self, moe: &crate::moe::MoeLayer) {
         let total = self.n1.rows();
         let d = self.n1.cols();
         let n_exp = moe.experts.len();
@@ -1396,14 +1027,6 @@ fn slice_block_into_f32(
     out.resize(r1 - r0, hi - lo);
     for r in r0..r1 {
         out.row_mut(r - r0).copy_from_slice(&src.row(r)[lo..hi]);
-    }
-}
-
-/// f32 twin of [`slice_cols_into`].
-fn slice_cols_into_f32(src: &MatrixF32, lo: usize, hi: usize, out: &mut MatrixF32) {
-    out.resize(src.rows(), hi - lo);
-    for r in 0..src.rows() {
-        out.row_mut(r).copy_from_slice(&src.row(r)[lo..hi]);
     }
 }
 

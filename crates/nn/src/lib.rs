@@ -38,10 +38,7 @@ pub mod tape;
 pub mod transformer;
 pub mod vae;
 
-pub use infer::{
-    fast_path_enabled, set_fast_path, InferenceSession, InferenceSessionF32, SessionPool,
-    SessionPoolF32, WindowSpec,
-};
+pub use infer::{InferenceSession, InferenceSessionF32, SessionPool, SessionPoolF32, WindowSpec};
 pub use layers::{
     sinusoidal_pe, sinusoidal_pe_at, FeedForward, LayerNorm, Linear, MultiHeadAttention,
 };

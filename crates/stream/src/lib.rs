@@ -17,15 +17,19 @@
 //!   cumulative counter went backwards (a collector restart).
 //! * [`NodeState`] assembles preprocessed test rows into job segments at
 //!   transition ticks, pattern-matches each segment's probe head against
-//!   the cluster library as soon as `match_period` rows exist, scores the
-//!   segment through the matched shared model at segment close (the
+//!   the cluster library once `match_period` rows exist, scores the
+//!   segment through the matched shared model once it has closed (the
 //!   positional encoding spans the whole segment, so scores finalize
 //!   there), applies the per-segment baseline normalization, and feeds a
-//!   node-level [`StreamingSmoother`] → [`StreamingKSigma`] chain.
+//!   node-level [`StreamingSmoother`] → [`StreamingKSigma`] chain. Ready
+//!   probes and closed segments queue on the node; a *scoring phase*
+//!   works the queue off.
 //! * [`Engine`] shards nodes across a worker pool over bounded channels
 //!   (ingest blocks when a shard falls behind — backpressure, not
-//!   unbounded buffering) and returns every [`Verdict`] plus deployment
-//!   cost statistics and [`FaultCounters`].
+//!   unbounded buffering), runs one scoring phase per shard after every
+//!   tick batch — everything ready across the shard's nodes goes through
+//!   one batched forward per shared model — and returns every
+//!   [`Verdict`] plus deployment cost statistics and [`FaultCounters`].
 //!
 //! # Fault model & degraded mode
 //!
@@ -633,14 +637,6 @@ fn kinds_from_ordinals(bytes: &[u8]) -> Result<Vec<RowKind>, SnapshotError> {
     bytes.iter().map(|&b| RowKind::from_ordinal(b)).collect()
 }
 
-/// The F32 tier's probe matcher: the cluster library baked down to f32
-/// once per node (the fitted model is immutable for the run), plus the
-/// f32 standardization scratch that replaces `z_scratch`.
-struct ProbeScratch32 {
-    lib: coarse::ProbeLibraryF32,
-    scratch: Vec<f32>,
-}
-
 /// A score waiting for its (lagged) smoothed threshold decision.
 struct PendingScore {
     step: usize,
@@ -651,20 +647,18 @@ struct PendingScore {
     degraded: bool,
 }
 
-/// A closed segment whose scoring is deferred to the shard's batched
-/// scoring phase. Rows, provenance and the degraded flag are frozen at
-/// close time, so scoring later cannot change any verdict bit relative
-/// to the eager path.
+/// A closed segment waiting for a scoring phase. Rows, provenance and
+/// the degraded flag are frozen at close time, so when the phase runs
+/// cannot change any verdict bit.
 struct SegmentJob {
     /// Global step of the segment's first row.
     start: usize,
     /// The segment's preprocessed rows (ownership moved out of the open
-    /// segment — later retro-taints cannot reach them, matching the
-    /// eager path where these verdicts would already be emitted).
+    /// segment — later retro-taints cannot reach a closed segment).
     rows: Vec<Vec<f64>>,
     /// Provenance per row, parallel to `rows`.
     kinds: Vec<RowKind>,
-    /// Cluster from the eager probe match, if it ran before the cut.
+    /// Cluster from the probe match, if it was resolved before the cut.
     matched: Option<usize>,
     /// Degraded flag evaluated at close time (resync or tainted rows).
     degraded: bool,
@@ -674,7 +668,7 @@ struct SegmentJob {
 ///
 /// Drives the full online pipeline of [`NodeSentry::score_node`] +
 /// smoothing + k-sigma from one tick at a time. Scores for a segment are
-/// emitted when the segment closes (next job transition or flush): the
+/// emitted after the segment closes (next job transition or flush): the
 /// shared model's positional encoding is relative to the whole segment,
 /// so earlier emission would change the answer.
 ///
@@ -701,11 +695,9 @@ pub struct NodeState {
     /// Provenance of each current-segment row, parallel to `seg_rows`.
     seg_row_kinds: Vec<RowKind>,
     seg_start: usize,
-    /// Eager probe match for the current segment, once available.
+    /// Probe match for the current segment, once resolved.
     matched: Option<usize>,
-    /// Defer scoring/matching to the shard's batched scoring phase.
-    batch_scoring: bool,
-    /// Closed segments awaiting the batched scoring phase (FIFO).
+    /// Closed segments awaiting the next scoring phase (FIFO).
     jobs: VecDeque<SegmentJob>,
     /// The open segment reached `match_period` rows; its probe match is
     /// deferred to the next scoring phase.
@@ -715,8 +707,6 @@ pub struct NodeState {
     z_scratch: Vec<f64>,
     /// Scoring tier every verdict from this node is tagged with.
     precision: ScoringPrecision,
-    /// Baked f32 probe library; `Some` exactly when `precision` is F32.
-    probe32: Option<ProbeScratch32>,
     smoother: StreamingSmoother,
     detector: StreamingKSigma,
     /// Scores awaiting their (lagged) smoothed verdict.
@@ -756,10 +746,6 @@ impl NodeState {
             .map(|&g| !model.preprocessor.counters[g])
             .collect();
         let n_watch = stuck_watch.iter().filter(|&&w| w).count();
-        let probe32 = (cfg.scoring_precision == ScoringPrecision::F32).then(|| ProbeScratch32 {
-            lib: model.cluster_model.probe_library_f32(),
-            scratch: Vec::new(),
-        });
         NodeState {
             model,
             node,
@@ -773,12 +759,10 @@ impl NodeState {
             seg_row_kinds: Vec::new(),
             seg_start: 0,
             matched: None,
-            batch_scoring: cfg.batch_scoring,
             jobs: VecDeque::new(),
             probe_pending: false,
             z_scratch: Vec::new(),
             precision: cfg.scoring_precision,
-            probe32,
             smoother: StreamingSmoother::new(cfg.smooth_window),
             detector,
             pending: VecDeque::new(),
@@ -798,11 +782,14 @@ impl NodeState {
         }
     }
 
-    /// Offer one tick in arbitrary arrival order; returns verdicts
-    /// finalized by it (usually none — a burst arrives when a segment
-    /// closes). Never panics on malformed sequencing: out-of-contract
-    /// ticks are buffered, rejected, or synthesized around, and counted
-    /// in [`NodeState::faults`].
+    /// Offer one tick in arbitrary arrival order. A segment the tick
+    /// closes is queued, not scored: its verdicts come out of the shard's
+    /// next scoring phase (inside an [`Engine`]) or of
+    /// [`NodeState::flush`] (driven inline), so the only verdicts
+    /// returned here are those a blackout reset flushes. Never panics on
+    /// malformed sequencing: out-of-contract ticks are buffered,
+    /// rejected, or synthesized around, and counted in
+    /// [`NodeState::faults`].
     pub fn offer(&mut self, tick: &Tick) -> Vec<Verdict> {
         debug_assert_eq!(tick.node, self.node, "tick routed to wrong node state");
         self.stats.n_ticks += 1;
@@ -825,9 +812,8 @@ impl NodeState {
             }
             return self.settle();
         }
-        let mut out = self.ingest_now(tick);
-        out.extend(self.settle());
-        out
+        self.ingest_now(tick);
+        self.settle()
     }
 
     /// Drain the reorder buffer as far as policy allows: contiguous ticks
@@ -838,7 +824,7 @@ impl NodeState {
         let mut out = Vec::new();
         loop {
             while let Some(t) = self.ahead.remove(&self.next_step) {
-                out.extend(self.ingest_now(&t));
+                self.ingest_now(&t);
             }
             let Some((&front, _)) = self.ahead.first_key_value() else {
                 break;
@@ -853,7 +839,7 @@ impl NodeState {
                 None => break,
             };
             if span > self.reorder_bound {
-                out.extend(self.ingest_missing());
+                self.ingest_missing();
             } else {
                 break; // wait for the straggler
             }
@@ -862,7 +848,7 @@ impl NodeState {
     }
 
     /// Ingest the tick for exactly `next_step`.
-    fn ingest_now(&mut self, tick: &Tick) -> Vec<Verdict> {
+    fn ingest_now(&mut self, tick: &Tick) {
         let kind = self.observe_raw(tick.step, &tick.values);
         self.next_step += 1;
         // Batch segmentation keeps transitions strictly inside the test
@@ -872,19 +858,19 @@ impl NodeState {
         }
         self.row_kinds.push_back(kind);
         let rows = self.pre.push(&tick.values);
-        self.absorb_rows(rows)
+        self.absorb_rows(rows);
     }
 
     /// Declare `next_step` lost and synthesize an all-NaN row for it; the
     /// preprocessor interpolates it like any missing sample. The step
     /// never receives a verdict.
-    fn ingest_missing(&mut self) -> Vec<Verdict> {
+    fn ingest_missing(&mut self) {
         self.faults.synthesized_rows += 1;
         self.next_step += 1;
         self.row_kinds.push_back(RowKind::Synthesized);
         let nan_row = vec![f64::NAN; self.width];
         let rows = self.pre.push(&nan_row);
-        self.absorb_rows(rows)
+        self.absorb_rows(rows);
     }
 
     /// Update the stuck-sensor watch with a delivered raw row and return
@@ -994,11 +980,11 @@ impl NodeState {
                 out.extend(self.blackout_reset(front));
             } else {
                 while self.next_step < front {
-                    out.extend(self.ingest_missing());
+                    self.ingest_missing();
                 }
             }
             while let Some(t) = self.ahead.remove(&self.next_step) {
-                out.extend(self.ingest_now(&t));
+                self.ingest_now(&t);
             }
         }
         out.extend(self.flush_tail(false));
@@ -1010,30 +996,19 @@ impl NodeState {
     /// (used mid-stream at blackout resets, where the tail clamp differs
     /// from what batch interpolation across the gap would produce).
     fn flush_tail(&mut self, degrade: bool) -> Vec<Verdict> {
-        // Jobs queued before this flush belong to segments the eager
-        // path had already scored and emitted pre-flush; drain them
-        // first so the degrade marking below cannot touch their
-        // verdicts. (Verdicts their scores release during the flush —
-        // the smoothing-lag tail — land in `out` below and are marked,
-        // exactly as the eager path marks them.)
-        let mut pre = if self.batch_scoring {
-            self.drain_jobs()
-        } else {
-            Vec::new()
-        };
+        // Jobs queued before this flush are segments that closed before
+        // it; drain them first so the degrade marking below cannot touch
+        // their verdicts. (Verdicts their scores release during the
+        // flush — the smoothing-lag tail — land in `out` below and are
+        // marked.)
+        let mut pre = self.drain_jobs();
         let rows = self.pre.flush();
-        let mut out = self.absorb_rows(rows);
+        self.absorb_rows(rows);
         if !self.seg_rows.is_empty() {
-            if self.batch_scoring {
-                let job = self.take_open_segment();
-                self.jobs.push_back(job);
-            } else {
-                out.extend(self.close_segment());
-            }
+            let job = self.take_open_segment();
+            self.jobs.push_back(job);
         }
-        if self.batch_scoring {
-            out.extend(self.drain_jobs());
-        }
+        let mut out = self.drain_jobs();
         let t0 = Instant::now();
         for sv in self.smoother.flush() {
             let flagged = self.detector.push(sv);
@@ -1055,8 +1030,7 @@ impl NodeState {
         pre
     }
 
-    fn absorb_rows(&mut self, rows: Vec<PreRow>) -> Vec<Verdict> {
-        let mut out = Vec::new();
+    fn absorb_rows(&mut self, rows: Vec<PreRow>) {
         for prerow in rows {
             let r = self.next_row;
             self.next_row += 1;
@@ -1079,15 +1053,10 @@ impl NodeState {
             if self.cuts.front() == Some(&r) {
                 self.cuts.pop_front();
                 if !self.seg_rows.is_empty() {
-                    if self.batch_scoring {
-                        // Deferred: freeze the segment now (rows, kinds,
-                        // degraded flag) and score it in the shard's next
-                        // batched scoring phase.
-                        let job = self.take_open_segment();
-                        self.jobs.push_back(job);
-                    } else {
-                        out.extend(self.close_segment());
-                    }
+                    // Freeze the segment now (rows, kinds, degraded flag);
+                    // the next scoring phase scores it.
+                    let job = self.take_open_segment();
+                    self.jobs.push_back(job);
                 }
             }
             if self.seg_rows.is_empty() {
@@ -1095,38 +1064,20 @@ impl NodeState {
             }
             self.seg_rows.push(prerow.values);
             self.seg_row_kinds.push(kind);
-            // Eager pattern matching: the probe is the segment's first
+            // Early pattern matching: the probe is the segment's first
             // `match_period` rows, available long before the segment
-            // closes. This is the deployment's per-transition match cycle.
-            // In batched mode the match itself is deferred to the scoring
-            // phase; the probe rows are frozen either way, so the result
-            // is identical.
+            // closes. This is the deployment's per-transition match cycle;
+            // the next scoring phase resolves it over the frozen probe
+            // rows.
             if self.matched.is_none() && self.seg_rows.len() == self.model.cfg.match_period {
-                if self.batch_scoring {
-                    self.probe_pending = true;
-                } else {
-                    self.matched = Some(self.match_probe(self.seg_rows.len()));
-                }
+                self.probe_pending = true;
             }
         }
-        out
     }
 
-    fn match_probe(&mut self, probe_len: usize) -> usize {
-        match_probe_rows(
-            &self.model,
-            &mut self.z_scratch,
-            self.probe32.as_mut(),
-            &mut self.stats,
-            &self.seg_rows,
-            probe_len,
-        )
-    }
-
-    /// Freeze the open segment into a [`SegmentJob`]. Rows, provenance
-    /// and the degraded flag are evaluated exactly where the eager
-    /// [`close_segment`](NodeState::close_segment) evaluates them, so a
-    /// job scored later yields the same verdict bits.
+    /// Freeze the open segment into a [`SegmentJob`]: rows, provenance
+    /// and the degraded flag are evaluated here, at close time, so a job
+    /// scored later yields the same verdict bits.
     fn take_open_segment(&mut self) -> SegmentJob {
         let rows = std::mem::take(&mut self.seg_rows);
         let kinds = std::mem::take(&mut self.seg_row_kinds);
@@ -1145,46 +1096,10 @@ impl NodeState {
         }
     }
 
-    /// Score the finished segment through its matched shared model and
-    /// feed the smoothing → k-sigma chain; returns finalized verdicts.
-    /// (Eager path — with `batch_scoring` the same three stages run
-    /// split across the queue and the shard's scoring phase.)
-    fn close_segment(&mut self) -> Vec<Verdict> {
-        let mut job = self.take_open_segment();
-        let probe_len = self.model.cfg.match_period.clamp(1, job.rows.len());
-        let cluster = match job.matched.take() {
-            Some(c) => c,
-            // Segment shorter than the match period: probe is the whole
-            // segment, matched at close like the batch code.
-            None => match_probe_rows(
-                &self.model,
-                &mut self.z_scratch,
-                self.probe32.as_mut(),
-                &mut self.stats,
-                &job.rows,
-                probe_len,
-            ),
-        };
-        let t0 = Instant::now();
-        let data = Matrix::from_rows(&job.rows);
-        // Invariant: `Engine::try_new` rejects models without shared
-        // experts, so the clamped index is always in range.
-        let model = &self.model.shared_models[cluster.min(self.model.shared_models.len() - 1)];
-        let mut seg_scores = match self.precision {
-            ScoringPrecision::F64 => model.score_series(&data),
-            ScoringPrecision::F32 => model.score_series_f32(&data),
-        };
-        normalize_segment_scores(&mut seg_scores, probe_len);
-        let elapsed = t0.elapsed().as_secs_f64();
-        self.apply_scored(job, cluster, seg_scores, elapsed)
-    }
-
     /// Push one scored segment through the smoothing → k-sigma chain;
     /// returns finalized verdicts. `cost_share` is this segment's share
-    /// of scoring wall time (its own elapsed when eager, the batch's
-    /// elapsed divided by occupancy when batched), attributed to the
-    /// same stats and histograms either way so the per-segment latency
-    /// distributions stay comparable.
+    /// of scoring wall time (the batch's elapsed divided by its
+    /// occupancy).
     fn apply_scored(
         &mut self,
         job: SegmentJob,
@@ -1220,9 +1135,9 @@ impl NodeState {
         out
     }
 
-    /// Any probe matching deferred by `batch_scoring`? (Queued jobs that
+    /// Probe matches waiting for the scoring phase: queued jobs that
     /// closed before reaching `match_period` rows, plus the open
-    /// segment's pending probe.)
+    /// segment's pending probe.
     fn pending_probe_count(&self) -> u64 {
         self.probe_pending as u64 + self.jobs.iter().filter(|j| j.matched.is_none()).count() as u64
     }
@@ -1234,8 +1149,8 @@ impl NodeState {
 
     /// Resolve every deferred probe match: the open segment's pending
     /// probe and any queued job that closed unmatched. Matching reads
-    /// only frozen row values, so resolving here instead of at the
-    /// eager trigger point returns the identical cluster.
+    /// only frozen row values, so the cluster does not depend on when
+    /// this runs.
     fn resolve_probes(&mut self) {
         if self.probe_pending {
             self.probe_pending = false;
@@ -1244,7 +1159,6 @@ impl NodeState {
                 self.matched = Some(match_probe_rows(
                     &self.model,
                     &mut self.z_scratch,
-                    self.probe32.as_mut(),
                     &mut self.stats,
                     &self.seg_rows,
                     plen,
@@ -1257,7 +1171,6 @@ impl NodeState {
                 job.matched = Some(match_probe_rows(
                     &self.model,
                     &mut self.z_scratch,
-                    self.probe32.as_mut(),
                     &mut self.stats,
                     &job.rows,
                     period.clamp(1, job.rows.len()),
@@ -1459,20 +1372,15 @@ pub struct EngineConfig {
     pub blackout_gap: usize,
     /// Exact-repeat run length that confirms a stuck sensor.
     pub stuck_run: usize,
-    /// Defer segment scoring and probe matching to a per-batch scoring
-    /// phase that stacks all ready work across the shard's nodes into
-    /// batched forwards (`SharedModel::score_series_batch`). Verdicts
-    /// are bit-identical to the eager per-segment path
-    /// (`tests/batch_equivalence.rs`); only the work schedule changes.
-    pub batch_scoring: bool,
     /// Scoring tier (bit-critical). [`ScoringPrecision::F64`] (default)
     /// keeps streaming verdicts bit-identical to batch scoring.
-    /// [`ScoringPrecision::F32`] routes segment scoring and probe
-    /// matching through prebaked f32 twins of the model — faster, with
-    /// an accuracy delta measured by the deployment bench rather than
-    /// pinned. Every [`Verdict`] is tagged with the tier that produced
-    /// it, snapshots refuse to restore across tiers, and wire clients
-    /// can announce the tier they expect on Hello.
+    /// [`ScoringPrecision::F32`] routes segment scoring through a
+    /// prebaked f32 twin of the model — faster, with an accuracy delta
+    /// measured by the deployment bench rather than pinned. Probe
+    /// matching is f64 in both tiers, so the matched cluster never
+    /// depends on the tier. Every [`Verdict`] is tagged with the tier
+    /// that produced it, snapshots refuse to restore across tiers, and
+    /// wire clients can announce the tier they expect on Hello.
     pub scoring_precision: ScoringPrecision,
     /// Chaos hook: the worker panics while ingesting this `(node, step)`
     /// tick, exercising the catch_unwind + quarantine path. Testing only.
@@ -1489,7 +1397,6 @@ impl EngineConfig {
             reorder_bound: 32,
             blackout_gap: 240,
             stuck_run: 8,
-            batch_scoring: true,
             scoring_precision: ScoringPrecision::F64,
             panic_at: None,
         }
@@ -1959,7 +1866,6 @@ impl Engine {
 fn match_probe_rows(
     model: &NodeSentry,
     z_scratch: &mut Vec<f64>,
-    probe32: Option<&mut ProbeScratch32>,
     stats: &mut StreamStats,
     rows: &[Vec<f64>],
     probe_len: usize,
@@ -1967,13 +1873,7 @@ fn match_probe_rows(
     let t0 = Instant::now();
     let probe = Matrix::from_rows(&rows[..probe_len.min(rows.len())]);
     let feat = coarse::segment_features(&model.cfg.coarse, &probe);
-    // F32 tier: standardize + early-abandon scan through the baked f32
-    // library. The distance comes back widened to f64, so downstream
-    // radius semantics are tier-independent.
-    let (cluster, _dist) = match probe32 {
-        Some(p) => p.lib.match_pattern_into(&feat, &mut p.scratch),
-        None => model.cluster_model.match_pattern_into(&feat, z_scratch),
-    };
+    let (cluster, _dist) = model.cluster_model.match_pattern_into(&feat, z_scratch);
     let elapsed = t0.elapsed().as_secs_f64();
     stats.match_seconds += elapsed;
     stats.n_matches += 1;
@@ -2000,8 +1900,7 @@ fn normalize_segment_scores(scores: &mut [f64], probe_len: usize) {
 /// normalize each job against its own probe baseline, and return
 /// `(job, cluster, scores, cost share)` in the original order. The
 /// cost share is the group's scoring wall time divided by its
-/// occupancy, so per-segment latency histograms stay comparable with
-/// the eager path.
+/// occupancy.
 fn score_resolved_jobs(
     model: &NodeSentry,
     jobs: Vec<SegmentJob>,
@@ -2054,7 +1953,7 @@ fn score_resolved_jobs(
 /// resolve the probes, score all segments through per-cluster batched
 /// forwards, and fan the verdicts back out per node. Nodes are visited
 /// in ascending id and each node's jobs in FIFO order, so every node's
-/// smoother/detector chain sees exactly the eager sequence.
+/// smoother/detector chain sees its segments in stream order.
 fn scoring_phase(
     states: &mut FxHashMap<usize, NodeState>,
     verdicts: &mut Vec<Verdict>,
@@ -2234,15 +2133,12 @@ fn worker_loop(
                 Err(_) => {
                     if let Some(mut dead) = states.remove(&tick.node) {
                         // Jobs queued before the panic tick are complete
-                        // segments the eager path had already scored;
-                        // emit them so quarantine timing doesn't change
-                        // the surviving verdict set. (Guarded: the state
-                        // crossed a panic.)
-                        if cfg.batch_scoring {
-                            if let Ok(vs) = catch_unwind(AssertUnwindSafe(|| dead.drain_jobs())) {
-                                meter_verdicts(&vs);
-                                verdicts.extend(vs);
-                            }
+                        // segments; emit them so where the batch boundary
+                        // fell doesn't change the surviving verdict set.
+                        // (Guarded: the state crossed a panic.)
+                        if let Ok(vs) = catch_unwind(AssertUnwindSafe(|| dead.drain_jobs())) {
+                            meter_verdicts(&vs);
+                            verdicts.extend(vs);
                         }
                         stats.merge(&dead.stats);
                         faults.merge(&dead.faults);
@@ -2269,9 +2165,7 @@ fn worker_loop(
                 }
             }
         }
-        if cfg.batch_scoring {
-            scoring_phase(&mut states, &mut verdicts, cfg.scoring_precision);
-        }
+        scoring_phase(&mut states, &mut verdicts, cfg.scoring_precision);
         publish_shard_metrics(&m, &states, &faults, &mut published);
     }
     // Channel closed: flush in node order so shard output is

@@ -33,6 +33,7 @@
 use crate::{FaultCounters, ScoringPrecision, StreamStats};
 use nodesentry_core::Tick;
 use ns_eval::streaming::{KSigmaState, SmootherState};
+use ns_wire::fnv1a64;
 use serde::{Deserialize, Serialize, Value};
 
 /// Leading magic of every snapshot: `NSSN` ("NodeSentry SNapshot").
@@ -324,17 +325,6 @@ impl EngineSnapshot {
         }
         EngineSnapshot::from_value(&value).map_err(|e| SnapshotError::Decode(e.to_string()))
     }
-}
-
-/// FNV-1a 64 over a byte slice (same constants as the model
-/// fingerprint's string hash).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------

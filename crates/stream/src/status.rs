@@ -77,13 +77,13 @@ pub(crate) fn on_engine_spawn(fingerprint: u64, n_shards: usize, cfg: &EngineCon
     ns_obs::incident::set_context(format!(
         "{{\"model_fingerprint\":\"{fingerprint:016x}\",\"n_shards\":{n_shards},\
          \"split\":{},\"smooth_window\":{},\"reorder_bound\":{},\"blackout_gap\":{},\
-         \"stuck_run\":{},\"batch_scoring\":{}}}",
+         \"stuck_run\":{},\"scoring_precision\":\"{}\"}}",
         cfg.split,
         cfg.smooth_window,
         cfg.reorder_bound,
         cfg.blackout_gap,
         cfg.stuck_run,
-        cfg.batch_scoring,
+        cfg.scoring_precision.as_str(),
     ));
 }
 

@@ -8,17 +8,7 @@ use ns_stream::snapshot::{
     EngineSnapshot, NodeSnap, PreSnap, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use ns_stream::{FaultCounters, StreamStats};
-
-/// FNV-1a 64 — reimplemented here so the test can re-seal crafted
-/// envelopes without reaching into crate internals.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+use ns_wire::fnv1a64;
 
 /// Small but structurally complete snapshot: one node with live buffers,
 /// one quarantined id, nonzero residual counters.

@@ -1,29 +1,21 @@
-//! The inference fast path's contract: routing scoring through the
-//! tape-free [`InferenceSession`] changes *nothing* about what the engine
-//! computes. End-to-end verdicts with the fast path on are bit-identical
-//! (`f64::to_bits`) to verdicts with it off — taped autodiff forward —
-//! at 1, 2, and 4 shards.
+//! The inference fast path's contract: serving through the tape-free
+//! [`InferenceSession`] changes *nothing* about what a shared model
+//! computes. Both serving schedules — `score_series` (one series, windows
+//! in parallel) and `score_series_batch` (many series, one stacked
+//! forward) — are held bit-identical (`f64::to_bits`) to
+//! `score_series_taped`, the same scores through the autodiff tape that
+//! training uses, over every shared model of a fitted fixture × every
+//! test-span segment of its dataset.
 //!
-//! The fast-path switch is process-global, so the test serializes on a
-//! lock; the trained model is a shared fixture because training dominates
-//! the runtime.
+//! [`InferenceSession`]: nodesentry::nn::InferenceSession
 
+use nodesentry::core::preprocess::segment_at_transitions;
 use nodesentry::core::{
     CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig, Variant,
 };
 use nodesentry::features::FeatureCatalog;
-use nodesentry::nn;
-use nodesentry::stream::{Engine, EngineConfig, Tick, Verdict};
-use nodesentry::telemetry::{Dataset, DatasetProfile};
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-fn test_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
+use nodesentry::linalg::matrix::Matrix;
+use nodesentry::telemetry::DatasetProfile;
 
 fn quick_cfg() -> NodeSentryConfig {
     NodeSentryConfig {
@@ -53,93 +45,62 @@ fn quick_cfg() -> NodeSentryConfig {
     }
 }
 
-struct Fixture {
-    model: Arc<NodeSentry>,
-    batches: Vec<Vec<Tick>>,
-    split: usize,
-}
-
-fn fixture() -> &'static Fixture {
-    static CELL: OnceLock<Fixture> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let ds: Dataset = DatasetProfile::tiny().generate();
-        let groups = ds.catalog.group_ids();
-        let inputs: Vec<NodeInput> = (0..ds.n_nodes())
-            .map(|n| NodeInput {
-                raw: ds.raw_node(n),
-                transitions: ds
-                    .schedule
-                    .node_timeline(n)
-                    .iter()
-                    .map(|s| s.start)
-                    .filter(|&s| s > 0)
-                    .collect(),
-            })
-            .collect();
-        let model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
-        let transition_sets: Vec<HashSet<usize>> = inputs
-            .iter()
-            .map(|i| i.transitions.iter().copied().collect())
-            .collect();
-        let batches = (0..ds.horizon())
-            .map(|step| {
-                inputs
-                    .iter()
-                    .enumerate()
-                    .map(|(node, input)| Tick {
-                        node,
-                        step,
-                        values: input.raw.row(step).to_vec(),
-                        transition: transition_sets[node].contains(&step),
-                    })
-                    .collect()
-            })
-            .collect();
-        Fixture {
-            model: Arc::new(model),
-            batches,
-            split: ds.split,
-        }
-    })
-}
-
-fn run_stream(fx: &Fixture, n_shards: usize) -> Vec<Verdict> {
-    let mut cfg = EngineConfig::new(fx.split);
-    cfg.n_shards = n_shards;
-    let engine = Engine::new(Arc::clone(&fx.model), cfg);
-    for batch in &fx.batches {
-        engine.ingest(batch.clone()).expect("stream shard alive");
-    }
-    engine.finish().verdicts
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]
-fn verdicts_bit_identical_with_fast_path_on_and_off() {
-    let _l = test_lock();
-    let fx = fixture();
-    for n_shards in [1usize, 2, 4] {
-        nn::set_fast_path(false);
-        let taped = run_stream(fx, n_shards);
-        nn::set_fast_path(true);
-        let fast = run_stream(fx, n_shards);
+fn serving_schedules_bit_identical_to_taped_reference() {
+    let ds = DatasetProfile::tiny().generate();
+    let groups = ds.catalog.group_ids();
+    let inputs: Vec<NodeInput> = (0..ds.n_nodes())
+        .map(|n| NodeInput {
+            raw: ds.raw_node(n),
+            transitions: ds
+                .schedule
+                .node_timeline(n)
+                .iter()
+                .map(|s| s.start)
+                .filter(|&s| s > 0)
+                .collect(),
+        })
+        .collect();
+    let model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
 
-        assert!(!taped.is_empty());
-        assert_eq!(taped.len(), fast.len(), "{n_shards} shards: verdict count");
-        for (a, b) in taped.iter().zip(&fast) {
-            assert_eq!((a.node, a.step), (b.node, b.step), "{n_shards} shards");
+    // The test-span segments exactly as `score_node` cuts them.
+    let mut segments: Vec<Matrix> = Vec::new();
+    for input in &inputs {
+        let test = model
+            .preprocess(&input.raw)
+            .slice_rows(ds.split, ds.horizon());
+        let cuts: Vec<usize> = input
+            .transitions
+            .iter()
+            .filter(|&&t| t > ds.split && t < ds.horizon())
+            .map(|&t| t - ds.split)
+            .collect();
+        segments.extend(
+            segment_at_transitions(0, &test, &cuts, 1)
+                .into_iter()
+                .map(|s| s.data),
+        );
+    }
+    assert!(segments.len() > ds.n_nodes(), "fixture has no transitions");
+    let refs: Vec<&Matrix> = segments.iter().collect();
+
+    for (c, shared) in model.shared_models.iter().enumerate() {
+        let batched = shared.score_series_batch(&refs);
+        assert_eq!(batched.len(), segments.len());
+        for (i, seg) in segments.iter().enumerate() {
+            let taped = bits(&shared.score_series_taped(seg));
+            assert_eq!(taped.len(), seg.rows());
+            let ctx = format!("model {c}, segment {i} ({} rows)", seg.rows());
             assert_eq!(
-                a.score.to_bits(),
-                b.score.to_bits(),
-                "{n_shards} shards: node {} step {}: taped {} vs fast {}",
-                a.node,
-                a.step,
-                a.score,
-                b.score
+                bits(&shared.score_series(seg)),
+                taped,
+                "score_series: {ctx}"
             );
-            assert_eq!(a.anomalous, b.anomalous);
-            assert_eq!(a.cluster, b.cluster);
-            assert_eq!(a.kind, b.kind);
+            assert_eq!(bits(&batched[i]), taped, "score_series_batch: {ctx}");
         }
     }
-    nn::set_fast_path(true);
 }

@@ -414,6 +414,11 @@ fn recorder_and_triggers_hold_bit_identity_on_a_faulted_feed() {
             "context misses the model fingerprint {fingerprint}: {:?}",
             inc.context
         );
+        assert!(
+            inc.context.contains("\"scoring_precision\":\"f64\""),
+            "context misses the bit-critical scoring tier: {:?}",
+            inc.context
+        );
         let line = inc.to_json();
         assert!(
             line.contains("\"trigger\":\"quarantine\"") && line.contains("\"events\":["),
@@ -491,6 +496,10 @@ fn operational_routes_serve_live_state_over_a_socket() {
     assert!(
         incidents.contains("\"trigger\":\"quarantine\""),
         "captured incident missing from dump: {incidents}"
+    );
+    assert!(
+        incidents.contains("\"scoring_precision\":\"f64\""),
+        "incident context misses the scoring tier: {incidents}"
     );
     assert!(
         incidents.contains("\"meta\":\"ns-obs-incidents\""),

@@ -139,7 +139,6 @@ fn cfg_of(setup: &Setup, shards: usize, precision: ScoringPrecision) -> EngineCo
     cfg.n_shards = shards;
     cfg.reorder_bound = 16;
     cfg.blackout_gap = 48;
-    cfg.batch_scoring = true;
     cfg.scoring_precision = precision;
     cfg
 }
@@ -185,7 +184,6 @@ fn f64_tier_is_bit_identical_to_default_config() {
     oracle_cfg.n_shards = 1;
     oracle_cfg.reorder_bound = 16;
     oracle_cfg.blackout_gap = 48;
-    oracle_cfg.batch_scoring = true;
     let oracle = run(setup, &setup.clean, oracle_cfg);
     assert!(
         oracle
@@ -266,6 +264,11 @@ fn f32_tier_agreement_meets_pinned_floor() {
             (a.node, a.step),
             (b.node, b.step),
             "verdict streams misaligned"
+        );
+        assert_eq!(
+            a.cluster, b.cluster,
+            "probe matching is f64 in both tiers: node {} step {} matched a different cluster",
+            a.node, a.step
         );
         agree += (a.anomalous == b.anomalous) as usize;
     }

@@ -1,19 +1,28 @@
-//! The batched scoring phase must be invisible in the output: with
-//! `EngineConfig::batch_scoring` on, the engine stacks every segment
-//! and probe that becomes ready in a tick batch across the shard's
-//! nodes into batched forwards — and the resulting verdict stream must
-//! be **bit-identical** (`f64::to_bits` on scores; equality on node,
-//! step, flag, cluster and kind) to the eager per-segment path, at 1,
-//! 2 and 4 shards, on clean feeds and under fault-injection plans
-//! (drops, reorders, NaN bursts, blackouts, chaos panics).
+//! The deferred scoring schedule must be invisible in the output. The
+//! engine never scores a segment where it closes: closed segments and
+//! ready probes wait for the shard's next scoring phase, which runs after
+//! every tick batch and stacks whatever is ready across the shard's nodes
+//! into batched forwards. *When* that phase runs — how the feed is
+//! chunked into `ingest` calls, how nodes are spread over shards — must
+//! not move one verdict bit (`f64::to_bits` on scores; equality on node,
+//! step, flag, cluster and kind; equal point and match-cycle counts), on
+//! clean feeds and under fault-injection plans (drops, reorders, NaN
+//! bursts, blackouts, chaos panics). On the clean and single-fault feeds
+//! the engine is also held to a per-node inline
+//! `NodeState::offer`/`flush` replay: no shards, no scoring phase between
+//! batches, no cross-node stacking.
+//!
+//! The engine's *correctness* reference is `NodeSentry::score_node`
+//! (`stream_equivalence.rs`, `fault_tolerance.rs`); this suite only pins
+//! that scheduling is not an input.
 
 use nodesentry::core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
 use nodesentry::features::FeatureCatalog;
-use nodesentry::stream::{Engine, EngineConfig, EngineReport, Tick, Verdict};
+use nodesentry::stream::{Engine, EngineConfig, EngineReport, NodeState, Tick, Verdict};
 use nodesentry::telemetry::{
     Dataset, DatasetProfile, FaultEvent, FaultInjector, FaultKind, FaultPlan,
 };
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 const SHARDS: [usize; 3] = [1, 2, 4];
@@ -94,12 +103,11 @@ fn setup() -> &'static Setup {
     })
 }
 
-fn cfg_of(setup: &Setup, shards: usize, batched: bool) -> EngineConfig {
+fn cfg_of(setup: &Setup, shards: usize) -> EngineConfig {
     let mut cfg = EngineConfig::new(setup.ds.split);
     cfg.n_shards = shards;
     cfg.reorder_bound = 16;
     cfg.blackout_gap = 48;
-    cfg.batch_scoring = batched;
     cfg
 }
 
@@ -111,87 +119,149 @@ fn run(setup: &Setup, stream: &[Tick], cfg: EngineConfig, chunk: usize) -> Engin
     engine.finish()
 }
 
-/// Bitwise comparison of two sorted verdict streams.
-fn assert_same_verdicts(batched: &[Verdict], eager: &[Verdict], tag: &str) {
-    assert_eq!(
-        batched.len(),
-        eager.len(),
-        "{tag}: verdict counts diverged ({} batched vs {} eager)",
-        batched.len(),
-        eager.len()
-    );
-    for (b, e) in batched.iter().zip(eager) {
-        assert_eq!((b.node, b.step), (e.node, e.step), "{tag}: stream order");
-        assert_eq!(
-            b.score.to_bits(),
-            e.score.to_bits(),
-            "{tag}: node {} step {}: batched {} vs eager {}",
-            b.node,
-            b.step,
-            b.score,
-            e.score
-        );
-        assert_eq!(
-            b.anomalous, e.anomalous,
-            "{tag}: flag diverged at node {} step {}",
-            b.node, b.step
-        );
-        assert_eq!(
-            b.cluster, e.cluster,
-            "{tag}: cluster diverged at node {} step {}",
-            b.node, b.step
-        );
-        assert_eq!(
-            b.kind, e.kind,
-            "{tag}: kind diverged at node {} step {}",
-            b.node, b.step
-        );
+/// What one replay produced: sorted verdicts plus the point and
+/// match-cycle counters.
+struct Outcome {
+    verdicts: Vec<Verdict>,
+    n_points: u64,
+    n_matches: u64,
+}
+
+impl From<EngineReport> for Outcome {
+    fn from(r: EngineReport) -> Self {
+        Outcome {
+            verdicts: r.verdicts,
+            n_points: r.stats.n_points,
+            n_matches: r.stats.n_matches,
+        }
     }
 }
 
-/// Run both modes over the same stream and hold them bit-identical.
-fn check_stream(stream: &[Tick], chunk: usize, panic_at: Option<(usize, usize)>, tag: &str) {
-    let setup = setup();
-    for shards in SHARDS {
-        let mut bc = cfg_of(setup, shards, true);
-        let mut ec = cfg_of(setup, shards, false);
-        bc.panic_at = panic_at;
-        ec.panic_at = panic_at;
-        let batched = run(setup, stream, bc, chunk);
-        let eager = run(setup, stream, ec, chunk);
-        assert_same_verdicts(
-            &batched.verdicts,
-            &eager.verdicts,
-            &format!("{tag}/s{shards}"),
+/// Per-node inline replay: one `NodeState` per node, offered its ticks
+/// in stream order and flushed at the end. Every closed segment waits in
+/// the node's own queue until `flush`, so nothing is stacked across
+/// nodes and no scoring phase runs mid-stream.
+fn run_inline(setup: &Setup, stream: &[Tick]) -> Outcome {
+    let cfg = cfg_of(setup, 1);
+    let mut states: BTreeMap<usize, NodeState> = BTreeMap::new();
+    let mut verdicts = Vec::new();
+    for tick in stream {
+        let state = states
+            .entry(tick.node)
+            .or_insert_with(|| NodeState::new(Arc::clone(&setup.model), tick.node, &cfg));
+        verdicts.extend(state.offer(tick));
+    }
+    let (mut n_points, mut n_matches) = (0, 0);
+    for state in states.values_mut() {
+        verdicts.extend(state.flush());
+        n_points += state.stats.n_points;
+        n_matches += state.stats.n_matches;
+    }
+    verdicts.sort_by_key(|v| (v.node, v.step));
+    Outcome {
+        verdicts,
+        n_points,
+        n_matches,
+    }
+}
+
+/// Bitwise comparison of two replays of the same feed.
+fn assert_same_outcome(got: &Outcome, want: &Outcome, tag: &str) {
+    assert_eq!(
+        got.verdicts.len(),
+        want.verdicts.len(),
+        "{tag}: verdict counts diverged"
+    );
+    for (g, w) in got.verdicts.iter().zip(&want.verdicts) {
+        assert_eq!((g.node, g.step), (w.node, w.step), "{tag}: stream order");
+        assert_eq!(
+            g.score.to_bits(),
+            w.score.to_bits(),
+            "{tag}: node {} step {}: {} vs {}",
+            g.node,
+            g.step,
+            g.score,
+            w.score
         );
         assert_eq!(
-            batched.stats.n_points, eager.stats.n_points,
-            "{tag}/s{shards}: point counts"
+            g.anomalous, w.anomalous,
+            "{tag}: flag diverged at node {} step {}",
+            g.node, g.step
         );
         assert_eq!(
-            batched.stats.n_matches, eager.stats.n_matches,
-            "{tag}/s{shards}: match cycle counts"
+            g.cluster, w.cluster,
+            "{tag}: cluster diverged at node {} step {}",
+            g.node, g.step
+        );
+        assert_eq!(
+            g.kind, w.kind,
+            "{tag}: kind diverged at node {} step {}",
+            g.node, g.step
         );
     }
+    assert_eq!(got.n_points, want.n_points, "{tag}: point counts");
+    assert_eq!(got.n_matches, want.n_matches, "{tag}: match cycle counts");
+}
+
+/// Replay `stream` at every shard count × every chunking in `chunks` and
+/// hold all of them bit-identical to the first; with `inline`, hold that
+/// one to the per-node inline replay too.
+fn check_stream(
+    stream: &[Tick],
+    chunks: &[usize],
+    panic_at: Option<(usize, usize)>,
+    inline: bool,
+    tag: &str,
+) {
+    let setup = setup();
+    let mut reference: Option<Outcome> = None;
+    for shards in SHARDS {
+        for &chunk in chunks {
+            let mut cfg = cfg_of(setup, shards);
+            cfg.panic_at = panic_at;
+            let got = Outcome::from(run(setup, stream, cfg, chunk));
+            match &reference {
+                Some(want) => assert_same_outcome(&got, want, &format!("{tag}/s{shards}/c{chunk}")),
+                None => {
+                    assert!(!got.verdicts.is_empty(), "{tag}: no verdicts");
+                    reference = Some(got);
+                }
+            }
+        }
+    }
+    if inline {
+        let want = reference.expect("at least one engine replay");
+        assert_same_outcome(&run_inline(setup, stream), &want, &format!("{tag}/inline"));
+    }
+}
+
+/// Every chunking the suite replays: one tick per `ingest`, one
+/// monitoring cycle per `ingest` (the cross-node burst case), a size
+/// that splits steps across batches, and one that bundles many steps.
+fn all_chunkings() -> [usize; 4] {
+    [1, setup().ds.n_nodes(), 7, 256]
 }
 
 #[test]
 fn clean_feed_step_major_batches() {
     let setup = setup();
-    let per_step = setup.ds.n_nodes();
-    // One batch per step: the cross-node burst case the batcher targets.
-    check_stream(&setup.clean, per_step, None, "clean/step-major");
+    // One batch per step: every node's segment-close and probe-ready
+    // events of a cycle land in the same scoring phase.
+    check_stream(
+        &setup.clean,
+        &[setup.ds.n_nodes()],
+        None,
+        true,
+        "clean/step-major",
+    );
 }
 
 #[test]
 fn clean_feed_arbitrary_chunking() {
     // Chunk sizes that split steps across batches and bundle several
-    // steps per batch: batching must be a pure scheduling change
-    // regardless of arrival framing.
-    let setup = setup();
-    for chunk in [1, 7, 256] {
-        check_stream(&setup.clean, chunk, None, &format!("clean/chunk{chunk}"));
-    }
+    // steps per batch: arrival framing decides only when scoring phases
+    // run, never what they compute.
+    check_stream(&setup().clean, &all_chunkings(), None, true, "clean");
 }
 
 #[test]
@@ -245,7 +315,13 @@ fn fault_plans_stay_bit_identical() {
     ];
     for (tag, event) in cases {
         let outcome = FaultInjector::new(FaultPlan::single(event, 0xD1FF)).apply(&setup.clean);
-        check_stream(&outcome.stream, 256, None, &format!("fault/{tag}"));
+        check_stream(
+            &outcome.stream,
+            &all_chunkings(),
+            None,
+            true,
+            &format!("fault/{tag}"),
+        );
     }
 }
 
@@ -272,17 +348,27 @@ fn multi_event_plan_stays_bit_identical() {
         seed: 0xBEEF,
     };
     let outcome = FaultInjector::new(plan).apply(&setup.clean);
-    check_stream(&outcome.stream, 256, None, "fault/multi");
+    check_stream(
+        &outcome.stream,
+        &all_chunkings(),
+        None,
+        false,
+        "fault/multi",
+    );
 }
 
 #[test]
 fn chaos_panic_quarantine_preserves_equivalence() {
     // A worker panic quarantines the node mid-stream; the surviving
     // verdict set (including segments queued before the panic tick)
-    // must still match the eager engine's.
+    // must not depend on where the batch boundaries fell.
     let setup = setup();
     let step = setup.ds.split + (setup.ds.horizon() - setup.ds.split) / 2;
-    let per_step = setup.ds.n_nodes();
-    check_stream(&setup.clean, per_step, Some((1, step)), "chaos/step-major");
-    check_stream(&setup.clean, 256, Some((1, step)), "chaos/chunk256");
+    check_stream(
+        &setup.clean,
+        &all_chunkings(),
+        Some((1, step)),
+        false,
+        "chaos",
+    );
 }
