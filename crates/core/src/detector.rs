@@ -11,7 +11,7 @@ use ns_linalg::matrix::Matrix;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Ablation variants (paper §4.4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -394,24 +394,47 @@ impl NodeSentry {
         }
     }
 
-    /// A stable 64-bit digest of the deployed model: preprocessing
-    /// statistics, cluster library, and every shared model's weights
-    /// (training segments excluded — deployment state does not depend on
-    /// them). Engine snapshots embed this so a restore against a
-    /// different model is rejected instead of silently producing
-    /// non-equivalent verdicts. FNV-1a over the canonical slim JSON
-    /// serialization, which is deterministic (insertion-ordered objects,
-    /// exact float formatting).
+    /// A stable 64-bit digest of the deployed model: configuration,
+    /// preprocessing statistics, cluster library, and every shared
+    /// model's weights — everything [`NodeSentry::to_json`]`(false)`
+    /// writes (training segments excluded — deployment state does not
+    /// depend on them). Engine snapshots embed this so a restore against
+    /// a different model is rejected instead of silently producing
+    /// non-equivalent verdicts.
+    ///
+    /// FNV-1a 64 over a typed walk of each component's [`Serialize`]
+    /// tree: a tag byte per value, floats by `f64::to_bits`, integers as
+    /// little-endian bytes, length-prefixed strings and keys, array and
+    /// object counts (the tagging of the engine snapshot codec). Being
+    /// derived from `Serialize`, a field added to any component is hashed
+    /// without this function changing, and a field added to `NodeSentry`
+    /// itself fails to compile here until it is placed. Floats are hashed
+    /// by bit pattern, so `-0.0` and `+0.0` differ and one flipped
+    /// mantissa bit changes the digest.
+    ///
+    /// Costs about one pass over the weights; the transient tree is one
+    /// shared model, never the whole detector. Deliberately **not**
+    /// cached: the fields are `pub` and
+    /// [`NodeSentry::incremental_update`] rewrites weights and centroids
+    /// in place, so a stored digest could go stale and a restore would
+    /// then accept a snapshot taken against a different model.
     pub fn fingerprint(&self) -> u64 {
-        let json = self
-            .to_json(false)
-            .unwrap_or_else(|e| format!("unserializable:{e}"));
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in json.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        let NodeSentry {
+            cfg,
+            preprocessor,
+            cluster_model,
+            shared_models,
+            train_segments: _,
+        } = self;
+        let mut h = Fnv1a::new();
+        h.value(&cfg.to_value());
+        h.value(&preprocessor.to_value());
+        h.value(&cluster_model.to_value());
+        h.bytes(&(shared_models.len() as u64).to_le_bytes());
+        for model in shared_models {
+            h.value(&model.to_value());
         }
-        h
+        h.0
     }
 
     /// Restore a detector saved by [`NodeSentry::to_json`].
@@ -429,6 +452,69 @@ impl NodeSentry {
             });
         }
         serde_json::from_str(json)
+    }
+}
+
+/// Streaming FNV-1a 64 (the constants of `ns_wire::fnv1a64`) over the
+/// tagged encoding of a serde [`Value`] tree — what
+/// [`NodeSentry::fingerprint`] hashes instead of JSON text.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn str(&mut self, s: &str) {
+        self.bytes(&(s.len() as u64).to_le_bytes());
+        self.bytes(s.as_bytes());
+    }
+
+    /// Tags: 0 Null, 1 Bool, 2 I64, 3 U64, 4 F64 (raw IEEE bits), 5 Str,
+    /// 6 Array, 7 Object; lengths and counts are u64 LE.
+    fn value(&mut self, v: &Value) {
+        match v {
+            Value::Null => self.bytes(&[0]),
+            Value::Bool(b) => self.bytes(&[1, *b as u8]),
+            Value::I64(i) => {
+                self.bytes(&[2]);
+                self.bytes(&i.to_le_bytes());
+            }
+            Value::U64(u) => {
+                self.bytes(&[3]);
+                self.bytes(&u.to_le_bytes());
+            }
+            Value::F64(f) => {
+                self.bytes(&[4]);
+                self.bytes(&f.to_bits().to_le_bytes());
+            }
+            Value::Str(s) => {
+                self.bytes(&[5]);
+                self.str(s);
+            }
+            Value::Array(items) => {
+                self.bytes(&[6]);
+                self.bytes(&(items.len() as u64).to_le_bytes());
+                for item in items {
+                    self.value(item);
+                }
+            }
+            Value::Object(pairs) => {
+                self.bytes(&[7]);
+                self.bytes(&(pairs.len() as u64).to_le_bytes());
+                for (k, val) in pairs {
+                    self.str(k);
+                    self.value(val);
+                }
+            }
+        }
     }
 }
 

@@ -12,16 +12,28 @@
 use nodesentry_core::coarse::ClusterModel;
 use ns_linalg::matrix::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Per thread: the harness runs this binary's tests (and its own
+    // bookkeeping) on parallel threads, and a process-wide counter would
+    // charge their allocations to the measured region. Const-initialised
+    // and without a destructor, so touching it never allocates.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator can be called while a thread's locals are
+    // being torn down; those calls are outside any measured region.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 struct Counting;
 
 // SAFETY: delegates verbatim to `System`; only adds a counter.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -30,7 +42,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,10 +50,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
+/// Allocations made by the calling thread while `f` runs.
 fn allocations(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// A hand-built library: 12 centroids over 96 probe features, constructed

@@ -1495,8 +1495,10 @@ impl Engine {
     }
 
     pub fn try_new(model: Arc<NodeSentry>, cfg: EngineConfig) -> Result<Self, EngineError> {
+        let model_fingerprint = model.fingerprint();
         Self::spawn(
             model,
+            model_fingerprint,
             cfg,
             Vec::new(),
             StreamStats::default(),
@@ -1505,9 +1507,13 @@ impl Engine {
     }
 
     /// Spawn the worker pool, seeding shard `i` with `init[i]` (restored
-    /// node states + quarantined ids) when provided.
+    /// node states + quarantined ids) when provided. `model_fingerprint`
+    /// is the caller's one digest of `model` for this engine: computed by
+    /// [`Engine::try_new`], or by [`Engine::restore`] where it has just
+    /// been checked against the snapshot's.
     fn spawn(
         model: Arc<NodeSentry>,
+        model_fingerprint: u64,
         cfg: EngineConfig,
         mut init: Vec<(FxHashMap<usize, NodeState>, FxHashSet<usize>)>,
         carried_stats: StreamStats,
@@ -1518,7 +1524,6 @@ impl Engine {
         }
         let n_shards = cfg.n_shards.max(1);
         init.resize_with(n_shards, Default::default);
-        let model_fingerprint = model.fingerprint();
         status::on_engine_spawn(model_fingerprint, n_shards, &cfg);
         metrics::install_pool_stats();
         // Oversubscription clamp: every shard worker dispatches its
@@ -1594,7 +1599,21 @@ impl Engine {
         cfg: EngineConfig,
         snap: &EngineSnapshot,
     ) -> Result<Self, EngineError> {
-        let t0 = Instant::now();
+        Self::restore_since(Instant::now(), model, cfg, snap)
+    }
+
+    /// [`Engine::restore`] with the `ns_stream_restore_seconds` clock
+    /// started by the caller, so a restore from bytes is timed from
+    /// before its decode. Observes the histogram exactly once per
+    /// successful restore.
+    fn restore_since(
+        t0: Instant,
+        model: Arc<NodeSentry>,
+        cfg: EngineConfig,
+        snap: &EngineSnapshot,
+    ) -> Result<Self, EngineError> {
+        // The engine's one digest: recomputed from the model's content,
+        // checked here before any state is built, then handed to `spawn`.
         let fp = model.fingerprint();
         if snap.model_fingerprint != fp {
             return Err(SnapshotError::ModelMismatch {
@@ -1639,7 +1658,14 @@ impl Engine {
         for &q in &snap.quarantined {
             init[q % n_shards].1.insert(q);
         }
-        let engine = Self::spawn(model, cfg, init, snap.carried_stats, snap.carried_faults)?;
+        let engine = Self::spawn(
+            model,
+            fp,
+            cfg,
+            init,
+            snap.carried_stats,
+            snap.carried_faults,
+        )?;
         snapshot_metrics()
             .restore_seconds
             .observe(t0.elapsed().as_secs_f64());
@@ -1673,8 +1699,9 @@ impl Engine {
         cfg: EngineConfig,
         bytes: &[u8],
     ) -> Result<Self, EngineError> {
+        let t0 = Instant::now();
         let snap = EngineSnapshot::from_bytes(bytes)?;
-        Self::restore(model, cfg, &snap)
+        Self::restore_since(t0, model, cfg, &snap)
     }
 
     /// Consistent checkpoint at the current batch boundary.

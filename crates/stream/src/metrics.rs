@@ -75,8 +75,10 @@ pub const FAULTS_TOTAL: &str = "ns_stream_faults_total";
 pub const SNAPSHOT_BYTES: &str = "ns_stream_snapshot_bytes";
 /// Histogram: seconds one `Engine::checkpoint` barrier took end to end.
 pub const CHECKPOINT_SECONDS: &str = "ns_stream_checkpoint_seconds";
-/// Histogram: seconds one `Engine::restore` took (decode + state rebuild
-/// + worker spawn).
+/// Histogram: seconds one restore took, one observation per restored
+/// engine: `Engine::restore_bytes` from its entry (decode + model check +
+/// state rebuild + worker spawn), `Engine::restore` on an already decoded
+/// snapshot from its own.
 pub const RESTORE_SECONDS: &str = "ns_stream_restore_seconds";
 /// Counter: connections the ingest server accepted, labeled
 /// `role="ingest"|"verdicts"`.

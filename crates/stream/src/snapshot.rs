@@ -178,8 +178,11 @@ pub struct NodeSnap {
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineSnapshot {
     /// Fingerprint of the trained model this state belongs to
-    /// ([`NodeSentry::fingerprint`](nodesentry_core::NodeSentry::fingerprint));
-    /// restoring against any other model is refused.
+    /// ([`NodeSentry::fingerprint`](nodesentry_core::NodeSentry::fingerprint),
+    /// a digest of the model's content that the checkpointing engine
+    /// computed once, at construction); restore recomputes it from the
+    /// model it is given and refuses any other with
+    /// [`SnapshotError::ModelMismatch`].
     pub model_fingerprint: u64,
     /// First test step of the checkpointed engine (bit-critical).
     pub split: usize,
@@ -335,6 +338,9 @@ impl EngineSnapshot {
 // reason this codec exists instead of JSON), 5 Str, 6 Array, 7 Object.
 // Lengths and counts are u64 LE. Every count is bounds-checked against
 // the remaining bytes before allocating, so hostile lengths cannot OOM.
+// `NodeSentry::fingerprint` hashes the model's trees with this same
+// tagging (and the FNV-1a 64 constants of the envelope checksum), but
+// shares no code with it: changing one does not change the other.
 
 fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {

@@ -66,7 +66,9 @@ pub(crate) fn engine_status() -> &'static EngineStatus {
 /// Record a spawned engine: update the status atomics, install the
 /// `/statusz` section (once per process), flip readiness, and hand the
 /// flight recorder its context (config + fingerprint) for incident
-/// dumps.
+/// dumps. `fingerprint` is the digest the engine computed at
+/// construction; the copy kept here is for display only — restore never
+/// reads it, it recomputes the digest from the model.
 pub(crate) fn on_engine_spawn(fingerprint: u64, n_shards: usize, cfg: &EngineConfig) {
     let st = engine_status();
     st.model_fingerprint.store(fingerprint, Ordering::Relaxed);

@@ -582,8 +582,11 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
     Ok((frame, total))
 }
 
-/// FNV-1a 64 over a byte slice — same constants as the `NSSN` snapshot
-/// envelope and the model fingerprint.
+/// FNV-1a 64 over a byte slice — the checksum of this protocol's frames
+/// and of the `NSSN` snapshot envelope (which calls this function), and
+/// the same constants as the model fingerprint
+/// (`NodeSentry::fingerprint` keeps a streaming copy: `nodesentry-core`
+/// does not depend on this crate).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -14,6 +14,7 @@ mod common;
 use common::{
     assert_verdicts_identical, engine_cfg, run_uninterrupted, run_with_restore, setup, CHUNK,
 };
+use nodesentry::core::NodeSentry;
 use nodesentry::stream::snapshot::{EngineSnapshot, SnapshotError};
 use nodesentry::stream::{Engine, EngineError};
 use nodesentry::telemetry::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
@@ -288,4 +289,106 @@ fn checkpoint_then_continue_equals_uninterrupted() {
     verdicts.extend(report.verdicts.iter().cloned());
     verdicts.sort_by_key(|v| (v.node, v.step));
     assert_verdicts_identical(&verdicts, &reference.verdicts, "observe-and-continue");
+}
+
+// ---------------------------------------------------------------------
+// Model fingerprint contract: what the digest a snapshot embeds covers
+// ---------------------------------------------------------------------
+
+/// An independent copy of the fixture's model (through the slim JSON
+/// envelope, which the digest survives — `tests/serde_roundtrip.rs`),
+/// with `tweak` applied.
+fn model_with(s: &common::Setup, tweak: impl FnOnce(&mut NodeSentry)) -> NodeSentry {
+    let json = s.model.to_json(false).expect("serialize");
+    let mut model = NodeSentry::from_json(&json).expect("deserialize");
+    tweak(&mut model);
+    model
+}
+
+/// The last scalar of the last parameter of the last shared model — the
+/// far end of everything the digest walks. `ParamStore::get_mut` bumps
+/// the store's (serialized, hence hashed) mutation stamp, so weight cases
+/// compare against a copy that was *touched* the same way and differ from
+/// it in the weight alone.
+fn last_weight(model: &mut NodeSentry) -> &mut f64 {
+    let params = &mut model
+        .shared_models
+        .last_mut()
+        .expect("a shared model")
+        .params;
+    let last = params.len() - 1;
+    params
+        .get_mut(last)
+        .as_mut_slice()
+        .last_mut()
+        .expect("a non-empty parameter")
+}
+
+fn flip_low_bit(x: &mut f64) {
+    *x = f64::from_bits(x.to_bits() ^ 1);
+}
+
+#[test]
+fn fingerprint_changes_with_every_covered_component() {
+    let s = setup();
+    let base = s.model.fingerprint();
+    assert_eq!(model_with(s, |_| {}).fingerprint(), base);
+
+    let touched = model_with(s, |m| {
+        last_weight(m);
+    })
+    .fingerprint();
+    let flipped = model_with(s, |m| flip_low_bit(last_weight(m))).fingerprint();
+    assert_ne!(flipped, touched, "lowest mantissa bit of the last weight");
+
+    let pos_zero = model_with(s, |m| *last_weight(m) = 0.0).fingerprint();
+    let neg_zero = model_with(s, |m| *last_weight(m) = -0.0).fingerprint();
+    assert_ne!(pos_zero, neg_zero, "sign of a zero weight");
+
+    type Tweak = fn(&mut NodeSentry);
+    let cases: [(&str, Tweak); 4] = [
+        ("a preprocessing statistic", |m| {
+            flip_low_bit(&mut m.preprocessor.standardizer.mean[0])
+        }),
+        ("a centroid entry", |m| {
+            flip_low_bit(&mut m.cluster_model.probe_centroids.as_mut_slice()[0])
+        }),
+        ("cfg.match_period", |m| m.cfg.match_period += 1),
+        ("a dropped shared model", |m| {
+            m.shared_models.pop();
+        }),
+    ];
+    for (what, tweak) in cases {
+        assert_ne!(model_with(s, tweak).fingerprint(), base, "{what}");
+    }
+}
+
+/// The model-side twin of the tampered-snapshot case above: a *real*
+/// checkpoint restored against a model that differs from the
+/// checkpointed one by one mantissa bit of one weight.
+#[test]
+fn fingerprint_restore_rejects_one_flipped_weight_bit() {
+    let s = setup();
+    let taken_with = Arc::new(model_with(s, |m| {
+        last_weight(m);
+    }));
+    let one_bit_off = Arc::new(model_with(s, |m| flip_low_bit(last_weight(m))));
+
+    let engine = Engine::new(Arc::clone(&taken_with), engine_cfg(s, 2));
+    for chunk in s.clean[..mid_cut(s)].chunks(CHUNK) {
+        engine.ingest(chunk.to_vec()).expect("shard alive");
+    }
+    let ckpt = engine.checkpoint().expect("checkpoint");
+    drop(engine);
+
+    match Engine::restore_bytes(Arc::clone(&one_bit_off), engine_cfg(s, 2), &ckpt.bytes).map(|_| ())
+    {
+        Err(EngineError::Snapshot(SnapshotError::ModelMismatch { snapshot, model })) => {
+            assert_eq!(snapshot, taken_with.fingerprint());
+            assert_eq!(model, one_bit_off.fingerprint());
+        }
+        other => panic!("one-bit-different model accepted: {other:?}"),
+    }
+    let ok = Engine::restore_bytes(taken_with, engine_cfg(s, 2), &ckpt.bytes);
+    assert!(ok.is_ok(), "same-model restore failed: {:?}", ok.err());
 }

@@ -56,6 +56,9 @@ fn fit_serialize_deserialize_scores_identically() {
         let json = model.to_json(include_segments).expect("serialize");
         let restored = NodeSentry::from_json(&json).expect("deserialize");
         assert_eq!(restored.n_clusters(), model.n_clusters());
+        // The model digest is a function of the deployed content only:
+        // both envelopes restore it, with or without training segments.
+        assert_eq!(restored.fingerprint(), model.fingerprint());
         assert_eq!(
             restored.preprocessor.out_dim(),
             model.preprocessor.out_dim()
@@ -81,6 +84,14 @@ fn fit_serialize_deserialize_scores_identically() {
         let json2 = restored.to_json(include_segments).expect("re-serialize");
         assert_eq!(json, json2, "serialization not stable across a round-trip");
     }
+
+    // Dropping the retained training segments leaves the digest alone, and
+    // a second fit from the same inputs and seed reproduces it.
+    let mut again = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
+    assert!(!again.train_segments.is_empty());
+    assert_eq!(again.fingerprint(), model.fingerprint());
+    again.train_segments.clear();
+    assert_eq!(again.fingerprint(), model.fingerprint());
 }
 
 // ---------------------------------------------------------------------
