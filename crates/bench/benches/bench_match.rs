@@ -5,7 +5,13 @@
 //!   `match_pattern_into` over the contiguous centroid matrix with
 //!   early-abandon;
 //! * segment scoring — a `score_series` loop vs one
-//!   `score_series_batch` stacking the burst into batched forwards.
+//!   `score_series_batch` over the burst. Both run the same schedule
+//!   (`SharedModel::score_specs`: row-capped tasks fanned over the
+//!   pool, kernels serial inside a task); `score_series` *is* the batch
+//!   call on a one-series stack. The pair therefore differs only in
+//!   stack size — the loop cuts each series into tasks on its own, the
+//!   batch cuts the whole burst at once — and reads the same per row
+//!   once a single series already holds a task per pool thread.
 //!
 //! Criterion covers the statistical comparison; a manual timing pass
 //! writes `BENCH_match.json` for CI and the README perf table.

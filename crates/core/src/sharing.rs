@@ -189,7 +189,7 @@ fn windows_of(segments: &[&Matrix], cfg: &SharingConfig, ranks: &[usize]) -> Vec
 /// Segment-relative position of row `r` in a `t`-row series, spanning
 /// `0..REL_PE_SCALE`. (Pre-dividing the scale would not be bit-identical
 /// to `r * SCALE / t`.)
-fn rel_position(t: usize) -> impl Fn(usize) -> f64 {
+fn rel_position(t: usize) -> impl Fn(usize) -> f64 + Sync {
     move |r| r as f64 * REL_PE_SCALE / t as f64
 }
 
@@ -233,6 +233,46 @@ impl TierSession for InferenceSessionF32 {
     fn window_errors(&mut self, m: &SharedModel, specs: &[WindowSpec<'_>]) -> &[f64] {
         self.score_windows_batch(&m.params, &m.model, specs)
     }
+}
+
+/// Upper bound on the stacked rows of one forward task of
+/// [`SharedModel::score_specs`] — the only row budget on the scoring
+/// path. It bounds the scratch a burst can pin: pooled sessions never
+/// shrink, so without it one shutdown flush stacking every node's tail
+/// segment would stay allocated for the pool's lifetime; with it at most
+/// `threads × models × TASK_ROW_CAP` rows of ~20 scratch matrices are
+/// ever warm, and one task's working set stays inside L2. Grouping is
+/// unobservable in the output, so this is a footprint constant, not a
+/// tunable. One default window: measured from 20 to 512 rows, stacking
+/// more windows per forward bought nothing per row, while the smallest
+/// tasks let stealing absorb a woken worker's late start (DESIGN §10).
+const TASK_ROW_CAP: usize = 20;
+
+/// Cut `specs` into contiguous tasks of balanced row counts: at least
+/// `min(width, windows)` of them, none above [`TASK_ROW_CAP`] rows
+/// unless a single window is. Each task aims at an even share of the
+/// rows still unassigned, so an undershoot is absorbed by the tasks
+/// after it instead of piling onto the last one.
+fn row_tasks(specs: &[WindowSpec<'_>], width: usize) -> Vec<std::ops::Range<usize>> {
+    let rows = |i: usize| specs[i].end - specs[i].start;
+    let mut left_rows: usize = (0..specs.len()).map(rows).sum();
+    let mut left_tasks = width.max(left_rows.div_ceil(TASK_ROW_CAP)).min(specs.len());
+    let mut tasks = Vec::with_capacity(left_tasks);
+    let mut lo = 0;
+    while lo < specs.len() {
+        let target = left_rows.div_ceil(left_tasks).min(TASK_ROW_CAP);
+        let (mut hi, mut taken) = (lo + 1, rows(lo));
+        // Grow to the target, but leave a window for every task owed.
+        while hi < specs.len() && taken + rows(hi) <= target && specs.len() - hi >= left_tasks {
+            taken += rows(hi);
+            hi += 1;
+        }
+        tasks.push(lo..hi);
+        left_rows -= taken;
+        left_tasks = left_tasks.saturating_sub(1).max(1);
+        lo = hi;
+    }
+    tasks
 }
 
 impl SharedModel {
@@ -372,8 +412,8 @@ impl SharedModel {
     /// reconstruction error, centered and scaled by the model's own
     /// training-error distribution (z-units, clamped at 0 below).
     ///
-    /// One long series: its windows fan out over the rayon workers, each
-    /// through a warm pooled [`InferenceSession`].
+    /// The one-series case of [`SharedModel::score_series_batch`]: same
+    /// tiling, same schedule (`score_specs`), same bits.
     pub fn score_series(&self, data: &Matrix) -> Vec<f64> {
         let mut scores = self.score_series_raw(data);
         self.calibrate_scores(&mut scores);
@@ -384,19 +424,9 @@ impl SharedModel {
     /// reconstruction error per row, evaluated over tiled windows whose
     /// final window aligns to the series end.
     pub fn score_series_raw(&self, data: &Matrix) -> Vec<f64> {
-        let t = data.rows();
-        let pos_of = rel_position(t);
-        // The max-merge runs under a lock in arbitrary order, which is
-        // safe because the errors are non-negative finite values and
-        // `f64::max` over those is order-independent.
-        let scores = std::sync::Mutex::new(vec![0.0f64; t]);
-        self.window_starts(t).par_iter().for_each(|&s| {
-            let spec = self.window_spec(data, s, &pos_of);
-            self.score_specs::<InferenceSession>(std::slice::from_ref(&spec), |_, errs| {
-                merge_max(&mut scores.lock().unwrap()[spec.start..spec.end], errs);
-            });
-        });
-        scores.into_inner().unwrap()
+        self.score_stacked_raw::<InferenceSession>(&[data])
+            .pop()
+            .unwrap_or_default()
     }
 
     /// Taped reference for [`SharedModel::score_series`]: the same
@@ -441,16 +471,19 @@ impl SharedModel {
         scores
     }
 
-    /// Calibrated scores for many series through **one batched forward**:
-    /// every window of every series is stacked into a single
+    /// Calibrated scores for many series through **batched forwards**:
+    /// every window of every series joins one stack, which the scheduler
+    /// (`score_specs`) cuts into row-balanced, row-capped tasks and fans
+    /// over the pool — each task one
     /// [`ns_nn::InferenceSession::score_windows_batch`] call (one matmul
-    /// per layer over the whole batch), then per-window errors are fanned
-    /// back out, max-merged and calibrated per series.
+    /// per layer over the task's rows) — then per-window errors are
+    /// max-merged and calibrated per series.
     ///
-    /// Bit-identical per series to [`SharedModel::score_series`]: window
-    /// tiling is the same code, per-window errors are `to_bits`-identical
-    /// (`crates/nn/tests/infer_batch_equivalence.rs`), and the max-merge
-    /// over non-negative finite errors is order-independent.
+    /// Bit-identical per series to [`SharedModel::score_series`], which
+    /// is this function on a one-series stack: per-window errors are
+    /// `to_bits`-identical however the stack is grouped
+    /// (`crates/nn/tests/infer_batch_equivalence.rs`), and the merge runs
+    /// on the caller in input order.
     pub fn score_series_batch(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
         self.score_stacked::<InferenceSession>(series)
     }
@@ -488,7 +521,7 @@ impl SharedModel {
         &'a self,
         data: &'a Matrix,
         start: usize,
-        pos_of: &'a (dyn Fn(usize) -> f64 + 'a),
+        pos_of: &'a (dyn Fn(usize) -> f64 + Sync + 'a),
     ) -> WindowSpec<'a> {
         let t = data.rows();
         WindowSpec {
@@ -500,32 +533,52 @@ impl SharedModel {
         }
     }
 
-    /// Run `specs` through one pooled session of tier `S` as a single
-    /// batched forward and hand each window's per-row errors to
-    /// `sink(window index, errors)`.
+    /// The one scoring schedule: cut `specs` into [`row_tasks`] for this
+    /// thread's pool width, run the tasks with the pool's ordered
+    /// `par_iter` — each acquires a pooled session of tier `S`, scores its
+    /// windows as one batched forward and releases the session — and hand
+    /// each window's per-row errors to `sink(window index, errors)` on
+    /// the caller, in input order.
+    ///
+    /// A task caps its own thread to width 1 for the forward: the pool is
+    /// already busy with the sibling tasks, and waking a worker for half
+    /// of a `rows × 36` matmul costs more than the half. Under a capped
+    /// caller (an engine shard thread holding its fair share of the
+    /// cores) the fan-out width is that cap; at 1 the tasks simply run
+    /// back to back on the caller. Windows are arithmetically independent
+    /// and results come back in input order, so neither the width nor the
+    /// grouping can reach a score bit.
     fn score_specs<S: TierSession>(
         &self,
         specs: &[WindowSpec<'_>],
         mut sink: impl FnMut(usize, &[f64]),
     ) {
-        if specs.is_empty() {
-            return;
+        let tasks = row_tasks(specs, rayon::current_num_threads());
+        let errs: Vec<Vec<f64>> = tasks
+            .par_iter()
+            .map(|task| {
+                rayon::with_thread_parallelism_cap(Some(1), || {
+                    let mut sess = S::acquire(self);
+                    let errs = sess.window_errors(self, &specs[task.clone()]).to_vec();
+                    sess.release(self);
+                    errs
+                })
+            })
+            .collect();
+        for (task, errs) in tasks.iter().zip(&errs) {
+            let mut off = 0usize;
+            for i in task.clone() {
+                let n = specs[i].end - specs[i].start;
+                sink(i, &errs[off..off + n]);
+                off += n;
+            }
         }
-        let mut sess = S::acquire(self);
-        let errs = sess.window_errors(self, specs);
-        let mut off = 0usize;
-        for (i, sp) in specs.iter().enumerate() {
-            let n = sp.end - sp.start;
-            sink(i, &errs[off..off + n]);
-            off += n;
-        }
-        sess.release(self);
     }
 
-    /// Both tiers' `score_series_batch`: stack every window of every
-    /// series into one [`SharedModel::score_specs`] call, max-merge the
-    /// errors back per series, calibrate.
-    fn score_stacked<S: TierSession>(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
+    /// Raw (uncalibrated) scores of every series: stack every window of
+    /// every series into one [`SharedModel::score_specs`] call and
+    /// max-merge the errors back per series.
+    fn score_stacked_raw<S: TierSession>(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
         // The PE position scale depends on each series' own length, so
         // every series gets its own closure.
         let pos_fns: Vec<_> = series.iter().map(|d| rel_position(d.rows())).collect();
@@ -541,6 +594,13 @@ impl SharedModel {
         self.score_specs::<S>(&specs, |i, errs| {
             merge_max(&mut out[owners[i]][specs[i].start..specs[i].end], errs);
         });
+        out
+    }
+
+    /// Both tiers' `score_series_batch`: [`SharedModel::score_stacked_raw`],
+    /// calibrated.
+    fn score_stacked<S: TierSession>(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
+        let mut out = self.score_stacked_raw::<S>(series);
         for sc in &mut out {
             self.calibrate_scores(sc);
         }
@@ -749,6 +809,46 @@ mod tests {
                 assert_eq!(bits(&shared.score_series(s)), taped, "{ctx}");
                 assert_eq!(bits(&shared.score_series(s)), taped, "warm pool {ctx}");
                 assert_eq!(bits(&batched[i]), taped, "batched {ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_tasks_cover_in_order_within_cap_and_fill_the_width() {
+        let data = Matrix::zeros(64, 1);
+        let pos = rel_position(64);
+        let stack = |lens: &[usize]| -> Vec<WindowSpec<'_>> {
+            lens.iter()
+                .map(|&n| WindowSpec {
+                    data: &data,
+                    start: 0,
+                    end: n,
+                    pos_of: &pos,
+                    weights: &[],
+                })
+                .collect()
+        };
+        let cases: [&[usize]; 7] = [
+            &[],
+            &[7],
+            &[1, 1, 20],
+            &[20, 1, 1],
+            &[5; 40],
+            &[20; 9],
+            &[3, 64, 2, 2, 2, 9, 9, 1],
+        ];
+        for lens in cases {
+            let specs = stack(lens);
+            for width in [1usize, 2, 3, 8] {
+                let tasks = row_tasks(&specs, width);
+                let ctx = format!("{lens:?} at width {width}: {tasks:?}");
+                let covered: Vec<usize> = tasks.iter().flat_map(|t| t.clone()).collect();
+                assert_eq!(covered, (0..lens.len()).collect::<Vec<_>>(), "{ctx}");
+                assert!(tasks.len() >= width.min(lens.len()), "{ctx}");
+                for t in &tasks {
+                    let rows: usize = lens[t.clone()].iter().sum();
+                    assert!(t.len() == 1 || rows <= TASK_ROW_CAP, "{ctx}");
+                }
             }
         }
     }

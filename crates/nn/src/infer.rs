@@ -55,29 +55,18 @@ use ns_linalg::matrix_f32::MatrixF32;
 use std::cmp::Ordering;
 use std::sync::Mutex;
 
-/// Upper bound on stacked rows per batched forward sub-batch
-/// ([`InferenceSession::score_windows_batch`]). At ~15 live scratch
-/// matrices of `rows × d_model` doubles, 512 rows keeps the working set
-/// around the L2 capacity of a current server core — and, more
-/// importantly, bounds the session scratch a worst-case burst can pin:
-/// pooled sessions never shrink, so one unbounded stack (e.g. a
-/// shutdown flush batching every node's tail segment) would otherwise
-/// leave tens of MB of scratch allocated for the pool's lifetime. One
-/// window always forms a sub-batch even if longer. Grouping is
-/// unobservable in the output (windows are arithmetically independent),
-/// so this is purely a locality/footprint knob.
-const BATCH_ROW_BUDGET: usize = 512;
-
 /// One window of a batched scoring call
 /// ([`InferenceSession::score_windows_batch`]): rows `[start, end)` of
 /// `data`, positions from `pos_of` (a per-window closure, because the
 /// position scale depends on the owning series' length and pre-dividing
-/// it would not be bit-identical), and per-metric error weights.
+/// it would not be bit-identical), and per-metric error weights. Every
+/// field is a shared borrow and `pos_of` is `Sync`, so a slice of specs
+/// can be split across pool threads, each part scored by its own session.
 pub struct WindowSpec<'a> {
     pub data: &'a Matrix,
     pub start: usize,
     pub end: usize,
-    pub pos_of: &'a (dyn Fn(usize) -> f64 + 'a),
+    pub pos_of: &'a (dyn Fn(usize) -> f64 + Sync + 'a),
     pub weights: &'a [f64],
 }
 
@@ -161,7 +150,7 @@ impl InferenceSession {
         data: &Matrix,
         start: usize,
         end: usize,
-        pos_of: impl Fn(usize) -> f64,
+        pos_of: impl Fn(usize) -> f64 + Sync,
         weights: &[f64],
     ) -> &[f64] {
         let spec = WindowSpec {
@@ -224,19 +213,19 @@ impl InferenceSession {
         (&self.out, &self.boffsets)
     }
 
-    /// Score many windows through one batched forward: stacks
-    /// `specs` into row-budgeted sub-batches, runs [`forward_batch`]'s
-    /// pipeline per sub-batch, and returns the concatenated per-row
-    /// weighted reconstruction errors (window `b`'s errors are the
-    /// `specs[b].end - specs[b].start` slots after those of windows
-    /// `0..b`). Each window's error slice is bit-identical to scoring
-    /// that window alone — windows are arithmetically independent, so the
-    /// sub-batch grouping is unobservable in the output.
+    /// Score many windows through **one** batched forward: stacks every
+    /// window of `specs`, runs [`forward_batch`]'s pipeline once, and
+    /// returns the concatenated per-row weighted reconstruction errors
+    /// (window `b`'s errors are the `specs[b].end - specs[b].start` slots
+    /// after those of windows `0..b`). Each window's error slice is
+    /// bit-identical to scoring that window alone — windows are
+    /// arithmetically independent, so the grouping is unobservable in the
+    /// output.
     ///
-    /// Sub-batches are capped at `BATCH_ROW_BUDGET` stacked rows so the
-    /// ~15 live scratch matrices stay cache-resident: one unbounded stack
-    /// measurably loses to a loop of one-window calls on large bursts
-    /// purely through L2 eviction between the forward's passes.
+    /// The session's scratch grows to the stack and never shrinks, and a
+    /// stack far past the L2 capacity loses to several smaller ones, so
+    /// the caller bounds what it passes: `SharedModel::score_specs` owns
+    /// the row cap and splits a burst into capped tasks, one call each.
     ///
     /// [`forward_batch`]: InferenceSession::forward_batch
     pub fn score_windows_batch(
@@ -246,9 +235,9 @@ impl InferenceSession {
         specs: &[WindowSpec<'_>],
     ) -> &[f64] {
         self.err.clear();
+        self.boffsets.clear();
+        self.boffsets.push(0);
         if specs.is_empty() {
-            self.boffsets.clear();
-            self.boffsets.push(0);
             return &self.err;
         }
         let d_model = model.cfg.d_model;
@@ -259,38 +248,6 @@ impl InferenceSession {
             );
         }
         let m = specs[0].data.cols();
-        let mut i = 0;
-        while i < specs.len() {
-            let mut rows = specs[i].end - specs[i].start;
-            let mut j = i + 1;
-            while j < specs.len() {
-                let r = specs[j].end - specs[j].start;
-                if rows + r > BATCH_ROW_BUDGET {
-                    break;
-                }
-                rows += r;
-                j += 1;
-            }
-            self.score_windows_chunk(params, model, &specs[i..j], m);
-            i = j;
-        }
-        &self.err
-    }
-
-    /// One row-budgeted sub-batch of [`score_windows_batch`]: stack,
-    /// forward, append per-row errors to `self.err`.
-    ///
-    /// [`score_windows_batch`]: InferenceSession::score_windows_batch
-    fn score_windows_chunk(
-        &mut self,
-        params: &ParamStore,
-        model: &ReconstructionTransformer,
-        specs: &[WindowSpec<'_>],
-        m: usize,
-    ) {
-        let d_model = model.cfg.d_model;
-        self.boffsets.clear();
-        self.boffsets.push(0);
         let mut total = 0usize;
         for s in specs {
             assert_eq!(s.data.cols(), m, "all windows must share input width");
@@ -339,6 +296,7 @@ impl InferenceSession {
                 self.err.push(e);
             }
         }
+        &self.err
     }
 
     /// The forward pass proper, reading the stacked `self.x` / `self.pe`
@@ -746,8 +704,8 @@ impl InferenceSessionF32 {
         (&self.out, &self.boffsets)
     }
 
-    /// f32 twin of [`InferenceSession::score_windows_batch`]: same
-    /// row-budgeted sub-batching, errors in f32 widened to f64.
+    /// f32 twin of [`InferenceSession::score_windows_batch`]: one stacked
+    /// forward over all of `specs`, errors in f32 widened to f64.
     pub fn score_windows_batch(
         &mut self,
         params: &ParamStore,
@@ -756,50 +714,19 @@ impl InferenceSessionF32 {
     ) -> &[f64] {
         self.bake(params);
         self.err.clear();
+        self.boffsets.clear();
+        self.boffsets.push(0);
         if specs.is_empty() {
-            self.boffsets.clear();
-            self.boffsets.push(0);
             return &self.err;
         }
         let d_model = model.cfg.d_model;
-        self.fill_pe_div(d_model);
-        let m = specs[0].data.cols();
-        let mut i = 0;
-        while i < specs.len() {
-            let mut rows = specs[i].end - specs[i].start;
-            let mut j = i + 1;
-            while j < specs.len() {
-                let r = specs[j].end - specs[j].start;
-                if rows + r > BATCH_ROW_BUDGET {
-                    break;
-                }
-                rows += r;
-                j += 1;
-            }
-            self.score_windows_chunk(model, &specs[i..j], m);
-            i = j;
-        }
-        &self.err
-    }
-
-    fn fill_pe_div(&mut self, d_model: usize) {
         if self.pe_div.len() != d_model {
             self.pe_div.clear();
             self.pe_div.extend(
                 (0..d_model).map(|i| (10000.0_f64).powf((2 * (i / 2)) as f64 / d_model as f64)),
             );
         }
-    }
-
-    fn score_windows_chunk(
-        &mut self,
-        model: &ReconstructionTransformer,
-        specs: &[WindowSpec<'_>],
-        m: usize,
-    ) {
-        let d_model = model.cfg.d_model;
-        self.boffsets.clear();
-        self.boffsets.push(0);
+        let m = specs[0].data.cols();
         let mut total = 0usize;
         for s in specs {
             assert_eq!(s.data.cols(), m, "all windows must share input width");
@@ -851,6 +778,7 @@ impl InferenceSessionF32 {
                 self.err.push(e as f64);
             }
         }
+        &self.err
     }
 
     /// The f32 forward pass proper over the stacked `self.x` / `self.pe`
@@ -1096,9 +1024,13 @@ fn top_k_into_f32(x: &[f32], k: usize, order: &mut Vec<usize>) {
     order.truncate(k.min(x.len()));
 }
 
-/// Thread-safe pool of [`InferenceSession`]s, used by scoring call sites
-/// that fan windows out over rayon workers: each worker pops a warm
-/// session (or starts a cold one) and pushes it back when done.
+/// Thread-safe pool of [`InferenceSession`]s for scoring call sites that
+/// fan tasks out over rayon workers: a task pops a warm session (or
+/// starts a cold one), runs one forward and pushes it back, so the pool
+/// settles at one session per thread that ever scored at the same time
+/// — the pool's width plus its callers — each with scratch for the
+/// largest stack it has seen (the caller bounds that; see
+/// [`InferenceSession::score_windows_batch`]).
 #[derive(Default)]
 pub struct SessionPool {
     pool: Mutex<Vec<InferenceSession>>,
@@ -1130,6 +1062,11 @@ impl SessionPool {
             }
         }
     }
+
+    /// Sessions currently parked in the pool.
+    pub fn warm(&self) -> usize {
+        self.pool.lock().map(|p| p.len()).unwrap_or(0)
+    }
 }
 
 /// Serialized as `Null`: warm sessions are pure caches, rebuilt on demand.
@@ -1157,8 +1094,7 @@ impl Clone for SessionPool {
 
 impl std::fmt::Debug for SessionPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self.pool.lock().map(|p| p.len()).unwrap_or(0);
-        write!(f, "SessionPool({n} warm)")
+        write!(f, "SessionPool({} warm)", self.warm())
     }
 }
 
@@ -1194,6 +1130,11 @@ impl SessionPoolF32 {
             }
         }
     }
+
+    /// Sessions currently parked in the pool.
+    pub fn warm(&self) -> usize {
+        self.pool.lock().map(|p| p.len()).unwrap_or(0)
+    }
 }
 
 /// Serialized as `Null`: warm sessions are pure caches, rebuilt on demand.
@@ -1221,8 +1162,7 @@ impl Clone for SessionPoolF32 {
 
 impl std::fmt::Debug for SessionPoolF32 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self.pool.lock().map(|p| p.len()).unwrap_or(0);
-        write!(f, "SessionPoolF32({n} warm)")
+        write!(f, "SessionPoolF32({} warm)", self.warm())
     }
 }
 

@@ -28,7 +28,8 @@
 //!   (ingest blocks when a shard falls behind — backpressure, not
 //!   unbounded buffering), runs one scoring phase per shard after every
 //!   tick batch — everything ready across the shard's nodes goes through
-//!   one batched forward per shared model — and returns every
+//!   one `score_series_batch` call per shared model, fanned over the
+//!   shard's share of the thread pool — and returns every
 //!   [`Verdict`] plus deployment cost statistics and [`FaultCounters`].
 //!
 //! # Fault model & degraded mode
@@ -1098,8 +1099,7 @@ impl NodeState {
 
     /// Push one scored segment through the smoothing → k-sigma chain;
     /// returns finalized verdicts. `cost_share` is this segment's share
-    /// of scoring wall time (the batch's elapsed divided by its
-    /// occupancy).
+    /// of scoring wall time (the batch's elapsed, split by rows).
     fn apply_scored(
         &mut self,
         job: SegmentJob,
@@ -1526,13 +1526,13 @@ impl Engine {
         init.resize_with(n_shards, Default::default);
         status::on_engine_spawn(model_fingerprint, n_shards, &cfg);
         metrics::install_pool_stats();
-        // Oversubscription clamp: every shard worker dispatches its
-        // kernels at `rayon::current_num_threads()` width, so an
+        // Oversubscription clamp: every shard worker fans its scoring
+        // tasks out at `rayon::current_num_threads()` width, so an
         // unclamped engine would put `n_shards × width` runnable threads
-        // on `cores` hardware threads. Cap each worker's kernel width to
-        // its fair share. Results are unaffected — every parallel
-        // combinator is bitwise deterministic in the width — only
-        // scheduling changes.
+        // on `cores` hardware threads. Cap each worker's width to its
+        // fair share (at 1 its tasks run back to back on the worker).
+        // Results are unaffected — every parallel combinator is bitwise
+        // deterministic in the width — only scheduling changes.
         let kernel_cap = {
             let cores = std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -1568,7 +1568,15 @@ impl Engine {
             ));
             let handle = std::thread::Builder::new()
                 .name(format!("ns-stream-{shard}"))
-                .spawn(move || worker_loop(shard, rx, model, cfg, states, quarantined, kernel_cap))
+                .spawn(move || {
+                    // Thread-local and scoped: caps every parallel
+                    // dispatch this worker makes (its scoring fan-out
+                    // included) without touching other shards or the
+                    // caller, and is restored even if the loop unwinds.
+                    rayon::with_thread_parallelism_cap(kernel_cap, || {
+                        worker_loop(shard, rx, model, cfg, states, quarantined)
+                    })
+                })
                 .map_err(|e| EngineError::SpawnFailed(e.to_string()))?;
             senders.push(tx);
             workers.push(handle);
@@ -1922,12 +1930,14 @@ fn normalize_segment_scores(scores: &mut [f64], probe_len: usize) {
 }
 
 /// Score a FIFO run of probe-resolved jobs: group them by (clamped)
-/// matched cluster, run one batched forward per shared model
-/// (`score_series_batch` — bit-identical per series to `score_series`),
+/// matched cluster, score each group with one `score_series_batch` call
+/// on its shared model (row-capped batched forwards fanned over this
+/// thread's pool width; bit-identical per series to `score_series`),
 /// normalize each job against its own probe baseline, and return
 /// `(job, cluster, scores, cost share)` in the original order. The
-/// cost share is the group's scoring wall time divided by its
-/// occupancy.
+/// cost share is the group's scoring wall time split by rows: a forward
+/// costs per row, so a short segment batched beside a long one is
+/// charged for its own rows, not for half the group.
 fn score_resolved_jobs(
     model: &NodeSentry,
     jobs: Vec<SegmentJob>,
@@ -1957,11 +1967,13 @@ fn score_resolved_jobs(
             ScoringPrecision::F64 => model.shared_models[g].score_series_batch(&refs),
             ScoringPrecision::F32 => model.shared_models[g].score_series_batch_f32(&refs),
         };
-        let share = t0.elapsed().as_secs_f64() / idxs.len() as f64;
+        let rows: usize = refs.iter().map(|m| m.rows()).sum();
+        let per_row = t0.elapsed().as_secs_f64() / rows.max(1) as f64;
         nm.batch_segments.observe(idxs.len() as f64);
         for (&i, mut scores) in idxs.iter().zip(many) {
             let probe_len = model.cfg.match_period.clamp(1, jobs[i].rows.len());
             normalize_segment_scores(&mut scores, probe_len);
+            let share = per_row * scores.len() as f64;
             scored[i] = Some((scores, share));
         }
     }
@@ -2082,14 +2094,7 @@ fn worker_loop(
     cfg: EngineConfig,
     mut states: FxHashMap<usize, NodeState>,
     mut quarantined: FxHashSet<usize>,
-    kernel_cap: Option<usize>,
 ) -> (Vec<Verdict>, StreamStats, FaultCounters) {
-    // Fair-share kernel width decided at spawn (see `Engine::spawn`);
-    // thread-local, so it caps every parallel dispatch this worker makes
-    // without touching other shards or the caller.
-    if kernel_cap.is_some() {
-        rayon::set_thread_parallelism_cap(kernel_cap);
-    }
     let width = model.preprocessor.groups.len();
     let m = ShardMetrics::new(shard);
     let mut verdicts = Vec::new();

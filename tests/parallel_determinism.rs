@@ -5,12 +5,25 @@
 //! The pool caches `RAYON_NUM_THREADS` at first use, so the width is
 //! varied through [`rayon::set_thread_count_override`] — the explicit
 //! in-process hook the pool exposes for exactly this test. The override
-//! is process-global, so this file holds a single test that toggles it
-//! around each fit.
+//! is process-global, so every test here takes [`width_lock`] around it.
+//!
+//! The scoring schedule gets its own case: `SharedModel::score_specs`
+//! cuts a stack of windows into row-capped tasks for the *current* pool
+//! width and fans them over the pool, so the width decides the grouping —
+//! which must never reach a score bit, in either precision tier.
 
-use nodesentry::core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
+use nodesentry::core::{
+    CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharedModel, SharingConfig,
+};
 use nodesentry::features::FeatureCatalog;
+use nodesentry::linalg::matrix::Matrix;
 use nodesentry::telemetry::{Dataset, DatasetProfile};
+use std::sync::{Mutex, MutexGuard};
+
+fn width_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn quick_cfg() -> NodeSentryConfig {
     NodeSentryConfig {
@@ -71,6 +84,7 @@ fn fit_and_score(ds: &Dataset, inputs: &[NodeInput]) -> (String, Vec<Vec<u64>>) 
 
 #[test]
 fn fit_is_bitwise_identical_across_thread_counts() {
+    let _g = width_lock();
     let ds = DatasetProfile::tiny().generate();
     let inputs = inputs_of(&ds);
 
@@ -100,4 +114,89 @@ fn fit_is_bitwise_identical_across_thread_counts() {
         scores_serial, scores_three,
         "scores differ between 1 and 3 threads"
     );
+}
+
+/// All three serving entry points over one burst, as bit patterns:
+/// `score_series` per series, then the f64 and f32 batched calls.
+fn score_burst(model: &SharedModel, series: &[&Matrix]) -> Vec<Vec<Vec<u64>>> {
+    let bits = |rows: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|s| s.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    vec![
+        bits(series.iter().map(|s| model.score_series(s)).collect()),
+        bits(model.score_series_batch(series)),
+        bits(model.score_series_batch_f32(series)),
+    ]
+}
+
+#[test]
+fn scoring_schedule_is_bitwise_identical_across_widths_and_caps() {
+    let _g = width_lock();
+    let pattern = |t: usize, phase: f64| {
+        Matrix::from_fn(t, 3, |r, c| (r as f64 * 0.3 + c as f64 * 0.5 + phase).sin())
+    };
+    let cfg = SharingConfig {
+        window: 12,
+        stride: 12,
+        d_model: 12,
+        n_heads: 2,
+        n_layers: 1,
+        hidden: 24,
+        n_experts: 2,
+        epochs: 2,
+        batch: 16,
+        ..Default::default()
+    };
+    let train = [pattern(48, 0.0), pattern(60, 0.4)];
+    rayon::set_thread_count_override(Some(1));
+    let model = SharedModel::train(&cfg, &train.iter().collect::<Vec<_>>());
+
+    // Exact-tile, ragged-tail, shorter-than-window and empty series, plus
+    // two far longer than the scheduler's row cap, so that one series
+    // alone is cut into many tasks at every width.
+    let burst: Vec<Matrix> = [48usize, 29, 5, 0, 1500, 1501, 17]
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| pattern(t, 0.2 + i as f64 * 0.7))
+        .collect();
+    let series: Vec<&Matrix> = burst.iter().collect();
+
+    let want = score_burst(&model, &series);
+    assert_eq!(want[0], want[1], "score_series vs score_series_batch");
+    assert_ne!(want[1], want[2], "the f32 tier must be its own arithmetic");
+    for (tier, scores) in want.iter().enumerate() {
+        for (s, m) in scores.iter().zip(&series) {
+            assert_eq!(s.len(), m.rows(), "tier {tier}: one score per row");
+        }
+    }
+
+    const WIDTHS: [usize; 4] = [1, 2, 3, 8];
+    for width in WIDTHS {
+        rayon::set_thread_count_override(Some(width));
+        for round in ["cold", "warm"] {
+            assert_eq!(
+                score_burst(&model, &series),
+                want,
+                "width {width}, {round} pools"
+            );
+        }
+    }
+    // A capped caller (an engine shard thread on its fair share) runs the
+    // same tasks back to back on itself.
+    rayon::set_thread_count_override(Some(8));
+    let capped = rayon::with_thread_parallelism_cap(Some(1), || score_burst(&model, &series));
+    assert_eq!(capped, want, "caller capped at 1 under a width-8 pool");
+    rayon::set_thread_count_override(None);
+
+    // A task holds a session only for its forward, so a pool never parks
+    // more sessions than threads that scored at once: the widest pool used.
+    let widest = *WIDTHS.iter().max().unwrap();
+    for (tier, warm) in [("f64", model.infer.warm()), ("f32", model.infer32.warm())] {
+        assert!(
+            (1..=widest).contains(&warm),
+            "{tier} pool parks {warm} sessions after scoring at widths {WIDTHS:?}"
+        );
+    }
 }

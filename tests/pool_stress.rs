@@ -8,6 +8,9 @@
 //! * a panic in one task propagates to the caller without poisoning the
 //!   workers or leaking sibling outputs — the very next parallel call
 //!   succeeds at full width;
+//! * a task that panics inside `with_thread_parallelism_cap` hands the
+//!   executing thread its previous cap back — a leaked `cap = 1` would
+//!   silently serialise every later kernel that thread dispatches;
 //! * `par_map` output bit-matches the serial `map` for random f64
 //!   workloads at 1/2/4/8 threads (property test below);
 //! * shutdown at process exit is clean — parked daemon workers hold no
@@ -134,6 +137,61 @@ fn panic_in_nested_job_leaves_outer_pool_usable() {
     assert!(result.is_err());
     let out: Vec<usize> = with_width(4, || (0..100).into_par_iter().map(|i| i + 1).collect());
     assert_eq!(out[99], 100);
+}
+
+#[test]
+fn panic_inside_scoped_cap_restores_the_threads_cap() {
+    let pause = || std::thread::sleep(std::time::Duration::from_micros(200));
+    // Every leaf panics under its own cap of 1, on whichever thread
+    // claimed it (the pause lets the workers arrive).
+    let result = std::panic::catch_unwind(|| {
+        with_width(4, || {
+            (0..64usize)
+                .into_par_iter()
+                .map(|i| {
+                    rayon::with_thread_parallelism_cap(Some(1), || {
+                        assert_eq!(rayon::current_num_threads(), 1);
+                        pause();
+                        panic!("leaf {i} exploded under the cap");
+                    })
+                })
+                .collect::<Vec<()>>()
+        })
+    });
+    assert!(result.is_err());
+
+    // The next full-width job runs every task once, and every thread that
+    // takes part — the caller included — dispatches at full width again.
+    let ran = AtomicUsize::new(0);
+    let seen: Vec<usize> = with_width(4, || {
+        assert_eq!(rayon::current_num_threads(), 4, "caller's cap leaked");
+        (0..64usize)
+            .into_par_iter()
+            .map(|_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                pause();
+                rayon::current_num_threads()
+            })
+            .collect()
+    });
+    assert_eq!(ran.load(Ordering::Relaxed), 64);
+    assert!(
+        seen.iter().all(|&w| w == 4),
+        "a thread kept cap 1: {seen:?}"
+    );
+
+    // Scopes nest: unwinding out of the inner one restores the outer cap,
+    // not "uncapped".
+    with_width(4, || {
+        rayon::with_thread_parallelism_cap(Some(2), || {
+            let inner = std::panic::catch_unwind(|| {
+                rayon::with_thread_parallelism_cap(Some(1), || panic!("inner scope"))
+            });
+            assert!(inner.is_err());
+            assert_eq!(rayon::current_num_threads(), 2);
+        });
+        assert_eq!(rayon::current_num_threads(), 4);
+    });
 }
 
 #[test]
