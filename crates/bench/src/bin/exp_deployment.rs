@@ -6,161 +6,15 @@
 //! detection latency, streaming throughput, and precision/recall on the
 //! injections.
 
-use nodesentry_core::{NodeInput, NodeSentry};
+use nodesentry_core::NodeSentry;
 use ns_bench::{default_ns_config, transitions_of, write_bench_json, write_json, DatasetSource};
 use ns_eval::metrics::{adjusted_confusion, aggregate, NodeScores};
 use ns_stream::{Engine, EngineConfig, EngineReport, ScoringPrecision, Tick};
-use ns_telemetry::{DatasetProfile, IngestClient, TickReplay};
+use ns_telemetry::{DatasetProfile, IngestClient};
 use serde_json::json;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Peak resident set (VmHWM) in MiB, from `/proc/self/status` — the
-/// memory ceiling of everything run so far. `None` off Linux.
-fn vm_hwm_mib() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb / 1024.0)
-}
-
-/// §5.1 at deployment scale: a D1′-shaped cluster of `NS_DEPLOY_NODES`
-/// (default 1,000) nodes streamed through the engine with a full
-/// elastic lifecycle mid-run — checkpoint, teardown, restore from the
-/// snapshot bytes at a *smaller* shard count, and replay of the tail.
-/// Ticks come from [`TickReplay`], which synthesizes raw rows in small
-/// step chunks instead of materializing a thousand node matrices, so
-/// the measured memory ceiling is the engine's, not the harness's.
-fn elastic_lifecycle() -> serde_json::Value {
-    let n_nodes: usize = std::env::var("NS_DEPLOY_NODES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
-    let mut profile = DatasetProfile::d1_prime();
-    profile.name = format!("deployment-elastic-{n_nodes}");
-    profile.schedule.n_nodes = n_nodes;
-    profile.schedule.horizon = 480; // 4 simulated hours at 30 s
-    profile.schedule.max_width = 16;
-    profile.events_per_node = 0.0; // clean feed: lifecycle cost, not accuracy
-    profile.missing_rate = 0.0;
-    let ds = profile.generate();
-    println!(
-        "\n=== elastic lifecycle at deployment scale ({} nodes x {} steps) ===",
-        ds.n_nodes(),
-        ds.horizon()
-    );
-
-    // Fit on a node subsample: the library generalizes across nodes by
-    // construction, and this phase benchmarks the lifecycle, not
-    // training. Trimmed epochs for the same reason.
-    let fit_nodes = ds.n_nodes().min(16);
-    let groups = ds.catalog.group_ids();
-    let inputs: Vec<NodeInput> = (0..fit_nodes)
-        .map(|n| NodeInput {
-            raw: ds.raw_node(n),
-            transitions: transitions_of(&ds, n),
-        })
-        .collect();
-    let mut cfg = default_ns_config();
-    cfg.sharing.epochs = 10;
-    let model = Arc::new(NodeSentry::fit(cfg, &inputs, &groups, ds.split));
-    drop(inputs);
-    println!(
-        "fit on {fit_nodes}-node subsample: {} clusters",
-        model.n_clusters()
-    );
-
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let pre_shards = cores.clamp(2, 8);
-    let post_shards = (pre_shards / 2).max(1);
-    let mut ecfg = EngineConfig::new(ds.split);
-    ecfg.n_shards = pre_shards;
-    ecfg.smooth_window = 1;
-    // Bound in-flight batches: at a thousand wide-catalog nodes the
-    // default queue depth would let backpressure admit gigabytes.
-    ecfg.queue_depth = 8;
-
-    let cut_step = ds.split + (ds.horizon() - ds.split) / 2;
-    let mut replay = TickReplay::new(&ds, 12);
-    let engine = Engine::new(Arc::clone(&model), ecfg);
-    let t0 = Instant::now();
-    for _ in 0..cut_step {
-        let cycle = replay.next_cycle().expect("steps before the cut");
-        engine.ingest(cycle).expect("stream shard alive");
-    }
-    let ck_t = Instant::now();
-    let ckpt = engine.checkpoint().expect("checkpoint");
-    let checkpoint_ms = ck_t.elapsed().as_secs_f64() * 1e3;
-    let snapshot_mib = ckpt.bytes.len() as f64 / (1024.0 * 1024.0);
-    // Teardown: the tail must come from the restored engine alone.
-    drop(engine);
-
-    let mut post_cfg = ecfg;
-    post_cfg.n_shards = post_shards;
-    let rs_t = Instant::now();
-    let restored =
-        Engine::restore_bytes(Arc::clone(&model), post_cfg, &ckpt.bytes).expect("restore");
-    let restore_ms = rs_t.elapsed().as_secs_f64() * 1e3;
-    while let Some(cycle) = replay.next_cycle() {
-        restored.ingest(cycle).expect("restored shard alive");
-    }
-    let report = restored.finish();
-    let wall_s = t0.elapsed().as_secs_f64();
-
-    // Scale-level conformance: on a clean feed, prefix + tail verdicts
-    // cover the whole test span exactly once per node — nothing dropped
-    // at the cut, nothing duplicated across the reshard.
-    let expected = ds.n_nodes() * (ds.horizon() - ds.split);
-    assert_eq!(
-        ckpt.verdicts.len() + report.verdicts.len(),
-        expected,
-        "elastic lifecycle lost or duplicated verdicts"
-    );
-    assert_eq!(report.n_shards, post_shards);
-
-    let ticks_total = report.stats.n_ticks;
-    let throughput = ticks_total as f64 / wall_s.max(1e-9);
-    let shares: Vec<u64> = report.per_shard.iter().map(|s| s.n_ticks).collect();
-    let mean_share = ticks_total as f64 / report.n_shards as f64;
-    let imbalance = shares
-        .iter()
-        .map(|&s| s as f64 / mean_share.max(1e-9))
-        .fold(0.0f64, f64::max);
-    let hwm = vm_hwm_mib();
-
-    println!(
-        "streamed {ticks_total} ticks in {wall_s:.1} s ({throughput:.0} ticks/s), \
-         {pre_shards} -> {post_shards} shards across the cut"
-    );
-    println!(
-        "checkpoint {checkpoint_ms:.1} ms ({snapshot_mib:.2} MiB snapshot), restore {restore_ms:.1} ms"
-    );
-    println!(
-        "per-shard tick shares {shares:?} (max/mean {imbalance:.3}); peak RSS {} MiB",
-        hwm.map(|m| format!("{m:.0}"))
-            .unwrap_or_else(|| "n/a".into())
-    );
-
-    json!({
-        "n_nodes": ds.n_nodes(),
-        "horizon": ds.horizon(),
-        "ticks_total": ticks_total,
-        "wall_s": wall_s,
-        "ticks_per_s": throughput,
-        "pre_shards": pre_shards,
-        "post_shards": report.n_shards,
-        "checkpoint_ms": checkpoint_ms,
-        "restore_ms": restore_ms,
-        "snapshot_mib": snapshot_mib,
-        "per_shard_ticks": shares,
-        "shard_imbalance_max_over_mean": imbalance,
-        "vm_hwm_mib": hwm,
-        "verdicts": expected,
-    })
-}
 
 /// Percentile of an unsorted sample, in place.
 fn pctl(samples: &mut [f64], q: f64) -> f64 {
@@ -702,7 +556,6 @@ fn main() {
         ds.horizon(),
         steps_per_hour,
     );
-    let elastic = elastic_lifecycle();
     write_bench_json(
         "stream",
         &json!({
@@ -730,7 +583,6 @@ fn main() {
                 "events_dropped": journal.dropped,
                 "incidents_captured": recorder.captured,
             }),
-            "elastic": elastic,
         }),
     );
 

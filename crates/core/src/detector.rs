@@ -11,7 +11,7 @@ use ns_linalg::matrix::Matrix;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink};
 
 /// Ablation variants (paper §4.4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -402,19 +402,18 @@ impl NodeSentry {
     /// a different model is rejected instead of silently producing
     /// non-equivalent verdicts.
     ///
-    /// FNV-1a 64 over a typed walk of each component's [`Serialize`]
-    /// tree: a tag byte per value, floats by `f64::to_bits`, integers as
-    /// little-endian bytes, length-prefixed strings and keys, array and
-    /// object counts (the tagging of the engine snapshot codec). Being
-    /// derived from `Serialize`, a field added to any component is hashed
-    /// without this function changing, and a field added to `NodeSentry`
-    /// itself fails to compile here until it is placed. Floats are hashed
-    /// by bit pattern, so `-0.0` and `+0.0` differ and one flipped
-    /// mantissa bit changes the digest.
+    /// FNV-1a 64 over the events of each component's [`Serialize`] walk,
+    /// hashed as they are emitted: a tag byte per value, floats by
+    /// `f64::to_bits`, integers as little-endian bytes, length-prefixed
+    /// strings and keys, array and object counts (the tagging of the
+    /// engine snapshot codec). Being derived from `Serialize`, a field
+    /// added to any component is hashed without this function changing,
+    /// and a field added to `NodeSentry` itself fails to compile here
+    /// until it is placed. Floats are hashed by bit pattern, so `-0.0` and
+    /// `+0.0` differ and one flipped mantissa bit changes the digest.
     ///
-    /// Costs about one pass over the weights; the transient tree is one
-    /// shared model, never the whole detector. Deliberately **not**
-    /// cached: the fields are `pub` and
+    /// Costs one pass over the weights and allocates nothing for them.
+    /// Deliberately **not** cached: the fields are `pub` and
     /// [`NodeSentry::incremental_update`] rewrites weights and centroids
     /// in place, so a stored digest could go stale and a restore would
     /// then accept a snapshot taken against a different model.
@@ -427,12 +426,12 @@ impl NodeSentry {
             train_segments: _,
         } = self;
         let mut h = Fnv1a::new();
-        h.value(&cfg.to_value());
-        h.value(&preprocessor.to_value());
-        h.value(&cluster_model.to_value());
+        cfg.emit(&mut h);
+        preprocessor.emit(&mut h);
+        cluster_model.emit(&mut h);
         h.bytes(&(shared_models.len() as u64).to_le_bytes());
         for model in shared_models {
-            h.value(&model.to_value());
+            model.emit(&mut h);
         }
         h.0
     }
@@ -456,8 +455,10 @@ impl NodeSentry {
 }
 
 /// Streaming FNV-1a 64 (the constants of `ns_wire::fnv1a64`) over the
-/// tagged encoding of a serde [`Value`] tree — what
-/// [`NodeSentry::fingerprint`] hashes instead of JSON text.
+/// tagged encoding of the events a [`Serialize`] walk emits — what
+/// [`NodeSentry::fingerprint`] hashes instead of JSON text. Tags: 0 Null,
+/// 1 Bool, 2 I64, 3 U64, 4 F64 (raw IEEE bits), 5 Str, 6 Array, 7 Object;
+/// lengths and counts are u64 LE; keys are length-prefixed, untagged.
 struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -472,49 +473,41 @@ impl Fnv1a {
         }
     }
 
-    fn str(&mut self, s: &str) {
-        self.bytes(&(s.len() as u64).to_le_bytes());
-        self.bytes(s.as_bytes());
+    fn tagged(&mut self, tag: u8, word: u64) {
+        self.bytes(&[tag]);
+        self.bytes(&word.to_le_bytes());
     }
+}
 
-    /// Tags: 0 Null, 1 Bool, 2 I64, 3 U64, 4 F64 (raw IEEE bits), 5 Str,
-    /// 6 Array, 7 Object; lengths and counts are u64 LE.
-    fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.bytes(&[0]),
-            Value::Bool(b) => self.bytes(&[1, *b as u8]),
-            Value::I64(i) => {
-                self.bytes(&[2]);
-                self.bytes(&i.to_le_bytes());
-            }
-            Value::U64(u) => {
-                self.bytes(&[3]);
-                self.bytes(&u.to_le_bytes());
-            }
-            Value::F64(f) => {
-                self.bytes(&[4]);
-                self.bytes(&f.to_bits().to_le_bytes());
-            }
-            Value::Str(s) => {
-                self.bytes(&[5]);
-                self.str(s);
-            }
-            Value::Array(items) => {
-                self.bytes(&[6]);
-                self.bytes(&(items.len() as u64).to_le_bytes());
-                for item in items {
-                    self.value(item);
-                }
-            }
-            Value::Object(pairs) => {
-                self.bytes(&[7]);
-                self.bytes(&(pairs.len() as u64).to_le_bytes());
-                for (k, val) in pairs {
-                    self.str(k);
-                    self.value(val);
-                }
-            }
-        }
+impl Sink for Fnv1a {
+    fn null(&mut self) {
+        self.bytes(&[0]);
+    }
+    fn bool(&mut self, v: bool) {
+        self.bytes(&[1, v as u8]);
+    }
+    fn i64(&mut self, v: i64) {
+        self.tagged(2, v as u64);
+    }
+    fn u64(&mut self, v: u64) {
+        self.tagged(3, v);
+    }
+    fn f64(&mut self, v: f64) {
+        self.tagged(4, v.to_bits());
+    }
+    fn str(&mut self, v: &str) {
+        self.bytes(&[5]);
+        self.key(v);
+    }
+    fn array(&mut self, len: usize) {
+        self.tagged(6, len as u64);
+    }
+    fn object(&mut self, len: usize) {
+        self.tagged(7, len as u64);
+    }
+    fn key(&mut self, k: &str) {
+        self.bytes(&(k.len() as u64).to_le_bytes());
+        self.bytes(k.as_bytes());
     }
 }
 

@@ -1071,15 +1071,16 @@ impl SessionPool {
 
 /// Serialized as `Null`: warm sessions are pure caches, rebuilt on demand.
 impl serde::Serialize for SessionPool {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
+    fn emit<S: serde::Sink>(&self, sink: &mut S) {
+        sink.null()
     }
 }
 
 /// Deserializes from anything (including a missing field) to an empty
 /// pool — sessions re-warm their scratch lazily on first use.
 impl serde::Deserialize for SessionPool {
-    fn from_value(_v: &serde::Value) -> Result<Self, serde::Error> {
+    fn read<'de, S: serde::Source<'de>>(src: &mut S) -> Result<Self, serde::Error> {
+        src.skip()?;
         Ok(Self::default())
     }
 }
@@ -1139,15 +1140,16 @@ impl SessionPoolF32 {
 
 /// Serialized as `Null`: warm sessions are pure caches, rebuilt on demand.
 impl serde::Serialize for SessionPoolF32 {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
+    fn emit<S: serde::Sink>(&self, sink: &mut S) {
+        sink.null()
     }
 }
 
 /// Deserializes from anything (including a missing field) to an empty
 /// pool — sessions re-bake their weights lazily on first use.
 impl serde::Deserialize for SessionPoolF32 {
-    fn from_value(_v: &serde::Value) -> Result<Self, serde::Error> {
+    fn read<'de, S: serde::Source<'de>>(src: &mut S) -> Result<Self, serde::Error> {
+        src.skip()?;
         Ok(Self::default())
     }
 }

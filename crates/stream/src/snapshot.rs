@@ -14,27 +14,33 @@
 //!
 //! # Wire format
 //!
-//! The snapshot body is the [`serde`] `Value` tree of
-//! [`EngineSnapshot`], encoded with a tagged binary codec (not JSON:
-//! JSON cannot carry NaN payloads or `-0.0`, and restored state must be
-//! bit-exact). The envelope is
+//! The snapshot body is [`EngineSnapshot`]'s [`serde`] event stream in a
+//! tagged binary codec (not JSON: JSON cannot carry NaN payloads or
+//! `-0.0`, and restored state must be bit-exact), streamed in both
+//! directions: `to_bytes` emits the typed state straight into the output
+//! and `from_bytes` reads it straight from the input — no intermediate
+//! tree, keys matched as borrowed `&str` (`tests/snapshot_alloc.rs`).
+//! The envelope is
 //!
 //! ```text
 //! magic "NSSN" (4) | version u16 LE | payload_len u64 LE | payload | fnv1a64 u64 LE
 //! ```
 //!
-//! with the FNV-1a 64 checksum taken over everything before it. Decoding
-//! is total: truncated, bit-flipped, or wrong-version bytes return a
-//! typed [`SnapshotError`], never panic
-//! (`crates/stream/tests/snapshot_corruption.rs`), and the on-disk
-//! layout of version 1 is pinned by a golden fixture in
+//! with the FNV-1a 64 checksum taken over everything before it and
+//! verified before any payload byte is trusted; being byte-serial
+//! (≈ 1.3 ms/MB) it is the floor of both directions while the format is
+//! version 1. Decoding is total: truncated, bit-flipped, or wrong-version
+//! bytes return a typed [`SnapshotError`], never panic — the error the
+//! two-pass tree decoder this codec replaced would have given, which
+//! `crates/stream/tests/snapshot_corruption.rs` keeps as its oracle — and
+//! the on-disk layout of version 1 is pinned by a golden fixture in
 //! `tests/serde_roundtrip.rs`.
 
 use crate::{FaultCounters, ScoringPrecision, StreamStats};
 use nodesentry_core::Tick;
 use ns_eval::streaming::{KSigmaState, SmootherState};
 use ns_wire::fnv1a64;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Event, Serialize, Sink, Source};
 
 /// Leading magic of every snapshot: `NSSN` ("NodeSentry SNapshot").
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NSSN";
@@ -175,7 +181,7 @@ pub struct NodeSnap {
 /// Nodes are sorted by id and quarantined ids ascending, so encoding the
 /// same engine state twice yields identical bytes (checkpoint →
 /// restore → checkpoint is byte-stable; `tests/proptest_snapshot.rs`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Deserialize)]
 pub struct EngineSnapshot {
     /// Fingerprint of the trained model this state belongs to
     /// ([`NodeSentry::fingerprint`](nodesentry_core::NodeSentry::fingerprint),
@@ -205,281 +211,347 @@ pub struct EngineSnapshot {
     pub carried_faults: FaultCounters,
 }
 
-// Hand-written so the default tier stays byte-compatible with the pinned
-// version-1 layout: `scoring_precision` is emitted only when it is not
-// `F64`, and a missing key decodes as `F64` (every pre-tier snapshot was
-// f64 by construction). The golden fixture in `tests/serde_roundtrip.rs`
-// holds this closed.
+// `Serialize` is hand-written so the default tier stays byte-compatible
+// with the pinned version-1 layout: `scoring_precision` is emitted only
+// when it is not `F64`. The derived reader needs no such care: a missing
+// key reads as `Null` would, which for `ScoringPrecision` is `F64` (every
+// pre-tier snapshot was f64 by construction). The golden fixture in
+// `tests/serde_roundtrip.rs` holds this closed.
 impl Serialize for EngineSnapshot {
-    fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            (
-                "model_fingerprint".to_string(),
-                self.model_fingerprint.to_value(),
-            ),
-            ("split".to_string(), self.split.to_value()),
-            ("smooth_window".to_string(), self.smooth_window.to_value()),
-            ("n_shards".to_string(), self.n_shards.to_value()),
-            ("nodes".to_string(), self.nodes.to_value()),
-            ("quarantined".to_string(), self.quarantined.to_value()),
-            ("carried_stats".to_string(), self.carried_stats.to_value()),
-            ("carried_faults".to_string(), self.carried_faults.to_value()),
-        ];
-        if self.scoring_precision != ScoringPrecision::F64 {
-            pairs.push((
-                "scoring_precision".to_string(),
-                self.scoring_precision.to_value(),
-            ));
+    fn emit<S: Sink>(&self, sink: &mut S) {
+        let tiered = self.scoring_precision != ScoringPrecision::F64;
+        sink.object(8 + tiered as usize);
+        serde::emit_field(sink, "model_fingerprint", &self.model_fingerprint);
+        serde::emit_field(sink, "split", &self.split);
+        serde::emit_field(sink, "smooth_window", &self.smooth_window);
+        serde::emit_field(sink, "n_shards", &self.n_shards);
+        serde::emit_field(sink, "nodes", &self.nodes);
+        serde::emit_field(sink, "quarantined", &self.quarantined);
+        serde::emit_field(sink, "carried_stats", &self.carried_stats);
+        serde::emit_field(sink, "carried_faults", &self.carried_faults);
+        if tiered {
+            serde::emit_field(sink, "scoring_precision", &self.scoring_precision);
         }
-        Value::Object(pairs)
-    }
-}
-
-impl Deserialize for EngineSnapshot {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(EngineSnapshot {
-            model_fingerprint: serde::field(v, "model_fingerprint")?,
-            split: serde::field(v, "split")?,
-            smooth_window: serde::field(v, "smooth_window")?,
-            // Missing key → `field` falls back to `from_value(Null)`,
-            // which is `F64` (the only tier that ever omits the key).
-            scoring_precision: serde::field(v, "scoring_precision")?,
-            n_shards: serde::field(v, "n_shards")?,
-            nodes: serde::field(v, "nodes")?,
-            quarantined: serde::field(v, "quarantined")?,
-            carried_stats: serde::field(v, "carried_stats")?,
-            carried_faults: serde::field(v, "carried_faults")?,
-        })
     }
 }
 
 impl EngineSnapshot {
     /// Encode into the versioned, checksummed envelope.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        encode_value(&self.to_value(), &mut payload);
-        let mut out = Vec::with_capacity(payload.len() + 22);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        let sum = fnv1a64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        encode(self)
     }
 
     /// Decode and validate an envelope. Total: malformed input of any
     /// kind returns a typed error, never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        const HEADER: usize = 4 + 2 + 8;
-        if bytes.len() < HEADER + 8 {
-            return Err(SnapshotError::Truncated {
-                expected: HEADER + 8,
-                have: bytes.len(),
-            });
-        }
-        if bytes[..4] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        let declared = u64::from_le_bytes(bytes[6..14].try_into().expect("8 bytes"));
-        let total = (HEADER as u64)
-            .checked_add(declared)
-            .and_then(|n| n.checked_add(8))
-            .filter(|&n| n <= usize::MAX as u64)
-            .ok_or(SnapshotError::Truncated {
-                expected: usize::MAX,
-                have: bytes.len(),
-            })? as usize;
-        if bytes.len() < total {
-            return Err(SnapshotError::Truncated {
-                expected: total,
-                have: bytes.len(),
-            });
-        }
-        if bytes.len() > total {
-            return Err(SnapshotError::Decode(format!(
-                "{} trailing bytes after the envelope",
-                bytes.len() - total
-            )));
-        }
-        let body = &bytes[..total - 8];
-        let stored = u64::from_le_bytes(bytes[total - 8..total].try_into().expect("8 bytes"));
-        if fnv1a64(body) != stored {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        // Version gate after the checksum: a valid future-version
-        // snapshot reports `UnsupportedVersion`, a corrupted version
-        // field reports the corruption.
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let payload = &body[HEADER..];
-        let mut pos = 0usize;
-        let value = decode_value(payload, &mut pos, 0)?;
-        if pos != payload.len() {
-            return Err(SnapshotError::Decode(format!(
-                "{} trailing payload bytes",
-                payload.len() - pos
-            )));
-        }
-        EngineSnapshot::from_value(&value).map_err(|e| SnapshotError::Decode(e.to_string()))
+        decode(bytes)
     }
 }
 
+/// Bytes before the payload: magic, version, payload length.
+const HEADER: usize = 4 + 2 + 8;
+
+/// [`EngineSnapshot::to_bytes`] over any payload type: the value's events
+/// stream straight into the envelope. (A `serde::Value` encodes to the
+/// bytes of the value it was built from — the tests' oracle.)
+pub fn encode<T: Serialize>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&SNAPSHOT_MAGIC);
+    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    out.extend_from_slice(&[0; 8]); // payload length, known once emitted
+    value.emit(&mut ByteSink(&mut out));
+    let payload_len = (out.len() - HEADER) as u64;
+    out[HEADER - 8..HEADER].copy_from_slice(&payload_len.to_le_bytes());
+    let sum = fnv1a64(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// [`EngineSnapshot::from_bytes`] over any payload type, read straight
+/// from the bytes.
+pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, SnapshotError> {
+    if bytes.len() < HEADER + 8 {
+        return Err(SnapshotError::Truncated {
+            expected: HEADER + 8,
+            have: bytes.len(),
+        });
+    }
+    if bytes[..4] != SNAPSHOT_MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    let declared = u64::from_le_bytes(bytes[6..14].try_into().expect("8 bytes"));
+    let total = (HEADER as u64)
+        .checked_add(declared)
+        .and_then(|n| n.checked_add(8))
+        .filter(|&n| n <= usize::MAX as u64)
+        .ok_or(SnapshotError::Truncated {
+            expected: usize::MAX,
+            have: bytes.len(),
+        })? as usize;
+    if bytes.len() < total {
+        return Err(SnapshotError::Truncated {
+            expected: total,
+            have: bytes.len(),
+        });
+    }
+    if bytes.len() > total {
+        return Err(SnapshotError::Decode(format!(
+            "{} trailing bytes after the envelope",
+            bytes.len() - total
+        )));
+    }
+    let body = &bytes[..total - 8];
+    let stored = u64::from_le_bytes(bytes[total - 8..total].try_into().expect("8 bytes"));
+    if fnv1a64(body) != stored {
+        return Err(SnapshotError::ChecksumMismatch);
+    }
+    // Version gate after the checksum: a valid future-version
+    // snapshot reports `UnsupportedVersion`, a corrupted version
+    // field reports the corruption.
+    if version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion {
+            found: version,
+            supported: SNAPSHOT_VERSION,
+        });
+    }
+    let payload = &body[HEADER..];
+    let mut src = ByteSource::new(payload);
+    let read = T::read(&mut src);
+    if read.is_err() || src.pos != payload.len() {
+        // Failure path only: a structural walk of the whole payload speaks
+        // first — damage anywhere in it, trailing bytes included, outranks
+        // a well-formed value of the wrong type — so the error does not
+        // depend on how far the typed read got.
+        src = ByteSource::new(payload);
+        let _ = src.skip();
+        if let Some(fault) = src.fault {
+            return Err(fault);
+        }
+        if src.pos != payload.len() {
+            let extra = payload.len() - src.pos;
+            return Err(SnapshotError::Decode(format!(
+                "{extra} trailing payload bytes"
+            )));
+        }
+    }
+    read.map_err(|e| SnapshotError::Decode(e.to_string()))
+}
+
 // ---------------------------------------------------------------------
-// Tagged binary codec for the serde `Value` tree
+// Tagged binary codec: a serde sink and source over the payload bytes
 // ---------------------------------------------------------------------
 //
 // Tags: 0 Null, 1 Bool, 2 I64, 3 U64, 4 F64 (raw IEEE bits — the whole
 // reason this codec exists instead of JSON), 5 Str, 6 Array, 7 Object.
-// Lengths and counts are u64 LE. Every count is bounds-checked against
-// the remaining bytes before allocating, so hostile lengths cannot OOM.
-// `NodeSentry::fingerprint` hashes the model's trees with this same
+// Lengths and counts are u64 LE; keys are length-prefixed, untagged.
+// Every count is bounds-checked against the remaining bytes before a
+// reader may allocate for it, so hostile lengths cannot OOM.
+// `NodeSentry::fingerprint` hashes the model's events with this same
 // tagging (and the FNV-1a 64 constants of the envelope checksum), but
 // shares no code with it: changing one does not change the other.
 
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(*b as u8);
+struct ByteSink<'a>(&'a mut Vec<u8>);
+
+impl ByteSink<'_> {
+    fn tagged(&mut self, tag: u8, word: u64) {
+        let mut bytes = [tag; 9];
+        bytes[1..].copy_from_slice(&word.to_le_bytes());
+        self.0.extend_from_slice(&bytes);
+    }
+}
+
+impl Sink for ByteSink<'_> {
+    fn null(&mut self) {
+        self.0.push(0);
+    }
+    fn bool(&mut self, v: bool) {
+        self.0.extend_from_slice(&[1, v as u8]);
+    }
+    fn i64(&mut self, v: i64) {
+        self.tagged(2, v as u64);
+    }
+    fn u64(&mut self, v: u64) {
+        self.tagged(3, v);
+    }
+    fn f64(&mut self, v: f64) {
+        self.tagged(4, v.to_bits());
+    }
+    fn str(&mut self, v: &str) {
+        self.0.push(5);
+        self.key(v);
+    }
+    fn array(&mut self, len: usize) {
+        self.tagged(6, len as u64);
+    }
+    fn object(&mut self, len: usize) {
+        self.tagged(7, len as u64);
+    }
+    fn key(&mut self, k: &str) {
+        self.0.extend_from_slice(&(k.len() as u64).to_le_bytes());
+        self.0.extend_from_slice(k.as_bytes());
+    }
+}
+
+struct ByteSource<'de> {
+    b: &'de [u8],
+    pos: usize,
+    /// Values (or pairs) still unread in each container entered.
+    open: [usize; MAX_DEPTH],
+    depth: usize,
+    /// The first failure, typed (the trait carries only its message).
+    fault: Option<SnapshotError>,
+}
+
+impl<'de> ByteSource<'de> {
+    fn new(b: &'de [u8]) -> Self {
+        ByteSource {
+            b,
+            pos: 0,
+            open: [0; MAX_DEPTH],
+            depth: 0,
+            fault: None,
         }
-        Value::I64(i) => {
-            out.push(2);
-            out.extend_from_slice(&i.to_le_bytes());
+    }
+
+    #[cold]
+    fn fail<T>(&mut self, fault: SnapshotError) -> Result<T, serde::Error> {
+        let untyped = serde::Error::msg(fault.to_string());
+        self.fault.get_or_insert(fault);
+        Err(untyped)
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'de [u8], serde::Error> {
+        let rest = &self.b[self.pos..];
+        if n > rest.len() {
+            return self.fail(SnapshotError::Truncated {
+                expected: self.pos.saturating_add(n),
+                have: self.b.len(),
+            });
         }
-        Value::U64(u) => {
-            out.push(3);
-            out.extend_from_slice(&u.to_le_bytes());
+        self.pos += n;
+        Ok(&rest[..n])
+    }
+
+    fn take_u64(&mut self) -> Result<u64, serde::Error> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    /// Read a declared count, refusing any that the remaining bytes cannot
+    /// possibly satisfy (each encoded item takes at least `min_item` bytes).
+    fn take_count(&mut self, min_item: usize) -> Result<usize, serde::Error> {
+        let n = self.take_u64()?;
+        let cap = (self.b.len() - self.pos) / min_item;
+        if n > cap as u64 {
+            return self.fail(SnapshotError::Decode(format!(
+                "declared count {n} exceeds remaining capacity {cap}"
+            )));
         }
-        Value::F64(f) => {
-            out.push(4);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(5);
-            encode_str(s, out);
-        }
-        Value::Array(items) => {
-            out.push(6);
-            out.extend_from_slice(&(items.len() as u64).to_le_bytes());
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Object(pairs) => {
-            out.push(7);
-            out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
-            for (k, val) in pairs {
-                encode_str(k, out);
-                encode_value(val, out);
-            }
+        Ok(n as usize)
+    }
+
+    /// A length-prefixed string, borrowed from the payload.
+    fn take_str(&mut self) -> Result<&'de str, serde::Error> {
+        let len = self.take_count(1)?;
+        std::str::from_utf8(self.take(len)?)
+            .or_else(|_| self.fail(SnapshotError::Decode("invalid UTF-8".into())))
+    }
+
+    /// Leave every container that has been read to its end.
+    fn settle(&mut self) {
+        while self.depth > 0 && self.open[self.depth - 1] == 0 {
+            self.depth -= 1;
         }
     }
 }
 
-fn encode_str(s: &str, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn take<'a>(b: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], SnapshotError> {
-    let end = pos.checked_add(n).ok_or(SnapshotError::Truncated {
-        expected: usize::MAX,
-        have: b.len(),
-    })?;
-    if end > b.len() {
-        return Err(SnapshotError::Truncated {
-            expected: end,
-            have: b.len(),
-        });
-    }
-    let s = &b[*pos..end];
-    *pos = end;
-    Ok(s)
-}
-
-fn take_u64(b: &[u8], pos: &mut usize) -> Result<u64, SnapshotError> {
-    Ok(u64::from_le_bytes(
-        take(b, pos, 8)?.try_into().expect("8 bytes"),
-    ))
-}
-
-/// Read a declared count, refusing any that the remaining bytes cannot
-/// possibly satisfy (each encoded item takes at least `min_item` bytes).
-fn take_count(b: &[u8], pos: &mut usize, min_item: usize) -> Result<usize, SnapshotError> {
-    let n = take_u64(b, pos)?;
-    let cap = (b.len() - *pos) / min_item.max(1);
-    if n > cap as u64 {
-        return Err(SnapshotError::Decode(format!(
-            "declared count {n} exceeds remaining capacity {cap}"
-        )));
-    }
-    Ok(n as usize)
-}
-
-fn decode_str(b: &[u8], pos: &mut usize) -> Result<String, SnapshotError> {
-    let len = take_count(b, pos, 1)?;
-    let raw = take(b, pos, len)?;
-    String::from_utf8(raw.to_vec()).map_err(|_| SnapshotError::Decode("invalid UTF-8".into()))
-}
-
-fn decode_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, SnapshotError> {
-    if depth > MAX_DEPTH {
-        return Err(SnapshotError::Decode("nesting too deep".into()));
-    }
-    let tag = take(b, pos, 1)?[0];
-    match tag {
-        0 => Ok(Value::Null),
-        1 => match take(b, pos, 1)?[0] {
-            0 => Ok(Value::Bool(false)),
-            1 => Ok(Value::Bool(true)),
-            other => Err(SnapshotError::Decode(format!("bad bool byte {other}"))),
-        },
-        2 => Ok(Value::I64(i64::from_le_bytes(
-            take(b, pos, 8)?.try_into().expect("8 bytes"),
-        ))),
-        3 => Ok(Value::U64(take_u64(b, pos)?)),
-        4 => Ok(Value::F64(f64::from_bits(take_u64(b, pos)?))),
-        5 => Ok(Value::Str(decode_str(b, pos)?)),
-        6 => {
-            let n = take_count(b, pos, 1)?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(decode_value(b, pos, depth + 1)?);
-            }
-            Ok(Value::Array(items))
+impl<'de> Source<'de> for ByteSource<'de> {
+    /// Inlined into each typed reader so the `Event` never travels
+    /// through memory: measured 45 → 19 ms on the typed read of a 28 MB
+    /// payload (3.1 M scalars).
+    #[inline(always)]
+    fn next(&mut self) -> Result<Event<'de>, serde::Error> {
+        self.settle();
+        let tag = self.take(1)?[0];
+        if self.depth > 0 {
+            self.open[self.depth - 1] -= 1;
         }
-        7 => {
-            // A pair is at least a key length (8) plus a value tag (1).
-            let n = take_count(b, pos, 9)?;
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = decode_str(b, pos)?;
-                let v = decode_value(b, pos, depth + 1)?;
-                pairs.push((k, v));
+        Ok(match tag {
+            0 => Event::Null,
+            1 => match self.take(1)?[0] {
+                0 => Event::Bool(false),
+                1 => Event::Bool(true),
+                other => return self.fail(SnapshotError::Decode(format!("bad bool byte {other}"))),
+            },
+            2 => Event::I64(self.take_u64()? as i64),
+            3 => Event::U64(self.take_u64()?),
+            4 => Event::F64(f64::from_bits(self.take_u64()?)),
+            5 => Event::Str(self.take_str()?),
+            6 | 7 => {
+                // An element is at least a tag (1); a pair at least a key
+                // length (8) plus a value tag (1).
+                let len = self.take_count(if tag == 6 { 1 } else { 9 })?;
+                if len > 0 {
+                    // Corruption that survives the checksum cannot blow
+                    // the stack of a recursive reader.
+                    if self.depth == MAX_DEPTH {
+                        return self.fail(SnapshotError::Decode("nesting too deep".into()));
+                    }
+                    self.open[self.depth] = len;
+                    self.depth += 1;
+                }
+                if tag == 6 {
+                    Event::Array(len)
+                } else {
+                    Event::Object(len)
+                }
             }
-            Ok(Value::Object(pairs))
+            other => return self.fail(SnapshotError::Decode(format!("unknown value tag {other}"))),
+        })
+    }
+
+    fn key(&mut self) -> Result<&'de str, serde::Error> {
+        self.settle();
+        self.take_str()
+    }
+
+    fn take_null(&mut self) -> Result<bool, serde::Error> {
+        let null = self.b.get(self.pos) == Some(&0);
+        if null {
+            self.next()?;
         }
-        other => Err(SnapshotError::Decode(format!("unknown value tag {other}"))),
+        Ok(null)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
+
+    fn encoded(v: &Value) -> Vec<u8> {
+        let mut buf = Vec::new();
+        v.emit(&mut ByteSink(&mut buf));
+        buf
+    }
+
+    /// The structural walk of `decode`'s failure path, typed.
+    fn walk(buf: &[u8]) -> Result<(), SnapshotError> {
+        let mut src = ByteSource::new(buf);
+        match (src.skip(), src.fault) {
+            (Ok(()), None) => Ok(()),
+            (Err(_), Some(fault)) => Err(fault),
+            (walked, fault) => panic!("{walked:?} with typed fault {fault:?}"),
+        }
+    }
 
     fn roundtrip(v: &Value) -> Value {
-        let mut buf = Vec::new();
-        encode_value(v, &mut buf);
-        let mut pos = 0;
-        let back = decode_value(&buf, &mut pos, 0).expect("decode");
-        assert_eq!(pos, buf.len(), "codec consumed every byte");
+        let buf = encoded(v);
+        let mut src = ByteSource::new(&buf);
+        let back = Value::read(&mut src).expect("decode");
+        assert_eq!(src.pos, buf.len(), "codec consumed every byte");
         back
     }
 
@@ -509,11 +581,7 @@ mod tests {
             f64::NEG_INFINITY.to_bits(),
             f64::MIN_POSITIVE.to_bits() >> 1, // subnormal
         ] {
-            let v = Value::F64(f64::from_bits(bits));
-            let mut buf = Vec::new();
-            encode_value(&v, &mut buf);
-            let mut pos = 0;
-            match decode_value(&buf, &mut pos, 0).unwrap() {
+            match roundtrip(&Value::F64(f64::from_bits(bits))) {
                 Value::F64(f) => assert_eq!(f.to_bits(), bits),
                 other => panic!("expected F64, got {other:?}"),
             }
@@ -525,26 +593,50 @@ mod tests {
         // Array claiming u64::MAX elements with no bytes behind it.
         let mut buf = vec![6u8];
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        let mut pos = 0;
-        assert!(matches!(
-            decode_value(&buf, &mut pos, 0),
-            Err(SnapshotError::Decode(_))
-        ));
+        assert!(matches!(walk(&buf), Err(SnapshotError::Decode(_))));
+        assert!(Value::read(&mut ByteSource::new(&buf)).is_err());
+    }
+
+    /// `levels` nested single-element arrays around a `Null`.
+    fn nested(levels: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for _ in 0..levels {
+            buf.push(6u8);
+            buf.extend_from_slice(&1u64.to_le_bytes());
+        }
+        buf.push(0u8);
+        buf
     }
 
     #[test]
     fn deep_nesting_is_bounded() {
-        // 1000 nested single-element arrays.
-        let mut buf = Vec::new();
-        for _ in 0..1000 {
-            buf.push(6u8);
-            buf.extend_from_slice(&1u64.to_le_bytes());
-        }
-        buf.push(0u8); // innermost Null
-        let mut pos = 0;
-        assert!(matches!(
-            decode_value(&buf, &mut pos, 0),
-            Err(SnapshotError::Decode(_))
-        ));
+        assert!(matches!(walk(&nested(1000)), Err(SnapshotError::Decode(_))));
+        assert!(Value::read(&mut ByteSource::new(&nested(1000))).is_err());
+        // The bound is exact: a value may sit `MAX_DEPTH` containers deep,
+        // typed read and structural walk alike.
+        assert_eq!(walk(&nested(MAX_DEPTH)), Ok(()));
+        assert!(Value::read(&mut ByteSource::new(&nested(MAX_DEPTH))).is_ok());
+        assert!(walk(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(Value::read(&mut ByteSource::new(&nested(MAX_DEPTH + 1))).is_err());
+    }
+
+    #[test]
+    fn containers_close_themselves_at_any_depth() {
+        // Siblings after a nested container are read at the right level:
+        // the depth ledger must pop exhausted containers before the next
+        // key or value, or `MAX_DEPTH` would trip on wide, shallow data.
+        let wide = Value::Array(
+            (0..4 * MAX_DEPTH)
+                .map(|i| {
+                    Value::Object(vec![
+                        ("a".into(), Value::Array(vec![Value::U64(i as u64)])),
+                        ("b".into(), Value::Array(Vec::new())),
+                        ("c".into(), Value::Null),
+                    ])
+                })
+                .collect(),
+        );
+        assert_eq!(roundtrip(&wide), wide);
+        assert_eq!(walk(&encoded(&wide)), Ok(()));
     }
 }

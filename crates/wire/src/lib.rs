@@ -200,25 +200,21 @@ impl ScoringPrecision {
 }
 
 impl serde::Serialize for ScoringPrecision {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(
-            match self {
-                ScoringPrecision::F64 => "F64",
-                ScoringPrecision::F32 => "F32",
-            }
-            .to_string(),
-        )
+    fn emit<S: serde::Sink>(&self, sink: &mut S) {
+        sink.str(match self {
+            ScoringPrecision::F64 => "F64",
+            ScoringPrecision::F32 => "F32",
+        })
     }
 }
 
 impl serde::Deserialize for ScoringPrecision {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
+    fn read<'de, S: serde::Source<'de>>(src: &mut S) -> Result<Self, serde::Error> {
+        match src.next()? {
             // Absent fields decode from Null: snapshots written before
             // the tier existed are F64 by construction.
-            serde::Value::Null => Ok(ScoringPrecision::F64),
-            serde::Value::Str(s) if s == "F64" => Ok(ScoringPrecision::F64),
-            serde::Value::Str(s) if s == "F32" => Ok(ScoringPrecision::F32),
+            serde::Event::Null | serde::Event::Str("F64") => Ok(ScoringPrecision::F64),
+            serde::Event::Str("F32") => Ok(ScoringPrecision::F32),
             other => Err(serde::Error::msg(format!(
                 "expected scoring precision, got {other:?}"
             ))),

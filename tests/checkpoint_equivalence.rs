@@ -392,3 +392,30 @@ fn fingerprint_restore_rejects_one_flipped_weight_bit() {
     let ok = Engine::restore_bytes(taken_with, engine_cfg(s, 2), &ckpt.bytes);
     assert!(ok.is_ok(), "same-model restore failed: {:?}", ok.err());
 }
+
+#[test]
+fn fingerprint_value_is_fnv_of_the_tagged_component_trees() {
+    // The digest is hashed from the components' `Serialize` events as
+    // they are emitted; its *value* is pinned here against the preimage
+    // spelled out from their `to_value()` trees — cfg, preprocessor,
+    // cluster library, model count (bare u64 LE), then each shared model,
+    // in the tagged encoding — so a snapshot taken by an earlier build
+    // (which hashed those trees) still names this model.
+    use serde::Serialize;
+    let s = setup();
+    let model = &*s.model;
+    let mut preimage = Vec::new();
+    common::tagged(&model.cfg.to_value(), &mut preimage);
+    common::tagged(&model.preprocessor.to_value(), &mut preimage);
+    common::tagged(&model.cluster_model.to_value(), &mut preimage);
+    preimage.extend_from_slice(&(model.shared_models.len() as u64).to_le_bytes());
+    for shared in &model.shared_models {
+        common::tagged(&shared.to_value(), &mut preimage);
+    }
+    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &preimage {
+        fnv = (fnv ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    assert!(!model.shared_models.is_empty() && preimage.len() > 10_000);
+    assert_eq!(model.fingerprint(), fnv);
+}

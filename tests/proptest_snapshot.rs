@@ -126,3 +126,80 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Differential: the streamed bytes are the tree codec's bytes
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // `to_bytes` never builds a `Value`; the bytes it streams must still
+    // be exactly what the tree codec wrote — the snapshot's `to_value()`
+    // tree in the tagged encoding, sealed in the v1 envelope — on both
+    // tiers, with the `scoring_precision` key omitted on F64 (the pinned
+    // layout) and present on F32.
+    #[test]
+    fn streamed_bytes_equal_the_tree_codec_bytes(
+        seed in any::<u64>(),
+        rate_pct in 2usize..12,
+        shards in 1usize..5,
+        cut_pct in 5usize..95,
+        chunk in 32usize..400,
+        f32_tier in any::<bool>(),
+    ) {
+        use nodesentry::stream::snapshot::{encode, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+        use nodesentry::stream::ScoringPrecision;
+        use serde::{Deserialize, Serialize};
+
+        let s = setup();
+        let spec = FaultPlanSpec {
+            seed,
+            window: (1, s.ds.horizon()),
+            kinds: ALL_FAULTS.to_vec(),
+            rate: rate_pct as f64 / 100.0,
+            event_len: (2, 30),
+            n_cols: s.n_cols,
+            counter_cols: s.counter_cols.clone(),
+        };
+        let plan = FaultPlan::random(&spec, s.ds.n_nodes());
+        let outcome = FaultInjector::new(plan).apply(&s.clean);
+        let mut cfg = engine_cfg(s, shards);
+        if f32_tier {
+            cfg.scoring_precision = ScoringPrecision::F32;
+        }
+        let cut = outcome.stream.len() * cut_pct / 100;
+        let engine = Engine::new(Arc::clone(&s.model), cfg);
+        for batch in outcome.stream[..cut].chunks(chunk) {
+            engine.ingest(batch.to_vec()).expect("prefix shard alive");
+        }
+        let ckpt = engine.checkpoint().expect("checkpoint");
+        drop(engine);
+
+        let tree = ckpt.snapshot.to_value();
+        prop_assert_eq!(tree.get("scoring_precision").is_some(), f32_tier);
+
+        // Oracle 1: the tree codec, spelled out test-side.
+        let mut oracle = Vec::new();
+        oracle.extend_from_slice(&SNAPSHOT_MAGIC);
+        oracle.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        let mut payload = Vec::new();
+        common::tagged(&tree, &mut payload);
+        oracle.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        oracle.extend_from_slice(&payload);
+        let sum = nodesentry::wire::fnv1a64(&oracle);
+        oracle.extend_from_slice(&sum.to_le_bytes());
+        prop_assert!(ckpt.bytes == oracle, "streamed bytes differ from the tree codec's");
+
+        // Oracle 2: the tree through the production byte sink.
+        prop_assert!(encode(&tree) == ckpt.bytes, "tree and typed walk emit different events");
+
+        // And back: bytes → tree → typed equals bytes → typed (compared
+        // by re-encoding; snapshots carry NaN).
+        let via_tree = EngineSnapshot::from_value(&tree).expect("from_value");
+        prop_assert!(via_tree.to_bytes() == ckpt.bytes, "from_value(to_value) drifted");
+        let direct = EngineSnapshot::from_bytes(&ckpt.bytes).expect("decode");
+        prop_assert_eq!(direct.scoring_precision, cfg.scoring_precision);
+        prop_assert!(direct.to_bytes() == ckpt.bytes, "from_bytes(to_bytes) drifted");
+    }
+}
