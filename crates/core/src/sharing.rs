@@ -7,8 +7,8 @@ use crate::preprocess::Segment;
 use ns_linalg::matrix::Matrix;
 use ns_linalg::stats;
 use ns_nn::{
-    sinusoidal_pe_at, Adam, BlockKind, Graph, InferenceSession, InferenceSessionF32, ParamStore,
-    ReconstructionTransformer, SessionPool, SessionPoolF32, TransformerConfig, WindowSpec,
+    sinusoidal_pe_at, Adam, BlockKind, Graph, ParamStore, ReconstructionTransformer, SessionPool,
+    SessionPoolF32, Tier, TransformerConfig, WindowSpec,
 };
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -113,10 +113,10 @@ pub struct SharedModel {
     /// Pool of warm tape-free inference sessions for the scoring fast
     /// path. Pure cache: serialized as null, cloned/deserialized empty.
     pub infer: SessionPool,
-    /// Pool of warm f32 inference sessions for the opt-in precision
-    /// tier. Pure cache like `infer` (pooled sessions keep prebaked f32
-    /// weight copies warm, invalidated by the store version on use);
-    /// serialized as null, cloned/deserialized empty.
+    /// The same pool at `f32`, for the opt-in precision tier. Pure cache
+    /// like `infer` (pooled sessions keep their baked f32 weight copies
+    /// warm, invalidated by the store version on use); serialized as
+    /// null, cloned/deserialized empty.
     pub infer32: SessionPoolF32,
 }
 
@@ -199,39 +199,6 @@ fn rel_position(t: usize) -> impl Fn(usize) -> f64 + Sync {
 fn merge_max(rows: &mut [f64], errs: &[f64]) {
     for (slot, &v) in rows.iter_mut().zip(errs) {
         *slot = slot.max(v);
-    }
-}
-
-/// What the tiling and merge code needs from a pooled tape-free session,
-/// so it is written once for both precision tiers.
-trait TierSession: Sized {
-    fn acquire(m: &SharedModel) -> Self;
-    fn release(self, m: &SharedModel);
-    /// Concatenated per-row weighted reconstruction errors of `specs`.
-    fn window_errors(&mut self, m: &SharedModel, specs: &[WindowSpec<'_>]) -> &[f64];
-}
-
-impl TierSession for InferenceSession {
-    fn acquire(m: &SharedModel) -> Self {
-        m.infer.acquire()
-    }
-    fn release(self, m: &SharedModel) {
-        m.infer.release(self)
-    }
-    fn window_errors(&mut self, m: &SharedModel, specs: &[WindowSpec<'_>]) -> &[f64] {
-        self.score_windows_batch(&m.params, &m.model, specs)
-    }
-}
-
-impl TierSession for InferenceSessionF32 {
-    fn acquire(m: &SharedModel) -> Self {
-        m.infer32.acquire()
-    }
-    fn release(self, m: &SharedModel) {
-        m.infer32.release(self)
-    }
-    fn window_errors(&mut self, m: &SharedModel, specs: &[WindowSpec<'_>]) -> &[f64] {
-        self.score_windows_batch(&m.params, &m.model, specs)
     }
 }
 
@@ -424,7 +391,7 @@ impl SharedModel {
     /// reconstruction error per row, evaluated over tiled windows whose
     /// final window aligns to the series end.
     pub fn score_series_raw(&self, data: &Matrix) -> Vec<f64> {
-        self.score_stacked_raw::<InferenceSession>(&[data])
+        self.score_stacked_raw(&self.infer, &[data])
             .pop()
             .unwrap_or_default()
     }
@@ -485,17 +452,17 @@ impl SharedModel {
     /// (`crates/nn/tests/infer_batch_equivalence.rs`), and the merge runs
     /// on the caller in input order.
     pub fn score_series_batch(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
-        self.score_stacked::<InferenceSession>(series)
+        self.score_stacked(&self.infer, series)
     }
 
     /// f32-tier [`SharedModel::score_series_batch`]: same stacking,
     /// merge and f64 calibration arithmetic on the widened errors; only
     /// the forward pass runs in f32 (through a pooled
-    /// [`InferenceSessionF32`] with prebaked weights). The f32 tier has
-    /// no tape; its reference is the f64 tier, compared statistically,
-    /// not bitwise.
+    /// [`ns_nn::InferenceSessionF32`] with baked weights). The f32 tier
+    /// has no tape; its reference is the f64 tier, compared
+    /// statistically, not bitwise.
     pub fn score_series_batch_f32(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
-        self.score_stacked::<InferenceSessionF32>(series)
+        self.score_stacked(&self.infer32, series)
     }
 
     /// Window start offsets tiling `[0, t)` in steps of the model's
@@ -535,8 +502,9 @@ impl SharedModel {
 
     /// The one scoring schedule: cut `specs` into [`row_tasks`] for this
     /// thread's pool width, run the tasks with the pool's ordered
-    /// `par_iter` — each acquires a pooled session of tier `S`, scores its
-    /// windows as one batched forward and releases the session — and hand
+    /// `par_iter` — each acquires a session from `pool` (whose scalar is
+    /// the precision tier), scores its windows as one batched forward and
+    /// releases the session — and hand
     /// each window's per-row errors to `sink(window index, errors)` on
     /// the caller, in input order.
     ///
@@ -548,8 +516,9 @@ impl SharedModel {
     /// back to back on the caller. Windows are arithmetically independent
     /// and results come back in input order, so neither the width nor the
     /// grouping can reach a score bit.
-    fn score_specs<S: TierSession>(
+    fn score_specs<T: Tier>(
         &self,
+        pool: &SessionPool<T>,
         specs: &[WindowSpec<'_>],
         mut sink: impl FnMut(usize, &[f64]),
     ) {
@@ -558,9 +527,11 @@ impl SharedModel {
             .par_iter()
             .map(|task| {
                 rayon::with_thread_parallelism_cap(Some(1), || {
-                    let mut sess = S::acquire(self);
-                    let errs = sess.window_errors(self, &specs[task.clone()]).to_vec();
-                    sess.release(self);
+                    let mut sess = pool.acquire();
+                    let errs = sess
+                        .score_windows_batch(&self.params, &self.model, &specs[task.clone()])
+                        .to_vec();
+                    pool.release(sess);
                     errs
                 })
             })
@@ -578,7 +549,11 @@ impl SharedModel {
     /// Raw (uncalibrated) scores of every series: stack every window of
     /// every series into one [`SharedModel::score_specs`] call and
     /// max-merge the errors back per series.
-    fn score_stacked_raw<S: TierSession>(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
+    fn score_stacked_raw<T: Tier>(
+        &self,
+        pool: &SessionPool<T>,
+        series: &[&Matrix],
+    ) -> Vec<Vec<f64>> {
         // The PE position scale depends on each series' own length, so
         // every series gets its own closure.
         let pos_fns: Vec<_> = series.iter().map(|d| rel_position(d.rows())).collect();
@@ -591,7 +566,7 @@ impl SharedModel {
             }
         }
         let mut out: Vec<Vec<f64>> = series.iter().map(|d| vec![0.0f64; d.rows()]).collect();
-        self.score_specs::<S>(&specs, |i, errs| {
+        self.score_specs(pool, &specs, |i, errs| {
             merge_max(&mut out[owners[i]][specs[i].start..specs[i].end], errs);
         });
         out
@@ -599,8 +574,8 @@ impl SharedModel {
 
     /// Both tiers' `score_series_batch`: [`SharedModel::score_stacked_raw`],
     /// calibrated.
-    fn score_stacked<S: TierSession>(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
-        let mut out = self.score_stacked_raw::<S>(series);
+    fn score_stacked<T: Tier>(&self, pool: &SessionPool<T>, series: &[&Matrix]) -> Vec<Vec<f64>> {
+        let mut out = self.score_stacked_raw(pool, series);
         for sc in &mut out {
             self.calibrate_scores(sc);
         }

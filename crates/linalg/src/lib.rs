@@ -3,7 +3,12 @@
 //! Everything downstream of this crate (feature extraction, clustering, the
 //! neural-network stack) operates on the [`Matrix`] type defined here: a
 //! row-major, heap-allocated, `f64` dense matrix with a deliberately small
-//! but complete API surface:
+//! but complete API surface. `Matrix` is [`Mat<f64>`](Mat): the matrix and
+//! the [`kernels`] under its matmuls are written once over the sealed
+//! [`Scalar`] trait (`f64` and `f32`, nothing else), and `Mat<f32>` is what
+//! `ns-nn`'s reduced-precision scoring tier runs on — the same source
+//! compiled at a second element type, not a second implementation. The
+//! surface:
 //!
 //! * construction (`zeros`, `from_rows`, `from_fn`, …) and element access,
 //! * arithmetic (`add`, `sub`, `scale`, Hadamard products, broadcasting of
@@ -25,13 +30,13 @@ pub mod decomp;
 pub mod distance;
 pub mod kernels;
 pub mod matrix;
-pub mod matrix_f32;
+pub mod scalar;
 pub mod stats;
 pub mod vecops;
 
 pub use distance::CondensedDistance;
-pub use matrix::Matrix;
-pub use matrix_f32::MatrixF32;
+pub use matrix::{Mat, Matrix};
+pub use scalar::Scalar;
 
 /// Numerical tolerance used by tests and by rank/positivity checks inside
 /// the decomposition routines.

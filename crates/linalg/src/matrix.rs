@@ -1,25 +1,35 @@
-//! Row-major dense `f64` matrix with blocked, rayon-parallel matmul.
+//! Row-major dense matrix with blocked, rayon-parallel matmul.
+//!
+//! [`Mat<T>`] is written once over [`Scalar`]; [`Matrix`] — `Mat<f64>` —
+//! is what the whole workspace computes in, and `Mat<f32>` is the scratch
+//! and weight type of the reduced-precision scoring tier. Every reduction
+//! accumulates in strict ascending order through [`crate::kernels`], so
+//! each instantiation is bitwise independent of thread count and banding.
 
+use crate::scalar::Scalar;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// Row-major dense matrix of `f64`.
+/// Row-major dense matrix of `T`.
 ///
 /// Invariant: `data.len() == rows * cols`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
-pub struct Matrix {
+#[derive(Clone, PartialEq)]
+pub struct Mat<T> {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: Vec<T>,
 }
 
-impl Default for Matrix {
+/// The workspace's matrix: row-major dense `f64`.
+pub type Matrix = Mat<f64>;
+
+impl<T> Default for Mat<T> {
     /// An empty `0 × 0` matrix — a placeholder for scratch buffers that
-    /// are reshaped in place (see [`Matrix::resize`]) before first use.
+    /// are reshaped in place (see [`Mat::resize`]) before first use.
     fn default() -> Self {
-        Matrix {
+        Mat {
             rows: 0,
             cols: 0,
             data: Vec::new(),
@@ -28,26 +38,26 @@ impl Default for Matrix {
 }
 
 /// Block edge (in elements) for the cache-blocked matmul kernel. 64×64 f64
-/// tiles (32 KiB per operand tile) fit comfortably in L1/L2 on commodity
-/// hardware.
+/// tiles (32 KiB per operand tile; f32 tiles are half that) fit comfortably
+/// in L1/L2 on commodity hardware.
 const BLOCK: usize = 64;
 
 /// Row-count threshold below which matmul stays single-threaded; tiny
 /// products are dominated by rayon dispatch otherwise.
 const PAR_MIN_ROWS: usize = 32;
 
-impl Matrix {
+impl<T: Scalar> Mat<T> {
     /// Create a `rows × cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: vec![T::ZERO; rows * cols],
         }
     }
 
     /// Create a `rows × cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
+    pub fn filled(rows: usize, cols: usize, value: T) -> Self {
         Self {
             rows,
             cols,
@@ -59,13 +69,13 @@ impl Matrix {
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
-            m[(i, i)] = 1.0;
+            m[(i, i)] = T::ONE;
         }
         m
     }
 
     /// Build from an element function `f(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -79,7 +89,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
         assert_eq!(
             data.len(),
             rows * cols,
@@ -89,7 +99,7 @@ impl Matrix {
     }
 
     /// Build from row slices; all rows must have equal length.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+    pub fn from_rows(rows: &[Vec<T>]) -> Self {
         if rows.is_empty() {
             return Self::zeros(0, 0);
         }
@@ -110,7 +120,7 @@ impl Matrix {
     ///
     /// An empty (`0 × 0`) matrix adopts the row's length as its column
     /// count; afterwards every pushed row must match `cols()`.
-    pub fn push_row(&mut self, row: &[f64]) {
+    pub fn push_row(&mut self, row: &[T]) {
         if self.rows == 0 {
             self.cols = row.len();
         }
@@ -120,7 +130,7 @@ impl Matrix {
     }
 
     /// A `1 × n` row vector.
-    pub fn row_vector(v: &[f64]) -> Self {
+    pub fn row_vector(v: &[T]) -> Self {
         Self {
             rows: 1,
             cols: v.len(),
@@ -129,7 +139,7 @@ impl Matrix {
     }
 
     /// An `n × 1` column vector.
-    pub fn col_vector(v: &[f64]) -> Self {
+    pub fn col_vector(v: &[T]) -> Self {
         Self {
             rows: v.len(),
             cols: 1,
@@ -166,49 +176,49 @@ impl Matrix {
 
     /// Flat row-major view of the data.
     #[inline]
-    pub fn as_slice(&self) -> &[f64] {
+    pub fn as_slice(&self) -> &[T] {
         &self.data
     }
 
     /// Mutable flat row-major view of the data.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
 
     /// Consume into the flat buffer.
-    pub fn into_vec(self) -> Vec<f64> {
+    pub fn into_vec(self) -> Vec<T> {
         self.data
     }
 
     /// Borrow row `r` as a slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub fn row(&self, r: usize) -> &[T] {
         debug_assert!(r < self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutably borrow row `r`.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
         debug_assert!(r < self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Copy column `c` out into a `Vec`.
-    pub fn col(&self, c: usize) -> Vec<f64> {
+    pub fn col(&self, c: usize) -> Vec<T> {
         assert!(c < self.cols);
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
     /// Iterator over row slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
+    pub fn rows_iter(&self) -> impl Iterator<Item = &[T]> {
         self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+    pub fn transpose(&self) -> Mat<T> {
+        let mut out = Mat::zeros(self.cols, self.rows);
         for r in 0..self.rows {
             let row = self.row(r);
             for (c, &v) in row.iter().enumerate() {
@@ -219,9 +229,9 @@ impl Matrix {
     }
 
     /// Elementwise map into a new matrix.
-    pub fn map(&self, f: impl Fn(f64) -> f64 + Sync) -> Matrix {
+    pub fn map(&self, f: impl Fn(T) -> T + Sync) -> Mat<T> {
         let data = self.data.iter().map(|&x| f(x)).collect();
-        Matrix {
+        Mat {
             rows: self.rows,
             cols: self.cols,
             data,
@@ -229,14 +239,14 @@ impl Matrix {
     }
 
     /// In-place elementwise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
+    pub fn map_inplace(&mut self, f: impl Fn(T) -> T) {
         for x in &mut self.data {
             *x = f(*x);
         }
     }
 
     /// Elementwise binary zip into a new matrix. Shapes must match.
-    pub fn zip(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
+    pub fn zip(&self, other: &Mat<T>, f: impl Fn(T, T) -> T) -> Mat<T> {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in zip");
         let data = self
             .data
@@ -244,7 +254,7 @@ impl Matrix {
             .zip(&other.data)
             .map(|(&a, &b)| f(a, b))
             .collect();
-        Matrix {
+        Mat {
             rows: self.rows,
             cols: self.cols,
             data,
@@ -252,55 +262,55 @@ impl Matrix {
     }
 
     /// `self + other`.
-    pub fn add(&self, other: &Matrix) -> Matrix {
+    pub fn add(&self, other: &Mat<T>) -> Mat<T> {
         self.zip(other, |a, b| a + b)
     }
 
     /// `self - other`.
-    pub fn sub(&self, other: &Matrix) -> Matrix {
+    pub fn sub(&self, other: &Mat<T>) -> Mat<T> {
         self.zip(other, |a, b| a - b)
     }
 
     /// Hadamard (elementwise) product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
+    pub fn hadamard(&self, other: &Mat<T>) -> Mat<T> {
         self.zip(other, |a, b| a * b)
     }
 
     /// Scalar multiple.
-    pub fn scale(&self, k: f64) -> Matrix {
+    pub fn scale(&self, k: T) -> Mat<T> {
         self.map(|x| x * k)
     }
 
     /// In-place `self += other`.
-    pub fn add_assign(&mut self, other: &Matrix) {
+    pub fn add_assign(&mut self, other: &Mat<T>) {
         assert_eq!(self.shape(), other.shape());
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
         }
     }
 
     /// In-place `self += k * other` (axpy).
-    pub fn axpy(&mut self, k: f64, other: &Matrix) {
+    pub fn axpy(&mut self, k: T, other: &Mat<T>) {
         assert_eq!(self.shape(), other.shape());
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += k * b;
         }
     }
 
     /// Add a `1 × cols` row vector to every row (bias broadcast).
-    pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
+    pub fn add_row_broadcast(&self, row: &Mat<T>) -> Mat<T> {
         let mut out = self.clone();
         out.add_row_broadcast_inplace(row);
         out
     }
 
     /// In-place bias broadcast: `self[r] += row` for every row. The
-    /// allocation-free counterpart of [`Matrix::add_row_broadcast`].
-    pub fn add_row_broadcast_inplace(&mut self, row: &Matrix) {
+    /// allocation-free counterpart of [`Mat::add_row_broadcast`].
+    pub fn add_row_broadcast_inplace(&mut self, row: &Mat<T>) {
         assert_eq!(row.rows, 1, "broadcast operand must be a row vector");
         assert_eq!(row.cols, self.cols, "broadcast width mismatch");
         for r in 0..self.rows {
-            for (a, b) in self.row_mut(r).iter_mut().zip(&row.data) {
+            for (a, &b) in self.row_mut(r).iter_mut().zip(&row.data) {
                 *a += b;
             }
         }
@@ -314,12 +324,22 @@ impl Matrix {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
-        self.data.resize(rows * cols, 0.0);
+        self.data.resize(rows * cols, T::ZERO);
+    }
+
+    /// Refill from an `f64` matrix in place, rounding each element to `T`
+    /// and reusing the allocation — how weights enter the `f32` tier: once
+    /// per store version, never per forward.
+    pub fn copy_from_f64(&mut self, src: &Matrix) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clear();
+        self.data.extend(src.data.iter().map(|&v| T::from_f64(v)));
     }
 
     /// Transpose into a caller-provided matrix (reshaped as needed). The
-    /// allocation-free counterpart of [`Matrix::transpose`].
-    pub fn transpose_into(&self, out: &mut Matrix) {
+    /// allocation-free counterpart of [`Mat::transpose`].
+    pub fn transpose_into(&self, out: &mut Mat<T>) {
         out.resize(self.cols, self.rows);
         for r in 0..self.rows {
             for (c, &v) in self.row(r).iter().enumerate() {
@@ -332,35 +352,35 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
+    pub fn matmul(&self, other: &Mat<T>) -> Mat<T> {
+        let mut out = Mat::zeros(self.rows, other.cols);
         self.matmul_dispatch::<false>(other, &mut out);
         out
     }
 
     /// Matrix product with an explicit sparsity skip on the left operand:
     /// rows of `self` holding exact zeros (e.g. post-ReLU activations)
-    /// skip their axpy entirely. Bit-identical to [`Matrix::matmul`] for
+    /// skip their axpy entirely. Bit-identical to [`Mat::matmul`] for
     /// finite inputs — the accumulator starts at `+0.0` and can never
     /// become `-0.0`, so adding `aik * bv == ±0.0` is a no-op — but much
     /// faster when A is genuinely sparse. Use only where that sparsity is
     /// structural; on dense inputs the extra branch defeats
     /// autovectorisation of the inner loop.
-    pub fn matmul_sparse_lhs(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
+    pub fn matmul_sparse_lhs(&self, other: &Mat<T>) -> Mat<T> {
+        let mut out = Mat::zeros(self.rows, other.cols);
         self.matmul_dispatch::<true>(other, &mut out);
         out
     }
 
     /// `self × other` into a caller-provided matrix (reshaped + zeroed in
-    /// place). Bit-identical to [`Matrix::matmul`]; the allocation-free
+    /// place). Bit-identical to [`Mat::matmul`]; the allocation-free
     /// variant for scratch-buffer reuse.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub fn matmul_into(&self, other: &Mat<T>, out: &mut Mat<T>) {
         out.resize(self.rows, other.cols);
         self.matmul_dispatch::<false>(other, out);
     }
 
-    fn matmul_dispatch<const SKIP_ZEROS: bool>(&self, other: &Matrix, out: &mut Matrix) {
+    fn matmul_dispatch<const SKIP_ZEROS: bool>(&self, other: &Mat<T>, out: &mut Mat<T>) {
         assert_eq!(
             self.cols, other.rows,
             "matmul dimension mismatch: {}×{} by {}×{}",
@@ -374,7 +394,7 @@ impl Matrix {
         let a = &self.data;
         let b = &other.data;
 
-        let kernel = |row_band: &mut [f64], r0: usize, rows_in_band: usize| {
+        let kernel = |row_band: &mut [T], r0: usize, rows_in_band: usize| {
             // i-k-j loop order with k-blocking: the inner j loop is a
             // contiguous axpy over the output row, which autovectorises.
             // Per output element the k-sum always runs in plain ascending
@@ -388,7 +408,7 @@ impl Matrix {
                     if SKIP_ZEROS {
                         for kk in kb..kend {
                             let aik = arow[kk];
-                            if aik == 0.0 {
+                            if aik == T::ZERO {
                                 continue;
                             }
                             crate::kernels::axpy(crow, aik, &b[kk * n..kk * n + n]);
@@ -444,7 +464,7 @@ impl Matrix {
     /// the blocked axpy kernel accumulates in — so the result is
     /// bit-identical to `self.matmul(&bt.transpose())` while touching
     /// only prepacked row-major data and performing zero allocations.
-    pub fn matmul_pre_t_into(&self, bt: &Matrix, out: &mut Matrix) {
+    pub fn matmul_pre_t_into(&self, bt: &Mat<T>, out: &mut Mat<T>) {
         assert_eq!(
             self.cols, bt.cols,
             "matmul_pre_t dimension mismatch: {}×{} by ({}×{})ᵀ",
@@ -463,7 +483,7 @@ impl Matrix {
         // output columns per pass (`kernels::dot4`) — each element's own
         // summation order is untouched, but the four chains hide the add
         // latency.
-        let kernel = |row_band: &mut [f64], r0: usize| {
+        let kernel = |row_band: &mut [T], r0: usize| {
             for (i, crow) in row_band.chunks_exact_mut(n).enumerate() {
                 let arow = &a[(r0 + i) * k..(r0 + i) * k + k];
                 let mut j = 0;
@@ -483,7 +503,7 @@ impl Matrix {
                 }
                 for (jj, cv) in crow.iter_mut().enumerate().skip(j) {
                     // Seed +0.0: the matmul convention (see `kernels::dot_from`).
-                    *cv = crate::kernels::dot_from(0.0, arow, &b[jj * k..jj * k + k]);
+                    *cv = crate::kernels::dot_from(T::ZERO, arow, &b[jj * k..jj * k + k]);
                 }
             }
         };
@@ -499,6 +519,68 @@ impl Matrix {
         }
     }
 
+    /// Extract rows `[start, end)` into a new matrix.
+    pub fn slice_rows(&self, start: usize, end: usize) -> Mat<T> {
+        assert!(start <= end && end <= self.rows, "row slice out of bounds");
+        let data = self.data[start * self.cols..end * self.cols].to_vec();
+        Mat {
+            rows: end - start,
+            cols: self.cols,
+            data,
+        }
+    }
+
+    /// Gather the given rows (with repetition allowed) into a new matrix.
+    pub fn gather_rows(&self, idx: &[usize]) -> Mat<T> {
+        let mut data = Vec::with_capacity(idx.len() * self.cols);
+        for &i in idx {
+            data.extend_from_slice(self.row(i));
+        }
+        Mat {
+            rows: idx.len(),
+            cols: self.cols,
+            data,
+        }
+    }
+
+    /// Vertically stack matrices (all must share the column count).
+    pub fn vstack(parts: &[&Mat<T>]) -> Mat<T> {
+        if parts.is_empty() {
+            return Mat::zeros(0, 0);
+        }
+        let cols = parts[0].cols;
+        let rows = parts.iter().map(|p| p.rows).sum();
+        let mut data = Vec::with_capacity(rows * cols);
+        for p in parts {
+            assert_eq!(p.cols, cols, "vstack column mismatch");
+            data.extend_from_slice(&p.data);
+        }
+        Mat { rows, cols, data }
+    }
+
+    /// Horizontally stack matrices (all must share the row count).
+    pub fn hstack(parts: &[&Mat<T>]) -> Mat<T> {
+        if parts.is_empty() {
+            return Mat::zeros(0, 0);
+        }
+        let rows = parts[0].rows;
+        let cols = parts.iter().map(|p| p.cols).sum();
+        let mut out = Mat::zeros(rows, cols);
+        for r in 0..rows {
+            let mut off = 0;
+            for p in parts {
+                assert_eq!(p.rows, rows, "hstack row mismatch");
+                out.row_mut(r)[off..off + p.cols].copy_from_slice(p.row(r));
+                off += p.cols;
+            }
+        }
+        out
+    }
+}
+
+/// Reductions and statistics — `f64` only: nothing in the reduced-precision
+/// tier calls them.
+impl Mat<f64> {
     /// Frobenius inner product `⟨self, other⟩`.
     pub fn dot(&self, other: &Matrix) -> f64 {
         assert_eq!(self.shape(), other.shape());
@@ -563,64 +645,6 @@ impl Matrix {
         s
     }
 
-    /// Extract rows `[start, end)` into a new matrix.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Matrix {
-        assert!(start <= end && end <= self.rows, "row slice out of bounds");
-        let data = self.data[start * self.cols..end * self.cols].to_vec();
-        Matrix {
-            rows: end - start,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Gather the given rows (with repetition allowed) into a new matrix.
-    pub fn gather_rows(&self, idx: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(idx.len() * self.cols);
-        for &i in idx {
-            data.extend_from_slice(self.row(i));
-        }
-        Matrix {
-            rows: idx.len(),
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Vertically stack matrices (all must share the column count).
-    pub fn vstack(parts: &[&Matrix]) -> Matrix {
-        if parts.is_empty() {
-            return Matrix::zeros(0, 0);
-        }
-        let cols = parts[0].cols;
-        let rows = parts.iter().map(|p| p.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for p in parts {
-            assert_eq!(p.cols, cols, "vstack column mismatch");
-            data.extend_from_slice(&p.data);
-        }
-        Matrix { rows, cols, data }
-    }
-
-    /// Horizontally stack matrices (all must share the row count).
-    pub fn hstack(parts: &[&Matrix]) -> Matrix {
-        if parts.is_empty() {
-            return Matrix::zeros(0, 0);
-        }
-        let rows = parts[0].rows;
-        let cols = parts.iter().map(|p| p.cols).sum();
-        let mut out = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            let mut off = 0;
-            for p in parts {
-                assert_eq!(p.rows, rows, "hstack row mismatch");
-                out.row_mut(r)[off..off + p.cols].copy_from_slice(p.row(r));
-                off += p.cols;
-            }
-        }
-        out
-    }
-
     /// Squared Euclidean distance between row `r` of `self` and row `s` of
     /// `other` (widths must match).
     pub fn row_dist_sq(&self, r: usize, other: &Matrix, s: usize) -> f64 {
@@ -636,10 +660,40 @@ impl Matrix {
     }
 }
 
-impl Index<(usize, usize)> for Matrix {
-    type Output = f64;
+/// `{"rows", "cols", "data"}` in that order — the model JSON and
+/// fingerprint preimage layout. Written by hand because the vendored derive
+/// takes no type parameters, and because reading must check the shape.
+impl Serialize for Mat<f64> {
+    fn emit<S: serde::Sink>(&self, sink: &mut S) {
+        sink.object(3);
+        serde::emit_field(sink, "rows", &self.rows);
+        serde::emit_field(sink, "cols", &self.cols);
+        serde::emit_field(sink, "data", &self.data);
+    }
+}
+
+/// Rejects a shape that does not match the data length (or overflows):
+/// model files come from outside the program, and every accessor slices
+/// `data` by `rows`/`cols` unchecked.
+impl Deserialize for Mat<f64> {
+    fn read<'de, S: serde::Source<'de>>(src: &mut S) -> Result<Self, serde::Error> {
+        let m: Self = serde::read_struct!(src, Mat { rows, cols, data })?;
+        if m.rows.checked_mul(m.cols) != Some(m.data.len()) {
+            return Err(serde::Error::msg(format!(
+                "matrix shape {}×{} does not match its {} values",
+                m.rows,
+                m.cols,
+                m.data.len()
+            )));
+        }
+        Ok(m)
+    }
+}
+
+impl<T> Index<(usize, usize)> for Mat<T> {
+    type Output = T;
     #[inline]
-    fn index(&self, (r, c): (usize, usize)) -> &f64 {
+    fn index(&self, (r, c): (usize, usize)) -> &T {
         debug_assert!(
             r < self.rows && c < self.cols,
             "index ({r},{c}) out of bounds"
@@ -648,9 +702,9 @@ impl Index<(usize, usize)> for Matrix {
     }
 }
 
-impl IndexMut<(usize, usize)> for Matrix {
+impl<T> IndexMut<(usize, usize)> for Mat<T> {
     #[inline]
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
+    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut T {
         debug_assert!(
             r < self.rows && c < self.cols,
             "index ({r},{c}) out of bounds"
@@ -659,7 +713,7 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-impl fmt::Debug for Matrix {
+impl<T: Scalar> fmt::Debug for Mat<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}×{} [", self.rows, self.cols)?;
         let show = self.rows.min(6);
@@ -840,66 +894,151 @@ mod tests {
 
     /// Shapes spanning the sequential and parallel-band paths, with
     /// zero-laden left operands so the sparse skip actually fires.
-    fn kernel_cases() -> Vec<(Matrix, Matrix)> {
+    fn kernel_cases<T: Scalar>() -> Vec<(Mat<T>, Mat<T>)> {
         let zeroy = |r: usize, c: usize| {
             let v = ((r * 31 + c * 17) % 13) as f64 - 6.0;
             if (r + c).is_multiple_of(3) {
-                0.0
+                T::ZERO
             } else {
-                v * 0.37
+                T::from_f64(v * 0.37)
             }
         };
         vec![
             (
-                Matrix::from_fn(7, 3, zeroy),
-                Matrix::from_fn(3, 9, |r, c| (c as f64) * 0.25 + r as f64),
+                Mat::from_fn(7, 3, zeroy),
+                Mat::from_fn(3, 9, |r, c| T::from_f64((c as f64) * 0.25 + r as f64)),
             ),
             (
-                Matrix::from_fn(1, 1, |_, _| 0.0),
-                Matrix::from_fn(1, 1, |_, _| 3.5),
+                Mat::from_fn(1, 1, |_, _| T::ZERO),
+                Mat::from_fn(1, 1, |_, _| T::from_f64(3.5)),
             ),
             (
-                Matrix::from_fn(97, 70, zeroy),
-                Matrix::from_fn(70, 83, |r, c| ((r * 7 + c * 3) % 11) as f64 * 0.5 - 2.0),
+                Mat::from_fn(97, 70, zeroy),
+                Mat::from_fn(70, 83, |r, c| {
+                    T::from_f64(((r * 7 + c * 3) % 11) as f64 * 0.5 - 2.0)
+                }),
             ),
         ]
     }
 
-    #[test]
-    fn sparse_lhs_bit_identical_to_dense_matmul() {
-        for (a, b) in kernel_cases() {
-            let dense = a.matmul(&b);
-            let sparse = a.matmul_sparse_lhs(&b);
-            for (x, y) in dense.as_slice().iter().zip(sparse.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+    fn assert_same_bits<T: Scalar>(got: &Mat<T>, want: &Mat<T>) {
+        assert_eq!(got.shape(), want.shape());
+        for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(x.to_f64().to_bits(), y.to_f64().to_bits());
         }
     }
 
-    #[test]
-    fn matmul_into_bit_identical_and_reuses_buffer() {
-        let mut out = Matrix::zeros(0, 0);
-        for (a, b) in kernel_cases() {
+    /// Run one generic matmul check at both scalars.
+    macro_rules! both_scalars {
+        ($($name:ident => $body:ident;)*) => {$(
+            #[test]
+            fn $name() {
+                $body::<f64>();
+                $body::<f32>();
+            }
+        )*};
+    }
+
+    both_scalars! {
+        matmul_into_bit_identical_to_rolled_loop => into_vs_rolled;
+        sparse_lhs_bit_identical_to_dense_matmul => sparse_vs_dense;
+        matmul_into_bit_identical_and_reuses_buffer => into_vs_matmul;
+        matmul_pre_t_into_bit_identical_to_transposed_matmul => pre_t_vs_matmul;
+    }
+
+    /// The blocked kernel keeps each output's k-sum in strict ascending
+    /// order, so it must match the rolled triple loop to the bit.
+    fn into_vs_rolled<T: Scalar>() {
+        let mut out = Mat::zeros(0, 0);
+        for (a, b) in kernel_cases::<T>() {
+            let mut want = Mat::zeros(a.rows(), b.cols());
+            for i in 0..a.rows() {
+                for j in 0..b.cols() {
+                    let mut s = T::ZERO;
+                    for k in 0..a.cols() {
+                        s += a[(i, k)] * b[(k, j)];
+                    }
+                    want[(i, j)] = s;
+                }
+            }
             a.matmul_into(&b, &mut out);
-            let want = a.matmul(&b);
-            assert_eq!(out.shape(), want.shape());
-            for (x, y) in out.as_slice().iter().zip(want.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+            assert_same_bits(&out, &want);
+        }
+    }
+
+    fn sparse_vs_dense<T: Scalar>() {
+        for (a, b) in kernel_cases::<T>() {
+            assert_same_bits(&a.matmul_sparse_lhs(&b), &a.matmul(&b));
+        }
+    }
+
+    fn into_vs_matmul<T: Scalar>() {
+        let mut out = Mat::zeros(0, 0);
+        for (a, b) in kernel_cases::<T>() {
+            a.matmul_into(&b, &mut out);
+            assert_same_bits(&out, &a.matmul(&b));
+        }
+    }
+
+    fn pre_t_vs_matmul<T: Scalar>() {
+        let mut out = Mat::zeros(0, 0);
+        for (a, b) in kernel_cases::<T>() {
+            a.matmul_pre_t_into(&b.transpose(), &mut out);
+            assert_same_bits(&out, &a.matmul(&b));
         }
     }
 
     #[test]
-    fn matmul_pre_t_into_bit_identical_to_transposed_matmul() {
-        let mut out = Matrix::zeros(0, 0);
-        for (a, b) in kernel_cases() {
-            let bt = b.transpose();
-            a.matmul_pre_t_into(&bt, &mut out);
-            let want = a.matmul(&b);
-            assert_eq!(out.shape(), want.shape());
-            for (x, y) in out.as_slice().iter().zip(want.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+    fn copy_from_f64_rounds_each_element_and_reuses_the_buffer() {
+        let m = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f64 * 0.1);
+        let mut f = Mat::<f32>::zeros(5, 5);
+        let ptr = f.as_slice().as_ptr();
+        f.copy_from_f64(&m);
+        assert_eq!(f.shape(), (4, 3));
+        assert_eq!(f[(2, 1)], (7.0f64 * 0.1) as f32);
+        assert_eq!(f.as_slice().as_ptr(), ptr, "refill must not reallocate");
+        let mut same = Matrix::default();
+        same.copy_from_f64(&m);
+        assert_eq!(same, m);
+    }
+
+    #[test]
+    fn serialized_tree_is_rows_cols_data_in_that_order() {
+        use serde::Value;
+        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, -0.5]);
+        let want = Value::Object(vec![
+            ("rows".into(), Value::U64(2)),
+            ("cols".into(), Value::U64(3)),
+            (
+                "data".into(),
+                Value::Array([1.0, 2.0, 3.0, 4.0, 5.0, -0.5].map(Value::F64).to_vec()),
+            ),
+        ]);
+        assert_eq!(m.to_value(), want);
+        assert_eq!(Matrix::from_value(&want).unwrap(), m);
+    }
+
+    #[test]
+    fn deserialize_rejects_a_shape_that_does_not_match_the_data() {
+        use serde::Value;
+        let tree = |rows: u64, cols: u64, len: usize| {
+            Value::Object(vec![
+                ("rows".into(), Value::U64(rows)),
+                ("cols".into(), Value::U64(cols)),
+                ("data".into(), Value::Array(vec![Value::F64(1.0); len])),
+            ])
+        };
+        assert!(Matrix::from_value(&tree(2, 3, 6)).is_ok());
+        assert!(Matrix::from_value(&tree(0, 0, 0)).is_ok());
+        for (rows, cols, len, what) in [
+            (2, 3, 5, "short data"),
+            (2, 3, 7, "long data"),
+            (0, 3, 1, "data without rows"),
+            (u64::MAX, 2, 0, "overflowing product"),
+            (1 << 63, 2, 0, "product wrapping to zero"),
+        ] {
+            let err = Matrix::from_value(&tree(rows, cols, len));
+            assert!(err.is_err(), "{what} must be refused, got {err:?}");
         }
     }
 

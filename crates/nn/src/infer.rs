@@ -1,36 +1,44 @@
 //! Tape-free inference fast path.
 //!
-//! Training needs the autodiff tape; serving does not. An
-//! [`InferenceSession`] executes the [`ReconstructionTransformer`] forward
-//! pass with **no tape**: every intermediate lives in a preallocated
-//! scratch [`Matrix`] that is reshaped in place per call, so steady-state
-//! scoring performs **zero heap allocations** per window (proved by the
+//! Training needs the autodiff tape; serving does not. A [`Session`]
+//! executes the [`ReconstructionTransformer`] forward pass with **no
+//! tape**: every intermediate lives in a preallocated scratch [`Mat`] that
+//! is reshaped in place per call, so steady-state scoring performs **zero
+//! heap allocations** per window (proved at both tiers by the
 //! counting-allocator test in `tests/infer_zero_alloc.rs`).
 //!
-//! There is one forward body per session type, and it is the batched
-//! one: `B` windows stacked row-major, every linear layer one matmul over
-//! all rows, attention and the MoE scatter per window
-//! ([`InferenceSession::forward_batch`]). A single window is the `B = 1`
-//! case of the same code, not a second path.
+//! There is one forward body, and it is the batched one: `B` windows
+//! stacked row-major, every linear layer one matmul over all rows,
+//! attention and the MoE scatter per window ([`Session::forward_batch`]).
+//! A single window is the `B = 1` case of the same code, not a second
+//! path — and the two precision tiers are the same code at two scalars:
+//! [`InferenceSession`] is `Session<f64>`, the bit-pinned default, and
+//! [`InferenceSessionF32`] is `Session<f32>`, the opt-in tier that halves
+//! memory traffic and doubles SIMD lane width. What differs per tier is
+//! data, not control flow: inputs and positional encodings are rounded to
+//! `T` as they are stacked, errors are summed in `T` and widened on the
+//! way out, and [`Tier`] says where the weights come from.
 //!
 //! Linear layers multiply the [`ParamStore`] weights *in their stored
-//! orientation* through the blocked-axpy [`Matrix::matmul_into`] kernel —
+//! orientation* through the blocked-axpy [`Mat::matmul_into`] kernel —
 //! the same kernel the tape uses, so bit-identity is by construction, and
 //! the axpy form vectorises across output columns. A prepacked-transpose
-//! design (row-dot over `Wᵀ`, [`Matrix::matmul_pre_t_into`]) was built and
+//! design (row-dot over `Wᵀ`, [`Mat::matmul_pre_t_into`]) was built and
 //! benchmarked first, but under the no-reassociation constraint each dot
 //! is a serial FP-add dependency chain and measured ~30% slower than the
 //! axpy kernel even with 4-way interleaving; the dot kernel is kept only
 //! where its operand is *naturally* pre-transposed — attention scores
 //! `qₕ·kₕᵀ` — where it replaces the tape's per-head `transpose(kₕ)`
-//! materialisation. Reading weights live also means a session can never
+//! materialisation. The `f64` tier reads the weights live, so it can never
 //! be stale: `incremental_update` fine-tuning is visible on the very next
-//! forward, with no cache-invalidation protocol
-//! (cf. [`ParamStore::version`]).
+//! forward, with no cache-invalidation protocol. The `f32` tier cannot —
+//! down-converting per forward would cost more than the tier saves — so it
+//! keeps rounded copies keyed by [`ParamStore::version`] and re-bakes on
+//! the first forward after any mutation.
 //!
 //! # Bit-exactness
 //!
-//! The fast path is bit-identical to the taped forward (verified by
+//! The `f64` fast path is bit-identical to the taped forward (verified by
 //! `tests/infer_equivalence.rs` over random shapes, seeds and block
 //! kinds). The argument:
 //!
@@ -46,17 +54,23 @@
 //!   (descending value, ties to the lower index), runs experts on the
 //!   same gathered token subsets in the same ascending-expert order, and
 //!   accumulates through the same full-size scatter-then-add sequence.
+//!
+//! The `f32` tier has no tape to match. It is deterministic within itself
+//! (the same ascending-order reductions, thread-count independent, batched
+//! ≡ per-window to the bit), but no bit relationship to the `f64` tier is
+//! promised: `tests/precision_equivalence.rs` pins a per-layer relative
+//! tolerance and a verdict-agreement floor instead.
 
-use crate::layers::Linear;
-use crate::params::ParamStore;
+use crate::layers::{LayerNorm, Linear};
+use crate::params::{ParamId, ParamStore};
 use crate::transformer::{EncoderLayer, ReconstructionTransformer};
-use ns_linalg::matrix::Matrix;
-use ns_linalg::matrix_f32::MatrixF32;
+use ns_linalg::matrix::{Mat, Matrix};
+use ns_linalg::Scalar;
 use std::cmp::Ordering;
 use std::sync::Mutex;
 
 /// One window of a batched scoring call
-/// ([`InferenceSession::score_windows_batch`]): rows `[start, end)` of
+/// ([`Session::score_windows_batch`]): rows `[start, end)` of
 /// `data`, positions from `pos_of` (a per-window closure, because the
 /// position scale depends on the owning series' length and pre-dividing
 /// it would not be bit-identical), and per-metric error weights. Every
@@ -70,38 +84,85 @@ pub struct WindowSpec<'a> {
     pub weights: &'a [f64],
 }
 
+/// Where a precision tier's forward reads its weights — the one piece of
+/// code that differs per tier. Implemented for `f64` and `f32` and, since
+/// [`Scalar`] is sealed, for nothing else.
+pub trait Tier: Scalar {
+    /// Bring the session's own weight copies (`baked`, taken at store
+    /// version `version`) up to date with `params`.
+    fn bake(baked: &mut Vec<Mat<Self>>, version: &mut Option<u64>, params: &ParamStore);
+
+    /// Parameter `id` as this tier multiplies by it.
+    fn weight<'a>(params: &'a ParamStore, baked: &'a [Mat<Self>], id: ParamId) -> &'a Mat<Self>;
+}
+
+/// Borrows the store's matrices live: no copy, nothing to invalidate.
+impl Tier for f64 {
+    fn bake(_: &mut Vec<Matrix>, _: &mut Option<u64>, _: &ParamStore) {}
+
+    fn weight<'a>(params: &'a ParamStore, _: &'a [Matrix], id: ParamId) -> &'a Matrix {
+        params.get(id)
+    }
+}
+
+/// Rounds every store matrix to `f32` once per [`ParamStore::version`]:
+/// any mutation (`incremental_update`, refit hot-swap) invalidates the bake
+/// and the next forward re-converts, reusing the allocations.
+impl Tier for f32 {
+    fn bake(baked: &mut Vec<Mat<f32>>, version: &mut Option<u64>, params: &ParamStore) {
+        if *version == Some(params.version()) && baked.len() == params.len() {
+            return;
+        }
+        baked.resize_with(params.len(), Mat::default);
+        for (id, w) in baked.iter_mut().enumerate() {
+            w.copy_from_f64(params.get(id));
+        }
+        *version = Some(params.version());
+    }
+
+    fn weight<'a>(_: &'a ParamStore, baked: &'a [Mat<f32>], id: ParamId) -> &'a Mat<f32> {
+        &baked[id]
+    }
+}
+
 /// Reusable tape-free forward-pass executor for one
-/// [`ReconstructionTransformer`].
+/// [`ReconstructionTransformer`], at scalar `T`.
 ///
 /// A session is cheap to create but expensive to warm (first call per
-/// shape allocates its scratch); keep one per worker thread — e.g. via a
-/// [`SessionPool`] — and reuse it across windows.
+/// shape allocates its scratch, and the `f32` tier bakes its weights);
+/// keep one per worker thread — e.g. via a [`SessionPool`] — and reuse it
+/// across windows.
 #[derive(Default)]
-pub struct InferenceSession {
+pub struct Session<T: Tier> {
+    /// The tier's own weight copies, indexed by `ParamId` (see [`Tier`]):
+    /// always empty for `f64`.
+    baked: Vec<Mat<T>>,
+    /// Store version `baked` was taken at; `None` before first use.
+    baked_version: Option<u64>,
     // Scratch buffers, reshaped in place per call.
-    x: Matrix,
-    pe: Matrix,
-    h: Matrix,
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    qh: Matrix,
-    kh: Matrix,
-    vh: Matrix,
-    scores: Matrix,
-    head: Matrix,
-    cat: Matrix,
-    attn: Matrix,
-    res1: Matrix,
-    n1: Matrix,
-    gate: Matrix,
-    xe: Matrix,
-    hid: Matrix,
-    ye: Matrix,
-    full: Matrix,
-    block: Matrix,
-    res2: Matrix,
-    out: Matrix,
+    x: Mat<T>,
+    pe: Mat<T>,
+    h: Mat<T>,
+    q: Mat<T>,
+    k: Mat<T>,
+    v: Mat<T>,
+    qh: Mat<T>,
+    kh: Mat<T>,
+    vh: Mat<T>,
+    scores: Mat<T>,
+    head: Mat<T>,
+    cat: Mat<T>,
+    attn: Mat<T>,
+    res1: Mat<T>,
+    n1: Mat<T>,
+    gate: Mat<T>,
+    xe: Mat<T>,
+    hid: Mat<T>,
+    ye: Mat<T>,
+    full: Mat<T>,
+    block: Mat<T>,
+    res2: Mat<T>,
+    out: Mat<T>,
     err: Vec<f64>,
     assign: Vec<Vec<usize>>,
     order: Vec<usize>,
@@ -116,32 +177,32 @@ pub struct InferenceSession {
     pe_div: Vec<f64>,
 }
 
-impl InferenceSession {
+impl<T: Tier> Session<T> {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Tape-free forward of a `T × input_dim` window with a precomputed
+    /// Tape-free forward of a `rows × input_dim` window with a precomputed
     /// positional-encoding table — the `B = 1` case of
-    /// [`InferenceSession::forward_batch`]. Returns the reconstruction,
-    /// borrowed from the session's scratch (valid until the next call).
+    /// [`Session::forward_batch`]. Returns the reconstruction, borrowed
+    /// from the session's scratch (valid until the next call).
     pub fn forward(
         &mut self,
         params: &ParamStore,
         model: &ReconstructionTransformer,
         x: &Matrix,
         pe: &Matrix,
-    ) -> &Matrix {
+    ) -> &Mat<T> {
         self.forward_batch(params, model, &[(x, pe)]).0
     }
 
     /// Score one window of a longer series — the `B = 1` case of
-    /// [`InferenceSession::score_windows_batch`]: fills the input scratch
+    /// [`Session::score_windows_batch`]: fills the input scratch
     /// from `data[start..end)`, builds the positional encoding from
     /// `pos_of` (bit-identical to `sinusoidal_pe_at`), runs the forward,
-    /// and returns per-row weighted reconstruction errors — the exact
-    /// arithmetic of the taped `SharedModel::score_series_taped`. The
-    /// slice is borrowed from the session's scratch.
+    /// and returns per-row weighted reconstruction errors — at `f64` the
+    /// exact arithmetic of the taped `SharedModel::score_series_taped`.
+    /// The slice is borrowed from the session's scratch.
     #[allow(clippy::too_many_arguments)]
     pub fn score_window(
         &mut self,
@@ -171,7 +232,7 @@ impl InferenceSession {
     /// window (both borrowed from the session's scratch).
     ///
     /// Output rows are `to_bits`-identical to `B` independent
-    /// [`InferenceSession::forward`] calls: the blocked-axpy kernel
+    /// [`Session::forward`] calls: the blocked-axpy kernel
     /// accumulates each output row independently over ascending `k`, so
     /// vstacking rows changes nothing per row; the remaining ops are
     /// row-wise or explicitly per-window (see DESIGN §10).
@@ -183,7 +244,7 @@ impl InferenceSession {
         params: &ParamStore,
         model: &ReconstructionTransformer,
         windows: &[(&Matrix, &Matrix)],
-    ) -> (&Matrix, &[usize]) {
+    ) -> (&Mat<T>, &[usize]) {
         let m = windows.first().map(|(x, _)| x.cols()).unwrap_or(0);
         let d_model = model.cfg.d_model;
         self.boffsets.clear();
@@ -205,8 +266,8 @@ impl InferenceSession {
         for (b, (x, pe)) in windows.iter().enumerate() {
             let r0 = self.boffsets[b];
             for r in 0..x.rows() {
-                self.x.row_mut(r0 + r).copy_from_slice(x.row(r));
-                self.pe.row_mut(r0 + r).copy_from_slice(pe.row(r));
+                fill(self.x.row_mut(r0 + r), x.row(r));
+                fill(self.pe.row_mut(r0 + r), pe.row(r));
             }
         }
         self.forward_scratch(params, model);
@@ -227,7 +288,7 @@ impl InferenceSession {
     /// the caller bounds what it passes: `SharedModel::score_specs` owns
     /// the row cap and splits a burst into capped tasks, one call each.
     ///
-    /// [`forward_batch`]: InferenceSession::forward_batch
+    /// [`forward_batch`]: Session::forward_batch
     pub fn score_windows_batch(
         &mut self,
         params: &ParamStore,
@@ -251,6 +312,7 @@ impl InferenceSession {
         let mut total = 0usize;
         for s in specs {
             assert_eq!(s.data.cols(), m, "all windows must share input width");
+            assert_eq!(s.weights.len(), m, "one error weight per input column");
             total += s.end - s.start;
             self.boffsets.push(total);
         }
@@ -259,12 +321,11 @@ impl InferenceSession {
         for (b, s) in specs.iter().enumerate() {
             let r0 = self.boffsets[b];
             for r in 0..s.end - s.start {
-                self.x
-                    .row_mut(r0 + r)
-                    .copy_from_slice(s.data.row(s.start + r));
+                fill(self.x.row_mut(r0 + r), s.data.row(s.start + r));
                 let p = (s.pos_of)(s.start + r);
                 // Same expression as `sinusoidal_pe_value` with the divisor
-                // hoisted — bit-identical to `sinusoidal_pe_at`.
+                // hoisted — bit-identical to `sinusoidal_pe_at`. The
+                // trigonometry runs in f64 at either tier and rounds once.
                 for (i, (slot, &div)) in self
                     .pe
                     .row_mut(r0 + r)
@@ -272,11 +333,11 @@ impl InferenceSession {
                     .zip(&self.pe_div)
                     .enumerate()
                 {
-                    *slot = if i % 2 == 0 {
+                    *slot = T::from_f64(if i % 2 == 0 {
                         (p / div).sin()
                     } else {
                         (p / div).cos()
-                    };
+                    });
                 }
             }
         }
@@ -290,10 +351,10 @@ impl InferenceSession {
                     .iter()
                     .zip(self.out.row(r0 + r))
                     .zip(s.weights)
-                    .map(|((a, o), w)| w * (a - o) * (a - o))
-                    .sum::<f64>()
-                    / m.max(1) as f64;
-                self.err.push(e);
+                    .map(|((&a, &o), &w)| T::from_f64(w) * (a - o) * (a - o))
+                    .sum::<T>()
+                    / T::from_f64(m.max(1) as f64);
+                self.err.push(e.to_f64());
             }
         }
         &self.err
@@ -305,12 +366,13 @@ impl InferenceSession {
     /// only the cross-row ops (attention, MoE accumulation) iterate
     /// windows.
     fn forward_scratch(&mut self, params: &ParamStore, model: &ReconstructionTransformer) {
-        linear_into(&self.x, params, &model.embed, &mut self.h);
+        T::bake(&mut self.baked, &mut self.baked_version, params);
+        linear_into(&self.x, params, &self.baked, &model.embed, &mut self.h);
         self.h.add_assign(&self.pe);
         for layer in &model.layers {
             self.encoder_layer(params, layer);
         }
-        linear_into(&self.h, params, &model.decoder, &mut self.out);
+        linear_into(&self.h, params, &self.baked, &model.decoder, &mut self.out);
     }
 
     /// One encoder layer over the stacked `self.h` carrier (post-norm
@@ -323,10 +385,10 @@ impl InferenceSession {
         let mha = &layer.attn;
         let d_model = mha.d_model;
         let dh = d_model / mha.n_heads;
-        let scale = 1.0 / (dh as f64).sqrt();
-        linear_into(&self.h, params, &mha.wq, &mut self.q);
-        linear_into(&self.h, params, &mha.wk, &mut self.k);
-        linear_into(&self.h, params, &mha.wv, &mut self.v);
+        let scale = T::from_f64(1.0 / (dh as f64).sqrt());
+        linear_into(&self.h, params, &self.baked, &mha.wq, &mut self.q);
+        linear_into(&self.h, params, &self.baked, &mha.wk, &mut self.k);
+        linear_into(&self.h, params, &self.baked, &mha.wv, &mut self.v);
         self.cat.resize(total, d_model);
         for b in 0..self.boffsets.len() - 1 {
             let (r0, r1) = (self.boffsets[b], self.boffsets[b + 1]);
@@ -345,30 +407,20 @@ impl InferenceSession {
                 }
             }
         }
-        linear_into(&self.cat, params, &mha.wo, &mut self.attn);
+        linear_into(&self.cat, params, &self.baked, &mha.wo, &mut self.attn);
         add_into(&self.h, &self.attn, &mut self.res1);
-        layer_norm_into(
-            &self.res1,
-            params.get(layer.norm1.gamma),
-            params.get(layer.norm1.beta),
-            &mut self.n1,
-        );
+        layer_norm_into(&self.res1, params, &self.baked, &layer.norm1, &mut self.n1);
         match (&layer.moe, &layer.ffn) {
             (Some(moe), _) => self.moe_block(params, moe),
             (None, Some(ffn)) => {
-                linear_into(&self.n1, params, &ffn.lin1, &mut self.hid);
-                self.hid.map_inplace(|x| x.max(0.0));
-                linear_into(&self.hid, params, &ffn.lin2, &mut self.block);
+                linear_into(&self.n1, params, &self.baked, &ffn.lin1, &mut self.hid);
+                self.hid.map_inplace(|x| x.max(T::ZERO));
+                linear_into(&self.hid, params, &self.baked, &ffn.lin2, &mut self.block);
             }
             _ => unreachable!("layer has either moe or ffn"),
         }
         add_into(&self.n1, &self.block, &mut self.res2);
-        layer_norm_into(
-            &self.res2,
-            params.get(layer.norm2.gamma),
-            params.get(layer.norm2.beta),
-            &mut self.h,
-        );
+        layer_norm_into(&self.res2, params, &self.baked, &layer.norm2, &mut self.h);
     }
 
     /// Sparse-MoE block over the stacked `self.n1` into `self.block`,
@@ -392,7 +444,8 @@ impl InferenceSession {
         let d = self.n1.cols();
         let n_exp = moe.experts.len();
         let nb = self.boffsets.len() - 1;
-        self.n1.matmul_into(params.get(moe.gate), &mut self.gate);
+        self.n1
+            .matmul_into(T::weight(params, &self.baked, moe.gate), &mut self.gate);
         softmax_rows_inplace(&mut self.gate);
         if self.assign.len() < n_exp {
             self.assign.resize_with(n_exp, Vec::new);
@@ -420,9 +473,9 @@ impl InferenceSession {
             for (r, &tok) in idx.iter().enumerate() {
                 self.xe.row_mut(r).copy_from_slice(self.n1.row(tok));
             }
-            linear_into(&self.xe, params, &expert.lin1, &mut self.hid);
-            self.hid.map_inplace(|x| x.max(0.0));
-            linear_into(&self.hid, params, &expert.lin2, &mut self.ye);
+            linear_into(&self.xe, params, &self.baked, &expert.lin1, &mut self.hid);
+            self.hid.map_inplace(|x| x.max(T::ZERO));
+            linear_into(&self.hid, params, &self.baked, &expert.lin2, &mut self.ye);
             let idx = &self.assign[e];
             for (r, &tok) in idx.iter().enumerate() {
                 let w = self.gate[(tok, e)];
@@ -470,24 +523,45 @@ impl InferenceSession {
             // to x · 0.0 over its rows.
             for i in self.boffsets[w]..self.boffsets[w + 1] {
                 for (o, &v) in self.block.row_mut(i).iter_mut().zip(self.n1.row(i)) {
-                    *o = v * 0.0;
+                    *o = v * T::ZERO;
                 }
             }
         }
     }
 }
 
-/// `out = x · W + b`, reading the weight and bias live from the store.
-/// Matches the taped `Linear::forward` (matmul, then bias broadcast)
-/// bit-for-bit — it *is* the same matmul kernel on the same operands.
-fn linear_into(x: &Matrix, params: &ParamStore, lin: &Linear, out: &mut Matrix) {
-    x.matmul_into(params.get(lin.w), out);
-    out.add_row_broadcast_inplace(params.get(lin.b));
+/// Stack one input row: round `src` to the session's scalar (a plain copy
+/// at `f64`).
+fn fill<T: Scalar>(dst: &mut [T], src: &[f64]) {
+    for (slot, &v) in dst.iter_mut().zip(src) {
+        *slot = T::from_f64(v);
+    }
+}
+
+/// `out = x · W + b` over the tier's weights. At `f64` it matches the
+/// taped `Linear::forward` (matmul, then bias broadcast) bit-for-bit — it
+/// *is* the same matmul kernel on the same operands.
+fn linear_into<T: Tier>(
+    x: &Mat<T>,
+    params: &ParamStore,
+    baked: &[Mat<T>],
+    lin: &Linear,
+    out: &mut Mat<T>,
+) {
+    x.matmul_into(T::weight(params, baked, lin.w), out);
+    out.add_row_broadcast_inplace(T::weight(params, baked, lin.b));
 }
 
 /// Copy the `[r0, r1) × [lo, hi)` block of `src` into `out` (reshaped in
 /// place): one head's columns restricted to one window's row range.
-fn slice_block_into(src: &Matrix, r0: usize, r1: usize, lo: usize, hi: usize, out: &mut Matrix) {
+fn slice_block_into<T: Scalar>(
+    src: &Mat<T>,
+    r0: usize,
+    r1: usize,
+    lo: usize,
+    hi: usize,
+    out: &mut Mat<T>,
+) {
     out.resize(r1 - r0, hi - lo);
     for r in r0..r1 {
         out.row_mut(r - r0).copy_from_slice(&src.row(r)[lo..hi]);
@@ -495,7 +569,7 @@ fn slice_block_into(src: &Matrix, r0: usize, r1: usize, lo: usize, hi: usize, ou
 }
 
 /// `out = a + b` elementwise (reshaped in place).
-fn add_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+fn add_into<T: Scalar>(a: &Mat<T>, b: &Mat<T>, out: &mut Mat<T>) {
     debug_assert_eq!(a.shape(), b.shape());
     out.resize(a.rows(), a.cols());
     for ((o, &x), &y) in out
@@ -509,11 +583,11 @@ fn add_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 }
 
 /// Numerically-stable row softmax in place — the tape's exact loops.
-fn softmax_rows_inplace(m: &mut Matrix) {
+fn softmax_rows_inplace<T: Scalar>(m: &mut Mat<T>) {
     for r in 0..m.rows() {
         let row = m.row_mut(r);
-        let mx = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut s = 0.0;
+        let mx = row.iter().cloned().fold(T::NEG_INFINITY, T::max);
+        let mut s = T::ZERO;
         for x in row.iter_mut() {
             *x = (*x - mx).exp();
             s += *x;
@@ -526,17 +600,25 @@ fn softmax_rows_inplace(m: &mut Matrix) {
 
 /// Row-wise LayerNorm into `out` — the tape's exact arithmetic
 /// (`eps = 1e-5`, biased variance).
-fn layer_norm_into(src: &Matrix, gamma: &Matrix, beta: &Matrix, out: &mut Matrix) {
-    let eps = 1e-5;
+fn layer_norm_into<T: Tier>(
+    src: &Mat<T>,
+    params: &ParamStore,
+    baked: &[Mat<T>],
+    norm: &LayerNorm,
+    out: &mut Mat<T>,
+) {
+    let gamma = T::weight(params, baked, norm.gamma).as_slice();
+    let beta = T::weight(params, baked, norm.beta).as_slice();
+    let eps = T::from_f64(1e-5);
     out.resize(src.rows(), src.cols());
     for r in 0..src.rows() {
         let row = src.row(r);
-        let d = row.len() as f64;
-        let mean = row.iter().sum::<f64>() / d;
-        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / d;
-        let inv = 1.0 / (var + eps).sqrt();
-        for (i, (o, v)) in out.row_mut(r).iter_mut().zip(row).enumerate() {
-            *o = gamma.as_slice()[i] * (*v - mean) * inv + beta.as_slice()[i];
+        let d = T::from_f64(row.len() as f64);
+        let mean = row.iter().sum::<T>() / d;
+        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<T>() / d;
+        let inv = T::ONE / (var + eps).sqrt();
+        for (i, (o, &v)) in out.row_mut(r).iter_mut().zip(row).enumerate() {
+            *o = gamma[i] * (v - mean) * inv + beta[i];
         }
     }
 }
@@ -546,7 +628,7 @@ fn layer_norm_into(src: &Matrix, gamma: &Matrix, beta: &Matrix, out: &mut Matrix
 /// the lower index, truncated to `k`. The comparator is total (NaN
 /// compares Equal, then falls to the index), so this insertion sort
 /// produces the same permutation as the library's stable sort.
-fn top_k_into(x: &[f64], k: usize, order: &mut Vec<usize>) {
+fn top_k_into<T: Scalar>(x: &[T], k: usize, order: &mut Vec<usize>) {
     order.clear();
     order.extend(0..x.len());
     let cmp = |a: usize, b: usize| {
@@ -564,489 +646,40 @@ fn top_k_into(x: &[f64], k: usize, order: &mut Vec<usize>) {
     order.truncate(k.min(x.len()));
 }
 
-/// f32 twin of [`InferenceSession`] — the opt-in precision-tiered
-/// scoring path.
-///
-/// The structure mirrors the f64 session exactly (same scratch set, same
-/// loop orders, same MoE copy-vs-add discipline), with two deliberate
-/// differences:
-///
-/// * **Weights are prebaked.** The f64 session reads [`ParamStore`]
-///   weights live; down-converting per forward would dominate the win,
-///   so this session converts every store matrix to [`MatrixF32`] once
-///   and caches the copies keyed by [`ParamStore::version`] — any
-///   mutation (`incremental_update`, refit hot-swap) invalidates the
-///   bake and the next forward re-converts.
-/// * **Arithmetic runs in f32.** Inputs and positional encodings are
-///   down-converted at scratch-fill time (the PE trigonometry itself
-///   runs in f64 and rounds once — it is computed per window anyway and
-///   accuracy is free). Per-row reconstruction errors are accumulated in
-///   f32 and widened to f64 on return so calibration and verdict logic
-///   upstream stay in one domain.
-///
-/// The f32 pipeline is internally deterministic (strict ascending-order
-/// reductions through the f32 kernels, thread-count independent), but no
-/// bit relationship to the f64 tier is promised — the accuracy delta is
-/// measured by `exp_deployment`, and `tests/precision_equivalence.rs`
-/// pins a per-layer relative tolerance against the f64 forward.
-#[derive(Default)]
-pub struct InferenceSessionF32 {
-    /// Prebaked f32 copies of every store matrix, indexed by `ParamId`.
-    weights: Vec<MatrixF32>,
-    /// Store version the bake was taken at; `None` before first use.
-    baked_version: Option<u64>,
-    x: MatrixF32,
-    pe: MatrixF32,
-    h: MatrixF32,
-    q: MatrixF32,
-    k: MatrixF32,
-    v: MatrixF32,
-    qh: MatrixF32,
-    kh: MatrixF32,
-    vh: MatrixF32,
-    scores: MatrixF32,
-    head: MatrixF32,
-    cat: MatrixF32,
-    attn: MatrixF32,
-    res1: MatrixF32,
-    n1: MatrixF32,
-    gate: MatrixF32,
-    xe: MatrixF32,
-    hid: MatrixF32,
-    ye: MatrixF32,
-    full: MatrixF32,
-    block: MatrixF32,
-    res2: MatrixF32,
-    out: MatrixF32,
-    err: Vec<f64>,
-    assign: Vec<Vec<usize>>,
-    order: Vec<usize>,
-    boffsets: Vec<usize>,
-    binit: Vec<bool>,
-    pe_div: Vec<f64>,
-}
+/// The default scoring tier's session: `f64`, bit-identical to the tape.
+pub type InferenceSession = Session<f64>;
 
-impl InferenceSessionF32 {
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// The opt-in reduced-precision tier's session: the same forward at `f32`.
+pub type InferenceSessionF32 = Session<f32>;
 
-    /// Refresh the prebaked f32 weight copies if the store has mutated
-    /// (or was never baked). Reuses allocations on re-bake.
-    fn bake(&mut self, params: &ParamStore) {
-        if self.baked_version == Some(params.version()) && self.weights.len() == params.len() {
-            return;
-        }
-        for id in 0..params.len() {
-            if id < self.weights.len() {
-                self.weights[id].copy_from_matrix(params.get(id));
-            } else {
-                self.weights.push(MatrixF32::from_matrix(params.get(id)));
-            }
-        }
-        self.weights.truncate(params.len());
-        self.baked_version = Some(params.version());
-    }
-
-    /// f32 forward of a `T × input_dim` window with a precomputed
-    /// positional-encoding table (both down-converted at fill) — the
-    /// `B = 1` case of [`InferenceSessionF32::forward_batch`]. Returns the
-    /// reconstruction, borrowed from the session's scratch.
-    pub fn forward(
-        &mut self,
-        params: &ParamStore,
-        model: &ReconstructionTransformer,
-        x: &Matrix,
-        pe: &Matrix,
-    ) -> &MatrixF32 {
-        self.forward_batch(params, model, &[(x, pe)]).0
-    }
-
-    /// f32 twin of [`InferenceSession::forward_batch`]: stacked batched
-    /// forward, one f32 matmul per linear layer across all windows.
-    pub fn forward_batch(
-        &mut self,
-        params: &ParamStore,
-        model: &ReconstructionTransformer,
-        windows: &[(&Matrix, &Matrix)],
-    ) -> (&MatrixF32, &[usize]) {
-        self.bake(params);
-        let m = windows.first().map(|(x, _)| x.cols()).unwrap_or(0);
-        let d_model = model.cfg.d_model;
-        self.boffsets.clear();
-        self.boffsets.push(0);
-        let mut total = 0usize;
-        for (x, pe) in windows {
-            assert_eq!(x.cols(), m, "all windows must share input width");
-            assert_eq!(pe.rows(), x.rows(), "pe must have one row per input row");
-            assert_eq!(pe.cols(), d_model, "pe width must equal d_model");
-            total += x.rows();
-            self.boffsets.push(total);
-        }
-        if windows.is_empty() {
-            self.out.resize(0, 0);
-            return (&self.out, &self.boffsets);
-        }
-        self.x.resize(total, m);
-        self.pe.resize(total, d_model);
-        for (b, (x, pe)) in windows.iter().enumerate() {
-            let r0 = self.boffsets[b];
-            for r in 0..x.rows() {
-                for (slot, &v) in self.x.row_mut(r0 + r).iter_mut().zip(x.row(r)) {
-                    *slot = v as f32;
-                }
-                for (slot, &v) in self.pe.row_mut(r0 + r).iter_mut().zip(pe.row(r)) {
-                    *slot = v as f32;
-                }
-            }
-        }
-        self.forward_scratch(model);
-        (&self.out, &self.boffsets)
-    }
-
-    /// f32 twin of [`InferenceSession::score_windows_batch`]: one stacked
-    /// forward over all of `specs`, errors in f32 widened to f64.
-    pub fn score_windows_batch(
-        &mut self,
-        params: &ParamStore,
-        model: &ReconstructionTransformer,
-        specs: &[WindowSpec<'_>],
-    ) -> &[f64] {
-        self.bake(params);
-        self.err.clear();
-        self.boffsets.clear();
-        self.boffsets.push(0);
-        if specs.is_empty() {
-            return &self.err;
-        }
-        let d_model = model.cfg.d_model;
-        if self.pe_div.len() != d_model {
-            self.pe_div.clear();
-            self.pe_div.extend(
-                (0..d_model).map(|i| (10000.0_f64).powf((2 * (i / 2)) as f64 / d_model as f64)),
-            );
-        }
-        let m = specs[0].data.cols();
-        let mut total = 0usize;
-        for s in specs {
-            assert_eq!(s.data.cols(), m, "all windows must share input width");
-            total += s.end - s.start;
-            self.boffsets.push(total);
-        }
-        self.x.resize(total, m);
-        self.pe.resize(total, d_model);
-        for (b, s) in specs.iter().enumerate() {
-            let r0 = self.boffsets[b];
-            for r in 0..s.end - s.start {
-                for (slot, &v) in self
-                    .x
-                    .row_mut(r0 + r)
-                    .iter_mut()
-                    .zip(s.data.row(s.start + r))
-                {
-                    *slot = v as f32;
-                }
-                let p = (s.pos_of)(s.start + r);
-                for (i, (slot, &div)) in self
-                    .pe
-                    .row_mut(r0 + r)
-                    .iter_mut()
-                    .zip(&self.pe_div)
-                    .enumerate()
-                {
-                    *slot = if i % 2 == 0 {
-                        (p / div).sin() as f32
-                    } else {
-                        (p / div).cos() as f32
-                    };
-                }
-            }
-        }
-        self.forward_scratch(model);
-        for (b, s) in specs.iter().enumerate() {
-            let r0 = self.boffsets[b];
-            for r in 0..s.end - s.start {
-                let e = self
-                    .x
-                    .row(r0 + r)
-                    .iter()
-                    .zip(self.out.row(r0 + r))
-                    .zip(s.weights)
-                    .map(|((a, o), w)| (*w as f32) * (a - o) * (a - o))
-                    .sum::<f32>()
-                    / m.max(1) as f32;
-                self.err.push(e as f64);
-            }
-        }
-        &self.err
-    }
-
-    /// The f32 forward pass proper over the stacked `self.x` / `self.pe`
-    /// and the prebaked `self.weights`, leaving the stacked reconstruction
-    /// in `self.out`.
-    fn forward_scratch(&mut self, model: &ReconstructionTransformer) {
-        linear_into_f32(&self.x, &self.weights, &model.embed, &mut self.h);
-        self.h.add_assign(&self.pe);
-        for layer in &model.layers {
-            self.encoder_layer(layer);
-        }
-        linear_into_f32(&self.h, &self.weights, &model.decoder, &mut self.out);
-    }
-
-    /// One encoder layer over the stacked carrier — batched linears,
-    /// per-(window, head) attention, as in the f64 session.
-    fn encoder_layer(&mut self, layer: &EncoderLayer) {
-        let total = self.h.rows();
-        let mha = &layer.attn;
-        let d_model = mha.d_model;
-        let dh = d_model / mha.n_heads;
-        let scale = (1.0 / (dh as f64).sqrt()) as f32;
-        linear_into_f32(&self.h, &self.weights, &mha.wq, &mut self.q);
-        linear_into_f32(&self.h, &self.weights, &mha.wk, &mut self.k);
-        linear_into_f32(&self.h, &self.weights, &mha.wv, &mut self.v);
-        self.cat.resize(total, d_model);
-        for b in 0..self.boffsets.len() - 1 {
-            let (r0, r1) = (self.boffsets[b], self.boffsets[b + 1]);
-            for hd in 0..mha.n_heads {
-                let lo = hd * dh;
-                let hi = lo + dh;
-                slice_block_into_f32(&self.q, r0, r1, lo, hi, &mut self.qh);
-                slice_block_into_f32(&self.k, r0, r1, lo, hi, &mut self.kh);
-                slice_block_into_f32(&self.v, r0, r1, lo, hi, &mut self.vh);
-                self.qh.matmul_pre_t_into(&self.kh, &mut self.scores);
-                self.scores.map_inplace(|x| x * scale);
-                softmax_rows_inplace_f32(&mut self.scores);
-                self.scores.matmul_into(&self.vh, &mut self.head);
-                for r in r0..r1 {
-                    self.cat.row_mut(r)[lo..hi].copy_from_slice(self.head.row(r - r0));
-                }
-            }
-        }
-        linear_into_f32(&self.cat, &self.weights, &mha.wo, &mut self.attn);
-        add_into_f32(&self.h, &self.attn, &mut self.res1);
-        layer_norm_into_f32(
-            &self.res1,
-            &self.weights[layer.norm1.gamma],
-            &self.weights[layer.norm1.beta],
-            &mut self.n1,
-        );
-        match (&layer.moe, &layer.ffn) {
-            (Some(moe), _) => self.moe_block(moe),
-            (None, Some(ffn)) => {
-                linear_into_f32(&self.n1, &self.weights, &ffn.lin1, &mut self.hid);
-                self.hid.map_inplace(|x| x.max(0.0));
-                linear_into_f32(&self.hid, &self.weights, &ffn.lin2, &mut self.block);
-            }
-            _ => unreachable!("layer has either moe or ffn"),
-        }
-        add_into_f32(&self.n1, &self.block, &mut self.res2);
-        layer_norm_into_f32(
-            &self.res2,
-            &self.weights[layer.norm2.gamma],
-            &self.weights[layer.norm2.beta],
-            &mut self.h,
-        );
-    }
-
-    /// Sparse-MoE block over the stacked `self.n1` — same routing
-    /// tie-breaking and per-window copy-or-add scatter as the f64
-    /// session's signed-zero-safe sequence, with gate probabilities
-    /// computed in f32.
-    fn moe_block(&mut self, moe: &crate::moe::MoeLayer) {
-        let total = self.n1.rows();
-        let d = self.n1.cols();
-        let n_exp = moe.experts.len();
-        let nb = self.boffsets.len() - 1;
-        self.n1.matmul_into(&self.weights[moe.gate], &mut self.gate);
-        softmax_rows_inplace_f32(&mut self.gate);
-        if self.assign.len() < n_exp {
-            self.assign.resize_with(n_exp, Vec::new);
-        }
-        for a in &mut self.assign[..n_exp] {
-            a.clear();
-        }
-        for tok in 0..total {
-            let row = self.gate.row(tok);
-            top_k_into_f32(row, moe.top_k, &mut self.order);
-            for &e in &self.order {
-                self.assign[e].push(tok);
-            }
-        }
-        self.block.resize(total, d);
-        self.binit.clear();
-        self.binit.resize(nb, false);
-        for (e, expert) in moe.experts.iter().enumerate() {
-            if self.assign[e].is_empty() {
-                continue;
-            }
-            let idx = &self.assign[e];
-            self.xe.resize(idx.len(), d);
-            for (r, &tok) in idx.iter().enumerate() {
-                self.xe.row_mut(r).copy_from_slice(self.n1.row(tok));
-            }
-            linear_into_f32(&self.xe, &self.weights, &expert.lin1, &mut self.hid);
-            self.hid.map_inplace(|x| x.max(0.0));
-            linear_into_f32(&self.hid, &self.weights, &expert.lin2, &mut self.ye);
-            let idx = &self.assign[e];
-            for (r, &tok) in idx.iter().enumerate() {
-                let w = self.gate[(tok, e)];
-                for x in self.ye.row_mut(r).iter_mut() {
-                    *x *= w;
-                }
-            }
-            let mut w = 0usize;
-            let mut r = 0usize;
-            while r < idx.len() {
-                while self.boffsets[w + 1] <= idx[r] {
-                    w += 1;
-                }
-                let (r0, r1) = (self.boffsets[w], self.boffsets[w + 1]);
-                self.full.resize(r1 - r0, d);
-                let mut rr = r;
-                while rr < idx.len() && idx[rr] < r1 {
-                    self.full
-                        .row_mut(idx[rr] - r0)
-                        .copy_from_slice(self.ye.row(rr));
-                    rr += 1;
-                }
-                if self.binit[w] {
-                    for i in 0..r1 - r0 {
-                        for (o, &v) in self.block.row_mut(r0 + i).iter_mut().zip(self.full.row(i)) {
-                            *o += v;
-                        }
-                    }
-                } else {
-                    for i in 0..r1 - r0 {
-                        self.block.row_mut(r0 + i).copy_from_slice(self.full.row(i));
-                    }
-                    self.binit[w] = true;
-                }
-                r = rr;
-            }
-        }
-        for (w, done) in self.binit.iter().enumerate() {
-            if *done {
-                continue;
-            }
-            for i in self.boffsets[w]..self.boffsets[w + 1] {
-                for (o, &v) in self.block.row_mut(i).iter_mut().zip(self.n1.row(i)) {
-                    *o = v * 0.0;
-                }
-            }
-        }
-    }
-}
-
-/// `out = x · W + b` over the prebaked f32 weight copies.
-fn linear_into_f32(x: &MatrixF32, weights: &[MatrixF32], lin: &Linear, out: &mut MatrixF32) {
-    x.matmul_into(&weights[lin.w], out);
-    out.add_row_broadcast_inplace(&weights[lin.b]);
-}
-
-/// f32 twin of [`slice_block_into`].
-fn slice_block_into_f32(
-    src: &MatrixF32,
-    r0: usize,
-    r1: usize,
-    lo: usize,
-    hi: usize,
-    out: &mut MatrixF32,
-) {
-    out.resize(r1 - r0, hi - lo);
-    for r in r0..r1 {
-        out.row_mut(r - r0).copy_from_slice(&src.row(r)[lo..hi]);
-    }
-}
-
-/// f32 twin of [`add_into`].
-fn add_into_f32(a: &MatrixF32, b: &MatrixF32, out: &mut MatrixF32) {
-    debug_assert_eq!(a.shape(), b.shape());
-    out.resize(a.rows(), a.cols());
-    for ((o, &x), &y) in out
-        .as_mut_slice()
-        .iter_mut()
-        .zip(a.as_slice())
-        .zip(b.as_slice())
-    {
-        *o = x + y;
-    }
-}
-
-/// f32 twin of [`softmax_rows_inplace`].
-fn softmax_rows_inplace_f32(m: &mut MatrixF32) {
-    for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        let mx = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut s = 0.0f32;
-        for x in row.iter_mut() {
-            *x = (*x - mx).exp();
-            s += *x;
-        }
-        for x in row.iter_mut() {
-            *x /= s;
-        }
-    }
-}
-
-/// f32 twin of [`layer_norm_into`] (`eps = 1e-5`, biased variance).
-fn layer_norm_into_f32(src: &MatrixF32, gamma: &MatrixF32, beta: &MatrixF32, out: &mut MatrixF32) {
-    let eps = 1e-5f32;
-    out.resize(src.rows(), src.cols());
-    for r in 0..src.rows() {
-        let row = src.row(r);
-        let d = row.len() as f32;
-        let mean = row.iter().sum::<f32>() / d;
-        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d;
-        let inv = 1.0 / (var + eps).sqrt();
-        for (i, (o, v)) in out.row_mut(r).iter_mut().zip(row).enumerate() {
-            *o = gamma.as_slice()[i] * (*v - mean) * inv + beta.as_slice()[i];
-        }
-    }
-}
-
-/// f32 twin of [`top_k_into`]: same total comparator (descending value,
-/// NaN Equal, ties to the lower index), same insertion sort.
-fn top_k_into_f32(x: &[f32], k: usize, order: &mut Vec<usize>) {
-    order.clear();
-    order.extend(0..x.len());
-    let cmp = |a: usize, b: usize| {
-        x[b].partial_cmp(&x[a])
-            .unwrap_or(Ordering::Equal)
-            .then(a.cmp(&b))
-    };
-    for i in 1..order.len() {
-        let mut j = i;
-        while j > 0 && cmp(order[j - 1], order[j]) == Ordering::Greater {
-            order.swap(j - 1, j);
-            j -= 1;
-        }
-    }
-    order.truncate(k.min(x.len()));
-}
-
-/// Thread-safe pool of [`InferenceSession`]s for scoring call sites that
-/// fan tasks out over rayon workers: a task pops a warm session (or
+/// Thread-safe pool of [`Session`]s of one tier for scoring call sites
+/// that fan tasks out over rayon workers: a task pops a warm session (or
 /// starts a cold one), runs one forward and pushes it back, so the pool
 /// settles at one session per thread that ever scored at the same time
 /// — the pool's width plus its callers — each with scratch for the
 /// largest stack it has seen (the caller bounds that; see
-/// [`InferenceSession::score_windows_batch`]).
+/// [`Session::score_windows_batch`]). Pooled `f32` sessions keep their
+/// baked weights warm across windows; the version check on every forward
+/// makes a stale bake self-heal, so pooling never serves stale weights.
 #[derive(Default)]
-pub struct SessionPool {
-    pool: Mutex<Vec<InferenceSession>>,
+pub struct SessionPool<T: Tier = f64> {
+    pool: Mutex<Vec<Session<T>>>,
 }
+
+/// The `f32` tier's [`SessionPool`].
+pub type SessionPoolF32 = SessionPool<f32>;
 
 /// Upper bound on pooled sessions — more than any sane rayon pool width;
 /// beyond it released sessions are simply dropped.
 const POOL_CAP: usize = 64;
 
-impl SessionPool {
+impl<T: Tier> SessionPool<T> {
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Pop a warm session, or create a cold one if the pool is empty.
-    pub fn acquire(&self) -> InferenceSession {
+    pub fn acquire(&self) -> Session<T> {
         self.pool
             .lock()
             .map(|mut p| p.pop())
@@ -1055,7 +688,7 @@ impl SessionPool {
     }
 
     /// Return a session for reuse.
-    pub fn release(&self, session: InferenceSession) {
+    pub fn release(&self, session: Session<T>) {
         if let Ok(mut p) = self.pool.lock() {
             if p.len() < POOL_CAP {
                 p.push(session);
@@ -1070,15 +703,15 @@ impl SessionPool {
 }
 
 /// Serialized as `Null`: warm sessions are pure caches, rebuilt on demand.
-impl serde::Serialize for SessionPool {
+impl<T: Tier> serde::Serialize for SessionPool<T> {
     fn emit<S: serde::Sink>(&self, sink: &mut S) {
         sink.null()
     }
 }
 
 /// Deserializes from anything (including a missing field) to an empty
-/// pool — sessions re-warm their scratch lazily on first use.
-impl serde::Deserialize for SessionPool {
+/// pool — sessions re-warm their scratch (and re-bake) lazily on first use.
+impl<T: Tier> serde::Deserialize for SessionPool<T> {
     fn read<'de, S: serde::Source<'de>>(src: &mut S) -> Result<Self, serde::Error> {
         src.skip()?;
         Ok(Self::default())
@@ -1087,84 +720,15 @@ impl serde::Deserialize for SessionPool {
 
 /// Cloning a model must not share (or copy) live scratch: a clone starts
 /// with a cold, empty pool.
-impl Clone for SessionPool {
+impl<T: Tier> Clone for SessionPool<T> {
     fn clone(&self) -> Self {
         Self::default()
     }
 }
 
-impl std::fmt::Debug for SessionPool {
+impl<T: Tier> std::fmt::Debug for SessionPool<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "SessionPool({} warm)", self.warm())
-    }
-}
-
-/// Thread-safe pool of [`InferenceSessionF32`]s — the f32 tier's twin of
-/// [`SessionPool`]. Pooled sessions keep their prebaked weight copies
-/// warm across windows; the version check in
-/// [`InferenceSessionF32::forward`] makes a stale bake self-heal, so
-/// pooling never serves stale weights.
-#[derive(Default)]
-pub struct SessionPoolF32 {
-    pool: Mutex<Vec<InferenceSessionF32>>,
-}
-
-impl SessionPoolF32 {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pop a warm session, or create a cold one if the pool is empty.
-    pub fn acquire(&self) -> InferenceSessionF32 {
-        self.pool
-            .lock()
-            .map(|mut p| p.pop())
-            .unwrap_or(None)
-            .unwrap_or_default()
-    }
-
-    /// Return a session for reuse.
-    pub fn release(&self, session: InferenceSessionF32) {
-        if let Ok(mut p) = self.pool.lock() {
-            if p.len() < POOL_CAP {
-                p.push(session);
-            }
-        }
-    }
-
-    /// Sessions currently parked in the pool.
-    pub fn warm(&self) -> usize {
-        self.pool.lock().map(|p| p.len()).unwrap_or(0)
-    }
-}
-
-/// Serialized as `Null`: warm sessions are pure caches, rebuilt on demand.
-impl serde::Serialize for SessionPoolF32 {
-    fn emit<S: serde::Sink>(&self, sink: &mut S) {
-        sink.null()
-    }
-}
-
-/// Deserializes from anything (including a missing field) to an empty
-/// pool — sessions re-bake their weights lazily on first use.
-impl serde::Deserialize for SessionPoolF32 {
-    fn read<'de, S: serde::Source<'de>>(src: &mut S) -> Result<Self, serde::Error> {
-        src.skip()?;
-        Ok(Self::default())
-    }
-}
-
-/// Cloning a model must not share (or copy) live scratch: a clone starts
-/// with a cold, empty pool.
-impl Clone for SessionPoolF32 {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl std::fmt::Debug for SessionPoolF32 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SessionPoolF32({} warm)", self.warm())
     }
 }
 
@@ -1194,8 +758,7 @@ mod tests {
         })
     }
 
-    #[test]
-    fn top_k_into_matches_library() {
+    fn top_k_matches_library<T: Scalar>() {
         let cases: Vec<Vec<f64>> = vec![
             vec![0.2, 0.5, 0.3],
             vec![1.0, 1.0, 1.0, 1.0],
@@ -1205,11 +768,18 @@ mod tests {
         ];
         let mut order = Vec::new();
         for x in cases {
+            let xt: Vec<T> = x.iter().map(|&v| T::from_f64(v)).collect();
             for k in 0..=x.len() + 1 {
-                top_k_into(&x, k, &mut order);
+                top_k_into(&xt, k, &mut order);
                 assert_eq!(order, top_k_indices(&x, k), "x={x:?} k={k}");
             }
         }
+    }
+
+    #[test]
+    fn top_k_into_matches_library() {
+        top_k_matches_library::<f64>();
+        top_k_matches_library::<f32>();
     }
 
     #[test]
@@ -1252,6 +822,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "one error weight per input column")]
+    fn score_windows_batch_refuses_a_short_weights_vector() {
+        // `zip` would silently truncate the sum while still dividing by
+        // the full input width.
+        let mut params = ParamStore::new(5);
+        let model = ReconstructionTransformer::new(&mut params, cfg(BlockKind::Dense));
+        let x = window(6, 4, 0.0);
+        InferenceSession::new().score_window(&params, &model, &x, 0, 6, |r| r as f64, &[1.0; 3]);
     }
 
     #[test]
@@ -1317,31 +898,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn f32_bake_invalidated_by_param_mutation() {
+    /// One body for both tiers: a mutation through the store's only
+    /// mutable path reaches the very next forward — `f64` reads the store
+    /// live, `f32` re-bakes on the version bump — and what it then serves
+    /// is what a cold session computes. Returns the fixture and that
+    /// post-mutation output.
+    fn mutation_reaches_next_forward<T: Tier>() -> (
+        ParamStore,
+        ReconstructionTransformer,
+        Matrix,
+        Matrix,
+        Mat<T>,
+    ) {
         let mut params = ParamStore::new(9);
         let model = ReconstructionTransformer::new(&mut params, cfg(BlockKind::Dense));
         let x = window(6, 4, 0.0);
         let pe = sinusoidal_pe(6, 8, 0);
-        let mut sess = InferenceSessionF32::new();
+        let mut sess = Session::<T>::new();
         let before = sess.forward(&params, &model, &x, &pe).clone();
-        params.get_mut(model.decoder.w).map_inplace(|v| v + 0.25);
-        let after = sess.forward(&params, &model, &x, &pe).clone();
-        assert_ne!(before, after, "f32 session served a stale weight bake");
-    }
-
-    #[test]
-    fn param_mutation_visible_on_next_forward() {
-        let mut params = ParamStore::new(9);
-        let model = ReconstructionTransformer::new(&mut params, cfg(BlockKind::Dense));
-        let x = window(6, 4, 0.0);
-        let pe = sinusoidal_pe(6, 8, 0);
-        let mut sess = InferenceSession::new();
-        let before = sess.forward(&params, &model, &x, &pe).clone();
+        // White box, `f32` only (`baked` stays empty at `f64`): against an
+        // unchanged store version a warm forward serves the bake it has,
+        // so a tampered copy stays tampered.
+        if let Some(w) = sess.baked.get_mut(model.decoder.w) {
+            w.map_inplace(|v| v + T::ONE);
+            let served = sess.forward(&params, &model, &x, &pe);
+            assert_ne!(*served, before, "re-baked against an unchanged store");
+        }
         // Nudge one weight through the only mutation path.
         params.get_mut(model.decoder.w).map_inplace(|v| v + 0.25);
         let after = sess.forward(&params, &model, &x, &pe).clone();
         assert_ne!(before, after, "session ignored a param mutation");
+        let cold = Session::<T>::new()
+            .forward(&params, &model, &x, &pe)
+            .clone();
+        assert_eq!(after, cold, "stale weights survived the mutation");
+        (params, model, x, pe, after)
+    }
+
+    #[test]
+    fn f32_bake_invalidated_by_param_mutation() {
+        mutation_reaches_next_forward::<f32>();
+    }
+
+    #[test]
+    fn param_mutation_visible_on_next_forward() {
+        let (params, model, x, pe, after) = mutation_reaches_next_forward::<f64>();
         let taped = {
             let mut g = Graph::new(&params);
             let xn = g.input(x.clone());

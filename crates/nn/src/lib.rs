@@ -22,10 +22,13 @@
 //!   ablation C5.
 //! * [`lstm`] — LSTM cell and sequence autoencoder (RUAD baseline).
 //! * [`vae`] — variational autoencoder (Prodigy baseline).
-//! * [`infer`] — tape-free inference fast path: [`infer::InferenceSession`]
-//!   reuses preallocated scratch and prepacked (transposed) weights to run
-//!   the transformer forward with zero steady-state heap allocations,
-//!   bit-identical to the taped forward.
+//! * [`infer`] — tape-free inference fast path: one [`infer::Session`],
+//!   generic over the scoring tier's scalar, reuses preallocated scratch
+//!   and multiplies the stored weights in place (no prepacked transposes —
+//!   measured slower) to run the transformer forward with zero steady-state
+//!   heap allocations. [`infer::InferenceSession`] (`f64`) is bit-identical
+//!   to the taped forward; [`infer::InferenceSessionF32`] is the same code
+//!   at `f32` over weights baked once per [`params::ParamStore::version`].
 
 pub mod gradcheck;
 pub mod infer;
@@ -38,7 +41,9 @@ pub mod tape;
 pub mod transformer;
 pub mod vae;
 
-pub use infer::{InferenceSession, InferenceSessionF32, SessionPool, SessionPoolF32, WindowSpec};
+pub use infer::{
+    InferenceSession, InferenceSessionF32, Session, SessionPool, SessionPoolF32, Tier, WindowSpec,
+};
 pub use layers::{
     sinusoidal_pe, sinusoidal_pe_at, FeedForward, LayerNorm, Linear, MultiHeadAttention,
 };

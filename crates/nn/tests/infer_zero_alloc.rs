@@ -1,13 +1,16 @@
 //! Proof of the fast path's zero-allocation claim: a counting global
-//! allocator observes a warm [`InferenceSession`] scoring windows and
-//! must see **zero** allocations during the steady-state forward.
+//! allocator observes a warm [`Session`] of either precision tier scoring
+//! windows and must see **zero** allocations during the steady-state
+//! forward. (That a warm `f32` forward also leaves its weight bake alone
+//! while the store's version stands still is checked where the bake is
+//! visible: `mutation_reaches_next_forward` in `infer.rs`'s unit tests.)
 //!
 //! Lives in its own integration-test binary so the `#[global_allocator]`
 //! swap cannot perturb any other test.
 
 use ns_linalg::matrix::Matrix;
 use ns_nn::{
-    sinusoidal_pe_at, BlockKind, InferenceSession, ParamStore, ReconstructionTransformer,
+    sinusoidal_pe_at, BlockKind, ParamStore, ReconstructionTransformer, Session, Tier,
     TransformerConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -45,6 +48,11 @@ fn allocations(f: impl FnOnce()) -> usize {
 
 #[test]
 fn warm_session_forward_allocates_nothing() {
+    warm_forward_allocates_nothing::<f64>("f64");
+    warm_forward_allocates_nothing::<f32>("f32");
+}
+
+fn warm_forward_allocates_nothing<T: Tier>(tier: &str) {
     // Rows stay below the matmul kernels' parallel threshold (32) so the
     // forward runs on this thread — rayon task spawning would allocate
     // outside the code under test.
@@ -74,8 +82,8 @@ fn warm_session_forward_allocates_nothing() {
         let pe = sinusoidal_pe_at(&positions, 8);
         let weights = vec![1.0; 4];
 
-        let mut sess = InferenceSession::new();
-        // Warm-up: first calls size the scratch and build the prepack.
+        let mut sess = Session::<T>::new();
+        // Warm-up: first calls size the scratch (and bake, at `f32`).
         sess.forward(&params, &model, &x, &pe);
         sess.score_window(&params, &model, &x, 0, t, |r| r as f64, &weights);
 
@@ -87,7 +95,7 @@ fn warm_session_forward_allocates_nothing() {
         });
         assert_eq!(
             n, 0,
-            "warm steady-state forward must not allocate ({block:?})"
+            "warm steady-state {tier} forward must not allocate ({block:?})"
         );
     }
 }
