@@ -307,6 +307,7 @@ fn conn_loop(stream: &mut TcpStream, shared: &Shared, conn_id: i64) -> ConnExit 
     let wm = wire_metrics();
     let mut asm = FrameAssembler::new();
     let mut buf = vec![0u8; 64 * 1024];
+    let mut frames: Vec<Frame> = Vec::new();
     let mut batch: Vec<Tick> = Vec::new();
     loop {
         if shared.stop.load(Ordering::SeqCst) {
@@ -330,19 +331,12 @@ fn conn_loop(stream: &mut TcpStream, shared: &Shared, conn_id: i64) -> ConnExit 
             Err(_) => return ConnExit::Closed,
         };
         wm.rx_bytes.add(n as u64);
-        let frames = match asm.push(&buf[..n]) {
-            Ok(frames) => frames,
-            Err(err) => {
-                wm.errors(err.class()).inc();
-                events::record(EventKind::ProtocolError, err.class(), -1, conn_id, 0, 0);
-                status::note_wire_error();
-                return ConnExit::Fail {
-                    code: error_code::PROTOCOL,
-                    msg: err.to_string(),
-                };
-            }
-        };
-        for frame in frames {
+        // Whole frames are decoded where the read left them. On a hard
+        // error `frames` still holds the valid ones that preceded it in
+        // the stream; they are handled like any others before the
+        // connection is failed.
+        let pushed = asm.push_into(&buf[..n], &mut frames);
+        for frame in frames.drain(..) {
             match frame {
                 Frame::Tick(t) => {
                     wm.frames_tick.inc();
@@ -436,6 +430,15 @@ fn conn_loop(stream: &mut TcpStream, shared: &Shared, conn_id: i64) -> ConnExit 
         if let Err(e) = flush_batch(shared, &mut batch) {
             return e;
         }
+        if let Err(err) = pushed {
+            wm.errors(err.class()).inc();
+            events::record(EventKind::ProtocolError, err.class(), -1, conn_id, 0, 0);
+            status::note_wire_error();
+            return ConnExit::Fail {
+                code: error_code::PROTOCOL,
+                msg: err.to_string(),
+            };
+        }
     }
 }
 
@@ -470,7 +473,7 @@ fn stream_verdicts(stream: &mut TcpStream, run: &FinishedRun) -> Result<(), Wire
     let verdict_counter = wm.frames("verdict");
     let mut chunk: Vec<u8> = Vec::with_capacity(64 * 1024);
     for msg in &run.verdict_msgs {
-        chunk.extend_from_slice(&ns_wire::encode_frame(&Frame::Verdict(*msg)));
+        ns_wire::encode_frame_into(&Frame::Verdict(*msg), &mut chunk);
         verdict_counter.inc();
         if chunk.len() >= 48 * 1024 {
             wm.tx_bytes.add(chunk.len() as u64);
@@ -478,7 +481,7 @@ fn stream_verdicts(stream: &mut TcpStream, run: &FinishedRun) -> Result<(), Wire
             chunk.clear();
         }
     }
-    chunk.extend_from_slice(&ns_wire::encode_frame(&Frame::Report(run.report_msg)));
+    ns_wire::encode_frame_into(&Frame::Report(run.report_msg), &mut chunk);
     wm.frames("report").inc();
     wm.tx_bytes.add(chunk.len() as u64);
     stream.write_all(&chunk)?;

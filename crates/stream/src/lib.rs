@@ -452,7 +452,9 @@ impl StreamingPreprocessor {
     /// Rebuild from a fitted [`Preprocessor`] plus captured state;
     /// continues bit-identically to the original instance. Refuses
     /// state whose shape disagrees with the preprocessor (a snapshot
-    /// from a different model).
+    /// from a different model) and state whose row cursors disagree
+    /// with each other, which the next [`push`](Self::push) would
+    /// otherwise meet as an out-of-range buffer index.
     pub fn restore(pre: &Preprocessor, s: &PreSnap) -> Result<Self, SnapshotError> {
         let mut sp = StreamingPreprocessor::new(pre);
         let width = sp.groups.len();
@@ -464,6 +466,20 @@ impl StreamingPreprocessor {
         {
             return Err(SnapshotError::Decode(
                 "preprocessor state shape mismatch".into(),
+            ));
+        }
+        // `buf` is rows `[base, n_pushed)`, rows before `base` are the
+        // emitted ones, and gap filling writes back to the row after a
+        // column's last observation — which must still be buffered.
+        let cursors_agree = s.resolved == s.base
+            && s.base.checked_add(s.buf.len()) == Some(s.n_pushed)
+            && s.last_obs.iter().all(|lo| match *lo {
+                Some(l) => l < s.n_pushed && l + 1 >= s.base,
+                None => s.base == 0,
+            });
+        if !cursors_agree {
+            return Err(SnapshotError::Decode(
+                "preprocessor state cursors disagree".into(),
             ));
         }
         sp.buf = s.buf.iter().cloned().collect();
@@ -2352,6 +2368,52 @@ mod tests {
         // Flushing twice is also fine.
         assert!(sp.flush().is_empty());
         assert_eq!(sp.width(), 2);
+    }
+
+    #[test]
+    fn restore_rejects_state_whose_cursors_disagree() {
+        let groups = vec![0usize, 1];
+        let fit = Matrix::from_fn(50, 2, |r, c| (r + c) as f64 * 0.1);
+        let pp = Preprocessor::fit(&fit, &groups, 0.9999, 0.05);
+        let mut sp = StreamingPreprocessor::new(&pp);
+        sp.push(&[1.0, 1.0]);
+        sp.push(&[f64::NAN, 2.0]);
+        sp.push(&[f64::NAN, 3.0]);
+        // A live state (an open gap, two rows buffered) restores and
+        // carries on exactly like the original.
+        let good = sp.state();
+        assert_eq!((good.base, good.n_pushed, good.buf.len()), (1, 3, 2));
+        let mut back = StreamingPreprocessor::restore(&pp, &good).expect("consistent state");
+        assert_eq!(back.push(&[4.0, 4.0]).len(), sp.push(&[4.0, 4.0]).len());
+
+        let rejected = |what: &str, bend: &dyn Fn(&mut PreSnap)| {
+            let mut bad = good.clone();
+            bend(&mut bad);
+            match StreamingPreprocessor::restore(&pp, &bad) {
+                Err(SnapshotError::Decode(_)) => {}
+                Err(other) => panic!("{what}: wrong error {other:?}"),
+                // The panic this check exists to prevent: the next push
+                // closing column 0's gap would index `buf[k - base]`
+                // below the buffer.
+                Ok(_) => panic!("{what}: restored"),
+            }
+        };
+        // The issue's case: everything emitted, nothing buffered, yet a
+        // column's last observation lies rows behind.
+        rejected("stale last_obs behind an empty buffer", &|s| {
+            s.base = 5;
+            s.resolved = 5;
+            s.n_pushed = 5;
+            s.buf.clear();
+            s.nan_flags.clear();
+            s.last_obs[0] = Some(1);
+        });
+        rejected("resolved != base", &|s| s.resolved += 1);
+        rejected("buffer shorter than base..n_pushed", &|s| s.n_pushed += 1);
+        rejected("last_obs at or past n_pushed", &|s| s.last_obs[1] = Some(3));
+        rejected("never-observed column with rows emitted", &|s| {
+            s.last_obs[0] = None
+        });
     }
 
     #[test]

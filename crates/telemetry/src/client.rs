@@ -4,8 +4,8 @@
 //! This is the collector side of the deployment story — what runs on (or
 //! next to) each monitored node, feeding samples to the central
 //! detector. It stays deliberately dumb: one blocking TCP stream, one
-//! frame at a time, no retry queue. Backpressure is the kernel's — when
-//! the server stops reading (its engine queues are full), `send_tick`
+//! write per cycle, no retry queue. Backpressure is the kernel's — when
+//! the server stops reading (its engine queues are full), `send_cycle`
 //! blocks in `write`.
 //!
 //! The client doubles as the socket-fault rig: constructed
@@ -19,8 +19,8 @@
 use crate::faults::{SocketFaultAction, SocketFaultCounters, SocketFaultInjector, SocketFaultPlan};
 use nodesentry_core::Tick;
 use ns_wire::{
-    encode_frame, error_code, Frame, FrameAssembler, ReportMsg, Role, ScoringPrecision, VerdictMsg,
-    WireError,
+    encode_frame, encode_ticks_into, error_code, tick_frame_len, Frame, FrameAssembler, ReportMsg,
+    Role, ScoringPrecision, VerdictMsg, WireError,
 };
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -31,6 +31,12 @@ use std::time::{Duration, Instant};
 /// the server before giving up. Finalizing scores every open segment, so
 /// this is generous; it exists to fail tests instead of hanging them.
 const RESPONSE_DEADLINE: Duration = Duration::from_secs(600);
+
+/// Encoded bytes past which a run of clean ticks is written out before
+/// the cycle ends: room for a whole 16-node × 564-metric cycle (71 KiB)
+/// in one `write`, while a caller handing over thousands of ticks at
+/// once pins this much, not the whole batch.
+const FLUSH_BOUND: usize = 256 * 1024;
 
 /// Blocking wire client for one ingest connection.
 pub struct IngestClient {
@@ -43,11 +49,15 @@ pub struct IngestClient {
     faults: Option<SocketFaultInjector>,
     /// Which socket faults this session actually exercised.
     pub fault_counters: SocketFaultCounters,
+    /// Encoded tick frames on their way to the socket; reused by every
+    /// write.
+    out: Vec<u8>,
     /// Last tick frame confirmed ingested (via ping) — the bytes a
-    /// duplicate connection re-sends.
-    last_synced_tick: Option<Vec<u8>>,
-    /// Most recent tick frame sent but not yet covered by a ping.
-    last_sent_tick: Option<Vec<u8>>,
+    /// duplicate connection re-sends. Empty until a tick was synced.
+    last_synced_tick: Vec<u8>,
+    /// Most recent tick frame sent but not yet covered by a ping; empty
+    /// when there is none.
+    last_sent_tick: Vec<u8>,
     next_token: u64,
 }
 
@@ -84,8 +94,9 @@ impl IngestClient {
             pending: VecDeque::new(),
             faults,
             fault_counters: SocketFaultCounters::default(),
-            last_synced_tick: None,
-            last_sent_tick: None,
+            out: Vec::new(),
+            last_synced_tick: Vec::new(),
+            last_sent_tick: Vec::new(),
             next_token: 1,
         })
     }
@@ -108,13 +119,63 @@ impl IngestClient {
 
     /// Send one tick, applying the next scheduled socket fault (if any).
     pub fn send_tick(&mut self, tick: &Tick) -> Result<(), WireError> {
-        let bytes = encode_frame(&Frame::Tick(tick.clone()));
-        let action = match self.faults.as_mut() {
-            Some(inj) => inj.next_action(),
-            None => SocketFaultAction::Clean,
+        self.send_cycle(std::slice::from_ref(tick))
+    }
+
+    /// Send one replay cycle (or any batch). Every tick draws its
+    /// scheduled socket fault in order; a run of clean ticks is encoded
+    /// into one buffer and leaves in one `write` (or several, for a
+    /// batch past the 256 KiB flush bound), while a faulted tick first
+    /// lets the run before it out and then has its own frame perturbed.
+    /// Nothing stays buffered when this returns.
+    pub fn send_cycle(&mut self, ticks: &[Tick]) -> Result<(), WireError> {
+        // First tick of the clean run not yet written, and that run's
+        // encoded size so far.
+        let mut start = 0;
+        let mut run_bytes = 0;
+        for (i, tick) in ticks.iter().enumerate() {
+            let action = match self.faults.as_mut() {
+                Some(inj) => inj.next_action(),
+                None => SocketFaultAction::Clean,
+            };
+            if action == SocketFaultAction::Clean {
+                run_bytes += tick_frame_len(tick);
+                if run_bytes < FLUSH_BOUND {
+                    continue;
+                }
+                self.write_ticks(&ticks[start..=i])?;
+            } else {
+                self.write_ticks(&ticks[start..i])?;
+                self.send_faulted(tick, action)?;
+            }
+            start = i + 1;
+            run_bytes = 0;
+        }
+        self.write_ticks(&ticks[start..])
+    }
+
+    /// Encode `ticks` into the reused buffer, write it once, and keep a
+    /// copy of the last frame for a later duplicate connection.
+    fn write_ticks(&mut self, ticks: &[Tick]) -> Result<(), WireError> {
+        let Some(last) = ticks.last() else {
+            return Ok(());
         };
+        self.out.clear();
+        encode_ticks_into(ticks, &mut self.out);
+        self.stream.write_all(&self.out)?;
+        self.last_sent_tick.clear();
+        self.last_sent_tick
+            .extend_from_slice(&self.out[self.out.len() - tick_frame_len(last)..]);
+        Ok(())
+    }
+
+    /// Deliver one tick's frame through a non-clean socket fault.
+    fn send_faulted(&mut self, tick: &Tick, action: SocketFaultAction) -> Result<(), WireError> {
+        let mut bytes = std::mem::take(&mut self.out);
+        bytes.clear();
+        encode_ticks_into(std::slice::from_ref(tick), &mut bytes);
         match action {
-            SocketFaultAction::Clean => self.stream.write_all(&bytes)?,
+            SocketFaultAction::Clean => unreachable!("clean ticks leave through write_ticks"),
             SocketFaultAction::PartialWrite { chunks } => {
                 self.fault_counters.partial_writes += 1;
                 let step = bytes.len().div_ceil(chunks.max(1));
@@ -158,14 +219,16 @@ impl IngestClient {
                 // connection: the ping proves the engine consumed it, so
                 // the copy must be rejected as a duplicate.
                 self.ping()?;
-                if let Some(dup) = self.last_synced_tick.clone() {
+                if !self.last_synced_tick.is_empty() {
                     let mut second = connect(&self.addr)?;
-                    second.write_all(&dup)?;
+                    second.write_all(&self.last_synced_tick)?;
                     second.flush()?;
                 }
             }
         }
-        self.last_sent_tick = Some(bytes);
+        self.last_sent_tick.clear();
+        self.last_sent_tick.extend_from_slice(&bytes);
+        self.out = bytes;
         Ok(())
     }
 
@@ -182,14 +245,6 @@ impl IngestClient {
         }))?;
         self.stream.flush()?;
         self.ping().map(|_| ())
-    }
-
-    /// Send one replay cycle (or any batch) tick by tick.
-    pub fn send_cycle(&mut self, ticks: &[Tick]) -> Result<(), WireError> {
-        for t in ticks {
-            self.send_tick(t)?;
-        }
-        Ok(())
     }
 
     /// Round-trip a ping. The pong confirms every frame sent before it
@@ -218,7 +273,10 @@ impl IngestClient {
             }
         }
         let rtt = t0.elapsed();
-        self.last_synced_tick = self.last_sent_tick.take().or(self.last_synced_tick.take());
+        if !self.last_sent_tick.is_empty() {
+            std::mem::swap(&mut self.last_synced_tick, &mut self.last_sent_tick);
+            self.last_sent_tick.clear();
+        }
         Ok(rtt)
     }
 
