@@ -19,8 +19,8 @@
 //! Results land in `target/experiments/faults.json`.
 
 use nodesentry_core::{NodeSentry, NodeSentryConfig};
-use ns_bench::{transitions_of, write_bench_json, write_json, DatasetSource};
-use ns_eval::metrics::{adjusted_confusion, aggregate, interval_mask, NodeScores};
+use ns_bench::{evaluate_flags, transitions_of, write_bench_json, write_json, DatasetSource};
+use ns_eval::metrics::interval_mask;
 use ns_stream::{Engine, EngineConfig, Tick};
 use ns_telemetry::{DatasetProfile, FaultInjector, FaultPlan, FaultPlanSpec, ALL_FAULTS};
 use serde_json::json;
@@ -60,37 +60,24 @@ fn run_cell(
     }
     let report = engine.finish();
     let span = ds.horizon() - ds.split;
-    let mut overall = Vec::new();
-    let mut outside = Vec::new();
-    for (n, node_dirty) in dirty.iter().enumerate() {
-        // Missing verdicts (dropped ticks, blackouts) read as "not
-        // flagged" — the operator-visible default.
-        let mut pred = vec![false; span];
-        for v in report.verdicts.iter().filter(|v| v.node == n) {
-            pred[v.step - ds.split] = v.anomalous;
-        }
-        let truth_full = ds.labels(n);
-        let truth = &truth_full[ds.split..];
-        let c = adjusted_confusion(&pred, truth, None);
-        overall.push(NodeScores {
-            precision: c.precision(),
-            recall: c.recall(),
-            auc: 0.0,
-        });
-        let local: Vec<(usize, usize)> = node_dirty
-            .iter()
-            .map(|&(s, e)| (s.saturating_sub(ds.split), e.saturating_sub(ds.split)))
-            .collect();
-        let mask = interval_mask(span, &local);
-        let c = adjusted_confusion(&pred, truth, Some(&mask));
-        outside.push(NodeScores {
-            precision: c.precision(),
-            recall: c.recall(),
-            auc: 0.0,
-        });
+    // Missing verdicts (dropped ticks, blackouts) read as "not flagged" —
+    // the operator-visible default.
+    let mut flags = vec![vec![false; span]; ds.n_nodes()];
+    for v in &report.verdicts {
+        flags[v.node][v.step - ds.split] = v.anomalous;
     }
-    let all = aggregate(&overall);
-    let out = aggregate(&outside);
+    let outside_masks: Vec<Vec<bool>> = dirty
+        .iter()
+        .map(|node_dirty| {
+            let local: Vec<(usize, usize)> = node_dirty
+                .iter()
+                .map(|&(s, e)| (s.saturating_sub(ds.split), e.saturating_sub(ds.split)))
+                .collect();
+            interval_mask(span, &local)
+        })
+        .collect();
+    let all = evaluate_flags(ds, &flags, None, |_, _| 0.0);
+    let out = evaluate_flags(ds, &flags, Some(&outside_masks), |_, _| 0.0);
     (
         Cell {
             precision: all.precision,

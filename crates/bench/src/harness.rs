@@ -66,47 +66,74 @@ pub struct MethodResult {
     pub online_s_per_node: f64,
 }
 
+/// The shared tail of the evaluation protocol, over per-node test-window
+/// flag vectors: point-adjusted confusion per node (restricted to
+/// `per_node_masks[n]` when given), averaged over *affected* nodes only.
+/// A node with no labelled anomaly in the test span has nothing to
+/// recall and reads `precision() = recall() = 0.0` by the 0/0
+/// convention whatever it flagged, so it is left out of the average
+/// rather than counted as a zero. `auc(n, truth)` supplies an affected
+/// node's AUC where scores exist; callers that only have verdict flags
+/// pass `|_, _| 0.0`.
+pub fn evaluate_flags(
+    ds: &Dataset,
+    per_node_flags: &[Vec<bool>],
+    per_node_masks: Option<&[Vec<bool>]>,
+    auc: impl Fn(usize, &[bool]) -> f64,
+) -> AggregateScores {
+    let nodes: Vec<NodeScores> = per_node_flags
+        .iter()
+        .enumerate()
+        .filter_map(|(n, pred)| {
+            let truth_full = ds.labels(n);
+            let truth = &truth_full[ds.split..];
+            if !truth.iter().any(|&b| b) {
+                return None;
+            }
+            let mask = per_node_masks.map(|m| m[n].as_slice());
+            let c = adjusted_confusion(pred, truth, mask);
+            Some(NodeScores {
+                precision: c.precision(),
+                recall: c.recall(),
+                auc: auc(n, truth),
+            })
+        })
+        .collect();
+    aggregate(&nodes)
+}
+
 /// Evaluate per-node score series against the dataset's ground truth
 /// with the paper's protocol: k-sigma thresholding, point adjustment,
-/// transition-boundary exclusion, per-node averaging.
+/// transition-boundary exclusion, per-node averaging ([`evaluate_flags`]).
 pub fn evaluate_scores(
     ds: &Dataset,
     per_node_scores: &[Vec<f64>],
     threshold: &ns_eval::threshold::KSigmaConfig,
 ) -> AggregateScores {
     let split = ds.split;
-    let nodes: Vec<NodeScores> = per_node_scores
+    let smoothed: Vec<Vec<f64>> = per_node_scores
+        .iter()
+        .map(|raw_scores| smooth_scores(raw_scores, SMOOTH_WINDOW))
+        .collect();
+    let flags: Vec<Vec<bool>> = smoothed
+        .iter()
+        .map(|scores| ksigma_detect(scores, threshold))
+        .collect();
+    let masks: Vec<Vec<bool>> = smoothed
         .iter()
         .enumerate()
-        .filter(|(n, _)| {
-            // Nodes that saw no anomaly contribute nothing to recall and
-            // would read as F1 = 0; average over affected nodes only
-            // (their false positives still show up in Table 4's
-            // deployment-precision row via the affected nodes' windows).
-            ds.labels(*n)[ds.split..].iter().any(|&b| b)
-        })
-        .map(|(n, raw_scores)| {
-            let scores = smooth_scores(raw_scores, SMOOTH_WINDOW);
-            let scores = &scores;
-            let truth_full = ds.labels(n);
-            let truth = &truth_full[split..];
-            let pred = ksigma_detect(scores, threshold);
+        .map(|(n, scores)| {
             let transitions: Vec<usize> = transitions_of(ds, n)
                 .into_iter()
                 .filter(|&t| t >= split)
                 .map(|t| t - split)
                 .collect();
-            let mask = transition_mask(scores.len(), &transitions, BOUNDARY_RADIUS);
-            let c = adjusted_confusion(&pred, truth, Some(&mask));
-            let auc = roc_auc_adjusted(scores, truth, Some(&mask));
-            NodeScores {
-                precision: c.precision(),
-                recall: c.recall(),
-                auc,
-            }
+            transition_mask(scores.len(), &transitions, BOUNDARY_RADIUS)
         })
         .collect();
-    aggregate(&nodes)
+    evaluate_flags(ds, &flags, Some(&masks), |n, truth| {
+        roc_auc_adjusted(&smoothed[n], truth, Some(&masks[n]))
+    })
 }
 
 /// Train + evaluate NodeSentry (or a variant) on a dataset.

@@ -260,17 +260,6 @@ impl GaussianMixture {
         }
     }
 
-    /// Log-likelihood of a single point under the mixture.
-    pub fn score_sample(&self, x: &[f64]) -> f64 {
-        let logs: Vec<f64> = self
-            .components
-            .iter()
-            .map(|c| c.weight.max(1e-300).ln() + c.log_pdf(x, self.covariance))
-            .collect();
-        let m = logs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        m + logs.iter().map(|&l| (l - m).exp()).sum::<f64>().ln()
-    }
-
     /// Most likely component index for a point.
     pub fn predict(&self, x: &[f64]) -> usize {
         let logs: Vec<f64> = self

@@ -2,10 +2,9 @@
 //!
 //! The paper's coarse-grained stage needs Hierarchical Agglomerative
 //! Clustering with automatic cluster-count selection via the silhouette
-//! coefficient (§3.3); the baselines need Gaussian mixtures (ISC'20) and
-//! DBSCAN (DeepHYDRA-style pipelines); the Challenge-1 cost argument needs
-//! DTW; utilities need k-means and PCA. This crate provides all of them,
-//! implemented from scratch over `ns-linalg`:
+//! coefficient (§3.3); the baselines need Gaussian mixtures (ISC'20); the
+//! Challenge-1 cost argument needs DTW; utilities need k-means. This
+//! crate provides all of them, implemented from scratch over `ns-linalg`:
 //!
 //! * [`hac`] — NN-chain HAC with single/complete/average/Ward linkage and
 //!   dendrogram cuts,
@@ -13,16 +12,12 @@
 //! * [`kmeans`] — k-means++,
 //! * [`gmm`] — EM-fitted (Bayesian-optional) Gaussian mixtures with
 //!   Mahalanobis scoring,
-//! * [`dbscan`] — density clustering,
-//! * [`dtw`] — (banded) dynamic time warping, uni- and multivariate,
-//! * [`pca`] — power-iteration PCA.
+//! * [`dtw`] — (banded) dynamic time warping, uni- and multivariate.
 
-pub mod dbscan;
 pub mod dtw;
 pub mod gmm;
 pub mod hac;
 pub mod kmeans;
-pub mod pca;
 pub mod silhouette;
 
 pub use hac::{linkage, linkage_from_distance, Dendrogram, Linkage, Merge};

@@ -46,16 +46,6 @@ impl StreamingSmoother {
         }
     }
 
-    /// Number of raw scores consumed so far.
-    pub fn len_pushed(&self) -> usize {
-        self.n_pushed
-    }
-
-    /// Index of the next smoothed value that will be emitted.
-    pub fn next_output_index(&self) -> usize {
-        self.next_out
-    }
-
     /// Ingest one raw score; returns the smoothed values (in order) whose
     /// windows are now complete — at most one per push in steady state.
     pub fn push(&mut self, score: f64) -> Vec<f64> {

@@ -707,11 +707,6 @@ impl FeatureCatalog {
         }
     }
 
-    /// Build from an explicit kind list.
-    pub fn from_kinds(kinds: Vec<FeatureKind>) -> Self {
-        Self { kinds }
-    }
-
     /// Number of features per univariate series.
     pub fn len(&self) -> usize {
         self.kinds.len()

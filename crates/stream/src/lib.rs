@@ -603,7 +603,7 @@ impl StreamStats {
         self.n_points += other.n_points;
     }
 
-    /// Seconds per pattern-matching cycle (paper Table 5's match cost).
+    /// Seconds per pattern-matching cycle (the paper's §5.1 match cost, 5.11 s).
     pub fn match_s_per_cycle(&self) -> f64 {
         self.match_seconds / (self.n_matches.max(1) as f64)
     }
@@ -1839,15 +1839,6 @@ impl Engine {
     /// the ingest server checks announced Hello precisions against it.
     pub fn scoring_precision(&self) -> ScoringPrecision {
         self.cfg.scoring_precision
-    }
-
-    /// Convenience for single-tick ingestion.
-    pub fn ingest_tick(&self, tick: Tick) -> Result<(), EngineError> {
-        let t0 = Instant::now();
-        let shard = tick.node % self.n_shards;
-        self.send_to(shard, vec![tick])?;
-        self.ingest_hist.observe(t0.elapsed().as_secs_f64());
-        Ok(())
     }
 
     /// Send one batch to a shard, keeping its queue-depth gauge honest:

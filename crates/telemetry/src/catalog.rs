@@ -495,9 +495,8 @@ impl MetricCatalog {
     /// to the same rows of [`expand`](Self::expand) over the full
     /// timeline. Cumulative counter metrics replay their prefix sum over
     /// `[0, start)` in the same order as the full expansion, so chunked
-    /// generation (the streaming tick replay, checkpoint-tail resume)
-    /// reproduces the exact batch values without ever materialising the
-    /// whole `T × M` matrix.
+    /// generation reproduces the exact batch values without ever
+    /// materialising the whole `T × M` matrix.
     pub fn expand_range(
         &self,
         latent: &[SignalFrame],
@@ -569,14 +568,6 @@ impl MetricCatalog {
     /// Group ids per raw metric, for the semantic-aggregation step.
     pub fn group_ids(&self) -> Vec<usize> {
         self.metrics.iter().map(|m| m.group).collect()
-    }
-
-    /// The latent signal each group projects (useful for diagnostics).
-    pub fn group_signal(&self, group: usize) -> Option<usize> {
-        self.metrics
-            .iter()
-            .find(|m| m.group == group)
-            .map(|m| m.signal)
     }
 }
 

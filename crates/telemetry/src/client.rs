@@ -101,11 +101,6 @@ impl IngestClient {
         })
     }
 
-    /// The server address this client is (re)connecting to.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Sync in-flight frames, close cleanly, and open a fresh
     /// connection. Safe mid-stream: the ping guarantees everything sent
     /// so far is already in the engine before the socket drops.

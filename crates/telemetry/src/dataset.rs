@@ -171,16 +171,6 @@ impl Dataset {
         self.schedule.horizon
     }
 
-    /// Training step range `[0, split)`.
-    pub fn train_range(&self) -> std::ops::Range<usize> {
-        0..self.split
-    }
-
-    /// Test step range `[split, horizon)`.
-    pub fn test_range(&self) -> std::ops::Range<usize> {
-        self.split..self.horizon()
-    }
-
     /// Raw `T × M` metric matrix for a node, with collection losses
     /// punched in as NaN at `missing_rate` (cleaned by preprocessing).
     pub fn raw_node(&self, node: usize) -> Matrix {
@@ -190,9 +180,7 @@ impl Dataset {
     /// Rows `[start, end)` of [`raw_node`](Self::raw_node), bit-identical
     /// to the corresponding slice of the full matrix. The NaN punch is a
     /// pure per-cell hash of the *global* step index, so chunked
-    /// generation reproduces the exact collection losses. This is what
-    /// lets the streaming replay drive thousand-node deployments without
-    /// ever holding a full raw matrix per node.
+    /// generation reproduces the exact collection losses.
     pub fn raw_rows(&self, node: usize, start: usize, end: usize) -> Matrix {
         let mut m = self.catalog.expand_range(
             &self.latent[node],

@@ -25,7 +25,6 @@ pub mod catalog;
 pub mod client;
 pub mod dataset;
 pub mod faults;
-pub mod replay;
 pub mod schedule;
 pub mod signals;
 pub mod simulator;
@@ -39,6 +38,5 @@ pub use faults::{
     FaultEvent, FaultInjector, FaultKind, FaultOutcome, FaultPlan, FaultPlanSpec,
     SocketFaultAction, SocketFaultCounters, SocketFaultInjector, SocketFaultPlan, ALL_FAULTS,
 };
-pub use replay::TickReplay;
 pub use schedule::{JobRecord, NodeSegment, Schedule, ScheduleConfig};
 pub use signals::{Signal, SignalFrame, NUM_SIGNALS};
