@@ -406,8 +406,10 @@ impl NodeSentry {
     /// hashed as they are emitted: a tag byte per value, floats by
     /// `f64::to_bits`, integers as little-endian bytes, length-prefixed
     /// strings and keys, array and object counts (the tagging of the
-    /// engine snapshot codec). Being derived from `Serialize`, a field
-    /// added to any component is hashed without this function changing,
+    /// engine snapshot codec, minus its packed float arrays: the hasher
+    /// leaves `Sink::f64s` at its default, so a `Vec<f64>` is hashed
+    /// value by value as it always was). Being derived from `Serialize`,
+    /// a field added to any component is hashed without this function changing,
     /// and a field added to `NodeSentry` itself fails to compile here
     /// until it is placed. Floats are hashed by bit pattern, so `-0.0` and
     /// `+0.0` differ and one flipped mantissa bit changes the digest.

@@ -455,7 +455,7 @@ impl StreamingPreprocessor {
     /// from a different model) and state whose row cursors disagree
     /// with each other, which the next [`push`](Self::push) would
     /// otherwise meet as an out-of-range buffer index.
-    pub fn restore(pre: &Preprocessor, s: &PreSnap) -> Result<Self, SnapshotError> {
+    pub fn restore(pre: &Preprocessor, s: PreSnap) -> Result<Self, SnapshotError> {
         let mut sp = StreamingPreprocessor::new(pre);
         let width = sp.groups.len();
         if s.last_obs.len() != width
@@ -482,14 +482,14 @@ impl StreamingPreprocessor {
                 "preprocessor state cursors disagree".into(),
             ));
         }
-        sp.buf = s.buf.iter().cloned().collect();
-        sp.nan_flags = s.nan_flags.iter().copied().collect();
+        sp.buf = s.buf.into();
+        sp.nan_flags = s.nan_flags.into();
         sp.base = s.base;
         sp.n_pushed = s.n_pushed;
         sp.resolved = s.resolved;
-        sp.last_obs = s.last_obs.clone();
-        sp.last_val = s.last_val.clone();
-        sp.rate_prev = s.rate_prev.clone();
+        sp.last_obs = s.last_obs;
+        sp.last_val = s.last_val;
+        sp.rate_prev = s.rate_prev;
         sp.any_row = s.any_row;
         Ok(sp)
     }
@@ -1287,13 +1287,14 @@ impl NodeState {
         }
     }
 
-    /// Rebuild a node from its snapshot; the restored state continues
-    /// bit-identically to the original. Shape-validated against the
-    /// model so a mismatched snapshot errors instead of panicking later.
+    /// Rebuild a node from its snapshot, taking over its buffers; the
+    /// restored state continues bit-identically to the original.
+    /// Shape-validated against the model so a mismatched snapshot errors
+    /// instead of panicking later.
     fn restore(
         model: Arc<NodeSentry>,
         cfg: &EngineConfig,
-        s: &NodeSnap,
+        s: NodeSnap,
     ) -> Result<Self, SnapshotError> {
         let mut st = NodeState::new(model, s.node, cfg);
         if s.prev_raw.len() != st.width || s.runs.len() != st.width {
@@ -1308,15 +1309,15 @@ impl NodeState {
         }
         st.next_step = s.next_step;
         st.next_row = s.next_row;
-        st.pre = StreamingPreprocessor::restore(&st.model.preprocessor, &s.pre)?;
-        st.cuts = s.cuts.iter().copied().collect();
+        st.pre = StreamingPreprocessor::restore(&st.model.preprocessor, s.pre)?;
+        st.cuts = s.cuts.into();
         st.seg_start = s.seg_start;
-        st.seg_rows = s.seg_rows.clone();
+        st.seg_rows = s.seg_rows;
         st.seg_row_kinds = kinds_from_ordinals(&s.seg_row_kinds)?;
         st.matched = s.matched;
         st.jobs = s
             .jobs
-            .iter()
+            .into_iter()
             .map(|j| -> Result<SegmentJob, SnapshotError> {
                 let kinds = kinds_from_ordinals(&j.kinds)?;
                 if kinds.len() != j.rows.len() {
@@ -1326,7 +1327,7 @@ impl NodeState {
                 }
                 Ok(SegmentJob {
                     start: j.start,
-                    rows: j.rows.clone(),
+                    rows: j.rows,
                     kinds,
                     matched: j.matched,
                     degraded: j.degraded,
@@ -1347,11 +1348,11 @@ impl NodeState {
                 degraded: p.degraded,
             })
             .collect();
-        st.ahead = s.ahead.iter().map(|t| (t.step, t.clone())).collect();
+        st.ahead = s.ahead.into_iter().map(|t| (t.step, t)).collect();
         st.row_kinds = kinds_from_ordinals(&s.row_kinds)?.into();
         st.resync_degraded = s.resync_degraded;
-        st.prev_raw = s.prev_raw.clone();
-        st.runs = s.runs.clone();
+        st.prev_raw = s.prev_raw;
+        st.runs = s.runs;
         st.stats = s.stats;
         st.faults = s.faults;
         Ok(st)
@@ -1462,7 +1463,9 @@ enum ShardMsg {
 /// One engine checkpoint: the serialized state plus the verdicts the cut
 /// finalized.
 pub struct EngineCheckpoint {
-    /// Decoded snapshot (already validated — it was just built).
+    /// The captured state that [`bytes`](Self::bytes) encodes. It never
+    /// went through a decoder — it is the capture itself, which is why
+    /// [`Engine::restore`] can take it as it is.
     pub snapshot: EngineSnapshot,
     /// The snapshot's wire encoding ([`EngineSnapshot::to_bytes`]),
     /// produced here so callers persist exactly what was measured.
@@ -1617,24 +1620,64 @@ impl Engine {
     /// agree on the bit-critical config fields (`split`,
     /// `smooth_window`); `cfg.n_shards` is free — node states are
     /// re-routed by `node % n_shards`, which is how live resharding and
-    /// shard rebalancing work.
+    /// shard rebalancing work. The node states take over their buffers
+    /// from one clone of `snap`; [`Engine::restore_bytes`] hands over the
+    /// decoded ones and copies nothing.
     pub fn restore(
         model: Arc<NodeSentry>,
         cfg: EngineConfig,
         snap: &EngineSnapshot,
     ) -> Result<Self, EngineError> {
-        Self::restore_since(Instant::now(), model, cfg, snap)
+        Self::restore_noted(Self::restore_since(
+            Instant::now(),
+            model,
+            cfg,
+            snap.clone(),
+        ))
     }
 
-    /// [`Engine::restore`] with the `ns_stream_restore_seconds` clock
-    /// started by the caller, so a restore from bytes is timed from
-    /// before its decode. Observes the histogram exactly once per
-    /// successful restore.
+    /// [`Engine::restore`] straight from wire bytes.
+    pub fn restore_bytes(
+        model: Arc<NodeSentry>,
+        cfg: EngineConfig,
+        bytes: &[u8],
+    ) -> Result<Self, EngineError> {
+        let t0 = Instant::now();
+        Self::restore_noted(
+            EngineSnapshot::from_bytes(bytes)
+                .map_err(EngineError::from)
+                .and_then(|snap| Self::restore_since(t0, model, cfg, snap)),
+        )
+    }
+
+    /// A refused restore — undecodable bytes, another model, another
+    /// config — leaves what a failed checkpoint leaves: a `"failed"`
+    /// event, a `/statusz` count and, while armed, an incident.
+    fn restore_noted(res: Result<Self, EngineError>) -> Result<Self, EngineError> {
+        if let Err(e) = &res {
+            status::engine_status()
+                .restore_failures
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            events::record(EventKind::Restore, "failed", -1, -1, 0, 0);
+            if ns_obs::incident::is_armed() {
+                ns_obs::incident::capture(
+                    "restore_failure",
+                    &format!("engine restore failed: {e}"),
+                );
+            }
+        }
+        res
+    }
+
+    /// [`Engine::restore`] of an owned snapshot, with the
+    /// `ns_stream_restore_seconds` clock started by the caller, so a
+    /// restore from bytes is timed from before its decode. Observes the
+    /// histogram exactly once per successful restore.
     fn restore_since(
         t0: Instant,
         model: Arc<NodeSentry>,
         cfg: EngineConfig,
-        snap: &EngineSnapshot,
+        snap: EngineSnapshot,
     ) -> Result<Self, EngineError> {
         // The engine's one digest: recomputed from the model's content,
         // checked here before any state is built, then handed to `spawn`.
@@ -1673,11 +1716,13 @@ impl Engine {
             .into());
         }
         let n_shards = cfg.n_shards.max(1);
+        let n_nodes = snap.nodes.len();
         let mut init: Vec<(FxHashMap<usize, NodeState>, FxHashSet<usize>)> = Vec::new();
         init.resize_with(n_shards, Default::default);
-        for ns in &snap.nodes {
+        for ns in snap.nodes {
+            let node = ns.node;
             let state = NodeState::restore(Arc::clone(&model), &cfg, ns)?;
-            init[ns.node % n_shards].0.insert(ns.node, state);
+            init[node % n_shards].0.insert(node, state);
         }
         for &q in &snap.quarantined {
             init[q % n_shards].1.insert(q);
@@ -1701,7 +1746,7 @@ impl Engine {
             "",
             -1,
             -1,
-            snap.nodes.len() as u64,
+            n_nodes as u64,
             n_shards as u64,
         );
         if snap.n_shards != n_shards {
@@ -1715,17 +1760,6 @@ impl Engine {
             );
         }
         Ok(engine)
-    }
-
-    /// [`Engine::restore`] straight from wire bytes.
-    pub fn restore_bytes(
-        model: Arc<NodeSentry>,
-        cfg: EngineConfig,
-        bytes: &[u8],
-    ) -> Result<Self, EngineError> {
-        let t0 = Instant::now();
-        let snap = EngineSnapshot::from_bytes(bytes)?;
-        Self::restore_since(t0, model, cfg, &snap)
     }
 
     /// Consistent checkpoint at the current batch boundary.
@@ -2374,13 +2408,13 @@ mod tests {
         // carries on exactly like the original.
         let good = sp.state();
         assert_eq!((good.base, good.n_pushed, good.buf.len()), (1, 3, 2));
-        let mut back = StreamingPreprocessor::restore(&pp, &good).expect("consistent state");
+        let mut back = StreamingPreprocessor::restore(&pp, good.clone()).expect("consistent state");
         assert_eq!(back.push(&[4.0, 4.0]).len(), sp.push(&[4.0, 4.0]).len());
 
         let rejected = |what: &str, bend: &dyn Fn(&mut PreSnap)| {
             let mut bad = good.clone();
             bend(&mut bad);
-            match StreamingPreprocessor::restore(&pp, &bad) {
+            match StreamingPreprocessor::restore(&pp, bad) {
                 Err(SnapshotError::Decode(_)) => {}
                 Err(other) => panic!("{what}: wrong error {other:?}"),
                 // The panic this check exists to prevent: the next push

@@ -23,29 +23,47 @@
 //! The envelope is
 //!
 //! ```text
-//! magic "NSSN" (4) | version u16 LE | payload_len u64 LE | payload | fnv1a64 u64 LE
+//! magic "NSSN" (4) | version u16 LE | payload_len u64 LE | payload | digest u64 LE
 //! ```
 //!
-//! with the FNV-1a 64 checksum taken over everything before it and
-//! verified before any payload byte is trusted; being byte-serial
-//! (≈ 1.3 ms/MB) it is the floor of both directions while the format is
-//! version 1. Decoding is total: truncated, bit-flipped, or wrong-version
-//! bytes return a typed [`SnapshotError`], never panic — the error the
-//! two-pass tree decoder this codec replaced would have given, which
+//! and the digest is verified before any payload byte is trusted. This
+//! build writes **version 2** and reads 1 and 2 through the one decoder:
+//!
+//! * *Digest.* Version 1 sealed header + payload with one byte-serial
+//!   FNV-1a 64 chain — a dependent multiply per byte, ≈ 1.3 ms/MB, which
+//!   was more than half of either direction. Version 2 runs the same
+//!   byte-wise FNV-1a over each 64 KiB block of the payload and folds
+//!   header ‖ block digests ‖ payload length ([`fnv1a64_blocks`]): the
+//!   blocks are independent, so four advance per pass (≈ 0.37 ms/MB).
+//!   Any other version is checked under the version-2 digest, so a
+//!   well-formed snapshot from the future reports `UnsupportedVersion`
+//!   and a damaged version field `ChecksumMismatch`.
+//! * *Packed rows.* Version 1 tagged every `f64` (9 bytes a value, one
+//!   event each). Version 2 writes a `Vec<f64>` as tag 8, a count and the
+//!   raw values — one bounds check and one copy each way; open-segment
+//!   rows are ≈ 99 % of a snapshot's bytes. Inside a version-1 payload
+//!   tag 8 stays the unknown tag it always was.
+//!
+//! Decoding is total: truncated, bit-flipped, or wrong-version bytes
+//! return a typed [`SnapshotError`], never panic — the error the two-pass
+//! tree decoder this codec replaced would have given, which
 //! `crates/stream/tests/snapshot_corruption.rs` keeps as its oracle — and
-//! the on-disk layout of version 1 is pinned by a golden fixture in
-//! `tests/serde_roundtrip.rs`.
+//! both layouts are pinned by golden fixtures in `tests/serde_roundtrip.rs`
+//! (version 1 is not written here any more; the tests own a writer).
 
 use crate::{FaultCounters, ScoringPrecision, StreamStats};
 use nodesentry_core::Tick;
 use ns_eval::streaming::{KSigmaState, SmootherState};
-use ns_wire::fnv1a64;
+use ns_wire::{fnv1a64, fnv1a64_blocks};
 use serde::{Deserialize, Event, Serialize, Sink, Source};
 
 /// Leading magic of every snapshot: `NSSN` ("NodeSentry SNapshot").
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NSSN";
-/// Current on-disk format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// The on-disk format version this build writes; it reads every version
+/// from 1 up to it.
+pub const SNAPSHOT_VERSION: u16 = 2;
+/// Payload bytes under each block digest of a version-2 envelope.
+const DIGEST_BLOCK: usize = 64 << 10;
 /// Nesting the decoder will follow before declaring the bytes hostile.
 /// Real snapshots nest ~6 deep; corruption that survives the checksum
 /// cannot blow the stack.
@@ -61,7 +79,8 @@ pub enum SnapshotError {
     BadMagic,
     /// The checksum over the envelope does not match its trailer.
     ChecksumMismatch,
-    /// Intact envelope, but a format version this build cannot read.
+    /// Intact envelope, but a format version this build cannot read
+    /// (`supported` is the newest it can).
     UnsupportedVersion { found: u16, supported: u16 },
     /// The payload failed to decode as an [`EngineSnapshot`].
     Decode(String),
@@ -86,7 +105,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "snapshot version {found} unsupported (this build reads {supported})"
+                    "snapshot version {found} unsupported (this build reads 1–{supported})"
                 )
             }
             SnapshotError::Decode(e) => write!(f, "snapshot payload malformed: {e}"),
@@ -211,12 +230,12 @@ pub struct EngineSnapshot {
     pub carried_faults: FaultCounters,
 }
 
-// `Serialize` is hand-written so the default tier stays byte-compatible
-// with the pinned version-1 layout: `scoring_precision` is emitted only
-// when it is not `F64`. The derived reader needs no such care: a missing
+// `Serialize` is hand-written so the default tier keeps the pinned key
+// set of version 1: `scoring_precision` is emitted only when it is not
+// `F64`. The derived reader needs no such care: a missing
 // key reads as `Null` would, which for `ScoringPrecision` is `F64` (every
-// pre-tier snapshot was f64 by construction). The golden fixture in
-// `tests/serde_roundtrip.rs` holds this closed.
+// pre-tier snapshot was f64 by construction). The golden fixtures in
+// `tests/serde_roundtrip.rs` hold this closed.
 impl Serialize for EngineSnapshot {
     fn emit<S: Sink>(&self, sink: &mut S) {
         let tiered = self.scoring_precision != ScoringPrecision::F64;
@@ -252,17 +271,19 @@ impl EngineSnapshot {
 const HEADER: usize = 4 + 2 + 8;
 
 /// [`EngineSnapshot::to_bytes`] over any payload type: the value's events
-/// stream straight into the envelope. (A `serde::Value` encodes to the
-/// bytes of the value it was built from — the tests' oracle.)
+/// stream straight into the envelope, which a first, counting walk has
+/// sized — one allocation, however large the state. (A `serde::Value`
+/// encodes with its arrays unpacked; both spellings read back alike.)
 pub fn encode<T: Serialize>(value: &T) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut payload_len = 0usize;
+    value.emit(&mut ByteSink(&mut payload_len));
+    let mut out = Vec::with_capacity(HEADER + payload_len + 8);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&[0; 8]); // payload length, known once emitted
+    out.extend_from_slice(&(payload_len as u64).to_le_bytes());
     value.emit(&mut ByteSink(&mut out));
-    let payload_len = (out.len() - HEADER) as u64;
-    out[HEADER - 8..HEADER].copy_from_slice(&payload_len.to_le_bytes());
-    let sum = fnv1a64(&out);
+    assert_eq!(out.len(), HEADER + payload_len, "both walks emit alike");
+    let sum = fnv1a64_blocks(&out[..HEADER], &out[HEADER..], DIGEST_BLOCK);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -303,27 +324,33 @@ pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, SnapshotError> {
     }
     let body = &bytes[..total - 8];
     let stored = u64::from_le_bytes(bytes[total - 8..total].try_into().expect("8 bytes"));
-    if fnv1a64(body) != stored {
+    let (header, payload) = body.split_at(HEADER);
+    // Version 1 alone sealed its envelope with one plain chain.
+    let sum = match version {
+        1 => fnv1a64(body),
+        _ => fnv1a64_blocks(header, payload, DIGEST_BLOCK),
+    };
+    if sum != stored {
         return Err(SnapshotError::ChecksumMismatch);
     }
     // Version gate after the checksum: a valid future-version
     // snapshot reports `UnsupportedVersion`, a corrupted version
     // field reports the corruption.
-    if version != SNAPSHOT_VERSION {
+    if !(1..=SNAPSHOT_VERSION).contains(&version) {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: SNAPSHOT_VERSION,
         });
     }
-    let payload = &body[HEADER..];
-    let mut src = ByteSource::new(payload);
+    let packed = version >= 2;
+    let mut src = ByteSource::new(payload, packed);
     let read = T::read(&mut src);
     if read.is_err() || src.pos != payload.len() {
         // Failure path only: a structural walk of the whole payload speaks
         // first — damage anywhere in it, trailing bytes included, outranks
         // a well-formed value of the wrong type — so the error does not
         // depend on how far the typed read got.
-        src = ByteSource::new(payload);
+        src = ByteSource::new(payload, packed);
         let _ = src.skip();
         if let Some(fault) = src.fault {
             return Err(fault);
@@ -343,30 +370,56 @@ pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, SnapshotError> {
 // ---------------------------------------------------------------------
 //
 // Tags: 0 Null, 1 Bool, 2 I64, 3 U64, 4 F64 (raw IEEE bits — the whole
-// reason this codec exists instead of JSON), 5 Str, 6 Array, 7 Object.
+// reason this codec exists instead of JSON), 5 Str, 6 Array, 7 Object,
+// 8 F64s (version 2 on: a count, then that many raw f64 — a `Vec<f64>`).
 // Lengths and counts are u64 LE; keys are length-prefixed, untagged.
 // Every count is bounds-checked against the remaining bytes before a
 // reader may allocate for it, so hostile lengths cannot OOM.
-// `NodeSentry::fingerprint` hashes the model's events with this same
+// `NodeSentry::fingerprint` hashes the model's events with the version-1
 // tagging (and the FNV-1a 64 constants of the envelope checksum), but
 // shares no code with it: changing one does not change the other.
 
-struct ByteSink<'a>(&'a mut Vec<u8>);
+/// Where a [`ByteSink`] puts its bytes: the output, or — for the walk
+/// that sizes it — a count of them.
+trait Out {
+    fn put(&mut self, bytes: &[u8]);
+    fn put_f64s(&mut self, vs: &[f64]);
+}
 
-impl ByteSink<'_> {
-    fn tagged(&mut self, tag: u8, word: u64) {
-        let mut bytes = [tag; 9];
-        bytes[1..].copy_from_slice(&word.to_le_bytes());
-        self.0.extend_from_slice(&bytes);
+impl Out for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+    fn put_f64s(&mut self, vs: &[f64]) {
+        self.extend(vs.iter().flat_map(|v| v.to_le_bytes()));
     }
 }
 
-impl Sink for ByteSink<'_> {
+impl Out for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+    fn put_f64s(&mut self, vs: &[f64]) {
+        *self += 8 * vs.len();
+    }
+}
+
+struct ByteSink<'a, O>(&'a mut O);
+
+impl<O: Out> ByteSink<'_, O> {
+    fn tagged(&mut self, tag: u8, word: u64) {
+        let mut bytes = [tag; 9];
+        bytes[1..].copy_from_slice(&word.to_le_bytes());
+        self.0.put(&bytes);
+    }
+}
+
+impl<O: Out> Sink for ByteSink<'_, O> {
     fn null(&mut self) {
-        self.0.push(0);
+        self.0.put(&[0]);
     }
     fn bool(&mut self, v: bool) {
-        self.0.extend_from_slice(&[1, v as u8]);
+        self.0.put(&[1, v as u8]);
     }
     fn i64(&mut self, v: i64) {
         self.tagged(2, v as u64);
@@ -378,7 +431,7 @@ impl Sink for ByteSink<'_> {
         self.tagged(4, v.to_bits());
     }
     fn str(&mut self, v: &str) {
-        self.0.push(5);
+        self.0.put(&[5]);
         self.key(v);
     }
     fn array(&mut self, len: usize) {
@@ -388,14 +441,20 @@ impl Sink for ByteSink<'_> {
         self.tagged(7, len as u64);
     }
     fn key(&mut self, k: &str) {
-        self.0.extend_from_slice(&(k.len() as u64).to_le_bytes());
-        self.0.extend_from_slice(k.as_bytes());
+        self.0.put(&(k.len() as u64).to_le_bytes());
+        self.0.put(k.as_bytes());
+    }
+    fn f64s(&mut self, vs: &[f64]) {
+        self.tagged(8, vs.len() as u64);
+        self.0.put_f64s(vs);
     }
 }
 
 struct ByteSource<'de> {
     b: &'de [u8],
     pos: usize,
+    /// Version 2 on: tag 8 is a packed `f64` array, not an unknown tag.
+    packed: bool,
     /// Values (or pairs) still unread in each container entered.
     open: [usize; MAX_DEPTH],
     depth: usize,
@@ -404,10 +463,11 @@ struct ByteSource<'de> {
 }
 
 impl<'de> ByteSource<'de> {
-    fn new(b: &'de [u8]) -> Self {
+    fn new(b: &'de [u8], packed: bool) -> Self {
         ByteSource {
             b,
             pos: 0,
+            packed,
             open: [0; MAX_DEPTH],
             depth: 0,
             fault: None,
@@ -508,6 +568,10 @@ impl<'de> Source<'de> for ByteSource<'de> {
                     Event::Object(len)
                 }
             }
+            8 if self.packed => {
+                let count = self.take_count(8)?;
+                Event::F64s(self.take(8 * count)?)
+            }
             other => return self.fail(SnapshotError::Decode(format!("unknown value tag {other}"))),
         })
     }
@@ -531,7 +595,8 @@ mod tests {
     use super::*;
     use serde::Value;
 
-    fn encoded(v: &Value) -> Vec<u8> {
+    /// The payload bytes of `v` (a tree never packs; a typed `Vec<f64>` does).
+    fn encoded<T: Serialize>(v: &T) -> Vec<u8> {
         let mut buf = Vec::new();
         v.emit(&mut ByteSink(&mut buf));
         buf
@@ -539,7 +604,7 @@ mod tests {
 
     /// The structural walk of `decode`'s failure path, typed.
     fn walk(buf: &[u8]) -> Result<(), SnapshotError> {
-        let mut src = ByteSource::new(buf);
+        let mut src = ByteSource::new(buf, true);
         match (src.skip(), src.fault) {
             (Ok(()), None) => Ok(()),
             (Err(_), Some(fault)) => Err(fault),
@@ -548,8 +613,11 @@ mod tests {
     }
 
     fn roundtrip(v: &Value) -> Value {
-        let buf = encoded(v);
-        let mut src = ByteSource::new(&buf);
+        roundtrip_bytes(&encoded(v))
+    }
+
+    fn roundtrip_bytes(buf: &[u8]) -> Value {
+        let mut src = ByteSource::new(buf, true);
         let back = Value::read(&mut src).expect("decode");
         assert_eq!(src.pos, buf.len(), "codec consumed every byte");
         back
@@ -589,12 +657,69 @@ mod tests {
     }
 
     #[test]
+    fn f64_vectors_pack_under_tag_8_and_read_back_by_bits() {
+        let rows = vec![
+            vec![
+                1.5,
+                -0.0,
+                f64::from_bits(f64::NAN.to_bits() ^ 0xDEAD),
+                5e-324,
+            ],
+            Vec::new(),
+            vec![f64::NEG_INFINITY],
+        ];
+        let buf = encoded(&rows);
+        // Array(3) | F64s(4) + 4 words | F64s(0) | F64s(1) + 1 word.
+        assert_eq!(buf.len(), 9 + (9 + 32) + 9 + (9 + 8));
+        assert_eq!((buf[0], buf[9], buf[9 + 41], buf[9 + 50]), (6, 8, 8, 8));
+        let mut sized = 0usize;
+        rows.emit(&mut ByteSink(&mut sized));
+        assert_eq!(sized, buf.len(), "the counting walk sizes the output");
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            let row_bits = |r: &Vec<f64>| r.iter().map(|v| v.to_bits()).collect();
+            rows.iter().map(row_bits).collect()
+        };
+        let mut src = ByteSource::new(&buf, true);
+        let back = Vec::<Vec<f64>>::read(&mut src).expect("decode");
+        assert_eq!((src.pos, bits(&back)), (buf.len(), bits(&rows)));
+        // The same rows written unpacked (a tree does) read back alike…
+        let unpacked = encoded(&rows.to_value());
+        assert_eq!(unpacked.len(), 9 + (9 + 36) + 9 + (9 + 9));
+        let back = Vec::<Vec<f64>>::read(&mut ByteSource::new(&unpacked, true)).expect("decode");
+        assert_eq!(bits(&back), bits(&rows));
+        // …a packed array is one value to the structural walk, and a tree
+        // read of it is the array it stands for.
+        assert_eq!(walk(&buf), Ok(()));
+        assert_eq!(encoded(&roundtrip_bytes(&buf)), unpacked);
+        // Inside a version-1 payload tag 8 is what it always was.
+        let mut v1 = ByteSource::new(&buf, false);
+        assert!(Vec::<Vec<f64>>::read(&mut v1).is_err());
+        assert_eq!(
+            v1.fault,
+            Some(SnapshotError::Decode("unknown value tag 8".into()))
+        );
+    }
+
+    #[test]
     fn hostile_counts_are_rejected_without_allocating() {
+        // A packed array claiming one more value than the bytes behind it.
+        let mut buf = vec![8u8];
+        buf.extend_from_slice(&3u64.to_le_bytes());
+        buf.extend_from_slice(&[0; 23]);
+        assert_eq!(
+            walk(&buf),
+            Err(SnapshotError::Decode(
+                "declared count 3 exceeds remaining capacity 2".into()
+            ))
+        );
+        assert!(Vec::<f64>::read(&mut ByteSource::new(&buf, true)).is_err());
+        buf[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(walk(&buf), Err(SnapshotError::Decode(_))));
         // Array claiming u64::MAX elements with no bytes behind it.
         let mut buf = vec![6u8];
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(walk(&buf), Err(SnapshotError::Decode(_))));
-        assert!(Value::read(&mut ByteSource::new(&buf)).is_err());
+        assert!(Value::read(&mut ByteSource::new(&buf, true)).is_err());
     }
 
     /// `levels` nested single-element arrays around a `Null`.
@@ -611,13 +736,13 @@ mod tests {
     #[test]
     fn deep_nesting_is_bounded() {
         assert!(matches!(walk(&nested(1000)), Err(SnapshotError::Decode(_))));
-        assert!(Value::read(&mut ByteSource::new(&nested(1000))).is_err());
+        assert!(Value::read(&mut ByteSource::new(&nested(1000), true)).is_err());
         // The bound is exact: a value may sit `MAX_DEPTH` containers deep,
         // typed read and structural walk alike.
         assert_eq!(walk(&nested(MAX_DEPTH)), Ok(()));
-        assert!(Value::read(&mut ByteSource::new(&nested(MAX_DEPTH))).is_ok());
+        assert!(Value::read(&mut ByteSource::new(&nested(MAX_DEPTH), true)).is_ok());
         assert!(walk(&nested(MAX_DEPTH + 1)).is_err());
-        assert!(Value::read(&mut ByteSource::new(&nested(MAX_DEPTH + 1))).is_err());
+        assert!(Value::read(&mut ByteSource::new(&nested(MAX_DEPTH + 1), true)).is_err());
     }
 
     #[test]

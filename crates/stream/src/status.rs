@@ -14,9 +14,10 @@
 //!   windowed state: a Degraded-rate spike (`note_verdicts`: ≥ 50%
 //!   degraded over a ≥ [`SPIKE_WINDOW`]-verdict window) and a wire-error
 //!   burst (`note_wire_error`: ≥ [`BURST_THRESHOLD`] protocol errors
-//!   inside [`BURST_WINDOW`]). Quarantine and checkpoint-failure fire
-//!   unconditionally at their sites in `lib.rs`. All predicates are
-//!   no-ops while the recorder is disarmed — one relaxed atomic load.
+//!   inside [`BURST_WINDOW`]). Quarantine, checkpoint-failure and
+//!   restore-failure fire unconditionally at their sites in `lib.rs`.
+//!   All predicates are no-ops while the recorder is disarmed — one
+//!   relaxed atomic load.
 
 use crate::metrics::{
     FAULTS_TOTAL, QUEUE_DEPTH, REORDER_OCCUPANCY, TICKS_TOTAL, VERDICTS_TOTAL,
@@ -43,6 +44,8 @@ pub(crate) struct EngineStatus {
     pub spawns: AtomicU64,
     pub checkpoints: AtomicU64,
     pub restores: AtomicU64,
+    /// Restores refused (bad bytes, wrong model, wrong config).
+    pub restore_failures: AtomicU64,
     /// 0 = never checkpointed, 1 = last succeeded, 2 = last failed.
     pub last_ckpt_state: AtomicU64,
     pub last_ckpt_unix_ms: AtomicU64,
@@ -57,6 +60,7 @@ pub(crate) fn engine_status() -> &'static EngineStatus {
         spawns: AtomicU64::new(0),
         checkpoints: AtomicU64::new(0),
         restores: AtomicU64::new(0),
+        restore_failures: AtomicU64::new(0),
         last_ckpt_state: AtomicU64::new(0),
         last_ckpt_unix_ms: AtomicU64::new(0),
         last_ckpt_bytes: AtomicU64::new(0),
@@ -154,13 +158,14 @@ fn render_section() -> String {
          \"shard_ticks_total\":{ticks},\"active_connections\":{conns},\
          \"verdicts\":{{\"ok\":{ok},\"degraded\":{degraded}}},\"faults\":{faults},\
          \"last_checkpoint\":{{\"state\":\"{ckpt_state}\",\"unix_ms\":{},\"bytes\":{},\
-         \"checkpoints\":{},\"restores\":{}}}}}",
+         \"checkpoints\":{},\"restores\":{},\"restore_failures\":{}}}}}",
         st.model_fingerprint.load(Ordering::Relaxed),
         st.spawns.load(Ordering::Relaxed),
         st.last_ckpt_unix_ms.load(Ordering::Relaxed),
         st.last_ckpt_bytes.load(Ordering::Relaxed),
         st.checkpoints.load(Ordering::Relaxed),
         st.restores.load(Ordering::Relaxed),
+        st.restore_failures.load(Ordering::Relaxed),
     )
 }
 
@@ -298,6 +303,68 @@ mod tests {
         let opens = doc.matches('{').count();
         let closes = doc.matches('}').count();
         assert_eq!(opens, closes, "{doc}");
+    }
+
+    #[test]
+    fn refused_restore_leaves_an_event_a_count_and_an_incident() {
+        use crate::snapshot::{EngineSnapshot, SnapshotError};
+        use crate::{Engine, EngineError, ScoringPrecision};
+        let _l = test_lock();
+        // One flipped bit in an otherwise good snapshot: the decode that
+        // `restore_bytes` starts with refuses it, and the refusal goes
+        // through the one exit both restores share.
+        let mut bytes = EngineSnapshot {
+            model_fingerprint: 7,
+            split: 10,
+            smooth_window: 1,
+            scoring_precision: ScoringPrecision::F64,
+            n_shards: 1,
+            nodes: Vec::new(),
+            quarantined: vec![3],
+            carried_stats: Default::default(),
+            carried_faults: Default::default(),
+        }
+        .to_bytes();
+        bytes[20] ^= 0x10;
+        let refusal = EngineSnapshot::from_bytes(&bytes).expect_err("bit flip");
+        assert_eq!(refusal, SnapshotError::ChecksumMismatch);
+
+        ns_obs::events::set_enabled(true);
+        ns_obs::incident::set_armed(true);
+        ns_obs::incident::set_min_interval(std::time::Duration::ZERO);
+        let failures = || engine_status().restore_failures.load(Ordering::Relaxed);
+        let (failed, restored) = (failures(), engine_status().restores.load(Ordering::Relaxed));
+        let incidents = ns_obs::incident::stats().captured;
+        match Engine::restore_noted(Err(EngineError::from(refusal))) {
+            Err(EngineError::Snapshot(SnapshotError::ChecksumMismatch)) => {}
+            other => panic!("refusal changed on the way out: {:?}", other.err()),
+        }
+        assert_eq!(failures(), failed + 1);
+        assert_eq!(engine_status().restores.load(Ordering::Relaxed), restored);
+        let doc = render_section();
+        assert!(
+            doc.contains(&format!(
+                "\"restores\":{restored},\"restore_failures\":{}}}}}",
+                failed + 1
+            )),
+            "{doc}"
+        );
+        let journal = ns_obs::events::recent(256);
+        let event = journal
+            .iter()
+            .rfind(|e| e.kind == ns_obs::events::EventKind::Restore)
+            .expect("a restore event");
+        assert_eq!(event.label, "failed");
+        assert_eq!(ns_obs::incident::stats().captured, incidents + 1);
+        let incident = ns_obs::incident::incidents().pop().expect("captured");
+        assert_eq!(incident.trigger, "restore_failure");
+        assert!(
+            incident.reason.contains("checksum mismatch"),
+            "{}",
+            incident.reason
+        );
+        ns_obs::incident::set_armed(false);
+        ns_obs::events::set_enabled(false);
     }
 
     #[test]

@@ -2,15 +2,36 @@
 //! truncation, every single-bit flip, and every crafted header must come
 //! back as a typed [`SnapshotError`] — never a panic, never a silent
 //! success. Restores are total functions over arbitrary bytes.
+//!
+//! Every case runs on both envelopes this build reads: literal
+//! version-1 bytes (the test-side writer of
+//! `tests/snapshot_common/envelope.rs` — the library writes none) and
+//! the version-2 bytes `to_bytes` produces.
 
+#[path = "../../../tests/snapshot_common/envelope.rs"]
+mod envelope;
+
+use envelope::{reseal, seal, tagged, v1_bytes, DIGEST_BLOCK};
 use ns_eval::streaming::{KSigmaState, SmootherState};
 use ns_stream::snapshot::{
-    decode, encode, EngineSnapshot, NodeSnap, PreSnap, SnapshotError, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    decode, encode, EngineSnapshot, NodeSnap, PreSnap, SnapshotError, SNAPSHOT_VERSION,
 };
 use ns_stream::{FaultCounters, StreamStats};
-use ns_wire::fnv1a64;
 use serde::{Deserialize, Serialize, Value};
+
+/// The envelope versions this build reads.
+const VERSIONS: [u16; 2] = [1, 2];
+
+/// `snap` as the build that wrote `version` encoded it.
+fn bytes_of(snap: &EngineSnapshot, version: u16) -> Vec<u8> {
+    match version {
+        1 => v1_bytes(&snap.to_value()),
+        _ => {
+            assert_eq!(version, SNAPSHOT_VERSION, "the version this build writes");
+            snap.to_bytes()
+        }
+    }
+}
 
 /// Small but structurally complete snapshot: one node with live buffers,
 /// one quarantined id, nonzero residual counters.
@@ -68,25 +89,18 @@ fn sample() -> EngineSnapshot {
     }
 }
 
-/// Re-seal a tampered envelope: recompute the trailing checksum so only
-/// the *intended* corruption is visible to the decoder.
-fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
-    let body = bytes.len() - 8;
-    let sum = fnv1a64(&bytes[..body]).to_le_bytes();
-    bytes[body..].copy_from_slice(&sum);
-    bytes
-}
-
 #[test]
 fn every_truncation_is_a_typed_error() {
-    let bytes = sample().to_bytes();
-    for len in 0..bytes.len() {
-        let res = EngineSnapshot::from_bytes(&bytes[..len]);
-        assert!(
-            res.is_err(),
-            "truncation to {len}/{} bytes decoded successfully",
-            bytes.len()
-        );
+    for version in VERSIONS {
+        let bytes = bytes_of(&sample(), version);
+        for len in 0..bytes.len() {
+            let res = EngineSnapshot::from_bytes(&bytes[..len]);
+            assert!(
+                res.is_err(),
+                "v{version}: truncation to {len}/{} bytes decoded successfully",
+                bytes.len()
+            );
+        }
     }
     // The empty slice reports what it is.
     match EngineSnapshot::from_bytes(&[]) {
@@ -97,56 +111,97 @@ fn every_truncation_is_a_typed_error() {
 
 #[test]
 fn every_single_bit_flip_is_detected() {
-    let bytes = sample().to_bytes();
-    for pos in 0..bytes.len() {
-        for bit in 0..8u8 {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 1 << bit;
-            let res = EngineSnapshot::from_bytes(&bad);
-            assert!(
-                res.is_err(),
-                "bit {bit} of byte {pos}/{} flipped undetected",
-                bytes.len()
-            );
+    for version in VERSIONS {
+        let bytes = bytes_of(&sample(), version);
+        for pos in 0..bytes.len() {
+            for bit in 0..8u8 {
+                let mut bad = bytes.clone();
+                bad[pos] ^= 1 << bit;
+                let res = EngineSnapshot::from_bytes(&bad);
+                assert!(
+                    res.is_err(),
+                    "v{version}: bit {bit} of byte {pos}/{} flipped undetected",
+                    bytes.len()
+                );
+            }
         }
     }
 }
 
 #[test]
 fn wrong_magic_is_bad_magic() {
-    let mut bytes = sample().to_bytes();
-    bytes[..4].copy_from_slice(b"XSSN");
-    match EngineSnapshot::from_bytes(&bytes) {
-        Err(SnapshotError::BadMagic) => {}
-        other => panic!("wrong magic: {other:?}"),
+    for version in VERSIONS {
+        let mut bytes = bytes_of(&sample(), version);
+        bytes[..4].copy_from_slice(b"XSSN");
+        match EngineSnapshot::from_bytes(&bytes) {
+            Err(SnapshotError::BadMagic) => {}
+            other => panic!("v{version}: wrong magic: {other:?}"),
+        }
     }
 }
 
 #[test]
-fn future_version_with_valid_checksum_is_unsupported_version() {
-    // A well-formed envelope from "the future": version 99, checksum
-    // re-sealed. The decoder must identify the version gap, not cry
-    // corruption.
-    let mut bytes = sample().to_bytes();
-    bytes[4..6].copy_from_slice(&99u16.to_le_bytes());
-    match EngineSnapshot::from_bytes(&reseal(bytes)) {
-        Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, 99);
-            assert_eq!(supported, SNAPSHOT_VERSION);
+fn unknown_version_with_valid_checksum_is_unsupported_version() {
+    // A well-formed envelope from "the future" — the next version, a far
+    // one — or from before the first: sealed the way every version after
+    // 1 is. The decoder must identify the version gap, not cry
+    // corruption, and say what it can read.
+    for from in VERSIONS {
+        for unknown in [3u16, 99, 0, u16::MAX] {
+            let mut bytes = bytes_of(&sample(), from);
+            bytes[4..6].copy_from_slice(&unknown.to_le_bytes());
+            match EngineSnapshot::from_bytes(&reseal(bytes)) {
+                Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!((found, supported), (unknown, 2));
+                }
+                other => panic!("v{from} relabelled {unknown}: {other:?}"),
+            }
         }
-        other => panic!("future version: {other:?}"),
     }
+    // An unknown version sealed the version-1 way is not well-formed.
+    let mut bytes = v1_bytes(&sample().to_value());
+    bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = envelope::fnv1a64(&bytes[..body]).to_le_bytes();
+    bytes[body..].copy_from_slice(&sum);
+    assert_eq!(
+        EngineSnapshot::from_bytes(&bytes),
+        Err(SnapshotError::ChecksumMismatch)
+    );
 }
 
 #[test]
 fn corrupted_version_without_reseal_is_checksum_mismatch() {
     // Same tamper, checksum left stale: indistinguishable from bit rot,
-    // and reported as such.
-    let mut bytes = sample().to_bytes();
-    bytes[4..6].copy_from_slice(&99u16.to_le_bytes());
-    match EngineSnapshot::from_bytes(&bytes) {
-        Err(SnapshotError::ChecksumMismatch) => {}
-        other => panic!("stale checksum: {other:?}"),
+    // and reported as such — between the two readable versions too.
+    for version in VERSIONS {
+        for relabel in [99u16, 3 - version] {
+            let mut bytes = bytes_of(&sample(), version);
+            bytes[4..6].copy_from_slice(&relabel.to_le_bytes());
+            match EngineSnapshot::from_bytes(&bytes) {
+                Err(SnapshotError::ChecksumMismatch) => {}
+                other => panic!("v{version} relabelled {relabel}, stale checksum: {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn relabelled_and_resealed_payloads_read_under_their_new_version() {
+    let snap = sample();
+    // A version-1 payload in a version-2 envelope is a version-2 snapshot
+    // that happens not to pack its floats: it reads.
+    let mut up = v1_bytes(&snap.to_value());
+    up[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let read = EngineSnapshot::from_bytes(&reseal(up)).expect("unpacked v2");
+    assert!(read.to_bytes() == snap.to_bytes());
+    // A version-2 payload in a version-1 envelope is not a version-1
+    // snapshot: tag 8 is the unknown tag it always was there.
+    let mut down = snap.to_bytes();
+    down[4..6].copy_from_slice(&1u16.to_le_bytes());
+    match EngineSnapshot::from_bytes(&reseal(down)) {
+        Err(SnapshotError::Decode(msg)) => assert_eq!(msg, "unknown value tag 8"),
+        other => panic!("packed payload under version 1: {other:?}"),
     }
 }
 
@@ -154,38 +209,179 @@ fn corrupted_version_without_reseal_is_checksum_mismatch() {
 fn resealed_garbage_payload_is_a_decode_error() {
     // Valid envelope, hostile payload: the value decoder must fail
     // typed, not panic or over-allocate.
-    let payload = [6u8, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF]; // Array, u64::MAX items
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    bytes.extend_from_slice(&[0u8; 8]);
-    match EngineSnapshot::from_bytes(&reseal(bytes)) {
-        Err(SnapshotError::Truncated { .. }) | Err(SnapshotError::Decode(_)) => {}
-        other => panic!("hostile payload: {other:?}"),
+    for version in VERSIONS {
+        for tag in [6u8, 7, 8] {
+            // Array / Object / packed floats, u64::MAX items.
+            let payload = [tag, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF];
+            match EngineSnapshot::from_bytes(&seal(version, &payload)) {
+                Err(SnapshotError::Truncated { .. }) | Err(SnapshotError::Decode(_)) => {}
+                other => panic!("v{version}: hostile count under tag {tag}: {other:?}"),
+            }
+        }
     }
 }
 
 #[test]
 fn well_typed_but_wrong_shaped_payload_is_a_decode_error() {
     // A checksum-valid snapshot whose payload decodes as a Value but not
-    // as an EngineSnapshot (wrong field types).
-    let inner = sample();
-    let mut bytes = inner.to_bytes();
-    // Splice the payload down to a single Null (tag 0).
-    let mut crafted = Vec::new();
-    crafted.extend_from_slice(&bytes[..4]);
-    crafted.extend_from_slice(&bytes[4..6]);
-    crafted.extend_from_slice(&1u64.to_le_bytes());
-    crafted.push(0); // Value::Null
-    crafted.extend_from_slice(&[0u8; 8]);
-    bytes = reseal(crafted);
-    match EngineSnapshot::from_bytes(&bytes) {
-        Err(SnapshotError::Decode(msg)) => {
-            assert!(!msg.is_empty(), "decode error carries a message");
+    // as an EngineSnapshot (wrong field types): a single Null (tag 0).
+    for version in VERSIONS {
+        match EngineSnapshot::from_bytes(&seal(version, &[0])) {
+            Err(SnapshotError::Decode(msg)) => {
+                assert!(!msg.is_empty(), "decode error carries a message");
+            }
+            other => panic!("v{version}: null payload: {other:?}"),
         }
-        other => panic!("null payload: {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Version 2: the block digest and the packed float arrays
+// ---------------------------------------------------------------------
+
+/// `sample()` with enough (wide) open-segment rows for a payload of
+/// `blocks` digest blocks, the last one ragged.
+fn sample_of_blocks(blocks: usize) -> EngineSnapshot {
+    const WIDTH: usize = 500;
+    let mut snap = sample();
+    // A row is its packed floats and its provenance ordinal.
+    let rows = ((blocks - 1) * DIGEST_BLOCK + DIGEST_BLOCK / 2) / ((9 + 8 * WIDTH) + 9);
+    let node = &mut snap.nodes[0];
+    node.seg_rows = (0..rows)
+        .map(|r| (0..WIDTH).map(|c| (r * WIDTH + c) as f64 * 0.37).collect())
+        .collect();
+    node.seg_row_kinds = vec![0; rows];
+    let payload = snap.to_bytes().len() - 22;
+    assert_eq!(payload.div_ceil(DIGEST_BLOCK), blocks);
+    assert_ne!(payload % DIGEST_BLOCK, 0, "ragged last block");
+    snap
+}
+
+#[test]
+fn a_flip_in_any_block_or_in_the_fold_is_a_checksum_mismatch() {
+    let bytes = sample_of_blocks(6).to_bytes();
+    let trailer = bytes.len() - 8;
+    // Every bit within a few bytes of each block edge (header and trailer
+    // — the fold of the block digests — included), and one bit of every
+    // 61st byte in between: flipping every bit of a six-block snapshot
+    // would hash 4 GB.
+    let edges = (0..=6).map(|b| (14 + b * DIGEST_BLOCK).min(trailer));
+    let near_edges = edges.flat_map(|e| e.saturating_sub(4)..(e + 12).min(bytes.len()));
+    let strided = (0..bytes.len()).step_by(61);
+    let mut flipped = 0usize;
+    for pos in near_edges
+        .flat_map(|p| (0..8).map(move |bit| (p, bit)))
+        .chain(strided.map(|p| (p, p % 8)))
+    {
+        let mut bad = bytes.clone();
+        bad[pos.0] ^= 1 << pos.1;
+        let want = match pos.0 {
+            0..=3 => SnapshotError::BadMagic,
+            // The payload length: longer than the bytes, or shorter.
+            6..=13 => match EngineSnapshot::from_bytes(&bad) {
+                Err(e @ SnapshotError::Truncated { .. }) | Err(e @ SnapshotError::Decode(_)) => e,
+                other => panic!("length bit {pos:?}: {other:?}"),
+            },
+            _ => SnapshotError::ChecksumMismatch,
+        };
+        assert_eq!(EngineSnapshot::from_bytes(&bad), Err(want), "bit {pos:?}");
+        flipped += 1;
+    }
+    assert!(flipped > 5_000);
+    // Whole blocks changing places keep every block digest and change
+    // their order in the fold.
+    let mut swapped = bytes.clone();
+    let (a, b) = (14, 14 + 2 * DIGEST_BLOCK);
+    for i in 0..DIGEST_BLOCK {
+        swapped.swap(a + i, b + i);
+    }
+    assert_eq!(
+        EngineSnapshot::from_bytes(&swapped),
+        Err(SnapshotError::ChecksumMismatch)
+    );
+    // Every truncation of a multi-block snapshot is typed.
+    for len in (0..bytes.len()).step_by(7).chain(trailer - 9..bytes.len()) {
+        match EngineSnapshot::from_bytes(&bytes[..len]) {
+            Err(SnapshotError::Truncated { expected, have }) => {
+                // Short of a header, the envelope's minimum; past it,
+                // what the header declares.
+                let want = if len < 22 { 22 } else { bytes.len() };
+                assert_eq!((expected, have), (want, len));
+            }
+            other => panic!("cut to {len}: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn ragged_exact_and_empty_payloads_round_trip() {
+    // Payloads of every length around the block size, arbitrary content:
+    // one long string, so the payload's own structure is out of the way.
+    for len in [
+        0,
+        1,
+        DIGEST_BLOCK - 1,
+        DIGEST_BLOCK,
+        DIGEST_BLOCK + 1,
+        4 * DIGEST_BLOCK,
+        5 * DIGEST_BLOCK + 17,
+    ] {
+        let text: String = (0..len).map(|i| (b'a' + (i % 23) as u8) as char).collect();
+        let bytes = encode(&text);
+        assert_eq!(
+            bytes,
+            seal(2, &bytes[14..bytes.len() - 8]),
+            "{len}: the digest's definition"
+        );
+        assert_eq!(
+            decode::<String>(&bytes).as_deref(),
+            Ok(text.as_str()),
+            "{len}"
+        );
+    }
+    // No payload at all: a sealed envelope, and nothing to decode in it.
+    let empty = seal(2, &[]);
+    assert_eq!(empty.len(), 22);
+    match decode::<Value>(&empty) {
+        Err(SnapshotError::Truncated {
+            expected: 1,
+            have: 0,
+        }) => {}
+        other => panic!("empty payload: {other:?}"),
+    }
+    // A multi-block snapshot survives the trip.
+    let snap = sample_of_blocks(3);
+    let bytes = snap.to_bytes();
+    let back = EngineSnapshot::from_bytes(&bytes).expect("decode");
+    assert!(back.to_bytes() == bytes);
+}
+
+#[test]
+fn packed_count_beyond_the_remaining_bytes_is_refused_before_allocating() {
+    // `prev_raw` claims one value more than the bytes behind it hold,
+    // then as many as a u64 can say. The count is checked against what is
+    // left of the payload — a reader never sizes a buffer from it.
+    let good = sample().to_bytes();
+    let payload = &good[14..good.len() - 8];
+    let key = b"prev_raw";
+    let at = payload
+        .windows(key.len())
+        .position(|w| w == key)
+        .expect("key")
+        + key.len();
+    assert_eq!(payload[at], 8, "a packed array follows its key");
+    let left = payload.len() - (at + 9);
+    for claim in [left as u64 / 8 + 1, u64::MAX] {
+        let mut bad = payload.to_vec();
+        bad[at + 1..at + 9].copy_from_slice(&claim.to_le_bytes());
+        let want = format!(
+            "declared count {claim} exceeds remaining capacity {}",
+            left / 8
+        );
+        assert_eq!(
+            EngineSnapshot::from_bytes(&seal(2, &bad)),
+            Err(SnapshotError::Decode(want))
+        );
     }
 }
 
@@ -221,6 +417,10 @@ fn errors_render_and_compare() {
     }
     let boxed: Box<dyn std::error::Error> = Box::new(SnapshotError::BadMagic);
     assert!(boxed.to_string().contains("magic"));
+    assert_eq!(
+        errs[3].to_string(),
+        "snapshot version 7 unsupported (this build reads 1–2)"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -254,7 +454,9 @@ fn assert_agrees(bytes: &[u8], what: &str) -> Result<EngineSnapshot, SnapshotErr
 /// The payload decoder as it was before it streamed, verbatim: build the
 /// whole tree (tags, counts bounded by the bytes left, depth ≤ 64, UTF-8),
 /// refuse trailing bytes, then type it. Independent of the byte source.
-fn old_payload_decode(b: &[u8]) -> Result<EngineSnapshot, SnapshotError> {
+/// What version 2 added is the one `packed` arm: tag 8, a count, that
+/// many raw floats — an array of `F64` to the tree.
+fn old_payload_decode(b: &[u8], packed: bool) -> Result<EngineSnapshot, SnapshotError> {
     fn take<'a>(b: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = *pos + n;
         if end > b.len() {
@@ -285,7 +487,12 @@ fn old_payload_decode(b: &[u8]) -> Result<EngineSnapshot, SnapshotError> {
         String::from_utf8(take(b, pos, len)?.to_vec())
             .map_err(|_| SnapshotError::Decode("invalid UTF-8".into()))
     }
-    fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, SnapshotError> {
+    fn value(
+        b: &[u8],
+        pos: &mut usize,
+        depth: usize,
+        packed: bool,
+    ) -> Result<Value, SnapshotError> {
         if depth > 64 {
             return Err(SnapshotError::Decode("nesting too deep".into()));
         }
@@ -302,19 +509,24 @@ fn old_payload_decode(b: &[u8]) -> Result<EngineSnapshot, SnapshotError> {
             5 => Value::Str(text(b, pos)?),
             6 => {
                 let n = take_count(b, pos, 1)?;
-                let items = (0..n).map(|_| value(b, pos, depth + 1));
+                let items = (0..n).map(|_| value(b, pos, depth + 1, packed));
                 Value::Array(items.collect::<Result<_, _>>()?)
             }
             7 => {
                 let n = take_count(b, pos, 9)?;
-                let pairs = (0..n).map(|_| Ok((text(b, pos)?, value(b, pos, depth + 1)?)));
+                let pairs = (0..n).map(|_| Ok((text(b, pos)?, value(b, pos, depth + 1, packed)?)));
                 Value::Object(pairs.collect::<Result<_, SnapshotError>>()?)
+            }
+            8 if packed => {
+                let n = take_count(b, pos, 8)?;
+                let floats = (0..n).map(|_| Ok(Value::F64(f64::from_bits(take_u64(b, pos)?))));
+                Value::Array(floats.collect::<Result<_, SnapshotError>>()?)
             }
             other => return Err(SnapshotError::Decode(format!("unknown value tag {other}"))),
         })
     }
     let mut pos = 0;
-    let tree = value(b, &mut pos, 0)?;
+    let tree = value(b, &mut pos, 0, packed)?;
     if pos != b.len() {
         return Err(SnapshotError::Decode(format!(
             "{} trailing payload bytes",
@@ -327,10 +539,15 @@ fn old_payload_decode(b: &[u8]) -> Result<EngineSnapshot, SnapshotError> {
 /// Marks the oracle's typing failures apart from its structural ones.
 const TYPE_ERROR: &str = "type error: ";
 
-/// Seal `payload` and hold `from_bytes` to both oracles.
-fn assert_payload_agrees(payload: &[u8], what: &str) -> Result<EngineSnapshot, SnapshotError> {
-    let direct = assert_agrees(&envelope(payload), what);
-    match (&direct, &old_payload_decode(payload)) {
+/// Seal `payload` under `version` and hold `from_bytes` to both oracles.
+fn assert_payload_agrees(
+    version: u16,
+    payload: &[u8],
+    what: &str,
+) -> Result<EngineSnapshot, SnapshotError> {
+    let what = &format!("v{version} {what}");
+    let direct = assert_agrees(&seal(version, payload), what);
+    match (&direct, &old_payload_decode(payload, version >= 2)) {
         (Ok(a), Ok(b)) => assert!(a.to_bytes() == b.to_bytes(), "{what}: state differs (old)"),
         // Structural messages are the old ones word for word; a type
         // error (marked by the oracle) may be worded differently.
@@ -347,17 +564,6 @@ fn assert_payload_agrees(payload: &[u8], what: &str) -> Result<EngineSnapshot, S
         (a, b) => panic!("{what}: direct {a:?} vs old decoder {b:?}"),
     }
     direct
-}
-
-/// A sealed envelope around arbitrary payload bytes.
-fn envelope(payload: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(&[0u8; 8]);
-    reseal(bytes)
 }
 
 fn payload_of(bytes: &[u8]) -> &[u8] {
@@ -389,8 +595,13 @@ fn rich_sample() -> EngineSnapshot {
 
 #[test]
 fn streaming_decode_agrees_with_tree_decode_on_hostile_payloads() {
-    for (name, snap) in [("f64", sample()), ("f32", rich_sample())] {
-        let good = snap.to_bytes();
+    let tiers = [("f64", sample()), ("f32", rich_sample())];
+    for (version, (name, snap)) in VERSIONS
+        .iter()
+        .flat_map(|v| tiers.iter().map(move |t| (*v, t)))
+    {
+        let name = &format!("v{version} {name}");
+        let good = bytes_of(snap, version);
         let payload = payload_of(&good).to_vec();
         assert!(assert_agrees(&good, name).is_ok());
 
@@ -400,8 +611,11 @@ fn streaming_decode_agrees_with_tree_decode_on_hostile_payloads() {
             assert!(assert_agrees(&good[..len], &format!("{name}: cut to {len}")).is_err());
         }
         for len in 0..payload.len() {
-            let res =
-                assert_payload_agrees(&payload[..len], &format!("{name}: payload cut to {len}"));
+            let res = assert_payload_agrees(
+                version,
+                &payload[..len],
+                &format!("{name}: payload cut to {len}"),
+            );
             assert!(res.is_err(), "{name}: payload cut to {len} decoded");
         }
 
@@ -413,7 +627,7 @@ fn streaming_decode_agrees_with_tree_decode_on_hostile_payloads() {
                 let mut bad = payload.clone();
                 bad[pos] ^= 1 << bit;
                 let what = format!("{name}: payload bit {bit} of byte {pos}");
-                flipped_ok += assert_payload_agrees(&bad, &what).is_ok() as usize;
+                flipped_ok += assert_payload_agrees(version, &bad, &what).is_ok() as usize;
             }
         }
         assert!(flipped_ok > 0 && flipped_ok < payload.len() * 8);
@@ -438,7 +652,7 @@ fn streaming_decode_agrees_with_tree_decode_on_hostile_payloads() {
                 1 => drop(bad.splice(at..at, window)),
                 _ => drop(bad.drain(at..at + len)),
             }
-            assert_payload_agrees(&bad, &format!("{name}: splice {case}")).ok();
+            assert_payload_agrees(version, &bad, &format!("{name}: splice {case}")).ok();
         }
     }
 }
@@ -487,14 +701,27 @@ fn reverse_keys(v: &mut Value) {
 
 #[test]
 fn key_semantics_match_the_tree_reader() {
+    VERSIONS.into_iter().for_each(key_semantics);
+}
+
+fn key_semantics(version: u16) {
     let base = rich_sample();
     let canonical = base.to_bytes();
+    // A tree as `version` lays it out (version 2: float vectors packed).
+    let payload_for = |tree: &Value| {
+        let mut payload = Vec::new();
+        match version {
+            1 => tagged(tree, &mut payload),
+            _ => envelope::tagged_v2(tree, &mut payload),
+        }
+        payload
+    };
     // Decode an edited tree both ways; `Ok` carries the canonical bytes
     // of what came out.
     let decode_edited = |what: &str, edit: &dyn Fn(&mut Value)| -> Result<EngineSnapshot, String> {
         let mut tree = base.to_value();
         edit(&mut tree);
-        match assert_payload_agrees(payload_of(&encode(&tree)), what) {
+        match assert_payload_agrees(version, &payload_for(&tree), what) {
             Ok(snap) => Ok(snap),
             Err(SnapshotError::Decode(msg)) => Err(msg),
             Err(other) => panic!("{what}: {other:?}"),
@@ -532,11 +759,11 @@ fn key_semantics_match_the_tree_reader() {
     // …but fully validated: an unknown tag inside one fails the decode.
     let mut tree = base.to_value();
     pairs(&mut tree).push(("from_the_future".into(), Value::Str("??".into())));
-    let mut payload = payload_of(&encode(&tree)).to_vec();
+    let mut payload = payload_for(&tree);
     let tag_at = payload.len() - (1 + 8 + 2);
     assert_eq!(payload[tag_at], 5, "the unknown key's value tag");
     payload[tag_at] = 9;
-    match assert_payload_agrees(&payload, "unknown key, bad tag") {
+    match assert_payload_agrees(version, &payload, "unknown key, bad tag") {
         Err(SnapshotError::Decode(msg)) => assert!(msg.contains("unknown value tag 9"), "{msg}"),
         other => panic!("unknown key, bad tag: {other:?}"),
     }
@@ -546,6 +773,8 @@ fn key_semantics_match_the_tree_reader() {
         pairs(t).push(("split".into(), Value::U64(999)));
         pairs(t).push(("nodes".into(), Value::Str("not even an array".into())));
         pairs(node0(t)).push(("matched".into(), Value::Bool(false)));
+        // (Packed, under version 2: one value to skip.)
+        pairs(node0(t)).push(("prev_raw".into(), Value::Array(vec![Value::F64(9.0)])));
     });
     let first = decode_edited("duplicate before", &|t| {
         pairs(t).insert(0, ("split".into(), Value::U64(999)));

@@ -210,7 +210,7 @@ fn preprocessor_restored_mid_stream_continues_bit_identically() {
         }
         let state = first.state();
         drop(first);
-        let mut second = StreamingPreprocessor::restore(&pp, &state).expect("restore");
+        let mut second = StreamingPreprocessor::restore(&pp, state.clone()).expect("restore");
         // The restored copy reports the same state it was built from.
         // (Compared via Debug: derived PartialEq is NaN-hostile, and the
         // buffered rows legitimately hold NaN holes.)
@@ -250,12 +250,12 @@ fn preprocessor_restore_rejects_mismatched_shapes() {
         sp.push(raw.row(r));
     }
     let good = sp.state();
-    assert!(StreamingPreprocessor::restore(&pp, &good).is_ok());
+    assert!(StreamingPreprocessor::restore(&pp, good.clone()).is_ok());
 
     let mut narrow = good.clone();
     narrow.last_val.pop();
     assert!(
-        StreamingPreprocessor::restore(&pp, &narrow).is_err(),
+        StreamingPreprocessor::restore(&pp, narrow).is_err(),
         "dropped last_val entry must be rejected"
     );
 
@@ -263,7 +263,7 @@ fn preprocessor_restore_rejects_mismatched_shapes() {
     if let Some(row) = ragged.buf.first_mut() {
         row.push(0.0);
         assert!(
-            StreamingPreprocessor::restore(&pp, &ragged).is_err(),
+            StreamingPreprocessor::restore(&pp, ragged).is_err(),
             "ragged buffered row must be rejected"
         );
     }
@@ -271,7 +271,7 @@ fn preprocessor_restore_rejects_mismatched_shapes() {
     let mut unflagged = good.clone();
     unflagged.nan_flags.push(false);
     assert!(
-        StreamingPreprocessor::restore(&pp, &unflagged).is_err(),
+        StreamingPreprocessor::restore(&pp, unflagged).is_err(),
         "buf/nan_flags length mismatch must be rejected"
     );
 }

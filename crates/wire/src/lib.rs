@@ -703,7 +703,8 @@ fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a 64 over a byte slice — the checksum of this protocol's frames
-/// and of the `NSSN` snapshot envelope (which calls this function), and
+/// and of the version-1 `NSSN` snapshot envelope (version 2 cuts its
+/// payload into blocks: [`fnv1a64_blocks`]), and
 /// the same constants as the model fingerprint
 /// (`NodeSentry::fingerprint` keeps a streaming copy: `nodesentry-core`
 /// does not depend on this crate).
@@ -718,9 +719,11 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 const LANES: usize = 4;
 
 /// [`fnv1a64`] of each lane, all chains advanced in one loop. The lanes
-/// must be independent byte strings — whole frames, which a cycle or a
-/// socket read holds several of; one long string (the snapshot digest)
-/// is a single chain by the format's definition and cannot be split.
+/// must be independent byte strings: whole frames, which a cycle or a
+/// socket read holds several of, or the fixed-size blocks a digest is
+/// *defined* over ([`fnv1a64_blocks`], the version-2 snapshot envelope).
+/// One long string under one plain [`fnv1a64`] — a frame, a version-1
+/// snapshot — is a single chain and cannot be split.
 ///
 /// Ragged lengths run in lock-step to the shortest lane and finish
 /// their tails serially. An empty lane (a final group short of
@@ -757,6 +760,27 @@ fn fnv1a64_lanes(lanes: [&[u8]; LANES]) -> [u64; LANES] {
         };
     }
     h
+}
+
+/// FNV-1a 64 over `head ‖ d₀ ‖ d₁ ‖ … ‖ body.len()`, where `dᵢ` is the
+/// [`fnv1a64`] of the `i`-th `block`-byte piece of `body` (the last one
+/// ragged, none for an empty body) and digests and length go in as u64
+/// LE — the checksum of the version-2 `NSSN` snapshot envelope. Every
+/// byte passes through the same byte-wise chain as under [`fnv1a64`], so
+/// a flipped bit changes its block's digest and with it the fold; but
+/// blocks are independent strings, so four of them advance per pass
+/// and a long body hashes at the multiplier's throughput, not its latency.
+pub fn fnv1a64_blocks(head: &[u8], body: &[u8], block: usize) -> u64 {
+    assert!(block > 0, "zero-sized digest blocks");
+    let mut h = fnv1a64(head);
+    for group in body.chunks(block.saturating_mul(LANES)) {
+        let mut blocks = group.chunks(block);
+        let lanes: [&[u8]; LANES] = std::array::from_fn(|_| blocks.next().unwrap_or_default());
+        for digest in &fnv1a64_lanes(lanes)[..group.len().div_ceil(block)] {
+            h = fnv1a64_from(h, &digest.to_le_bytes());
+        }
+    }
+    fnv1a64_from(h, &(body.len() as u64).to_le_bytes())
 }
 
 // ---------------------------------------------------------------------
@@ -1323,7 +1347,7 @@ mod tests {
     }
 
     mod lanes {
-        use super::super::{fnv1a64, fnv1a64_lanes, LANES};
+        use super::super::{fnv1a64, fnv1a64_blocks, fnv1a64_lanes, LANES};
         use proptest::prelude::*;
 
         proptest! {
@@ -1354,6 +1378,23 @@ mod tests {
                 for (k, lane) in lanes.iter().enumerate() {
                     prop_assert_eq!(got[k], fnv1a64(lane), "lane {} of {:?}", k, lanes);
                 }
+            }
+
+            // The block digest against its definition, one plain chain
+            // per block: ragged last blocks, bodies shorter than a block,
+            // groups short of four blocks, the empty body.
+            #[test]
+            fn block_digest_equals_its_byte_serial_definition(
+                head in prop::collection::vec(0u8..=255u8, 0..20),
+                body in prop::collection::vec(0u8..=255u8, 0..400),
+                block in 1usize..70,
+            ) {
+                let mut preimage = head.clone();
+                for piece in body.chunks(block) {
+                    preimage.extend_from_slice(&fnv1a64(piece).to_le_bytes());
+                }
+                preimage.extend_from_slice(&(body.len() as u64).to_le_bytes());
+                prop_assert_eq!(fnv1a64_blocks(&head, &body, block), fnv1a64(&preimage));
             }
         }
     }

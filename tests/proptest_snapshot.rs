@@ -135,10 +135,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     // `to_bytes` never builds a `Value`; the bytes it streams must still
-    // be exactly what the tree codec wrote — the snapshot's `to_value()`
-    // tree in the tagged encoding, sealed in the v1 envelope — on both
-    // tiers, with the `scoring_precision` key omitted on F64 (the pinned
-    // layout) and present on F32.
+    // be exactly what a tree codec would write — the snapshot's
+    // `to_value()` tree in the tagged encoding with every `Vec<f64>` of
+    // the schema packed under tag 8, sealed in the v2 envelope (block
+    // digests folded into the trailer), all spelled out test-side in
+    // `snapshot_common/envelope.rs` — on both tiers, with the
+    // `scoring_precision` key omitted on F64 (the pinned key set) and
+    // present on F32.
     #[test]
     fn streamed_bytes_equal_the_tree_codec_bytes(
         seed in any::<u64>(),
@@ -148,7 +151,8 @@ proptest! {
         chunk in 32usize..400,
         f32_tier in any::<bool>(),
     ) {
-        use nodesentry::stream::snapshot::{encode, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+        use common::envelope::{v1_bytes, v2_bytes};
+        use nodesentry::stream::snapshot::{decode, encode, SNAPSHOT_VERSION};
         use nodesentry::stream::ScoringPrecision;
         use serde::{Deserialize, Serialize};
 
@@ -180,19 +184,16 @@ proptest! {
         prop_assert_eq!(tree.get("scoring_precision").is_some(), f32_tier);
 
         // Oracle 1: the tree codec, spelled out test-side.
-        let mut oracle = Vec::new();
-        oracle.extend_from_slice(&SNAPSHOT_MAGIC);
-        oracle.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        let mut payload = Vec::new();
-        common::tagged(&tree, &mut payload);
-        oracle.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        oracle.extend_from_slice(&payload);
-        let sum = nodesentry::wire::fnv1a64(&oracle);
-        oracle.extend_from_slice(&sum.to_le_bytes());
-        prop_assert!(ckpt.bytes == oracle, "streamed bytes differ from the tree codec's");
+        prop_assert_eq!(SNAPSHOT_VERSION, 2);
+        prop_assert!(ckpt.bytes == v2_bytes(&tree), "streamed bytes differ from the tree codec's");
 
-        // Oracle 2: the tree through the production byte sink.
-        prop_assert!(encode(&tree) == ckpt.bytes, "tree and typed walk emit different events");
+        // Oracle 2: the tree through the production byte sink. A tree
+        // does not know its float vectors from its other arrays, so it
+        // writes them unpacked — more bytes, the same snapshot.
+        let unpacked = encode(&tree);
+        prop_assert!(unpacked.len() > ckpt.bytes.len());
+        let via_sink: EngineSnapshot = decode(&unpacked).expect("decode unpacked");
+        prop_assert!(via_sink.to_bytes() == ckpt.bytes, "tree and typed walk emit different events");
 
         // And back: bytes → tree → typed equals bytes → typed (compared
         // by re-encoding; snapshots carry NaN).
@@ -201,5 +202,9 @@ proptest! {
         let direct = EngineSnapshot::from_bytes(&ckpt.bytes).expect("decode");
         prop_assert_eq!(direct.scoring_precision, cfg.scoring_precision);
         prop_assert!(direct.to_bytes() == ckpt.bytes, "from_bytes(to_bytes) drifted");
+
+        // What the previous build wrote for this state reads back as it.
+        let from_v1 = EngineSnapshot::from_bytes(&v1_bytes(&tree)).expect("decode v1");
+        prop_assert!(from_v1.to_bytes() == ckpt.bytes, "from_bytes(v1) drifted");
     }
 }

@@ -95,8 +95,12 @@ fn fit_serialize_deserialize_scores_identically() {
 }
 
 // ---------------------------------------------------------------------
-// Snapshot wire format: value round trips and the pinned v1 golden file
+// Snapshot wire format: value round trips and the pinned golden files
+// (v1: still read; v2: written)
 // ---------------------------------------------------------------------
+
+#[path = "snapshot_common/envelope.rs"]
+mod envelope;
 
 mod snapshot_format {
     use nodesentry::eval::streaming::{KSigmaState, SmootherState};
@@ -108,8 +112,9 @@ mod snapshot_format {
     /// The golden snapshot: deterministic, hand-built, touching every
     /// field the format carries — including float bit patterns (negative
     /// zero, infinities, a subnormal) that a text codec would mangle.
-    /// Regenerating the fixture (`NS_REGEN_FIXTURES=1`) is a conscious
-    /// format change and must come with a `SNAPSHOT_VERSION` bump.
+    /// Regenerating a fixture (`NS_REGEN_FIXTURES=1` writes the newest
+    /// version's only) is a conscious format change and must come with a
+    /// `SNAPSHOT_VERSION` bump.
     fn golden() -> EngineSnapshot {
         let pre = PreSnap {
             buf: vec![vec![1.5, -0.0, 0.25], vec![f64::INFINITY, -2.0, 5e-324]],
@@ -188,8 +193,8 @@ mod snapshot_format {
             model_fingerprint: 0x0123_4567_89AB_CDEF,
             split: 360,
             smooth_window: 1,
-            // F64 is omitted from the encoding, so the golden fixture's
-            // pinned v1 bytes stay valid with the field present.
+            // F64 is omitted from the encoding, so the golden fixtures'
+            // pinned bytes stay valid with the field present.
             scoring_precision: nodesentry::stream::ScoringPrecision::F64,
             n_shards: 4,
             nodes: vec![minimal, full],
@@ -205,9 +210,13 @@ mod snapshot_format {
         }
     }
 
-    const FIXTURE: &str = concat!(
+    const FIXTURE_V1: &str = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/engine_snapshot_v1.bin"
+    );
+    const FIXTURE_V2: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/engine_snapshot_v2.bin"
     );
 
     /// Every snapshot type survives the self-describing `Value` layer —
@@ -242,28 +251,55 @@ mod snapshot_format {
         assert!(PreSnap::from_value(&node.jobs[0].to_value()).is_err());
     }
 
-    /// The checked-in fixture pins the on-disk format: if this test
-    /// fails, the wire encoding changed, which breaks every snapshot
-    /// already persisted by a deployment. Bump `SNAPSHOT_VERSION`, keep
-    /// a decoder for v1, and only then regenerate with
-    /// `NS_REGEN_FIXTURES=1 cargo test --test serde_roundtrip`.
+    /// The checked-in version-1 fixture is what deployments of the
+    /// previous format persisted. This build no longer writes it; it must
+    /// go on reading it. The file is never regenerated: it has to equal,
+    /// byte for byte, what the test-side version-1 writer
+    /// (`snapshot_common/envelope.rs`) makes of the golden value.
     #[test]
     fn golden_fixture_pins_the_v1_wire_format() {
-        let bytes = golden().to_bytes();
+        use serde::Serialize;
+        let pinned = std::fs::read(FIXTURE_V1).expect("v1 fixture is checked in");
+        assert_eq!(u16::from_le_bytes([pinned[4], pinned[5]]), 1);
+        assert_eq!(
+            pinned,
+            super::envelope::v1_bytes(&golden().to_value()),
+            "the v1 fixture is not the version-1 encoding of the golden value"
+        );
+        let decoded = EngineSnapshot::from_bytes(&pinned).expect("decode v1 fixture");
+        assert_eq!(decoded, golden());
+    }
+
+    /// The version-1 fixture decodes and re-encodes to the version-2
+    /// fixture, which pins the current on-disk format: if this test fails,
+    /// the wire encoding changed, which breaks every snapshot already
+    /// persisted by a deployment. Bump `SNAPSHOT_VERSION`, keep the
+    /// decoders for 1 and 2, add a v3 fixture beside these, and only then
+    /// regenerate with `NS_REGEN_FIXTURES=1 cargo test --test serde_roundtrip`.
+    #[test]
+    fn golden_fixture_pins_the_v2_wire_format() {
+        let v1 = std::fs::read(FIXTURE_V1).expect("v1 fixture is checked in");
+        let bytes = EngineSnapshot::from_bytes(&v1)
+            .expect("decode v1 fixture")
+            .to_bytes();
         if std::env::var_os("NS_REGEN_FIXTURES").is_some() {
-            std::fs::write(FIXTURE, &bytes).expect("write fixture");
-            eprintln!("regenerated {FIXTURE} ({} bytes)", bytes.len());
+            std::fs::write(FIXTURE_V2, &bytes).expect("write fixture");
+            eprintln!("regenerated {FIXTURE_V2} ({} bytes)", bytes.len());
         }
-        let pinned = std::fs::read(FIXTURE)
+        let pinned = std::fs::read(FIXTURE_V2)
             .expect("fixture missing — run with NS_REGEN_FIXTURES=1 once to create it");
         assert_eq!(
-            SNAPSHOT_VERSION, 1,
-            "version bumped: add a migration path and a new fixture instead of editing v1's"
+            SNAPSHOT_VERSION, 2,
+            "version bumped: add a migration path and a new fixture instead of editing v2's"
         );
         assert_eq!(
             bytes, pinned,
-            "snapshot wire encoding drifted from the checked-in v1 fixture"
+            "snapshot wire encoding drifted from the checked-in v2 fixture"
         );
+        assert_eq!(bytes, golden().to_bytes());
+        // Eight bytes a float instead of nine, and a count instead of a
+        // tag each: the packed layout is the smaller one even here.
+        assert!(pinned.len() < v1.len());
         // And the pinned bytes still decode to the golden value.
         let decoded = EngineSnapshot::from_bytes(&pinned).expect("decode fixture");
         assert_eq!(decoded, golden());

@@ -1,10 +1,12 @@
 //! Proof that the snapshot codec streams: a counting global allocator
 //! observes `EngineSnapshot::to_bytes` / `from_bytes` on a 32-node engine
-//! checkpoint. Encoding may allocate only to grow its output —
-//! O(log bytes) times — and decoding only once per `Vec`/`String` it
-//! returns, plus a small constant: nothing per scalar, and none of what
-//! building a `serde::Value` of the state costs on top (a second buffer
-//! per array, a `String` per key).
+//! checkpoint. Encoding allocates exactly once — its output, sized by a
+//! counting walk before a byte is written — and decoding only once per
+//! `Vec`/`String` it returns, plus a small constant: nothing per scalar,
+//! and none of what building a `serde::Value` of the state costs on top
+//! (a second buffer per array, a `String` per key). Restoring from bytes
+//! then *moves* the decoded buffers into the node states: no row is
+//! allocated a second time.
 //!
 //! Lives in its own integration-test binary so the `#[global_allocator]`
 //! swap cannot perturb any other test (`crates/core/tests/match_zero_alloc.rs`
@@ -120,12 +122,13 @@ fn codec_allocates_per_buffer_never_per_scalar() {
 
     let (bytes, encode_allocs) = counted(|| ckpt.snapshot.to_bytes());
     assert!(bytes == ckpt.bytes);
-    let growth_bound = (usize::BITS - bytes.len().leading_zeros()) as usize + 4;
-    assert!(
-        (1..=growth_bound).contains(&encode_allocs),
-        "to_bytes made {encode_allocs} allocations for {} bytes (bound {growth_bound}: output growth only)",
+    assert_eq!(
+        encode_allocs,
+        1,
+        "to_bytes allocates its exactly-sized output and nothing else ({} bytes)",
         bytes.len()
     );
+    assert_eq!(bytes.capacity(), bytes.len(), "reserved to the byte");
 
     let (decoded, decode_allocs) = counted(|| EngineSnapshot::from_bytes(&bytes));
     let decoded = decoded.expect("decode");
@@ -134,4 +137,32 @@ fn codec_allocates_per_buffer_never_per_scalar() {
         "from_bytes made {decode_allocs} allocations for {buffers} buffers and {scalars} scalars"
     );
     assert!(decoded.to_bytes() == bytes);
+
+    // The by-value restore: what `restore_bytes` allocates beyond its
+    // decode is per node (a fresh `NodeState`, a few dozen small buffers
+    // each, and the shard threads) — never per row. Cloning the rows
+    // (open-segment, deferred-job and preprocessor rows: most of the
+    // buffers, nearly all of the bytes) would alone cost `rows` more.
+    let rows: usize = decoded
+        .nodes
+        .iter()
+        .map(|n| {
+            let in_jobs: usize = n.jobs.iter().map(|j| j.rows.len()).sum();
+            n.seg_rows.len() + in_jobs + n.pre.buf.len()
+        })
+        .sum();
+    assert!(
+        rows > buffers / 2,
+        "rows are most of the buffers: {rows} of {buffers}"
+    );
+    let (restored, restore_allocs) =
+        counted(|| Engine::restore_bytes(Arc::clone(&s.model), engine_cfg(s, 2), &bytes));
+    let restored = restored.expect("restore");
+    let rebuild_allocs = restore_allocs - decode_allocs;
+    assert!(
+        rebuild_allocs < 64 * 32 && rebuild_allocs < rows / 2,
+        "rebuilding 32 nodes made {rebuild_allocs} allocations with {rows} rows to hand over"
+    );
+    // Handed over, not lost: the restored engine checkpoints the same bytes.
+    assert!(restored.checkpoint().expect("echo").bytes == bytes);
 }

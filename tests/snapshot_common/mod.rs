@@ -3,7 +3,10 @@
 //! `proptest_snapshot.rs`): one tiny dataset, one fitted model, one
 //! step-major clean tick stream, and the checkpoint/restore replay
 //! helpers that every suite holds against an uninterrupted run.
-#![allow(dead_code)]
+#![allow(dead_code, unused_imports)]
+
+pub mod envelope;
+pub use envelope::tagged;
 
 use nodesentry::core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
 use nodesentry::features::FeatureCatalog;
@@ -208,53 +211,5 @@ pub fn assert_verdicts_identical(got: &[Verdict], want: &[Verdict], tag: &str) {
             "{tag}: kind diverged at node {} step {}",
             g.node, g.step
         );
-    }
-}
-
-/// The tagged tree encoder the snapshot codec used before it streamed —
-/// kept here as the oracle for what the bytes (and the model
-/// fingerprint's preimage) must be. Tags: 0 Null, 1 Bool, 2 I64, 3 U64,
-/// 4 F64 by bit pattern, 5 Str, 6 Array, 7 Object; lengths and counts are
-/// u64 LE; keys are length-prefixed, untagged.
-pub fn tagged(v: &serde::Value, out: &mut Vec<u8>) {
-    use serde::Value;
-    fn text(s: &str, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
-    }
-    match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => out.extend_from_slice(&[1, *b as u8]),
-        Value::I64(i) => {
-            out.push(2);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::U64(u) => {
-            out.push(3);
-            out.extend_from_slice(&u.to_le_bytes());
-        }
-        Value::F64(f) => {
-            out.push(4);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(5);
-            text(s, out);
-        }
-        Value::Array(items) => {
-            out.push(6);
-            out.extend_from_slice(&(items.len() as u64).to_le_bytes());
-            for item in items {
-                tagged(item, out);
-            }
-        }
-        Value::Object(pairs) => {
-            out.push(7);
-            out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
-            for (k, val) in pairs {
-                text(k, out);
-                tagged(val, out);
-            }
-        }
     }
 }
