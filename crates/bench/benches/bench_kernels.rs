@@ -1,10 +1,11 @@
-//! Micro-kernel throughput: the autovectorization regression gate.
+//! Kernel throughput: the codegen regression gate.
 //!
-//! `ns_linalg::kernels` promises two things the type system cannot see:
-//! each kernel inlines into its callers, and its inner loop compiles to
-//! vector code (no bounds checks, elementwise kernels vectorised). Both
-//! only show up as *throughput*, so this bench measures every kernel and —
-//! under `cargo bench` — asserts two floors:
+//! `ns_linalg::kernels` promises things the type system cannot see: the
+//! small kernels inline into their callers and compile to vector code (no
+//! bounds checks, elementwise kernels vectorised), and the `gemm` tile
+//! keeps its accumulators in registers at the CPU's vector width. All of
+//! it only shows up as *throughput*, so this bench measures every kernel
+//! and — under `cargo bench` — asserts three floors:
 //!
 //! * an **absolute** floor (catastrophe canary): orders of magnitude
 //!   below healthy codegen, so it only trips when a kernel has fallen
@@ -13,10 +14,14 @@
 //! * a **relative** floor (bandwidth canary) on what the f32 scoring tier
 //!   actually runs: `Mat<f32>::matmul_into` at the model's 128×36×72 shape
 //!   must stay ≥ 1.5× its f64 instantiation. Both are the same generic
-//!   source, so losing the ratio means the f32 loop stopped vectorising
-//!   at double lane width and the tier no longer buys what it costs.
+//!   source, so losing the ratio means the f32 tile stopped vectorising
+//!   at double lane count and the tier no longer buys what it costs;
+//! * a **width** floor, only where the CPU reports AVX2: the dispatched
+//!   `gemm` must be ≥ 1.3× `gemm_baseline` at 20×36×36. Losing it means
+//!   the `#[target_feature]` instantiation stopped using the wider
+//!   registers (or the dispatch stopped reaching it).
 //!
-//! There is no kernel-vs-naive parity floor any more: `dot`, `axpy` and
+//! There is no kernel-vs-naive parity floor: `dot`, `axpy` and
 //! `squared_distance` *are* the rolled loops (the 4-blocked bodies read
 //! 0.97–1.00× of them and were deleted), so the comparison would time a
 //! loop against itself.
@@ -24,13 +29,15 @@
 //! The floors are deliberately loose (shared CI runners throttle), and
 //! they only run in timed mode: under `cargo test` the closures execute
 //! once for coverage and no timing is asserted. A manual pass at the end
-//! writes `BENCH_kernels.json` with GFLOP/s per kernel for the README
-//! perf table and CI artifacts.
+//! writes `BENCH_kernels.json` with GFLOP/s per kernel — and GMAC/s of
+//! `gemm` per model shape × operand form × width — for the README perf
+//! table and CI artifacts.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ns_bench::write_bench_json;
-use ns_linalg::kernels;
+use ns_linalg::kernels::{self, Form, Product};
 use ns_linalg::matrix::{Mat, Matrix};
+use ns_linalg::Scalar;
 use serde_json::json;
 use std::time::Instant;
 
@@ -64,6 +71,59 @@ fn median_ns(iters: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     samples[2]
+}
+
+/// Every dense product of one training window of the paper's model:
+/// embed, the square projections, the decoder, expert in and out,
+/// per-head scores and context, and the weight-gradient products of the
+/// backward pass.
+const MODEL_SHAPES: [(usize, usize, usize); 11] = [
+    (20, 141, 36),
+    (20, 36, 36),
+    (20, 36, 141),
+    (20, 36, 72),
+    (20, 72, 36),
+    (20, 12, 20),
+    (20, 20, 12),
+    (141, 20, 36),
+    (36, 20, 36),
+    (72, 20, 36),
+    (36, 20, 72),
+];
+
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// GMAC/s of one `m×k×n` product per operand form (NN, NT, TN), as
+/// `[baseline width, dispatched]`. The operands hold the same values in
+/// every form's storage order, so the three compute the same product.
+fn gemm_gmacs<T: Scalar>((m, k, n): (usize, usize, usize), iters: usize) -> [[f64; 2]; 3] {
+    let fill = |len: usize, seed: usize| -> Vec<T> {
+        (0..len)
+            .map(|i| T::from_f64(((i * 31 + seed * 17) as f64 * 0.123).sin()))
+            .collect()
+    };
+    let (a, b) = (fill(m * k, 1), fill(k * n, 2));
+    let mut c = vec![T::ZERO; m * n];
+    [Form::NN, Form::NT, Form::TN].map(|form| {
+        let p = Product {
+            form,
+            dims: (m, k, n),
+            a: &a,
+            b: &b,
+        };
+        let base = median_ns(iters, || kernels::gemm_baseline(black_box(p), 0..m, &mut c));
+        let wide = median_ns(iters, || kernels::gemm(black_box(p), 0..m, &mut c));
+        [base, wide].map(|ns| (m * k * n) as f64 / ns)
+    })
 }
 
 fn bench_kernels(c: &mut Criterion) {
@@ -151,10 +211,40 @@ fn throughput_report_and_assertions() {
     });
     let mm32_gflops = (2.0 * 128.0 * k as f64 * 72.0) / mm32_ns;
 
+    // `gemm` at every product shape of the paper's model (20-row window,
+    // 141 metrics, d_model 36, hidden 72, 3 heads), each operand form, at
+    // the baseline width and as dispatched on this CPU.
+    let avx2 = avx2_detected();
+    let gemm_iters = if timed { 2000 } else { 1 };
+    let gemm_rows: Vec<_> = MODEL_SHAPES
+        .iter()
+        .map(|&dims| (dims, gemm_gmacs::<f64>(dims, gemm_iters)))
+        .collect();
+    let [base, wide] = gemm_gmacs::<f64>((20, 36, 36), gemm_iters)[0];
+    let width_ratio = wide / base;
+    let f32_ratio_gemm = gemm_gmacs::<f32>((20, 36, 36), gemm_iters)[0][1] / wide;
+    let gemm_json = serde_json::Value::Object(
+        gemm_rows
+            .iter()
+            .map(|((m, k, n), [nn, nt, tn])| {
+                let widths =
+                    |[base, wide]: &[f64; 2]| json!({"baseline": base, "dispatched": wide});
+                (
+                    format!("{m}x{k}x{n}"),
+                    json!({"nn": widths(nn), "nt": widths(nt), "tn": widths(tn)}),
+                )
+            })
+            .collect(),
+    );
+
     write_bench_json(
         "kernels",
         &json!({
             "n": N,
+            "avx2_detected": avx2,
+            "gemm_gmacs_f64": gemm_json,
+            "gemm_dispatched_vs_baseline_20x36x36": width_ratio,
+            "gemm_f32_vs_f64_20x36x36": f32_ratio_gemm,
             "gflops": json!({
                 "dot": dot_gflops,
                 "axpy": axpy_gflops,
@@ -181,7 +271,30 @@ fn throughput_report_and_assertions() {
         mm_ns / mm32_ns,
     );
 
+    println!(
+        "gemm f64 GMAC/s, baseline -> dispatched (avx2 detected: {avx2}); \
+         dispatched/baseline at 20x36x36 {width_ratio:.2}x, f32/f64 {f32_ratio_gemm:.2}x"
+    );
+    for ((m, k, n), [nn, nt, tn]) in &gemm_rows {
+        println!(
+            "  {:>10}  NN {:5.2} -> {:5.2}  NT {:5.2} -> {:5.2}  TN {:5.2} -> {:5.2}",
+            format!("{m}x{k}x{n}"),
+            nn[0],
+            nn[1],
+            nt[0],
+            nt[1],
+            tn[0],
+            tn[1]
+        );
+    }
+
     if timed {
+        // Width canary (see the header): 1.7× on record; without AVX2 both
+        // sides are the same instantiation and there is nothing to assert.
+        assert!(
+            !avx2 || width_ratio >= 1.3,
+            "dispatched gemm lost its width: {width_ratio:.2}x baseline (want >=1.3x)"
+        );
         // Catastrophe canaries: healthy codegen lands 1–10 GFLOP/s on
         // any x86-64/aarch64 of the last decade; 0.05 only trips on a
         // cliff (debug arithmetic, per-element bounds checks).
@@ -196,7 +309,7 @@ fn throughput_report_and_assertions() {
             assert!(got > 0.05, "{name} throughput cliff: {got} GF/s");
         }
         // Bandwidth canary on what the f32 tier runs (see the header):
-        // 2.13× on record at this shape; 1.5× absorbs runner noise.
+        // 1.9× on record at this shape; 1.5× absorbs runner noise.
         assert!(
             mm_ns / mm32_ns >= 1.5,
             "f32 matmul_into lost bandwidth parity: {:.2}x f64 (want >=1.5x)",

@@ -239,9 +239,19 @@ impl NodeSentry {
 
         // 4. One shared model per cluster (§3.4).
         let fine_span = ns_obs::trace::span("fine");
-        let shared_models: Vec<SharedModel> = (0..cluster_model.k())
-            .map(|c| train_cluster_model(&cfg.sharing, c, &cluster_model, &train_segments))
-            .collect();
+        // Clusters train concurrently: each owns its seeds, so the models
+        // are the serial loop's bit for bit, collected in cluster order.
+        // Within one cluster a batch is a dozen windows and every batch
+        // ends in a serial merge + clip + Adam step, which left the other
+        // workers idle a sixth of the fit; a worker that runs out of
+        // clusters joins the others' window batches instead.
+        let shared_models: Vec<SharedModel> = {
+            use rayon::prelude::*;
+            (0..cluster_model.k())
+                .into_par_iter()
+                .map(|c| train_cluster_model(&cfg.sharing, c, &cluster_model, &train_segments))
+                .collect()
+        };
         drop(fine_span);
 
         NodeSentry {

@@ -7,14 +7,15 @@ use crate::preprocess::Segment;
 use ns_linalg::matrix::Matrix;
 use ns_linalg::stats;
 use ns_nn::{
-    sinusoidal_pe_at, Adam, BlockKind, Graph, ParamStore, ReconstructionTransformer, SessionPool,
-    SessionPoolF32, Tier, TransformerConfig, WindowSpec,
+    sinusoidal_pe_at, Adam, BlockKind, GradStore, Graph, ParamStore, ReconstructionTransformer,
+    SessionPool, SessionPoolF32, Tape, Tier, TransformerConfig, WindowSpec,
 };
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 
 /// Standard normal sample via Box–Muller.
 fn gaussian(rng: &mut ChaCha8Rng) -> f64 {
@@ -311,6 +312,12 @@ impl SharedModel {
         let mut opt = Adam::new(cfg.lr);
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xF17);
         let mut ranks: Vec<usize> = (0..segments.len()).collect();
+        // Tapes and per-window gradient stores are checked out per task
+        // and handed back, the way scoring checks a session out of its
+        // pool: the fit settles at one tape per worker and one store per
+        // window of a batch, and stops allocating.
+        let spare: Mutex<(Vec<Tape>, Vec<GradStore>)> = Mutex::default();
+        let mut grads = self.params.zero_grads();
         for _epoch in 0..epochs {
             // Fresh segment-offset assignment every epoch (see
             // `windows_of` for why).
@@ -327,28 +334,31 @@ impl SharedModel {
             for chunk in order.chunks(cfg.batch.max(1)) {
                 // Data-parallel gradient accumulation: one graph per
                 // window on a rayon worker, gradients merged.
-                let results: Vec<(f64, ns_nn::GradStore)> = chunk
+                let results: Vec<(f64, GradStore)> = chunk
                     .par_iter()
                     .map(|&wi| {
                         let win = &windows[wi];
-                        let mut g = Graph::new(&self.params);
-                        // Denoising: perturbed input, clean target.
-                        let noisy = if cfg.noise_aug > 0.0 {
-                            let mut nrng = ChaCha8Rng::seed_from_u64(
-                                epoch_key ^ ((wi as u64) << 24) ^ cfg.seed,
-                            );
-                            let mut m = win.data.clone();
-                            for v in m.as_mut_slice().iter_mut() {
-                                *v += cfg.noise_aug * gaussian(&mut nrng);
-                            }
-                            m
-                        } else {
-                            win.data.clone()
+                        let (tape, wgrads) = {
+                            let (tapes, stores) = &mut *spare.lock().expect("no task panicked");
+                            (tapes.pop().unwrap_or_default(), stores.pop())
                         };
-                        let x = g.input(noisy);
-                        let target = g.input(win.data.clone());
-                        let pe = g.input(win.pe.clone());
-                        let wn = g.input(w_row.clone());
+                        let mut wgrads = wgrads.unwrap_or_else(|| self.params.zero_grads());
+                        let mut g = Graph::recycle(&self.params, tape);
+                        // Denoising: perturbed input, clean target.
+                        let x = g.input_fill(win.data.rows(), win.data.cols(), |x| {
+                            x.copy_from_slice(win.data.as_slice());
+                            if cfg.noise_aug > 0.0 {
+                                let mut nrng = ChaCha8Rng::seed_from_u64(
+                                    epoch_key ^ ((wi as u64) << 24) ^ cfg.seed,
+                                );
+                                for v in x.iter_mut() {
+                                    *v += cfg.noise_aug * gaussian(&mut nrng);
+                                }
+                            }
+                        });
+                        let target = g.input_from(&win.data);
+                        let pe = g.input_from(&win.pe);
+                        let wn = g.input_from(&w_row);
                         let (recon, aux) = self.model.forward(&mut g, x, pe);
                         let wmse = g.wmse(recon, target, wn);
                         let loss = match aux {
@@ -358,16 +368,25 @@ impl SharedModel {
                             }
                             _ => wmse,
                         };
-                        (g.scalar(loss), g.backward(loss))
+                        g.backward_into(loss, &mut wgrads);
+                        let l = g.scalar(loss);
+                        let tape = g.into_tape();
+                        spare.lock().expect("no task panicked").0.push(tape);
+                        (l, wgrads)
                     })
                     .collect();
-                let mut grads = self.params.zero_grads();
+                // Merged on this thread in window order, whichever
+                // worker produced which.
+                seen += results.len();
+                let scale = 1.0 / results.len().max(1) as f64;
+                grads.zero();
                 for (l, g) in &results {
                     epoch_loss += l;
                     grads.merge(g);
                 }
-                seen += results.len();
-                grads.scale(1.0 / results.len().max(1) as f64);
+                let stores = results.into_iter().map(|(_, g)| g);
+                spare.lock().expect("no task panicked").1.extend(stores);
+                grads.scale(scale);
                 grads.clip_global_norm(5.0);
                 opt.step(&mut self.params, &grads);
             }

@@ -13,7 +13,8 @@
 //! * construction (`zeros`, `from_rows`, `from_fn`, …) and element access,
 //! * arithmetic (`add`, `sub`, `scale`, Hadamard products, broadcasting of
 //!   row vectors),
-//! * a blocked, rayon-parallel [`Matrix::matmul`],
+//! * a register-blocked [`Matrix::matmul`] ([`kernels::gemm`]), banded over
+//!   the pool when a product is large,
 //! * reductions and per-row/per-column statistics,
 //! * decompositions used by the Gaussian-mixture baseline
 //!   ([`decomp::cholesky`], [`decomp::solve`], [`decomp::inverse`]),
@@ -24,7 +25,7 @@
 //! The crate is BLAS-free by design: this repository re-implements the whole
 //! paper stack from scratch, and the matrix sizes involved (model dims of a
 //! few dozen, feature matrices of a few thousand rows) are served well by a
-//! cache-blocked triple loop parallelised over row bands.
+//! register-blocked tile kernel at the CPU's vector width.
 
 pub mod decomp;
 pub mod distance;

@@ -20,16 +20,12 @@
 //! way out, and [`Tier`] says where the weights come from.
 //!
 //! Linear layers multiply the [`ParamStore`] weights *in their stored
-//! orientation* through the blocked-axpy [`Mat::matmul_into`] kernel —
-//! the same kernel the tape uses, so bit-identity is by construction, and
-//! the axpy form vectorises across output columns. A prepacked-transpose
-//! design (row-dot over `Wᵀ`, [`Mat::matmul_pre_t_into`]) was built and
-//! benchmarked first, but under the no-reassociation constraint each dot
-//! is a serial FP-add dependency chain and measured ~30% slower than the
-//! axpy kernel even with 4-way interleaving; the dot kernel is kept only
-//! where its operand is *naturally* pre-transposed — attention scores
+//! orientation* through [`Mat::matmul_into`] — the register-blocked
+//! `gemm` the tape uses, so bit-identity is by construction, and nothing
+//! is prepacked. The transposed-operand form ([`Mat::matmul_pre_t_into`])
+//! serves where an operand is *naturally* transposed — attention scores
 //! `qₕ·kₕᵀ` — where it replaces the tape's per-head `transpose(kₕ)`
-//! materialisation. The `f64` tier reads the weights live, so it can never
+//! //! materialisation. The `f64` tier reads the weights live, so it can never
 //! be stale: `incremental_update` fine-tuning is visible on the very next
 //! forward, with no cache-invalidation protocol. The `f32` tier cannot —
 //! down-converting per forward would cost more than the tier saves — so it
@@ -44,10 +40,10 @@
 //!
 //! * Linears run the tape's own matmul-then-bias-broadcast kernels on the
 //!   same operands.
-//! * Attention scores `qₕ·kₕᵀ` use the row-dot kernel with `kₕ` as the
-//!   pre-transposed operand; it sums each output element over `k` in the
-//!   same ascending order as the axpy kernel, so it is bit-identical to
-//!   `matmul(qₕ, transpose(kₕ))` without materialising the transpose.
+//! * Attention scores `qₕ·kₕᵀ` use `gemm`'s `A·Bᵀ` form with `kₕ` as
+//!   stored; every form sums each output element over ascending `k`, so
+//!   it is bit-identical to `matmul(qₕ, transpose(kₕ))` without
+//!   materialising the transpose.
 //! * Elementwise ops (softmax, layer norm, ReLU, residual adds, scaling,
 //!   bias broadcast) reuse the tape's exact expressions and loop orders.
 //! * MoE routing replicates `top_k_indices` tie-breaking exactly
@@ -66,7 +62,6 @@ use crate::params::{ParamId, ParamStore};
 use crate::transformer::{EncoderLayer, ReconstructionTransformer};
 use ns_linalg::matrix::{Mat, Matrix};
 use ns_linalg::Scalar;
-use std::cmp::Ordering;
 use std::sync::Mutex;
 
 /// One window of a batched scoring call
@@ -232,8 +227,8 @@ impl<T: Tier> Session<T> {
     /// window (both borrowed from the session's scratch).
     ///
     /// Output rows are `to_bits`-identical to `B` independent
-    /// [`Session::forward`] calls: the blocked-axpy kernel
-    /// accumulates each output row independently over ascending `k`, so
+    /// [`Session::forward`] calls: the matmul kernel
+    /// accumulates each output element independently over ascending `k`, so
     /// vstacking rows changes nothing per row; the remaining ops are
     /// row-wise or explicitly per-window (see DESIGN §10).
     ///
@@ -442,24 +437,11 @@ impl<T: Tier> Session<T> {
     fn moe_block(&mut self, params: &ParamStore, moe: &crate::moe::MoeLayer) {
         let total = self.n1.rows();
         let d = self.n1.cols();
-        let n_exp = moe.experts.len();
         let nb = self.boffsets.len() - 1;
         self.n1
             .matmul_into(T::weight(params, &self.baked, moe.gate), &mut self.gate);
         softmax_rows_inplace(&mut self.gate);
-        if self.assign.len() < n_exp {
-            self.assign.resize_with(n_exp, Vec::new);
-        }
-        for a in &mut self.assign[..n_exp] {
-            a.clear();
-        }
-        for tok in 0..total {
-            let row = self.gate.row(tok);
-            top_k_into(row, moe.top_k, &mut self.order);
-            for &e in &self.order {
-                self.assign[e].push(tok);
-            }
-        }
+        crate::moe::route(&self.gate, moe.top_k, &mut self.order, &mut self.assign);
         self.block.resize(total, d);
         self.binit.clear();
         self.binit.resize(nb, false);
@@ -623,29 +605,6 @@ fn layer_norm_into<T: Tier>(
     }
 }
 
-/// Allocation-free replica of `ns_linalg::vecops::top_k_indices`: fill
-/// `order` with the indices of `x` sorted descending by value, ties to
-/// the lower index, truncated to `k`. The comparator is total (NaN
-/// compares Equal, then falls to the index), so this insertion sort
-/// produces the same permutation as the library's stable sort.
-fn top_k_into<T: Scalar>(x: &[T], k: usize, order: &mut Vec<usize>) {
-    order.clear();
-    order.extend(0..x.len());
-    let cmp = |a: usize, b: usize| {
-        x[b].partial_cmp(&x[a])
-            .unwrap_or(Ordering::Equal)
-            .then(a.cmp(&b))
-    };
-    for i in 1..order.len() {
-        let mut j = i;
-        while j > 0 && cmp(order[j - 1], order[j]) == Ordering::Greater {
-            order.swap(j - 1, j);
-            j -= 1;
-        }
-    }
-    order.truncate(k.min(x.len()));
-}
-
 /// The default scoring tier's session: `f64`, bit-identical to the tape.
 pub type InferenceSession = Session<f64>;
 
@@ -738,7 +697,6 @@ mod tests {
     use crate::layers::sinusoidal_pe;
     use crate::tape::Graph;
     use crate::transformer::{BlockKind, TransformerConfig};
-    use ns_linalg::vecops::top_k_indices;
 
     fn cfg(block: BlockKind) -> TransformerConfig {
         TransformerConfig {
@@ -756,30 +714,6 @@ mod tests {
         Matrix::from_fn(t, m, |r, c| {
             ((r as f64 * 0.4 + c as f64 + phase) * 0.7).sin()
         })
-    }
-
-    fn top_k_matches_library<T: Scalar>() {
-        let cases: Vec<Vec<f64>> = vec![
-            vec![0.2, 0.5, 0.3],
-            vec![1.0, 1.0, 1.0, 1.0],
-            vec![-0.5, 0.0, 0.0, -0.5, 2.0],
-            vec![3.0],
-            vec![],
-        ];
-        let mut order = Vec::new();
-        for x in cases {
-            let xt: Vec<T> = x.iter().map(|&v| T::from_f64(v)).collect();
-            for k in 0..=x.len() + 1 {
-                top_k_into(&xt, k, &mut order);
-                assert_eq!(order, top_k_indices(&x, k), "x={x:?} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn top_k_into_matches_library() {
-        top_k_matches_library::<f64>();
-        top_k_matches_library::<f32>();
     }
 
     #[test]

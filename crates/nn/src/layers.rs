@@ -129,7 +129,8 @@ impl MultiHeadAttention {
         let v = self.wv.forward(g, x);
         let dh = self.d_model / self.n_heads;
         let scale = 1.0 / (dh as f64).sqrt();
-        let mut heads = Vec::with_capacity(self.n_heads);
+        let mut heads = std::mem::take(&mut g.tape.ids);
+        heads.clear();
         for h in 0..self.n_heads {
             let lo = h * dh;
             let hi = lo + dh;
@@ -143,6 +144,7 @@ impl MultiHeadAttention {
             heads.push(g.matmul(attn, vh));
         }
         let cat = g.concat_cols(&heads);
+        g.tape.ids = heads;
         self.wo.forward(g, cat)
     }
 }

@@ -4,7 +4,8 @@
 //! replaces that stack with a small, fully-tested reverse-mode autodiff
 //! engine and the model zoo the reproduction needs:
 //!
-//! * [`tape`] — single-use autodiff [`tape::Graph`] over 2-D matrices with
+//! * [`tape`] — define-by-run autodiff [`tape::Graph`] (its buffers, a
+//!   [`tape::Tape`], recycled across examples) over 2-D matrices with
 //!   the op set required by Transformers, MoE routing, LSTMs and VAEs
 //!   (matmul, softmax, layer norm, gather/scatter rows, broadcasts,
 //!   reductions). Every op's backward is verified against central finite
@@ -50,5 +51,5 @@ pub use layers::{
 pub use moe::{MoeLayer, MoeOutput};
 pub use optim::{Adam, Sgd};
 pub use params::{GradStore, ParamId, ParamStore};
-pub use tape::{Graph, NodeId};
+pub use tape::{Graph, NodeId, Tape};
 pub use transformer::{BlockKind, EncoderLayer, ReconstructionTransformer, TransformerConfig};

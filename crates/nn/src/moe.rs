@@ -10,7 +10,9 @@
 use crate::layers::FeedForward;
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{Graph, NodeId};
+use ns_linalg::{Mat, Scalar};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// The result of one MoE forward pass.
 pub struct MoeOutput {
@@ -18,11 +20,55 @@ pub struct MoeOutput {
     pub out: NodeId,
     /// Full gate probability matrix (`T × n_experts`) — Eq. 3.
     pub gate_probs: NodeId,
-    /// Token indices routed to each expert (an index appears under every
-    /// expert in its token's top-k set).
-    pub assignments: Vec<Vec<usize>>,
     /// Switch-style load-balance auxiliary loss (scalar node).
     pub aux_loss: NodeId,
+}
+
+/// The (non-differentiable) routing decision of Eq. 4: `assign[e]`
+/// becomes the ascending token rows whose `top_k` largest gate values
+/// include expert `e`. Both vectors are reused scratch; the taped layer
+/// and the inference session route through this one function.
+pub fn route<T: Scalar>(
+    probs: &Mat<T>,
+    top_k: usize,
+    order: &mut Vec<usize>,
+    assign: &mut Vec<Vec<usize>>,
+) {
+    if assign.len() < probs.cols() {
+        assign.resize_with(probs.cols(), Vec::new);
+    }
+    for a in assign.iter_mut() {
+        a.clear();
+    }
+    for t in 0..probs.rows() {
+        top_k_into(probs.row(t), top_k, order);
+        for &e in order.iter() {
+            assign[e].push(t);
+        }
+    }
+}
+
+/// Allocation-free replica of `ns_linalg::vecops::top_k_indices`: fill
+/// `order` with the indices of `x` sorted descending by value, ties to
+/// the lower index, truncated to `k`. The comparator is total (NaN
+/// compares Equal, then falls to the index), so this insertion sort
+/// produces the same permutation as the library's stable sort.
+pub(crate) fn top_k_into<T: Scalar>(x: &[T], k: usize, order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..x.len());
+    let cmp = |a: usize, b: usize| {
+        x[b].partial_cmp(&x[a])
+            .unwrap_or(Ordering::Equal)
+            .then(a.cmp(&b))
+    };
+    for i in 1..order.len() {
+        let mut j = i;
+        while j > 0 && cmp(order[j - 1], order[j]) == Ordering::Greater {
+            order.swap(j - 1, j);
+            j -= 1;
+        }
+    }
+    order.truncate(k.min(x.len()));
 }
 
 /// Sparse top-k MoE layer.
@@ -70,30 +116,23 @@ impl MoeLayer {
         let h = g.matmul(x, wr);
         let p = g.softmax_rows(h);
 
-        // Non-differentiable top-k routing decision from gate values.
-        let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); n_exp];
-        {
-            let probs = g.value(p);
-            for t in 0..tokens {
-                let row = probs.row(t);
-                let top = ns_linalg::vecops::top_k_indices(row, self.top_k);
-                for e in top {
-                    assignments[e].push(t);
-                }
-            }
-        }
+        // Routing and the top-1 tally below use the tape's recycled
+        // scratch, handed back before returning.
+        let mut order = std::mem::take(&mut g.tape.ids);
+        let mut assign = std::mem::take(&mut g.tape.route);
+        route(g.value(p), self.top_k, &mut order, &mut assign);
 
-        // y = Σ_{i ∈ topk} p_i(x) · E_i(x)   (Eq. 4)
+        // y = Σ_{i ∈ topk} p_i(x) · E_i(x)   (Eq. 4). An expert that
+        // received no token emits no nodes.
         let mut total: Option<NodeId> = None;
         for (e, expert) in self.experts.iter().enumerate() {
-            let idx = &assignments[e];
+            let idx = &assign[e];
             if idx.is_empty() {
                 continue;
             }
             let xe = g.gather_rows(x, idx);
             let ye = expert.forward(g, xe);
-            let pairs: Vec<(usize, usize)> = idx.iter().map(|&t| (t, e)).collect();
-            let gate_col = g.select_elems(p, &pairs);
+            let gate_col = g.select_col(p, idx, e);
             let weighted = g.mul_col_broadcast(ye, gate_col);
             let full = g.scatter_rows(weighted, idx, tokens);
             total = Some(match total {
@@ -106,16 +145,23 @@ impl MoeLayer {
         // Switch-Transformer load-balance loss: N · Σ_e f_e · P_e where
         // f_e is the (constant) fraction of tokens whose top-1 choice is e
         // and P_e the mean gate probability of e.
-        let mut f = vec![0.0f64; n_exp];
-        {
-            let probs = g.value(p);
-            for t in 0..tokens {
-                if let Some(best) = ns_linalg::vecops::argmax(probs.row(t)) {
-                    f[best] += 1.0 / tokens.max(1) as f64;
-                }
+        order.clear();
+        order.resize(n_exp, 0);
+        for t in 0..tokens {
+            if let Some(best) = ns_linalg::vecops::argmax(g.value(p).row(t)) {
+                order[best] += 1;
             }
         }
-        let f_row = g.input(ns_linalg::matrix::Matrix::row_vector(&f));
+        let f_row = g.input_fill(1, n_exp, |f| {
+            // One `+= 1/T` per token, as the tally was always summed.
+            for (fe, &hits) in f.iter_mut().zip(&order) {
+                for _ in 0..hits {
+                    *fe += 1.0 / tokens.max(1) as f64;
+                }
+            }
+        });
+        g.tape.ids = order;
+        g.tape.route = assign;
         let p_mean = g.col_means(p);
         let prod = g.mul(p_mean, f_row);
         let s = g.sum_all(prod);
@@ -124,7 +170,6 @@ impl MoeLayer {
         MoeOutput {
             out,
             gate_probs: p,
-            assignments,
             aux_loss,
         }
     }
@@ -140,6 +185,34 @@ mod tests {
         let mut params = ParamStore::new(seed);
         let moe = MoeLayer::new(&mut params, "moe", 8, 16, n_experts, top_k);
         (params, moe)
+    }
+
+    fn top_k_matches_library<T: Scalar>() {
+        let cases: Vec<Vec<f64>> = vec![
+            vec![0.2, 0.5, 0.3],
+            vec![1.0, 1.0, 1.0, 1.0],
+            vec![-0.5, 0.0, 0.0, -0.5, 2.0],
+            vec![3.0],
+            vec![],
+        ];
+        let mut order = Vec::new();
+        for x in cases {
+            let xt: Vec<T> = x.iter().map(|&v| T::from_f64(v)).collect();
+            for k in 0..=x.len() + 1 {
+                top_k_into(&xt, k, &mut order);
+                assert_eq!(
+                    order,
+                    ns_linalg::vecops::top_k_indices(&x, k),
+                    "x={x:?} k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn top_k_into_matches_library() {
+        top_k_matches_library::<f64>();
+        top_k_matches_library::<f32>();
     }
 
     #[test]
@@ -168,10 +241,12 @@ mod tests {
                 ((r + 2 * c) as f64 * 0.37).cos()
             }));
             let out = moe.forward(&mut g, x);
-            let total: usize = out.assignments.iter().map(|a| a.len()).sum();
+            let (mut order, mut assignments) = (Vec::new(), Vec::new());
+            route(g.value(out.gate_probs), top_k, &mut order, &mut assignments);
+            let total: usize = assignments.iter().map(|a| a.len()).sum();
             assert_eq!(total, 20 * top_k, "top_k={top_k}");
             // No expert sees the same token twice.
-            for a in &out.assignments {
+            for a in &assignments {
                 let mut s = a.clone();
                 s.sort_unstable();
                 s.dedup();

@@ -1,6 +1,6 @@
 //! Parameter storage shared across forward passes.
 //!
-//! Training loops build a fresh [`crate::tape::Graph`] per example, so the
+//! Training loops build a [`crate::tape::Graph`] per example, so the
 //! learnable state lives here: a flat arena of named matrices, plus an
 //! aligned [`GradStore`] that accumulates gradients across a (possibly
 //! rayon-parallel) batch before an optimizer step.
@@ -144,6 +144,14 @@ impl GradStore {
 
     pub fn get(&self, id: ParamId) -> &Matrix {
         &self.grads[id]
+    }
+
+    /// Reset every gradient to `+0.0`, keeping the buffers — a reused
+    /// store starts a backward sweep exactly as a fresh one does.
+    pub fn zero(&mut self) {
+        for g in self.grads.iter_mut() {
+            g.as_mut_slice().fill(0.0);
+        }
     }
 
     /// Accumulate a gradient contribution for one parameter.

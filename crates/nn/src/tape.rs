@@ -1,12 +1,23 @@
 //! Reverse-mode automatic differentiation over 2-D matrices.
 //!
-//! A [`Graph`] is a single-use tape: every operation appends a node whose
-//! parents were created earlier, so a single reverse sweep over the arena
-//! is a valid topological-order backpropagation. Training loops build one
-//! graph per example (sequences are `T × d` matrices), run
+//! A [`Graph`] is a define-by-run tape: every operation appends a node
+//! whose parents were created earlier, so a single reverse sweep over the
+//! arena is a valid topological-order backpropagation. Training loops
+//! build one graph per example (sequences are `T × d` matrices), run
 //! [`Graph::backward`], and merge the resulting [`GradStore`]s across a
 //! batch — which is how the workspace gets rayon data-parallel training
 //! without any shared mutable state.
+//!
+//! The storage behind a graph is a [`Tape`], and it outlives the graph:
+//! [`Graph::into_tape`] hands it back and [`Graph::recycle`] builds the
+//! next example into it. Buffers are recycled **by position** — node *i*
+//! of the next graph computes into node *i*'s value, gradient and index
+//! buffers through the `_into` kernels, growing one only when a shape
+//! outgrows it — so a training loop reaches a steady state with no heap
+//! traffic. Nothing is recorded or replayed: the node sequence is
+//! data-dependent (an MoE expert that received no token emits no nodes),
+//! and a slot that held a different op last time is just a buffer of the
+//! wrong size once.
 
 use crate::params::{GradStore, ParamId, ParamStore};
 use ns_linalg::matrix::Matrix;
@@ -14,12 +25,14 @@ use ns_linalg::matrix::Matrix;
 /// Handle to a node in the tape.
 pub type NodeId = usize;
 
-/// Tape operation. Parents are always lower `NodeId`s.
-#[derive(Clone, Debug)]
+/// Tape operation. Parents are always lower `NodeId`s; index lists
+/// (gather/scatter rows, selected elements, concatenated parts) live in
+/// the node's recycled `idx` slot, which is what keeps `Op` `Copy`.
+#[derive(Clone, Copy, Debug)]
 enum Op {
     /// Constant input (no gradient tracked beyond the tape).
     Input,
-    /// Learnable parameter leaf.
+    /// Learnable parameter leaf; its value is read from the store.
     Param(ParamId),
     Add(NodeId, NodeId),
     Sub(NodeId, NodeId),
@@ -47,95 +60,244 @@ enum Op {
     MulRowBroadcast(NodeId, NodeId),
     /// `a ⊙ col` with `col` (`n × 1`) broadcast over all columns.
     MulColBroadcast(NodeId, NodeId),
-    GatherRows(NodeId, Vec<usize>),
-    /// Place rows of `src` at `idx` within a `rows`-tall zero matrix.
-    ScatterRows {
-        src: NodeId,
-        idx: Vec<usize>,
-        rows: usize,
-    },
-    /// Pick one element per listed `(row, col)` pair into a column vector.
-    SelectElems(NodeId, Vec<(usize, usize)>),
-    SliceCols(NodeId, usize, usize),
-    ConcatCols(Vec<NodeId>),
+    /// Rows `idx` of the parent.
+    GatherRows(NodeId),
+    /// Rows of the parent placed at `idx` within a taller zero matrix.
+    ScatterRows(NodeId),
+    /// The parent's elements at flat offsets `idx`, as a column vector.
+    SelectElems(NodeId),
+    SliceCols(NodeId, usize),
+    /// Nodes `idx` side by side.
+    ConcatCols,
     SumAll(NodeId),
     MeanAll(NodeId),
     /// Column means → `1 × cols` row vector.
     ColMeans(NodeId),
 }
 
-struct Node {
-    value: Matrix,
-    grad: Option<Matrix>,
-    op: Op,
+/// A graph's storage, detached from any parameter store so it can be
+/// parked between examples (see the module docs). `Tape::default()` is an
+/// empty one; every slot vector only ever grows.
+#[derive(Default)]
+pub struct Tape {
+    /// The live graph: one entry per node of the current example.
+    ops: Vec<Op>,
+    /// Per-position slots, at least `ops.len()` of each.
+    values: Vec<Matrix>,
+    grads: Vec<Matrix>,
+    /// Whether `grads[i]` was reached by the last backward sweep.
+    seen: Vec<bool>,
+    idx: Vec<Vec<usize>>,
+    /// Backward scratch: a non-first gradient contribution, and
+    /// LayerNorm's two parameter-gradient rows.
+    tmp: [Matrix; 3],
+    /// Scratch the layers borrow so their own bookkeeping recycles too:
+    /// a list of node ids or sort order, and per-expert token lists.
+    pub(crate) ids: Vec<usize>,
+    pub(crate) route: Vec<Vec<usize>>,
 }
 
-/// A single-use autodiff tape bound to a [`ParamStore`].
+/// Read access to the values of already-built nodes.
+struct Vals<'a> {
+    params: &'a ParamStore,
+    ops: &'a [Op],
+    values: &'a [Matrix],
+}
+
+impl<'a> Vals<'a> {
+    fn get(&self, id: NodeId) -> &'a Matrix {
+        match self.ops[id] {
+            Op::Param(pid) => self.params.get(pid),
+            _ => &self.values[id],
+        }
+    }
+}
+
+/// Where a backward step delivers gradient contributions to parents.
+struct Sink<'a> {
+    grads: &'a mut [Matrix],
+    seen: &'a mut [bool],
+    tmp: &'a mut Matrix,
+}
+
+impl Sink<'_> {
+    /// Deliver one contribution to node `p`: `write` overwrites the
+    /// buffer it is given. The first contribution lands in `p`'s gradient
+    /// as is; each later one is computed whole, then added — the order and
+    /// association gradients have always been summed in.
+    fn put(&mut self, p: NodeId, write: impl FnOnce(&mut Matrix)) {
+        if self.seen[p] {
+            write(self.tmp);
+            self.grads[p].add_assign(self.tmp);
+        } else {
+            write(&mut self.grads[p]);
+            self.seen[p] = true;
+        }
+    }
+}
+
+/// `out = src`, reusing `out`'s buffer.
+fn copy_into(out: &mut Matrix, src: &Matrix) {
+    out.assign_map(src, |x| x);
+}
+
+/// `out` = per-column sums of the `rows × cols` values `elem(r, c)`,
+/// accumulated from `+0.0` over ascending `r` — `Matrix::col_sums`.
+fn col_sums_into(out: &mut Matrix, rows: usize, cols: usize, elem: impl Fn(usize, usize) -> f64) {
+    out.resize(1, cols);
+    for r in 0..rows {
+        for (c, acc) in out.as_mut_slice().iter_mut().enumerate() {
+            *acc += elem(r, c);
+        }
+    }
+}
+
+/// `out` = `like`'s shape, every element `x`.
+fn fill_like(out: &mut Matrix, like: &Matrix, x: f64) {
+    out.set_shape(like.rows(), like.cols());
+    out.as_mut_slice().fill(x);
+}
+
+/// Row `r` of `out` ← row `idx[r]` of `src`.
+fn gather_into(out: &mut Matrix, src: &Matrix, idx: &[usize]) {
+    out.set_shape(idx.len(), src.cols());
+    for (r, &i) in idx.iter().enumerate() {
+        out.row_mut(r).copy_from_slice(src.row(i));
+    }
+}
+
+/// An autodiff tape bound to a [`ParamStore`].
 pub struct Graph<'p> {
     params: &'p ParamStore,
-    nodes: Vec<Node>,
+    pub(crate) tape: Tape,
 }
 
 impl<'p> Graph<'p> {
     pub fn new(params: &'p ParamStore) -> Self {
-        Self {
-            params,
-            nodes: Vec::with_capacity(256),
-        }
+        Self::recycle(params, Tape::default())
     }
 
-    fn push(&mut self, value: Matrix, op: Op) -> NodeId {
-        self.nodes.push(Node {
-            value,
-            grad: None,
-            op,
-        });
-        self.nodes.len() - 1
+    /// An empty graph that builds into `tape`'s buffers (see the module
+    /// docs). Results are bit-identical to a [`Graph::new`] graph's.
+    pub fn recycle(params: &'p ParamStore, mut tape: Tape) -> Self {
+        tape.ops.clear();
+        Self { params, tape }
+    }
+
+    /// Give the storage back for the next [`Graph::recycle`].
+    pub fn into_tape(self) -> Tape {
+        self.tape
+    }
+
+    /// Append a node: `compute` reads earlier nodes and overwrites the
+    /// slot's value buffer; `idx` becomes the node's index list.
+    fn emit(
+        &mut self,
+        op: Op,
+        idx: impl IntoIterator<Item = usize>,
+        compute: impl FnOnce(&Vals<'_>, &[usize], &mut Matrix),
+    ) -> NodeId {
+        let t = &mut self.tape;
+        let id = t.ops.len();
+        t.ops.push(op);
+        if t.values.len() == id {
+            t.values.push(Matrix::default());
+            t.grads.push(Matrix::default());
+            t.seen.push(false);
+            t.idx.push(Vec::new());
+        }
+        t.idx[id].clear();
+        t.idx[id].extend(idx);
+        let (built, slot) = t.values.split_at_mut(id);
+        let vals = Vals {
+            params: self.params,
+            ops: &t.ops,
+            values: built,
+        };
+        compute(&vals, &t.idx[id], &mut slot[0]);
+        id
+    }
+
+    /// [`Graph::emit`] for the ops without an index list.
+    fn node(&mut self, op: Op, compute: impl FnOnce(&Vals<'_>, &mut Matrix)) -> NodeId {
+        self.emit(op, [], |v, _, out| compute(v, out))
     }
 
     /// Value of a node.
     pub fn value(&self, id: NodeId) -> &Matrix {
-        &self.nodes[id].value
+        let t = &self.tape;
+        Vals {
+            params: self.params,
+            ops: &t.ops,
+            values: &t.values,
+        }
+        .get(id)
     }
 
     /// Gradient of a node after [`Graph::backward`] (None if unreached).
     pub fn grad(&self, id: NodeId) -> Option<&Matrix> {
-        self.nodes[id].grad.as_ref()
+        self.tape.seen[id].then(|| &self.tape.grads[id])
     }
 
     /// Constant input leaf.
     pub fn input(&mut self, m: Matrix) -> NodeId {
-        self.push(m, Op::Input)
+        self.node(Op::Input, |_, out| *out = m)
     }
 
-    /// Parameter leaf (copies the current value onto the tape).
+    /// Constant input leaf written in place: `fill` receives the slot's
+    /// zeroed `rows × cols` buffer. The allocation-free [`Graph::input`].
+    pub fn input_fill(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        fill: impl FnOnce(&mut [f64]),
+    ) -> NodeId {
+        self.node(Op::Input, |_, out| {
+            out.resize(rows, cols);
+            fill(out.as_mut_slice());
+        })
+    }
+
+    /// Constant input leaf holding a copy of `m`, in the slot's buffer.
+    pub fn input_from(&mut self, m: &Matrix) -> NodeId {
+        self.node(Op::Input, |_, out| copy_into(out, m))
+    }
+
+    /// Parameter leaf: reads the store's matrix in place, no copy.
     pub fn param(&mut self, id: ParamId) -> NodeId {
-        self.push(self.params.get(id).clone(), Op::Param(id))
+        self.node(Op::Param(id), |_, _| {})
+    }
+
+    /// Elementwise `f(a, b)`.
+    fn zip(&mut self, op: Op, (a, b): (NodeId, NodeId), f: impl Fn(f64, f64) -> f64) -> NodeId {
+        self.node(op, |v, out| out.assign_zip(v.get(a), v.get(b), f))
+    }
+
+    /// Elementwise `f(a)`.
+    fn map(&mut self, op: Op, a: NodeId, f: impl Fn(f64) -> f64) -> NodeId {
+        self.node(op, |v, out| out.assign_map(v.get(a), f))
     }
 
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a].value.add(&self.nodes[b].value);
-        self.push(v, Op::Add(a, b))
+        self.zip(Op::Add(a, b), (a, b), |x, y| x + y)
     }
 
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a].value.sub(&self.nodes[b].value);
-        self.push(v, Op::Sub(a, b))
+        self.zip(Op::Sub(a, b), (a, b), |x, y| x - y)
     }
 
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a].value.hadamard(&self.nodes[b].value);
-        self.push(v, Op::Mul(a, b))
+        self.zip(Op::Mul(a, b), (a, b), |x, y| x * y)
     }
 
     pub fn scale(&mut self, a: NodeId, k: f64) -> NodeId {
-        let v = self.nodes[a].value.scale(k);
-        self.push(v, Op::Scale(a, k))
+        self.map(Op::Scale(a, k), a, |x| x * k)
     }
 
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a].value.matmul(&self.nodes[b].value);
-        self.push(v, Op::MatMul(a, b))
+        self.node(Op::MatMul(a, b), |v, out| {
+            v.get(a).matmul_into(v.get(b), out)
+        })
     }
 
     /// Matmul whose left operand is structurally sparse (e.g. post-ReLU
@@ -143,185 +305,209 @@ impl<'p> Graph<'p> {
     /// bit-identical to the dense one for finite inputs. The backward pass
     /// is the ordinary matmul rule.
     pub fn matmul_sparse_lhs(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a].value.matmul_sparse_lhs(&self.nodes[b].value);
-        self.push(v, Op::MatMul(a, b))
+        self.node(Op::MatMul(a, b), |v, out| {
+            v.get(a).matmul_sparse_lhs_into(v.get(b), out)
+        })
     }
 
     pub fn transpose(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].value.transpose();
-        self.push(v, Op::Transpose(a))
+        self.node(Op::Transpose(a), |v, out| v.get(a).transpose_into(out))
     }
 
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].value.map(|x| x.max(0.0));
-        self.push(v, Op::Relu(a))
+        self.map(Op::Relu(a), a, |x| x.max(0.0))
     }
 
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].value.map(f64::tanh);
-        self.push(v, Op::Tanh(a))
+        self.map(Op::Tanh(a), a, f64::tanh)
     }
 
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].value.map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push(v, Op::Sigmoid(a))
+        self.map(Op::Sigmoid(a), a, |x| 1.0 / (1.0 + (-x).exp()))
     }
 
     pub fn exp(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].value.map(f64::exp);
-        self.push(v, Op::Exp(a))
+        self.map(Op::Exp(a), a, f64::exp)
     }
 
     /// Numerically-stable row-wise softmax.
     pub fn softmax_rows(&mut self, a: NodeId) -> NodeId {
-        let src = &self.nodes[a].value;
-        let mut v = src.clone();
-        for r in 0..v.rows() {
-            let row = v.row_mut(r);
-            let m = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let mut s = 0.0;
-            for x in row.iter_mut() {
-                *x = (*x - m).exp();
-                s += *x;
+        self.node(Op::SoftmaxRows(a), |v, out| {
+            copy_into(out, v.get(a));
+            for r in 0..out.rows() {
+                let row = out.row_mut(r);
+                let m = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                let mut s = 0.0;
+                for x in row.iter_mut() {
+                    *x = (*x - m).exp();
+                    s += *x;
+                }
+                for x in row.iter_mut() {
+                    *x /= s;
+                }
             }
-            for x in row.iter_mut() {
-                *x /= s;
-            }
-        }
-        self.push(v, Op::SoftmaxRows(a))
+        })
     }
 
     /// Row-wise LayerNorm: `γ ⊙ (x − μ)/σ + β` with `γ, β` of shape `1 × d`.
     pub fn layer_norm(&mut self, x: NodeId, gamma: NodeId, beta: NodeId) -> NodeId {
         let eps = 1e-5;
-        let src = &self.nodes[x].value;
-        let g = &self.nodes[gamma].value;
-        let b = &self.nodes[beta].value;
-        assert_eq!(g.shape(), (1, src.cols()), "gamma must be 1×d");
-        assert_eq!(b.shape(), (1, src.cols()), "beta must be 1×d");
-        let mut out = src.clone();
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            let d = row.len() as f64;
-            let mean = row.iter().sum::<f64>() / d;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / d;
-            let inv = 1.0 / (var + eps).sqrt();
-            for (i, v) in row.iter_mut().enumerate() {
-                *v = g.as_slice()[i] * (*v - mean) * inv + b.as_slice()[i];
+        let op = Op::LayerNorm {
+            x,
+            gamma,
+            beta,
+            eps,
+        };
+        self.node(op, |v, out| {
+            let (src, g, b) = (v.get(x), v.get(gamma), v.get(beta));
+            assert_eq!(g.shape(), (1, src.cols()), "gamma must be 1×d");
+            assert_eq!(b.shape(), (1, src.cols()), "beta must be 1×d");
+            copy_into(out, src);
+            for r in 0..out.rows() {
+                let row = out.row_mut(r);
+                let d = row.len() as f64;
+                let mean = row.iter().sum::<f64>() / d;
+                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / d;
+                let inv = 1.0 / (var + eps).sqrt();
+                for (i, v) in row.iter_mut().enumerate() {
+                    *v = g.as_slice()[i] * (*v - mean) * inv + b.as_slice()[i];
+                }
             }
-        }
-        self.push(
-            out,
-            Op::LayerNorm {
-                x,
-                gamma,
-                beta,
-                eps,
-            },
-        )
+        })
     }
 
     pub fn add_row_broadcast(&mut self, a: NodeId, row: NodeId) -> NodeId {
-        let v = self.nodes[a]
-            .value
-            .add_row_broadcast(&self.nodes[row].value);
-        self.push(v, Op::AddRowBroadcast(a, row))
+        self.node(Op::AddRowBroadcast(a, row), |v, out| {
+            copy_into(out, v.get(a));
+            out.add_row_broadcast_inplace(v.get(row));
+        })
     }
 
     pub fn mul_row_broadcast(&mut self, a: NodeId, row: NodeId) -> NodeId {
-        let av = &self.nodes[a].value;
-        let rv = &self.nodes[row].value;
-        assert_eq!(rv.rows(), 1);
-        assert_eq!(rv.cols(), av.cols());
-        let mut v = av.clone();
-        for r in 0..v.rows() {
-            for (x, w) in v.row_mut(r).iter_mut().zip(rv.as_slice()) {
-                *x *= w;
+        self.node(Op::MulRowBroadcast(a, row), |v, out| {
+            let (av, rv) = (v.get(a), v.get(row));
+            assert_eq!(rv.rows(), 1);
+            assert_eq!(rv.cols(), av.cols());
+            copy_into(out, av);
+            for r in 0..out.rows() {
+                for (x, w) in out.row_mut(r).iter_mut().zip(rv.as_slice()) {
+                    *x *= w;
+                }
             }
-        }
-        self.push(v, Op::MulRowBroadcast(a, row))
+        })
     }
 
     pub fn mul_col_broadcast(&mut self, a: NodeId, col: NodeId) -> NodeId {
-        let av = &self.nodes[a].value;
-        let cv = &self.nodes[col].value;
-        assert_eq!(cv.cols(), 1);
-        assert_eq!(cv.rows(), av.rows());
-        let mut v = av.clone();
-        for r in 0..v.rows() {
-            let w = cv.as_slice()[r];
-            for x in v.row_mut(r).iter_mut() {
-                *x *= w;
+        self.node(Op::MulColBroadcast(a, col), |v, out| {
+            let (av, cv) = (v.get(a), v.get(col));
+            assert_eq!(cv.cols(), 1);
+            assert_eq!(cv.rows(), av.rows());
+            copy_into(out, av);
+            for (r, &w) in cv.as_slice().iter().enumerate() {
+                for x in out.row_mut(r).iter_mut() {
+                    *x *= w;
+                }
             }
-        }
-        self.push(v, Op::MulColBroadcast(a, col))
+        })
     }
 
     pub fn gather_rows(&mut self, a: NodeId, idx: &[usize]) -> NodeId {
-        let v = self.nodes[a].value.gather_rows(idx);
-        self.push(v, Op::GatherRows(a, idx.to_vec()))
+        self.emit(Op::GatherRows(a), idx.iter().copied(), |v, idx, out| {
+            gather_into(out, v.get(a), idx)
+        })
     }
 
     /// Inverse of gather: place `src`'s rows at positions `idx` in a
     /// zero-filled `rows × cols` matrix. `idx` must be unique positions.
     pub fn scatter_rows(&mut self, src: NodeId, idx: &[usize], rows: usize) -> NodeId {
-        let sv = &self.nodes[src].value;
-        assert_eq!(sv.rows(), idx.len());
-        let mut v = Matrix::zeros(rows, sv.cols());
-        for (r, &target) in idx.iter().enumerate() {
-            v.row_mut(target).copy_from_slice(sv.row(r));
-        }
-        self.push(
-            v,
-            Op::ScatterRows {
-                src,
-                idx: idx.to_vec(),
-                rows,
-            },
-        )
+        self.emit(Op::ScatterRows(src), idx.iter().copied(), |v, idx, out| {
+            let sv = v.get(src);
+            assert_eq!(sv.rows(), idx.len());
+            out.resize(rows, sv.cols());
+            for (r, &target) in idx.iter().enumerate() {
+                out.row_mut(target).copy_from_slice(sv.row(r));
+            }
+        })
     }
 
     /// Pick `a[(r, c)]` for each pair into an `len × 1` column vector.
     pub fn select_elems(&mut self, a: NodeId, pairs: &[(usize, usize)]) -> NodeId {
-        let av = &self.nodes[a].value;
-        let data: Vec<f64> = pairs.iter().map(|&(r, c)| av[(r, c)]).collect();
-        let v = Matrix::col_vector(&data);
-        self.push(v, Op::SelectElems(a, pairs.to_vec()))
+        self.select(a, pairs.iter().copied())
+    }
+
+    /// Pick `a[(r, col)]` for each listed row: [`Graph::select_elems`]
+    /// down one column, without building the pair list.
+    pub fn select_col(&mut self, a: NodeId, rows: &[usize], col: usize) -> NodeId {
+        self.select(a, rows.iter().map(|&r| (r, col)))
+    }
+
+    fn select(&mut self, a: NodeId, pairs: impl Iterator<Item = (usize, usize)>) -> NodeId {
+        let (rows, cols) = self.value(a).shape();
+        let flat = pairs.map(|(r, c)| {
+            assert!(r < rows && c < cols, "element ({r},{c}) out of bounds");
+            r * cols + c
+        });
+        self.emit(Op::SelectElems(a), flat, |v, idx, out| {
+            out.set_shape(idx.len(), 1);
+            for (o, &at) in out.as_mut_slice().iter_mut().zip(idx) {
+                *o = v.get(a).as_slice()[at];
+            }
+        })
     }
 
     pub fn slice_cols(&mut self, a: NodeId, start: usize, end: usize) -> NodeId {
-        let av = &self.nodes[a].value;
-        assert!(start <= end && end <= av.cols());
-        let mut v = Matrix::zeros(av.rows(), end - start);
-        for r in 0..av.rows() {
-            v.row_mut(r).copy_from_slice(&av.row(r)[start..end]);
-        }
-        self.push(v, Op::SliceCols(a, start, end))
+        self.node(Op::SliceCols(a, start), |v, out| {
+            let av = v.get(a);
+            assert!(start <= end && end <= av.cols());
+            out.set_shape(av.rows(), end - start);
+            for r in 0..av.rows() {
+                out.row_mut(r).copy_from_slice(&av.row(r)[start..end]);
+            }
+        })
     }
 
     pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
         assert!(!parts.is_empty());
-        let mats: Vec<&Matrix> = parts.iter().map(|&p| &self.nodes[p].value).collect();
-        let v = Matrix::hstack(&mats);
-        self.push(v, Op::ConcatCols(parts.to_vec()))
+        self.emit(Op::ConcatCols, parts.iter().copied(), |v, parts, out| {
+            let rows = v.get(parts[0]).rows();
+            out.set_shape(rows, parts.iter().map(|&p| v.get(p).cols()).sum());
+            let mut off = 0;
+            for &p in parts {
+                let pv = v.get(p);
+                assert_eq!(pv.rows(), rows, "hstack row mismatch");
+                for r in 0..rows {
+                    out.row_mut(r)[off..off + pv.cols()].copy_from_slice(pv.row(r));
+                }
+                off += pv.cols();
+            }
+        })
     }
 
     /// Sum of all elements as a `1 × 1` matrix.
     pub fn sum_all(&mut self, a: NodeId) -> NodeId {
-        let s = self.nodes[a].value.sum();
-        self.push(Matrix::from_vec(1, 1, vec![s]), Op::SumAll(a))
+        self.node(Op::SumAll(a), |v, out| {
+            out.set_shape(1, 1);
+            out.as_mut_slice()[0] = v.get(a).sum();
+        })
     }
 
     /// Mean of all elements as a `1 × 1` matrix.
     pub fn mean_all(&mut self, a: NodeId) -> NodeId {
-        let m = self.nodes[a].value.mean();
-        self.push(Matrix::from_vec(1, 1, vec![m]), Op::MeanAll(a))
+        self.node(Op::MeanAll(a), |v, out| {
+            out.set_shape(1, 1);
+            out.as_mut_slice()[0] = v.get(a).mean();
+        })
     }
 
     /// Column means as a `1 × cols` row vector.
     pub fn col_means(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].value.col_means();
-        self.push(v, Op::ColMeans(a))
+        self.node(Op::ColMeans(a), |v, out| {
+            let av = v.get(a);
+            col_sums_into(out, av.rows(), av.cols(), |r, c| av[(r, c)]);
+            if av.rows() > 0 {
+                out.map_inplace(|x| x / av.rows() as f64);
+            }
+        })
     }
 
     // ---------------------------------------------------------------
@@ -346,7 +532,7 @@ impl<'p> Graph<'p> {
 
     /// Scalar value of a `1 × 1` node.
     pub fn scalar(&self, id: NodeId) -> f64 {
-        let v = &self.nodes[id].value;
+        let v = self.value(id);
         assert_eq!(v.shape(), (1, 1), "scalar() requires a 1×1 node");
         v.as_slice()[0]
     }
@@ -355,93 +541,81 @@ impl<'p> Graph<'p> {
     // Backward
     // ---------------------------------------------------------------
 
-    fn accum(&mut self, id: NodeId, g: Matrix) {
-        match &mut self.nodes[id].grad {
-            Some(existing) => existing.add_assign(&g),
-            slot @ None => *slot = Some(g),
-        }
-    }
-
     /// Backpropagate from a scalar (`1 × 1`) loss node; returns gradients
     /// for every parameter reachable from it.
     pub fn backward(&mut self, loss: NodeId) -> GradStore {
-        assert_eq!(
-            self.nodes[loss].value.shape(),
-            (1, 1),
-            "loss must be scalar"
-        );
-        self.nodes[loss].grad = Some(Matrix::from_vec(1, 1, vec![1.0]));
         let mut grads = self.params.zero_grads();
-        // Transposes of node values, computed at most once per sweep. The
-        // matmul rule needs aᵀ and bᵀ, and values feeding several matmuls
-        // (e.g. the shared input of the q/k/v projections) would otherwise
-        // be re-transposed per consumer.
-        let mut tcache: rustc_hash::FxHashMap<NodeId, Matrix> = rustc_hash::FxHashMap::default();
+        self.backward_into(loss, &mut grads);
+        grads
+    }
+
+    /// [`Graph::backward`] into a reused store (aligned with this graph's
+    /// parameters): zeroed, then filled. Bit-identical to a fresh one.
+    pub fn backward_into(&mut self, loss: NodeId, grads: &mut GradStore) {
+        assert_eq!(self.value(loss).shape(), (1, 1), "loss must be scalar");
+        assert_eq!(grads.len(), self.params.len(), "grad store alignment");
+        grads.zero();
+        let t = &mut self.tape;
+        let v = Vals {
+            params: self.params,
+            ops: &t.ops,
+            values: &t.values,
+        };
+        let [tmp, ggamma, gbeta] = &mut t.tmp;
+        t.seen.fill(false);
+        t.seen[loss] = true;
+        t.grads[loss].set_shape(1, 1);
+        t.grads[loss].as_mut_slice()[0] = 1.0;
 
         for id in (0..=loss).rev() {
-            let Some(gout) = self.nodes[id].grad.take() else {
+            if !t.seen[id] {
                 continue;
+            }
+            let (parents, rest) = t.grads.split_at_mut(id);
+            let gout = &rest[0];
+            let mut to = Sink {
+                grads: parents,
+                seen: &mut t.seen[..id],
+                tmp: &mut *tmp,
             };
-            let op = self.nodes[id].op.clone();
-            match op {
+            let idx = &t.idx[id];
+            let pass = |g: &mut Matrix| copy_into(g, gout);
+            match t.ops[id] {
                 Op::Input => {}
-                Op::Param(pid) => {
-                    grads.accumulate(pid, &gout);
-                    // Keep the grad visible for Graph::grad inspection.
-                    self.nodes[id].grad = Some(gout);
-                    continue;
-                }
+                Op::Param(pid) => grads.accumulate(pid, gout),
                 Op::Add(a, b) => {
-                    self.accum(a, gout.clone());
-                    self.accum(b, gout.clone());
+                    to.put(a, pass);
+                    to.put(b, pass);
                 }
                 Op::Sub(a, b) => {
-                    self.accum(a, gout.clone());
-                    self.accum(b, gout.scale(-1.0));
+                    to.put(a, pass);
+                    to.put(b, |g| g.assign_map(gout, |x| -x));
                 }
                 Op::Mul(a, b) => {
-                    let ga = gout.hadamard(&self.nodes[b].value);
-                    let gb = gout.hadamard(&self.nodes[a].value);
-                    self.accum(a, ga);
-                    self.accum(b, gb);
+                    to.put(a, |g| g.assign_zip(gout, v.get(b), |x, y| x * y));
+                    to.put(b, |g| g.assign_zip(gout, v.get(a), |x, y| x * y));
                 }
-                Op::Scale(a, k) => {
-                    self.accum(a, gout.scale(k));
-                }
+                Op::Scale(a, k) => to.put(a, |g| g.assign_map(gout, |x| x * k)),
+                // ga = gout·bᵀ and gb = aᵀ·gout, read off the stored
+                // operands: no transpose is materialised.
                 Op::MatMul(a, b) => {
-                    tcache
-                        .entry(b)
-                        .or_insert_with(|| self.nodes[b].value.transpose());
-                    tcache
-                        .entry(a)
-                        .or_insert_with(|| self.nodes[a].value.transpose());
-                    let ga = gout.matmul(&tcache[&b]);
-                    let gb = tcache[&a].matmul(&gout);
-                    self.accum(a, ga);
-                    self.accum(b, gb);
+                    to.put(a, |g| gout.matmul_pre_t_into(v.get(b), g));
+                    to.put(b, |g| v.get(a).matmul_lhs_t_into(gout, g));
                 }
-                Op::Transpose(a) => {
-                    self.accum(a, gout.transpose());
-                }
-                Op::Relu(a) => {
-                    let g = gout.zip(&self.nodes[a].value, |g, x| if x > 0.0 { g } else { 0.0 });
-                    self.accum(a, g);
-                }
-                Op::Tanh(a) => {
-                    let g = gout.zip(&self.nodes[id].value, |g, y| g * (1.0 - y * y));
-                    self.accum(a, g);
-                }
-                Op::Sigmoid(a) => {
-                    let g = gout.zip(&self.nodes[id].value, |g, y| g * y * (1.0 - y));
-                    self.accum(a, g);
-                }
-                Op::Exp(a) => {
-                    let g = gout.hadamard(&self.nodes[id].value);
-                    self.accum(a, g);
-                }
-                Op::SoftmaxRows(a) => {
-                    let y = &self.nodes[id].value;
-                    let mut g = gout.clone();
+                Op::Transpose(a) => to.put(a, |g| gout.transpose_into(g)),
+                Op::Relu(a) => to.put(a, |g| {
+                    g.assign_zip(gout, v.get(a), |g, x| if x > 0.0 { g } else { 0.0 })
+                }),
+                Op::Tanh(a) => to.put(a, |g| {
+                    g.assign_zip(gout, v.get(id), |g, y| g * (1.0 - y * y))
+                }),
+                Op::Sigmoid(a) => to.put(a, |g| {
+                    g.assign_zip(gout, v.get(id), |g, y| g * y * (1.0 - y))
+                }),
+                Op::Exp(a) => to.put(a, |g| g.assign_zip(gout, v.get(id), |g, y| g * y)),
+                Op::SoftmaxRows(a) => to.put(a, |g| {
+                    let y = v.get(id);
+                    pass(g);
                     for r in 0..g.rows() {
                         let yr = y.row(r);
                         let gr = g.row_mut(r);
@@ -450,157 +624,138 @@ impl<'p> Graph<'p> {
                             *gv = yv * (*gv - dot);
                         }
                     }
-                    self.accum(a, g);
-                }
+                }),
                 Op::LayerNorm {
                     x,
                     gamma,
                     beta,
                     eps,
                 } => {
-                    // Scoped immutable borrows: no value clones needed, the
-                    // borrows end before the accum() calls below.
-                    let (gx, ggamma, gbeta) = {
-                        let xv = &self.nodes[x].value;
-                        let gv = &self.nodes[gamma].value;
-                        let (rows, d) = xv.shape();
-                        let df = d as f64;
-                        let mut gx = Matrix::zeros(rows, d);
-                        let mut ggamma = Matrix::zeros(1, d);
-                        let mut gbeta = Matrix::zeros(1, d);
+                    let xv = v.get(x);
+                    let gv = v.get(gamma).as_slice();
+                    let (rows, d) = xv.shape();
+                    let df = d as f64;
+                    ggamma.resize(1, d);
+                    gbeta.resize(1, d);
+                    to.put(x, |gx| {
+                        gx.set_shape(rows, d);
                         for r in 0..rows {
                             let row = xv.row(r);
                             let mean = row.iter().sum::<f64>() / df;
                             let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / df;
                             let inv = 1.0 / (var + eps).sqrt();
-                            let xhat: Vec<f64> = row.iter().map(|v| (v - mean) * inv).collect();
+                            let xhat = |i: usize| (row[i] - mean) * inv;
                             let dy = gout.row(r);
+                            let dxhat = |i: usize| dy[i] * gv[i];
                             // Parameter grads.
-                            for i in 0..d {
-                                ggamma.row_mut(0)[i] += dy[i] * xhat[i];
-                                gbeta.row_mut(0)[i] += dy[i];
+                            let rows = ggamma.as_mut_slice().iter_mut().zip(gbeta.as_mut_slice());
+                            for (i, (gg, gb)) in rows.enumerate() {
+                                *gg += dy[i] * xhat(i);
+                                *gb += dy[i];
                             }
                             // Input grad.
-                            let dxhat: Vec<f64> =
-                                (0..d).map(|i| dy[i] * gv.as_slice()[i]).collect();
-                            let sum_dxhat: f64 = dxhat.iter().sum();
-                            let sum_dxhat_xhat: f64 =
-                                dxhat.iter().zip(&xhat).map(|(a, b)| a * b).sum();
-                            let out = gx.row_mut(r);
-                            for i in 0..d {
-                                out[i] = inv / df
-                                    * (df * dxhat[i] - sum_dxhat - xhat[i] * sum_dxhat_xhat);
+                            let sum_dxhat: f64 = (0..d).map(dxhat).sum();
+                            let sum_dxhat_xhat: f64 = (0..d).map(|i| dxhat(i) * xhat(i)).sum();
+                            for (i, out) in gx.row_mut(r).iter_mut().enumerate() {
+                                *out = inv / df
+                                    * (df * dxhat(i) - sum_dxhat - xhat(i) * sum_dxhat_xhat);
                             }
                         }
-                        (gx, ggamma, gbeta)
-                    };
-                    self.accum(x, gx);
-                    self.accum(gamma, ggamma);
-                    self.accum(beta, gbeta);
+                    });
+                    to.put(gamma, |g| copy_into(g, ggamma));
+                    to.put(beta, |g| copy_into(g, gbeta));
                 }
                 Op::AddRowBroadcast(a, row) => {
-                    self.accum(a, gout.clone());
-                    self.accum(row, gout.col_sums());
+                    to.put(a, pass);
+                    to.put(row, |g| {
+                        col_sums_into(g, gout.rows(), gout.cols(), |r, c| gout[(r, c)])
+                    });
                 }
                 Op::MulRowBroadcast(a, row) => {
-                    let mut ga = gout.clone();
-                    {
-                        let rv = &self.nodes[row].value;
-                        for r in 0..ga.rows() {
-                            for (x, w) in ga.row_mut(r).iter_mut().zip(rv.as_slice()) {
+                    to.put(a, |g| {
+                        pass(g);
+                        for r in 0..g.rows() {
+                            for (x, w) in g.row_mut(r).iter_mut().zip(v.get(row).as_slice()) {
                                 *x *= w;
                             }
                         }
-                    }
-                    let grow = gout.hadamard(&self.nodes[a].value).col_sums();
-                    self.accum(a, ga);
-                    self.accum(row, grow);
+                    });
+                    let av = v.get(a);
+                    to.put(row, |g| {
+                        col_sums_into(g, gout.rows(), gout.cols(), |r, c| {
+                            gout[(r, c)] * av[(r, c)]
+                        })
+                    });
                 }
                 Op::MulColBroadcast(a, col) => {
-                    let mut ga = gout.clone();
-                    {
-                        let cv = &self.nodes[col].value;
-                        for r in 0..ga.rows() {
-                            let w = cv.as_slice()[r];
-                            for x in ga.row_mut(r).iter_mut() {
+                    to.put(a, |g| {
+                        pass(g);
+                        for (r, &w) in v.get(col).as_slice().iter().enumerate() {
+                            for x in g.row_mut(r).iter_mut() {
                                 *x *= w;
                             }
                         }
-                    }
-                    let gcol = gout.hadamard(&self.nodes[a].value).row_sums();
-                    self.accum(a, ga);
-                    self.accum(col, gcol);
+                    });
+                    let av = v.get(a);
+                    to.put(col, |g| {
+                        g.set_shape(gout.rows(), 1);
+                        for (r, o) in g.as_mut_slice().iter_mut().enumerate() {
+                            *o = gout.row(r).iter().zip(av.row(r)).map(|(g, x)| g * x).sum();
+                        }
+                    });
                 }
-                Op::GatherRows(a, idx) => {
-                    let cols = gout.cols();
-                    let mut g = Matrix::zeros(self.nodes[a].value.rows(), cols);
+                Op::GatherRows(a) => to.put(a, |g| {
+                    g.resize(v.get(a).rows(), gout.cols());
                     for (r, &src) in idx.iter().enumerate() {
                         for (slot, &v) in g.row_mut(src).iter_mut().zip(gout.row(r)) {
                             *slot += v;
                         }
                     }
-                    self.accum(a, g);
-                }
-                Op::ScatterRows { src, idx, rows } => {
-                    debug_assert_eq!(gout.rows(), rows);
-                    let g = gout.gather_rows(&idx);
-                    self.accum(src, g);
-                }
-                Op::SelectElems(a, pairs) => {
-                    let av_shape = self.nodes[a].value.shape();
-                    let mut g = Matrix::zeros(av_shape.0, av_shape.1);
-                    for (k, &(r, c)) in pairs.iter().enumerate() {
-                        g[(r, c)] += gout.as_slice()[k];
+                }),
+                Op::ScatterRows(src) => to.put(src, |g| gather_into(g, gout, idx)),
+                Op::SelectElems(a) => to.put(a, |g| {
+                    let (rows, cols) = v.get(a).shape();
+                    g.resize(rows, cols);
+                    for (&at, &v) in idx.iter().zip(gout.as_slice()) {
+                        g.as_mut_slice()[at] += v;
                     }
-                    self.accum(a, g);
-                }
-                Op::SliceCols(a, start, _end) => {
-                    let (rows, cols) = self.nodes[a].value.shape();
-                    let mut g = Matrix::zeros(rows, cols);
+                }),
+                Op::SliceCols(a, start) => to.put(a, |g| {
+                    let (rows, cols) = v.get(a).shape();
+                    g.resize(rows, cols);
                     for r in 0..rows {
-                        for (c, &v) in gout.row(r).iter().enumerate() {
-                            g[(r, start + c)] = v;
-                        }
+                        g.row_mut(r)[start..start + gout.cols()].copy_from_slice(gout.row(r));
                     }
-                    self.accum(a, g);
-                }
-                Op::ConcatCols(parts) => {
+                }),
+                Op::ConcatCols => {
                     let mut off = 0;
-                    for p in parts {
-                        let w = self.nodes[p].value.cols();
-                        let rows = gout.rows();
-                        let mut g = Matrix::zeros(rows, w);
-                        for r in 0..rows {
-                            g.row_mut(r).copy_from_slice(&gout.row(r)[off..off + w]);
-                        }
-                        self.accum(p, g);
+                    for &p in idx {
+                        let w = v.get(p).cols();
+                        to.put(p, |g| {
+                            g.set_shape(gout.rows(), w);
+                            for r in 0..gout.rows() {
+                                g.row_mut(r).copy_from_slice(&gout.row(r)[off..off + w]);
+                            }
+                        });
                         off += w;
                     }
                 }
-                Op::SumAll(a) => {
-                    let s = gout.as_slice()[0];
-                    let (r, c) = self.nodes[a].value.shape();
-                    self.accum(a, Matrix::filled(r, c, s));
-                }
-                Op::MeanAll(a) => {
-                    let (r, c) = self.nodes[a].value.shape();
-                    let s = gout.as_slice()[0] / (r * c).max(1) as f64;
-                    self.accum(a, Matrix::filled(r, c, s));
-                }
-                Op::ColMeans(a) => {
-                    let (r, c) = self.nodes[a].value.shape();
-                    let mut g = Matrix::zeros(r, c);
+                Op::SumAll(a) => to.put(a, |g| fill_like(g, v.get(a), gout.as_slice()[0])),
+                Op::MeanAll(a) => to.put(a, |g| {
+                    let n = v.get(a).len().max(1) as f64;
+                    fill_like(g, v.get(a), gout.as_slice()[0] / n)
+                }),
+                Op::ColMeans(a) => to.put(a, |g| {
+                    let (r, c) = v.get(a).shape();
+                    g.set_shape(r, c);
                     for rr in 0..r {
                         for (slot, &v) in g.row_mut(rr).iter_mut().zip(gout.as_slice()) {
                             *slot = v / r as f64;
                         }
                     }
-                    self.accum(a, g);
-                }
+                }),
             }
-            self.nodes[id].grad = Some(gout);
         }
-        grads
     }
 }
 
