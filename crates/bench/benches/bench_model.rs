@@ -1,14 +1,17 @@
-//! Transformer+MoE training-step and inference cost — including the
-//! paper's "< 2 ms per point" online-latency claim, the MoE vs
-//! dense-FFN step cost comparison, and `train_window`: forward + backward
-//! of one 20×141 window at nsbench's model size, through a fresh graph
-//! and through a recycled tape (what `SharedModel::fit_windows` runs).
+//! Transformer+MoE training-step and served-forward cost, MoE vs dense
+//! FFN — including the paper's "< 2 ms per point" online-latency claim —
+//! and the two paths the pipeline runs at nsbench's model size:
+//! `train_window`, forward + backward of one 20×141 window through a
+//! fresh graph and through a recycled tape (what
+//! `SharedModel::fit_windows` runs), and `infer_nsbench`, one served
+//! forward (`Session::forward`) of a 20- and a 7-row window at both
+//! tiers — the per-forward node floor as a tracked number.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ns_linalg::matrix::Matrix;
 use ns_nn::{
-    sinusoidal_pe, Adam, BlockKind, Graph, ParamStore, ReconstructionTransformer, Tape,
-    TransformerConfig,
+    sinusoidal_pe, Adam, BlockKind, Graph, ParamStore, ReconstructionTransformer, Session, Tape,
+    Tier, TransformerConfig,
 };
 
 fn make_model(block: BlockKind) -> (ParamStore, ReconstructionTransformer) {
@@ -61,26 +64,24 @@ fn bench_model(c: &mut Criterion) {
                 opt.step(&mut params, &grads);
             })
         });
+        // The paper's "< 2 ms per point" envelope, and MoE vs dense at
+        // inference: one served forward of the same window.
         let (params, model) = make_model(block);
+        let mut sess = Session::<f64>::new();
         group.bench_function(format!("infer_window20_{label}"), |b| {
-            b.iter(|| {
-                let mut g = Graph::new(&params);
-                let x = g.input(window.clone());
-                let p = g.input(pe.clone());
-                let (recon, _) = model.forward(&mut g, x, p);
-                g.value(recon).clone()
-            })
+            b.iter(|| sess.forward(&params, &model, &window, &pe).as_slice()[0])
         });
     }
-    train_window(&mut group);
+    let (params, model) = nsbench_model();
+    train_window(&mut group, &params, &model);
+    infer_nsbench::<f64>(&mut group, &params, &model, "f64");
+    infer_nsbench::<f32>(&mut group, &params, &model, "f32");
     group.finish();
 }
 
-/// One fine-training window pass at the size nsbench's fit trains
-/// (141 metrics, `SharingConfig::default()`'s 36/3/3/72 with 3 experts):
-/// the same loss and gradients either way, the recycled tape without the
-/// per-window heap traffic.
-fn train_window(group: &mut criterion::BenchmarkGroup) {
+/// The model nsbench's fit trains and its replays serve: 141 metrics,
+/// `SharingConfig::default()`'s 36/3/3/72 with 3 experts, top-1.
+fn nsbench_model() -> (ParamStore, ReconstructionTransformer) {
     let mut params = ParamStore::new(7);
     let model = ReconstructionTransformer::new(
         &mut params,
@@ -97,12 +98,44 @@ fn train_window(group: &mut criterion::BenchmarkGroup) {
             aux_weight: 0.01,
         },
     );
-    let window = Matrix::from_fn(20, 141, |r, m| ((r * 3 + m) as f64 * 0.1).sin());
-    let pe = sinusoidal_pe(20, 36, 0);
+    (params, model)
+}
+
+fn nsbench_window(rows: usize) -> (Matrix, Matrix) {
+    let window = Matrix::from_fn(rows, 141, |r, m| ((r * 3 + m) as f64 * 0.1).sin());
+    (window, sinusoidal_pe(rows, 36, 0))
+}
+
+/// One served forward through a warm session: a full window and the
+/// short one a ragged segment tail leaves, where the fixed per-node cost
+/// weighs most.
+fn infer_nsbench<T: Tier>(
+    group: &mut criterion::BenchmarkGroup,
+    params: &ParamStore,
+    model: &ReconstructionTransformer,
+    tier: &str,
+) {
+    for rows in [20, 7] {
+        let (window, pe) = nsbench_window(rows);
+        let mut sess = Session::<T>::new();
+        group.bench_function(format!("infer_nsbench{rows}_{tier}"), |b| {
+            b.iter(|| sess.forward(params, model, &window, &pe).as_slice()[0])
+        });
+    }
+}
+
+/// One fine-training window pass: the same loss and gradients either
+/// way, the recycled tape without the per-window heap traffic.
+fn train_window(
+    group: &mut criterion::BenchmarkGroup,
+    params: &ParamStore,
+    model: &ReconstructionTransformer,
+) {
+    let (window, pe) = nsbench_window(20);
     let w = Matrix::filled(1, 141, 1.0);
     group.bench_function("train_window_fresh_graph", |b| {
         b.iter(|| {
-            let mut g = Graph::new(&params);
+            let mut g = Graph::new(params);
             let x = g.input(window.clone());
             let p = g.input(pe.clone());
             let wn = g.input(w.clone());
@@ -114,7 +147,7 @@ fn train_window(group: &mut criterion::BenchmarkGroup) {
     let mut grads = params.zero_grads();
     group.bench_function("train_window_recycled_tape", |b| {
         b.iter(|| {
-            let mut g = Graph::recycle(&params, std::mem::take(&mut tape));
+            let mut g = Graph::recycle(params, std::mem::take(&mut tape));
             let x = g.input_from(&window);
             let p = g.input_from(&pe);
             let wn = g.input_from(&w);

@@ -111,13 +111,14 @@ pub struct SharedModel {
     /// clusters' models are directly comparable on one node's timeline.
     pub score_mean: f64,
     pub score_std: f64,
-    /// Pool of warm tape-free inference sessions for the scoring fast
-    /// path. Pure cache: serialized as null, cloned/deserialized empty.
+    /// Pool of this model's scoring sessions. Pure cache: serialized as
+    /// null, deserialized empty.
     pub infer: SessionPool,
     /// The same pool at `f32`, for the opt-in precision tier. Pure cache
-    /// like `infer` (pooled sessions keep their baked f32 weight copies
-    /// warm, invalidated by the store version on use); serialized as
-    /// null, cloned/deserialized empty.
+    /// like `infer`; its sessions keep this model's baked f32 weights
+    /// warm, invalidated by the store version on use — which is why the
+    /// pool is per model (`ParamStore::version` does not tell two
+    /// equally-trained models apart).
     pub infer32: SessionPoolF32,
 }
 
@@ -203,17 +204,12 @@ fn merge_max(rows: &mut [f64], errs: &[f64]) {
     }
 }
 
-/// Upper bound on the stacked rows of one forward task of
-/// [`SharedModel::score_specs`] — the only row budget on the scoring
-/// path. It bounds the scratch a burst can pin: pooled sessions never
-/// shrink, so without it one shutdown flush stacking every node's tail
-/// segment would stay allocated for the pool's lifetime; with it at most
-/// `threads × models × TASK_ROW_CAP` rows of ~20 scratch matrices are
-/// ever warm, and one task's working set stays inside L2. Grouping is
-/// unobservable in the output, so this is a footprint constant, not a
-/// tunable. One default window: measured from 20 to 512 rows, stacking
-/// more windows per forward bought nothing per row, while the smallest
-/// tasks let stealing absorb a woken worker's late start (DESIGN §10).
+/// Upper bound on the rows of one task of [`SharedModel::score_specs`] —
+/// the unit of pool dispatch; a task's windows are forwarded one by one.
+/// Grouping is unobservable in the output, so this is a scheduling
+/// constant, not a tunable. One default window: the smallest tasks let
+/// stealing absorb a woken worker's late start, and a bigger task buys
+/// nothing per row (DESIGN §10).
 const TASK_ROW_CAP: usize = 20;
 
 /// Cut `specs` into contiguous tasks of balanced row counts: at least
@@ -312,11 +308,11 @@ impl SharedModel {
         let mut opt = Adam::new(cfg.lr);
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xF17);
         let mut ranks: Vec<usize> = (0..segments.len()).collect();
-        // Tapes and per-window gradient stores are checked out per task
-        // and handed back, the way scoring checks a session out of its
-        // pool: the fit settles at one tape per worker and one store per
-        // window of a batch, and stops allocating.
-        let spare: Mutex<(Vec<Tape>, Vec<GradStore>)> = Mutex::default();
+        // A task builds into a spare tape — the ones scoring uses too —
+        // and checks a gradient store out per window: the fit settles at
+        // one tape per worker and one store per window of a batch, and
+        // stops allocating.
+        let spare: Mutex<Vec<GradStore>> = Mutex::default();
         let mut grads = self.params.zero_grads();
         for _epoch in 0..epochs {
             // Fresh segment-offset assignment every epoch (see
@@ -338,12 +334,9 @@ impl SharedModel {
                     .par_iter()
                     .map(|&wi| {
                         let win = &windows[wi];
-                        let (tape, wgrads) = {
-                            let (tapes, stores) = &mut *spare.lock().expect("no task panicked");
-                            (tapes.pop().unwrap_or_default(), stores.pop())
-                        };
+                        let wgrads = spare.lock().expect("no task panicked").pop();
                         let mut wgrads = wgrads.unwrap_or_else(|| self.params.zero_grads());
-                        let mut g = Graph::recycle(&self.params, tape);
+                        let mut g = Graph::recycle(&self.params, Tape::take_spare());
                         // Denoising: perturbed input, clean target.
                         let x = g.input_fill(win.data.rows(), win.data.cols(), |x| {
                             x.copy_from_slice(win.data.as_slice());
@@ -370,8 +363,7 @@ impl SharedModel {
                         };
                         g.backward_into(loss, &mut wgrads);
                         let l = g.scalar(loss);
-                        let tape = g.into_tape();
-                        spare.lock().expect("no task panicked").0.push(tape);
+                        g.into_tape().park();
                         (l, wgrads)
                     })
                     .collect();
@@ -385,7 +377,7 @@ impl SharedModel {
                     grads.merge(g);
                 }
                 let stores = results.into_iter().map(|(_, g)| g);
-                spare.lock().expect("no task panicked").1.extend(stores);
+                spare.lock().expect("no task panicked").extend(stores);
                 grads.scale(scale);
                 grads.clip_global_norm(5.0);
                 opt.step(&mut self.params, &grads);
@@ -415,10 +407,10 @@ impl SharedModel {
             .unwrap_or_default()
     }
 
-    /// Taped reference for [`SharedModel::score_series`]: the same
-    /// scores through the autodiff [`Graph`] forward that training uses.
-    /// The equivalence tests hold both serving schedules to it bit for
-    /// bit; serving itself never reaches the tape.
+    /// Reference for [`SharedModel::score_series`]: the same scores
+    /// through a fresh [`Graph`] per window, no session, pool or
+    /// schedule. The equivalence tests hold both serving schedules to it
+    /// bit for bit.
     pub fn score_series_taped(&self, data: &Matrix) -> Vec<f64> {
         let t = data.rows();
         let w = self.cfg.window.min(t).max(1);
@@ -434,7 +426,7 @@ impl SharedModel {
                 let positions: Vec<f64> =
                     (s..e).map(|r| r as f64 * REL_PE_SCALE / t as f64).collect();
                 let pe = g.input(sinusoidal_pe_at(&positions, self.cfg.d_model));
-                let (recon, _) = self.model.forward(&mut g, x, pe);
+                let recon = self.model.reconstruct(&mut g, x, pe);
                 let rv = g.value(recon);
                 let per_row: Vec<f64> = (0..win.rows())
                     .map(|r| {
@@ -457,29 +449,27 @@ impl SharedModel {
         scores
     }
 
-    /// Calibrated scores for many series through **batched forwards**:
-    /// every window of every series joins one stack, which the scheduler
-    /// (`score_specs`) cuts into row-balanced, row-capped tasks and fans
-    /// over the pool — each task one
-    /// [`ns_nn::InferenceSession::score_windows_batch`] call (one matmul
-    /// per layer over the task's rows) — then per-window errors are
-    /// max-merged and calibrated per series.
+    /// Calibrated scores for many series in one schedule: every window of
+    /// every series joins one list, which the scheduler (`score_specs`)
+    /// cuts into row-balanced, row-capped tasks and fans over the pool —
+    /// each task one [`ns_nn::InferenceSession::score_windows_batch`]
+    /// call — then per-window errors are max-merged and calibrated per
+    /// series.
     ///
     /// Bit-identical per series to [`SharedModel::score_series`], which
-    /// is this function on a one-series stack: per-window errors are
-    /// `to_bits`-identical however the stack is grouped
+    /// is this function on a one-series list: windows are scored
+    /// independently however the list is grouped
     /// (`crates/nn/tests/infer_batch_equivalence.rs`), and the merge runs
     /// on the caller in input order.
     pub fn score_series_batch(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
         self.score_stacked(&self.infer, series)
     }
 
-    /// f32-tier [`SharedModel::score_series_batch`]: same stacking,
+    /// f32-tier [`SharedModel::score_series_batch`]: same schedule,
     /// merge and f64 calibration arithmetic on the widened errors; only
     /// the forward pass runs in f32 (through a pooled
-    /// [`ns_nn::InferenceSessionF32`] with baked weights). The f32 tier
-    /// has no tape; its reference is the f64 tier, compared
-    /// statistically, not bitwise.
+    /// [`ns_nn::InferenceSessionF32`] with baked weights). Its reference
+    /// is the f64 tier, compared statistically, not bitwise.
     pub fn score_series_batch_f32(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
         self.score_stacked(&self.infer32, series)
     }
@@ -522,10 +512,9 @@ impl SharedModel {
     /// The one scoring schedule: cut `specs` into [`row_tasks`] for this
     /// thread's pool width, run the tasks with the pool's ordered
     /// `par_iter` — each acquires a session from `pool` (whose scalar is
-    /// the precision tier), scores its windows as one batched forward and
-    /// releases the session — and hand
-    /// each window's per-row errors to `sink(window index, errors)` on
-    /// the caller, in input order.
+    /// the precision tier), scores its windows and releases the session
+    /// — and hand each window's per-row errors to
+    /// `sink(window index, errors)` on the caller, in input order.
     ///
     /// A task caps its own thread to width 1 for the forward: the pool is
     /// already busy with the sibling tasks, and waking a worker for half
@@ -565,8 +554,8 @@ impl SharedModel {
         }
     }
 
-    /// Raw (uncalibrated) scores of every series: stack every window of
-    /// every series into one [`SharedModel::score_specs`] call and
+    /// Raw (uncalibrated) scores of every series: list every window of
+    /// every series for one [`SharedModel::score_specs`] call and
     /// max-merge the errors back per series.
     fn score_stacked_raw<T: Tier>(
         &self,
@@ -873,6 +862,39 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The `f32` bake is keyed by `ParamStore::version`, a per-store
+    /// step counter: two models trained alike share it while their
+    /// weights differ. Each model's pool owns its bakes, so alternating
+    /// between them on one thread — through one and the same spare tape
+    /// — still serves each its own weights.
+    #[test]
+    fn f32_bake_is_per_model_when_versions_collide() {
+        let mut cfg = quick_cfg();
+        cfg.epochs = 3;
+        let train = |freq: f64| {
+            let segs = [pattern_segment(48, 3, freq), pattern_segment(60, 3, freq)];
+            SharedModel::train(&cfg, &segs.iter().collect::<Vec<_>>())
+        };
+        let (a, b) = (train(0.3), train(0.9));
+        assert_eq!(a.params.version(), b.params.version());
+        assert_ne!(a.params.get(0), b.params.get(0), "models must differ");
+        let series = pattern_segment(40, 3, 0.5);
+        let bits = |m: &SharedModel| {
+            let scores = m.score_series_batch_f32(&[&series]).remove(0);
+            scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        // Training is deterministic: a second fit is the same model with
+        // cold pools, so its first score bakes afresh.
+        let (want_a, want_b) = (bits(&train(0.3)), bits(&train(0.9)));
+        assert_ne!(want_a, want_b);
+        rayon::with_thread_parallelism_cap(Some(1), || {
+            for round in 0..3 {
+                assert_eq!(bits(&a), want_a, "model a, round {round}");
+                assert_eq!(bits(&b), want_b, "model b, round {round}");
+            }
+        });
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! Every dense matmul — [`Mat::matmul`](crate::matrix::Mat::matmul), its
 //! `_into` and transposed-operand forms, and through them the training
 //! tape's forward and backward and the inference session — bottoms out in
-//! [`gemm`]; the zero-skipping matmul, the probe matcher's early-abandon
-//! distance scan and the slice helpers in [`crate::vecops`] bottom out in
-//! the small kernels below it. Centralising them buys two things:
+//! [`gemm`]; the probe matcher's early-abandon distance scan and the slice
+//! helpers in [`crate::vecops`] bottom out in the small kernels below it. Centralising them buys two things:
 //!
 //! 1. **One place to hold the codegen line.** [`gemm`] is a
 //!    register-blocked microkernel: a four-row tile of accumulators,
@@ -258,8 +257,7 @@ fn checked<T: Scalar>(p: Product<'_, T>, rows: &Range<usize>, c: &mut [T]) -> bo
     k > 0
 }
 
-/// `y[j] += a * x[j]` — the row update of the zero-skipping matmul
-/// ([`Mat::matmul_sparse_lhs`](crate::matrix::Mat::matmul_sparse_lhs)).
+/// `y[j] += a * x[j]` — [`crate::vecops::axpy`]'s body.
 ///
 /// Elementwise, so no loop shape can change results: each `y[j]` sees
 /// exactly one `+= a * x[j]`. The plain zip loop is the shape LLVM

@@ -38,11 +38,6 @@ impl<T> Default for Mat<T> {
     }
 }
 
-/// Reduction block (in elements) of the zero-skipping matmul: 64 rows of
-/// the right operand stay cache-resident while every output row visits
-/// them.
-const BLOCK: usize = 64;
-
 /// Multiply-adds (`m·k·n`) below which a product stays on the calling
 /// thread — the measured crossover on the 2-core bench container, where a
 /// pool dispatch costs 10–25 µs: two bands read 0.2–0.5× of one thread at
@@ -366,47 +361,6 @@ impl<T: Scalar> Mat<T> {
         let mut out = Mat::default();
         self.matmul_into(other, &mut out);
         out
-    }
-
-    /// Matrix product with an explicit sparsity skip on the left operand:
-    /// rows of `self` holding exact zeros (e.g. post-ReLU activations)
-    /// skip their axpy entirely. Bit-identical to [`Mat::matmul`] for
-    /// finite inputs — the accumulator starts at `+0.0` and can never
-    /// become `-0.0`, so adding `aik * bv == ±0.0` is a no-op — but much
-    /// faster when A is genuinely sparse. Use only where that sparsity is
-    /// structural: it is a row-update loop, not the dense tile kernel.
-    pub fn matmul_sparse_lhs(&self, other: &Mat<T>) -> Mat<T> {
-        let mut out = Mat::default();
-        self.matmul_sparse_lhs_into(other, &mut out);
-        out
-    }
-
-    /// [`Mat::matmul_sparse_lhs`] into a caller-provided matrix.
-    pub fn matmul_sparse_lhs_into(&self, other: &Mat<T>, out: &mut Mat<T>) {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul dimension mismatch: {}×{} by {}×{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (k, n) = (self.cols, other.cols);
-        out.resize(self.rows, n);
-        let (a, b) = (&self.data, &other.data);
-        // i-k-j with k-blocking: the inner j loop is a contiguous axpy
-        // over the output row, and per output element the k-sum runs in
-        // plain ascending order — `gemm`'s order, hence its bits.
-        out.banded(k, |rows, band| {
-            for kb in (0..k).step_by(BLOCK) {
-                let kend = (kb + BLOCK).min(k);
-                for (i, crow) in rows.clone().zip(band.chunks_exact_mut(n)) {
-                    for kk in kb..kend {
-                        let aik = a[i * k + kk];
-                        if aik != T::ZERO {
-                            kernels::axpy(crow, aik, &b[kk * n..kk * n + n]);
-                        }
-                    }
-                }
-            }
-        });
     }
 
     /// `self × other` into a caller-provided matrix (reshaped in place).
@@ -799,7 +753,7 @@ mod tests {
     }
 
     /// Shapes spanning the sequential and parallel-band paths, with
-    /// zero-laden left operands so the sparse skip actually fires.
+    /// zero-laden left operands (signed-zero products).
     fn kernel_cases<T: Scalar>() -> Vec<(Mat<T>, Mat<T>)> {
         let zeroy = |r: usize, c: usize| {
             let v = ((r * 31 + c * 17) % 13) as f64 - 6.0;
@@ -847,7 +801,6 @@ mod tests {
 
     both_scalars! {
         matmul_into_bit_identical_to_rolled_loop => into_vs_rolled;
-        sparse_lhs_bit_identical_to_dense_matmul => sparse_vs_dense;
         matmul_into_bit_identical_and_reuses_buffer => into_vs_matmul;
         matmul_pre_t_into_bit_identical_to_transposed_matmul => pre_t_vs_matmul;
     }
@@ -872,12 +825,6 @@ mod tests {
         }
     }
 
-    fn sparse_vs_dense<T: Scalar>() {
-        for (a, b) in kernel_cases::<T>() {
-            assert_same_bits(&a.matmul_sparse_lhs(&b), &a.matmul(&b));
-        }
-    }
-
     fn into_vs_matmul<T: Scalar>() {
         let mut out = Mat::zeros(0, 0);
         for (a, b) in kernel_cases::<T>() {
@@ -894,8 +841,8 @@ mod tests {
         }
     }
 
-    /// Banding is a schedule, not arithmetic: every form, and the
-    /// zero-skipping product, above the work gate equals its one-thread run.
+    /// Banding is a schedule, not arithmetic: every form above the work
+    /// gate equals its one-thread run.
     #[test]
     fn banded_products_bit_identical_to_one_thread() {
         let (a, b) = kernel_cases::<f64>().pop().unwrap();
@@ -903,11 +850,10 @@ mod tests {
         assert!(a.rows() * a.cols() * b.cols() >= PAR_MIN_WORK);
         let (at, bt) = (a.transpose(), b.transpose());
         let all = || {
-            let mut out = [(); 4].map(|_| Mat::default());
+            let mut out = [(); 3].map(|_| Mat::default());
             a.matmul_into(&b, &mut out[0]);
             a.matmul_pre_t_into(&bt, &mut out[1]);
             at.matmul_lhs_t_into(&b, &mut out[2]);
-            a.matmul_sparse_lhs_into(&b, &mut out[3]);
             out
         };
         let serial = rayon::with_thread_parallelism_cap(Some(1), all);

@@ -4,8 +4,9 @@
 //! `nodesentry-core` on top of [`sinusoidal_pe`]).
 
 use crate::params::{ParamId, ParamStore};
-use crate::tape::{Graph, NodeId};
+use crate::tape::{Graph, NodeId, Tier};
 use ns_linalg::matrix::Matrix;
+use ns_linalg::Scalar;
 use serde::{Deserialize, Serialize};
 
 /// Fully-connected layer `y = x W + b`.
@@ -30,21 +31,8 @@ impl Linear {
     }
 
     /// Forward over a `n × in_dim` node.
-    pub fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
-        let w = g.param(self.w);
-        let b = g.param(self.b);
-        let xw = g.matmul(x, w);
-        g.add_row_broadcast(xw, b)
-    }
-
-    /// Forward where `x` is structurally sparse (post-ReLU activations):
-    /// bit-identical to [`Linear::forward`] for finite inputs, but the
-    /// matmul skips the zero rows' work entirely.
-    pub fn forward_sparse_input(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
-        let w = g.param(self.w);
-        let b = g.param(self.b);
-        let xw = g.matmul_sparse_lhs(x, w);
-        g.add_row_broadcast(xw, b)
+    pub fn forward<T: Tier>(&self, g: &mut Graph<'_, T>, x: NodeId) -> NodeId {
+        g.linear(x, self.w, self.b)
     }
 }
 
@@ -62,10 +50,8 @@ impl LayerNorm {
         Self { gamma, beta }
     }
 
-    pub fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
-        let gamma = g.param(self.gamma);
-        let beta = g.param(self.beta);
-        g.layer_norm(x, gamma, beta)
+    pub fn forward<T: Tier>(&self, g: &mut Graph<'_, T>, x: NodeId) -> NodeId {
+        g.layer_norm(x, self.gamma, self.beta)
     }
 }
 
@@ -85,12 +71,10 @@ impl FeedForward {
         }
     }
 
-    pub fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
+    pub fn forward<T: Tier>(&self, g: &mut Graph<'_, T>, x: NodeId) -> NodeId {
         let h = self.lin1.forward(g, x);
         let a = g.relu(h);
-        // ReLU output is ~half exact zeros, so lin2 takes the
-        // sparsity-skipping kernel (bit-identical on finite data).
-        self.lin2.forward_sparse_input(g, a)
+        self.lin2.forward(g, a)
     }
 }
 
@@ -123,7 +107,7 @@ impl MultiHeadAttention {
 
     /// Full (non-causal) self-attention: every token attends to every
     /// token — appropriate for reconstruction models.
-    pub fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
+    pub fn forward<T: Tier>(&self, g: &mut Graph<'_, T>, x: NodeId) -> NodeId {
         let q = self.wq.forward(g, x);
         let k = self.wk.forward(g, x);
         let v = self.wv.forward(g, x);
@@ -137,8 +121,7 @@ impl MultiHeadAttention {
             let qh = g.slice_cols(q, lo, hi);
             let kh = g.slice_cols(k, lo, hi);
             let vh = g.slice_cols(v, lo, hi);
-            let kt = g.transpose(kh);
-            let scores = g.matmul(qh, kt);
+            let scores = g.matmul_nt(qh, kh);
             let scaled = g.scale(scores, scale);
             let attn = g.softmax_rows(scaled);
             heads.push(g.matmul(attn, vh));
@@ -164,23 +147,34 @@ pub fn sinusoidal_pe(len: usize, d_model: usize, offset: usize) -> Matrix {
 /// encoding, where a row's position index is its fraction of the
 /// segment length rather than its absolute step.
 pub fn sinusoidal_pe_at(positions: &[f64], d_model: usize) -> Matrix {
-    Matrix::from_fn(positions.len(), d_model, |row, i| {
-        sinusoidal_pe_value(positions[row], i, d_model)
-    })
+    let divisors = sinusoidal_pe_divisors(d_model);
+    let mut pe = Matrix::zeros(positions.len(), d_model);
+    for (r, &p) in positions.iter().enumerate() {
+        sinusoidal_pe_row(p, &divisors, pe.row_mut(r));
+    }
+    pe
 }
 
-/// One element of the sinusoidal encoding at (fractional) position `p`,
-/// dimension `i` of `d_model`. Single source of truth shared by
-/// [`sinusoidal_pe_at`] and the tape-free
-/// [`crate::infer::InferenceSession`], so both produce bit-identical
-/// tables.
-#[inline]
-pub fn sinusoidal_pe_value(p: f64, i: usize, d_model: usize) -> f64 {
-    let div = (10000.0_f64).powf((2 * (i / 2)) as f64 / d_model as f64);
-    if i.is_multiple_of(2) {
-        (p / div).sin()
-    } else {
-        (p / div).cos()
+/// The encoding's per-column divisors `10000^(2⌊i/2⌋ / d_model)`: they
+/// depend on the column alone, so a table pays the `powf` once per column,
+/// not once per element.
+pub fn sinusoidal_pe_divisors(d_model: usize) -> Vec<f64> {
+    (0..d_model)
+        .map(|i| (10000.0_f64).powf((2 * (i / 2)) as f64 / d_model as f64))
+        .collect()
+}
+
+/// One row of the encoding at (fractional) position `p`: `sin(p / div)` on
+/// even columns, `cos(p / div)` on odd ones, computed in `f64` and rounded
+/// to `T` once. The single source of every table — [`sinusoidal_pe_at`]
+/// and the scoring session's — so they agree bit for bit.
+pub fn sinusoidal_pe_row<T: Scalar>(p: f64, divisors: &[f64], row: &mut [T]) {
+    for (i, (slot, &div)) in row.iter_mut().zip(divisors).enumerate() {
+        *slot = T::from_f64(if i.is_multiple_of(2) {
+            (p / div).sin()
+        } else {
+            (p / div).cos()
+        });
     }
 }
 
@@ -249,8 +243,7 @@ mod tests {
             let x = g.param(ps[0]);
             let wq = g.input(params_local.get(mha.wq.w).clone());
             let q = g.matmul(x, wq);
-            let kt = g.transpose(q);
-            let scores = g.matmul(q, kt);
+            let scores = g.matmul_nt(q, q);
             let sm = g.softmax_rows(scores);
             let out = g.matmul(sm, x);
             let sq = g.mul(out, out);

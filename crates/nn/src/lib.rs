@@ -7,9 +7,10 @@
 //! * [`tape`] — define-by-run autodiff [`tape::Graph`] (its buffers, a
 //!   [`tape::Tape`], recycled across examples) over 2-D matrices with
 //!   the op set required by Transformers, MoE routing, LSTMs and VAEs
-//!   (matmul, softmax, layer norm, gather/scatter rows, broadcasts,
-//!   reductions). Every op's backward is verified against central finite
-//!   differences ([`gradcheck`]).
+//!   (matmul, fused linear, softmax, layer norm, gather/scatter rows,
+//!   broadcasts, reductions), generic over the scalar: `f64` trains and
+//!   scores, `f32` scores. Every op's backward is verified against
+//!   central finite differences ([`gradcheck`]).
 //! * [`params`] — shared [`params::ParamStore`] + [`params::GradStore`];
 //!   batches train data-parallel by building one graph per example on
 //!   rayon workers and merging gradient stores.
@@ -23,13 +24,12 @@
 //!   ablation C5.
 //! * [`lstm`] — LSTM cell and sequence autoencoder (RUAD baseline).
 //! * [`vae`] — variational autoencoder (Prodigy baseline).
-//! * [`infer`] — tape-free inference fast path: one [`infer::Session`],
-//!   generic over the scoring tier's scalar, reuses preallocated scratch
-//!   and multiplies the stored weights in place (no prepacked transposes —
-//!   measured slower) to run the transformer forward with zero steady-state
-//!   heap allocations. [`infer::InferenceSession`] (`f64`) is bit-identical
-//!   to the taped forward; [`infer::InferenceSessionF32`] is the same code
-//!   at `f32` over weights baked once per [`params::ParamStore::version`].
+//! * [`infer`] — scoring sessions: [`infer::Session`] runs the
+//!   transformer's one description into a recycled tape with zero
+//!   steady-state heap allocations, and owns what is per tier — the `f32`
+//!   weights baked once per [`params::ParamStore::version`], input
+//!   rounding, the error reduction. [`infer::InferenceSession`] (`f64`)
+//!   is the taped forward; [`infer::InferenceSessionF32`] the same at `f32`.
 
 pub mod gradcheck;
 pub mod infer;
@@ -43,7 +43,7 @@ pub mod transformer;
 pub mod vae;
 
 pub use infer::{
-    InferenceSession, InferenceSessionF32, Session, SessionPool, SessionPoolF32, Tier, WindowSpec,
+    InferenceSession, InferenceSessionF32, Session, SessionPool, SessionPoolF32, WindowSpec,
 };
 pub use layers::{
     sinusoidal_pe, sinusoidal_pe_at, FeedForward, LayerNorm, Linear, MultiHeadAttention,
@@ -51,5 +51,5 @@ pub use layers::{
 pub use moe::{MoeLayer, MoeOutput};
 pub use optim::{Adam, Sgd};
 pub use params::{GradStore, ParamId, ParamStore};
-pub use tape::{Graph, NodeId, Tape};
+pub use tape::{Graph, NodeId, Tape, Tier};
 pub use transformer::{BlockKind, EncoderLayer, ReconstructionTransformer, TransformerConfig};

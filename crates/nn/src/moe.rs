@@ -9,7 +9,7 @@
 
 use crate::layers::FeedForward;
 use crate::params::{ParamId, ParamStore};
-use crate::tape::{Graph, NodeId};
+use crate::tape::{Graph, NodeId, Tier};
 use ns_linalg::{Mat, Scalar};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -18,10 +18,9 @@ use std::cmp::Ordering;
 pub struct MoeOutput {
     /// Layer output, same shape as the input.
     pub out: NodeId,
-    /// Full gate probability matrix (`T × n_experts`) — Eq. 3.
+    /// Full gate probability matrix (`T × n_experts`) — Eq. 3; what
+    /// [`MoeLayer::aux_loss`] is built from when a loss is wanted.
     pub gate_probs: NodeId,
-    /// Switch-style load-balance auxiliary loss (scalar node).
-    pub aux_loss: NodeId,
 }
 
 /// The (non-differentiable) routing decision of Eq. 4: `assign[e]`
@@ -108,16 +107,14 @@ impl MoeLayer {
     }
 
     /// Forward over a `T × d_model` token matrix.
-    pub fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> MoeOutput {
+    pub fn forward<T: Tier>(&self, g: &mut Graph<'_, T>, x: NodeId) -> MoeOutput {
         let tokens = g.value(x).rows();
-        let n_exp = self.experts.len();
         // h(x) = x · W_r ; p = softmax(h)   (Eq. 3)
         let wr = g.param(self.gate);
         let h = g.matmul(x, wr);
         let p = g.softmax_rows(h);
 
-        // Routing and the top-1 tally below use the tape's recycled
-        // scratch, handed back before returning.
+        // Routing uses the tape's recycled scratch, handed back below.
         let mut order = std::mem::take(&mut g.tape.ids);
         let mut assign = std::mem::take(&mut g.tape.route);
         route(g.value(p), self.top_k, &mut order, &mut assign);
@@ -140,38 +137,42 @@ impl MoeLayer {
                 None => full,
             });
         }
-        let out = total.unwrap_or_else(|| g.scale(x, 0.0));
+        g.tape.ids = order;
+        g.tape.route = assign;
+        MoeOutput {
+            out: total.unwrap_or_else(|| g.scale(x, 0.0)),
+            gate_probs: p,
+        }
+    }
 
-        // Switch-Transformer load-balance loss: N · Σ_e f_e · P_e where
-        // f_e is the (constant) fraction of tokens whose top-1 choice is e
-        // and P_e the mean gate probability of e.
-        order.clear();
-        order.resize(n_exp, 0);
+    /// Switch-Transformer load-balance loss of one forward (scalar node):
+    /// `N · Σ_e f_e · P_e`, where `f_e` is the (constant) fraction of
+    /// tokens whose top-1 choice is `e` and `P_e` the mean gate
+    /// probability of `e`. Training builds it; scoring never does.
+    pub fn aux_loss(&self, g: &mut Graph<'_>, gate_probs: NodeId) -> NodeId {
+        let n_exp = self.experts.len();
+        let tokens = g.value(gate_probs).rows();
+        let mut tally = std::mem::take(&mut g.tape.ids);
+        tally.clear();
+        tally.resize(n_exp, 0);
         for t in 0..tokens {
-            if let Some(best) = ns_linalg::vecops::argmax(g.value(p).row(t)) {
-                order[best] += 1;
+            if let Some(best) = ns_linalg::vecops::argmax(g.value(gate_probs).row(t)) {
+                tally[best] += 1;
             }
         }
         let f_row = g.input_fill(1, n_exp, |f| {
             // One `+= 1/T` per token, as the tally was always summed.
-            for (fe, &hits) in f.iter_mut().zip(&order) {
+            for (fe, &hits) in f.iter_mut().zip(&tally) {
                 for _ in 0..hits {
                     *fe += 1.0 / tokens.max(1) as f64;
                 }
             }
         });
-        g.tape.ids = order;
-        g.tape.route = assign;
-        let p_mean = g.col_means(p);
+        g.tape.ids = tally;
+        let p_mean = g.col_means(gate_probs);
         let prod = g.mul(p_mean, f_row);
         let s = g.sum_all(prod);
-        let aux_loss = g.scale(s, n_exp as f64);
-
-        MoeOutput {
-            out,
-            gate_probs: p,
-            aux_loss,
-        }
+        g.scale(s, n_exp as f64)
     }
 }
 
@@ -263,7 +264,8 @@ mod tests {
         let out = moe.forward(&mut g, x);
         assert_eq!(g.value(out.out).shape(), (6, 8));
         assert!(g.value(out.out).as_slice().iter().all(|v| v.is_finite()));
-        assert!(g.scalar(out.aux_loss).is_finite());
+        let aux = moe.aux_loss(&mut g, out.gate_probs);
+        assert!(g.scalar(aux).is_finite());
     }
 
     #[test]
@@ -351,7 +353,8 @@ mod tests {
             ((r * 7 + c) as f64 * 0.11).sin()
         }));
         let out = moe.forward(&mut g, x);
-        let aux = g.scalar(out.aux_loss);
+        let aux = moe.aux_loss(&mut g, out.gate_probs);
+        let aux = g.scalar(aux);
         assert!(
             aux >= 1.0 - 1e-6,
             "aux {aux} must be ≥ 1 (balanced optimum)"

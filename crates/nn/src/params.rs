@@ -23,9 +23,10 @@ pub struct ParamStore {
     /// Mutation stamp, bumped by every [`ParamStore::get_mut`] — i.e. on
     /// every optimizer step. Lets callers that derive state from the
     /// parameters (caches, checkpointers) detect updates cheaply. The
-    /// inference fast path ([`crate::infer::InferenceSession`]) does not
-    /// need it: it reads weights live from the store, so fine-tuning is
-    /// visible on the very next forward.
+    /// `f32` tier's weight bake is such a caller (see [`crate::tape::Tier`]); the `f64`
+    /// tier reads the store live and never looks at it. It counts
+    /// mutations of *this* store: two stores stepped equally often share
+    /// it, so it identifies nothing across stores.
     version: u64,
 }
 

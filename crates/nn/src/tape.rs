@@ -8,6 +8,12 @@
 //! batch — which is how the workspace gets rayon data-parallel training
 //! without any shared mutable state.
 //!
+//! A graph computes at a scalar `T` ([`Tier`]): `f64`, the default and the
+//! only one with a backward pass, or `f32`, forward only. The layers are
+//! written once over `Graph<'_, T>`, so training, the `f64` scoring tier
+//! and the `f32` one all run the same description of the model
+//! ([`crate::infer::Session`] is a forward into a recycled tape).
+//!
 //! The storage behind a graph is a [`Tape`], and it outlives the graph:
 //! [`Graph::into_tape`] hands it back and [`Graph::recycle`] builds the
 //! next example into it. Buffers are recycled **by position** — node *i*
@@ -20,7 +26,65 @@
 //! wrong size once.
 
 use crate::params::{GradStore, ParamId, ParamStore};
-use ns_linalg::matrix::Matrix;
+use ns_linalg::matrix::{Mat, Matrix};
+use ns_linalg::Scalar;
+use std::sync::{Mutex, PoisonError};
+
+/// What differs per precision tier: where a graph's parameter leaves read
+/// their weights, and where the tier's spare tapes wait. Implemented for
+/// `f64` and `f32` and, since [`Scalar`] is sealed, for nothing else.
+pub trait Tier: Scalar {
+    /// Bring a tier's own weight copies (`baked`, taken at store version
+    /// `version`) up to date with `params`. The pair must only ever be
+    /// baked from one store: `version` says nothing about which.
+    fn bake(baked: &mut Vec<Mat<Self>>, version: &mut Option<u64>, params: &ParamStore);
+
+    /// Parameter `id` as this tier multiplies by it.
+    fn weight<'a>(params: &'a ParamStore, baked: &'a [Mat<Self>], id: ParamId) -> &'a Mat<Self>;
+
+    /// The process's warm tapes of this tier that no task is building
+    /// into (see [`Tape::take_spare`]).
+    fn spare_tapes() -> &'static Mutex<Vec<Tape<Self>>>;
+}
+
+/// Borrows the store's matrices live: no copy, nothing to invalidate.
+impl Tier for f64 {
+    fn bake(_: &mut Vec<Matrix>, _: &mut Option<u64>, _: &ParamStore) {}
+
+    fn weight<'a>(params: &'a ParamStore, _: &'a [Matrix], id: ParamId) -> &'a Matrix {
+        params.get(id)
+    }
+
+    fn spare_tapes() -> &'static Mutex<Vec<Tape>> {
+        static SPARE: Mutex<Vec<Tape>> = Mutex::new(Vec::new());
+        &SPARE
+    }
+}
+
+/// Rounds every store matrix to `f32` once per [`ParamStore::version`]:
+/// any mutation (`incremental_update`, refit hot-swap) invalidates the bake
+/// and the next forward re-converts, reusing the allocations.
+impl Tier for f32 {
+    fn bake(baked: &mut Vec<Mat<f32>>, version: &mut Option<u64>, params: &ParamStore) {
+        if *version == Some(params.version()) && baked.len() == params.len() {
+            return;
+        }
+        baked.resize_with(params.len(), Mat::default);
+        for (id, w) in baked.iter_mut().enumerate() {
+            w.copy_from_f64(params.get(id));
+        }
+        *version = Some(params.version());
+    }
+
+    fn weight<'a>(_: &'a ParamStore, baked: &'a [Mat<f32>], id: ParamId) -> &'a Mat<f32> {
+        &baked[id]
+    }
+
+    fn spare_tapes() -> &'static Mutex<Vec<Tape<f32>>> {
+        static SPARE: Mutex<Vec<Tape<f32>>> = Mutex::new(Vec::new());
+        &SPARE
+    }
+}
 
 /// Handle to a node in the tape.
 pub type NodeId = usize;
@@ -32,7 +96,7 @@ pub type NodeId = usize;
 enum Op {
     /// Constant input (no gradient tracked beyond the tape).
     Input,
-    /// Learnable parameter leaf; its value is read from the store.
+    /// Learnable parameter leaf; its value is read through [`Tier::weight`].
     Param(ParamId),
     Add(NodeId, NodeId),
     Sub(NodeId, NodeId),
@@ -40,22 +104,28 @@ enum Op {
     Mul(NodeId, NodeId),
     Scale(NodeId, f64),
     MatMul(NodeId, NodeId),
-    Transpose(NodeId),
+    /// `a · bᵀ`, with `b` read as stored.
+    MatMulNT(NodeId, NodeId),
+    /// `x · W + b` over the parameters `w` (`in × out`) and `b` (`1 × out`).
+    Linear {
+        x: NodeId,
+        w: ParamId,
+        b: ParamId,
+    },
     Relu(NodeId),
     Tanh(NodeId),
     Sigmoid(NodeId),
     Exp(NodeId),
     /// Row-wise softmax.
     SoftmaxRows(NodeId),
-    /// Row-wise LayerNorm with learnable gain/shift (`1 × d` each).
+    /// Row-wise LayerNorm with the learnable gain/shift parameters
+    /// `gamma`, `beta` (`1 × d` each).
     LayerNorm {
         x: NodeId,
-        gamma: NodeId,
-        beta: NodeId,
+        gamma: ParamId,
+        beta: ParamId,
         eps: f64,
     },
-    /// `a + row` with `row` broadcast over all rows of `a`.
-    AddRowBroadcast(NodeId, NodeId),
     /// `a ⊙ row` with `row` broadcast over all rows.
     MulRowBroadcast(NodeId, NodeId),
     /// `a ⊙ col` with `col` (`n × 1`) broadcast over all columns.
@@ -75,41 +145,83 @@ enum Op {
     ColMeans(NodeId),
 }
 
-/// A graph's storage, detached from any parameter store so it can be
-/// parked between examples (see the module docs). `Tape::default()` is an
-/// empty one; every slot vector only ever grows.
+/// A graph's storage at scalar `T`, detached from any parameter store so
+/// it can be parked between examples (see the module docs).
+/// `Tape::default()` is an empty one; every slot vector only ever grows.
+/// It holds no model state, so one tape serves any model of any shape.
 #[derive(Default)]
-pub struct Tape {
+pub struct Tape<T = f64> {
     /// The live graph: one entry per node of the current example.
     ops: Vec<Op>,
     /// Per-position slots, at least `ops.len()` of each.
-    values: Vec<Matrix>,
-    grads: Vec<Matrix>,
-    /// Whether `grads[i]` was reached by the last backward sweep.
-    seen: Vec<bool>,
+    values: Vec<Mat<T>>,
     idx: Vec<Vec<usize>>,
-    /// Backward scratch: a non-first gradient contribution, and
-    /// LayerNorm's two parameter-gradient rows.
-    tmp: [Matrix; 3],
+    /// Gradient slots and whether the last backward sweep reached each —
+    /// grown by the sweep, so a forward-only tape never has any.
+    grads: Vec<Mat<T>>,
+    seen: Vec<bool>,
+    /// Backward scratch: a non-first gradient contribution, and the two
+    /// parameter gradients of a Linear or LayerNorm node.
+    tmp: [Mat<T>; 3],
     /// Scratch the layers borrow so their own bookkeeping recycles too:
     /// a list of node ids or sort order, and per-expert token lists.
     pub(crate) ids: Vec<usize>,
     pub(crate) route: Vec<Vec<usize>>,
 }
 
-/// Read access to the values of already-built nodes.
-struct Vals<'a> {
-    params: &'a ParamStore,
-    ops: &'a [Op],
-    values: &'a [Matrix],
+/// Upper bound on spare tapes — more than any sane pool width; beyond it
+/// a returned tape is simply dropped.
+const SPARE_CAP: usize = 64;
+
+impl<T: Tier> Tape<T> {
+    /// A warm tape for one task — a scoring session's windows, a training
+    /// window — or an empty one if every warm tape is in use. Tapes hold
+    /// no model state and outlive the threads that grew them, so the
+    /// process settles at one per task that ever ran at the same time,
+    /// whatever models and engines came and went. The most recently
+    /// returned tape is handed out first: a thread running task after
+    /// task keeps getting the one still in its cache.
+    pub fn take_spare() -> Self {
+        let mut spare = T::spare_tapes()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        spare.pop().unwrap_or_default()
+    }
+
+    /// Hand the tape back for the next [`Tape::take_spare`].
+    pub fn park(self) {
+        let mut spare = T::spare_tapes()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if spare.len() < SPARE_CAP {
+            spare.push(self);
+        }
+    }
+
+    /// Value of non-parameter node `id` of the last graph built here.
+    pub(crate) fn value(&self, id: NodeId) -> &Mat<T> {
+        &self.values[id]
+    }
 }
 
-impl<'a> Vals<'a> {
-    fn get(&self, id: NodeId) -> &'a Matrix {
+/// Read access to the values of already-built nodes.
+struct Vals<'a, T> {
+    params: &'a ParamStore,
+    baked: &'a [Mat<T>],
+    ops: &'a [Op],
+    values: &'a [Mat<T>],
+}
+
+impl<'a, T: Tier> Vals<'a, T> {
+    fn get(&self, id: NodeId) -> &'a Mat<T> {
         match self.ops[id] {
-            Op::Param(pid) => self.params.get(pid),
+            Op::Param(pid) => self.weight(pid),
             _ => &self.values[id],
         }
+    }
+
+    fn weight(&self, pid: ParamId) -> &'a Mat<T> {
+        T::weight(self.params, self.baked, pid)
     }
 }
 
@@ -137,13 +249,18 @@ impl Sink<'_> {
 }
 
 /// `out = src`, reusing `out`'s buffer.
-fn copy_into(out: &mut Matrix, src: &Matrix) {
+fn copy_into<T: Tier>(out: &mut Mat<T>, src: &Mat<T>) {
     out.assign_map(src, |x| x);
 }
 
 /// `out` = per-column sums of the `rows × cols` values `elem(r, c)`,
 /// accumulated from `+0.0` over ascending `r` — `Matrix::col_sums`.
-fn col_sums_into(out: &mut Matrix, rows: usize, cols: usize, elem: impl Fn(usize, usize) -> f64) {
+fn col_sums_into<T: Tier>(
+    out: &mut Mat<T>,
+    rows: usize,
+    cols: usize,
+    elem: impl Fn(usize, usize) -> T,
+) {
     out.resize(1, cols);
     for r in 0..rows {
         for (c, acc) in out.as_mut_slice().iter_mut().enumerate() {
@@ -159,17 +276,20 @@ fn fill_like(out: &mut Matrix, like: &Matrix, x: f64) {
 }
 
 /// Row `r` of `out` ← row `idx[r]` of `src`.
-fn gather_into(out: &mut Matrix, src: &Matrix, idx: &[usize]) {
+fn gather_into<T: Tier>(out: &mut Mat<T>, src: &Mat<T>, idx: &[usize]) {
     out.set_shape(idx.len(), src.cols());
     for (r, &i) in idx.iter().enumerate() {
         out.row_mut(r).copy_from_slice(src.row(i));
     }
 }
 
-/// An autodiff tape bound to a [`ParamStore`].
-pub struct Graph<'p> {
+/// An autodiff tape bound to a [`ParamStore`], computing at scalar `T`:
+/// `f64` (the default, and the only one with a backward pass) over the
+/// store's live weights, or `f32` over a baked copy of them (see [`Tier`]).
+pub struct Graph<'p, T: Tier = f64> {
     params: &'p ParamStore,
-    pub(crate) tape: Tape,
+    baked: &'p [Mat<T>],
+    pub(crate) tape: Tape<T>,
 }
 
 impl<'p> Graph<'p> {
@@ -179,13 +299,26 @@ impl<'p> Graph<'p> {
 
     /// An empty graph that builds into `tape`'s buffers (see the module
     /// docs). Results are bit-identical to a [`Graph::new`] graph's.
-    pub fn recycle(params: &'p ParamStore, mut tape: Tape) -> Self {
+    pub fn recycle(params: &'p ParamStore, tape: Tape) -> Self {
+        Self::at_tier(params, &[], tape)
+    }
+}
+
+impl<'p, T: Tier> Graph<'p, T> {
+    /// [`Graph::recycle`] at any tier: parameter leaves resolve through
+    /// [`Tier::weight`] over `baked`, which the caller keeps current with
+    /// [`Tier::bake`] (`f64` reads the store and ignores it).
+    pub fn at_tier(params: &'p ParamStore, baked: &'p [Mat<T>], mut tape: Tape<T>) -> Self {
         tape.ops.clear();
-        Self { params, tape }
+        Self {
+            params,
+            baked,
+            tape,
+        }
     }
 
     /// Give the storage back for the next [`Graph::recycle`].
-    pub fn into_tape(self) -> Tape {
+    pub fn into_tape(self) -> Tape<T> {
         self.tape
     }
 
@@ -195,15 +328,13 @@ impl<'p> Graph<'p> {
         &mut self,
         op: Op,
         idx: impl IntoIterator<Item = usize>,
-        compute: impl FnOnce(&Vals<'_>, &[usize], &mut Matrix),
+        compute: impl FnOnce(&Vals<'_, T>, &[usize], &mut Mat<T>),
     ) -> NodeId {
         let t = &mut self.tape;
         let id = t.ops.len();
         t.ops.push(op);
         if t.values.len() == id {
-            t.values.push(Matrix::default());
-            t.grads.push(Matrix::default());
-            t.seen.push(false);
+            t.values.push(Mat::default());
             t.idx.push(Vec::new());
         }
         t.idx[id].clear();
@@ -211,6 +342,7 @@ impl<'p> Graph<'p> {
         let (built, slot) = t.values.split_at_mut(id);
         let vals = Vals {
             params: self.params,
+            baked: self.baked,
             ops: &t.ops,
             values: built,
         };
@@ -219,39 +351,30 @@ impl<'p> Graph<'p> {
     }
 
     /// [`Graph::emit`] for the ops without an index list.
-    fn node(&mut self, op: Op, compute: impl FnOnce(&Vals<'_>, &mut Matrix)) -> NodeId {
+    fn node(&mut self, op: Op, compute: impl FnOnce(&Vals<'_, T>, &mut Mat<T>)) -> NodeId {
         self.emit(op, [], |v, _, out| compute(v, out))
     }
 
     /// Value of a node.
-    pub fn value(&self, id: NodeId) -> &Matrix {
+    pub fn value(&self, id: NodeId) -> &Mat<T> {
         let t = &self.tape;
         Vals {
             params: self.params,
+            baked: self.baked,
             ops: &t.ops,
             values: &t.values,
         }
         .get(id)
     }
 
-    /// Gradient of a node after [`Graph::backward`] (None if unreached).
-    pub fn grad(&self, id: NodeId) -> Option<&Matrix> {
-        self.tape.seen[id].then(|| &self.tape.grads[id])
-    }
-
     /// Constant input leaf.
-    pub fn input(&mut self, m: Matrix) -> NodeId {
+    pub fn input(&mut self, m: Mat<T>) -> NodeId {
         self.node(Op::Input, |_, out| *out = m)
     }
 
     /// Constant input leaf written in place: `fill` receives the slot's
     /// zeroed `rows × cols` buffer. The allocation-free [`Graph::input`].
-    pub fn input_fill(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        fill: impl FnOnce(&mut [f64]),
-    ) -> NodeId {
+    pub fn input_fill(&mut self, rows: usize, cols: usize, fill: impl FnOnce(&mut [T])) -> NodeId {
         self.node(Op::Input, |_, out| {
             out.resize(rows, cols);
             fill(out.as_mut_slice());
@@ -259,22 +382,22 @@ impl<'p> Graph<'p> {
     }
 
     /// Constant input leaf holding a copy of `m`, in the slot's buffer.
-    pub fn input_from(&mut self, m: &Matrix) -> NodeId {
+    pub fn input_from(&mut self, m: &Mat<T>) -> NodeId {
         self.node(Op::Input, |_, out| copy_into(out, m))
     }
 
-    /// Parameter leaf: reads the store's matrix in place, no copy.
+    /// Parameter leaf: reads the tier's weight in place, no copy.
     pub fn param(&mut self, id: ParamId) -> NodeId {
         self.node(Op::Param(id), |_, _| {})
     }
 
     /// Elementwise `f(a, b)`.
-    fn zip(&mut self, op: Op, (a, b): (NodeId, NodeId), f: impl Fn(f64, f64) -> f64) -> NodeId {
+    fn zip(&mut self, op: Op, (a, b): (NodeId, NodeId), f: impl Fn(T, T) -> T) -> NodeId {
         self.node(op, |v, out| out.assign_zip(v.get(a), v.get(b), f))
     }
 
     /// Elementwise `f(a)`.
-    fn map(&mut self, op: Op, a: NodeId, f: impl Fn(f64) -> f64) -> NodeId {
+    fn map(&mut self, op: Op, a: NodeId, f: impl Fn(T) -> T) -> NodeId {
         self.node(op, |v, out| out.assign_map(v.get(a), f))
     }
 
@@ -290,8 +413,10 @@ impl<'p> Graph<'p> {
         self.zip(Op::Mul(a, b), (a, b), |x, y| x * y)
     }
 
+    /// `a · k`, with `k` rounded to `T` once.
     pub fn scale(&mut self, a: NodeId, k: f64) -> NodeId {
-        self.map(Op::Scale(a, k), a, |x| x * k)
+        let kt = T::from_f64(k);
+        self.map(Op::Scale(a, k), a, |x| x * kt)
     }
 
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
@@ -300,57 +425,55 @@ impl<'p> Graph<'p> {
         })
     }
 
-    /// Matmul whose left operand is structurally sparse (e.g. post-ReLU
-    /// activations): the forward uses the zero-skipping kernel, which is
-    /// bit-identical to the dense one for finite inputs. The backward pass
-    /// is the ordinary matmul rule.
-    pub fn matmul_sparse_lhs(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.node(Op::MatMul(a, b), |v, out| {
-            v.get(a).matmul_sparse_lhs_into(v.get(b), out)
+    /// `a · bᵀ` without materialising the transpose — attention's
+    /// `qₕ · kₕᵀ`. Every output element sums over ascending `k`, as
+    /// `matmul(a, transpose(b))` would.
+    pub fn matmul_nt(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        self.node(Op::MatMulNT(a, b), |v, out| {
+            v.get(a).matmul_pre_t_into(v.get(b), out)
         })
     }
 
-    pub fn transpose(&mut self, a: NodeId) -> NodeId {
-        self.node(Op::Transpose(a), |v, out| v.get(a).transpose_into(out))
+    /// Fully-connected layer `x · W + b` in one node: the matmul, then the
+    /// bias broadcast over its rows in place.
+    pub fn linear(&mut self, x: NodeId, w: ParamId, b: ParamId) -> NodeId {
+        self.node(Op::Linear { x, w, b }, |v, out| {
+            v.get(x).matmul_into(v.weight(w), out);
+            out.add_row_broadcast_inplace(v.weight(b));
+        })
     }
 
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        self.map(Op::Relu(a), a, |x| x.max(0.0))
-    }
-
-    pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        self.map(Op::Tanh(a), a, f64::tanh)
-    }
-
-    pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        self.map(Op::Sigmoid(a), a, |x| 1.0 / (1.0 + (-x).exp()))
+        self.map(Op::Relu(a), a, |x| x.max(T::ZERO))
     }
 
     pub fn exp(&mut self, a: NodeId) -> NodeId {
-        self.map(Op::Exp(a), a, f64::exp)
+        self.map(Op::Exp(a), a, T::exp)
     }
 
     /// Numerically-stable row-wise softmax.
     pub fn softmax_rows(&mut self, a: NodeId) -> NodeId {
         self.node(Op::SoftmaxRows(a), |v, out| {
-            copy_into(out, v.get(a));
-            for r in 0..out.rows() {
-                let row = out.row_mut(r);
-                let m = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let mut s = 0.0;
-                for x in row.iter_mut() {
-                    *x = (*x - m).exp();
-                    s += *x;
+            let src = v.get(a);
+            out.set_shape(src.rows(), src.cols());
+            for r in 0..src.rows() {
+                let (row, out) = (src.row(r), out.row_mut(r));
+                let m = row.iter().cloned().fold(T::NEG_INFINITY, T::max);
+                let mut s = T::ZERO;
+                for (o, &x) in out.iter_mut().zip(row) {
+                    *o = (x - m).exp();
+                    s += *o;
                 }
-                for x in row.iter_mut() {
-                    *x /= s;
+                for o in out.iter_mut() {
+                    *o /= s;
                 }
             }
         })
     }
 
-    /// Row-wise LayerNorm: `γ ⊙ (x − μ)/σ + β` with `γ, β` of shape `1 × d`.
-    pub fn layer_norm(&mut self, x: NodeId, gamma: NodeId, beta: NodeId) -> NodeId {
+    /// Row-wise LayerNorm: `γ ⊙ (x − μ)/σ + β` with the parameters `γ, β`
+    /// of shape `1 × d`.
+    pub fn layer_norm(&mut self, x: NodeId, gamma: ParamId, beta: ParamId) -> NodeId {
         let eps = 1e-5;
         let op = Op::LayerNorm {
             x,
@@ -359,27 +482,21 @@ impl<'p> Graph<'p> {
             eps,
         };
         self.node(op, |v, out| {
-            let (src, g, b) = (v.get(x), v.get(gamma), v.get(beta));
+            let (src, g, b) = (v.get(x), v.weight(gamma), v.weight(beta));
             assert_eq!(g.shape(), (1, src.cols()), "gamma must be 1×d");
             assert_eq!(b.shape(), (1, src.cols()), "beta must be 1×d");
-            copy_into(out, src);
-            for r in 0..out.rows() {
-                let row = out.row_mut(r);
-                let d = row.len() as f64;
-                let mean = row.iter().sum::<f64>() / d;
-                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / d;
-                let inv = 1.0 / (var + eps).sqrt();
-                for (i, v) in row.iter_mut().enumerate() {
-                    *v = g.as_slice()[i] * (*v - mean) * inv + b.as_slice()[i];
+            let (g, b, eps) = (g.as_slice(), b.as_slice(), T::from_f64(eps));
+            out.set_shape(src.rows(), src.cols());
+            for r in 0..src.rows() {
+                let row = src.row(r);
+                let d = T::from_f64(row.len() as f64);
+                let mean = row.iter().sum::<T>() / d;
+                let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<T>() / d;
+                let inv = T::ONE / (var + eps).sqrt();
+                for (i, (o, &v)) in out.row_mut(r).iter_mut().zip(row).enumerate() {
+                    *o = g[i] * (v - mean) * inv + b[i];
                 }
             }
-        })
-    }
-
-    pub fn add_row_broadcast(&mut self, a: NodeId, row: NodeId) -> NodeId {
-        self.node(Op::AddRowBroadcast(a, row), |v, out| {
-            copy_into(out, v.get(a));
-            out.add_row_broadcast_inplace(v.get(row));
         })
     }
 
@@ -390,7 +507,7 @@ impl<'p> Graph<'p> {
             assert_eq!(rv.cols(), av.cols());
             copy_into(out, av);
             for r in 0..out.rows() {
-                for (x, w) in out.row_mut(r).iter_mut().zip(rv.as_slice()) {
+                for (x, &w) in out.row_mut(r).iter_mut().zip(rv.as_slice()) {
                     *x *= w;
                 }
             }
@@ -402,10 +519,10 @@ impl<'p> Graph<'p> {
             let (av, cv) = (v.get(a), v.get(col));
             assert_eq!(cv.cols(), 1);
             assert_eq!(cv.rows(), av.rows());
-            copy_into(out, av);
+            out.set_shape(av.rows(), av.cols());
             for (r, &w) in cv.as_slice().iter().enumerate() {
-                for x in out.row_mut(r).iter_mut() {
-                    *x *= w;
+                for (o, &x) in out.row_mut(r).iter_mut().zip(av.row(r)) {
+                    *o = x * w;
                 }
             }
         })
@@ -430,22 +547,13 @@ impl<'p> Graph<'p> {
         })
     }
 
-    /// Pick `a[(r, c)]` for each pair into an `len × 1` column vector.
-    pub fn select_elems(&mut self, a: NodeId, pairs: &[(usize, usize)]) -> NodeId {
-        self.select(a, pairs.iter().copied())
-    }
-
-    /// Pick `a[(r, col)]` for each listed row: [`Graph::select_elems`]
-    /// down one column, without building the pair list.
+    /// Pick `a[(r, col)]` for each listed row into a `len × 1` column
+    /// vector.
     pub fn select_col(&mut self, a: NodeId, rows: &[usize], col: usize) -> NodeId {
-        self.select(a, rows.iter().map(|&r| (r, col)))
-    }
-
-    fn select(&mut self, a: NodeId, pairs: impl Iterator<Item = (usize, usize)>) -> NodeId {
-        let (rows, cols) = self.value(a).shape();
-        let flat = pairs.map(|(r, c)| {
-            assert!(r < rows && c < cols, "element ({r},{c}) out of bounds");
-            r * cols + c
+        let (n, cols) = self.value(a).shape();
+        let flat = rows.iter().map(|&r| {
+            assert!(r < n && col < cols, "element ({r},{col}) out of bounds");
+            r * cols + col
         });
         self.emit(Op::SelectElems(a), flat, |v, idx, out| {
             out.set_shape(idx.len(), 1);
@@ -487,15 +595,7 @@ impl<'p> Graph<'p> {
     pub fn sum_all(&mut self, a: NodeId) -> NodeId {
         self.node(Op::SumAll(a), |v, out| {
             out.set_shape(1, 1);
-            out.as_mut_slice()[0] = v.get(a).sum();
-        })
-    }
-
-    /// Mean of all elements as a `1 × 1` matrix.
-    pub fn mean_all(&mut self, a: NodeId) -> NodeId {
-        self.node(Op::MeanAll(a), |v, out| {
-            out.set_shape(1, 1);
-            out.as_mut_slice()[0] = v.get(a).mean();
+            out.as_mut_slice()[0] = v.get(a).as_slice().iter().sum();
         })
     }
 
@@ -505,8 +605,29 @@ impl<'p> Graph<'p> {
             let av = v.get(a);
             col_sums_into(out, av.rows(), av.cols(), |r, c| av[(r, c)]);
             if av.rows() > 0 {
-                out.map_inplace(|x| x / av.rows() as f64);
+                let n = T::from_f64(av.rows() as f64);
+                out.map_inplace(|x| x / n);
             }
+        })
+    }
+}
+
+/// What only the training scalar has: the activations [`ns_linalg::Scalar`]
+/// does not carry, the losses, and the backward pass.
+impl Graph<'_> {
+    pub fn tanh(&mut self, a: NodeId) -> NodeId {
+        self.map(Op::Tanh(a), a, f64::tanh)
+    }
+
+    pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
+        self.map(Op::Sigmoid(a), a, |x| 1.0 / (1.0 + (-x).exp()))
+    }
+
+    /// Mean of all elements as a `1 × 1` matrix.
+    pub fn mean_all(&mut self, a: NodeId) -> NodeId {
+        self.node(Op::MeanAll(a), |v, out| {
+            out.set_shape(1, 1);
+            out.as_mut_slice()[0] = v.get(a).mean();
         })
     }
 
@@ -558,11 +679,16 @@ impl<'p> Graph<'p> {
         let t = &mut self.tape;
         let v = Vals {
             params: self.params,
+            baked: self.baked,
             ops: &t.ops,
             values: &t.values,
         };
-        let [tmp, ggamma, gbeta] = &mut t.tmp;
-        t.seen.fill(false);
+        let [tmp, gw, gb] = &mut t.tmp;
+        if t.grads.len() < t.values.len() {
+            t.grads.resize_with(t.values.len(), Matrix::default);
+        }
+        t.seen.clear();
+        t.seen.resize(t.values.len(), false);
         t.seen[loss] = true;
         t.grads[loss].set_shape(1, 1);
         t.grads[loss].as_mut_slice()[0] = 1.0;
@@ -602,7 +728,19 @@ impl<'p> Graph<'p> {
                     to.put(a, |g| gout.matmul_pre_t_into(v.get(b), g));
                     to.put(b, |g| v.get(a).matmul_lhs_t_into(gout, g));
                 }
-                Op::Transpose(a) => to.put(a, |g| gout.transpose_into(g)),
+                // ga = gout·b and gb = goutᵀ·a: the sums `MatMul`'s rule
+                // would run through a materialised transpose.
+                Op::MatMulNT(a, b) => {
+                    to.put(a, |g| gout.matmul_into(v.get(b), g));
+                    to.put(b, |g| gout.matmul_lhs_t_into(v.get(a), g));
+                }
+                Op::Linear { x, w, b } => {
+                    to.put(x, |g| gout.matmul_pre_t_into(v.weight(w), g));
+                    col_sums_into(gb, gout.rows(), gout.cols(), |r, c| gout[(r, c)]);
+                    grads.accumulate(b, gb);
+                    v.get(x).matmul_lhs_t_into(gout, gw);
+                    grads.accumulate(w, gw);
+                }
                 Op::Relu(a) => to.put(a, |g| {
                     g.assign_zip(gout, v.get(a), |g, x| if x > 0.0 { g } else { 0.0 })
                 }),
@@ -632,11 +770,11 @@ impl<'p> Graph<'p> {
                     eps,
                 } => {
                     let xv = v.get(x);
-                    let gv = v.get(gamma).as_slice();
+                    let gv = v.weight(gamma).as_slice();
                     let (rows, d) = xv.shape();
                     let df = d as f64;
-                    ggamma.resize(1, d);
-                    gbeta.resize(1, d);
+                    gw.resize(1, d);
+                    gb.resize(1, d);
                     to.put(x, |gx| {
                         gx.set_shape(rows, d);
                         for r in 0..rows {
@@ -648,7 +786,7 @@ impl<'p> Graph<'p> {
                             let dy = gout.row(r);
                             let dxhat = |i: usize| dy[i] * gv[i];
                             // Parameter grads.
-                            let rows = ggamma.as_mut_slice().iter_mut().zip(gbeta.as_mut_slice());
+                            let rows = gw.as_mut_slice().iter_mut().zip(gb.as_mut_slice());
                             for (i, (gg, gb)) in rows.enumerate() {
                                 *gg += dy[i] * xhat(i);
                                 *gb += dy[i];
@@ -662,14 +800,8 @@ impl<'p> Graph<'p> {
                             }
                         }
                     });
-                    to.put(gamma, |g| copy_into(g, ggamma));
-                    to.put(beta, |g| copy_into(g, gbeta));
-                }
-                Op::AddRowBroadcast(a, row) => {
-                    to.put(a, pass);
-                    to.put(row, |g| {
-                        col_sums_into(g, gout.rows(), gout.cols(), |r, c| gout[(r, c)])
-                    });
+                    grads.accumulate(gamma, gw);
+                    grads.accumulate(beta, gb);
                 }
                 Op::MulRowBroadcast(a, row) => {
                     to.put(a, |g| {
@@ -822,9 +954,7 @@ mod tests {
     fn layernorm_gradcheck() {
         check_gradients(11, &[(4, 6), (1, 6), (1, 6)], |g, ps| {
             let x = g.param(ps[0]);
-            let gamma = g.param(ps[1]);
-            let beta = g.param(ps[2]);
-            let y = g.layer_norm(x, gamma, beta);
+            let y = g.layer_norm(x, ps[1], ps[2]);
             let sq = g.mul(y, y);
             g.mean_all(sq)
         });
@@ -836,8 +966,7 @@ mod tests {
             let a = g.param(ps[0]);
             let row = g.param(ps[1]);
             let col = g.param(ps[2]);
-            let x = g.add_row_broadcast(a, row);
-            let y = g.mul_row_broadcast(x, row);
+            let y = g.mul_row_broadcast(a, row);
             let z = g.mul_col_broadcast(y, col);
             let sq = g.mul(z, z);
             g.mean_all(sq)
@@ -850,7 +979,7 @@ mod tests {
             let a = g.param(ps[0]);
             let gathered = g.gather_rows(a, &[4, 0, 2]);
             let scattered = g.scatter_rows(gathered, &[1, 3, 0], 5);
-            let picked = g.select_elems(scattered, &[(0, 0), (1, 2), (3, 1)]);
+            let picked = g.select_col(scattered, &[0, 1, 3, 1], 2);
             let sq = g.mul(picked, picked);
             g.sum_all(sq)
         });
@@ -885,12 +1014,27 @@ mod tests {
     }
 
     #[test]
-    fn transpose_gradcheck() {
-        check_gradients(29, &[(3, 5)], |g, ps| {
+    fn matmul_nt_gradcheck() {
+        check_gradients(29, &[(3, 5), (4, 5)], |g, ps| {
             let a = g.param(ps[0]);
-            let at = g.transpose(a);
-            let prod = g.matmul(a, at);
-            let sq = g.mul(prod, prod);
+            let b = g.param(ps[1]);
+            let ab = g.matmul_nt(a, b);
+            let aa = g.matmul_nt(a, a);
+            let sq = g.mul(ab, ab);
+            let l = g.mean_all(sq);
+            let s = g.sum_all(aa);
+            g.add(l, s)
+        });
+    }
+
+    #[test]
+    fn linear_gradcheck() {
+        check_gradients(37, &[(4, 3), (3, 5), (1, 5), (5, 2), (1, 2)], |g, ps| {
+            let x = g.param(ps[0]);
+            let h = g.linear(x, ps[1], ps[2]);
+            let a = g.relu(h);
+            let y = g.linear(a, ps[3], ps[4]);
+            let sq = g.mul(y, y);
             g.mean_all(sq)
         });
     }

@@ -10,7 +10,7 @@
 use crate::layers::{FeedForward, LayerNorm, Linear, MultiHeadAttention};
 use crate::moe::MoeLayer;
 use crate::params::ParamStore;
-use crate::tape::{Graph, NodeId};
+use crate::tape::{Graph, NodeId, Tier};
 use serde::{Deserialize, Serialize};
 
 /// Position-wise block type: the paper's MoE, or the dense FFN used by the
@@ -76,23 +76,23 @@ impl EncoderLayer {
         }
     }
 
-    /// Forward; returns `(output, aux_loss_node_if_moe)`.
-    pub fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> (NodeId, Option<NodeId>) {
+    /// Forward; returns `(output, gate_probs_node_if_moe)`.
+    pub fn forward<T: Tier>(&self, g: &mut Graph<'_, T>, x: NodeId) -> (NodeId, Option<NodeId>) {
         // Post-norm residual blocks (as in the original Transformer).
         let a = self.attn.forward(g, x);
         let res1 = g.add(x, a);
         let n1 = self.norm1.forward(g, res1);
-        let (block_out, aux) = match (&self.moe, &self.ffn) {
+        let (block_out, gate_probs) = match (&self.moe, &self.ffn) {
             (Some(moe), _) => {
                 let out = moe.forward(g, n1);
-                (out.out, Some(out.aux_loss))
+                (out.out, Some(out.gate_probs))
             }
             (None, Some(ffn)) => (ffn.forward(g, n1), None),
             _ => unreachable!("layer has either moe or ffn"),
         };
         let res2 = g.add(n1, block_out);
         let n2 = self.norm2.forward(g, res2);
-        (n2, aux)
+        (n2, gate_probs)
     }
 }
 
@@ -164,29 +164,56 @@ impl ReconstructionTransformer {
         }
     }
 
-    /// Forward a `T × input_dim` window with a precomputed positional
-    /// encoding table (`T × d_model`). Returns `(reconstruction,
-    /// summed_aux_loss)`.
+    /// Reconstruct a `T × input_dim` window given its positional
+    /// encoding table (`T × d_model`) — the model, at either tier; what
+    /// scoring runs. `after_moe` sees each MoE layer and its gate
+    /// probabilities once the layer is built.
+    fn encode<T: Tier>(
+        &self,
+        g: &mut Graph<'_, T>,
+        x: NodeId,
+        pos_encoding: NodeId,
+        mut after_moe: impl FnMut(&mut Graph<'_, T>, &MoeLayer, NodeId),
+    ) -> NodeId {
+        let e = self.embed.forward(g, x);
+        let mut h = g.add(e, pos_encoding);
+        for layer in &self.layers {
+            let (out, gate_probs) = layer.forward(g, h);
+            h = out;
+            if let (Some(moe), Some(p)) = (&layer.moe, gate_probs) {
+                after_moe(g, moe, p);
+            }
+        }
+        self.decoder.forward(g, h)
+    }
+
+    /// The reconstruction alone, at either tier — what scoring runs.
+    pub fn reconstruct<T: Tier>(
+        &self,
+        g: &mut Graph<'_, T>,
+        x: NodeId,
+        pos_encoding: NodeId,
+    ) -> NodeId {
+        self.encode(g, x, pos_encoding, |_, _, _| {})
+    }
+
+    /// [`ReconstructionTransformer::reconstruct`] plus what a training
+    /// loss needs beside it: returns `(reconstruction, summed_aux_loss)`.
     pub fn forward(
         &self,
         g: &mut Graph<'_>,
         x: NodeId,
         pos_encoding: NodeId,
     ) -> (NodeId, Option<NodeId>) {
-        let e = self.embed.forward(g, x);
-        let mut h = g.add(e, pos_encoding);
         let mut aux_total: Option<NodeId> = None;
-        for layer in &self.layers {
-            let (out, aux) = layer.forward(g, h);
-            h = out;
-            if let Some(a) = aux {
-                aux_total = Some(match aux_total {
-                    Some(acc) => g.add(acc, a),
-                    None => a,
-                });
-            }
-        }
-        (self.decoder.forward(g, h), aux_total)
+        let recon = self.encode(g, x, pos_encoding, |g, moe, gate_probs| {
+            let a = moe.aux_loss(g, gate_probs);
+            aux_total = Some(match aux_total {
+                Some(acc) => g.add(acc, a),
+                None => a,
+            });
+        });
+        (recon, aux_total)
     }
 
     /// Training loss for one window: WMSE reconstruction (Eq. 5) plus the

@@ -9,9 +9,10 @@
 //! several orders through the same tape.
 
 use ns_linalg::matrix::Matrix;
+use ns_linalg::Mat;
 use ns_nn::{
     sinusoidal_pe, BlockKind, GradStore, Graph, NodeId, ParamStore, ReconstructionTransformer,
-    Tape, TransformerConfig,
+    Tape, Tier, TransformerConfig,
 };
 
 const INPUT_DIM: usize = 5;
@@ -159,4 +160,64 @@ fn backward_twice_and_fresh_store_agree_with_backward_into() {
     let mut g = Graph::recycle(&params, g.into_tape());
     let loss = build(&mut g, &model, win);
     assert_same_grads(&g.backward(loss), &first, "recycled, fresh store");
+}
+
+/// Serving rides the same contract with the backward pass left out, at
+/// either scalar: the reconstruction a recycled tape computes is the one
+/// a fresh graph computes, whatever the tape held before — routing and
+/// row count changing between windows, in any order.
+fn recycled_forward_equals_fresh<T: Tier>() {
+    let (params, model) = model(
+        BlockKind::Moe {
+            n_experts: 3,
+            top_k: 1,
+        },
+        41,
+    );
+    let (mut baked, mut version) = (Vec::new(), None);
+    T::bake(&mut baked, &mut version, &params);
+    let windows = windows();
+    let run = |tape: Tape<T>, (data, pe): &(Matrix, Matrix)| {
+        let round = |m: &Matrix| {
+            let mut out = Mat::<T>::default();
+            out.copy_from_f64(m);
+            out
+        };
+        let mut g = Graph::at_tier(&params, &baked, tape);
+        let (x, p) = (g.input_from(&round(data)), g.input_from(&round(pe)));
+        let recon = model.reconstruct(&mut g, x, p);
+        // Widening is injective, so these are the value's own bits.
+        let out: Vec<u64> = g
+            .value(recon)
+            .as_slice()
+            .iter()
+            .map(|v| v.to_f64().to_bits())
+            .collect();
+        (recon, out, g.into_tape())
+    };
+    let fresh: Vec<(NodeId, Vec<u64>)> = windows
+        .iter()
+        .map(|win| {
+            let (recon, out, _) = run(Tape::default(), win);
+            (recon, out)
+        })
+        .collect();
+    assert_ne!(fresh[0].0, fresh[1].0, "routing must change the tape");
+
+    let mut tape = Tape::default();
+    let orders: [&[usize]; 3] = [&[0, 1, 2, 3], &[3, 2, 1, 0], &[1, 3, 0, 0, 2, 1]];
+    for order in orders {
+        for &wi in order {
+            let (recon, out, back) = run(tape, &windows[wi]);
+            assert_eq!(recon, fresh[wi].0, "window {wi}: node count");
+            assert_eq!(out, fresh[wi].1, "window {wi} in {order:?}: value");
+            tape = back;
+        }
+    }
+}
+
+#[test]
+fn recycled_forward_only_tape_equals_fresh_graph_at_both_scalars() {
+    recycled_forward_equals_fresh::<f64>();
+    recycled_forward_equals_fresh::<f32>();
 }
