@@ -129,6 +129,20 @@ impl NodeSource for [NodeInput] {
     }
 }
 
+/// Outcome of matching one segment's probe against the cluster library
+/// ([`NodeSentry::match_probe`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct ProbeMatch {
+    /// Nearest library cluster.
+    pub cluster: usize,
+    /// Probe-space distance to that cluster's centroid — how close the
+    /// match was ([`ClusterModel::is_match`] holds it to the radius).
+    pub distance: f64,
+    /// The probe's raw feature vector, which an incremental update
+    /// refines or extends the library with.
+    pub features: Vec<f64>,
+}
+
 /// The trained detector.
 #[derive(Serialize, Deserialize)]
 pub struct NodeSentry {
@@ -299,38 +313,64 @@ impl NodeSentry {
         let segs = segment_at_transitions(0, &test, &local_transitions, 1);
         let mut scores = vec![0.0f64; horizon - split];
         let mut matches = Vec::with_capacity(segs.len());
+        let mut scratch = Vec::new();
         for seg in &segs {
-            let probe_len = self.cfg.match_period.clamp(1, seg.len());
-            let (cluster, _dist) = {
+            let cluster = {
                 ns_obs::span!("match");
-                let probe = seg.data.slice_rows(0, probe_len);
-                let feat = coarse::segment_features(&self.cfg.coarse, &probe);
-                self.cluster_model.match_pattern(&feat)
+                let probe = seg.data.slice_rows(0, self.probe_len(seg.len()));
+                self.match_probe(&probe, &mut scratch).cluster
             };
-            let model = &self.shared_models[cluster.min(self.shared_models.len() - 1)];
             let model_span = ns_obs::trace::span("model");
-            let mut seg_scores = model.score_series(&seg.data);
-            // Per-segment baseline normalization: the matched probe
-            // period defines the segment's own "normal" reconstruction
-            // level, so segments whose pattern generalizes less well
-            // don't drown genuinely anomalous stretches elsewhere. The
-            // floor keeps well-reconstructed segments on the calibrated
-            // scale.
-            let baseline = {
-                let mut head: Vec<f64> = seg_scores[..probe_len].to_vec();
-                head.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                ns_linalg::stats::quantile_sorted(&head, 0.5).max(1.0)
-            };
-            for v in seg_scores.iter_mut() {
-                *v /= baseline;
-            }
-            for (k, v) in seg_scores.into_iter().enumerate() {
-                scores[seg.start + k] = v;
-            }
+            let mut seg_scores =
+                self.shared_models[self.model_index(cluster)].score_series(&seg.data);
+            self.normalize_segment(&mut seg_scores);
+            scores[seg.start..seg.end].copy_from_slice(&seg_scores);
             drop(model_span);
             matches.push((seg.start + split, seg.end + split, cluster));
         }
         (scores, matches)
+    }
+
+    /// Rows at the head of a `seg_len`-row segment that form its probe:
+    /// the `match_period` steps after the job transition, or the whole
+    /// segment when it is shorter (§3.5).
+    pub fn probe_len(&self, seg_len: usize) -> usize {
+        self.cfg.match_period.clamp(1, seg_len)
+    }
+
+    /// Pattern-match a segment from its probe — its first
+    /// [`probe_len`](Self::probe_len) preprocessed rows — against the
+    /// cluster library. `scratch` is the standardization buffer; a warm
+    /// one keeps the scan off the heap.
+    pub fn match_probe(&self, probe: &Matrix, scratch: &mut Vec<f64>) -> ProbeMatch {
+        let features = coarse::segment_features(&self.cfg.coarse, probe);
+        let (cluster, distance) = self.cluster_model.match_pattern_into(&features, scratch);
+        ProbeMatch {
+            cluster,
+            distance,
+            features,
+        }
+    }
+
+    /// Index of the shared model that scores segments matched to
+    /// `cluster`: its own, or the last one for a library cluster that has
+    /// no model.
+    pub fn model_index(&self, cluster: usize) -> usize {
+        cluster.min(self.shared_models.len().saturating_sub(1))
+    }
+
+    /// Per-segment baseline normalization of a whole segment's scores: the
+    /// probe period defines the segment's own "normal" reconstruction
+    /// level (its median), so segments whose pattern generalizes less well
+    /// don't drown genuinely anomalous stretches elsewhere. The floor of 1
+    /// keeps well-reconstructed segments on the calibrated scale.
+    pub fn normalize_segment(&self, scores: &mut [f64]) {
+        let mut head = scores[..self.probe_len(scores.len())].to_vec();
+        head.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let baseline = ns_linalg::stats::quantile_sorted(&head, 0.5).max(1.0);
+        for v in scores.iter_mut() {
+            *v /= baseline;
+        }
     }
 
     /// Full online detection: scores → smoothing → sliding k-sigma
@@ -352,10 +392,10 @@ impl NodeSentry {
         segment: &Matrix,
         fine_tune_epochs: usize,
     ) -> (usize, bool) {
-        let probe_len = self.cfg.match_period.clamp(1, segment.rows());
-        let feat = coarse::segment_features(&self.cfg.coarse, &segment.slice_rows(0, probe_len));
-        let (cluster, dist) = self.cluster_model.match_pattern(&feat);
-        if self.cluster_model.is_match(dist) {
+        let probe = segment.slice_rows(0, self.probe_len(segment.rows()));
+        let matched = self.match_probe(&probe, &mut Vec::new());
+        let (cluster, feat) = (matched.cluster, matched.features);
+        if self.cluster_model.is_match(matched.distance) {
             self.cluster_model.refine_centroid(cluster, &feat, 0.1);
             let refs = [segment];
             self.shared_models[cluster].fit_windows(&refs, fine_tune_epochs);
@@ -791,6 +831,52 @@ mod tests {
         let json_full = ns.to_json(true).unwrap();
         let restored_full = NodeSentry::from_json(&json_full).unwrap();
         assert_eq!(restored_full.train_segments.len(), ns.train_segments.len());
+    }
+
+    #[test]
+    fn online_segment_step_is_pinned() {
+        let (nodes, groups, split) = synthetic_nodes(600);
+        let ns = NodeSentry::fit(quick_cfg(), &nodes, &groups, split);
+        // Probe length: the period, or the whole of a shorter segment.
+        assert_eq!(ns.cfg.match_period, 20);
+        let lens = [1, 7, 20, 21, 500].map(|len| ns.probe_len(len));
+        assert_eq!(lens, [1, 7, 20, 20, 20]);
+        // The match is the library's own, distance included, over the
+        // probe's features — at every probe length and on a used scratch.
+        let seg = &ns.train_segments[0].data;
+        let mut scratch = vec![f64::NAN; 3];
+        for len in [1, 7, 20] {
+            let probe = seg.slice_rows(0, len);
+            let m = ns.match_probe(&probe, &mut scratch);
+            let feat = coarse::segment_features(&ns.cfg.coarse, &probe);
+            let (cluster, distance) = ns.cluster_model.match_pattern(&feat);
+            assert_eq!(
+                (m.cluster, m.distance.to_bits()),
+                (cluster, distance.to_bits())
+            );
+            let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&m.features), bits(&feat), "probe of {len} rows");
+        }
+        // A library cluster without a model of its own takes the last.
+        assert_eq!(ns.model_index(0), 0);
+        assert_eq!(ns.model_index(usize::MAX), ns.n_clusters() - 1);
+        // Normalization: divide by the probe's median, floored at 1.
+        let mut short = vec![4.0, 2.0, 6.0];
+        ns.normalize_segment(&mut short);
+        assert_eq!(short, [1.0, 0.5, 1.5]);
+        let mut quiet = vec![0.5, 0.25, 0.75];
+        ns.normalize_segment(&mut quiet);
+        assert_eq!(quiet, [0.5, 0.25, 0.75], "baseline floored at 1.0");
+        let mut one = vec![3.0];
+        ns.normalize_segment(&mut one);
+        assert_eq!(one, [1.0]);
+        // Past the period only the probe head sets the baseline.
+        let mut long = [vec![2.0; 20], vec![100.0; 30]].concat();
+        ns.normalize_segment(&mut long);
+        assert_eq!(
+            (long[0], long[19], long[20], long[49]),
+            (1.0, 1.0, 50.0, 50.0)
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod sharing;
 pub mod tick;
 
 pub use coarse::{ClusterModel, CoarseConfig};
-pub use detector::{NodeInput, NodeSentry, NodeSentryConfig, NodeSource, Variant};
+pub use detector::{NodeInput, NodeSentry, NodeSentryConfig, NodeSource, ProbeMatch, Variant};
 pub use preprocess::{Preprocessor, Segment, Standardizer};
 pub use sharing::{SharedModel, SharingConfig};
 pub use tick::Tick;

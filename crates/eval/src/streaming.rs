@@ -10,7 +10,7 @@
 //! The differential tests at the bottom (and `tests/stream_equivalence.rs`
 //! at the workspace root) hold them to `f64::to_bits` equality.
 
-use crate::threshold::KSigmaConfig;
+use crate::threshold::{percentile_sorted, KSigmaConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -217,19 +217,6 @@ impl StreamingKSigma {
 pub struct KSigmaState {
     pub window: Vec<f64>,
     pub flagged_run: usize,
-}
-
-// Duplicated from `threshold` (private there); identical arithmetic.
-#[inline]
-fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
 #[cfg(test)]

@@ -89,8 +89,10 @@ pub fn ksigma_detect(scores: &[f64], cfg: &KSigmaConfig) -> Vec<bool> {
     out
 }
 
+/// Linear-interpolated quantile of an ascending slice (0 when empty) —
+/// the one median/MAD arithmetic of the batch and streaming detectors.
 #[inline]
-fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

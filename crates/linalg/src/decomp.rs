@@ -1,7 +1,6 @@
 //! Small dense decompositions: Cholesky, LU with partial pivoting, solves,
 //! inverse and log-determinant. Used by the Gaussian-mixture baseline
-//! (Mahalanobis distances need `Σ⁻¹` and `log|Σ|`) and by PCA's fallback
-//! paths.
+//! (Mahalanobis distances need `Σ⁻¹` and `log|Σ|`).
 
 use crate::matrix::Matrix;
 

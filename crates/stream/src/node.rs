@@ -1,0 +1,774 @@
+//! Per-node incremental detection state: reorder buffer, streaming
+//! preprocessing, segment assembly, deferred probe matching and scoring,
+//! and the smoothing → k-sigma chain (see the crate docs for the fault
+//! model).
+
+use crate::metrics::node_metrics;
+use crate::preprocess::{PreRow, StreamingPreprocessor};
+use crate::snapshot::{JobSnap, NodeSnap, PendingSnap, SnapshotError};
+use crate::{
+    EngineConfig, FaultCounters, ScoringPrecision, StreamStats, Tick, Verdict, VerdictKind,
+};
+use nodesentry_core::NodeSentry;
+use ns_eval::streaming::{StreamingKSigma, StreamingSmoother};
+use ns_linalg::matrix::Matrix;
+use ns_obs::events::{self, EventKind};
+use rustc_hash::FxHashMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Provenance of one preprocessed row, tracked from tick ingestion
+/// through segment close.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum RowKind {
+    /// Delivered normally, no fault detected.
+    Clean,
+    /// Fabricated by the engine for a step that never arrived.
+    Synthesized,
+    /// Delivered but fault-tainted (all-NaN, counter reset, stuck run).
+    Faulty,
+}
+
+impl RowKind {
+    /// Snapshot ordinal (pinned: part of the on-disk format).
+    fn to_ordinal(self) -> u8 {
+        match self {
+            RowKind::Clean => 0,
+            RowKind::Synthesized => 1,
+            RowKind::Faulty => 2,
+        }
+    }
+
+    fn from_ordinal(b: u8) -> Result<Self, SnapshotError> {
+        match b {
+            0 => Ok(RowKind::Clean),
+            1 => Ok(RowKind::Synthesized),
+            2 => Ok(RowKind::Faulty),
+            other => Err(SnapshotError::Decode(format!("bad row kind {other}"))),
+        }
+    }
+}
+
+fn kinds_from_ordinals(bytes: &[u8]) -> Result<Vec<RowKind>, SnapshotError> {
+    bytes.iter().map(|&b| RowKind::from_ordinal(b)).collect()
+}
+
+/// One job segment of a node's test span: the open one still taking
+/// rows, or a closed one queued for a scoring phase. Closing moves the
+/// segment out of the node, so its rows, provenance and degraded flag
+/// are frozen there — later retro-taints cannot reach it, and when the
+/// phase runs cannot change any verdict bit.
+#[derive(Default)]
+pub(crate) struct Segment {
+    /// Global step of the segment's first row.
+    start: usize,
+    /// The segment's preprocessed rows.
+    rows: Vec<Vec<f64>>,
+    /// Provenance per row, parallel to `rows`.
+    kinds: Vec<RowKind>,
+    /// Cluster from the probe match, once resolved.
+    matched: Option<usize>,
+    /// Evaluated at close time (resync or tainted rows); false while open.
+    degraded: bool,
+}
+
+impl Segment {
+    fn snapshot(&self) -> JobSnap {
+        JobSnap {
+            start: self.start,
+            rows: self.rows.clone(),
+            kinds: self.kinds.iter().map(|k| k.to_ordinal()).collect(),
+            matched: self.matched,
+            degraded: self.degraded,
+        }
+    }
+
+    /// Take over a snapshotted segment's buffers. Its rows are about to
+    /// be stacked into matrices of the model's preprocessed `width` by a
+    /// scoring phase that runs outside any panic guard, so their shape is
+    /// settled here; only the open segment may be empty.
+    fn restore(s: JobSnap, width: usize, open: bool) -> Result<Self, SnapshotError> {
+        let fault = if s.kinds.len() != s.rows.len() {
+            "segment provenance out of sync with rows"
+        } else if s.rows.iter().any(|row| row.len() != width) {
+            "segment row width differs from the model's"
+        } else if s.rows.is_empty() && !open {
+            "queued segment has no rows"
+        } else {
+            return Ok(Segment {
+                start: s.start,
+                rows: s.rows,
+                kinds: kinds_from_ordinals(&s.kinds)?,
+                matched: s.matched,
+                degraded: s.degraded,
+            });
+        };
+        Err(SnapshotError::Decode(fault.into()))
+    }
+}
+
+/// Incremental detection state for a single node.
+///
+/// Drives the full online pipeline of [`NodeSentry::score_node`] +
+/// smoothing + k-sigma from one tick at a time. Scores for a segment are
+/// emitted after the segment closes (next job transition or flush): the
+/// shared model's positional encoding is relative to the whole segment,
+/// so earlier emission would change the answer.
+///
+/// Unlike the clean-contract version, [`offer`](NodeState::offer)
+/// tolerates arbitrary arrival order: late and duplicate ticks are
+/// rejected, early ticks wait in a bounded reorder buffer, persistent
+/// gaps are synthesized as lost samples, and long gaps trigger a full
+/// blackout resync. See the crate docs for the fault model.
+pub struct NodeState {
+    pub(crate) model: Arc<NodeSentry>,
+    node: usize,
+    split: usize,
+    /// Next step to ingest; everything below it is consumed.
+    next_step: usize,
+    pre: StreamingPreprocessor,
+    /// Global index of the next preprocessed row to come out of `pre`.
+    next_row: usize,
+    /// Raw stream width (for synthesizing lost rows).
+    width: usize,
+    /// Pending job-transition cuts (global steps > split), in order.
+    cuts: VecDeque<usize>,
+    /// The segment being assembled (test span only).
+    open: Segment,
+    /// Closed segments awaiting the next scoring phase (FIFO).
+    pub(crate) jobs: VecDeque<Segment>,
+    /// The open segment reached `match_period` rows; its probe match is
+    /// deferred to the next scoring phase.
+    probe_pending: bool,
+    /// Scratch for `match_pattern_into` — the warm streaming match path
+    /// allocates nothing (`crates/core/tests/match_zero_alloc.rs`).
+    z_scratch: Vec<f64>,
+    /// Scoring tier every verdict from this node is tagged with.
+    precision: ScoringPrecision,
+    smoother: StreamingSmoother,
+    detector: StreamingKSigma,
+    /// Scores awaiting their (lagged) smoothed verdict; `suppress` marks
+    /// a synthesized step: it feeds the chain for alignment, emits nothing.
+    pending: VecDeque<PendingSnap>,
+    /// Early ticks waiting for their gap to close, keyed by step.
+    pub(crate) ahead: BTreeMap<usize, Tick>,
+    reorder_bound: usize,
+    blackout_gap: usize,
+    stuck_run: usize,
+    smooth_window: usize,
+    /// Provenance of rows pushed into `pre` but not yet absorbed; front
+    /// corresponds to global row `next_row`.
+    row_kinds: VecDeque<RowKind>,
+    /// The segment being assembled spans a blackout resync; its scores
+    /// cannot match the batch oracle's segmentation.
+    resync_degraded: bool,
+    /// Stuck-sensor watch: last delivered value and exact-repeat run
+    /// length per raw column (non-counter columns only — idle counters
+    /// legitimately repeat).
+    prev_raw: Vec<f64>,
+    runs: Vec<u32>,
+    stuck_watch: Vec<bool>,
+    n_watch: usize,
+    pub stats: StreamStats,
+    pub faults: FaultCounters,
+}
+
+impl NodeState {
+    pub fn new(model: Arc<NodeSentry>, node: usize, cfg: &EngineConfig) -> Self {
+        let pre = StreamingPreprocessor::new(&model.preprocessor);
+        let detector = StreamingKSigma::new(model.cfg.threshold);
+        let width = pre.width();
+        let stuck_watch: Vec<bool> = model
+            .preprocessor
+            .groups
+            .iter()
+            .map(|&g| !model.preprocessor.counters[g])
+            .collect();
+        let n_watch = stuck_watch.iter().filter(|&&w| w).count();
+        NodeState {
+            model,
+            node,
+            split: cfg.split,
+            next_step: 0,
+            pre,
+            next_row: 0,
+            width,
+            cuts: VecDeque::new(),
+            open: Segment::default(),
+            jobs: VecDeque::new(),
+            probe_pending: false,
+            z_scratch: Vec::new(),
+            precision: cfg.scoring_precision,
+            smoother: StreamingSmoother::new(cfg.smooth_window),
+            detector,
+            pending: VecDeque::new(),
+            ahead: BTreeMap::new(),
+            reorder_bound: cfg.reorder_bound.max(1),
+            blackout_gap: cfg.blackout_gap.max(2),
+            stuck_run: cfg.stuck_run.max(2),
+            smooth_window: cfg.smooth_window,
+            row_kinds: VecDeque::new(),
+            resync_degraded: false,
+            prev_raw: vec![f64::NAN; width],
+            runs: vec![0; width],
+            stuck_watch,
+            n_watch,
+            stats: StreamStats::default(),
+            faults: FaultCounters::default(),
+        }
+    }
+
+    /// Offer one tick in arbitrary arrival order. A segment the tick
+    /// closes is queued, not scored: its verdicts come out of the shard's
+    /// next scoring phase (inside an [`Engine`](crate::Engine)) or of
+    /// [`NodeState::flush`] (driven inline), so the only verdicts
+    /// returned here are those a blackout reset flushes. Never panics on
+    /// malformed sequencing: out-of-contract ticks are buffered,
+    /// rejected, or synthesized around, and counted in
+    /// [`NodeState::faults`].
+    pub fn offer(&mut self, tick: &Tick) -> Vec<Verdict> {
+        debug_assert_eq!(tick.node, self.node, "tick routed to wrong node state");
+        self.stats.n_ticks += 1;
+        if tick.step < self.next_step {
+            // Already consumed (duplicate after original, or a straggler
+            // whose step was synthesized past).
+            self.faults.late_ticks += 1;
+            return Vec::new();
+        }
+        if tick.step > self.next_step {
+            match self.ahead.entry(tick.step) {
+                std::collections::btree_map::Entry::Vacant(slot) => {
+                    slot.insert(tick.clone());
+                    self.faults.reordered_ticks += 1;
+                }
+                std::collections::btree_map::Entry::Occupied(_) => {
+                    self.faults.duplicate_ticks += 1;
+                    return Vec::new();
+                }
+            }
+            return self.settle();
+        }
+        self.ingest_now(tick);
+        self.settle()
+    }
+
+    /// Drain the reorder buffer as far as policy allows: contiguous ticks
+    /// ingest immediately, a gap of `blackout_gap` resets the node, and a
+    /// buffer spanning more than `reorder_bound` steps forces the oldest
+    /// missing step to be synthesized (the straggler is declared lost).
+    fn settle(&mut self) -> Vec<Verdict> {
+        let mut out = Vec::new();
+        loop {
+            while let Some(t) = self.ahead.remove(&self.next_step) {
+                self.ingest_now(&t);
+            }
+            let Some((&front, _)) = self.ahead.first_key_value() else {
+                break;
+            };
+            if front - self.next_step >= self.blackout_gap {
+                out.extend(self.blackout_reset(front));
+                continue;
+            }
+            // Invariant: the map is non-empty, so a last key exists.
+            let span = match self.ahead.last_key_value() {
+                Some((&last, _)) => last - self.next_step,
+                None => break,
+            };
+            if span > self.reorder_bound {
+                self.ingest_missing();
+            } else {
+                break; // wait for the straggler
+            }
+        }
+        out
+    }
+
+    /// Ingest the tick for exactly `next_step`.
+    fn ingest_now(&mut self, tick: &Tick) {
+        let kind = self.observe_raw(tick.step, &tick.values);
+        self.next_step += 1;
+        // Batch segmentation keeps transitions strictly inside the test
+        // span: `t > split && t < horizon`.
+        if tick.transition && tick.step > self.split {
+            self.cuts.push_back(tick.step);
+        }
+        self.row_kinds.push_back(kind);
+        let rows = self.pre.push(&tick.values);
+        self.absorb_rows(rows);
+    }
+
+    /// Declare `next_step` lost and synthesize an all-NaN row for it; the
+    /// preprocessor interpolates it like any missing sample. The step
+    /// never receives a verdict.
+    fn ingest_missing(&mut self) {
+        self.faults.synthesized_rows += 1;
+        self.next_step += 1;
+        self.row_kinds.push_back(RowKind::Synthesized);
+        let nan_row = vec![f64::NAN; self.width];
+        let rows = self.pre.push(&nan_row);
+        self.absorb_rows(rows);
+    }
+
+    /// Update the stuck-sensor watch with a delivered raw row and return
+    /// the row's provenance.
+    fn observe_raw(&mut self, step: usize, values: &[f64]) -> RowKind {
+        let mut stuck_cols = 0usize;
+        for (c, &v) in values.iter().enumerate() {
+            if !self.stuck_watch[c] {
+                continue;
+            }
+            if v.is_nan() {
+                self.runs[c] = 0;
+                continue;
+            }
+            if !self.prev_raw[c].is_nan() && v == self.prev_raw[c] {
+                self.runs[c] += 1;
+            } else {
+                self.runs[c] = 0;
+            }
+            self.prev_raw[c] = v;
+            if self.runs[c] >= self.stuck_run as u32 {
+                stuck_cols += 1;
+            }
+        }
+        // Continuous gauge signals essentially never repeat bit-exactly;
+        // a quarter of them frozen for `stuck_run` ticks is a collector
+        // fault, not chance.
+        if self.n_watch > 0 && stuck_cols * 4 >= self.n_watch {
+            self.faults.stuck_rows += 1;
+            // The run began `stuck_run` rows back; taint those too.
+            for k in step.saturating_sub(self.stuck_run)..step {
+                self.mark_row_faulty(k);
+            }
+            return RowKind::Faulty;
+        }
+        RowKind::Clean
+    }
+
+    /// Retroactively taint a row discovered to be faulty after ingestion
+    /// (stuck-run confirmation lags the run start). Best effort: rows
+    /// whose segment already closed have emitted their verdicts.
+    fn mark_row_faulty(&mut self, row: usize) {
+        if row >= self.next_row {
+            let i = row - self.next_row;
+            if i < self.row_kinds.len() && self.row_kinds[i] == RowKind::Clean {
+                self.row_kinds[i] = RowKind::Faulty;
+            }
+            return;
+        }
+        if !self.open.rows.is_empty() && row >= self.open.start {
+            let i = row - self.open.start;
+            if i < self.open.kinds.len() && self.open.kinds[i] == RowKind::Clean {
+                self.open.kinds[i] = RowKind::Faulty;
+            }
+        }
+    }
+
+    /// The node went dark for at least `blackout_gap` steps: flush the
+    /// stale state (degraded), then restart preprocessing, smoothing and
+    /// thresholding at the rejoin step. No state leaks across the reset —
+    /// the next segment is scored from scratch.
+    fn blackout_reset(&mut self, resync_at: usize) -> Vec<Verdict> {
+        self.faults.blackouts += 1;
+        events::record(
+            EventKind::Blackout,
+            "",
+            -1,
+            self.node as i64,
+            resync_at.saturating_sub(self.next_step) as u64,
+            self.next_step as u64,
+        );
+        let out = self.flush_tail(true);
+        self.pre = StreamingPreprocessor::new(&self.model.preprocessor);
+        self.smoother = StreamingSmoother::new(self.smooth_window);
+        self.detector = StreamingKSigma::new(self.model.cfg.threshold);
+        self.cuts.clear();
+        self.open = Segment::default();
+        self.row_kinds.clear();
+        self.pending.clear();
+        self.jobs.clear();
+        self.probe_pending = false;
+        self.next_step = resync_at;
+        self.next_row = resync_at;
+        self.resync_degraded = true;
+        self.runs.iter_mut().for_each(|r| *r = 0);
+        self.prev_raw.iter_mut().for_each(|p| *p = f64::NAN);
+        events::record(
+            EventKind::Resync,
+            "",
+            -1,
+            self.node as i64,
+            resync_at as u64,
+            self.faults.blackouts,
+        );
+        out
+    }
+
+    /// End of stream: resolve every remaining gap (stragglers will never
+    /// arrive), flush the preprocessing tail, close the last segment, and
+    /// drain the smoothing lag.
+    pub fn flush(&mut self) -> Vec<Verdict> {
+        let mut out = Vec::new();
+        while let Some((&front, _)) = self.ahead.first_key_value() {
+            if front - self.next_step >= self.blackout_gap {
+                out.extend(self.blackout_reset(front));
+            } else {
+                while self.next_step < front {
+                    self.ingest_missing();
+                }
+            }
+            while let Some(t) = self.ahead.remove(&self.next_step) {
+                self.ingest_now(&t);
+            }
+        }
+        out.extend(self.flush_tail(false));
+        out
+    }
+
+    /// Flush preprocessing + segment + smoothing lag. With `degrade`,
+    /// every verdict emitted here is marked [`VerdictKind::Degraded`]
+    /// (used mid-stream at blackout resets, where the tail clamp differs
+    /// from what batch interpolation across the gap would produce).
+    fn flush_tail(&mut self, degrade: bool) -> Vec<Verdict> {
+        // Jobs queued before this flush are segments that closed before
+        // it; drain them first so the degrade marking below cannot touch
+        // their verdicts. (Verdicts their scores release during the
+        // flush — the smoothing-lag tail — land in `out` below and are
+        // marked.)
+        let mut pre = self.drain_jobs();
+        let rows = self.pre.flush();
+        self.absorb_rows(rows);
+        self.close_open_segment();
+        let mut out = self.drain_jobs();
+        let t0 = Instant::now();
+        let tail = self.smoother.flush();
+        self.threshold(tail, &mut out);
+        self.stats.score_seconds += t0.elapsed().as_secs_f64();
+        debug_assert!(self.pending.is_empty(), "scores left without verdicts");
+        if degrade {
+            for v in out.iter_mut() {
+                if v.kind == VerdictKind::Ok {
+                    v.kind = VerdictKind::Degraded;
+                    self.faults.degraded_verdicts += 1;
+                }
+            }
+        }
+        pre.extend(out);
+        pre
+    }
+
+    fn absorb_rows(&mut self, rows: Vec<PreRow>) {
+        for prerow in rows {
+            let r = self.next_row;
+            self.next_row += 1;
+            // Invariant: exactly one kind was queued per row pushed into
+            // `pre`, so the front always exists.
+            let mut kind = self.row_kinds.pop_front().unwrap_or(RowKind::Clean);
+            if prerow.all_nan && kind == RowKind::Clean {
+                self.faults.nan_rows += 1;
+                kind = RowKind::Faulty;
+            }
+            if prerow.counter_reset {
+                self.faults.counter_resets += 1;
+                if kind == RowKind::Clean {
+                    kind = RowKind::Faulty;
+                }
+            }
+            if r < self.split {
+                continue; // training span: context only
+            }
+            if self.cuts.front() == Some(&r) {
+                self.cuts.pop_front();
+                self.close_open_segment();
+            }
+            if self.open.rows.is_empty() {
+                self.open.start = r;
+            }
+            self.open.rows.push(prerow.values);
+            self.open.kinds.push(kind);
+            // Early pattern matching: the probe is the segment's first
+            // `match_period` rows, available long before the segment
+            // closes. This is the deployment's per-transition match cycle;
+            // the next scoring phase resolves it over the frozen probe
+            // rows.
+            if self.open.matched.is_none() && self.open.rows.len() == self.model.cfg.match_period {
+                self.probe_pending = true;
+            }
+        }
+    }
+
+    /// Close the open segment, if it has rows, and queue it for the next
+    /// scoring phase. The degraded flag is evaluated here, at close
+    /// time, so a segment scored later yields the same verdict bits.
+    fn close_open_segment(&mut self) {
+        if self.open.rows.is_empty() {
+            return;
+        }
+        let mut seg = std::mem::take(&mut self.open);
+        // Any tainted row poisons the whole segment: scoring is
+        // segment-local (positional encoding + baseline), so no verdict
+        // in it can claim batch equivalence.
+        seg.degraded = self.resync_degraded || seg.kinds.iter().any(|&k| k != RowKind::Clean);
+        self.resync_degraded = false;
+        self.probe_pending = false;
+        self.jobs.push_back(seg);
+    }
+
+    /// Push one scored segment through the smoothing → k-sigma chain;
+    /// returns finalized verdicts. `cost_share` is this segment's share
+    /// of scoring wall time (the batch's elapsed, split by rows).
+    pub(crate) fn apply_scored(
+        &mut self,
+        seg: Segment,
+        scores: Vec<f64>,
+        cost_share: f64,
+    ) -> Vec<Verdict> {
+        // Invariant: `resolve_probes` ran before the segment was scored.
+        let cluster = seg.matched.unwrap_or(0);
+        let mut out = Vec::new();
+        for (k, score) in scores.into_iter().enumerate() {
+            let suppress = seg.kinds[k] == RowKind::Synthesized;
+            self.pending.push_back(PendingSnap {
+                step: seg.start + k,
+                score,
+                cluster,
+                suppress,
+                degraded: seg.degraded,
+            });
+            let smoothed = self.smoother.push(score);
+            self.threshold(smoothed, &mut out);
+        }
+        let n_rows = seg.rows.len();
+        self.stats.score_seconds += cost_share;
+        let nm = node_metrics();
+        nm.score_seconds.observe(cost_share);
+        if n_rows > 0 {
+            nm.point_seconds
+                .observe_n(cost_share / n_rows as f64, n_rows as u64);
+        }
+        out
+    }
+
+    /// Probe matches waiting for the scoring phase: queued jobs that
+    /// closed before reaching `match_period` rows, plus the open
+    /// segment's pending probe.
+    pub(crate) fn pending_probe_count(&self) -> u64 {
+        self.probe_pending as u64 + self.jobs.iter().filter(|j| j.matched.is_none()).count() as u64
+    }
+
+    /// Deferred work for the shard's scoring phase to pick up?
+    pub(crate) fn has_deferred_work(&self) -> bool {
+        !self.jobs.is_empty() || self.probe_pending
+    }
+
+    /// Resolve every deferred probe match: the open segment's pending
+    /// probe and any queued job that closed unmatched. Matching reads
+    /// only frozen row values, so the cluster does not depend on when
+    /// this runs.
+    pub(crate) fn resolve_probes(&mut self) {
+        let open = std::mem::take(&mut self.probe_pending).then_some(&mut self.open);
+        for seg in open.into_iter().chain(self.jobs.iter_mut()) {
+            if seg.matched.is_some() || seg.rows.is_empty() {
+                continue;
+            }
+            // One probe feature-extraction + library-match cycle; past
+            // feature extraction a warm scratch keeps it off the heap.
+            let t0 = Instant::now();
+            let probe = Matrix::from_rows(&seg.rows[..self.model.probe_len(seg.rows.len())]);
+            seg.matched = Some(self.model.match_probe(&probe, &mut self.z_scratch).cluster);
+            let elapsed = t0.elapsed().as_secs_f64();
+            self.stats.match_seconds += elapsed;
+            self.stats.n_matches += 1;
+            node_metrics().match_seconds.observe(elapsed);
+        }
+    }
+
+    /// Single-node drain (flush/blackout/quarantine paths): resolve
+    /// probes, score every queued job — still batched per shared model —
+    /// and apply in FIFO order.
+    pub(crate) fn drain_jobs(&mut self) -> Vec<Verdict> {
+        if !self.has_deferred_work() {
+            return Vec::new();
+        }
+        self.resolve_probes();
+        let jobs: Vec<Segment> = std::mem::take(&mut self.jobs).into();
+        let mut out = Vec::new();
+        for (seg, scores, share) in score_resolved_jobs(&self.model, jobs, self.precision) {
+            out.extend(self.apply_scored(seg, scores, share));
+        }
+        out
+    }
+
+    /// Feed smoothed scores through the k-sigma detector; each decision
+    /// releases the oldest pending score as a verdict.
+    fn threshold(&mut self, smoothed: Vec<f64>, out: &mut Vec<Verdict>) {
+        for sv in smoothed {
+            let flagged = self.detector.push(sv);
+            out.extend(self.emit_verdict(flagged));
+        }
+    }
+
+    fn emit_verdict(&mut self, anomalous: bool) -> Option<Verdict> {
+        // Invariant: every score entering the smoother pushed a pending
+        // entry first, so one is always waiting here.
+        let p = self.pending.pop_front()?;
+        if p.suppress {
+            self.faults.suppressed_verdicts += 1;
+            return None;
+        }
+        self.stats.n_points += 1;
+        let kind = if p.degraded {
+            self.faults.degraded_verdicts += 1;
+            VerdictKind::Degraded
+        } else {
+            VerdictKind::Ok
+        };
+        Some(Verdict {
+            node: self.node,
+            step: p.step,
+            score: p.score,
+            anomalous,
+            cluster: p.cluster,
+            kind,
+            precision: self.precision,
+        })
+    }
+
+    /// Capture every field that can influence a future verdict bit.
+    /// Configuration-derived fields (widths, watch masks, bounds) are
+    /// rebuilt from the model and [`EngineConfig`] at restore.
+    pub(crate) fn snapshot(&self) -> NodeSnap {
+        let open = self.open.snapshot();
+        NodeSnap {
+            node: self.node,
+            next_step: self.next_step,
+            next_row: self.next_row,
+            pre: self.pre.state(),
+            cuts: self.cuts.iter().copied().collect(),
+            seg_start: open.start,
+            seg_rows: open.rows,
+            seg_row_kinds: open.kinds,
+            matched: open.matched,
+            jobs: self.jobs.iter().map(Segment::snapshot).collect(),
+            probe_pending: self.probe_pending,
+            smoother: self.smoother.snapshot(),
+            detector: self.detector.snapshot(),
+            pending: self.pending.iter().cloned().collect(),
+            ahead: self.ahead.values().cloned().collect(),
+            row_kinds: self.row_kinds.iter().map(|k| k.to_ordinal()).collect(),
+            resync_degraded: self.resync_degraded,
+            prev_raw: self.prev_raw.clone(),
+            runs: self.runs.clone(),
+            stats: self.stats,
+            faults: self.faults,
+        }
+    }
+
+    /// Rebuild a node from its snapshot, taking over its buffers; the
+    /// restored state continues bit-identically to the original.
+    /// Shape-validated against the model so a mismatched snapshot errors
+    /// instead of panicking later.
+    pub(crate) fn restore(
+        model: Arc<NodeSentry>,
+        cfg: &EngineConfig,
+        s: NodeSnap,
+    ) -> Result<Self, SnapshotError> {
+        let mut st = NodeState::new(model, s.node, cfg);
+        if s.prev_raw.len() != st.width || s.runs.len() != st.width {
+            return Err(SnapshotError::Decode(
+                "stuck-watch state width mismatch".into(),
+            ));
+        }
+        if s.row_kinds.len() < s.pre.buf.len() {
+            return Err(SnapshotError::Decode(
+                "row provenance out of sync with rows".into(),
+            ));
+        }
+        st.next_step = s.next_step;
+        st.next_row = s.next_row;
+        st.pre = StreamingPreprocessor::restore(&st.model.preprocessor, s.pre)?;
+        st.cuts = s.cuts.into();
+        let seg_width = st.model.preprocessor.out_dim();
+        let open = JobSnap {
+            start: s.seg_start,
+            rows: s.seg_rows,
+            kinds: s.seg_row_kinds,
+            matched: s.matched,
+            degraded: false,
+        };
+        st.open = Segment::restore(open, seg_width, true)?;
+        st.jobs = s
+            .jobs
+            .into_iter()
+            .map(|j| Segment::restore(j, seg_width, false))
+            .collect::<Result<_, _>>()?;
+        st.probe_pending = s.probe_pending;
+        st.smoother = StreamingSmoother::restore(cfg.smooth_window, &s.smoother);
+        st.detector = StreamingKSigma::restore(st.model.cfg.threshold, &s.detector);
+        st.pending = s.pending.into();
+        st.ahead = s.ahead.into_iter().map(|t| (t.step, t)).collect();
+        st.row_kinds = kinds_from_ordinals(&s.row_kinds)?.into();
+        st.resync_degraded = s.resync_degraded;
+        st.prev_raw = s.prev_raw;
+        st.runs = s.runs;
+        st.stats = s.stats;
+        st.faults = s.faults;
+        Ok(st)
+    }
+}
+
+/// Score a FIFO run of probe-resolved segments: group them by the shared
+/// model their matched cluster maps to, score each group with one
+/// `score_series_batch` call on that model (row-capped batched forwards
+/// fanned over this thread's pool width; bit-identical per series to
+/// `score_series`), normalize each segment against its own probe
+/// baseline, and return `(segment, scores, cost share)` in the original
+/// order. The cost share is the group's scoring wall time split by
+/// rows: a forward costs per row, so a short segment batched beside a
+/// long one is charged for its own rows, not for half the group.
+pub(crate) fn score_resolved_jobs(
+    model: &NodeSentry,
+    jobs: Vec<Segment>,
+    precision: ScoringPrecision,
+) -> Vec<(Segment, Vec<f64>, f64)> {
+    let mut groups: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
+    for (i, job) in jobs.iter().enumerate() {
+        // Invariant: `resolve_probes` ran first, so `matched` is set
+        // (empty segments are never queued).
+        let shared = model.model_index(job.matched.unwrap_or(0));
+        groups.entry(shared).or_default().push(i);
+    }
+    let mut scored: Vec<Option<(Vec<f64>, f64)>> = (0..jobs.len()).map(|_| None).collect();
+    let mut group_ids: Vec<usize> = groups.keys().copied().collect();
+    group_ids.sort_unstable();
+    let nm = node_metrics();
+    for g in group_ids {
+        let idxs = &groups[&g];
+        let t0 = Instant::now();
+        let mats: Vec<Matrix> = idxs
+            .iter()
+            .map(|&i| Matrix::from_rows(&jobs[i].rows))
+            .collect();
+        let refs: Vec<&Matrix> = mats.iter().collect();
+        let many = match precision {
+            ScoringPrecision::F64 => model.shared_models[g].score_series_batch(&refs),
+            ScoringPrecision::F32 => model.shared_models[g].score_series_batch_f32(&refs),
+        };
+        let rows: usize = refs.iter().map(|m| m.rows()).sum();
+        let per_row = t0.elapsed().as_secs_f64() / rows.max(1) as f64;
+        nm.batch_segments.observe(idxs.len() as f64);
+        for (&i, mut scores) in idxs.iter().zip(many) {
+            model.normalize_segment(&mut scores);
+            let share = per_row * scores.len() as f64;
+            scored[i] = Some((scores, share));
+        }
+    }
+    jobs.into_iter()
+        .zip(scored)
+        .map(|(job, s)| {
+            let (scores, share) = s.unwrap_or_default();
+            (job, scores, share)
+        })
+        .collect()
+}

@@ -1,0 +1,304 @@
+//! One shard of the engine: the worker thread's receive loop, the
+//! cross-node batched scoring phase it runs after every tick batch, and
+//! the live metering of what it emits.
+
+use crate::metrics::{node_metrics, ShardMetrics};
+use crate::node::{score_resolved_jobs, NodeState, Segment};
+use crate::snapshot::NodeSnap;
+use crate::{
+    status, EngineConfig, FaultCounters, ScoringPrecision, StreamStats, Tick, Verdict, VerdictKind,
+};
+use nodesentry_core::NodeSentry;
+use ns_obs::events::{self, EventKind};
+use rustc_hash::{FxHashMap, FxHashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::sync::Arc;
+
+/// Everything one shard hands back for a checkpoint.
+pub(crate) struct ShardCheckpoint {
+    pub(crate) nodes: Vec<NodeSnap>,
+    pub(crate) quarantined: Vec<usize>,
+    /// Verdicts finalized before the cut, drained from the worker.
+    pub(crate) verdicts: Vec<Verdict>,
+    /// Residual counters of states no longer in the map (quarantined).
+    pub(crate) stats: StreamStats,
+    pub(crate) faults: FaultCounters,
+}
+
+/// What a worker returns when its queue closes: its verdicts and the
+/// merged counters of its nodes.
+pub(crate) type ShardOutput = (Vec<Verdict>, StreamStats, FaultCounters);
+
+/// What flows down a shard's queue: tick batches, interleaved with
+/// checkpoint barriers. The channel is FIFO, so a checkpoint cuts at a
+/// well-defined batch boundary — every batch ingested before
+/// [`Engine::checkpoint`](crate::Engine::checkpoint) is reflected in the
+/// snapshot, everything after belongs to the tail.
+pub(crate) enum ShardMsg {
+    Batch(Vec<Tick>),
+    Checkpoint(mpsc::Sender<ShardCheckpoint>),
+}
+
+/// Cross-node batched scoring phase: after a tick batch lands, collect
+/// every deferred probe and queued segment across the shard's nodes,
+/// resolve the probes, score all segments through per-cluster batched
+/// forwards, and fan the verdicts back out per node. Nodes are visited
+/// in ascending id and each node's jobs in FIFO order, so every node's
+/// smoother/detector chain sees its segments in stream order.
+fn scoring_phase(
+    states: &mut FxHashMap<usize, NodeState>,
+    verdicts: &mut Vec<Verdict>,
+    precision: ScoringPrecision,
+) {
+    let mut nodes: Vec<usize> = states
+        .iter()
+        .filter(|(_, s)| s.has_deferred_work())
+        .map(|(&n, _)| n)
+        .collect();
+    if nodes.is_empty() {
+        return;
+    }
+    nodes.sort_unstable();
+    let mut owners: Vec<usize> = Vec::new();
+    let mut jobs: Vec<Segment> = Vec::new();
+    let mut n_probes = 0u64;
+    let mut model = None;
+    for &n in &nodes {
+        // Invariant: ids came out of the map above.
+        let Some(state) = states.get_mut(&n) else {
+            continue;
+        };
+        n_probes += state.pending_probe_count();
+        state.resolve_probes();
+        for job in std::mem::take(&mut state.jobs) {
+            owners.push(n);
+            jobs.push(job);
+        }
+        model.get_or_insert_with(|| Arc::clone(&state.model));
+    }
+    if n_probes > 0 {
+        node_metrics().batch_probes.observe(n_probes as f64);
+    }
+    let Some(model) = model else {
+        return;
+    };
+    if jobs.is_empty() {
+        return;
+    }
+    for (owner, (seg, scores, share)) in owners
+        .into_iter()
+        .zip(score_resolved_jobs(&model, jobs, precision))
+    {
+        let Some(state) = states.get_mut(&owner) else {
+            continue;
+        };
+        let vs = state.apply_scored(seg, scores, share);
+        meter_verdicts(&vs);
+        verdicts.extend(vs);
+    }
+}
+
+/// Count newly emitted verdicts into the live by-kind counters, append
+/// them to the event journal, and feed the Degraded-spike trigger. Each
+/// concern is gated on its own flag, so e.g. the journal works with
+/// metrics off; with everything off this is three relaxed loads.
+fn meter_verdicts(vs: &[Verdict]) {
+    if vs.is_empty() {
+        return;
+    }
+    let metrics_on = ns_obs::metrics::is_enabled();
+    let events_on = events::is_enabled();
+    let armed = ns_obs::incident::is_armed();
+    if !metrics_on && !events_on && !armed {
+        return;
+    }
+    let ok = vs.iter().filter(|v| v.kind == VerdictKind::Ok).count() as u64;
+    if metrics_on {
+        let nm = node_metrics();
+        nm.verdicts_ok.add(ok);
+        nm.verdicts_degraded.add(vs.len() as u64 - ok);
+    }
+    if events_on {
+        for v in vs {
+            let label = match v.kind {
+                VerdictKind::Ok => "ok",
+                _ => "degraded",
+            };
+            events::record(
+                EventKind::Verdict,
+                label,
+                -1,
+                v.node as i64,
+                v.step as u64,
+                v.score.to_bits(),
+            );
+        }
+    }
+    if armed {
+        status::note_verdicts(ok, vs.len() as u64 - ok);
+    }
+}
+
+pub(crate) fn worker_loop(
+    shard: usize,
+    rx: mpsc::Receiver<ShardMsg>,
+    model: Arc<NodeSentry>,
+    cfg: EngineConfig,
+    mut states: FxHashMap<usize, NodeState>,
+    mut quarantined: FxHashSet<usize>,
+) -> ShardOutput {
+    let width = model.preprocessor.groups.len();
+    let m = ShardMetrics::new(shard);
+    let mut verdicts = Vec::new();
+    let mut stats = StreamStats::default();
+    let mut faults = FaultCounters::default();
+    // Cumulative fault snapshot already bridged into the live counters.
+    // Restored states start with their historical faults already counted
+    // (bridged before the checkpoint), so baseline on them instead of
+    // re-announcing old faults to the live registry.
+    let mut published = FaultCounters::default();
+    for state in states.values() {
+        published.merge(&state.faults);
+    }
+    while let Ok(msg) = rx.recv() {
+        let batch = match msg {
+            ShardMsg::Batch(batch) => batch,
+            ShardMsg::Checkpoint(reply) => {
+                let mut node_ids: Vec<usize> = states.keys().copied().collect();
+                node_ids.sort_unstable();
+                let part = ShardCheckpoint {
+                    nodes: node_ids
+                        .iter()
+                        .filter_map(|n| states.get(n))
+                        .map(NodeState::snapshot)
+                        .collect(),
+                    quarantined: quarantined.iter().copied().collect(),
+                    verdicts: std::mem::take(&mut verdicts),
+                    stats,
+                    faults,
+                };
+                // A vanished checkpoint caller is its problem, not the
+                // stream's: keep serving ticks.
+                let _ = reply.send(part);
+                continue;
+            }
+        };
+        m.queue_depth.sub(1);
+        m.ticks_total.add(batch.len() as u64);
+        for tick in batch {
+            if quarantined.contains(&tick.node) {
+                faults.quarantine_dropped += 1;
+                continue;
+            }
+            if tick.values.len() != width {
+                faults.malformed_ticks += 1;
+                continue;
+            }
+            let state = states
+                .entry(tick.node)
+                .or_insert_with(|| NodeState::new(Arc::clone(&model), tick.node, &cfg));
+            let chaos = cfg.panic_at == Some((tick.node, tick.step));
+            // A panic in one node's pipeline must not take down the
+            // shard: quarantine the node and keep serving the others.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if chaos {
+                    panic!(
+                        "injected chaos panic at node {} step {}",
+                        tick.node, tick.step
+                    );
+                }
+                state.offer(&tick)
+            }));
+            match outcome {
+                Ok(vs) => {
+                    meter_verdicts(&vs);
+                    verdicts.extend(vs);
+                }
+                Err(_) => {
+                    if let Some(mut dead) = states.remove(&tick.node) {
+                        // Jobs queued before the panic tick are complete
+                        // segments; emit them so where the batch boundary
+                        // fell doesn't change the surviving verdict set.
+                        // (Guarded: the state crossed a panic.)
+                        if let Ok(vs) = catch_unwind(AssertUnwindSafe(|| dead.drain_jobs())) {
+                            meter_verdicts(&vs);
+                            verdicts.extend(vs);
+                        }
+                        stats.merge(&dead.stats);
+                        faults.merge(&dead.faults);
+                    }
+                    quarantined.insert(tick.node);
+                    faults.quarantined_nodes += 1;
+                    events::record(
+                        EventKind::Quarantine,
+                        "",
+                        shard as i64,
+                        tick.node as i64,
+                        tick.step as u64,
+                        quarantined.len() as u64,
+                    );
+                    if ns_obs::incident::is_armed() {
+                        ns_obs::incident::capture(
+                            "quarantine",
+                            &format!(
+                                "node {} quarantined after a panic at step {} (shard {shard})",
+                                tick.node, tick.step
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+        scoring_phase(&mut states, &mut verdicts, cfg.scoring_precision);
+        publish_shard_metrics(&m, &states, &faults, &mut published);
+    }
+    // Channel closed: flush in node order so shard output is
+    // deterministic.
+    let mut nodes: Vec<usize> = states.keys().copied().collect();
+    nodes.sort_unstable();
+    for n in nodes {
+        let Some(state) = states.get_mut(&n) else {
+            continue;
+        };
+        match catch_unwind(AssertUnwindSafe(|| state.flush())) {
+            Ok(vs) => {
+                meter_verdicts(&vs);
+                verdicts.extend(vs);
+            }
+            Err(_) => faults.quarantined_nodes += 1,
+        }
+        stats.merge(&state.stats);
+        faults.merge(&state.faults);
+    }
+    // `faults` now holds every per-node counter merged in; one last
+    // bridge pass (against an empty state map — their faults are already
+    // in `faults`) brings the live view up to the final report.
+    states.clear();
+    publish_shard_metrics(&m, &states, &faults, &mut published);
+    (verdicts, stats, faults)
+}
+
+/// Refresh the shard's live gauges and bridge fault-counter deltas into
+/// the `ns_stream_faults_total` counters (and, per advancing class, the
+/// event journal). A no-op (without touching any node state) while both
+/// metrics and events are disabled.
+fn publish_shard_metrics(
+    m: &ShardMetrics,
+    states: &FxHashMap<usize, NodeState>,
+    shard_faults: &FaultCounters,
+    published: &mut FaultCounters,
+) {
+    if !ns_obs::metrics::is_enabled() && !events::is_enabled() {
+        return;
+    }
+    let mut occupancy = 0i64;
+    let mut cur = *shard_faults;
+    for state in states.values() {
+        occupancy += state.ahead.len() as i64;
+        cur.merge(&state.faults);
+    }
+    m.reorder_occupancy.set(occupancy);
+    m.faults.publish(published, &cur);
+    *published = cur;
+}

@@ -27,29 +27,27 @@
 //! ```
 //!
 //! and the digest is verified before any payload byte is trusted. This
-//! build writes **version 2** and reads 1 and 2 through the one decoder:
+//! build writes and reads **version 2**:
 //!
-//! * *Digest.* Version 1 sealed header + payload with one byte-serial
-//!   FNV-1a 64 chain — a dependent multiply per byte, ≈ 1.3 ms/MB, which
-//!   was more than half of either direction. Version 2 runs the same
-//!   byte-wise FNV-1a over each 64 KiB block of the payload and folds
-//!   header ‖ block digests ‖ payload length ([`fnv1a64_blocks`]): the
-//!   blocks are independent, so four advance per pass (≈ 0.37 ms/MB).
-//!   Any other version is checked under the version-2 digest, so a
-//!   well-formed snapshot from the future reports `UnsupportedVersion`
-//!   and a damaged version field `ChecksumMismatch`.
-//! * *Packed rows.* Version 1 tagged every `f64` (9 bytes a value, one
-//!   event each). Version 2 writes a `Vec<f64>` as tag 8, a count and the
-//!   raw values — one bounds check and one copy each way; open-segment
-//!   rows are ≈ 99 % of a snapshot's bytes. Inside a version-1 payload
-//!   tag 8 stays the unknown tag it always was.
+//! * *Digest.* Byte-wise FNV-1a 64 over each 64 KiB block of the payload,
+//!   folded as header ‖ block digests ‖ payload length
+//!   ([`fnv1a64_blocks`]): the blocks are independent, so four advance
+//!   per pass (≈ 0.37 ms/MB).
+//! * *Packed rows.* A `Vec<f64>` is tag 8, a count and the raw values —
+//!   one bounds check and one copy each way; open-segment rows are ≈ 99 %
+//!   of a snapshot's bytes.
+//!
+//! Every other version is refused with `UnsupportedVersion` when its
+//! envelope is intact — under the version-2 digest, or, for version 1,
+//! under the one plain FNV-1a chain that version sealed itself with — and
+//! with `ChecksumMismatch` when it is not, so an old or future file is
+//! told apart from a damaged one.
 //!
 //! Decoding is total: truncated, bit-flipped, or wrong-version bytes
 //! return a typed [`SnapshotError`], never panic — the error the two-pass
 //! tree decoder this codec replaced would have given, which
 //! `crates/stream/tests/snapshot_corruption.rs` keeps as its oracle — and
-//! both layouts are pinned by golden fixtures in `tests/serde_roundtrip.rs`
-//! (version 1 is not written here any more; the tests own a writer).
+//! the layout is pinned by the golden fixture in `tests/serde_roundtrip.rs`.
 
 use crate::{FaultCounters, ScoringPrecision, StreamStats};
 use nodesentry_core::Tick;
@@ -59,10 +57,10 @@ use serde::{Deserialize, Event, Serialize, Sink, Source};
 
 /// Leading magic of every snapshot: `NSSN` ("NodeSentry SNapshot").
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NSSN";
-/// The on-disk format version this build writes; it reads every version
-/// from 1 up to it.
+/// The on-disk format version this build writes, and the only one it
+/// reads.
 pub const SNAPSHOT_VERSION: u16 = 2;
-/// Payload bytes under each block digest of a version-2 envelope.
+/// Payload bytes under each block digest of the envelope.
 const DIGEST_BLOCK: usize = 64 << 10;
 /// Nesting the decoder will follow before declaring the bytes hostile.
 /// Real snapshots nest ~6 deep; corruption that survives the checksum
@@ -80,7 +78,7 @@ pub enum SnapshotError {
     /// The checksum over the envelope does not match its trailer.
     ChecksumMismatch,
     /// Intact envelope, but a format version this build cannot read
-    /// (`supported` is the newest it can).
+    /// (`supported` is the one it can).
     UnsupportedVersion { found: u16, supported: u16 },
     /// The payload failed to decode as an [`EngineSnapshot`].
     Decode(String),
@@ -105,7 +103,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "snapshot version {found} unsupported (this build reads 1–{supported})"
+                    "snapshot version {found} unsupported (this build reads version {supported})"
                 )
             }
             SnapshotError::Decode(e) => write!(f, "snapshot payload malformed: {e}"),
@@ -230,12 +228,12 @@ pub struct EngineSnapshot {
     pub carried_faults: FaultCounters,
 }
 
-// `Serialize` is hand-written so the default tier keeps the pinned key
-// set of version 1: `scoring_precision` is emitted only when it is not
-// `F64`. The derived reader needs no such care: a missing
-// key reads as `Null` would, which for `ScoringPrecision` is `F64` (every
-// pre-tier snapshot was f64 by construction). The golden fixtures in
-// `tests/serde_roundtrip.rs` hold this closed.
+// `Serialize` is hand-written so the default tier keeps its pinned key
+// set: `scoring_precision` is emitted only when it is not `F64`. The
+// derived reader needs no such care: a missing key reads as `Null`
+// would, which for `ScoringPrecision` is `F64` (every pre-tier snapshot
+// was f64 by construction). The golden fixture in
+// `tests/serde_roundtrip.rs` holds this closed.
 impl Serialize for EngineSnapshot {
     fn emit<S: Sink>(&self, sink: &mut S) {
         let tiered = self.scoring_precision != ScoringPrecision::F64;
@@ -325,7 +323,8 @@ pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, SnapshotError> {
     let body = &bytes[..total - 8];
     let stored = u64::from_le_bytes(bytes[total - 8..total].try_into().expect("8 bytes"));
     let (header, payload) = body.split_at(HEADER);
-    // Version 1 alone sealed its envelope with one plain chain.
+    // Version 1 alone sealed its envelope with one plain chain; the rule
+    // is kept so that an intact version-1 file is refused as what it is.
     let sum = match version {
         1 => fnv1a64(body),
         _ => fnv1a64_blocks(header, payload, DIGEST_BLOCK),
@@ -333,24 +332,23 @@ pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, SnapshotError> {
     if sum != stored {
         return Err(SnapshotError::ChecksumMismatch);
     }
-    // Version gate after the checksum: a valid future-version
-    // snapshot reports `UnsupportedVersion`, a corrupted version
-    // field reports the corruption.
-    if !(1..=SNAPSHOT_VERSION).contains(&version) {
+    // Version gate after the checksum: an intact snapshot of another
+    // version reports `UnsupportedVersion`, a corrupted version field
+    // reports the corruption.
+    if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: SNAPSHOT_VERSION,
         });
     }
-    let packed = version >= 2;
-    let mut src = ByteSource::new(payload, packed);
+    let mut src = ByteSource::new(payload);
     let read = T::read(&mut src);
     if read.is_err() || src.pos != payload.len() {
         // Failure path only: a structural walk of the whole payload speaks
         // first — damage anywhere in it, trailing bytes included, outranks
         // a well-formed value of the wrong type — so the error does not
         // depend on how far the typed read got.
-        src = ByteSource::new(payload, packed);
+        src = ByteSource::new(payload);
         let _ = src.skip();
         if let Some(fault) = src.fault {
             return Err(fault);
@@ -371,13 +369,13 @@ pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, SnapshotError> {
 //
 // Tags: 0 Null, 1 Bool, 2 I64, 3 U64, 4 F64 (raw IEEE bits — the whole
 // reason this codec exists instead of JSON), 5 Str, 6 Array, 7 Object,
-// 8 F64s (version 2 on: a count, then that many raw f64 — a `Vec<f64>`).
+// 8 F64s (a count, then that many raw f64 — a `Vec<f64>`).
 // Lengths and counts are u64 LE; keys are length-prefixed, untagged.
 // Every count is bounds-checked against the remaining bytes before a
 // reader may allocate for it, so hostile lengths cannot OOM.
-// `NodeSentry::fingerprint` hashes the model's events with the version-1
-// tagging (and the FNV-1a 64 constants of the envelope checksum), but
-// shares no code with it: changing one does not change the other.
+// `NodeSentry::fingerprint` hashes the model's events with tags 0–7 (and
+// the FNV-1a 64 constants of the envelope checksum), but shares no code
+// with this codec: changing one does not change the other.
 
 /// Where a [`ByteSink`] puts its bytes: the output, or — for the walk
 /// that sizes it — a count of them.
@@ -453,8 +451,6 @@ impl<O: Out> Sink for ByteSink<'_, O> {
 struct ByteSource<'de> {
     b: &'de [u8],
     pos: usize,
-    /// Version 2 on: tag 8 is a packed `f64` array, not an unknown tag.
-    packed: bool,
     /// Values (or pairs) still unread in each container entered.
     open: [usize; MAX_DEPTH],
     depth: usize,
@@ -463,11 +459,10 @@ struct ByteSource<'de> {
 }
 
 impl<'de> ByteSource<'de> {
-    fn new(b: &'de [u8], packed: bool) -> Self {
+    fn new(b: &'de [u8]) -> Self {
         ByteSource {
             b,
             pos: 0,
-            packed,
             open: [0; MAX_DEPTH],
             depth: 0,
             fault: None,
@@ -568,7 +563,7 @@ impl<'de> Source<'de> for ByteSource<'de> {
                     Event::Object(len)
                 }
             }
-            8 if self.packed => {
+            8 => {
                 let count = self.take_count(8)?;
                 Event::F64s(self.take(8 * count)?)
             }
@@ -604,7 +599,7 @@ mod tests {
 
     /// The structural walk of `decode`'s failure path, typed.
     fn walk(buf: &[u8]) -> Result<(), SnapshotError> {
-        let mut src = ByteSource::new(buf, true);
+        let mut src = ByteSource::new(buf);
         match (src.skip(), src.fault) {
             (Ok(()), None) => Ok(()),
             (Err(_), Some(fault)) => Err(fault),
@@ -617,7 +612,7 @@ mod tests {
     }
 
     fn roundtrip_bytes(buf: &[u8]) -> Value {
-        let mut src = ByteSource::new(buf, true);
+        let mut src = ByteSource::new(buf);
         let back = Value::read(&mut src).expect("decode");
         assert_eq!(src.pos, buf.len(), "codec consumed every byte");
         back
@@ -679,25 +674,18 @@ mod tests {
             let row_bits = |r: &Vec<f64>| r.iter().map(|v| v.to_bits()).collect();
             rows.iter().map(row_bits).collect()
         };
-        let mut src = ByteSource::new(&buf, true);
+        let mut src = ByteSource::new(&buf);
         let back = Vec::<Vec<f64>>::read(&mut src).expect("decode");
         assert_eq!((src.pos, bits(&back)), (buf.len(), bits(&rows)));
         // The same rows written unpacked (a tree does) read back alike…
         let unpacked = encoded(&rows.to_value());
         assert_eq!(unpacked.len(), 9 + (9 + 36) + 9 + (9 + 9));
-        let back = Vec::<Vec<f64>>::read(&mut ByteSource::new(&unpacked, true)).expect("decode");
+        let back = Vec::<Vec<f64>>::read(&mut ByteSource::new(&unpacked)).expect("decode");
         assert_eq!(bits(&back), bits(&rows));
         // …a packed array is one value to the structural walk, and a tree
         // read of it is the array it stands for.
         assert_eq!(walk(&buf), Ok(()));
         assert_eq!(encoded(&roundtrip_bytes(&buf)), unpacked);
-        // Inside a version-1 payload tag 8 is what it always was.
-        let mut v1 = ByteSource::new(&buf, false);
-        assert!(Vec::<Vec<f64>>::read(&mut v1).is_err());
-        assert_eq!(
-            v1.fault,
-            Some(SnapshotError::Decode("unknown value tag 8".into()))
-        );
     }
 
     #[test]
@@ -712,14 +700,14 @@ mod tests {
                 "declared count 3 exceeds remaining capacity 2".into()
             ))
         );
-        assert!(Vec::<f64>::read(&mut ByteSource::new(&buf, true)).is_err());
+        assert!(Vec::<f64>::read(&mut ByteSource::new(&buf)).is_err());
         buf[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(walk(&buf), Err(SnapshotError::Decode(_))));
         // Array claiming u64::MAX elements with no bytes behind it.
         let mut buf = vec![6u8];
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(walk(&buf), Err(SnapshotError::Decode(_))));
-        assert!(Value::read(&mut ByteSource::new(&buf, true)).is_err());
+        assert!(Value::read(&mut ByteSource::new(&buf)).is_err());
     }
 
     /// `levels` nested single-element arrays around a `Null`.
@@ -736,13 +724,13 @@ mod tests {
     #[test]
     fn deep_nesting_is_bounded() {
         assert!(matches!(walk(&nested(1000)), Err(SnapshotError::Decode(_))));
-        assert!(Value::read(&mut ByteSource::new(&nested(1000), true)).is_err());
+        assert!(Value::read(&mut ByteSource::new(&nested(1000))).is_err());
         // The bound is exact: a value may sit `MAX_DEPTH` containers deep,
         // typed read and structural walk alike.
         assert_eq!(walk(&nested(MAX_DEPTH)), Ok(()));
-        assert!(Value::read(&mut ByteSource::new(&nested(MAX_DEPTH), true)).is_ok());
+        assert!(Value::read(&mut ByteSource::new(&nested(MAX_DEPTH))).is_ok());
         assert!(walk(&nested(MAX_DEPTH + 1)).is_err());
-        assert!(Value::read(&mut ByteSource::new(&nested(MAX_DEPTH + 1), true)).is_err());
+        assert!(Value::read(&mut ByteSource::new(&nested(MAX_DEPTH + 1))).is_err());
     }
 
     #[test]

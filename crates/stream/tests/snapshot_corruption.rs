@@ -2,36 +2,17 @@
 //! truncation, every single-bit flip, and every crafted header must come
 //! back as a typed [`SnapshotError`] — never a panic, never a silent
 //! success. Restores are total functions over arbitrary bytes.
-//!
-//! Every case runs on both envelopes this build reads: literal
-//! version-1 bytes (the test-side writer of
-//! `tests/snapshot_common/envelope.rs` — the library writes none) and
-//! the version-2 bytes `to_bytes` produces.
 
 #[path = "../../../tests/snapshot_common/envelope.rs"]
 mod envelope;
 
-use envelope::{reseal, seal, tagged, v1_bytes, DIGEST_BLOCK};
+use envelope::{reseal, seal, tagged, DIGEST_BLOCK};
 use ns_eval::streaming::{KSigmaState, SmootherState};
 use ns_stream::snapshot::{
     decode, encode, EngineSnapshot, NodeSnap, PreSnap, SnapshotError, SNAPSHOT_VERSION,
 };
 use ns_stream::{FaultCounters, StreamStats};
 use serde::{Deserialize, Serialize, Value};
-
-/// The envelope versions this build reads.
-const VERSIONS: [u16; 2] = [1, 2];
-
-/// `snap` as the build that wrote `version` encoded it.
-fn bytes_of(snap: &EngineSnapshot, version: u16) -> Vec<u8> {
-    match version {
-        1 => v1_bytes(&snap.to_value()),
-        _ => {
-            assert_eq!(version, SNAPSHOT_VERSION, "the version this build writes");
-            snap.to_bytes()
-        }
-    }
-}
 
 /// Small but structurally complete snapshot: one node with live buffers,
 /// one quarantined id, nonzero residual counters.
@@ -91,16 +72,14 @@ fn sample() -> EngineSnapshot {
 
 #[test]
 fn every_truncation_is_a_typed_error() {
-    for version in VERSIONS {
-        let bytes = bytes_of(&sample(), version);
-        for len in 0..bytes.len() {
-            let res = EngineSnapshot::from_bytes(&bytes[..len]);
-            assert!(
-                res.is_err(),
-                "v{version}: truncation to {len}/{} bytes decoded successfully",
-                bytes.len()
-            );
-        }
+    let bytes = sample().to_bytes();
+    for len in 0..bytes.len() {
+        let res = EngineSnapshot::from_bytes(&bytes[..len]);
+        assert!(
+            res.is_err(),
+            "truncation to {len}/{} bytes decoded successfully",
+            bytes.len()
+        );
     }
     // The empty slice reports what it is.
     match EngineSnapshot::from_bytes(&[]) {
@@ -111,32 +90,28 @@ fn every_truncation_is_a_typed_error() {
 
 #[test]
 fn every_single_bit_flip_is_detected() {
-    for version in VERSIONS {
-        let bytes = bytes_of(&sample(), version);
-        for pos in 0..bytes.len() {
-            for bit in 0..8u8 {
-                let mut bad = bytes.clone();
-                bad[pos] ^= 1 << bit;
-                let res = EngineSnapshot::from_bytes(&bad);
-                assert!(
-                    res.is_err(),
-                    "v{version}: bit {bit} of byte {pos}/{} flipped undetected",
-                    bytes.len()
-                );
-            }
+    let bytes = sample().to_bytes();
+    for pos in 0..bytes.len() {
+        for bit in 0..8u8 {
+            let mut bad = bytes.clone();
+            bad[pos] ^= 1 << bit;
+            let res = EngineSnapshot::from_bytes(&bad);
+            assert!(
+                res.is_err(),
+                "bit {bit} of byte {pos}/{} flipped undetected",
+                bytes.len()
+            );
         }
     }
 }
 
 #[test]
 fn wrong_magic_is_bad_magic() {
-    for version in VERSIONS {
-        let mut bytes = bytes_of(&sample(), version);
-        bytes[..4].copy_from_slice(b"XSSN");
-        match EngineSnapshot::from_bytes(&bytes) {
-            Err(SnapshotError::BadMagic) => {}
-            other => panic!("v{version}: wrong magic: {other:?}"),
-        }
+    let mut bytes = sample().to_bytes();
+    bytes[..4].copy_from_slice(b"XSSN");
+    match EngineSnapshot::from_bytes(&bytes) {
+        Err(SnapshotError::BadMagic) => {}
+        other => panic!("wrong magic: {other:?}"),
     }
 }
 
@@ -146,77 +121,71 @@ fn unknown_version_with_valid_checksum_is_unsupported_version() {
     // one — or from before the first: sealed the way every version after
     // 1 is. The decoder must identify the version gap, not cry
     // corruption, and say what it can read.
-    for from in VERSIONS {
-        for unknown in [3u16, 99, 0, u16::MAX] {
-            let mut bytes = bytes_of(&sample(), from);
-            bytes[4..6].copy_from_slice(&unknown.to_le_bytes());
-            match EngineSnapshot::from_bytes(&reseal(bytes)) {
-                Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-                    assert_eq!((found, supported), (unknown, 2));
-                }
-                other => panic!("v{from} relabelled {unknown}: {other:?}"),
+    for unknown in [3u16, 99, 0, u16::MAX] {
+        let mut bytes = sample().to_bytes();
+        bytes[4..6].copy_from_slice(&unknown.to_le_bytes());
+        match EngineSnapshot::from_bytes(&reseal(bytes)) {
+            Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                assert_eq!((found, supported), (unknown, 2));
             }
+            other => panic!("relabelled {unknown}: {other:?}"),
         }
     }
-    // An unknown version sealed the version-1 way is not well-formed.
-    let mut bytes = v1_bytes(&sample().to_value());
-    bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
-    let body = bytes.len() - 8;
-    let sum = envelope::fnv1a64(&bytes[..body]).to_le_bytes();
-    bytes[body..].copy_from_slice(&sum);
+    // Version 1 sealed itself with one plain chain over header and
+    // payload: that, and only that, is a well-formed version-1 envelope.
+    let plain_chain = |version: u16| {
+        let mut bytes = sample().to_bytes();
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        let body = bytes.len() - 8;
+        let sum = envelope::fnv1a64(&bytes[..body]).to_le_bytes();
+        bytes[body..].copy_from_slice(&sum);
+        EngineSnapshot::from_bytes(&bytes)
+    };
     assert_eq!(
-        EngineSnapshot::from_bytes(&bytes),
-        Err(SnapshotError::ChecksumMismatch)
+        plain_chain(1),
+        Err(SnapshotError::UnsupportedVersion {
+            found: 1,
+            supported: 2
+        })
     );
+    assert_eq!(plain_chain(3), Err(SnapshotError::ChecksumMismatch));
 }
 
 #[test]
 fn corrupted_version_without_reseal_is_checksum_mismatch() {
     // Same tamper, checksum left stale: indistinguishable from bit rot,
-    // and reported as such — between the two readable versions too.
-    for version in VERSIONS {
-        for relabel in [99u16, 3 - version] {
-            let mut bytes = bytes_of(&sample(), version);
-            bytes[4..6].copy_from_slice(&relabel.to_le_bytes());
-            match EngineSnapshot::from_bytes(&bytes) {
-                Err(SnapshotError::ChecksumMismatch) => {}
-                other => panic!("v{version} relabelled {relabel}, stale checksum: {other:?}"),
-            }
+    // and reported as such — version 1, sealed another way, included.
+    for relabel in [99u16, 1] {
+        let mut bytes = sample().to_bytes();
+        bytes[4..6].copy_from_slice(&relabel.to_le_bytes());
+        match EngineSnapshot::from_bytes(&bytes) {
+            Err(SnapshotError::ChecksumMismatch) => {}
+            other => panic!("relabelled {relabel}, stale checksum: {other:?}"),
         }
     }
 }
 
 #[test]
-fn relabelled_and_resealed_payloads_read_under_their_new_version() {
+fn a_payload_that_packs_no_floats_reads_as_the_same_snapshot() {
+    // Packing is the writer's choice per array, not the reader's rule: a
+    // tree spells every float out (a tag each) and is the same snapshot.
     let snap = sample();
-    // A version-1 payload in a version-2 envelope is a version-2 snapshot
-    // that happens not to pack its floats: it reads.
-    let mut up = v1_bytes(&snap.to_value());
-    up[4..6].copy_from_slice(&2u16.to_le_bytes());
-    let read = EngineSnapshot::from_bytes(&reseal(up)).expect("unpacked v2");
+    let mut unpacked = Vec::new();
+    tagged(&snap.to_value(), &mut unpacked);
+    let read = EngineSnapshot::from_bytes(&seal(2, &unpacked)).expect("unpacked v2");
     assert!(read.to_bytes() == snap.to_bytes());
-    // A version-2 payload in a version-1 envelope is not a version-1
-    // snapshot: tag 8 is the unknown tag it always was there.
-    let mut down = snap.to_bytes();
-    down[4..6].copy_from_slice(&1u16.to_le_bytes());
-    match EngineSnapshot::from_bytes(&reseal(down)) {
-        Err(SnapshotError::Decode(msg)) => assert_eq!(msg, "unknown value tag 8"),
-        other => panic!("packed payload under version 1: {other:?}"),
-    }
 }
 
 #[test]
 fn resealed_garbage_payload_is_a_decode_error() {
     // Valid envelope, hostile payload: the value decoder must fail
     // typed, not panic or over-allocate.
-    for version in VERSIONS {
-        for tag in [6u8, 7, 8] {
-            // Array / Object / packed floats, u64::MAX items.
-            let payload = [tag, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF];
-            match EngineSnapshot::from_bytes(&seal(version, &payload)) {
-                Err(SnapshotError::Truncated { .. }) | Err(SnapshotError::Decode(_)) => {}
-                other => panic!("v{version}: hostile count under tag {tag}: {other:?}"),
-            }
+    for tag in [6u8, 7, 8] {
+        // Array / Object / packed floats, u64::MAX items.
+        let payload = [tag, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF];
+        match EngineSnapshot::from_bytes(&seal(2, &payload)) {
+            Err(SnapshotError::Truncated { .. }) | Err(SnapshotError::Decode(_)) => {}
+            other => panic!("hostile count under tag {tag}: {other:?}"),
         }
     }
 }
@@ -225,18 +194,16 @@ fn resealed_garbage_payload_is_a_decode_error() {
 fn well_typed_but_wrong_shaped_payload_is_a_decode_error() {
     // A checksum-valid snapshot whose payload decodes as a Value but not
     // as an EngineSnapshot (wrong field types): a single Null (tag 0).
-    for version in VERSIONS {
-        match EngineSnapshot::from_bytes(&seal(version, &[0])) {
-            Err(SnapshotError::Decode(msg)) => {
-                assert!(!msg.is_empty(), "decode error carries a message");
-            }
-            other => panic!("v{version}: null payload: {other:?}"),
+    match EngineSnapshot::from_bytes(&seal(2, &[0])) {
+        Err(SnapshotError::Decode(msg)) => {
+            assert!(!msg.is_empty(), "decode error carries a message");
         }
+        other => panic!("null payload: {other:?}"),
     }
 }
 
 // ---------------------------------------------------------------------
-// Version 2: the block digest and the packed float arrays
+// The block digest and the packed float arrays
 // ---------------------------------------------------------------------
 
 /// `sample()` with enough (wide) open-segment rows for a payload of
@@ -419,7 +386,7 @@ fn errors_render_and_compare() {
     assert!(boxed.to_string().contains("magic"));
     assert_eq!(
         errs[3].to_string(),
-        "snapshot version 7 unsupported (this build reads 1–2)"
+        "snapshot version 7 unsupported (this build reads version 2)"
     );
 }
 
@@ -454,9 +421,9 @@ fn assert_agrees(bytes: &[u8], what: &str) -> Result<EngineSnapshot, SnapshotErr
 /// The payload decoder as it was before it streamed, verbatim: build the
 /// whole tree (tags, counts bounded by the bytes left, depth ≤ 64, UTF-8),
 /// refuse trailing bytes, then type it. Independent of the byte source.
-/// What version 2 added is the one `packed` arm: tag 8, a count, that
-/// many raw floats — an array of `F64` to the tree.
-fn old_payload_decode(b: &[u8], packed: bool) -> Result<EngineSnapshot, SnapshotError> {
+/// What version 2 added is the one packed arm: tag 8, a count, that many
+/// raw floats — an array of `F64` to the tree.
+fn old_payload_decode(b: &[u8]) -> Result<EngineSnapshot, SnapshotError> {
     fn take<'a>(b: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = *pos + n;
         if end > b.len() {
@@ -487,12 +454,7 @@ fn old_payload_decode(b: &[u8], packed: bool) -> Result<EngineSnapshot, Snapshot
         String::from_utf8(take(b, pos, len)?.to_vec())
             .map_err(|_| SnapshotError::Decode("invalid UTF-8".into()))
     }
-    fn value(
-        b: &[u8],
-        pos: &mut usize,
-        depth: usize,
-        packed: bool,
-    ) -> Result<Value, SnapshotError> {
+    fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, SnapshotError> {
         if depth > 64 {
             return Err(SnapshotError::Decode("nesting too deep".into()));
         }
@@ -509,15 +471,15 @@ fn old_payload_decode(b: &[u8], packed: bool) -> Result<EngineSnapshot, Snapshot
             5 => Value::Str(text(b, pos)?),
             6 => {
                 let n = take_count(b, pos, 1)?;
-                let items = (0..n).map(|_| value(b, pos, depth + 1, packed));
+                let items = (0..n).map(|_| value(b, pos, depth + 1));
                 Value::Array(items.collect::<Result<_, _>>()?)
             }
             7 => {
                 let n = take_count(b, pos, 9)?;
-                let pairs = (0..n).map(|_| Ok((text(b, pos)?, value(b, pos, depth + 1, packed)?)));
+                let pairs = (0..n).map(|_| Ok((text(b, pos)?, value(b, pos, depth + 1)?)));
                 Value::Object(pairs.collect::<Result<_, SnapshotError>>()?)
             }
-            8 if packed => {
+            8 => {
                 let n = take_count(b, pos, 8)?;
                 let floats = (0..n).map(|_| Ok(Value::F64(f64::from_bits(take_u64(b, pos)?))));
                 Value::Array(floats.collect::<Result<_, SnapshotError>>()?)
@@ -526,7 +488,7 @@ fn old_payload_decode(b: &[u8], packed: bool) -> Result<EngineSnapshot, Snapshot
         })
     }
     let mut pos = 0;
-    let tree = value(b, &mut pos, 0, packed)?;
+    let tree = value(b, &mut pos, 0)?;
     if pos != b.len() {
         return Err(SnapshotError::Decode(format!(
             "{} trailing payload bytes",
@@ -539,15 +501,10 @@ fn old_payload_decode(b: &[u8], packed: bool) -> Result<EngineSnapshot, Snapshot
 /// Marks the oracle's typing failures apart from its structural ones.
 const TYPE_ERROR: &str = "type error: ";
 
-/// Seal `payload` under `version` and hold `from_bytes` to both oracles.
-fn assert_payload_agrees(
-    version: u16,
-    payload: &[u8],
-    what: &str,
-) -> Result<EngineSnapshot, SnapshotError> {
-    let what = &format!("v{version} {what}");
-    let direct = assert_agrees(&seal(version, payload), what);
-    match (&direct, &old_payload_decode(payload, version >= 2)) {
+/// Seal `payload` and hold `from_bytes` to both oracles.
+fn assert_payload_agrees(payload: &[u8], what: &str) -> Result<EngineSnapshot, SnapshotError> {
+    let direct = assert_agrees(&seal(2, payload), what);
+    match (&direct, &old_payload_decode(payload)) {
         (Ok(a), Ok(b)) => assert!(a.to_bytes() == b.to_bytes(), "{what}: state differs (old)"),
         // Structural messages are the old ones word for word; a type
         // error (marked by the oracle) may be worded differently.
@@ -595,13 +552,8 @@ fn rich_sample() -> EngineSnapshot {
 
 #[test]
 fn streaming_decode_agrees_with_tree_decode_on_hostile_payloads() {
-    let tiers = [("f64", sample()), ("f32", rich_sample())];
-    for (version, (name, snap)) in VERSIONS
-        .iter()
-        .flat_map(|v| tiers.iter().map(move |t| (*v, t)))
-    {
-        let name = &format!("v{version} {name}");
-        let good = bytes_of(snap, version);
+    for (name, snap) in [("f64", sample()), ("f32", rich_sample())] {
+        let good = snap.to_bytes();
         let payload = payload_of(&good).to_vec();
         assert!(assert_agrees(&good, name).is_ok());
 
@@ -611,11 +563,8 @@ fn streaming_decode_agrees_with_tree_decode_on_hostile_payloads() {
             assert!(assert_agrees(&good[..len], &format!("{name}: cut to {len}")).is_err());
         }
         for len in 0..payload.len() {
-            let res = assert_payload_agrees(
-                version,
-                &payload[..len],
-                &format!("{name}: payload cut to {len}"),
-            );
+            let res =
+                assert_payload_agrees(&payload[..len], &format!("{name}: payload cut to {len}"));
             assert!(res.is_err(), "{name}: payload cut to {len} decoded");
         }
 
@@ -627,7 +576,7 @@ fn streaming_decode_agrees_with_tree_decode_on_hostile_payloads() {
                 let mut bad = payload.clone();
                 bad[pos] ^= 1 << bit;
                 let what = format!("{name}: payload bit {bit} of byte {pos}");
-                flipped_ok += assert_payload_agrees(version, &bad, &what).is_ok() as usize;
+                flipped_ok += assert_payload_agrees(&bad, &what).is_ok() as usize;
             }
         }
         assert!(flipped_ok > 0 && flipped_ok < payload.len() * 8);
@@ -652,7 +601,7 @@ fn streaming_decode_agrees_with_tree_decode_on_hostile_payloads() {
                 1 => drop(bad.splice(at..at, window)),
                 _ => drop(bad.drain(at..at + len)),
             }
-            assert_payload_agrees(version, &bad, &format!("{name}: splice {case}")).ok();
+            assert_payload_agrees(&bad, &format!("{name}: splice {case}")).ok();
         }
     }
 }
@@ -701,19 +650,12 @@ fn reverse_keys(v: &mut Value) {
 
 #[test]
 fn key_semantics_match_the_tree_reader() {
-    VERSIONS.into_iter().for_each(key_semantics);
-}
-
-fn key_semantics(version: u16) {
     let base = rich_sample();
     let canonical = base.to_bytes();
-    // A tree as `version` lays it out (version 2: float vectors packed).
+    // A tree as the format lays it out (float vectors packed).
     let payload_for = |tree: &Value| {
         let mut payload = Vec::new();
-        match version {
-            1 => tagged(tree, &mut payload),
-            _ => envelope::tagged_v2(tree, &mut payload),
-        }
+        envelope::tagged_v2(tree, &mut payload);
         payload
     };
     // Decode an edited tree both ways; `Ok` carries the canonical bytes
@@ -721,7 +663,7 @@ fn key_semantics(version: u16) {
     let decode_edited = |what: &str, edit: &dyn Fn(&mut Value)| -> Result<EngineSnapshot, String> {
         let mut tree = base.to_value();
         edit(&mut tree);
-        match assert_payload_agrees(version, &payload_for(&tree), what) {
+        match assert_payload_agrees(&payload_for(&tree), what) {
             Ok(snap) => Ok(snap),
             Err(SnapshotError::Decode(msg)) => Err(msg),
             Err(other) => panic!("{what}: {other:?}"),
@@ -763,7 +705,7 @@ fn key_semantics(version: u16) {
     let tag_at = payload.len() - (1 + 8 + 2);
     assert_eq!(payload[tag_at], 5, "the unknown key's value tag");
     payload[tag_at] = 9;
-    match assert_payload_agrees(version, &payload, "unknown key, bad tag") {
+    match assert_payload_agrees(&payload, "unknown key, bad tag") {
         Err(SnapshotError::Decode(msg)) => assert!(msg.contains("unknown value tag 9"), "{msg}"),
         other => panic!("unknown key, bad tag: {other:?}"),
     }
@@ -773,7 +715,7 @@ fn key_semantics(version: u16) {
         pairs(t).push(("split".into(), Value::U64(999)));
         pairs(t).push(("nodes".into(), Value::Str("not even an array".into())));
         pairs(node0(t)).push(("matched".into(), Value::Bool(false)));
-        // (Packed, under version 2: one value to skip.)
+        // (Packed: one value to skip.)
         pairs(node0(t)).push(("prev_raw".into(), Value::Array(vec![Value::F64(9.0)])));
     });
     let first = decode_edited("duplicate before", &|t| {

@@ -703,8 +703,8 @@ fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a 64 over a byte slice — the checksum of this protocol's frames
-/// and of the version-1 `NSSN` snapshot envelope (version 2 cuts its
-/// payload into blocks: [`fnv1a64_blocks`]), and
+/// (the `NSSN` snapshot envelope cuts its payload into blocks:
+/// [`fnv1a64_blocks`]; only its retired version 1 used this chain), and
 /// the same constants as the model fingerprint
 /// (`NodeSentry::fingerprint` keeps a streaming copy: `nodesentry-core`
 /// does not depend on this crate).

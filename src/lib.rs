@@ -12,8 +12,7 @@
 //!   profiles.
 //! * [`features`] — TSFEL-style statistical/temporal/spectral feature
 //!   extraction (134-feature default catalog, own FFT).
-//! * [`cluster`] — HAC, silhouette, k-means, Gaussian mixtures, DBSCAN, DTW,
-//!   PCA.
+//! * [`cluster`] — HAC, silhouette, k-means, Gaussian mixtures, DTW.
 //! * [`nn`] — from-scratch reverse-mode autodiff with Transformer, sparse
 //!   Mixture-of-Experts, LSTM and VAE building blocks.
 //! * [`core`] — the NodeSentry pipeline itself: preprocessing, coarse-grained

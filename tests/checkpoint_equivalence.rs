@@ -224,65 +224,6 @@ fn snapshot_is_byte_stable_across_restore_checkpoint() {
     assert_eq!(snap.to_bytes(), first.bytes);
 }
 
-/// Cross-version restore: the state of a faulted 2-shard run as the
-/// previous build persisted it — literal version-1 bytes, written by the
-/// test-side encoder of `snapshot_common/envelope.rs` with its byte-serial
-/// checksum — restores at 1 and 4 shards and replays the tail
-/// bit-identically to the uninterrupted run, and re-encodes to exactly
-/// what this build wrote for the same state.
-#[test]
-fn version_1_snapshot_restores_and_replays_bit_identically() {
-    use nodesentry::telemetry::{FaultPlanSpec, ALL_FAULTS};
-    use serde::Serialize;
-
-    let s = setup();
-    let spec = FaultPlanSpec {
-        seed: 0x0001_7002,
-        window: (1, s.ds.horizon()),
-        kinds: ALL_FAULTS.to_vec(),
-        rate: 0.06,
-        event_len: (2, 30),
-        n_cols: s.n_cols,
-        counter_cols: s.counter_cols.clone(),
-    };
-    let plan = FaultPlan::random(&spec, s.ds.n_nodes());
-    let outcome = FaultInjector::new(plan).apply(&s.clean);
-    let reference = run_uninterrupted(s, &outcome.stream, engine_cfg(s, 2));
-    assert!(!reference.faults.is_clean(), "the feed is faulted");
-
-    let cut = outcome.stream.len() / 2;
-    let engine = Engine::new(Arc::clone(&s.model), engine_cfg(s, 2));
-    for chunk in outcome.stream[..cut].chunks(CHUNK) {
-        engine.ingest(chunk.to_vec()).expect("prefix shard alive");
-    }
-    let ckpt = engine.checkpoint().expect("checkpoint");
-    drop(engine);
-
-    let v1 = common::envelope::v1_bytes(&ckpt.snapshot.to_value());
-    assert_eq!((v1[4], v1[5]), (1, 0), "a version-1 envelope");
-    assert_eq!(
-        (ckpt.bytes[4], ckpt.bytes[5]),
-        (2, 0),
-        "this build writes 2"
-    );
-    assert!(v1.len() > ckpt.bytes.len(), "a tag per float is the longer");
-    let decoded = EngineSnapshot::from_bytes(&v1).expect("decode v1");
-    assert!(decoded.to_bytes() == ckpt.bytes, "from_bytes(v1) drifted");
-
-    for shards in [1, 4] {
-        let restored = Engine::restore_bytes(Arc::clone(&s.model), engine_cfg(s, shards), &v1)
-            .expect("restore v1");
-        for chunk in outcome.stream[cut..].chunks(CHUNK) {
-            restored.ingest(chunk.to_vec()).expect("tail shard alive");
-        }
-        let tail = restored.finish();
-        let mut verdicts = ckpt.verdicts.clone();
-        verdicts.extend(tail.verdicts.iter().cloned());
-        verdicts.sort_by_key(|v| (v.node, v.step));
-        assert_verdicts_identical(&verdicts, &reference.verdicts, &format!("v1→s{shards}"));
-    }
-}
-
 #[test]
 fn restore_rejects_wrong_model_and_config_with_typed_errors() {
     let s = setup();

@@ -2,7 +2,9 @@
 //! <name>` in the user-facing docs, the CI workflow and the verify skill,
 //! and every back-ticked `exp_*` / `diag_*` / `bench_*` name, must resolve
 //! to a source file — so deleting a binary or a bench cannot leave a stale
-//! command behind. No model fit: this reads a handful of text files.
+//! command behind — and so must every back-ticked `crates/….rs` or
+//! `tests/….rs` path, so splitting or moving a file cannot leave a dangling
+//! reference. No model fit: this reads a handful of text files.
 
 use std::path::{Path, PathBuf};
 
@@ -76,10 +78,34 @@ fn named_targets(text: &str) -> Vec<(&'static str, String)> {
     out
 }
 
+/// Every source file `text` cites: a back-ticked span that is one path
+/// under `crates/` or `tests/` ending in `.rs`, without its `:line` suffix
+/// if it has one, and with one `{a,b}` group spelled out.
+fn cited_files(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for span in text.split('`') {
+        let path = span.split(':').next().unwrap_or("");
+        let rooted = path.starts_with("crates/") || path.starts_with("tests/");
+        if !rooted || !path.ends_with(".rs") || path.contains(char::is_whitespace) {
+            continue;
+        }
+        match (path.find('{'), path.find('}')) {
+            (Some(open), Some(close)) if open < close => {
+                let (head, tail) = (&path[..open], &path[close + 1..]);
+                let names = path[open + 1..close].split(',');
+                out.extend(names.map(|name| format!("{head}{name}{tail}")));
+            }
+            _ => out.push(path.to_string()),
+        }
+    }
+    out
+}
+
 #[test]
 fn every_named_target_resolves_to_a_source_file() {
     let mut dangling = Vec::new();
     let mut checked = 0usize;
+    let mut files = 0usize;
     for doc in DOCS {
         let text = std::fs::read_to_string(root().join(doc))
             .unwrap_or_else(|e| panic!("cannot read {doc}: {e}"));
@@ -87,6 +113,12 @@ fn every_named_target_resolves_to_a_source_file() {
             checked += 1;
             if !resolves(kind, &name) {
                 dangling.push(format!("{doc}: {kind} {name}"));
+            }
+        }
+        for file in cited_files(&text) {
+            files += 1;
+            if !root().join(&file).is_file() {
+                dangling.push(format!("{doc}: file {file}"));
             }
         }
     }
@@ -98,6 +130,7 @@ fn every_named_target_resolves_to_a_source_file() {
     // A scanner that silently matches nothing would pass the check above;
     // the five files name well over fifty targets between them.
     assert!(checked >= 50, "only {checked} target names found");
+    assert!(files >= 30, "only {files} file paths found");
 }
 
 #[test]
@@ -110,6 +143,17 @@ fn scanner_sees_flags_and_backticked_names_and_skips_the_rest() {
             ("--bin", "exp_table2".to_string()),
             ("--test", "wire_client".to_string()),
             (HARNESS, "bench_kernels".to_string()),
+        ]
+    );
+    assert_eq!(
+        cited_files(
+            "`crates/nn/src/{layers,moe}.rs`, `tests/wire_client.rs:12-40`; not `tests/`, \
+             `crates/wire`, `tests/fixtures/wire_frame_v1.bin` or `cargo test tests/x.rs`"
+        ),
+        [
+            "crates/nn/src/layers.rs",
+            "crates/nn/src/moe.rs",
+            "tests/wire_client.rs"
         ]
     );
     assert!(resolves(HARNESS, "bench_kernels") && resolves("--bin", "exp_table2"));

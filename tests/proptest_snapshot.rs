@@ -151,7 +151,7 @@ proptest! {
         chunk in 32usize..400,
         f32_tier in any::<bool>(),
     ) {
-        use common::envelope::{v1_bytes, v2_bytes};
+        use common::envelope::v2_bytes;
         use nodesentry::stream::snapshot::{decode, encode, SNAPSHOT_VERSION};
         use nodesentry::stream::ScoringPrecision;
         use serde::{Deserialize, Serialize};
@@ -202,9 +202,5 @@ proptest! {
         let direct = EngineSnapshot::from_bytes(&ckpt.bytes).expect("decode");
         prop_assert_eq!(direct.scoring_precision, cfg.scoring_precision);
         prop_assert!(direct.to_bytes() == ckpt.bytes, "from_bytes(to_bytes) drifted");
-
-        // What the previous build wrote for this state reads back as it.
-        let from_v1 = EngineSnapshot::from_bytes(&v1_bytes(&tree)).expect("decode v1");
-        prop_assert!(from_v1.to_bytes() == ckpt.bytes, "from_bytes(v1) drifted");
     }
 }

@@ -96,7 +96,7 @@ fn fit_serialize_deserialize_scores_identically() {
 
 // ---------------------------------------------------------------------
 // Snapshot wire format: value round trips and the pinned golden files
-// (v1: still read; v2: written)
+// (v2: written and read; v1: refused as what it is)
 // ---------------------------------------------------------------------
 
 #[path = "snapshot_common/envelope.rs"]
@@ -105,7 +105,7 @@ mod envelope;
 mod snapshot_format {
     use nodesentry::eval::streaming::{KSigmaState, SmootherState};
     use nodesentry::stream::snapshot::{
-        EngineSnapshot, JobSnap, NodeSnap, PendingSnap, PreSnap, SNAPSHOT_VERSION,
+        EngineSnapshot, JobSnap, NodeSnap, PendingSnap, PreSnap, SnapshotError, SNAPSHOT_VERSION,
     };
     use nodesentry::stream::{FaultCounters, StreamStats, Tick};
 
@@ -251,37 +251,43 @@ mod snapshot_format {
         assert!(PreSnap::from_value(&node.jobs[0].to_value()).is_err());
     }
 
-    /// The checked-in version-1 fixture is what deployments of the
-    /// previous format persisted. This build no longer writes it; it must
-    /// go on reading it. The file is never regenerated: it has to equal,
-    /// byte for byte, what the test-side version-1 writer
-    /// (`snapshot_common/envelope.rs`) makes of the golden value.
+    /// The checked-in version-1 fixture is what the previous format's
+    /// builds persisted, sealed with that version's plain checksum chain.
+    /// This build reads version 2 alone and must say so: an intact old
+    /// file is an unsupported version, not a damaged one.
     #[test]
-    fn golden_fixture_pins_the_v1_wire_format() {
-        use serde::Serialize;
-        let pinned = std::fs::read(FIXTURE_V1).expect("v1 fixture is checked in");
-        assert_eq!(u16::from_le_bytes([pinned[4], pinned[5]]), 1);
+    fn version_1_fixture_is_refused_as_unsupported_version() {
+        let v1 = std::fs::read(FIXTURE_V1).expect("v1 fixture is checked in");
+        assert_eq!(u16::from_le_bytes([v1[4], v1[5]]), 1);
+        let refusal = EngineSnapshot::from_bytes(&v1).expect_err("v1 is not read");
         assert_eq!(
-            pinned,
-            super::envelope::v1_bytes(&golden().to_value()),
-            "the v1 fixture is not the version-1 encoding of the golden value"
+            refusal,
+            SnapshotError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            }
         );
-        let decoded = EngineSnapshot::from_bytes(&pinned).expect("decode v1 fixture");
-        assert_eq!(decoded, golden());
+        assert_eq!(
+            refusal.to_string(),
+            "snapshot version 1 unsupported (this build reads version 2)"
+        );
+        // One flipped payload bit and it is damage again.
+        let mut rotten = v1;
+        rotten[40] ^= 1;
+        assert_eq!(
+            EngineSnapshot::from_bytes(&rotten),
+            Err(SnapshotError::ChecksumMismatch)
+        );
     }
 
-    /// The version-1 fixture decodes and re-encodes to the version-2
-    /// fixture, which pins the current on-disk format: if this test fails,
-    /// the wire encoding changed, which breaks every snapshot already
-    /// persisted by a deployment. Bump `SNAPSHOT_VERSION`, keep the
-    /// decoders for 1 and 2, add a v3 fixture beside these, and only then
-    /// regenerate with `NS_REGEN_FIXTURES=1 cargo test --test serde_roundtrip`.
+    /// The version-2 fixture pins the current on-disk format: if this
+    /// test fails, the wire encoding changed, which breaks every snapshot
+    /// already persisted by a deployment. Bump `SNAPSHOT_VERSION`, add a
+    /// v3 fixture beside this one, and only then regenerate with
+    /// `NS_REGEN_FIXTURES=1 cargo test --test serde_roundtrip`.
     #[test]
     fn golden_fixture_pins_the_v2_wire_format() {
-        let v1 = std::fs::read(FIXTURE_V1).expect("v1 fixture is checked in");
-        let bytes = EngineSnapshot::from_bytes(&v1)
-            .expect("decode v1 fixture")
-            .to_bytes();
+        let bytes = golden().to_bytes();
         if std::env::var_os("NS_REGEN_FIXTURES").is_some() {
             std::fs::write(FIXTURE_V2, &bytes).expect("write fixture");
             eprintln!("regenerated {FIXTURE_V2} ({} bytes)", bytes.len());
@@ -290,17 +296,16 @@ mod snapshot_format {
             .expect("fixture missing — run with NS_REGEN_FIXTURES=1 once to create it");
         assert_eq!(
             SNAPSHOT_VERSION, 2,
-            "version bumped: add a migration path and a new fixture instead of editing v2's"
+            "version bumped: add a new fixture instead of editing v2's"
         );
         assert_eq!(
             bytes, pinned,
             "snapshot wire encoding drifted from the checked-in v2 fixture"
         );
-        assert_eq!(bytes, golden().to_bytes());
-        // Eight bytes a float instead of nine, and a count instead of a
-        // tag each: the packed layout is the smaller one even here.
-        assert!(pinned.len() < v1.len());
-        // And the pinned bytes still decode to the golden value.
+        // They are what the format's definition, spelled out test-side,
+        // makes of the golden tree, and they decode to the golden value.
+        use serde::Serialize;
+        assert_eq!(pinned, super::envelope::v2_bytes(&golden().to_value()));
         let decoded = EngineSnapshot::from_bytes(&pinned).expect("decode fixture");
         assert_eq!(decoded, golden());
     }

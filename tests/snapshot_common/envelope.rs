@@ -1,8 +1,7 @@
-//! Test-side writers of the `NSSN` snapshot envelope, both versions,
-//! spelled out from the format's definition. They share no code with the
-//! library (only `serde::Value`), so they are the oracle for what it
-//! writes and the only writer of version 1 left. Included by the
-//! workspace suites through `snapshot_common` and by
+//! Test-side writer of the `NSSN` snapshot envelope, spelled out from the
+//! format's definition. It shares no code with the library (only
+//! `serde::Value`), so it is the oracle for what the library writes.
+//! Included by the workspace suites through `snapshot_common` and by
 //! `crates/stream/tests/snapshot_corruption.rs` directly.
 #![allow(dead_code)]
 
@@ -25,16 +24,16 @@ fn text(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// The version-1 payload: the tagged tree encoder the snapshot codec used
-/// before it streamed (and the model fingerprint's preimage). Tags: 0
-/// Null, 1 Bool, 2 I64, 3 U64, 4 F64 by bit pattern, 5 Str, 6 Array, 7
-/// Object; lengths and counts are u64 LE; keys are length-prefixed,
-/// untagged.
+/// A tree in the tagged encoding with nothing packed: the model
+/// fingerprint's preimage, and a snapshot payload that spells every float
+/// out. Tags: 0 Null, 1 Bool, 2 I64, 3 U64, 4 F64 by bit pattern, 5 Str,
+/// 6 Array, 7 Object; lengths and counts are u64 LE; keys are
+/// length-prefixed, untagged.
 pub fn tagged(v: &Value, out: &mut Vec<u8>) {
     tagged_under(v, None, out)
 }
 
-/// The version-2 payload of an `EngineSnapshot` tree: version 1's, except
+/// The version-2 payload of an `EngineSnapshot` tree: [`tagged`], except
 /// that every `Vec<f64>` of the schema is tag 8, a count, and the raw
 /// values. A tree cannot tell an empty `Vec<f64>` from any other empty
 /// array, so the schema's float vectors are named here, as (the key their
@@ -77,7 +76,7 @@ fn packed(row: &Value, out: &mut Vec<u8>) {
     }
 }
 
-/// `at` is `None` for version 1, else where `v` sits: the key of the
+/// `at` is `None` when nothing packs, else where `v` sits: the key of the
 /// struct that owns it and its own key (array elements inherit both).
 fn tagged_under(v: &Value, at: Option<(&str, &str)>, out: &mut Vec<u8>) {
     match v {
@@ -116,19 +115,14 @@ fn tagged_under(v: &Value, at: Option<(&str, &str)>, out: &mut Vec<u8>) {
 pub const DIGEST_BLOCK: usize = 64 << 10;
 
 /// The trailer of an envelope whose header (magic, version, payload
-/// length) and payload are given. Version 1: one chain over both. Every
-/// other version: one chain over header ‖ the digest of each
-/// [`DIGEST_BLOCK`] of the payload ‖ the payload's length.
+/// length) and payload are given: one chain over header ‖ the digest of
+/// each [`DIGEST_BLOCK`] of the payload ‖ the payload's length.
 pub fn digest(header: &[u8], payload: &[u8]) -> u64 {
     let mut preimage = header.to_vec();
-    if header[4..6] == 1u16.to_le_bytes() {
-        preimage.extend_from_slice(payload);
-    } else {
-        for block in payload.chunks(DIGEST_BLOCK) {
-            preimage.extend_from_slice(&fnv1a64(block).to_le_bytes());
-        }
-        preimage.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    for block in payload.chunks(DIGEST_BLOCK) {
+        preimage.extend_from_slice(&fnv1a64(block).to_le_bytes());
     }
+    preimage.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     fnv1a64(&preimage)
 }
 
@@ -150,14 +144,6 @@ pub fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
     let sum = digest(&bytes[..14], &bytes[14..body]).to_le_bytes();
     bytes[body..].copy_from_slice(&sum);
     bytes
-}
-
-/// What this build's version-1 predecessor wrote for the snapshot whose
-/// `to_value()` tree is `tree`.
-pub fn v1_bytes(tree: &Value) -> Vec<u8> {
-    let mut payload = Vec::new();
-    tagged(tree, &mut payload);
-    seal(1, &payload)
 }
 
 /// What this build writes for the snapshot whose `to_value()` tree is
