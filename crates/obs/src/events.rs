@@ -18,6 +18,7 @@
 //! the data path itself, so enabling the journal cannot change a verdict
 //! bit (`tests/obs_equivalence.rs` pins this).
 
+use serde::{Serialize, Sink};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -120,10 +121,17 @@ impl EventKind {
     ];
 }
 
+/// A kind serializes as its [`label`](EventKind::label).
+impl Serialize for EventKind {
+    fn emit<S: Sink>(&self, sink: &mut S) {
+        sink.str(self.label())
+    }
+}
+
 /// One fixed-size journal record. `Copy`, no heap payload: the detail
 /// label is `&'static`, attribution is numeric, and kind-specific data
 /// rides in the `a`/`b` slots (see [`EventKind`] for their meaning).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct EventRecord {
     /// Process-monotonic sequence number (gaps mean overwritten tape).
     pub seq: u64,
@@ -145,17 +153,7 @@ pub struct EventRecord {
 impl EventRecord {
     /// Render as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seq\":{},\"t_ns\":{},\"kind\":\"{}\",\"label\":\"{}\",\"shard\":{},\"node\":{},\"a\":{},\"b\":{}}}",
-            self.seq,
-            self.t_ns,
-            self.kind.label(),
-            self.label,
-            self.shard,
-            self.node,
-            self.a,
-            self.b,
-        )
+        crate::to_json(self)
     }
 }
 
@@ -267,21 +265,20 @@ pub fn reset() {
 /// Render the newest `n` records as one JSON document:
 /// `{"recorded":…,"dropped":…,"events":[…]}` with events oldest first.
 pub fn render_json(n: usize) -> String {
+    #[derive(Serialize)]
+    struct Doc {
+        recorded: u64,
+        dropped: u64,
+        events: Vec<EventRecord>,
+    }
     let events = recent(n);
     let s = stats();
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    out.push_str(&format!(
-        "{{\"recorded\":{},\"dropped\":{},\"events\":[",
-        s.recorded, s.dropped
-    ));
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&e.to_json());
-    }
-    out.push_str("]}\n");
-    out
+    let doc = Doc {
+        recorded: s.recorded,
+        dropped: s.dropped,
+        events,
+    };
+    crate::to_json(&doc) + "\n"
 }
 
 #[cfg(test)]
@@ -341,17 +338,33 @@ mod tests {
     }
 
     #[test]
-    fn json_export_is_well_formed() {
+    fn json_export_parses_with_the_documented_keys() {
         let _l = crate::test_lock();
         set_enabled(true);
         reset();
         record(EventKind::ProtocolError, "bad_checksum", -1, 3, 1, 0);
         set_enabled(false);
         let doc = render_json(10);
-        assert!(doc.starts_with('{') && doc.ends_with("]}\n"), "{doc}");
-        assert!(doc.contains("\"kind\":\"protocol_error\""), "{doc}");
-        assert!(doc.contains("\"label\":\"bad_checksum\""), "{doc}");
-        assert!(doc.contains("\"recorded\":1"), "{doc}");
+        assert!(doc.ends_with('\n'), "{doc}");
+        let v: serde_json::Value = serde_json::from_str(&doc).expect("valid JSON");
+        assert_eq!(v.get("recorded").and_then(|r| r.as_u64()), Some(1));
+        assert_eq!(v.get("dropped").and_then(|d| d.as_u64()), Some(0));
+        let Some(serde_json::Value::Array(events)) = v.get("events") else {
+            panic!("no events array: {doc}");
+        };
+        let e = &events[0];
+        for key in ["seq", "t_ns", "kind", "label", "shard", "node", "a", "b"] {
+            assert!(e.get(key).is_some(), "event misses {key}: {doc}");
+        }
+        assert_eq!(
+            e.get("kind").and_then(|k| k.as_str()),
+            Some("protocol_error")
+        );
+        assert_eq!(
+            e.get("label").and_then(|l| l.as_str()),
+            Some("bad_checksum")
+        );
+        assert_eq!(e.get("shard").and_then(|s| s.as_i64()), Some(-1));
         for k in EventKind::ALL {
             assert!(!k.label().is_empty());
         }

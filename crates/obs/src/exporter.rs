@@ -286,6 +286,14 @@ mod tests {
         assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(100)).is_err());
     }
 
+    /// The body of a response, parsed as one JSON value per line.
+    fn json_lines(resp: &str) -> Vec<serde_json::Value> {
+        let (_, body) = resp.split_once("\r\n\r\n").expect("a response head");
+        body.lines()
+            .map(|l| serde_json::from_str(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+            .collect()
+    }
+
     #[test]
     fn operational_routes_respond() {
         let _l = crate::test_lock();
@@ -298,18 +306,30 @@ mod tests {
         assert!(get(addr, "/readyz").starts_with("HTTP/1.1 200"));
         let statusz = get(addr, "/statusz");
         assert!(statusz.contains("application/json"), "{statusz}");
-        assert!(statusz.contains("\"uptime_s\":"), "{statusz}");
+        let [doc] = &json_lines(&statusz)[..] else {
+            panic!("one status document: {statusz}");
+        };
+        for key in ["uptime_s", "ready", "events", "incidents", "pool"] {
+            assert!(doc.get(key).is_some(), "statusz misses {key}: {statusz}");
+        }
         let events = get(addr, "/debug/events?n=3");
         assert!(events.starts_with("HTTP/1.1 200"), "{events}");
-        assert!(events.contains("\"events\":["), "{events}");
+        let [doc] = &json_lines(&events)[..] else {
+            panic!("one events document: {events}");
+        };
+        assert!(matches!(
+            doc.get("events"),
+            Some(serde_json::Value::Array(_))
+        ));
         assert!(get(addr, "/debug/events?n=zero").starts_with("HTTP/1.1 400"));
         assert!(get(addr, "/debug/events?n=0").starts_with("HTTP/1.1 400"));
         assert!(get(addr, "/debug/events?bogus=1").starts_with("HTTP/1.1 400"));
         let incidents = get(addr, "/debug/incidents");
         assert!(incidents.contains("x-ndjson"), "{incidents}");
-        assert!(
-            incidents.contains("\"meta\":\"ns-obs-incidents\""),
-            "{incidents}"
+        let meta = json_lines(&incidents).pop().expect("a meta line");
+        assert_eq!(
+            meta.get("meta").and_then(|m| m.as_str()),
+            Some("ns-obs-incidents")
         );
         server.shutdown();
     }

@@ -10,8 +10,8 @@
 //! * deltas of every registered metric since the previous capture
 //!   (absolute values on the first capture),
 //! * the current [`crate::trace::report`],
-//! * the process context string installed via [`set_context`] (the
-//!   streaming engine stores its config + model fingerprint there).
+//! * the process context installed via [`set_context`] (the streaming
+//!   engine stores its config + model fingerprint there).
 //!
 //! Storage is bounded: the newest [`MAX_INCIDENTS`] incidents are kept,
 //! rendered on demand as JSONL by [`render_jsonl`] and served at
@@ -22,11 +22,12 @@
 
 use crate::events::{self, EventRecord};
 use crate::metrics::{self, MetricValue};
-use crate::trace;
+use crate::{status, trace};
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 
@@ -67,53 +68,65 @@ pub struct Incident {
     pub metrics_delta: Vec<MetricValue>,
     /// `trace::report()` at capture time.
     pub span_report: String,
-    /// Raw JSON context installed via [`set_context`] (`{}` if unset).
+    /// Compact JSON text of the context installed via [`set_context`]
+    /// (`{}` if unset).
     pub context: String,
+}
+
+/// The JSONL unit: an [`Incident`] with each metric movement keyed
+/// `delta` and the context as the JSON value it is.
+#[derive(Serialize)]
+struct IncidentLine<'a> {
+    id: u64,
+    trigger: &'a str,
+    reason: &'a str,
+    t_ns: u64,
+    unix_ms: u64,
+    context: Value,
+    metrics_delta: Vec<Delta<'a>>,
+    events: &'a [EventRecord],
+    span_report: &'a str,
+}
+
+#[derive(Serialize)]
+struct Delta<'a> {
+    name: &'a str,
+    labels: &'a str,
+    /// Non-finite movements (a histogram that observed ±∞) write `null`.
+    delta: f64,
 }
 
 impl Incident {
     /// Render as one JSON object (no trailing newline) — the JSONL unit
     /// served by `/debug/incidents`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str(&format!(
-            "{{\"id\":{},\"trigger\":\"{}\",\"reason\":\"{}\",\"t_ns\":{},\"unix_ms\":{}",
-            self.id,
-            self.trigger,
-            trace::escape_json(&self.reason),
-            self.t_ns,
-            self.unix_ms,
-        ));
-        out.push_str(",\"context\":");
-        if self.context.trim().is_empty() {
-            out.push_str("{}");
-        } else {
-            out.push_str(&self.context);
-        }
-        out.push_str(",\"metrics_delta\":[");
-        for (i, m) in self.metrics_delta.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"labels\":\"{}\",\"delta\":{}}}",
-                trace::escape_json(&m.name),
-                trace::escape_json(&m.labels),
-                m.value,
-            ));
-        }
-        out.push_str("],\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_json());
-        }
-        out.push_str(&format!(
-            "],\"span_report\":\"{}\"}}",
-            trace::escape_json(&self.span_report)
-        ));
-        out
+        crate::to_json(&IncidentLine {
+            id: self.id,
+            trigger: self.trigger,
+            reason: &self.reason,
+            t_ns: self.t_ns,
+            unix_ms: self.unix_ms,
+            // `set_context` wrote this text, so it parses. An `Incident`
+            // built by hand with a blank context writes `{}`; with other
+            // text, it carries the text as a string.
+            context: if self.context.trim().is_empty() {
+                Value::Object(Vec::new())
+            } else {
+                serde_json::from_str(&self.context)
+                    .unwrap_or_else(|_| Value::Str(self.context.clone()))
+            },
+            metrics_delta: self
+                .metrics_delta
+                .iter()
+                .map(|m| Delta {
+                    name: &m.name,
+                    labels: &m.labels,
+                    delta: m.value,
+                })
+                .collect(),
+            events: &self.events,
+            span_report: &self.span_report,
+        })
     }
 }
 
@@ -126,6 +139,7 @@ struct Recorder {
     /// `(name, labels) → value` at the previous capture; deltas diff
     /// against this.
     baseline: BTreeMap<(String, String), f64>,
+    /// Compact JSON text of the installed context (`{}` if unset).
     context: String,
 }
 
@@ -139,7 +153,7 @@ fn recorder() -> &'static Mutex<Recorder> {
             min_interval: DEFAULT_MIN_INTERVAL,
             last_fire: BTreeMap::new(),
             baseline: BTreeMap::new(),
-            context: String::new(),
+            context: "{}".to_string(),
         })
     })
 }
@@ -148,11 +162,10 @@ fn lock_recorder() -> MutexGuard<'static, Recorder> {
     recorder().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Install the process context embedded verbatim in every dump. Must be
-/// a valid JSON value (the engine stores its config + model fingerprint
-/// as an object).
-pub fn set_context(json: String) {
-    lock_recorder().context = json;
+/// Install the process context embedded in every dump (the engine stores
+/// its config + model fingerprint as an object).
+pub fn set_context<T: Serialize + ?Sized>(context: &T) {
+    lock_recorder().context = crate::to_json(context);
 }
 
 /// Override the per-trigger debounce window (tests use `ZERO`).
@@ -184,10 +197,7 @@ pub fn capture(trigger: &'static str, reason: &str) -> bool {
     let t_ns = events.last().map(|e| e.t_ns).unwrap_or(0);
     let values = metrics::global().values();
     let span_report = trace::report();
-    let unix_ms = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
-        .unwrap_or(0);
+    let unix_ms = status::unix_ms();
 
     let mut rec = lock_recorder();
     let mut metrics_delta = Vec::new();
@@ -232,16 +242,16 @@ pub fn incidents() -> Vec<Incident> {
     lock_recorder().incidents.clone()
 }
 
-/// Capture bookkeeping for `/statusz`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Capture bookkeeping — the `"incidents"` field of `/statusz`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct RecorderStats {
+    pub armed: bool,
     /// Incidents ever captured (== the next id).
     pub captured: u64,
     /// Incidents currently retained.
     pub retained: usize,
     /// Trigger firings swallowed by the debounce window.
     pub suppressed: u64,
-    pub armed: bool,
 }
 
 /// Snapshot the recorder bookkeeping.
@@ -258,18 +268,26 @@ pub fn stats() -> RecorderStats {
 /// Render every retained incident as JSON Lines, oldest first, followed
 /// by one meta line with the capture totals.
 pub fn render_jsonl() -> String {
+    #[derive(Serialize)]
+    struct Meta {
+        meta: &'static str,
+        captured: u64,
+        retained: usize,
+        suppressed: u64,
+    }
     let rec = lock_recorder();
     let mut out = String::new();
     for i in &rec.incidents {
         out.push_str(&i.to_json());
         out.push('\n');
     }
-    out.push_str(&format!(
-        "{{\"meta\":\"ns-obs-incidents\",\"captured\":{},\"retained\":{},\"suppressed\":{}}}\n",
-        rec.next_id,
-        rec.incidents.len(),
-        rec.suppressed,
-    ));
+    out.push_str(&crate::to_json(&Meta {
+        meta: "ns-obs-incidents",
+        captured: rec.next_id,
+        retained: rec.incidents.len(),
+        suppressed: rec.suppressed,
+    }));
+    out.push('\n');
     out
 }
 
@@ -282,7 +300,7 @@ pub fn reset() {
     rec.suppressed = 0;
     rec.last_fire.clear();
     rec.baseline.clear();
-    rec.context.clear();
+    rec.context = "{}".to_string();
 }
 
 #[cfg(test)]
@@ -311,7 +329,7 @@ mod tests {
         events::record(events::EventKind::Quarantine, "", 1, 9, 40, 0);
         set_armed(true);
         set_min_interval(Duration::ZERO);
-        set_context("{\"fingerprint\":\"abc\"}".to_string());
+        set_context(&serde_json::json!({ "fingerprint": "abc" }));
         assert!(capture("quarantine", "node 9 panicked at step 40"));
         metrics::set_enabled(false);
         events::set_enabled(false);
@@ -331,15 +349,106 @@ mod tests {
             .metrics_delta
             .iter()
             .any(|m| m.name == "incident_test_total" && m.value == 3.0));
-        assert!(inc.context.contains("fingerprint"));
-        let line = inc.to_json();
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert!(line.contains("\"context\":{\"fingerprint\":\"abc\"}"));
+        assert_eq!(inc.context, r#"{"fingerprint":"abc"}"#);
+        let line: Value = serde_json::from_str(&inc.to_json()).expect("valid JSON");
+        for key in [
+            "id",
+            "trigger",
+            "reason",
+            "t_ns",
+            "unix_ms",
+            "context",
+            "metrics_delta",
+            "events",
+            "span_report",
+        ] {
+            assert!(line.get(key).is_some(), "incident misses {key}: {line:?}");
+        }
+        let fingerprint = line.get("context").and_then(|c| c.get("fingerprint"));
+        assert_eq!(fingerprint.and_then(|f| f.as_str()), Some("abc"));
+        let Some(Value::Array(deltas)) = line.get("metrics_delta") else {
+            panic!("no metrics_delta array: {line:?}");
+        };
+        assert!(deltas.iter().any(|d| {
+            d.get("name").and_then(|n| n.as_str()) == Some("incident_test_total")
+                && d.get("labels").and_then(|l| l.as_str()) == Some("")
+                && d.get("delta").and_then(|v| v.as_f64()) == Some(3.0)
+        }));
         let dump = render_jsonl();
-        assert!(dump.lines().count() >= 2, "{dump}");
-        assert!(dump.contains("\"meta\":\"ns-obs-incidents\""));
+        let lines: Vec<Value> = dump
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("every line parses"))
+            .collect();
+        assert_eq!(lines.len(), 2, "{dump}");
+        let meta = &lines[1];
+        assert_eq!(
+            meta.get("meta").and_then(|m| m.as_str()),
+            Some("ns-obs-incidents")
+        );
+        for key in ["captured", "retained", "suppressed"] {
+            assert!(meta.get(key).is_some(), "meta misses {key}: {dump}");
+        }
         reset();
         events::reset();
+    }
+
+    /// An infinite observation reaches both exports through a histogram's
+    /// `_sum`: the incident dump must still parse (the delta writes
+    /// `null`), and `/metrics` must spell it the Prometheus way.
+    #[test]
+    fn non_finite_metric_keeps_both_exports_parseable() {
+        let _l = crate::test_lock();
+        reset();
+        metrics::set_enabled(true);
+        metrics::global()
+            .histogram("incident_inf_seconds", "Non-finite smoke.", &[], &[1.0])
+            .observe(f64::INFINITY);
+        set_armed(true);
+        set_min_interval(Duration::ZERO);
+        assert!(capture("quarantine", "an infinite observation"));
+        metrics::set_enabled(false);
+        set_armed(false);
+        set_min_interval(DEFAULT_MIN_INTERVAL);
+
+        let sum = incidents()[0]
+            .metrics_delta
+            .iter()
+            .find(|m| m.name == "incident_inf_seconds_sum")
+            .map(|m| m.value);
+        assert_eq!(sum, Some(f64::INFINITY));
+        let dump = render_jsonl();
+        for line in dump.lines() {
+            if let Err(e) = serde_json::from_str::<Value>(line) {
+                panic!("{e}: {line}");
+            }
+        }
+        let text = metrics::global().render();
+        let sum_line = text
+            .lines()
+            .find(|l| l.starts_with("incident_inf_seconds_sum"))
+            .expect("a _sum line");
+        assert!(sum_line.ends_with(" +Inf"), "{sum_line}");
+        reset();
+    }
+
+    #[test]
+    fn blank_context_writes_an_empty_object() {
+        let inc = Incident {
+            id: 0,
+            trigger: "quarantine",
+            reason: String::new(),
+            t_ns: 0,
+            unix_ms: 0,
+            events: Vec::new(),
+            metrics_delta: Vec::new(),
+            span_report: String::new(),
+            context: " ".to_string(),
+        };
+        assert!(
+            inc.to_json().contains(r#""context":{},"#),
+            "{}",
+            inc.to_json()
+        );
     }
 
     #[test]

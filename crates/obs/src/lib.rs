@@ -1,12 +1,12 @@
-//! `ns-obs` — zero-dependency observability for the NodeSentry stack.
+//! `ns-obs` — observability for the NodeSentry stack.
 //!
-//! Three pieces, all std-only so they can ride inside every hot path:
+//! Every piece is process-global and cheap enough to ride inside every
+//! hot path:
 //!
 //! * [`trace`] — a hierarchical span tracer. [`span!`] opens a
 //!   [`trace::SpanGuard`] that records wall time into a thread-safe span
 //!   tree keyed by `parent/child` paths; [`trace::report`] renders a
-//!   flamegraph-style text breakdown and [`trace::export_jsonl`] dumps
-//!   the raw span events one JSON object per line.
+//!   flamegraph-style text breakdown.
 //! * [`metrics`] — a registry of named counters, gauges and log-bucketed
 //!   histograms. Every update is a single atomic op behind one relaxed
 //!   enabled-flag load, cheap enough for per-tick hot paths.
@@ -18,16 +18,18 @@
 //! * [`incident`] — flight-recorder capture: armed trigger predicates
 //!   snapshot recent events, metric deltas, the span report, and engine
 //!   context into bounded JSONL incident dumps.
-//! * [`status`] — `/statusz` composition: process uptime/readiness plus
-//!   pluggable JSON sections registered by other crates.
-//! * [`poolstats`] — bridge from the vendored rayon pool's scheduling
-//!   counters (tasks, steals, park/unpark, per-worker busy time) into
-//!   `/metrics` and `/statusz`, fed by an installable provider so this
-//!   crate stays dependency-free.
+//! * [`status`] — `/statusz` composition: process uptime/readiness, the
+//!   thread pool, plus pluggable sections registered by other crates.
+//! * [`poolstats`] — the vendored rayon pool's scheduling counters
+//!   (tasks, steals, park/unpark, per-worker busy time), read directly
+//!   into `/metrics` and `/statusz`.
 //! * [`exporter`] — a `std::net::TcpListener` HTTP surface serving the
 //!   global registry at `/metrics` plus the operational routes
 //!   (`/healthz`, `/readyz`, `/statusz`, `/debug/events`,
 //!   `/debug/incidents`), spawnable from the streaming engine.
+//!
+//! Every JSON document served is a `#[derive(Serialize)]` value written
+//! by the vendored `serde_json`, so it is valid JSON by construction.
 //!
 //! # The no-op-when-disabled guarantee
 //!
@@ -110,6 +112,11 @@ macro_rules! span {
     ($name:expr) => {
         let _ns_obs_span_guard = $crate::trace::span($name);
     };
+}
+
+/// Compact JSON text of `value` (the vendored writer cannot fail).
+pub(crate) fn to_json<T: serde::Serialize + ?Sized>(value: &T) -> String {
+    serde_json::to_string(value).expect("the JSON writer is infallible")
 }
 
 /// Unit tests toggle the process-wide enable flags, so they serialize on

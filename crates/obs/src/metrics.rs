@@ -533,9 +533,14 @@ fn merge_labels(labels: &str, le: &str) -> String {
     }
 }
 
-/// Shortest round-trippable decimal for bucket bounds and sums.
+/// Shortest round-trippable decimal for bucket bounds and sums, with the
+/// exposition format's spellings of the non-finite values.
 fn trim_float(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
+    if v.is_nan() {
+        "NaN".to_string()
+    } else if v.is_infinite() {
+        (if v > 0.0 { "+Inf" } else { "-Inf" }).to_string()
+    } else if v == v.trunc() && v.abs() < 1e15 {
         format!("{v:.1}") // Prometheus renders integral floats as "1.0"
     } else {
         format!("{v}")

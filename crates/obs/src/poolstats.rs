@@ -1,85 +1,43 @@
-//! Thread-pool scheduling telemetry bridge.
+//! Thread-pool scheduling telemetry, read from the vendored rayon pool.
 //!
-//! `ns-obs` is deliberately dependency-free, so it cannot read the
-//! vendored rayon pool's counters itself. Instead, a crate that depends
-//! on both (the streaming engine, the bench harness) [`install`]s a
-//! provider closure once; from then on the pool shows up in both
-//! operational surfaces:
+//! The pool shows up in both operational surfaces:
 //!
 //! * `/metrics` — [`sync`] (called by the exporter on every `/metrics`
-//!   scrape) converts provider snapshots into registry counters/gauges:
-//!   `pool_tasks_total`, `pool_steals_total`, `pool_parks_total`,
-//!   `pool_unparks_total`, `pool_jobs_total`, `pool_workers`,
-//!   `pool_queued_jobs`, and per-worker
+//!   scrape) converts [`rayon::pool_stats`] readings into registry
+//!   counters/gauges: `pool_tasks_total`, `pool_steals_total`,
+//!   `pool_parks_total`, `pool_unparks_total`, `pool_jobs_total`,
+//!   `pool_workers`, `pool_queued_jobs`, and per-worker
 //!   `pool_worker_busy_us_total{worker="N"}`.
-//! * `/statusz` — installation registers a `"pool"` section rendering
-//!   the live snapshot as JSON.
+//! * `/statusz` — the built-in `"pool"` field, the same reading with busy
+//!   time in whole milliseconds.
 //!
-//! Counters are delta-synced against the last snapshot taken while
+//! Counters are delta-synced against the last reading taken while
 //! metrics were enabled, so pool activity that happens between scrapes
 //! (or across `Registry::reset` in tests) is never double-counted and
 //! never lost while enabled.
 
-use std::sync::{Mutex, OnceLock};
+use rayon::PoolStats;
+use serde::Serialize;
+use std::sync::Mutex;
 
-/// One reading of the pool's scheduling counters (see the vendored
-/// rayon's `pool_stats()` — field meanings match 1:1).
-#[derive(Clone, Debug, Default)]
-pub struct PoolSnapshot {
-    /// Worker threads spawned so far (excludes callers).
-    pub workers: usize,
-    /// Jobs published and not yet fully claimed.
-    pub queued_jobs: usize,
-    /// Parallel jobs submitted since process start.
-    pub jobs_submitted: u64,
-    /// Chunks (tasks) executed.
-    pub tasks_executed: u64,
-    /// Chunks claimed from another participant's lane.
-    pub steals: u64,
-    /// Worker park transitions.
-    pub parks: u64,
-    /// Worker unpark transitions.
-    pub unparks: u64,
-    /// Per-worker busy nanoseconds, indexed by worker id.
-    pub busy_ns: Vec<u64>,
+static LAST: Mutex<Option<PoolStats>> = Mutex::new(None);
+
+/// The pool's scheduling counters now. Always `Some`; the `Option` is
+/// kept for callers written when the reading could be absent.
+pub fn snapshot() -> Option<PoolStats> {
+    Some(rayon::pool_stats())
 }
 
-type Provider = Box<dyn Fn() -> PoolSnapshot + Send + Sync>;
-
-static PROVIDER: OnceLock<Provider> = OnceLock::new();
-static LAST: Mutex<Option<PoolSnapshot>> = Mutex::new(None);
-
-/// Install the snapshot provider (first call wins; later calls are
-/// no-ops so every engine in a process can call this unconditionally).
-/// Registers the `"pool"` `/statusz` section as a side effect.
-pub fn install(provider: impl Fn() -> PoolSnapshot + Send + Sync + 'static) {
-    if PROVIDER.set(Box::new(provider)).is_ok() {
-        crate::status::register_section("pool", render_section);
-    }
-}
-
-/// Whether a provider has been installed.
-pub fn is_installed() -> bool {
-    PROVIDER.get().is_some()
-}
-
-/// The current pool snapshot, if a provider is installed.
-pub fn snapshot() -> Option<PoolSnapshot> {
-    PROVIDER.get().map(|p| p())
-}
-
-/// Fold the provider's counters into the global metrics registry.
-/// Called by the exporter on every `/metrics` scrape; safe (and cheap)
-/// to call anytime. No-op while metrics are disabled or before
-/// [`install`].
+/// Fold the pool's counters into the global metrics registry. Called by
+/// the exporter on every `/metrics` scrape; safe (and cheap) to call
+/// anytime. No-op while metrics are disabled.
 pub fn sync() {
-    if !crate::metrics::is_enabled() {
-        return;
+    if crate::metrics::is_enabled() {
+        sync_from(rayon::pool_stats());
     }
-    let Some(provider) = PROVIDER.get() else {
-        return;
-    };
-    let snap = provider();
+}
+
+fn sync_from(snap: PoolStats) {
     let reg = crate::metrics::global();
     let mut last = LAST.lock().unwrap_or_else(|e| e.into_inner());
     let prev = last.take().unwrap_or_default();
@@ -124,71 +82,84 @@ pub fn sync() {
     *last = Some(snap);
 }
 
-/// The `"pool"` `/statusz` section: the live snapshot as JSON.
-fn render_section() -> String {
-    let Some(s) = snapshot() else {
-        return "null".to_string();
-    };
-    let busy_ms: Vec<String> = s
-        .busy_ns
-        .iter()
-        .map(|ns| (ns / 1_000_000).to_string())
-        .collect();
-    format!(
-        concat!(
-            "{{\"workers\":{},\"queued_jobs\":{},\"jobs_submitted\":{},",
-            "\"tasks_executed\":{},\"steals\":{},\"parks\":{},\"unparks\":{},",
-            "\"worker_busy_ms\":[{}]}}"
-        ),
-        s.workers,
-        s.queued_jobs,
-        s.jobs_submitted,
-        s.tasks_executed,
-        s.steals,
-        s.parks,
-        s.unparks,
-        busy_ms.join(",")
-    )
+/// The `"pool"` `/statusz` field: a live [`PoolStats`] reading with busy
+/// time in whole milliseconds.
+#[derive(Serialize)]
+pub(crate) struct PoolStatus {
+    workers: usize,
+    queued_jobs: usize,
+    jobs_submitted: u64,
+    tasks_executed: u64,
+    steals: u64,
+    parks: u64,
+    unparks: u64,
+    worker_busy_ms: Vec<u64>,
+}
+
+pub(crate) fn status() -> PoolStatus {
+    status_of(&rayon::pool_stats())
+}
+
+fn status_of(s: &PoolStats) -> PoolStatus {
+    PoolStatus {
+        workers: s.workers,
+        queued_jobs: s.queued_jobs,
+        jobs_submitted: s.jobs_submitted,
+        tasks_executed: s.tasks_executed,
+        steals: s.steals,
+        parks: s.parks,
+        unparks: s.unparks,
+        worker_busy_ms: s.busy_ns.iter().map(|ns| ns / 1_000_000).collect(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
-    static FAKE_TASKS: AtomicU64 = AtomicU64::new(10);
-
-    fn install_fake() {
-        install(|| PoolSnapshot {
+    fn reading(tasks_executed: u64) -> PoolStats {
+        PoolStats {
             workers: 2,
             queued_jobs: 1,
             jobs_submitted: 4,
-            tasks_executed: FAKE_TASKS.load(Ordering::Relaxed),
+            tasks_executed,
             steals: 3,
             parks: 5,
             unparks: 5,
             busy_ns: vec![2_000_000, 7_500_000],
-        });
+        }
     }
 
     #[test]
-    fn sync_exports_counters_and_section_renders() {
-        install_fake();
-        assert!(is_installed());
+    fn sync_exports_counters_and_status_converts_busy_time() {
+        let _l = crate::test_lock();
+        let reg = crate::metrics::global();
+        let tasks = reg.counter("pool_tasks_total", "Pool task chunks executed.", &[]);
+        let busy1 = reg.counter(
+            "pool_worker_busy_us_total",
+            "Per-worker busy time in microseconds.",
+            &[("worker", "1")],
+        );
+        let (tasks0, busy0) = (tasks.get(), busy1.get());
+        *LAST.lock().unwrap() = None;
         crate::metrics::set_enabled(true);
-        sync();
-        FAKE_TASKS.store(25, Ordering::Relaxed);
-        sync();
-        let text = crate::metrics::global().render();
-        assert!(text.contains("pool_tasks_total"), "{text}");
+        // Absolute on the first reading, then only the movement.
+        sync_from(reading(10));
+        assert_eq!(tasks.get() - tasks0, 10);
+        sync_from(reading(25));
+        assert_eq!(tasks.get() - tasks0, 25);
+        let text = reg.render();
+        crate::metrics::set_enabled(false);
+        *LAST.lock().unwrap() = None;
+        assert_eq!(busy1.get() - busy0, 7_500, "ns → µs, counted once");
         assert!(text.contains("pool_workers 2"), "{text}");
         assert!(
             text.contains("pool_worker_busy_us_total{worker=\"1\"}"),
             "{text}"
         );
-        let section = render_section();
-        assert!(section.contains("\"workers\":2"), "{section}");
-        assert!(section.contains("\"worker_busy_ms\":[2,7]"), "{section}");
-        crate::metrics::set_enabled(false);
+        let status = crate::to_json(&status_of(&reading(25)));
+        assert!(status.contains("\"workers\":2"), "{status}");
+        assert!(status.contains("\"worker_busy_ms\":[2,7]"), "{status}");
+        assert!(snapshot().is_some());
     }
 }

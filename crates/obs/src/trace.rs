@@ -4,8 +4,7 @@
 //! macro) pushes the name onto a thread-local stack and the returned
 //! [`SpanGuard`] records the elapsed wall time on drop, keyed by the full
 //! `parent/child/...` path. Aggregated per-path statistics live in a
-//! global tree; the raw events additionally land in a bounded in-memory
-//! log for JSONL export.
+//! global tree.
 //!
 //! Spans opened on different threads (e.g. inside a rayon parallel
 //! region or a stream shard worker) nest under whatever is on *that*
@@ -15,15 +14,10 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Raw span events kept for JSONL export; beyond this the log stops
-/// growing (aggregated statistics keep counting) and the overflow is
-/// reported in [`export_jsonl`]'s trailing meta line.
-const EVENT_CAP: usize = 65_536;
 
 /// Enable or disable span recording process-wide. Guards created while
 /// disabled stay no-ops even if tracing is enabled before they drop.
@@ -71,37 +65,11 @@ impl SpanStat {
     }
 }
 
-/// One completed span occurrence (the JSONL export unit).
-#[derive(Clone, Debug)]
-struct SpanEvent {
-    path: String,
-    /// Start offset relative to the tracer epoch (first store access).
-    start_ns: u64,
-    dur_ns: u64,
-    thread: String,
-}
+/// The span tree: aggregated statistics by full path.
+static STORE: Mutex<BTreeMap<String, SpanStat>> = Mutex::new(BTreeMap::new());
 
-struct TraceStore {
-    epoch: Instant,
-    stats: BTreeMap<String, SpanStat>,
-    events: Vec<SpanEvent>,
-    dropped_events: u64,
-}
-
-fn store() -> &'static Mutex<TraceStore> {
-    static STORE: OnceLock<Mutex<TraceStore>> = OnceLock::new();
-    STORE.get_or_init(|| {
-        Mutex::new(TraceStore {
-            epoch: Instant::now(),
-            stats: BTreeMap::new(),
-            events: Vec::new(),
-            dropped_events: 0,
-        })
-    })
-}
-
-fn lock_store() -> std::sync::MutexGuard<'static, TraceStore> {
-    store().lock().unwrap_or_else(|e| e.into_inner())
+fn lock_store() -> MutexGuard<'static, BTreeMap<String, SpanStat>> {
+    STORE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 thread_local! {
@@ -171,51 +139,23 @@ impl Drop for SpanGuard {
             path
         });
         let dur_ns = dur.as_nanos().min(u64::MAX as u128) as u64;
-        let mut st = lock_store();
-        let start_ns = self
-            .start
-            .duration_since(st.epoch)
-            .as_nanos()
-            .min(u64::MAX as u128) as u64;
-        st.stats.entry(path.clone()).or_default().record(dur_ns);
-        if st.events.len() < EVENT_CAP {
-            st.events.push(SpanEvent {
-                path,
-                start_ns,
-                dur_ns,
-                thread: std::thread::current()
-                    .name()
-                    .unwrap_or("unnamed")
-                    .to_string(),
-            });
-        } else {
-            st.dropped_events += 1;
-        }
+        lock_store().entry(path).or_default().record(dur_ns);
     }
 }
 
 /// Snapshot of one path's aggregated statistics.
 pub fn stats(path: &str) -> Option<SpanStat> {
-    lock_store().stats.get(path).copied()
+    lock_store().get(path).copied()
 }
 
 /// Snapshot of every path's aggregated statistics, sorted by path.
 pub fn all_stats() -> Vec<(String, SpanStat)> {
-    lock_store()
-        .stats
-        .iter()
-        .map(|(p, s)| (p.clone(), *s))
-        .collect()
+    lock_store().iter().map(|(p, s)| (p.clone(), *s)).collect()
 }
 
-/// Discard all recorded spans and events (the enabled flag is
-/// untouched).
+/// Discard all recorded spans (the enabled flag is untouched).
 pub fn reset() {
-    let mut st = lock_store();
-    st.stats.clear();
-    st.events.clear();
-    st.dropped_events = 0;
-    st.epoch = Instant::now();
+    lock_store().clear();
 }
 
 /// Render the span tree as an indented, flamegraph-style text report:
@@ -224,19 +164,18 @@ pub fn reset() {
 /// directly under their parents.
 pub fn report() -> String {
     let st = lock_store();
-    if st.stats.is_empty() {
+    if st.is_empty() {
         return "(no spans recorded)\n".to_string();
     }
     // Root totals normalize the percentage column per top-level span.
     let mut root_total: BTreeMap<&str, u64> = BTreeMap::new();
-    for (path, stat) in &st.stats {
+    for (path, stat) in st.iter() {
         let root = path.split('/').next().unwrap_or(path);
         if !path.contains('/') {
             *root_total.entry(root).or_insert(0) += stat.total_ns;
         }
     }
     let width = st
-        .stats
         .keys()
         .map(|p| {
             let depth = p.matches('/').count();
@@ -246,7 +185,7 @@ pub fn report() -> String {
         .unwrap_or(20)
         .max(20);
     let mut out = String::new();
-    for (path, stat) in &st.stats {
+    for (path, stat) in st.iter() {
         let depth = path.matches('/').count();
         let leaf = path.rsplit('/').next().unwrap_or(path);
         let root = path.split('/').next().unwrap_or(path);
@@ -268,87 +207,6 @@ pub fn report() -> String {
             width = width.saturating_sub(depth * 2).max(1),
         ));
     }
-    if st.dropped_events > 0 {
-        out.push_str(&format!(
-            "({} span events beyond the {} event cap kept only as aggregates)\n",
-            st.dropped_events, EVENT_CAP
-        ));
-    }
-    out
-}
-
-/// Export the raw span events as JSON Lines: one object per completed
-/// span with `path`, `start_ns` (offset from the tracer epoch),
-/// `dur_ns`, and `thread`, followed by one meta object with the dropped
-/// count. Events are in completion order.
-pub fn export_jsonl() -> String {
-    let st = lock_store();
-    let mut out = String::new();
-    for e in &st.events {
-        out.push_str(&format!(
-            "{{\"path\":\"{}\",\"start_ns\":{},\"dur_ns\":{},\"thread\":\"{}\"}}\n",
-            escape_json(&e.path),
-            e.start_ns,
-            e.dur_ns,
-            escape_json(&e.thread),
-        ));
-    }
-    out.push_str(&format!(
-        "{{\"meta\":\"ns-obs-trace\",\"events\":{},\"dropped\":{}}}\n",
-        st.events.len(),
-        st.dropped_events
-    ));
-    out
-}
-
-/// Export the raw span events as a Chrome-trace / Perfetto JSON array,
-/// directly loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
-///
-/// Each completed span becomes one complete (`"ph":"X"`) event with
-/// `ts`/`dur` in microseconds relative to the tracer epoch. Threads are
-/// mapped to stable integer `tid`s in order of first appearance and
-/// named via `thread_name` metadata (`"ph":"M"`) events, so shard
-/// workers show up as labeled rows in the viewer.
-pub fn export_chrome() -> String {
-    let st = lock_store();
-    let mut tids: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut next_tid = 1u64;
-    let mut body = String::new();
-    for e in &st.events {
-        let tid = *tids.entry(e.thread.as_str()).or_insert_with(|| {
-            let t = next_tid;
-            next_tid += 1;
-            t
-        });
-        if !body.is_empty() {
-            body.push_str(",\n");
-        }
-        body.push_str(&format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{\"path\":\"{}\"}}}}",
-            escape_json(e.path.rsplit('/').next().unwrap_or(&e.path)),
-            e.start_ns as f64 / 1e3,
-            e.dur_ns as f64 / 1e3,
-            escape_json(&e.path),
-        ));
-    }
-    let mut meta = String::new();
-    for (thread, tid) in &tids {
-        if !meta.is_empty() {
-            meta.push_str(",\n");
-        }
-        meta.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-            escape_json(thread),
-        ));
-    }
-    let mut out = String::with_capacity(body.len() + meta.len() + 16);
-    out.push_str("[\n");
-    out.push_str(&meta);
-    if !meta.is_empty() && !body.is_empty() {
-        out.push_str(",\n");
-    }
-    out.push_str(&body);
-    out.push_str("\n]\n");
     out
 }
 
@@ -360,25 +218,6 @@ fn format_seconds(s: f64) -> String {
     } else {
         format!("{:.1} µs", s * 1e6)
     }
-}
-
-/// Escape a string for embedding inside a JSON string literal — shared
-/// by the trace, event, and incident exporters (the crate hand-rolls
-/// its JSON to stay dependency-free).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -435,66 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_export_is_parseable_lines() {
-        let _l = crate::test_lock();
-        set_enabled(true);
-        reset();
-        {
-            let _g = span("export\"me");
-        }
-        set_enabled(false);
-        let out = export_jsonl();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2, "one event + one meta line: {out}");
-        assert!(lines[0].contains("\\\"me"), "quote escaped: {}", lines[0]);
-        assert!(lines[1].contains("\"dropped\":0"));
-        for l in &lines {
-            assert!(l.starts_with('{') && l.ends_with('}'));
-        }
-    }
-
-    #[test]
-    fn chrome_export_is_a_viewer_loadable_array() {
-        let _l = crate::test_lock();
-        set_enabled(true);
-        reset();
-        let t = std::thread::Builder::new()
-            .name("chrome-test-worker".into())
-            .spawn(|| {
-                let _g = span("worker_stage");
-            })
-            .unwrap();
-        {
-            let _outer = span("replay");
-            let _inner = span("score");
-        }
-        t.join().unwrap();
-        set_enabled(false);
-        let out = export_chrome();
-        assert!(out.starts_with("[\n") && out.ends_with("\n]\n"), "{out}");
-        assert!(out.contains("\"ph\":\"X\""), "{out}");
-        assert!(out.contains("\"ph\":\"M\""), "thread metadata: {out}");
-        assert!(out.contains("\"name\":\"chrome-test-worker\""), "{out}");
-        // The span path rides in args; the display name is the leaf.
-        assert!(out.contains("\"name\":\"score\""), "{out}");
-        assert!(out.contains("\"path\":\"replay/score\""), "{out}");
-        // Same thread → same tid for nested spans.
-        let tid_of = |needle: &str| -> String {
-            let line = out.lines().find(|l| l.contains(needle)).unwrap();
-            let at = line.find("\"tid\":").unwrap() + 6;
-            line[at..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect()
-        };
-        assert_eq!(tid_of("\"name\":\"replay\""), tid_of("\"name\":\"score\""));
-        // Every line inside the array is an object (valid JSON shape).
-        for l in out.lines().filter(|l| l.starts_with('{')) {
-            assert!(l.ends_with('}') || l.ends_with("},"), "{l}");
-        }
-    }
-
-    #[test]
     fn threads_record_independent_roots() {
         let _l = crate::test_lock();
         set_enabled(true);
@@ -512,7 +291,6 @@ mod tests {
         set_enabled(false);
         assert!(stats("worker_side").is_some());
         assert!(stats("main_side").is_some());
-        assert!(export_jsonl().contains("obs-test-worker"));
     }
 
     #[test]

@@ -172,7 +172,6 @@ impl Engine {
         let n_shards = cfg.n_shards.max(1);
         init.resize_with(n_shards, Default::default);
         status::on_engine_spawn(model_fingerprint, n_shards, &cfg);
-        metrics::install_pool_stats();
         // Oversubscription clamp: every shard worker fans its scoring
         // tasks out at `rayon::current_num_threads()` width, so an
         // unclamped engine would put `n_shards × width` runnable threads

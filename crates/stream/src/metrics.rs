@@ -35,10 +35,9 @@
 //! The thread pool's scheduling series (`pool_tasks_total`,
 //! `pool_steals_total`, `pool_parks_total`, `pool_unparks_total`,
 //! `pool_jobs_total`, `pool_workers`, `pool_queued_jobs`,
-//! `pool_worker_busy_us_total{worker}`) are owned by
-//! [`ns_obs::poolstats`]; [`install_pool_stats`] (called at every engine
-//! spawn) wires that module to the vendored rayon pool so `/metrics`
-//! scrapes and the `"pool"` `/statusz` section stay live.
+//! `pool_worker_busy_us_total{worker}`) and the `"pool"` `/statusz` field
+//! are [`ns_obs::poolstats`]'s, read straight from the vendored rayon
+//! pool on every scrape.
 //!
 //! All updates are no-ops while `ns_obs` metrics are disabled; nothing
 //! here reads or writes pipeline data, which is how the engine keeps its
@@ -97,26 +96,6 @@ pub const WIRE_ERRORS_TOTAL: &str = "ns_wire_errors_total";
 pub const WIRE_TORN_FRAMES_TOTAL: &str = "ns_wire_torn_frames_total";
 /// Histogram: ticks per socket-read batch handed to `Engine::ingest`.
 pub const WIRE_INGEST_BATCH_TICKS: &str = "ns_wire_ingest_batch_ticks";
-
-/// Wire the vendored rayon pool's scheduling counters into
-/// [`ns_obs::poolstats`] (idempotent; first caller wins). After this,
-/// `/metrics` exports the `pool_*` series and `/statusz` gains a
-/// `"pool"` section.
-pub fn install_pool_stats() {
-    ns_obs::poolstats::install(|| {
-        let s = rayon::pool_stats();
-        ns_obs::poolstats::PoolSnapshot {
-            workers: s.workers,
-            queued_jobs: s.queued_jobs,
-            jobs_submitted: s.jobs_submitted,
-            tasks_executed: s.tasks_executed,
-            steals: s.steals,
-            parks: s.parks,
-            unparks: s.unparks,
-            busy_ns: s.busy_ns,
-        }
-    });
-}
 
 /// Handles used from per-node pipeline code (match/score/verdict path).
 /// One set per process — every engine and shard shares them.

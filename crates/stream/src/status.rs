@@ -24,10 +24,11 @@ use crate::metrics::{
     WIRE_ACTIVE_CONNECTIONS,
 };
 use crate::{EngineConfig, FaultCounters};
+use serde::{Serialize, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 /// Verdict window the Degraded-spike predicate evaluates over.
 pub const SPIKE_WINDOW: u64 = 64;
@@ -67,6 +68,38 @@ pub(crate) fn engine_status() -> &'static EngineStatus {
     })
 }
 
+/// The flight recorder's context: what every incident dump says about the
+/// engine that captured it.
+#[derive(Serialize)]
+struct EngineContext {
+    /// 16 hex digits, as `/statusz` shows it.
+    model_fingerprint: String,
+    n_shards: usize,
+    split: usize,
+    smooth_window: usize,
+    reorder_bound: usize,
+    blackout_gap: usize,
+    stuck_run: usize,
+    /// The lowercase [`ScoringPrecision::as_str`](crate::ScoringPrecision::as_str)
+    /// label, not the enum's own `F64` spelling.
+    scoring_precision: &'static str,
+}
+
+impl EngineContext {
+    fn new(fingerprint: u64, n_shards: usize, cfg: &EngineConfig) -> Self {
+        EngineContext {
+            model_fingerprint: format!("{fingerprint:016x}"),
+            n_shards,
+            split: cfg.split,
+            smooth_window: cfg.smooth_window,
+            reorder_bound: cfg.reorder_bound,
+            blackout_gap: cfg.blackout_gap,
+            stuck_run: cfg.stuck_run,
+            scoring_precision: cfg.scoring_precision.as_str(),
+        }
+    }
+}
+
 /// Record a spawned engine: update the status atomics, install the
 /// `/statusz` section (once per process), flip readiness, and hand the
 /// flight recorder its context (config + fingerprint) for incident
@@ -80,17 +113,7 @@ pub(crate) fn on_engine_spawn(fingerprint: u64, n_shards: usize, cfg: &EngineCon
     st.spawns.fetch_add(1, Ordering::Relaxed);
     register_statusz();
     ns_obs::status::set_ready(true);
-    ns_obs::incident::set_context(format!(
-        "{{\"model_fingerprint\":\"{fingerprint:016x}\",\"n_shards\":{n_shards},\
-         \"split\":{},\"smooth_window\":{},\"reorder_bound\":{},\"blackout_gap\":{},\
-         \"stuck_run\":{},\"scoring_precision\":\"{}\"}}",
-        cfg.split,
-        cfg.smooth_window,
-        cfg.reorder_bound,
-        cfg.blackout_gap,
-        cfg.stuck_run,
-        cfg.scoring_precision.as_str(),
-    ));
+    ns_obs::incident::set_context(&EngineContext::new(fingerprint, n_shards, cfg));
 }
 
 /// Record a checkpoint outcome for the `/statusz` `last_checkpoint`
@@ -101,79 +124,100 @@ pub(crate) fn note_checkpoint(ok: bool, bytes: usize) {
     st.last_ckpt_state
         .store(if ok { 1 } else { 2 }, Ordering::Relaxed);
     st.last_ckpt_bytes.store(bytes as u64, Ordering::Relaxed);
-    let ms = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
-        .unwrap_or(0);
-    st.last_ckpt_unix_ms.store(ms, Ordering::Relaxed);
+    st.last_ckpt_unix_ms
+        .store(ns_obs::status::unix_ms(), Ordering::Relaxed);
 }
 
-/// Render the `"stream"` `/statusz` section. Counter and gauge reads go
+/// The `"stream"` `/statusz` section.
+#[derive(Serialize)]
+struct StreamSection {
+    model_fingerprint: String,
+    n_shards: usize,
+    engines_spawned: u64,
+    shard_queue_depths: Vec<i64>,
+    shard_reorder_occupancy: Vec<i64>,
+    shard_ticks_total: Vec<u64>,
+    active_connections: i64,
+    verdicts: Verdicts,
+    /// Every [`FaultCounters`] class, in declaration order.
+    faults: Value,
+    last_checkpoint: LastCheckpoint,
+}
+
+#[derive(Serialize)]
+struct Verdicts {
+    ok: u64,
+    degraded: u64,
+}
+
+#[derive(Serialize)]
+struct LastCheckpoint {
+    state: &'static str,
+    unix_ms: u64,
+    bytes: u64,
+    checkpoints: u64,
+    restores: u64,
+    restore_failures: u64,
+}
+
+/// Read the `"stream"` `/statusz` section. Counter and gauge reads go
 /// through idempotent registration, so series the engine has not touched
 /// yet simply read zero.
-fn render_section() -> String {
+fn section() -> StreamSection {
     let st = engine_status();
     let reg = ns_obs::metrics::global();
     let n_shards = st.n_shards.load(Ordering::Relaxed);
-    let mut queue = String::from("[");
-    let mut reorder = String::from("[");
-    let mut ticks = String::from("[");
+    let (mut queue, mut reorder, mut ticks) = (Vec::new(), Vec::new(), Vec::new());
     for shard in 0..n_shards {
         let label = shard.to_string();
         let labels: &[(&str, &str)] = &[("shard", &label)];
-        if shard > 0 {
-            queue.push(',');
-            reorder.push(',');
-            ticks.push(',');
-        }
-        queue.push_str(&reg.gauge(QUEUE_DEPTH, "", labels).get().to_string());
-        reorder.push_str(&reg.gauge(REORDER_OCCUPANCY, "", labels).get().to_string());
-        ticks.push_str(&reg.counter(TICKS_TOTAL, "", labels).get().to_string());
+        queue.push(reg.gauge(QUEUE_DEPTH, "", labels).get());
+        reorder.push(reg.gauge(REORDER_OCCUPANCY, "", labels).get());
+        ticks.push(reg.counter(TICKS_TOTAL, "", labels).get());
     }
-    queue.push(']');
-    reorder.push(']');
-    ticks.push(']');
-    let mut faults = String::from("{");
-    for (i, (class, _)) in FaultCounters::default().as_pairs().iter().enumerate() {
-        if i > 0 {
-            faults.push(',');
-        }
-        let v = reg.counter(FAULTS_TOTAL, "", &[("class", class)]).get();
-        faults.push_str(&format!("\"{class}\":{v}"));
+    let verdicts = |kind| reg.counter(VERDICTS_TOTAL, "", &[("kind", kind)]).get();
+    StreamSection {
+        model_fingerprint: format!("{:016x}", st.model_fingerprint.load(Ordering::Relaxed)),
+        n_shards,
+        engines_spawned: st.spawns.load(Ordering::Relaxed),
+        shard_queue_depths: queue,
+        shard_reorder_occupancy: reorder,
+        shard_ticks_total: ticks,
+        active_connections: reg.gauge(WIRE_ACTIVE_CONNECTIONS, "", &[]).get(),
+        verdicts: Verdicts {
+            ok: verdicts("ok"),
+            degraded: verdicts("degraded"),
+        },
+        faults: Value::Object(
+            FaultCounters::default()
+                .as_pairs()
+                .iter()
+                .map(|(class, _)| {
+                    let v = reg.counter(FAULTS_TOTAL, "", &[("class", class)]).get();
+                    (class.to_string(), Value::U64(v))
+                })
+                .collect(),
+        ),
+        last_checkpoint: LastCheckpoint {
+            state: match st.last_ckpt_state.load(Ordering::Relaxed) {
+                0 => "never",
+                1 => "ok",
+                _ => "failed",
+            },
+            unix_ms: st.last_ckpt_unix_ms.load(Ordering::Relaxed),
+            bytes: st.last_ckpt_bytes.load(Ordering::Relaxed),
+            checkpoints: st.checkpoints.load(Ordering::Relaxed),
+            restores: st.restores.load(Ordering::Relaxed),
+            restore_failures: st.restore_failures.load(Ordering::Relaxed),
+        },
     }
-    faults.push('}');
-    let ok = reg.counter(VERDICTS_TOTAL, "", &[("kind", "ok")]).get();
-    let degraded = reg
-        .counter(VERDICTS_TOTAL, "", &[("kind", "degraded")])
-        .get();
-    let conns = reg.gauge(WIRE_ACTIVE_CONNECTIONS, "", &[]).get();
-    let ckpt_state = match st.last_ckpt_state.load(Ordering::Relaxed) {
-        0 => "never",
-        1 => "ok",
-        _ => "failed",
-    };
-    format!(
-        "{{\"model_fingerprint\":\"{:016x}\",\"n_shards\":{n_shards},\"engines_spawned\":{},\
-         \"shard_queue_depths\":{queue},\"shard_reorder_occupancy\":{reorder},\
-         \"shard_ticks_total\":{ticks},\"active_connections\":{conns},\
-         \"verdicts\":{{\"ok\":{ok},\"degraded\":{degraded}}},\"faults\":{faults},\
-         \"last_checkpoint\":{{\"state\":\"{ckpt_state}\",\"unix_ms\":{},\"bytes\":{},\
-         \"checkpoints\":{},\"restores\":{},\"restore_failures\":{}}}}}",
-        st.model_fingerprint.load(Ordering::Relaxed),
-        st.spawns.load(Ordering::Relaxed),
-        st.last_ckpt_unix_ms.load(Ordering::Relaxed),
-        st.last_ckpt_bytes.load(Ordering::Relaxed),
-        st.checkpoints.load(Ordering::Relaxed),
-        st.restores.load(Ordering::Relaxed),
-        st.restore_failures.load(Ordering::Relaxed),
-    )
 }
 
 /// Install the `"stream"` section into the process `/statusz` (idempotent).
 pub(crate) fn register_statusz() {
     static ONCE: OnceLock<()> = OnceLock::new();
     ONCE.get_or_init(|| {
-        ns_obs::status::register_section("stream", render_section);
+        ns_obs::status::register_section("stream", || section().to_value());
     });
 }
 
@@ -282,27 +326,107 @@ mod tests {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The `"stream"` field of a parsed `/statusz` document.
+    fn statusz_stream() -> Value {
+        register_statusz();
+        let doc = ns_obs::status::render();
+        let v: Value = serde_json::from_str(&doc).expect("/statusz parses");
+        v.get("stream").cloned().expect("a stream section")
+    }
+
+    fn keys(v: &Value) -> Vec<&str> {
+        match v {
+            Value::Object(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
     #[test]
     fn statusz_section_renders_valid_shape() {
         let _l = test_lock();
         let st = engine_status();
         st.model_fingerprint.store(0xabcd, Ordering::Relaxed);
         st.n_shards.store(2, Ordering::Relaxed);
-        let doc = render_section();
-        assert!(doc.starts_with('{') && doc.ends_with('}'), "{doc}");
-        assert!(
-            doc.contains("\"model_fingerprint\":\"000000000000abcd\""),
-            "{doc}"
+        let stream = statusz_stream();
+        assert_eq!(
+            keys(&stream),
+            [
+                "model_fingerprint",
+                "n_shards",
+                "engines_spawned",
+                "shard_queue_depths",
+                "shard_reorder_occupancy",
+                "shard_ticks_total",
+                "active_connections",
+                "verdicts",
+                "faults",
+                "last_checkpoint"
+            ]
         );
-        assert!(doc.contains("\"shard_queue_depths\":["), "{doc}");
-        assert!(doc.contains("\"faults\":{"), "{doc}");
-        assert!(doc.contains("\"quarantined_nodes\":"), "{doc}");
-        assert!(doc.contains("\"last_checkpoint\":{"), "{doc}");
-        // Balanced braces — a cheap well-formedness check for the
-        // hand-rolled JSON.
-        let opens = doc.matches('{').count();
-        let closes = doc.matches('}').count();
-        assert_eq!(opens, closes, "{doc}");
+        let field = |name: &str| stream.get(name).expect(name);
+        assert_eq!(
+            field("model_fingerprint").as_str(),
+            Some("000000000000abcd")
+        );
+        assert_eq!(field("n_shards").as_u64(), Some(2));
+        for per_shard in [
+            "shard_queue_depths",
+            "shard_reorder_occupancy",
+            "shard_ticks_total",
+        ] {
+            assert!(
+                matches!(field(per_shard), Value::Array(a) if a.len() == 2),
+                "{per_shard}: {stream:?}"
+            );
+        }
+        assert_eq!(keys(field("verdicts")), ["ok", "degraded"]);
+        let classes: Vec<_> = FaultCounters::default()
+            .as_pairs()
+            .iter()
+            .map(|(c, _)| *c)
+            .collect();
+        assert_eq!(keys(field("faults")), classes);
+        assert_eq!(
+            keys(field("last_checkpoint")),
+            [
+                "state",
+                "unix_ms",
+                "bytes",
+                "checkpoints",
+                "restores",
+                "restore_failures"
+            ]
+        );
+    }
+
+    #[test]
+    fn engine_context_keeps_the_lowercase_precision_and_hex_fingerprint() {
+        let cfg = EngineConfig {
+            scoring_precision: crate::ScoringPrecision::F32,
+            ..EngineConfig::new(10)
+        };
+        let text = serde_json::to_string(&EngineContext::new(0xabcd, 3, &cfg)).unwrap();
+        let context: Value = serde_json::from_str(&text).expect("context parses");
+        assert_eq!(
+            keys(&context),
+            [
+                "model_fingerprint",
+                "n_shards",
+                "split",
+                "smooth_window",
+                "reorder_bound",
+                "blackout_gap",
+                "stuck_run",
+                "scoring_precision"
+            ]
+        );
+        let field = |name: &str| context.get(name).expect(name);
+        assert_eq!(
+            field("model_fingerprint").as_str(),
+            Some("000000000000abcd")
+        );
+        assert_eq!(field("n_shards").as_u64(), Some(3));
+        assert_eq!(field("scoring_precision").as_str(), Some("f32"));
     }
 
     #[test]
@@ -341,13 +465,10 @@ mod tests {
         }
         assert_eq!(failures(), failed + 1);
         assert_eq!(engine_status().restores.load(Ordering::Relaxed), restored);
-        let doc = render_section();
-        assert!(
-            doc.contains(&format!(
-                "\"restores\":{restored},\"restore_failures\":{}}}}}",
-                failed + 1
-            )),
-            "{doc}"
+        let last = section().last_checkpoint;
+        assert_eq!(
+            (last.restores, last.restore_failures),
+            (restored, failed + 1)
         );
         let journal = ns_obs::events::recent(256);
         let event = journal

@@ -25,23 +25,17 @@ use nodesentry::core::{NodeSentry, NodeSentryConfig};
 use nodesentry::obs;
 use nodesentry::stream::{Engine, EngineConfig, Tick};
 use nodesentry::telemetry::{http_get, DatasetProfile};
+use serde_json::Value;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Pull the raw value of a top-level-ish `"key":` out of a JSON string —
-/// enough to summarize `/statusz` without a JSON parser dependency.
-fn pull<'a>(json: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\":");
-    let Some(start) = json.find(&pat).map(|i| i + pat.len()) else {
-        return "?";
-    };
-    let rest = &json[start..];
-    let end = match rest.as_bytes().first() {
-        Some(b'[') => rest.find(']').map(|i| i + 1),
-        Some(b'{') => rest.find('}').map(|i| i + 1),
-        _ => rest.find([',', '}']),
-    };
-    &rest[..end.unwrap_or(rest.len())]
+/// The compact JSON text of the field at `path` in a `/statusz` document.
+fn field(doc: &Value, path: &[&str]) -> String {
+    path.iter()
+        .try_fold(doc, |v, key| v.get(key))
+        .map_or("?".into(), |v| {
+            serde_json::to_string(v).expect("infallible")
+        })
 }
 
 fn main() {
@@ -111,13 +105,13 @@ fn main() {
         if step > 0 && step % poll_every == 0 {
             match http_get(addr, "/statusz") {
                 Ok(body) => {
-                    let stream = pull(&body, "stream");
+                    let doc: Value = serde_json::from_str(&body).expect("/statusz is JSON");
                     println!(
                         "statusz @ step {step}: uptime {} s, queues {}, ticks {}, verdicts {}",
-                        pull(&body, "uptime_s"),
-                        pull(stream, "shard_queue_depths"),
-                        pull(stream, "shard_ticks_total"),
-                        pull(stream, "verdicts"),
+                        field(&doc, &["uptime_s"]),
+                        field(&doc, &["stream", "shard_queue_depths"]),
+                        field(&doc, &["stream", "shard_ticks_total"]),
+                        field(&doc, &["stream", "verdicts"]),
                     );
                 }
                 Err(e) => println!("statusz @ step {step}: poll failed: {e}"),

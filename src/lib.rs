@@ -25,7 +25,7 @@
 //!   thresholding (batch + streaming), timing harness.
 //! * [`label`] — the headless labeling / cluster-adjustment toolkit
 //!   (artifact A2).
-//! * [`obs`] — zero-dependency observability: tracing spans over the
+//! * [`obs`] — observability: tracing spans over the
 //!   training stages, live metrics from the streaming engine, a bounded
 //!   structured event journal with flight-recorder incident capture,
 //!   and an HTTP exporter serving `/metrics` plus the operational
