@@ -927,30 +927,60 @@ mod tests {
         assert_eq!(FeatureKind::FftCoeff(3).name(), "fft_coeff_3");
     }
 
-    /// Standalone (one-pass-per-kind) evaluation of the kinds whose eval
-    /// arms now read shared aggregates — the pre-cache implementation,
-    /// kept here as the bit-exactness oracle.
-    fn standalone(
-        x: &[f64],
-        diffs: &[f64],
-        freqs: &[f64],
-        power: &[f64],
-        k: FeatureKind,
-    ) -> Option<f64> {
+    /// The derived views the standalone primitives read, each built by its
+    /// own public function.
+    struct Views {
+        diffs: Vec<f64>,
+        freqs: Vec<f64>,
+        power: Vec<f64>,
+        mags: Vec<f64>,
+        wavelet: Vec<f64>,
+    }
+
+    impl Views {
+        fn of(x: &[f64], sample_rate: f64) -> Self {
+            let (freqs, power, mags) = if x.len() >= 2 {
+                let (f, p) = fft::power_spectrum(x, sample_rate);
+                (f, p, fft::magnitude_spectrum(x))
+            } else {
+                (vec![0.0], vec![0.0], vec![0.0])
+            };
+            Self {
+                diffs: temporal::diffs(x),
+                freqs,
+                power,
+                mags,
+                wavelet: dwt::wavelet_energies(x, 5),
+            }
+        }
+    }
+
+    /// One primitive call per feature, nothing shared: the definition the
+    /// extractor must reproduce bit for bit. The match is exhaustive on
+    /// purpose, so a new kind does not compile until it has an oracle.
+    fn standalone(x: &[f64], v: &Views, k: FeatureKind) -> f64 {
         use FeatureKind::*;
-        Some(match k {
+        let (d, f, p) = (&v.diffs[..], &v.freqs[..], &v.power[..]);
+        let abs = |s: &[f64]| s.iter().map(|e| e.abs()).collect::<Vec<_>>();
+        let value = match k {
             Mean => stats::mean(x),
+            Median => stats::median(x),
             Std => stats::std_dev(x),
             Variance => stats::variance(x),
+            Min => stats::quantile(x, 0.0),
+            Max => stats::quantile(x, 1.0),
+            PeakToPeak => stats::quantile(x, 1.0) - stats::quantile(x, 0.0),
             Rms => stats::rms(x),
             Skewness => stats::skewness(x),
             Kurtosis => stats::kurtosis(x),
+            Iqr => stats::iqr(x),
             Mad => stats::mad(x),
             MeanAbsDeviation => statistical::mean_abs_deviation(x),
             AbsEnergy => statistical::abs_energy(x),
             Sum => x.iter().sum(),
             CoefVariation => statistical::coefficient_of_variation(x),
-            HistEntropy => stats::histogram_entropy(x, 10),
+            Quantile(q) => stats::quantile(x, q as f64 / 100.0),
+            HistEntropy => stats::histogram_entropy(x, HIST_BINS),
             CountAboveMean => statistical::count_above_mean(x),
             CountBelowMean => statistical::count_below_mean(x),
             ArgmaxRel | FirstLocMax => temporal::first_location_of_max(x),
@@ -958,90 +988,234 @@ mod tests {
             LastLocMax => temporal::last_location_of_max(x),
             LastLocMin => temporal::last_location_of_min(x),
             TrimmedMean => stats::trimmed_mean_std(x, 0.05).0,
-            HistBin(i) => statistical::hist_bin_fraction(x, i as usize, 10),
+            HistBin(i) => statistical::hist_bin_fraction(x, i as usize, HIST_BINS),
             MeanAbsDiff => stats::mean_abs_change(x),
-            MedianAbsDiff => {
-                let a: Vec<f64> = diffs.iter().map(|d| d.abs()).collect();
-                stats::median(&a)
-            }
-            MeanDiff => stats::mean(diffs),
-            MedianDiff => stats::median(diffs),
-            SumAbsDiff => diffs.iter().map(|d| d.abs()).sum(),
-            MaxDiff => {
-                if diffs.is_empty() {
-                    0.0
-                } else {
-                    stats::max(diffs)
-                }
-            }
-            MinDiff => {
-                if diffs.is_empty() {
-                    0.0
-                } else {
-                    stats::min(diffs)
-                }
-            }
-            StdDiff => stats::std_dev(diffs),
+            MedianAbsDiff => stats::median(&abs(d)),
+            MeanDiff => stats::mean(d),
+            MedianDiff => stats::median(d),
+            SumAbsDiff => abs(d).iter().sum(),
+            MaxDiff if d.is_empty() => 0.0,
+            MaxDiff => stats::max(d),
+            MinDiff if d.is_empty() => 0.0,
+            MinDiff => stats::min(d),
+            StdDiff => stats::std_dev(d),
             Slope => stats::slope(x),
+            ZeroCrossRate => temporal::zero_crossing_rate(x),
             MeanCrossRate => temporal::mean_crossing_rate(x),
-            AbsTrapzArea => temporal::trapz(&x.iter().map(|v| v.abs()).collect::<Vec<_>>()),
+            PosTurning => temporal::positive_turning_points(x),
+            NegTurning => temporal::negative_turning_points(x),
+            PeakCount => temporal::peak_count(x, 0.0),
+            TrapzArea => temporal::trapz(x),
+            AbsTrapzArea => temporal::trapz(&abs(x)),
             TemporalCentroid => temporal::temporal_centroid(x),
             TotalEnergy => statistical::abs_energy(x) / x.len().max(1) as f64,
-            EntropyDiff => stats::histogram_entropy(diffs, 10),
+            EntropyDiff => stats::histogram_entropy(d, HIST_BINS),
             LongestStrikeAbove => temporal::longest_strike_above_mean(x),
             LongestStrikeBelow => temporal::longest_strike_below_mean(x),
+            TimeReversalAsym => temporal::time_reversal_asymmetry(x, 1),
+            C3 => temporal::c3(x, 1),
             CidCe => temporal::cid_ce(x),
             RatioBeyondSigma(r) => temporal::ratio_beyond_r_sigma(x, r as f64),
             AutoCorr(l) => stats::autocorrelation(x, l as usize),
             EnergyChunk(i) => temporal::energy_ratio_chunk(x, i as usize, 8),
-            SpectralCentroid => spectral::centroid(freqs, power),
-            SpectralSpread => spectral::spread(freqs, power),
-            SpectralSkewness => spectral::skewness(freqs, power),
-            SpectralKurtosis => spectral::kurtosis(freqs, power),
-            SpectralEntropy => spectral::entropy(power),
-            SpectralRolloff(p) => spectral::rolloff(freqs, power, p as f64 / 100.0),
-            MedianFrequency => spectral::median_frequency(freqs, power),
-            PowerBandwidth => spectral::power_bandwidth(freqs, power),
-            BandEnergy(i) => spectral::band_energy(power, i as usize, 10),
-            _ => return None,
-        })
+            MaxPower => stats::max(p).max(0.0),
+            FreqAtMaxPower => vecops::argmax(p).map_or(0.0, |i| f[i]),
+            SpectralCentroid => spectral::centroid(f, p),
+            SpectralSpread => spectral::spread(f, p),
+            SpectralSkewness => spectral::skewness(f, p),
+            SpectralKurtosis => spectral::kurtosis(f, p),
+            SpectralEntropy => spectral::entropy(p),
+            SpectralSlope => spectral::slope(f, p),
+            SpectralDecrease => spectral::decrease(p),
+            SpectralRolloff(q) => spectral::rolloff(f, p, q as f64 / 100.0),
+            MedianFrequency => spectral::median_frequency(f, p),
+            FundamentalFrequency => spectral::fundamental_frequency(f, p),
+            PowerBandwidth => spectral::power_bandwidth(f, p),
+            SpectralPosTurning => spectral::positive_turning_points(p),
+            BandEnergy(i) => spectral::band_energy(p, i as usize, 10),
+            FftCoeff(i) => v.mags.get(i as usize).copied().unwrap_or(0.0),
+            WaveletEnergy(l) => v.wavelet.get(l as usize).copied().unwrap_or(0.0),
+            WaveletEntropy => dwt::wavelet_entropy(x, 5),
+        };
+        if value.is_finite() {
+            value
+        } else {
+            0.0
+        }
     }
 
-    #[test]
-    fn cached_arms_match_standalone_functions() {
-        let c = FeatureCatalog::standard();
-        let mut inputs: Vec<Vec<f64>> = vec![
-            vec![],
-            vec![2.5],
-            vec![0.0, -0.0],
-            vec![5.0; 64],
-            (0..7).map(|i| i as f64).collect(),
+    /// Parameters no built-in catalog carries but a deserialized one may:
+    /// off-default percents, lags, bins and levels, and ones past the end
+    /// of their range (which must read 0, or clamp, as the primitives do).
+    fn off_default() -> FeatureCatalog {
+        use FeatureKind::*;
+        FeatureCatalog {
+            kinds: vec![
+                Quantile(50),
+                AutoCorr(7),
+                HistBin(9),
+                FftCoeff(40),
+                WaveletEnergy(7),
+                RatioBeyondSigma(4),
+                BandEnergy(9),
+                Quantile(0),
+                Quantile(100),
+                Quantile(255),
+                AutoCorr(0),
+                AutoCorr(255),
+                HistBin(10),
+                EnergyChunk(7),
+                EnergyChunk(8),
+                RatioBeyondSigma(0),
+                SpectralRolloff(0),
+                SpectralRolloff(100),
+                SpectralRolloff(250),
+                BandEnergy(10),
+                FftCoeff(0),
+                FftCoeff(255),
+                WaveletEnergy(4),
+                MedianDiff,
+                Mad,
+                MedianAbsDiff,
+            ],
+        }
+    }
+
+    /// A series built to reach the bit-level corners the extractor must
+    /// keep: signed zeros, repeated and constant runs, ±inf, NaN, huge and
+    /// subnormal magnitudes, mixed with smooth data so that most features
+    /// stay non-trivial.
+    fn hostile_series(seed: u64, len: usize) -> Vec<f64> {
+        const SPECIAL: [f64; 10] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e300,
+            f64::MAX,
+            5e-324,
+            -2.5,
         ];
-        inputs.push(
-            (0..120)
-                .map(|i| (i as f64 * 0.37).sin() * 2.0 + 0.01 * i as f64)
-                .collect(),
-        );
-        for x in &inputs {
-            let got = c.extract(x, 1.0);
-            // Rebuild the derived views exactly as the scratch does.
-            let diffs = temporal::diffs(x);
-            let (freqs, power) = if x.len() >= 2 {
-                fft::power_spectrum(x, 1.0)
-            } else {
-                (vec![0.0], vec![0.0])
-            };
-            for (v, &k) in got.iter().zip(c.kinds()) {
-                let Some(naive) = standalone(x, &diffs, &freqs, &power, k) else {
-                    continue;
-                };
-                let naive = if naive.is_finite() { naive } else { 0.0 };
-                assert_eq!(
-                    v.to_bits(),
-                    naive.to_bits(),
-                    "{k:?} diverged on len {} ({v} vs {naive})",
-                    x.len()
-                );
+        let mut state = seed;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let unit = |r: u64| (r >> 11) as f64 / (1u64 << 53) as f64;
+        let mode = next() % 6;
+        let (w, phase, trend) = (0.05 + unit(next()), 6.0 * unit(next()), unit(next()) - 0.5);
+        let constant = SPECIAL[(next() % 10) as usize];
+        let (mut run_val, mut run_left) = (0.0, 0u64);
+        let mut x = Vec::with_capacity(len);
+        for t in 0..len {
+            let smooth = 2.0 * (w * t as f64 + phase).sin()
+                + 0.05 * trend * t as f64
+                + 0.3 * (unit(next()) - 0.5);
+            x.push(match mode {
+                0 => smooth,
+                1 => {
+                    if run_left == 0 {
+                        run_left = 1 + next() % 8;
+                        run_val = [0.0, -0.0, 1.0, -1.0, 2.5, smooth][(next() % 6) as usize];
+                    }
+                    run_left -= 1;
+                    run_val
+                }
+                2 if next() % 16 == 0 => SPECIAL[(next() % 10) as usize],
+                2 => smooth,
+                3 if constant == 0.0 => [0.0, -0.0][(next() % 2) as usize],
+                3 => constant,
+                4 if next() % 3 == 0 => SPECIAL[(next() % 10) as usize],
+                4 => (next() % 5) as f64 - 2.0,
+                _ => smooth * 10f64.powi(150 + (next() % 150) as i32),
+            });
+        }
+        x
+    }
+
+    /// Extraction and oracle must agree on every kind to the bit — or both
+    /// panic: `sort_by` with the NaN-tolerant comparator can detect that a
+    /// NaN breaks its total order and panic, and where the sort it shares
+    /// with the oracle does, the oracle's does too.
+    fn assert_matches_oracle(catalog: &FeatureCatalog, x: &[f64], scratch: &mut FeatureScratch) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        const SAMPLE_RATE: f64 = 1.0 / 30.0;
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let got = catch_unwind(AssertUnwindSafe(|| {
+            let mut out = vec![0.0; catalog.len()];
+            catalog.extract_into(x, SAMPLE_RATE, scratch, &mut out);
+            bits(out)
+        }));
+        let want = catch_unwind(|| {
+            let views = Views::of(x, SAMPLE_RATE);
+            bits(
+                catalog
+                    .kinds()
+                    .iter()
+                    .map(|&k| standalone(x, &views, k))
+                    .collect(),
+            )
+        });
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                for ((g, w), k) in got.iter().zip(&want).zip(catalog.kinds()) {
+                    assert_eq!(
+                        g,
+                        w,
+                        "{k:?} diverged on len {} ({} vs {}): {x:?}",
+                        x.len(),
+                        f64::from_bits(*g),
+                        f64::from_bits(*w)
+                    );
+                }
+            }
+            (Err(_), Err(_)) => {}
+            (got, _) => panic!(
+                "extraction {} where the oracle did not, on {x:?}",
+                if got.is_ok() { "returned" } else { "panicked" }
+            ),
+        }
+    }
+
+    /// Silence the sort's total-order panic, which the oracle test expects
+    /// on some NaN inputs; every other panic still reaches the default hook.
+    fn quiet_sort_order_panics() {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            let default = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                if !info
+                    .to_string()
+                    .contains("does not correctly implement a total order")
+                {
+                    default(info)
+                }
+            }));
+        });
+    }
+
+    use proptest::prelude::*;
+
+    // Every kind of the standard, compact and an off-default catalog
+    // equals its standalone primitive to the bit, over hostile series of
+    // length 0–300 and each one's first `len % 4` samples.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn cached_arms_match_standalone_functions(seed in any::<u64>(), len in 0usize..301) {
+            quiet_sort_order_panics();
+            let x = hostile_series(seed, len);
+            let mut scratch = FeatureScratch::new();
+            for catalog in [FeatureCatalog::standard(), FeatureCatalog::compact(), off_default()] {
+                assert_matches_oracle(&catalog, &x, &mut scratch);
+                assert_matches_oracle(&catalog, &x[..len % 4], &mut scratch);
             }
         }
     }
