@@ -114,17 +114,23 @@ impl ClusterModel {
     }
 
     /// Allocation-free [`ClusterModel::match_pattern`]: standardizes into
-    /// `scratch` and scans the contiguous centroid matrix with the
-    /// early-abandon [`ns_linalg::distance::nearest_row`] kernel, which is
-    /// bit-identical to the full per-centroid `euclidean` scan (argmin,
-    /// ties and returned distance included).
+    /// `scratch` while scanning the contiguous centroid matrix several rows
+    /// at a time ([`ns_linalg::distance::nearest_row_standardized`]), which
+    /// is bit-identical to standardizing and then running the full
+    /// per-centroid `euclidean` scan (argmin, ties and returned distance
+    /// included).
     pub fn match_pattern_into(
         &self,
         raw_probe_feat: &[f64],
         scratch: &mut Vec<f64>,
     ) -> (usize, f64) {
-        self.standardize_probe_into(raw_probe_feat, scratch);
-        ns_linalg::distance::nearest_row(&self.probe_centroids, scratch)
+        ns_linalg::distance::nearest_row_standardized(
+            &self.probe_centroids,
+            raw_probe_feat,
+            &self.probe_feat_mean,
+            &self.probe_feat_std,
+            scratch,
+        )
     }
 
     /// Whether a distance constitutes a match (within the library radius).

@@ -12,7 +12,7 @@
 
 use crate::{dwt, fft, spectral, statistical, temporal};
 use ns_linalg::matrix::Matrix;
-use ns_linalg::{stats, vecops};
+use ns_linalg::stats;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -166,24 +166,23 @@ impl FeatureKind {
 }
 
 /// Reusable working storage for feature extraction: one instance per
-/// thread amortises every per-series buffer — the sort/diff/spectral/
-/// wavelet views plus the FFT scratch — across calls, so steady-state
-/// extraction over same-length series allocates nothing. Twiddle tables
-/// and Hann windows are cached separately, per thread by length, inside
-/// [`fft`].
+/// thread amortises every per-series buffer — the sorted series, the
+/// differences, the selection buffer, the transform, the power spectrum
+/// and its running sums, the wavelet cascade — across calls, so
+/// steady-state extraction over same-length series allocates nothing. The
+/// frequency axis is kept per transform size and sample rate; twiddle
+/// tables live in [`fft`], once per process.
 #[derive(Default)]
 pub struct FeatureScratch {
     col: Vec<f64>,
     sorted: Vec<f64>,
     diffs: Vec<f64>,
-    diffs_sorted: Vec<f64>,
-    abs_diffs_sorted: Vec<f64>,
-    mad_dev: Vec<f64>,
-    freqs: Vec<f64>,
+    select: Vec<f64>,
+    spectrum: Vec<fft::Complex>,
+    axis: FrequencyAxis,
     power: Vec<f64>,
-    mags: Vec<f64>,
+    cum_power: Vec<f64>,
     wavelet: Vec<f64>,
-    fft_buf: Vec<fft::Complex>,
     haar: Vec<f64>,
 }
 
@@ -191,70 +190,176 @@ pub struct FeatureScratch {
 /// `EntropyDiff` (10 in the standard catalog).
 const HIST_BINS: usize = 10;
 
-/// Per-series scalar aggregates computed once by
-/// [`FeatureScratch::prepare`] and shared across feature kinds, so a
-/// 134-kind pass stops re-deriving the same mean/std/energy/extrema/
-/// histogram/spectral totals dozens of times. Every field is produced by
-/// the *same* floating-point expression as the standalone function it
-/// feeds (`stats::mean`, `statistical::abs_energy`, `spectral::centroid`,
-/// …), so features evaluated through the cache are bit-identical to
-/// independent per-kind evaluation — pinned by the
-/// `cached_arms_match_standalone_functions` test.
+/// The bits of `-0.0`.
+const NEG_ZERO: u64 = 1 << 63;
+
+/// The comparator of every sort the primitives run: NaN compares equal to
+/// everything, which is not a total order, so results depend on the sort
+/// algorithm wherever a NaN is present.
+fn order(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+}
+
+/// The one-sided frequency axis of a transform size at a sample rate —
+/// `freqs[i] = i·fs / n`, as [`fft::power_spectrum`] builds it, or the
+/// single `0` bin of a series too short to transform — with the two sums
+/// over it that [`spectral::slope`] takes. None of it depends on the
+/// series, so it is computed once per `(n, fs)` instead of per column.
+#[derive(Default)]
+struct FrequencyAxis {
+    key: Option<(usize, u64)>,
+    freqs: Vec<f64>,
+    /// `Σf / L`: the slope's frequency mean.
+    mean: f64,
+    /// `Σ(f − mean)²` from `+0.0`: the slope's denominator.
+    centered_sq: f64,
+}
+
+impl FrequencyAxis {
+    /// Point the axis at transform size `n`, or at the one-bin axis when
+    /// `n` is 0.
+    fn set(&mut self, n: usize, sample_rate: f64) {
+        let key = (n, sample_rate.to_bits());
+        if self.key == Some(key) {
+            return;
+        }
+        self.key = Some(key);
+        self.freqs.clear();
+        if n == 0 {
+            self.freqs.push(0.0);
+        } else {
+            self.freqs
+                .extend((0..=n / 2).map(|i| i as f64 * sample_rate / n as f64));
+        }
+        let m = self.freqs.iter().sum::<f64>() / self.freqs.len() as f64;
+        self.mean = m;
+        self.centered_sq = self.freqs.iter().fold(0.0, |s, f| s + (f - m) * (f - m));
+    }
+}
+
+/// Histogram counts over `[lo, hi]` with the binning expression of
+/// `stats::histogram_entropy` / `statistical::hist_bin_fraction` (the
+/// divide included). `valid` is false for the degenerate ranges where
+/// those two functions fall back differently; the arms then give the
+/// fallback's answer (0 for an entropy, `hist_bin_fraction` for a bin).
+#[derive(Default, Clone, Copy)]
+struct Hist {
+    valid: bool,
+    counts: [usize; HIST_BINS],
+    lo: f64,
+    range: f64,
+}
+
+impl Hist {
+    fn over(n: usize, lo: f64, hi: f64) -> Self {
+        let range = hi - lo;
+        Self {
+            valid: n > 0 && range.is_finite() && range >= 1e-24,
+            counts: [0; HIST_BINS],
+            lo,
+            range,
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, v: f64) {
+        if self.valid {
+            let b = ((v - self.lo) / self.range * HIST_BINS as f64) as usize;
+            self.counts[b.min(HIST_BINS - 1)] += 1;
+        }
+    }
+}
+
+/// The sums, counts and extrema every kind of the catalog reads, computed
+/// once per series by [`FeatureScratch::prepare`] in fused passes: one
+/// over the raw series and its differences, one over each centred on its
+/// mean (with the series' extrema known), one over the series scaled by
+/// its std, and three short ones over the power spectrum. An arm is then
+/// a read, a guard and a divide. Each accumulator keeps the expression
+/// and the left-to-right order of the standalone primitive it stands for
+/// (`stats::skewness`, `temporal::c3`, `spectral::spread`, …), down to
+/// `Sum`'s `-0.0` seed wherever the primitive sums with `.sum()`, so every
+/// feature is bit-identical to its standalone evaluation — pinned kind by
+/// kind by the `cached_arms_match_standalone_functions` proptest.
 #[derive(Default, Clone, Copy)]
 struct SeriesAggregates {
+    n: usize,
+    // Raw pass.
     sum: f64,
     mean: f64,
-    /// Raw `Σ(x−m)²`: variance numerator and autocorrelation denominator.
-    centered_sq: f64,
-    variance: f64,
-    std: f64,
-    abs_energy: f64,
-    /// Fold-based extrema (`stats::min`/`max`). Kept distinct from
-    /// `sorted[0]`/`sorted[last]`: the fold and the sort can surface
-    /// different ±0.0 bits, and the location features compare against the
-    /// fold result.
-    fold_min: f64,
-    fold_max: f64,
-    hist_valid: bool,
-    hist: [usize; HIST_BINS],
-    // First-difference aggregates (the `*Diff` kinds).
+    /// `Σx²`: energy, RMS, the temporal centroid's and the wavelet
+    /// cascade's denominator.
+    energy: f64,
+    /// `Σ t·x_t²`, the temporal centroid's numerator.
+    weighted_energy: f64,
+    /// Fold-based extrema (`stats::min`/`max`), distinct from the sorted
+    /// ends: the fold and the sort can surface different ±0.0 bits, and
+    /// the location features compare against the fold.
+    min: f64,
+    max: f64,
+    zero_crossings: usize,
+    pos_turning: usize,
+    neg_turning: usize,
+    peaks: usize,
+    trapz: f64,
+    trapz_abs: f64,
+    tra_sum: f64,
+    c3_sum: f64,
+    // Differences, summed in the raw pass.
     d_mean: f64,
+    d_abs_sum: f64,
+    d_sq_sum: f64,
+    d_min: f64,
+    d_max: f64,
+    /// The series, or its differences, may hold a NaN (their sum is NaN)
+    /// or a `-0.0`: only then can the stable sort's order reach a value —
+    /// a NaN breaks the comparator's total order, and `±0.0` are the one
+    /// pair of equal values with different bits — so only then must their
+    /// order statistics come from it.
+    x_unordered: bool,
+    d_unordered: bool,
+    // Centred passes.
+    centered_sq: f64,
+    std: f64,
+    abs_dev_sum: f64,
+    above: usize,
+    below: usize,
+    mean_crossings: usize,
+    strike_above: usize,
+    strike_below: usize,
+    slope_num: f64,
+    slope_den: f64,
+    first_max: Option<usize>,
+    last_max: Option<usize>,
+    first_min: Option<usize>,
+    last_min: Option<usize>,
+    hist: Hist,
     d_std: f64,
-    d_fold_min: f64,
-    d_fold_max: f64,
-    d_hist_valid: bool,
-    d_hist: [usize; HIST_BINS],
-    abs_diff_sum: f64,
-    // Robust medians; filled only when the catalog contains
-    // Mad/MedianDiff/MedianAbsDiff, so compact profiles skip their sorts.
+    d_hist: Hist,
+    skew_sum: f64,
+    kurt_sum: f64,
+    // Robust medians, filled only when the catalog has Mad / MedianDiff /
+    // MedianAbsDiff.
     mad: f64,
     median_diff: f64,
     median_abs_diff: f64,
-    // Power-spectrum aggregates.
+    // Power spectrum.
+    /// Transform bins an `FftCoeff` may read (0 below two samples).
+    fft_bins: usize,
     sp_total: f64,
     sp_centroid: f64,
     sp_spread: f64,
-}
-
-/// Shared histogram counts over `[lo, hi]`, using the exact binning
-/// expression of `stats::histogram_entropy` / `statistical::
-/// hist_bin_fraction`. Returns `false` (counts unusable) for the
-/// degenerate ranges where those two functions diverge on fallbacks —
-/// callers then route through the original function instead.
-fn hist_counts(x: &[f64], lo: f64, hi: f64) -> (bool, [usize; HIST_BINS]) {
-    let mut counts = [0usize; HIST_BINS];
-    let range = hi - lo;
-    if x.is_empty() || !range.is_finite() || range < 1e-24 {
-        return (false, counts);
-    }
-    for &v in x {
-        let mut b = ((v - lo) / range * HIST_BINS as f64) as usize;
-        if b >= HIST_BINS {
-            b = HIST_BINS - 1;
-        }
-        counts[b] += 1;
-    }
-    (true, counts)
+    sp_skew_sum: f64,
+    sp_kurt_sum: f64,
+    sp_entropy: f64,
+    sp_slope: f64,
+    sp_max: f64,
+    sp_argmax: usize,
+    /// `0.0`-seeded fold max, the fundamental frequency's threshold base.
+    sp_peak: f64,
+    sp_tail: f64,
+    sp_decrease_sum: f64,
+    sp_turning: usize,
 }
 
 impl FeatureScratch {
@@ -262,112 +367,384 @@ impl FeatureScratch {
         Self::default()
     }
 
-    /// Fill the derived views and shared aggregates for `x` and return the
-    /// evaluation context. The scratch stays mutably borrowed for the
-    /// context's lifetime. `robust` asks for the sorted-difference /
-    /// deviation views behind `Mad`/`MedianDiff`/`MedianAbsDiff`; catalogs
-    /// without those kinds skip the three extra sorts.
+    /// Fill the derived views and the aggregates for `x` and return the
+    /// evaluation context. The scratch stays borrowed for the context's
+    /// lifetime. `robust` asks for the medians behind
+    /// `Mad`/`MedianDiff`/`MedianAbsDiff`; catalogs without those kinds
+    /// skip them.
     fn prepare<'a>(
         &'a mut self,
         x: &'a [f64],
         sample_rate: f64,
         robust: bool,
     ) -> SeriesContext<'a> {
-        let cmp = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
+        let mut a = SeriesAggregates {
+            n: x.len(),
+            ..Default::default()
+        };
+        raw_pass(x, &mut self.diffs, &mut a);
         self.sorted.clear();
         self.sorted.extend_from_slice(x);
-        self.sorted.sort_by(cmp);
-        temporal::diffs_into(x, &mut self.diffs);
-        if x.len() >= 2 {
-            fft::spectra_into(
-                x,
-                sample_rate,
-                &mut self.fft_buf,
-                &mut self.freqs,
-                &mut self.power,
-                &mut self.mags,
-            );
+        if a.x_unordered {
+            self.sorted.sort_by(order);
         } else {
-            self.freqs.clear();
-            self.freqs.push(0.0);
-            self.power.clear();
-            self.power.push(0.0);
-            self.mags.clear();
-            self.mags.push(0.0);
+            // Equal values carry equal bits, so any sort leaves these.
+            self.sorted.sort_unstable_by(order);
         }
-        dwt::wavelet_energies_into(x, 5, &mut self.wavelet, &mut self.haar);
-
-        let mut agg = SeriesAggregates::default();
-        agg.sum = x.iter().sum();
-        agg.mean = if x.is_empty() {
-            0.0
-        } else {
-            agg.sum / x.len() as f64
-        };
-        let m = agg.mean;
-        agg.centered_sq = x.iter().map(|v| (v - m) * (v - m)).sum();
-        agg.variance = if x.is_empty() {
-            0.0
-        } else {
-            agg.centered_sq / x.len() as f64
-        };
-        agg.std = agg.variance.sqrt();
-        agg.abs_energy = x.iter().map(|v| v * v).sum();
-        agg.fold_min = stats::min(x);
-        agg.fold_max = stats::max(x);
-        (agg.hist_valid, agg.hist) = hist_counts(x, agg.fold_min, agg.fold_max);
-
-        let d = &self.diffs[..];
-        agg.abs_diff_sum = d.iter().map(|v| v.abs()).sum();
-        agg.d_mean = if d.is_empty() {
-            0.0
-        } else {
-            d.iter().sum::<f64>() / d.len() as f64
-        };
-        let dm = agg.d_mean;
-        let d_csq: f64 = d.iter().map(|v| (v - dm) * (v - dm)).sum();
-        agg.d_std = if d.is_empty() {
-            0.0
-        } else {
-            (d_csq / d.len() as f64).sqrt()
-        };
-        agg.d_fold_min = stats::min(d);
-        agg.d_fold_max = stats::max(d);
-        (agg.d_hist_valid, agg.d_hist) = hist_counts(d, agg.d_fold_min, agg.d_fold_max);
-
+        centred_pass(x, &mut a);
+        diff_pass(&self.diffs, &mut a);
         if robust {
-            self.diffs_sorted.clear();
-            self.diffs_sorted.extend_from_slice(&self.diffs);
-            self.diffs_sorted.sort_by(cmp);
-            agg.median_diff = stats::quantile_sorted(&self.diffs_sorted, 0.5);
-            self.abs_diffs_sorted.clear();
-            self.abs_diffs_sorted
-                .extend(self.diffs.iter().map(|v| v.abs()));
-            self.abs_diffs_sorted.sort_by(cmp);
-            agg.median_abs_diff = stats::quantile_sorted(&self.abs_diffs_sorted, 0.5);
-            let med = stats::quantile_sorted(&self.sorted, 0.5);
-            self.mad_dev.clear();
-            self.mad_dev.extend(x.iter().map(|v| (v - med).abs()));
-            self.mad_dev.sort_by(cmp);
-            agg.mad = stats::quantile_sorted(&self.mad_dev, 0.5);
+            self.robust_medians(x, &mut a);
         }
-
-        agg.sp_total = self.power.iter().sum();
-        agg.sp_centroid = spectral::centroid_with(&self.freqs, &self.power, agg.sp_total);
-        agg.sp_spread =
-            spectral::spread_with(&self.freqs, &self.power, agg.sp_centroid, agg.sp_total);
-
+        self.spectrum_passes(x, sample_rate, &mut a);
+        dwt::wavelet_energies_into(x, 5, a.energy, &mut self.wavelet, &mut self.haar);
         SeriesContext {
             x,
             sorted: &self.sorted,
-            diffs: &self.diffs,
-            freqs: &self.freqs,
+            freqs: &self.axis.freqs,
             power: &self.power,
-            mags: &self.mags,
+            cum_power: &self.cum_power,
+            spectrum: &self.spectrum[..a.fft_bins],
             wavelet: &self.wavelet,
-            agg,
+            agg: a,
         }
     }
+
+    /// The three robust medians, each the 0.5 quantile of a buffer its
+    /// standalone primitive sorts. They are taken by selection wherever
+    /// that cannot change their bits, and from the primitive's stable sort
+    /// elsewhere (see [`median_of`]).
+    fn robust_medians(&mut self, x: &[f64], a: &mut SeriesAggregates) {
+        let buf = &mut self.select;
+        buf.clear();
+        buf.extend_from_slice(&self.diffs);
+        a.median_diff = median_of(buf, !a.d_unordered);
+        // |d| is never -0.0.
+        buf.clear();
+        buf.extend(self.diffs.iter().map(|d| d.abs()));
+        a.median_abs_diff = median_of(buf, !a.d_unordered);
+        let med = stats::quantile_sorted(&self.sorted, 0.5);
+        a.mad = if a.sum.is_nan() || !med.is_finite() {
+            buf.clear();
+            buf.extend(x.iter().map(|v| (v - med).abs()));
+            median_of(buf, false)
+        } else {
+            median_deviation(&self.sorted, med)
+        };
+    }
+
+    /// Transform, power spectrum and its aggregates: one pass over the
+    /// power for everything that needs only the bins, one once the total
+    /// and centroid are known, one once the spread is.
+    fn spectrum_passes(&mut self, x: &[f64], sample_rate: f64, a: &mut SeriesAggregates) {
+        let size = if x.len() >= 2 {
+            fft::next_pow2(x.len())
+        } else {
+            0
+        };
+        self.axis.set(size, sample_rate);
+        self.power.clear();
+        if size == 0 {
+            self.power.push(0.0);
+        } else {
+            fft::rfft_into(x, &mut self.spectrum);
+            let half = size / 2;
+            let scale = 1.0 / (size as f64 * size as f64);
+            self.power
+                .extend(self.spectrum[..=half].iter().enumerate().map(|(i, c)| {
+                    let mult = if i == 0 || i == half { 1.0 } else { 2.0 };
+                    mult * c.norm_sq() * scale
+                }));
+            a.fft_bins = half + 1;
+        }
+        let (f, p) = (&self.axis.freqs[..], &self.power[..]);
+
+        let (mut total, mut moment, mut tail, mut decrease) = (-0.0, -0.0, -0.0, -0.0);
+        let (mut max, mut peak, mut acc) = (f64::NEG_INFINITY, 0.0f64, 0.0);
+        let (mut argmax, mut turning) = (None::<(usize, f64)>, 0usize);
+        self.cum_power.clear();
+        for (i, (&fi, &pi)) in f.iter().zip(p).enumerate() {
+            total += pi;
+            moment += fi * pi;
+            max = max.max(pi);
+            peak = peak.max(pi);
+            match argmax {
+                Some((_, best)) if pi <= best => {}
+                _ => argmax = Some((i, pi)),
+            }
+            acc += pi;
+            self.cum_power.push(acc);
+            if i >= 1 {
+                tail += pi;
+                decrease += (pi - p[0]) / i as f64;
+            }
+            if i >= 2 {
+                turning += (p[i - 1] > p[i - 2] && p[i - 1] > pi) as usize;
+            }
+        }
+        let centroid = if total < 1e-24 { 0.0 } else { moment / total };
+
+        let (fm, pm) = (self.axis.mean, total / p.len() as f64);
+        let (mut spread_sum, mut entropy, mut slope_num) = (-0.0, -0.0, 0.0);
+        for (&fi, &pi) in f.iter().zip(p) {
+            spread_sum += (fi - centroid) * (fi - centroid) * pi;
+            if pi > 1e-24 {
+                let q = pi / total;
+                entropy += -q * q.ln();
+            }
+            slope_num += (fi - fm) * (pi - pm);
+        }
+        let spread = if total < 1e-24 {
+            0.0
+        } else {
+            (spread_sum / total).sqrt()
+        };
+
+        let (mut skew, mut kurt) = (-0.0, -0.0);
+        if !(spread < 1e-15 || total < 1e-24) {
+            for (&fi, &pi) in f.iter().zip(p) {
+                let z = (fi - centroid) / spread;
+                skew += z.powi(3) * pi;
+                kurt += z.powi(4) * pi;
+            }
+        }
+
+        a.sp_total = total;
+        a.sp_centroid = centroid;
+        a.sp_spread = spread;
+        a.sp_skew_sum = skew;
+        a.sp_kurt_sum = kurt;
+        a.sp_entropy = entropy;
+        a.sp_slope = if p.len() < 2 || self.axis.centered_sq < 1e-24 {
+            0.0
+        } else {
+            slope_num / self.axis.centered_sq
+        };
+        a.sp_max = max;
+        a.sp_argmax = argmax.map_or(0, |(i, _)| i);
+        a.sp_peak = peak;
+        a.sp_tail = tail;
+        a.sp_decrease_sum = decrease;
+        a.sp_turning = turning;
+    }
+}
+
+/// Pass 1, over the raw series, writing its first differences as it goes:
+/// every accumulator that needs no other aggregate, the differences' own
+/// included.
+fn raw_pass(x: &[f64], diffs: &mut Vec<f64>, a: &mut SeriesAggregates) {
+    diffs.clear();
+    let (mut sum, mut energy, mut weighted) = (-0.0, -0.0, -0.0);
+    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+    let (mut trapz, mut trapz_abs, mut tra, mut c3) = (-0.0, -0.0, -0.0, -0.0);
+    let (mut zero_crossings, mut pos, mut neg, mut peaks) = (0usize, 0usize, 0usize, 0usize);
+    let (mut d_sum, mut d_abs, mut d_sq) = (-0.0, -0.0, -0.0);
+    let (mut d_min, mut d_max) = (f64::INFINITY, f64::NEG_INFINITY);
+    let (mut neg_zero, mut d_neg_zero) = (false, false);
+    for (t, &v) in x.iter().enumerate() {
+        sum += v;
+        energy += v * v;
+        weighted += t as f64 * v * v;
+        min = min.min(v);
+        max = max.max(v);
+        neg_zero |= v.to_bits() == NEG_ZERO;
+        if t == 0 {
+            continue;
+        }
+        let w0 = x[t - 1];
+        let d = v - w0;
+        diffs.push(d);
+        zero_crossings += ((w0 >= 0.0) != (v >= 0.0)) as usize;
+        trapz += 0.5 * (w0 + v);
+        trapz_abs += 0.5 * (w0.abs() + v.abs());
+        d_sum += d;
+        d_abs += d.abs();
+        d_sq += d * d;
+        d_min = d_min.min(d);
+        d_max = d_max.max(d);
+        d_neg_zero |= d.to_bits() == NEG_ZERO;
+        if t == 1 {
+            continue;
+        }
+        // The window (w0, w1, w2) = x[t-2..=t]; `v` is w2.
+        let (w0, w1) = (x[t - 2], w0);
+        pos += (w1 > w0 && w1 > v) as usize;
+        neg += (w1 < w0 && w1 < v) as usize;
+        peaks += (w1 - w0 > 0.0 && w1 - v > 0.0) as usize;
+        tra += v * v * w1 - w1 * w0 * w0;
+        c3 += v * w1 * w0;
+    }
+    let n = x.len();
+    a.sum = sum;
+    a.mean = if n == 0 { 0.0 } else { sum / n as f64 };
+    a.energy = energy;
+    a.weighted_energy = weighted;
+    a.min = min;
+    a.max = max;
+    a.zero_crossings = zero_crossings;
+    a.pos_turning = pos;
+    a.neg_turning = neg;
+    a.peaks = peaks;
+    a.trapz = trapz;
+    a.trapz_abs = trapz_abs;
+    a.tra_sum = tra;
+    a.c3_sum = c3;
+    a.d_mean = if diffs.is_empty() {
+        0.0
+    } else {
+        d_sum / diffs.len() as f64
+    };
+    a.d_abs_sum = d_abs;
+    a.d_sq_sum = d_sq;
+    a.d_min = d_min;
+    a.d_max = d_max;
+    a.x_unordered = sum.is_nan() || neg_zero;
+    a.d_unordered = d_sum.is_nan() || d_neg_zero;
+}
+
+/// Pass 2, over the series centred on its mean with its extrema known,
+/// then — once the std is — the scaled moments.
+fn centred_pass(x: &[f64], a: &mut SeriesAggregates) {
+    let (m, n) = (a.mean, x.len());
+    let tm = (n as f64 - 1.0) / 2.0;
+    let mut hist = Hist::over(n, a.min, a.max);
+    let (mut csq, mut abs_dev) = (-0.0, -0.0);
+    let (mut above, mut below, mut crossings) = (0usize, 0usize, 0usize);
+    let (mut run_above, mut run_below, mut best_above, mut best_below) = (0, 0, 0, 0);
+    let (mut num, mut den) = (0.0, 0.0);
+    let (mut first_max, mut last_max, mut first_min, mut last_min) = (None, None, None, None);
+    let mut prev_nonneg = false;
+    for (t, &v) in x.iter().enumerate() {
+        let c = v - m;
+        csq += c * c;
+        abs_dev += c.abs();
+        above += (v > m) as usize;
+        below += (v < m) as usize;
+        run_above = if v > m { run_above + 1 } else { 0 };
+        run_below = if v < m { run_below + 1 } else { 0 };
+        best_above = best_above.max(run_above);
+        best_below = best_below.max(run_below);
+        let nonneg = c >= 0.0;
+        crossings += (t > 0 && nonneg != prev_nonneg) as usize;
+        prev_nonneg = nonneg;
+        let dt = t as f64 - tm;
+        num += dt * c;
+        den += dt * dt;
+        if v == a.max {
+            first_max.get_or_insert(t);
+            last_max = Some(t);
+        }
+        if v == a.min {
+            first_min.get_or_insert(t);
+            last_min = Some(t);
+        }
+        hist.add(v);
+    }
+    a.centered_sq = csq;
+    a.std = if n == 0 { 0.0 } else { (csq / n as f64).sqrt() };
+    a.abs_dev_sum = abs_dev;
+    a.above = above;
+    a.below = below;
+    a.mean_crossings = crossings;
+    a.strike_above = best_above;
+    a.strike_below = best_below;
+    a.slope_num = num;
+    a.slope_den = den;
+    (a.first_max, a.last_max, a.first_min, a.last_min) = (first_max, last_max, first_min, last_min);
+    a.hist = hist;
+
+    let s = a.std;
+    let (mut skew, mut kurt) = (-0.0, -0.0);
+    if !(s < 1e-15 || n == 0) {
+        for &v in x {
+            let z = (v - m) / s;
+            skew += z.powi(3);
+            kurt += z.powi(4);
+        }
+    }
+    a.skew_sum = skew;
+    a.kurt_sum = kurt;
+}
+
+/// Pass 3, over the differences centred on their mean, with their
+/// extrema known.
+fn diff_pass(d: &[f64], a: &mut SeriesAggregates) {
+    let dm = a.d_mean;
+    let mut hist = Hist::over(d.len(), a.d_min, a.d_max);
+    let mut csq = -0.0;
+    for &v in d {
+        csq += (v - dm) * (v - dm);
+        hist.add(v);
+    }
+    a.d_std = if d.is_empty() {
+        0.0
+    } else {
+        (csq / d.len() as f64).sqrt()
+    };
+    a.d_hist = hist;
+}
+
+/// `stats::quantile_sorted(v, 0.5)` of `v` sorted by [`order`] — the
+/// median each robust primitive takes — leaving `v` reordered. With
+/// `select` it is found by selection: the element at the lower middle
+/// rank and, for even lengths, the least element above it. The caller
+/// passes `select` only when `v` holds no NaN (so the comparator is a
+/// total order) and no `-0.0` (so equal elements carry equal bits); then
+/// both order statistics have the sort's bits. Otherwise `v` takes the
+/// stable sort itself.
+fn median_of(v: &mut [f64], select: bool) -> f64 {
+    if v.is_empty() {
+        return 0.0;
+    }
+    if !select {
+        v.sort_by(order);
+        return stats::quantile_sorted(v, 0.5);
+    }
+    let pos = 0.5 * (v.len() - 1) as f64;
+    let (lo, hi) = ((v.len() - 1) / 2, v.len() / 2);
+    let (_, &mut low, above) = v.select_nth_unstable_by(lo, order);
+    if lo == hi {
+        return low;
+    }
+    let high = above.iter().copied().fold(f64::INFINITY, f64::min);
+    let t = pos - lo as f64;
+    low * (1.0 - t) + high * t
+}
+
+/// `stats::quantile_sorted(·, 0.5)` of the deviations `|v − med|` of
+/// ascending, NaN-free `sorted` from a finite `med` — [`stats::mad`]'s
+/// median — without sorting them. Along `sorted` the deviations fall and
+/// then rise (and hold no NaN and no `-0.0`), so they are two ascending
+/// runs that meet where `v − med` turns non-negative; walking outward from
+/// there, always to the smaller head, yields them in ascending order.
+fn median_deviation(sorted: &[f64], med: f64) -> f64 {
+    let n = sorted.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let dev = |i: usize| (sorted[i] - med).abs();
+    let mut right = sorted.partition_point(|&v| v - med < 0.0);
+    let mut left = right;
+    let mut next = || {
+        if left > 0 && (right == n || dev(left - 1) <= dev(right)) {
+            left -= 1;
+            dev(left)
+        } else {
+            right += 1;
+            dev(right - 1)
+        }
+    };
+    let pos = 0.5 * (n - 1) as f64;
+    let (lo, hi) = ((n - 1) / 2, n / 2);
+    for _ in 0..lo {
+        next();
+    }
+    let low = next();
+    if lo == hi {
+        return low;
+    }
+    let t = pos - lo as f64;
+    low * (1.0 - t) + next() * t
 }
 
 thread_local! {
@@ -378,17 +755,16 @@ thread_local! {
         std::cell::RefCell::new(FeatureScratch::new());
 }
 
-/// Pre-computed per-series context shared by all feature evaluations, so a
-/// 134-feature pass sorts/differences/transforms the series only once and
-/// shares the scalar aggregates every kind would otherwise re-derive.
-/// All views borrow from a [`FeatureScratch`].
+/// One series' views and aggregates, borrowed from a [`FeatureScratch`]:
+/// what every kind of the catalog reads.
 struct SeriesContext<'a> {
     x: &'a [f64],
     sorted: &'a [f64],
-    diffs: &'a [f64],
     freqs: &'a [f64],
     power: &'a [f64],
-    mags: &'a [f64],
+    cum_power: &'a [f64],
+    /// The transform's one-sided bins (empty below two samples).
+    spectrum: &'a [fft::Complex],
     wavelet: &'a [f64],
     agg: SeriesAggregates,
 }
@@ -396,159 +772,138 @@ struct SeriesContext<'a> {
 impl SeriesContext<'_> {
     fn eval(&self, kind: FeatureKind) -> f64 {
         use FeatureKind::*;
-        let x = self.x;
         let a = &self.agg;
+        let n = a.n as f64;
+        let nd = a.n.saturating_sub(1);
+        // The rates of `zero/mean_crossing_rate` and the relative
+        // locations share these denominators.
+        let per_window = |count: usize| {
+            if a.n < 2 {
+                0.0
+            } else {
+                count as f64 / nd as f64
+            }
+        };
+        let location = |t: Option<usize>| t.map_or(0.0, |t| t as f64 / n);
         let v = match kind {
             Mean => a.mean,
             Median => stats::quantile_sorted(self.sorted, 0.5),
             Std => a.std,
-            Variance => a.variance,
-            Min => {
-                if x.is_empty() {
+            Variance => {
+                if a.n == 0 {
                     0.0
                 } else {
-                    self.sorted[0]
+                    a.centered_sq / n
                 }
             }
-            Max => {
-                if x.is_empty() {
-                    0.0
-                } else {
-                    self.sorted[self.sorted.len() - 1]
-                }
-            }
-            PeakToPeak => {
-                if x.is_empty() {
-                    0.0
-                } else {
-                    self.sorted[self.sorted.len() - 1] - self.sorted[0]
-                }
-            }
+            Min | Max | PeakToPeak if a.n == 0 => 0.0,
+            Min => self.sorted[0],
+            Max => self.sorted[a.n - 1],
+            PeakToPeak => self.sorted[a.n - 1] - self.sorted[0],
             Rms => {
-                if x.is_empty() {
+                if a.n == 0 {
                     0.0
                 } else {
-                    (a.abs_energy / x.len() as f64).sqrt()
+                    (a.energy / n).sqrt()
                 }
             }
-            Skewness => stats::skewness_with(x, a.mean, a.std),
-            Kurtosis => stats::kurtosis_with(x, a.mean, a.std),
+            Skewness | Kurtosis if a.std < 1e-15 || a.n == 0 => 0.0,
+            Skewness => a.skew_sum / n,
+            Kurtosis => a.kurt_sum / n - 3.0,
             Iqr => {
                 stats::quantile_sorted(self.sorted, 0.75)
                     - stats::quantile_sorted(self.sorted, 0.25)
             }
             Mad => a.mad,
-            MeanAbsDeviation => statistical::mean_abs_deviation_with(x, a.mean),
-            AbsEnergy => a.abs_energy,
+            MeanAbsDeviation => {
+                if a.n == 0 {
+                    0.0
+                } else {
+                    a.abs_dev_sum / n
+                }
+            }
+            AbsEnergy => a.energy,
             Sum => a.sum,
             CoefVariation => statistical::coefficient_of_variation_with(a.mean, a.std),
             Quantile(p) => stats::quantile_sorted(self.sorted, p as f64 / 100.0),
-            HistEntropy => {
-                if a.hist_valid {
-                    stats::histogram_entropy_from_counts(&a.hist, x.len())
-                } else {
-                    stats::histogram_entropy(x, HIST_BINS)
-                }
+            // Where the counts are unusable the two entropies' primitive
+            // returns 0 as well.
+            HistEntropy if a.hist.valid => {
+                stats::histogram_entropy_from_counts(&a.hist.counts, a.n)
             }
-            CountAboveMean => statistical::count_above_mean_with(x, a.mean),
-            CountBelowMean => statistical::count_below_mean_with(x, a.mean),
-            ArgmaxRel | FirstLocMax => temporal::relative_location_of(x, a.fold_max, true),
-            ArgminRel | FirstLocMin => temporal::relative_location_of(x, a.fold_min, true),
-            LastLocMax => temporal::relative_location_of(x, a.fold_max, false),
-            LastLocMin => temporal::relative_location_of(x, a.fold_min, false),
-            TrimmedMean => stats::trimmed_mean_std_sorted(self.sorted, 0.05).0,
-            HistBin(i) => {
-                if a.hist_valid {
-                    statistical::hist_bin_fraction_from_counts(&a.hist, i as usize, x.len())
-                } else {
-                    statistical::hist_bin_fraction(x, i as usize, HIST_BINS)
-                }
+            HistEntropy => 0.0,
+            CountAboveMean | CountBelowMean if a.n == 0 => 0.0,
+            CountAboveMean => a.above as f64 / n,
+            CountBelowMean => a.below as f64 / n,
+            ArgmaxRel | FirstLocMax => location(a.first_max),
+            ArgminRel | FirstLocMin => location(a.first_min),
+            LastLocMax => location(a.last_max),
+            LastLocMin => location(a.last_min),
+            TrimmedMean => stats::mean(stats::trimmed_sorted(self.sorted, 0.05)),
+            HistBin(i) if a.hist.valid => {
+                statistical::hist_bin_fraction_from_counts(&a.hist.counts, i as usize, a.n)
             }
-            MeanAbsDiff => {
-                if x.len() < 2 {
-                    0.0
-                } else {
-                    a.abs_diff_sum / (x.len() - 1) as f64
-                }
-            }
+            HistBin(i) => statistical::hist_bin_fraction(self.x, i as usize, HIST_BINS),
+            MeanAbsDiff if a.n < 2 => 0.0,
+            MeanAbsDiff => a.d_abs_sum / nd as f64,
             MedianAbsDiff => a.median_abs_diff,
             MeanDiff => a.d_mean,
             MedianDiff => a.median_diff,
-            SumAbsDiff => a.abs_diff_sum,
-            MaxDiff => {
-                if self.diffs.is_empty() {
-                    0.0
-                } else {
-                    a.d_fold_max
-                }
-            }
-            MinDiff => {
-                if self.diffs.is_empty() {
-                    0.0
-                } else {
-                    a.d_fold_min
-                }
-            }
+            SumAbsDiff => a.d_abs_sum,
+            MaxDiff | MinDiff if a.n < 2 => 0.0,
+            MaxDiff => a.d_max,
+            MinDiff => a.d_min,
             StdDiff => a.d_std,
-            Slope => stats::slope_with(x, a.mean),
-            ZeroCrossRate => temporal::zero_crossing_rate(x),
-            MeanCrossRate => temporal::mean_crossing_rate_with(x, a.mean),
-            PosTurning => temporal::positive_turning_points(x),
-            NegTurning => temporal::negative_turning_points(x),
-            PeakCount => temporal::peak_count(x, 0.0),
-            TrapzArea => temporal::trapz(x),
-            AbsTrapzArea => temporal::trapz_abs(x),
-            TemporalCentroid => temporal::temporal_centroid_with(x, a.abs_energy),
-            TotalEnergy => a.abs_energy / x.len().max(1) as f64,
-            EntropyDiff => {
-                if a.d_hist_valid {
-                    stats::histogram_entropy_from_counts(&a.d_hist, self.diffs.len())
-                } else {
-                    stats::histogram_entropy(self.diffs, HIST_BINS)
-                }
+            Slope if a.n < 2 || a.slope_den < 1e-24 => 0.0,
+            Slope => a.slope_num / a.slope_den,
+            ZeroCrossRate => per_window(a.zero_crossings),
+            MeanCrossRate => per_window(a.mean_crossings),
+            PosTurning => a.pos_turning as f64,
+            NegTurning => a.neg_turning as f64,
+            PeakCount => a.peaks as f64,
+            TrapzArea | AbsTrapzArea if a.n < 2 => 0.0,
+            TrapzArea => a.trapz,
+            AbsTrapzArea => a.trapz_abs,
+            TemporalCentroid if a.n < 2 || a.energy < 1e-24 => 0.5,
+            TemporalCentroid => a.weighted_energy / (a.energy * nd as f64),
+            TotalEnergy => a.energy / a.n.max(1) as f64,
+            EntropyDiff if a.d_hist.valid => {
+                stats::histogram_entropy_from_counts(&a.d_hist.counts, nd)
             }
-            LongestStrikeAbove => temporal::longest_strike_above_mean_with(x, a.mean),
-            LongestStrikeBelow => temporal::longest_strike_below_mean_with(x, a.mean),
-            TimeReversalAsym => temporal::time_reversal_asymmetry(x, 1),
-            C3 => temporal::c3(x, 1),
-            CidCe => temporal::cid_ce_from_diffs(self.diffs),
-            RatioBeyondSigma(r) => temporal::ratio_beyond_r_sigma_with(x, r as f64, a.mean, a.std),
-            AutoCorr(l) => stats::autocorrelation_with(x, l as usize, a.mean, a.centered_sq),
-            EnergyChunk(i) => temporal::energy_ratio_chunk_with(x, i as usize, 8, a.abs_energy),
-            MaxPower => stats::max(self.power).max(0.0),
-            FreqAtMaxPower => vecops::argmax(self.power)
-                .map(|i| self.freqs[i])
-                .unwrap_or(0.0),
+            EntropyDiff => 0.0,
+            LongestStrikeAbove | LongestStrikeBelow if a.n == 0 => 0.0,
+            LongestStrikeAbove => a.strike_above as f64 / n,
+            LongestStrikeBelow => a.strike_below as f64 / n,
+            TimeReversalAsym | C3 if a.n <= 2 => 0.0,
+            TimeReversalAsym => a.tra_sum / (a.n - 2) as f64,
+            C3 => a.c3_sum / (a.n - 2) as f64,
+            CidCe => a.d_sq_sum.sqrt(),
+            RatioBeyondSigma(r) => {
+                temporal::ratio_beyond_r_sigma_with(self.x, r as f64, a.mean, a.std)
+            }
+            AutoCorr(l) => stats::autocorrelation_with(self.x, l as usize, a.mean, a.centered_sq),
+            EnergyChunk(i) => temporal::energy_ratio_chunk_with(self.x, i as usize, 8, a.energy),
+            MaxPower => a.sp_max.max(0.0),
+            FreqAtMaxPower => self.freqs[a.sp_argmax],
             SpectralCentroid => a.sp_centroid,
             SpectralSpread => a.sp_spread,
-            SpectralSkewness => spectral::skewness_with(
-                self.freqs,
-                self.power,
-                a.sp_centroid,
-                a.sp_spread,
-                a.sp_total,
-            ),
-            SpectralKurtosis => spectral::kurtosis_with(
-                self.freqs,
-                self.power,
-                a.sp_centroid,
-                a.sp_spread,
-                a.sp_total,
-            ),
-            SpectralEntropy => spectral::entropy_with(self.power, a.sp_total),
-            SpectralSlope => spectral::slope(self.freqs, self.power),
-            SpectralDecrease => spectral::decrease(self.power),
-            SpectralRolloff(p) => {
-                spectral::rolloff_with(self.freqs, self.power, p as f64 / 100.0, a.sp_total)
+            SpectralSkewness | SpectralKurtosis if a.sp_spread < 1e-15 || a.sp_total < 1e-24 => 0.0,
+            SpectralSkewness => a.sp_skew_sum / a.sp_total,
+            SpectralKurtosis => a.sp_kurt_sum / a.sp_total,
+            SpectralEntropy if a.sp_total < 1e-24 => 0.0,
+            SpectralEntropy => a.sp_entropy,
+            SpectralSlope => a.sp_slope,
+            SpectralDecrease if self.power.len() < 2 || a.sp_tail < 1e-24 => 0.0,
+            SpectralDecrease => a.sp_decrease_sum / a.sp_tail,
+            SpectralRolloff(p) => self.rolloff(p as f64 / 100.0),
+            MedianFrequency => self.rolloff(0.5),
+            FundamentalFrequency => {
+                spectral::fundamental_frequency_with(self.freqs, self.power, a.sp_peak)
             }
-            MedianFrequency => spectral::rolloff_with(self.freqs, self.power, 0.5, a.sp_total),
-            FundamentalFrequency => spectral::fundamental_frequency(self.freqs, self.power),
-            PowerBandwidth => (spectral::rolloff_with(self.freqs, self.power, 0.975, a.sp_total)
-                - spectral::rolloff_with(self.freqs, self.power, 0.025, a.sp_total))
-            .max(0.0),
-            SpectralPosTurning => spectral::positive_turning_points(self.power),
+            PowerBandwidth => (self.rolloff(0.975) - self.rolloff(0.025)).max(0.0),
+            SpectralPosTurning => a.sp_turning as f64,
             BandEnergy(i) => spectral::band_energy_with(self.power, i as usize, 10, a.sp_total),
-            FftCoeff(i) => self.mags.get(i as usize).copied().unwrap_or(0.0),
+            FftCoeff(i) => self.spectrum.get(i as usize).map_or(0.0, |c| c.abs()),
             WaveletEnergy(l) => self.wavelet.get(l as usize).copied().unwrap_or(0.0),
             // One decomposition serves both wavelet families: the entropy
             // is derived from the energies already in the context.
@@ -559,6 +914,10 @@ impl SeriesContext<'_> {
         } else {
             0.0
         }
+    }
+
+    fn rolloff(&self, fraction: f64) -> f64 {
+        spectral::rolloff_cumulative(self.freqs, self.cum_power, fraction, self.agg.sp_total)
     }
 }
 
@@ -816,6 +1175,7 @@ impl Default for FeatureCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ns_linalg::vecops;
 
     #[test]
     fn standard_catalog_has_134_features() {

@@ -1,14 +1,12 @@
-//! Iterative radix-2 Cooley–Tukey FFT and Welch power spectral density.
+//! Iterative radix-2 Cooley–Tukey FFT and one-sided power spectra.
 //!
 //! The spectral half of the feature catalog needs a power spectrum; TSFEL
 //! gets one from scipy, we build our own. Inputs of non-power-of-two length
 //! are zero-padded to the next power of two, which is the standard choice
 //! for feature extraction (it changes resolution, not the spectral shape).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::f64::consts::PI;
-use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// A complex number as a bare `(re, im)` pair — all we need for the FFT.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -87,24 +85,14 @@ fn forward_twiddles(n: usize) -> Vec<Complex> {
     t
 }
 
-thread_local! {
-    /// Per-thread twiddle tables keyed by FFT size. The feature extractor
-    /// hits a handful of sizes (one per distinct segment length), so the
-    /// map stays tiny while every repeat transform skips the per-butterfly
-    /// `sin`/`cos` recurrence bookkeeping.
-    static TWIDDLES: RefCell<HashMap<usize, Rc<Vec<Complex>>>> = RefCell::new(HashMap::new());
-}
+/// Forward twiddle tables, one slot per power-of-two size (slot `log2 n`),
+/// each built once per process on first use and then read without a lock.
+static TWIDDLES: [OnceLock<Vec<Complex>>; usize::BITS as usize] =
+    [const { OnceLock::new() }; usize::BITS as usize];
 
-/// Fetch (building on first use) the cached forward twiddle table for
-/// size `n`.
-fn cached_twiddles(n: usize) -> Rc<Vec<Complex>> {
-    TWIDDLES.with(|cell| {
-        Rc::clone(
-            cell.borrow_mut()
-                .entry(n)
-                .or_insert_with(|| Rc::new(forward_twiddles(n))),
-        )
-    })
+/// The forward twiddle table for power-of-two size `n`.
+fn twiddles(n: usize) -> &'static [Complex] {
+    TWIDDLES[n.trailing_zeros() as usize].get_or_init(|| forward_twiddles(n))
 }
 
 /// Bit-reversal permutation shared by all transform variants.
@@ -126,7 +114,7 @@ fn bit_reverse(buf: &mut [Complex]) {
 
 /// In-place iterative radix-2 FFT. `buf.len()` must be a power of two.
 /// `inverse` selects the inverse transform (including the 1/n scaling).
-/// Forward transforms use the per-thread twiddle cache.
+/// Forward transforms read the process-wide twiddle tables.
 pub fn fft_in_place(buf: &mut [Complex], inverse: bool) {
     let n = buf.len();
     assert!(
@@ -137,21 +125,20 @@ pub fn fft_in_place(buf: &mut [Complex], inverse: bool) {
         return;
     }
     if !inverse {
-        let table = cached_twiddles(n);
+        let table = twiddles(n);
         bit_reverse(buf);
         let mut off = 0usize;
         let mut len = 2;
         while len <= n {
             let stage = &table[off..off + len / 2];
-            let mut i = 0;
-            while i < n {
-                for (k, &w) in stage.iter().enumerate() {
-                    let u = buf[i + k];
-                    let v = buf[i + k + len / 2].mul(w);
-                    buf[i + k] = u.add(v);
-                    buf[i + k + len / 2] = u.sub(v);
+            for block in buf.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(len / 2);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                    let u = *a;
+                    let v = b.mul(w);
+                    *a = u.add(v);
+                    *b = u.sub(v);
                 }
-                i += len;
             }
             off += len / 2;
             len <<= 1;
@@ -205,34 +192,6 @@ pub fn rfft(x: &[f64]) -> Vec<Complex> {
     buf
 }
 
-/// One FFT, every spectral view: fills `freqs`/`power` (one-sided power
-/// spectrum, as [`power_spectrum`]) and `mags` (one-sided magnitude
-/// spectrum, as [`magnitude_spectrum`]) from a single transform of `x`
-/// held in `buf`. Bit-identical to calling the two standalone functions —
-/// they each run the same deterministic FFT on the same input.
-pub fn spectra_into(
-    x: &[f64],
-    sample_rate: f64,
-    buf: &mut Vec<Complex>,
-    freqs: &mut Vec<f64>,
-    power: &mut Vec<f64>,
-    mags: &mut Vec<f64>,
-) {
-    rfft_into(x, buf);
-    let n = buf.len();
-    let half = n / 2;
-    let scale = 1.0 / (n as f64 * n as f64);
-    freqs.clear();
-    power.clear();
-    mags.clear();
-    for (i, c) in buf[..=half].iter().enumerate() {
-        freqs.push(i as f64 * sample_rate / n as f64);
-        let mult = if i == 0 || i == half { 1.0 } else { 2.0 };
-        power.push(mult * c.norm_sq() * scale);
-        mags.push(c.abs());
-    }
-}
-
 /// One-sided magnitude spectrum (bins `0..=n/2`) of a real signal.
 pub fn magnitude_spectrum(x: &[f64]) -> Vec<f64> {
     let spec = rfft(x);
@@ -258,80 +217,6 @@ pub fn power_spectrum(x: &[f64], sample_rate: f64) -> (Vec<f64>, Vec<f64>) {
         power.push(mult * c.norm_sq() * scale);
     }
     (freqs, power)
-}
-
-thread_local! {
-    /// Per-thread Hann windows keyed by segment length.
-    static HANN: RefCell<HashMap<usize, Rc<Vec<f64>>>> = RefCell::new(HashMap::new());
-}
-
-/// Fetch (building on first use) the cached Hann window of length
-/// `seg_len`: `w[i] = 0.5 − 0.5·cos(2πi / seg_len)`.
-fn cached_hann(seg_len: usize) -> Rc<Vec<f64>> {
-    HANN.with(|cell| {
-        Rc::clone(cell.borrow_mut().entry(seg_len).or_insert_with(|| {
-            Rc::new(
-                (0..seg_len)
-                    .map(|i| 0.5 - 0.5 * (2.0 * PI * i as f64 / seg_len as f64).cos())
-                    .collect(),
-            )
-        }))
-    })
-}
-
-/// Welch PSD estimate: Hann-windowed overlapping segments, averaged.
-///
-/// `nperseg` is clamped to the signal length; 50% overlap. Returns
-/// `(freqs, psd)`. Degenerate inputs produce a single zero bin.
-pub fn welch_psd(x: &[f64], sample_rate: f64, nperseg: usize) -> (Vec<f64>, Vec<f64>) {
-    if x.is_empty() {
-        return (vec![0.0], vec![0.0]);
-    }
-    let seg_len = nperseg.clamp(2, x.len().max(2)).min(x.len().max(2));
-    let step = (seg_len / 2).max(1);
-    let nfft = next_pow2(seg_len);
-    let half = nfft / 2;
-
-    // Hann window (cached per thread by segment length) and its power
-    // normalisation.
-    let window = cached_hann(seg_len);
-    let win_power: f64 = window.iter().map(|w| w * w).sum();
-
-    let mut acc = vec![0.0f64; half + 1];
-    let mut buf: Vec<Complex> = Vec::with_capacity(nfft);
-    let mut count = 0usize;
-    let mut start = 0usize;
-    while start + seg_len <= x.len() {
-        buf.clear();
-        buf.extend((0..seg_len).map(|i| Complex::new(x[start + i] * window[i], 0.0)));
-        buf.resize(nfft, Complex::zero());
-        fft_in_place(&mut buf, false);
-        for (i, slot) in acc.iter_mut().enumerate() {
-            let mult = if i == 0 || i == half { 1.0 } else { 2.0 };
-            *slot += mult * buf[i].norm_sq() / (sample_rate * win_power);
-        }
-        count += 1;
-        if start + seg_len == x.len() {
-            break;
-        }
-        start += step;
-    }
-    if count == 0 {
-        // Signal shorter than one segment: single padded segment.
-        buf.clear();
-        buf.extend(x.iter().map(|&v| Complex::new(v, 0.0)));
-        buf.resize(nfft, Complex::zero());
-        fft_in_place(&mut buf, false);
-        for (i, slot) in acc.iter_mut().enumerate() {
-            *slot += buf[i].norm_sq() / (sample_rate * seg_len as f64);
-        }
-        count = 1;
-    }
-    let freqs: Vec<f64> = (0..=half)
-        .map(|i| i as f64 * sample_rate / nfft as f64)
-        .collect();
-    let psd: Vec<f64> = acc.into_iter().map(|v| v / count as f64).collect();
-    (freqs, psd)
 }
 
 #[cfg(test)]
@@ -410,31 +295,6 @@ mod tests {
             .0;
         // True frequency is 0.1; padded resolution is 1/128.
         assert!((freqs[peak] - 0.1).abs() < 1.5 / 128.0);
-    }
-
-    #[test]
-    fn welch_psd_localizes_tone() {
-        let n = 512;
-        let f0 = 0.125;
-        let x: Vec<f64> = (0..n).map(|i| (2.0 * PI * f0 * i as f64).sin()).collect();
-        let (freqs, psd) = welch_psd(&x, 1.0, 128);
-        let peak = psd
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert!((freqs[peak] - f0).abs() < 0.02, "peak at {}", freqs[peak]);
-    }
-
-    #[test]
-    fn welch_handles_short_signals() {
-        let (f, p) = welch_psd(&[1.0, 2.0, 3.0], 1.0, 256);
-        assert_eq!(f.len(), p.len());
-        assert!(p.iter().all(|v| v.is_finite()));
-        let (f2, p2) = welch_psd(&[], 1.0, 64);
-        assert_eq!(f2.len(), 1);
-        assert_eq!(p2[0], 0.0);
     }
 
     #[test]

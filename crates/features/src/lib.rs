@@ -6,7 +6,7 @@
 //! spectral domains (via the TSFEL library in the original). This crate is
 //! that substrate, rebuilt from scratch:
 //!
-//! * [`fft`] — iterative radix-2 FFT, one-sided power spectra and Welch PSD,
+//! * [`fft`] — iterative radix-2 FFT and one-sided power spectra,
 //! * [`dwt`] — Haar wavelet decomposition and wavelet energies,
 //! * [`statistical`] / [`temporal`] / [`spectral`] — the individual feature
 //!   primitives,

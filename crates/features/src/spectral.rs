@@ -3,11 +3,7 @@
 
 /// Spectral centroid: power-weighted mean frequency (0 for empty spectra).
 pub fn centroid(freqs: &[f64], power: &[f64]) -> f64 {
-    centroid_with(freqs, power, power.iter().sum())
-}
-
-/// [`centroid`] with the total power precomputed (bit-identical).
-pub fn centroid_with(freqs: &[f64], power: &[f64], total: f64) -> f64 {
+    let total: f64 = power.iter().sum();
     if total < 1e-24 {
         return 0.0;
     }
@@ -20,15 +16,7 @@ pub fn spread(freqs: &[f64], power: &[f64]) -> f64 {
     if total < 1e-24 {
         return 0.0;
     }
-    spread_with(freqs, power, centroid(freqs, power), total)
-}
-
-/// [`spread`] with the centroid and total power precomputed
-/// (bit-identical).
-pub fn spread_with(freqs: &[f64], power: &[f64], c: f64, total: f64) -> f64 {
-    if total < 1e-24 {
-        return 0.0;
-    }
+    let c = centroid(freqs, power);
     (freqs
         .iter()
         .zip(power)
@@ -45,15 +33,7 @@ pub fn skewness(freqs: &[f64], power: &[f64]) -> f64 {
     if s < 1e-15 || total < 1e-24 {
         return 0.0;
     }
-    skewness_with(freqs, power, centroid(freqs, power), s, total)
-}
-
-/// [`skewness`] with the centroid, spread and total power precomputed
-/// (bit-identical).
-pub fn skewness_with(freqs: &[f64], power: &[f64], c: f64, s: f64, total: f64) -> f64 {
-    if s < 1e-15 || total < 1e-24 {
-        return 0.0;
-    }
+    let c = centroid(freqs, power);
     freqs
         .iter()
         .zip(power)
@@ -69,15 +49,7 @@ pub fn kurtosis(freqs: &[f64], power: &[f64]) -> f64 {
     if s < 1e-15 || total < 1e-24 {
         return 0.0;
     }
-    kurtosis_with(freqs, power, centroid(freqs, power), s, total)
-}
-
-/// [`kurtosis`] with the centroid, spread and total power precomputed
-/// (bit-identical).
-pub fn kurtosis_with(freqs: &[f64], power: &[f64], c: f64, s: f64, total: f64) -> f64 {
-    if s < 1e-15 || total < 1e-24 {
-        return 0.0;
-    }
+    let c = centroid(freqs, power);
     freqs
         .iter()
         .zip(power)
@@ -88,11 +60,7 @@ pub fn kurtosis_with(freqs: &[f64], power: &[f64], c: f64, s: f64, total: f64) -
 
 /// Shannon entropy of the normalised power distribution.
 pub fn entropy(power: &[f64]) -> f64 {
-    entropy_with(power, power.iter().sum())
-}
-
-/// [`entropy`] with the total power precomputed (bit-identical).
-pub fn entropy_with(power: &[f64], total: f64) -> f64 {
+    let total: f64 = power.iter().sum();
     if total < 1e-24 {
         return 0.0;
     }
@@ -147,11 +115,7 @@ pub fn decrease(power: &[f64]) -> f64 {
 
 /// Frequency below which `fraction` of total power lies.
 pub fn rolloff(freqs: &[f64], power: &[f64], fraction: f64) -> f64 {
-    rolloff_with(freqs, power, fraction, power.iter().sum())
-}
-
-/// [`rolloff`] with the total power precomputed (bit-identical).
-pub fn rolloff_with(freqs: &[f64], power: &[f64], fraction: f64, total: f64) -> f64 {
+    let total: f64 = power.iter().sum();
     if total < 1e-24 || freqs.is_empty() {
         return 0.0;
     }
@@ -166,6 +130,21 @@ pub fn rolloff_with(freqs: &[f64], power: &[f64], fraction: f64, total: f64) -> 
     *freqs.last().unwrap()
 }
 
+/// [`rolloff`] over the running sums `cumulative[i] = p[0] + … + p[i]`,
+/// accumulated from `+0.0` in bin order as [`rolloff`] accumulates them,
+/// and the total power `Σp` (bit-identical): several fractions share one
+/// accumulation.
+pub fn rolloff_cumulative(freqs: &[f64], cumulative: &[f64], fraction: f64, total: f64) -> f64 {
+    if total < 1e-24 || freqs.is_empty() {
+        return 0.0;
+    }
+    let target = total * fraction.clamp(0.0, 1.0);
+    cumulative
+        .iter()
+        .position(|&acc| acc >= target)
+        .map_or(*freqs.last().unwrap(), |i| freqs[i])
+}
+
 /// Median frequency: 50% power rolloff.
 pub fn median_frequency(freqs: &[f64], power: &[f64]) -> f64 {
     rolloff(freqs, power, 0.5)
@@ -175,11 +154,13 @@ pub fn median_frequency(freqs: &[f64], power: &[f64]) -> f64 {
 /// that reaches at least 10% of the global maximum; falls back to the
 /// global argmax frequency.
 pub fn fundamental_frequency(freqs: &[f64], power: &[f64]) -> f64 {
-    if power.len() < 3 {
-        return 0.0;
-    }
-    let max_p = power.iter().cloned().fold(0.0_f64, f64::max);
-    if max_p < 1e-24 {
+    fundamental_frequency_with(freqs, power, power.iter().cloned().fold(0.0_f64, f64::max))
+}
+
+/// [`fundamental_frequency`] with the global maximum `max_p` — the fold of
+/// `power` from `0.0` with `f64::max` — precomputed (bit-identical).
+pub fn fundamental_frequency_with(freqs: &[f64], power: &[f64], max_p: f64) -> f64 {
+    if power.len() < 3 || max_p < 1e-24 {
         return 0.0;
     }
     for k in 1..power.len() - 1 {

@@ -5,40 +5,28 @@ use ns_linalg::stats;
 
 /// Fraction of samples strictly above the mean.
 pub fn count_above_mean(x: &[f64]) -> f64 {
-    count_above_mean_with(x, stats::mean(x))
-}
-
-/// [`count_above_mean`] with the mean precomputed (bit-identical).
-pub fn count_above_mean_with(x: &[f64], m: f64) -> f64 {
     if x.is_empty() {
         return 0.0;
     }
+    let m = stats::mean(x);
     x.iter().filter(|&&v| v > m).count() as f64 / x.len() as f64
 }
 
 /// Fraction of samples strictly below the mean.
 pub fn count_below_mean(x: &[f64]) -> f64 {
-    count_below_mean_with(x, stats::mean(x))
-}
-
-/// [`count_below_mean`] with the mean precomputed (bit-identical).
-pub fn count_below_mean_with(x: &[f64], m: f64) -> f64 {
     if x.is_empty() {
         return 0.0;
     }
+    let m = stats::mean(x);
     x.iter().filter(|&&v| v < m).count() as f64 / x.len() as f64
 }
 
 /// Mean absolute deviation from the mean.
 pub fn mean_abs_deviation(x: &[f64]) -> f64 {
-    mean_abs_deviation_with(x, stats::mean(x))
-}
-
-/// [`mean_abs_deviation`] with the mean precomputed (bit-identical).
-pub fn mean_abs_deviation_with(x: &[f64], m: f64) -> f64 {
     if x.is_empty() {
         return 0.0;
     }
+    let m = stats::mean(x);
     x.iter().map(|v| (v - m).abs()).sum::<f64>() / x.len() as f64
 }
 

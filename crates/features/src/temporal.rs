@@ -32,18 +32,13 @@ pub fn zero_crossing_rate(x: &[f64]) -> f64 {
     crossings as f64 / (x.len() - 1) as f64
 }
 
-/// Rate of crossings of the series mean.
+/// Rate of crossings of the series mean: windows whose two samples fall
+/// on different sides of it (`x[t] − m ≥ 0` or not).
 pub fn mean_crossing_rate(x: &[f64]) -> f64 {
-    mean_crossing_rate_with(x, stats::mean(x))
-}
-
-/// [`mean_crossing_rate`] with the mean precomputed and no shifted copy:
-/// each window tests `(x[t] − m) ≥ 0`, the exact values the materialised
-/// series would hold, so the count (and rate) is bit-identical.
-pub fn mean_crossing_rate_with(x: &[f64], m: f64) -> f64 {
     if x.len() < 2 {
         return 0.0;
     }
+    let m = stats::mean(x);
     let crossings = x
         .windows(2)
         .filter(|w| ((w[0] - m) >= 0.0) != ((w[1] - m) >= 0.0))
@@ -107,16 +102,8 @@ pub fn trapz_abs(x: &[f64]) -> f64 {
 /// Temporal centroid: energy-weighted mean sample index, normalised to
 /// `[0, 1]`. Returns 0.5 for zero-energy signals.
 pub fn temporal_centroid(x: &[f64]) -> f64 {
-    temporal_centroid_with(x, x.iter().map(|v| v * v).sum())
-}
-
-/// [`temporal_centroid`] with the total energy `Σx²` precomputed
-/// (bit-identical).
-pub fn temporal_centroid_with(x: &[f64], total: f64) -> f64 {
-    if x.len() < 2 {
-        return 0.5;
-    }
-    if total < 1e-24 {
+    let total: f64 = x.iter().map(|v| v * v).sum();
+    if x.len() < 2 || total < 1e-24 {
         return 0.5;
     }
     let weighted: f64 = x.iter().enumerate().map(|(i, v)| i as f64 * v * v).sum();
@@ -132,16 +119,6 @@ pub fn longest_strike_above_mean(x: &[f64]) -> f64 {
 /// Longest run of consecutive samples strictly below the mean.
 pub fn longest_strike_below_mean(x: &[f64]) -> f64 {
     longest_strike(x, stats::mean(x), false)
-}
-
-/// [`longest_strike_above_mean`] with the mean precomputed (bit-identical).
-pub fn longest_strike_above_mean_with(x: &[f64], m: f64) -> f64 {
-    longest_strike(x, m, true)
-}
-
-/// [`longest_strike_below_mean`] with the mean precomputed (bit-identical).
-pub fn longest_strike_below_mean_with(x: &[f64], m: f64) -> f64 {
-    longest_strike(x, m, false)
 }
 
 fn longest_strike(x: &[f64], m: f64, above: bool) -> f64 {
@@ -182,6 +159,9 @@ pub fn last_location_of_min(x: &[f64]) -> f64 {
     relative_location(x, false, false)
 }
 
+/// Relative index (0..1) of the first/last sample equal to the fold-based
+/// extremum of [`stats::min`]/[`stats::max`]; 0 when absent (an all-NaN
+/// series).
 fn relative_location(x: &[f64], maximum: bool, first: bool) -> f64 {
     if x.is_empty() {
         return 0.0;
@@ -191,16 +171,6 @@ fn relative_location(x: &[f64], maximum: bool, first: bool) -> f64 {
     } else {
         stats::min(x)
     };
-    relative_location_of(x, target, first)
-}
-
-/// Relative index (0..1) of the first/last sample equal to `target`, the
-/// fold-based extremum from [`stats::min`]/[`stats::max`] (which can
-/// surface a different ±0.0 than a sorted view would). 0 when absent.
-pub fn relative_location_of(x: &[f64], target: f64, first: bool) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
     let pos = if first {
         x.iter().position(|&v| v == target)
     } else {
@@ -240,13 +210,7 @@ pub fn c3(x: &[f64], lag: usize) -> f64 {
 /// CID complexity estimate: `sqrt(sum(diff²))`. Higher for more complex
 /// (wigglier) series.
 pub fn cid_ce(x: &[f64]) -> f64 {
-    cid_ce_from_diffs(&diffs(x))
-}
-
-/// [`cid_ce`] over already-materialised first differences (bit-identical
-/// given the [`diffs`] of the same series).
-pub fn cid_ce_from_diffs(d: &[f64]) -> f64 {
-    d.iter().map(|d| d * d).sum::<f64>().sqrt()
+    diffs(x).iter().map(|d| d * d).sum::<f64>().sqrt()
 }
 
 /// Fraction of samples farther than `r` population standard deviations

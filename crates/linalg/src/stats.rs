@@ -63,8 +63,12 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
     let q = q.clamp(0.0, 1.0);
     let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
+    // `floor` and `ceil` of a `pos` in `[0, len − 1]` (or NaN, read as rank
+    // 0 by both) without their libm calls: a cast truncates, which is the
+    // floor here, and the ceiling is one rank up exactly when `pos` is not
+    // whole.
+    let lo = pos as usize;
+    let hi = if pos > lo as f64 { lo + 1 } else { lo };
     if lo == hi {
         sorted[lo]
     } else {
@@ -90,13 +94,7 @@ pub fn iqr(x: &[f64]) -> f64 {
 
 /// Fisher skewness (0 when std ≈ 0).
 pub fn skewness(x: &[f64]) -> f64 {
-    skewness_with(x, mean(x), std_dev(x))
-}
-
-/// [`skewness`] with the mean and population std precomputed. Guards and
-/// accumulation order match the standalone function, so given `m` and `s`
-/// from [`mean`]/[`std_dev`] the result is bit-identical.
-pub fn skewness_with(x: &[f64], m: f64, s: f64) -> f64 {
+    let (m, s) = (mean(x), std_dev(x));
     if s < 1e-15 || x.is_empty() {
         return 0.0;
     }
@@ -105,12 +103,7 @@ pub fn skewness_with(x: &[f64], m: f64, s: f64) -> f64 {
 
 /// Excess kurtosis (0 when std ≈ 0).
 pub fn kurtosis(x: &[f64]) -> f64 {
-    kurtosis_with(x, mean(x), std_dev(x))
-}
-
-/// [`kurtosis`] with the mean and population std precomputed
-/// (bit-identical; see [`skewness_with`]).
-pub fn kurtosis_with(x: &[f64], m: f64, s: f64) -> f64 {
+    let (m, s) = (mean(x), std_dev(x));
     if s < 1e-15 || x.is_empty() {
         return 0.0;
     }
@@ -173,23 +166,22 @@ pub fn trimmed_mean_std(x: &[f64], trim: f64) -> (f64, f64) {
     }
     let mut v: Vec<f64> = x.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    trimmed_mean_std_sorted(&v, trim)
+    let kept = trimmed_sorted(&v, trim);
+    (mean(kept), std_dev(kept))
 }
 
-/// [`trimmed_mean_std`] over data already sorted ascending — exactly the
-/// array the standalone function's clone-and-sort produces, so the result
-/// is bit-identical while skipping that allocation.
-pub fn trimmed_mean_std_sorted(sorted: &[f64], trim: f64) -> (f64, f64) {
-    if sorted.is_empty() {
-        return (0.0, 0.0);
-    }
-    let k = ((sorted.len() as f64) * trim).floor() as usize;
-    let kept = if sorted.len() > 2 * k + 1 {
+/// The values [`trimmed_mean_std`] keeps of `sorted`, its input sorted
+/// ascending: all but the lowest and highest `⌊len · trim⌋`, or all of
+/// them when that would leave fewer than 2.
+pub fn trimmed_sorted(sorted: &[f64], trim: f64) -> &[f64] {
+    // A cast is the floor for every value this product can take (it
+    // saturates below 0, as `floor` then the cast would).
+    let k = ((sorted.len() as f64) * trim) as usize;
+    if sorted.len() > 2 * k + 1 {
         &sorted[k..sorted.len() - k]
     } else {
         sorted
-    };
-    (mean(kept), std_dev(kept))
+    }
 }
 
 /// Mean Absolute Change (paper Eq. 6): `MAC = mean(|x[t+1] - x[t]|)`.
@@ -266,15 +258,11 @@ pub fn histogram_entropy_from_counts(counts: &[usize], n: usize) -> f64 {
 
 /// Simple linear regression slope of `x` against index 0..n.
 pub fn slope(x: &[f64]) -> f64 {
-    slope_with(x, mean(x))
-}
-
-/// [`slope`] with the series mean precomputed (bit-identical).
-pub fn slope_with(x: &[f64], xm: f64) -> f64 {
     let n = x.len();
     if n < 2 {
         return 0.0;
     }
+    let xm = mean(x);
     let tm = (n as f64 - 1.0) / 2.0;
     let mut num = 0.0;
     let mut den = 0.0;
@@ -386,7 +374,7 @@ mod tests {
 
     #[test]
     fn with_variants_are_bit_identical() {
-        // The `_with` forms exist so feature extraction can share scalar
+        // The `_with` / `_sorted` forms exist so feature extraction can share
         // aggregates across kinds; their contract is exact equality.
         let series: Vec<Vec<f64>> = vec![
             vec![],
@@ -399,12 +387,8 @@ mod tests {
         ];
         for x in &series {
             let m = mean(x);
-            let s = std_dev(x);
             let csq: f64 = x.iter().map(|v| (v - m) * (v - m)).sum();
             let b = |v: f64| v.to_bits();
-            assert_eq!(b(skewness(x)), b(skewness_with(x, m, s)));
-            assert_eq!(b(kurtosis(x)), b(kurtosis_with(x, m, s)));
-            assert_eq!(b(slope(x)), b(slope_with(x, m)));
             for lag in [1usize, 2, 5] {
                 assert_eq!(
                     b(autocorrelation(x, lag)),
@@ -414,8 +398,8 @@ mod tests {
             let mut sorted = x.clone();
             sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
             let (tm, ts) = trimmed_mean_std(x, 0.05);
-            let (um, us) = trimmed_mean_std_sorted(&sorted, 0.05);
-            assert_eq!((b(tm), b(ts)), (b(um), b(us)));
+            let kept = trimmed_sorted(&sorted, 0.05);
+            assert_eq!((b(tm), b(ts)), (b(mean(kept)), b(std_dev(kept))));
         }
     }
 }
