@@ -85,18 +85,33 @@ fn forward_twiddles(n: usize) -> Vec<Complex> {
     t
 }
 
-/// Forward twiddle tables, one slot per power-of-two size (slot `log2 n`),
-/// each built once per process on first use and then read without a lock.
-static TWIDDLES: [OnceLock<Vec<Complex>>; usize::BITS as usize] =
+/// A forward transform's tables for one power-of-two size: the twiddle
+/// factors and the bit-reversal permutation.
+struct Plan {
+    twiddles: Vec<Complex>,
+    /// `bitrev[i]` is the input index the permutation moves to `i`.
+    bitrev: Vec<usize>,
+}
+
+/// One plan slot per power-of-two size (slot `log2 n`), each built once
+/// per process on first use and then read without a lock.
+static PLANS: [OnceLock<Plan>; usize::BITS as usize] =
     [const { OnceLock::new() }; usize::BITS as usize];
 
-/// The forward twiddle table for power-of-two size `n`.
-fn twiddles(n: usize) -> &'static [Complex] {
-    TWIDDLES[n.trailing_zeros() as usize].get_or_init(|| forward_twiddles(n))
+/// The forward plan for power-of-two size `n`.
+fn plan(n: usize) -> &'static Plan {
+    PLANS[n.trailing_zeros() as usize].get_or_init(|| {
+        let mut bitrev: Vec<usize> = (0..n).collect();
+        bit_reverse(&mut bitrev);
+        Plan {
+            twiddles: forward_twiddles(n),
+            bitrev,
+        }
+    })
 }
 
 /// Bit-reversal permutation shared by all transform variants.
-fn bit_reverse(buf: &mut [Complex]) {
+fn bit_reverse<T>(buf: &mut [T]) {
     let n = buf.len();
     let mut j = 0usize;
     for i in 1..n {
@@ -112,6 +127,27 @@ fn bit_reverse(buf: &mut [Complex]) {
     }
 }
 
+/// The forward butterfly stages over bit-reversed `buf`, stage `len = 2,
+/// 4, …, n` reading its `len/2` factors of `twiddles` in turn.
+fn forward_stages(buf: &mut [Complex], twiddles: &[Complex]) {
+    let mut off = 0usize;
+    let mut len = 2;
+    while len <= buf.len() {
+        let stage = &twiddles[off..off + len / 2];
+        for block in buf.chunks_exact_mut(len) {
+            let (lo, hi) = block.split_at_mut(len / 2);
+            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                let u = *a;
+                let v = b.mul(w);
+                *a = u.add(v);
+                *b = u.sub(v);
+            }
+        }
+        off += len / 2;
+        len <<= 1;
+    }
+}
+
 /// In-place iterative radix-2 FFT. `buf.len()` must be a power of two.
 /// `inverse` selects the inverse transform (including the 1/n scaling).
 /// Forward transforms read the process-wide twiddle tables.
@@ -124,28 +160,11 @@ pub fn fft_in_place(buf: &mut [Complex], inverse: bool) {
     if n <= 1 {
         return;
     }
+    bit_reverse(buf);
     if !inverse {
-        let table = twiddles(n);
-        bit_reverse(buf);
-        let mut off = 0usize;
-        let mut len = 2;
-        while len <= n {
-            let stage = &table[off..off + len / 2];
-            for block in buf.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(len / 2);
-                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
-                    let u = *a;
-                    let v = b.mul(w);
-                    *a = u.add(v);
-                    *b = u.sub(v);
-                }
-            }
-            off += len / 2;
-            len <<= 1;
-        }
+        forward_stages(buf, &plan(n).twiddles);
         return;
     }
-    bit_reverse(buf);
     // Butterfly passes with inline twiddle recurrence (inverse transforms
     // are off the hot path — round-trip tests and nothing else).
     let mut len = 2;
@@ -174,14 +193,19 @@ pub fn fft_in_place(buf: &mut [Complex], inverse: bool) {
 }
 
 /// Forward FFT of a real signal into a caller-owned buffer (cleared and
-/// refilled), zero-padded to the next power of two. Reusing the buffer
-/// across calls keeps repeat extraction allocation-free.
+/// refilled), zero-padded to the next power of two. The padded input is
+/// loaded straight into bit-reversed order, the one data movement the
+/// in-place transform would make before its first stage. Reusing the
+/// buffer across calls keeps repeat extraction allocation-free.
 pub fn rfft_into(x: &[f64], buf: &mut Vec<Complex>) {
-    let n = next_pow2(x.len());
+    let plan = plan(next_pow2(x.len()));
     buf.clear();
-    buf.extend(x.iter().map(|&v| Complex::new(v, 0.0)));
-    buf.resize(n, Complex::zero());
-    fft_in_place(buf, false);
+    buf.extend(
+        plan.bitrev
+            .iter()
+            .map(|&j| Complex::new(x.get(j).copied().unwrap_or(0.0), 0.0)),
+    );
+    forward_stages(buf, &plan.twiddles);
 }
 
 /// Forward FFT of a real signal, zero-padded to the next power of two.
@@ -295,6 +319,28 @@ mod tests {
             .0;
         // True frequency is 0.1; padded resolution is 1/128.
         assert!((freqs[peak] - 0.1).abs() < 1.5 / 128.0);
+    }
+
+    #[test]
+    fn rfft_equals_the_in_place_transform_of_the_padded_input() {
+        // `rfft_into` permutes while loading; `fft_in_place` swaps in place.
+        let bits = |v: &[Complex]| {
+            v.iter()
+                .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for len in [0usize, 1, 2, 3, 7, 8, 42, 100, 128] {
+            let mut x: Vec<f64> = (0..len).map(|i| (i as f64 * 0.7).sin() * 3.0).collect();
+            if len > 3 {
+                x[1] = f64::INFINITY;
+                x[2] = -0.0;
+                x[3] = f64::NAN;
+            }
+            let mut padded: Vec<Complex> = x.iter().map(|&v| Complex::new(v, 0.0)).collect();
+            padded.resize(next_pow2(len), Complex::zero());
+            fft_in_place(&mut padded, false);
+            assert_eq!(bits(&rfft(&x)), bits(&padded), "len {len}");
+        }
     }
 
     #[test]
