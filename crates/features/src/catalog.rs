@@ -242,7 +242,7 @@ impl FrequencyAxis {
 /// divide included). `valid` is false for the degenerate ranges where
 /// those two functions fall back differently; the arms then give the
 /// fallback's answer (0 for an entropy, `hist_bin_fraction` for a bin).
-#[derive(Default, Clone, Copy)]
+#[derive(Default)]
 struct Hist {
     valid: bool,
     counts: [usize; HIST_BINS],
@@ -281,7 +281,7 @@ impl Hist {
 /// `Sum`'s `-0.0` seed wherever the primitive sums with `.sum()`, so every
 /// feature is bit-identical to its standalone evaluation — pinned kind by
 /// kind by the `cached_arms_match_standalone_functions` proptest.
-#[derive(Default, Clone, Copy)]
+#[derive(Default)]
 struct SeriesAggregates {
     n: usize,
     // Raw pass.

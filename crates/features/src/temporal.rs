@@ -5,19 +5,7 @@ use ns_linalg::stats;
 
 /// First differences `x[t+1] - x[t]` (empty for len < 2).
 pub fn diffs(x: &[f64]) -> Vec<f64> {
-    let mut out = Vec::new();
-    diffs_into(x, &mut out);
-    out
-}
-
-/// [`diffs`] into a caller-owned buffer (cleared and refilled), for
-/// allocation-free reuse across series.
-pub fn diffs_into(x: &[f64], out: &mut Vec<f64>) {
-    out.clear();
-    if x.len() < 2 {
-        return;
-    }
-    out.extend(x.windows(2).map(|w| w[1] - w[0]));
+    x.windows(2).map(|w| w[1] - w[0]).collect()
 }
 
 /// Rate of sign changes of the signal around zero, normalised by length.

@@ -35,7 +35,8 @@ use rayon::prelude::*;
 ///   element order — the exact order of [`crate::vecops::euclidean_sq`] —
 ///   so `best_sq.sqrt()` reproduces `vecops::euclidean` to the bit.
 ///
-/// An empty matrix returns `(0, f64::INFINITY)`.
+/// An empty matrix returns `(0, f64::INFINITY)`. This is the definition
+/// the online matcher, [`nearest_row_standardized`], is held to.
 pub fn nearest_row(rows: &Matrix, query: &[f64]) -> (usize, f64) {
     let mut best_idx = 0usize;
     let mut best_sq = f64::INFINITY;
@@ -75,7 +76,7 @@ const LANES: usize = 8;
 /// same distance bits, and the same `z`, as standardising and then
 /// calling [`nearest_row`], in fewer cycles:
 ///
-/// - Rows are scanned [`LANES`] at a time, each row's running sum still
+/// - Rows are scanned eight at a time, each row's running sum still
 ///   accumulated in strict ascending element order from `+0.0` — the
 ///   order [`nearest_row`] sums in — so every row that completes holds the
 ///   same sum, and the selection after each group visits rows in index
