@@ -47,8 +47,7 @@ pub fn wavelet_energies(x: &[f64], levels: usize) -> Vec<f64> {
 /// Allocation-reusing form of [`wavelet_energies`], given the series'
 /// energy `total` (`Σx²` summed in order, as [`wavelet_energies`] sums it):
 /// `out` receives the per-level energies, `cur` is working storage for the
-/// cascading approximation. The first level reads `x` and writes its
-/// approximation into `cur`; every later level runs in place — detail
+/// cascading approximation. Each Haar level is computed in place — detail
 /// energy accumulated on the fly, approximation written back over the
 /// front of `cur` — so no per-level buffers are materialised.
 /// Bit-identical to the decompose-then-sum formulation: the per-level
@@ -65,29 +64,22 @@ pub fn wavelet_energies_into(
     if total < 1e-24 {
         return;
     }
-    let s = std::f64::consts::FRAC_1_SQRT_2;
     cur.clear();
-    for (level, slot) in out.iter_mut().enumerate() {
-        let len = if level == 0 { x.len() } else { cur.len() };
-        if len < 2 {
+    cur.extend_from_slice(x);
+    let s = std::f64::consts::FRAC_1_SQRT_2;
+    for slot in out.iter_mut() {
+        if cur.len() < 2 {
             break;
         }
-        let pairs = len / 2;
+        let pairs = cur.len() / 2;
         let mut energy = 0.0;
         for k in 0..pairs {
             // Reads (2k, 2k+1) stay ahead of the write at k.
-            let (a, b) = if level == 0 {
-                (x[2 * k], x[2 * k + 1])
-            } else {
-                (cur[2 * k], cur[2 * k + 1])
-            };
+            let a = cur[2 * k];
+            let b = cur[2 * k + 1];
             let d = (a - b) * s;
             energy += d * d;
-            if level == 0 {
-                cur.push((a + b) * s);
-            } else {
-                cur[k] = (a + b) * s;
-            }
+            cur[k] = (a + b) * s;
         }
         cur.truncate(pairs);
         *slot = energy / total;
