@@ -260,16 +260,6 @@ impl GaussianMixture {
         }
     }
 
-    /// Most likely component index for a point.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        let logs: Vec<f64> = self
-            .components
-            .iter()
-            .map(|c| c.weight.max(1e-300).ln() + c.log_pdf(x, self.covariance))
-            .collect();
-        vecops::argmax(&logs).unwrap_or(0)
-    }
-
     /// Minimum Mahalanobis distance from the point to any component —
     /// the ISC'20 anomaly score.
     pub fn min_mahalanobis(&self, x: &[f64]) -> f64 {
@@ -358,21 +348,6 @@ mod tests {
             outlier > 10.0 * inlier.max(0.1),
             "in={inlier} out={outlier}"
         );
-    }
-
-    #[test]
-    fn predict_assigns_to_nearest_mode() {
-        let data = two_gaussians();
-        let gmm = GaussianMixture::fit(
-            &data,
-            &GmmConfig {
-                n_components: 2,
-                ..Default::default()
-            },
-        );
-        let a = gmm.predict(&[0.0, 0.0]);
-        let b = gmm.predict(&[8.0, 8.0]);
-        assert_ne!(a, b);
     }
 
     #[test]

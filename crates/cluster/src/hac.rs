@@ -59,19 +59,8 @@ impl Dendrogram {
     /// relabelled to `0..k` in order of first appearance.
     pub fn cut_k(&self, k: usize) -> Vec<usize> {
         assert!(k >= 1 && k <= self.n.max(1), "k must be in 1..=n");
-        let take = self.n.saturating_sub(k);
-        self.cut_after(take)
-    }
-
-    /// Flat labels after applying every merge with `height <= h`.
-    pub fn cut_height(&self, h: f64) -> Vec<usize> {
-        let take = self.merges.iter().take_while(|m| m.height <= h).count();
-        self.cut_after(take)
-    }
-
-    fn cut_after(&self, merges_applied: usize) -> Vec<usize> {
         let mut uf = UnionFind::new(self.n);
-        for m in self.merges.iter().take(merges_applied) {
+        for m in self.merges.iter().take(self.n.saturating_sub(k)) {
             uf.union(m.a, m.b);
         }
         uf.labels()
@@ -323,21 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn cut_height_consistency() {
-        let data = three_blobs();
-        let dend = linkage(&data, Linkage::Single);
-        // Cutting above the max height gives one cluster.
-        let h = dend.merges().last().unwrap().height;
-        assert!(dend.cut_height(h + 1.0).iter().all(|&l| l == 0));
-        // Cutting below the min height gives singletons.
-        let labels = dend.cut_height(-1.0);
-        let mut uniq = labels;
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), data.len());
-    }
-
-    #[test]
     fn single_linkage_chain_effect() {
         // A chain of near points plus one far point: single linkage keeps
         // the chain together at k=2 while complete may split it.
@@ -351,7 +325,7 @@ mod tests {
 
     #[test]
     fn handles_tiny_inputs() {
-        assert!(linkage(&[], Linkage::Ward).cut_height(1.0).is_empty());
+        assert!(linkage(&[], Linkage::Ward).cut_k(1).is_empty());
         let one = linkage(&[vec![1.0]], Linkage::Ward);
         assert_eq!(one.cut_k(1), vec![0]);
         let two = linkage(&[vec![0.0], vec![1.0]], Linkage::Average);

@@ -22,3 +22,37 @@ pub mod silhouette;
 
 pub use hac::{linkage, linkage_from_distance, Dendrogram, Linkage, Merge};
 pub use silhouette::{select_k, silhouette_score, KSelection};
+
+/// The mean of each of `k` clusters' members, `labels[i]` naming row
+/// `i`'s cluster: members summed in row order, then divided by the
+/// member count. A cluster without members sits at the origin.
+/// ([`kmeans`] keeps its own update: an empty cluster there keeps its
+/// previous position.)
+pub fn centroids(rows: &[Vec<f64>], labels: &[usize], k: usize) -> Vec<Vec<f64>> {
+    let dim = rows.first().map_or(0, Vec::len);
+    let mut centroids = vec![vec![0.0; dim]; k];
+    let mut counts = vec![0usize; k];
+    for (row, &l) in rows.iter().zip(labels) {
+        counts[l] += 1;
+        for (c, v) in centroids[l].iter_mut().zip(row) {
+            *c += v;
+        }
+    }
+    for (cen, &cnt) in centroids.iter_mut().zip(&counts) {
+        for v in cen.iter_mut() {
+            *v /= cnt.max(1) as f64;
+        }
+    }
+    centroids
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn centroids_average_members_and_leave_empty_clusters_at_the_origin() {
+        let rows = vec![vec![1.0, 2.0], vec![3.0, 6.0], vec![5.0, -1.0]];
+        let c = super::centroids(&rows, &[0, 0, 2], 3);
+        assert_eq!(c, vec![vec![2.0, 4.0], vec![0.0, 0.0], vec![5.0, -1.0]]);
+        assert!(super::centroids(&[], &[], 2).iter().all(Vec::is_empty));
+    }
+}

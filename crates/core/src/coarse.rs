@@ -9,6 +9,9 @@ use ns_features::FeatureCatalog;
 use ns_linalg::distance::CondensedDistance;
 use ns_linalg::matrix::Matrix;
 use ns_linalg::{stats, vecops};
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -79,14 +82,6 @@ impl ClusterModel {
         self.centroids.len()
     }
 
-    /// Standardize a raw full-segment feature vector.
-    pub fn standardize(&self, feat: &[f64]) -> Vec<f64> {
-        feat.iter()
-            .zip(self.feat_mean.iter().zip(&self.feat_std))
-            .map(|(&v, (&m, &s))| (v - m) / s)
-            .collect()
-    }
-
     /// Standardize a raw probe feature vector.
     pub fn standardize_probe(&self, feat: &[f64]) -> Vec<f64> {
         let mut out = Vec::new();
@@ -138,30 +133,12 @@ impl ClusterModel {
         distance <= self.match_radius
     }
 
-    /// Indices of the `k` member segments closest to centroid `c`
-    /// (data-augmentation selection of §3.4).
-    pub fn nearest_members(&self, c: usize, k: usize) -> Vec<usize> {
-        let members = self.members_by_distance(c);
-        members.into_iter().take(k).collect()
-    }
-
     /// `k` member segments of cluster `c` stratified across the
-    /// distance-to-centroid distribution (closest always included).
-    /// Centroid-only selection under-covers large clusters: test
-    /// segments are drawn from the whole spread, so the shared model
-    /// must see the edges too.
+    /// distance-to-centroid distribution (closest always included; the
+    /// data-augmentation selection of §3.4). Centroid-only selection
+    /// under-covers large clusters: test segments are drawn from the
+    /// whole spread, so the shared model must see the edges too.
     pub fn spread_members(&self, c: usize, k: usize) -> Vec<usize> {
-        let members = self.members_by_distance(c);
-        let n = members.len();
-        if n <= k || k == 0 {
-            return members;
-        }
-        (0..k)
-            .map(|j| members[j * (n - 1) / (k - 1).max(1)])
-            .collect()
-    }
-
-    fn members_by_distance(&self, c: usize) -> Vec<usize> {
         let mut members: Vec<(usize, f64)> = self
             .labels
             .iter()
@@ -170,7 +147,14 @@ impl ClusterModel {
             .map(|(i, _)| (i, self.member_distances[i]))
             .collect();
         members.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        members.into_iter().map(|(i, _)| i).collect()
+        let members: Vec<usize> = members.into_iter().map(|(i, _)| i).collect();
+        let n = members.len();
+        if n <= k || k == 0 {
+            return members;
+        }
+        (0..k)
+            .map(|j| members[j * (n - 1) / (k - 1).max(1)])
+            .collect()
     }
 
     /// Add a brand-new cluster centered at the given *raw probe* feature
@@ -201,45 +185,79 @@ pub fn segment_features(cfg: &CoarseConfig, seg: &Matrix) -> Vec<f64> {
     cfg.catalog.extract_mts(seg, cfg.sample_rate)
 }
 
+/// One feature space of the library (§3.3): the per-column z-score
+/// scaler fitted over the training segments, and their standardized
+/// feature rows.
+struct Space {
+    mean: Vec<f64>,
+    std: Vec<f64>,
+    z: Vec<Vec<f64>>,
+}
+
+impl Space {
+    /// Fit the scaler (a column whose std is below 1e-12 is scaled by 1)
+    /// and standardize every row with it.
+    fn fit(feats: &[Vec<f64>]) -> Self {
+        let dim = feats[0].len();
+        let mut mean = vec![0.0; dim];
+        let mut std = vec![0.0; dim];
+        for j in 0..dim {
+            let col: Vec<f64> = feats.iter().map(|f| f[j]).collect();
+            let s = stats::std_dev(&col);
+            mean[j] = stats::mean(&col);
+            std[j] = if s < 1e-12 { 1.0 } else { s };
+        }
+        let z = feats
+            .iter()
+            .map(|f| {
+                f.iter()
+                    .zip(mean.iter().zip(&std))
+                    .map(|(&v, (&m, &s))| (v - m) / s)
+                    .collect()
+            })
+            .collect();
+        Space { mean, std, z }
+    }
+
+    /// Each of the `k` clusters' centroid and each row's distance to its
+    /// own cluster's centroid.
+    fn group(&self, labels: &[usize], k: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let centroids = ns_cluster::centroids(&self.z, labels, k);
+        let distances = self
+            .z
+            .iter()
+            .zip(labels)
+            .map(|(f, &l)| vecops::euclidean(f, &centroids[l]))
+            .collect();
+        (centroids, distances)
+    }
+}
+
 /// Fit the coarse clustering over training segments.
 ///
-/// Returns the cluster model plus the per-segment feature matrix (reused
-/// by the fine-grained stage for nearest-member selection).
-pub fn fit(cfg: &CoarseConfig, segments: &[Segment]) -> (ClusterModel, Vec<Vec<f64>>) {
+/// `random_groups: Some(seed)` is the C2 ablation (§4.4): HAC still picks
+/// k, the silhouette and the matching radius, but the segments are dealt
+/// to k groups by a seeded shuffle, and the centroids and member
+/// distances are those of the random groups.
+pub fn fit(cfg: &CoarseConfig, segments: &[Segment], random_groups: Option<u64>) -> ClusterModel {
     assert!(!segments.is_empty(), "cannot cluster zero segments");
-    // 1. Features (parallel over segments). The span wraps the parallel
-    // region from the calling thread, so it nests under `fit/coarse`.
+    // 1. Features (parallel over segments), standardized across the
+    // segment population. The span wraps the parallel region from the
+    // calling thread, so it nests under `fit/coarse`.
     let feat_span = ns_obs::trace::span("features");
     let feats: Vec<Vec<f64>> = segments
         .par_iter()
         .map(|s| segment_features(cfg, &s.data))
         .collect();
     drop(feat_span);
-    let dim = feats[0].len();
-    // 2. Feature standardization across the segment population.
-    let mut feat_mean = vec![0.0; dim];
-    let mut feat_std = vec![0.0; dim];
-    for j in 0..dim {
-        let col: Vec<f64> = feats.iter().map(|f| f[j]).collect();
-        let (m, s) = (stats::mean(&col), stats::std_dev(&col));
-        feat_mean[j] = m;
-        feat_std[j] = if s < 1e-12 { 1.0 } else { s };
-    }
-    let zfeats: Vec<Vec<f64>> = feats
-        .iter()
-        .map(|f| {
-            f.iter()
-                .zip(feat_mean.iter().zip(&feat_std))
-                .map(|(&v, (&m, &s))| (v - m) / s)
-                .collect()
-        })
-        .collect();
-    // 3. HAC + silhouette-selected k.
+    let full = Space::fit(&feats);
+    // 2. HAC + silhouette-selected k.
     let linkage_span = ns_obs::trace::span("linkage");
+    let zfeats = &full.z;
     let n = zfeats.len();
     let dist = CondensedDistance::compute(n, |i, j| vecops::euclidean(&zfeats[i], &zfeats[j]));
     let dendrogram = linkage_from_distance(&dist, cfg.linkage);
-    let (labels, silhouette) = match cfg.force_k {
+    let (hac_labels, silhouette) = match cfg.force_k {
         Some(k) => {
             let k = k.clamp(1, n);
             let labels = dendrogram.cut_k(k);
@@ -255,100 +273,53 @@ pub fn fit(cfg: &CoarseConfig, segments: &[Segment]) -> (ClusterModel, Vec<Vec<f
             (sel.labels, sel.score)
         }
     };
-    // 4. Centroids + member distances + matching radius.
-    let k = labels.iter().max().map(|m| m + 1).unwrap_or(1);
-    let mut centroids = vec![vec![0.0; dim]; k];
-    let mut counts = vec![0usize; k];
-    for (f, &l) in zfeats.iter().zip(&labels) {
-        counts[l] += 1;
-        for (c, v) in centroids[l].iter_mut().zip(f) {
-            *c += v;
-        }
-    }
-    for (cen, &cnt) in centroids.iter_mut().zip(&counts) {
-        for v in cen.iter_mut() {
-            *v /= cnt.max(1) as f64;
-        }
-    }
-    let member_distances: Vec<f64> = zfeats
-        .iter()
-        .zip(&labels)
-        .map(|(f, &l)| vecops::euclidean(f, &centroids[l]))
-        .collect();
+    // 3. Centroids + member distances, under HAC's grouping or C2's
+    // random one (a shuffled deck, so every group keeps members).
+    let k = hac_labels.iter().max().map_or(1, |m| m + 1);
+    let random_labels = random_groups.map(|seed| {
+        let mut labels: Vec<usize> = (0..n).map(|i| i % k).collect();
+        labels.shuffle(&mut ChaCha8Rng::seed_from_u64(seed ^ 0xC2));
+        labels
+    });
+    let labels = random_labels.as_ref().unwrap_or(&hac_labels);
+    let (centroids, member_distances) = full.group(labels, k);
     drop(linkage_span);
 
-    // 5. Probe-space matching library: features of the first `probe_len`
+    // 4. Probe-space matching library: features of the first `probe_len`
     // steps of each segment, standardized and averaged per cluster.
     let probe_span = ns_obs::trace::span("probe_library");
-    let probe_feats: Vec<Vec<f64>> = match cfg.probe_len {
-        Some(p) => segments
+    let probe_feats: Option<Vec<Vec<f64>>> = cfg.probe_len.map(|p| {
+        segments
             .par_iter()
             .map(|s| {
                 let take = p.clamp(1, s.data.rows());
                 segment_features(cfg, &s.data.slice_rows(0, take))
             })
-            .collect(),
-        None => feats.clone(),
-    };
-    let mut probe_feat_mean = vec![0.0; dim];
-    let mut probe_feat_std = vec![0.0; dim];
-    for j in 0..dim {
-        let col: Vec<f64> = probe_feats.iter().map(|f| f[j]).collect();
-        let (m, s) = (stats::mean(&col), stats::std_dev(&col));
-        probe_feat_mean[j] = m;
-        probe_feat_std[j] = if s < 1e-12 { 1.0 } else { s };
+            .collect()
+    });
+    let probe = Space::fit(probe_feats.as_deref().unwrap_or(&feats));
+    // Matching radius: generous envelope of probe-space member distances
+    // under HAC's grouping.
+    let (mut probe_centroids, mut d) = probe.group(&hac_labels, k);
+    d.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let match_radius = (stats::quantile_sorted(&d, 0.95) * 2.0).max(1e-3);
+    if let Some(labels) = &random_labels {
+        probe_centroids = probe.group(labels, k).0;
     }
-    let probe_z: Vec<Vec<f64>> = probe_feats
-        .iter()
-        .map(|f| {
-            f.iter()
-                .zip(probe_feat_mean.iter().zip(&probe_feat_std))
-                .map(|(&v, (&m, &s))| (v - m) / s)
-                .collect()
-        })
-        .collect();
-    let mut probe_centroids = vec![vec![0.0; dim]; k];
-    {
-        let mut pcounts = vec![0usize; k];
-        for (f, &l) in probe_z.iter().zip(&labels) {
-            pcounts[l] += 1;
-            for (c, v) in probe_centroids[l].iter_mut().zip(f) {
-                *c += v;
-            }
-        }
-        for (cen, &cnt) in probe_centroids.iter_mut().zip(&pcounts) {
-            for v in cen.iter_mut() {
-                *v /= cnt.max(1) as f64;
-            }
-        }
-    }
-    // Contiguous row-major centroid library for the online matcher.
-    let probe_centroids = Matrix::from_rows(&probe_centroids);
-    // Matching radius: generous envelope of probe-space member distances.
-    let radius = {
-        let mut d: Vec<f64> = probe_z
-            .iter()
-            .zip(&labels)
-            .map(|(f, &l)| vecops::euclidean(f, probe_centroids.row(l)))
-            .collect();
-        d.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let p95 = stats::quantile_sorted(&d, 0.95);
-        (p95 * 2.0).max(1e-3)
-    };
     drop(probe_span);
-    let model = ClusterModel {
-        feat_mean,
-        feat_std,
+    ClusterModel {
+        feat_mean: full.mean,
+        feat_std: full.std,
         centroids,
-        labels,
+        labels: random_labels.unwrap_or(hac_labels),
         member_distances,
         silhouette,
-        probe_feat_mean,
-        probe_feat_std,
-        probe_centroids,
-        match_radius: radius,
-    };
-    (model, feats)
+        probe_feat_mean: probe.mean,
+        probe_feat_std: probe.std,
+        // Contiguous row-major centroid library for the online matcher.
+        probe_centroids: Matrix::from_rows(&probe_centroids),
+        match_radius,
+    }
 }
 
 #[cfg(test)]
@@ -398,22 +369,22 @@ mod tests {
     #[test]
     fn separates_two_pattern_families_despite_length_variation() {
         let segs = two_family_segments();
-        let (model, feats) = fit(&fast_cfg(), &segs);
+        let model = fit(&fast_cfg(), &segs, None);
         assert_eq!(model.k(), 2, "silhouette sweep: {:?}", model.silhouette);
         assert!(model.silhouette > 0.3);
         // All of family A shares a label; same for B; labels differ.
         let a = model.labels[0];
         assert!(model.labels[..6].iter().all(|&l| l == a));
         assert!(model.labels[6..].iter().all(|&l| l != a));
-        assert_eq!(feats.len(), 12);
-        assert_eq!(feats[0].len(), FeatureCatalog::compact().len() * 3);
+        assert_eq!(model.labels.len(), 12);
+        assert_eq!(model.feat_mean.len(), FeatureCatalog::compact().len() * 3);
     }
 
     #[test]
     fn matching_sends_new_segments_to_their_family() {
         let segs = two_family_segments();
         let cfg = fast_cfg();
-        let (model, _) = fit(&cfg, &segs);
+        let model = fit(&cfg, &segs, None);
         // A fresh family-A-like segment.
         let probe = Matrix::from_fn(77, 3, |r, c| ((r as f64) * 0.2 + c as f64).sin());
         let f = segment_features(&cfg, &probe);
@@ -430,7 +401,7 @@ mod tests {
     fn alien_pattern_is_unmatched() {
         let segs = two_family_segments();
         let cfg = fast_cfg();
-        let (model, _) = fit(&cfg, &segs);
+        let model = fit(&cfg, &segs, None);
         // A wild constant-spike pattern unlike either family.
         let probe = Matrix::from_fn(60, 3, |r, _| if r % 10 == 0 { 500.0 } else { -300.0 });
         let f = segment_features(&cfg, &probe);
@@ -445,28 +416,15 @@ mod tests {
             force_k: Some(4),
             ..fast_cfg()
         };
-        let (model, _) = fit(&cfg, &segs);
+        let model = fit(&cfg, &segs, None);
         assert_eq!(model.k(), 4);
-    }
-
-    #[test]
-    fn nearest_members_returns_closest_first() {
-        let segs = two_family_segments();
-        let (model, _) = fit(&fast_cfg(), &segs);
-        let members = model.nearest_members(model.labels[0], 3);
-        assert_eq!(members.len(), 3);
-        for w in members.windows(2) {
-            assert!(model.member_distances[w[0]] <= model.member_distances[w[1]]);
-        }
-        // All returned members belong to the requested cluster.
-        assert!(members.iter().all(|&i| model.labels[i] == model.labels[0]));
     }
 
     #[test]
     fn add_and_refine_cluster() {
         let segs = two_family_segments();
         let cfg = fast_cfg();
-        let (mut model, _) = fit(&cfg, &segs);
+        let mut model = fit(&cfg, &segs, None);
         let probe = Matrix::from_fn(60, 3, |r, _| if r % 10 == 0 { 500.0 } else { -300.0 });
         let f = segment_features(&cfg, &probe);
         let k0 = model.k();
@@ -490,7 +448,7 @@ mod tests {
             end: 30,
             data: Matrix::from_fn(30, 2, |r, _| r as f64),
         }];
-        let (model, _) = fit(&fast_cfg(), &seg);
+        let model = fit(&fast_cfg(), &seg, None);
         assert_eq!(model.k(), 1);
         assert_eq!(model.labels, vec![0]);
     }

@@ -605,7 +605,6 @@ impl SharedModel {
 }
 
 /// Select training segments for a cluster and train its shared model.
-/// `feats` are the raw per-segment features from the coarse stage.
 pub fn train_cluster_model(
     cfg: &SharingConfig,
     cluster: usize,

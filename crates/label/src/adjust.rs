@@ -79,22 +79,8 @@ impl ClusterAdjustment {
 
     /// Recompute all centroids from current assignments.
     pub fn recompute_centroids(&mut self) {
-        let k = self.adjusted.iter().max().map(|m| m + 1).unwrap_or(0);
-        let dim = self.features.first().map(|f| f.len()).unwrap_or(0);
-        let mut centroids = vec![vec![0.0; dim]; k];
-        let mut counts = vec![0usize; k];
-        for (f, &l) in self.features.iter().zip(&self.adjusted) {
-            counts[l] += 1;
-            for (c, v) in centroids[l].iter_mut().zip(f) {
-                *c += v;
-            }
-        }
-        for (cen, &cnt) in centroids.iter_mut().zip(&counts) {
-            for v in cen.iter_mut() {
-                *v /= cnt.max(1) as f64;
-            }
-        }
-        self.centroids = centroids;
+        let k = self.adjusted.iter().max().map_or(0, |m| m + 1);
+        self.centroids = ns_cluster::centroids(&self.features, &self.adjusted, k);
     }
 
     /// Silhouette of the adjusted clustering (diagnostic shown to the

@@ -38,7 +38,3 @@ pub mod vecops;
 pub use distance::CondensedDistance;
 pub use matrix::{Mat, Matrix};
 pub use scalar::Scalar;
-
-/// Numerical tolerance used by tests and by rank/positivity checks inside
-/// the decomposition routines.
-pub const EPS: f64 = 1e-10;

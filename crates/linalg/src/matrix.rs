@@ -186,11 +186,6 @@ impl<T: Scalar> Mat<T> {
         &mut self.data
     }
 
-    /// Consume into the flat buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Borrow row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[T] {
@@ -209,11 +204,6 @@ impl<T: Scalar> Mat<T> {
     pub fn col(&self, c: usize) -> Vec<T> {
         assert!(c < self.cols);
         (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
-    /// Iterator over row slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[T]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Transposed copy.
@@ -329,17 +319,6 @@ impl<T: Scalar> Mat<T> {
         self.cols = src.cols;
         self.data.clear();
         self.data.extend(src.data.iter().map(|&v| T::from_f64(v)));
-    }
-
-    /// Transpose into a caller-provided matrix (reshaped as needed). The
-    /// allocation-free counterpart of [`Mat::transpose`].
-    pub fn transpose_into(&self, out: &mut Mat<T>) {
-        out.set_shape(self.cols, self.rows);
-        for r in 0..self.rows {
-            for (c, &v) in self.row(r).iter().enumerate() {
-                out.data[c * self.rows + r] = v;
-            }
-        }
     }
 
     /// Reshape in place to `rows × cols` **without** resetting elements:
@@ -510,20 +489,6 @@ impl Mat<f64> {
     /// Maximum absolute element (0 for empty).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-    }
-
-    /// Squared Euclidean distance between row `r` of `self` and row `s` of
-    /// `other` (widths must match).
-    pub fn row_dist_sq(&self, r: usize, other: &Matrix, s: usize) -> f64 {
-        debug_assert_eq!(self.cols, other.cols);
-        self.row(r)
-            .iter()
-            .zip(other.row(s))
-            .map(|(a, b)| {
-                let d = a - b;
-                d * d
-            })
-            .sum()
     }
 }
 
@@ -746,12 +711,6 @@ mod tests {
         assert_eq!(a.max_abs(), 4.0);
     }
 
-    #[test]
-    fn row_dist_sq_matches_manual() {
-        let a = Matrix::from_rows(&[vec![0.0, 0.0], vec![3.0, 4.0]]);
-        assert_eq!(a.row_dist_sq(0, &a, 1), 25.0);
-    }
-
     /// Shapes spanning the sequential and parallel-band paths, with
     /// zero-laden left operands (signed-zero products).
     fn kernel_cases<T: Scalar>() -> Vec<(Mat<T>, Mat<T>)> {
@@ -919,14 +878,6 @@ mod tests {
             let err = Matrix::from_value(&tree(rows, cols, len));
             assert!(err.is_err(), "{what} must be refused, got {err:?}");
         }
-    }
-
-    #[test]
-    fn transpose_into_matches_transpose() {
-        let a = Matrix::from_fn(4, 6, |r, c| (r * 10 + c) as f64);
-        let mut out = Matrix::zeros(1, 1);
-        a.transpose_into(&mut out);
-        assert_eq!(out, a.transpose());
     }
 
     #[test]

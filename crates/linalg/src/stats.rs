@@ -21,15 +21,6 @@ pub fn variance(x: &[f64]) -> f64 {
     x.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / x.len() as f64
 }
 
-/// Sample variance (divides by `n-1`); 0 for fewer than two elements.
-pub fn sample_variance(x: &[f64]) -> f64 {
-    if x.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(x);
-    x.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (x.len() - 1) as f64
-}
-
 /// Population standard deviation.
 pub fn std_dev(x: &[f64]) -> f64 {
     variance(x).sqrt()
@@ -288,7 +279,6 @@ mod tests {
         assert_eq!(mean(&x), 5.0);
         assert_eq!(variance(&x), 4.0);
         assert_eq!(std_dev(&x), 2.0);
-        assert!((sample_variance(&x) - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -8,12 +8,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     crate::kernels::dot(a, b)
 }
 
-/// Euclidean (L2) norm.
-#[inline]
-pub fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Euclidean distance between two equally-long slices.
 #[inline]
 pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
@@ -26,32 +20,6 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
 pub fn euclidean_sq(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     crate::kernels::squared_distance(a, b)
-}
-
-/// Manhattan (L1) distance.
-#[inline]
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// Chebyshev (L∞) distance.
-#[inline]
-pub fn chebyshev(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()))
-}
-
-/// Cosine distance `1 - cos(a, b)`; returns 1 when either vector is zero.
-pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
-    let na = norm(a);
-    let nb = norm(b);
-    if na == 0.0 || nb == 0.0 {
-        return 1.0;
-    }
-    1.0 - dot(a, b) / (na * nb)
 }
 
 /// `out[i] = a[i] + k * b[i]`, in place on `a` (the 4-blocked kernel;
@@ -68,12 +36,6 @@ pub fn scale(a: &mut [f64], k: f64) {
     for x in a.iter_mut() {
         *x *= k;
     }
-}
-
-/// Linear interpolation between `a` and `b` at fraction `t`.
-#[inline]
-pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
-    a + (b - a) * t
 }
 
 /// Numerically-stable softmax of a slice.
@@ -127,15 +89,6 @@ mod tests {
         let b = [3.0, 4.0];
         assert_eq!(euclidean(&a, &b), 5.0);
         assert_eq!(euclidean_sq(&a, &b), 25.0);
-        assert_eq!(manhattan(&a, &b), 7.0);
-        assert_eq!(chebyshev(&a, &b), 4.0);
-    }
-
-    #[test]
-    fn cosine_edge_cases() {
-        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 0.0]), 1.0);
-        assert!((cosine(&[1.0, 0.0], &[1.0, 0.0])).abs() < 1e-12);
-        assert!((cosine(&[1.0, 0.0], &[-1.0, 0.0]) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -160,12 +113,11 @@ mod tests {
     }
 
     #[test]
-    fn axpy_scale_lerp() {
+    fn axpy_and_scale() {
         let mut a = vec![1.0, 2.0];
         axpy(&mut a, 2.0, &[1.0, 1.0]);
         assert_eq!(a, vec![3.0, 4.0]);
         scale(&mut a, 0.5);
         assert_eq!(a, vec![1.5, 2.0]);
-        assert_eq!(lerp(0.0, 10.0, 0.25), 2.5);
     }
 }

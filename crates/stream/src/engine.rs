@@ -13,6 +13,10 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Bounded per-shard queue depth (tick batches). Ingest blocks when a
+/// shard is this far behind — backpressure instead of unbounded RAM.
+const SHARD_QUEUE_DEPTH: usize = 64;
+
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
@@ -20,9 +24,6 @@ pub struct EngineConfig {
     pub split: usize,
     /// Worker shards; nodes are routed by `node % n_shards`.
     pub n_shards: usize,
-    /// Bounded per-shard queue depth (tick batches). Ingest blocks when a
-    /// shard is this far behind — backpressure instead of unbounded RAM.
-    pub queue_depth: usize,
     /// Smoothing window fed to the k-sigma detector.
     ///
     /// Use `1` to disable smoothing (equivalent to running batch
@@ -37,17 +38,16 @@ pub struct EngineConfig {
     /// is flushed and resynced at the rejoin step instead of synthesizing
     /// the whole gap.
     pub blackout_gap: usize,
-    /// Exact-repeat run length that confirms a stuck sensor.
-    pub stuck_run: usize,
     /// Scoring tier (bit-critical). [`ScoringPrecision::F64`] (default)
     /// keeps streaming verdicts bit-identical to batch scoring.
-    /// [`ScoringPrecision::F32`] routes segment scoring through a
-    /// prebaked f32 twin of the model — faster, with an accuracy delta
-    /// measured by the deployment bench rather than pinned. Probe
-    /// matching is f64 in both tiers, so the matched cluster never
-    /// depends on the tier. Every [`Verdict`] is tagged with the tier
-    /// that produced it, snapshots refuse to restore across tiers, and
-    /// wire clients can announce the tier they expect on Hello.
+    /// [`ScoringPrecision::F32`] runs segment scoring through the same
+    /// forward tape at f32 over weights baked to f32 once per model —
+    /// faster, with an accuracy delta measured by the deployment bench
+    /// rather than pinned. Probe matching is f64 in both tiers, so the
+    /// matched cluster never depends on the tier. Every [`Verdict`] is
+    /// tagged with the tier that produced it, snapshots refuse to
+    /// restore across tiers, and wire clients can announce the tier they
+    /// expect on Hello.
     pub scoring_precision: ScoringPrecision,
     /// Chaos hook: the worker panics while ingesting this `(node, step)`
     /// tick, exercising the catch_unwind + quarantine path. Testing only.
@@ -59,11 +59,9 @@ impl EngineConfig {
         EngineConfig {
             split,
             n_shards: 2,
-            queue_depth: 64,
             smooth_window: 1,
             reorder_bound: 32,
             blackout_gap: 240,
-            stuck_run: 8,
             scoring_precision: ScoringPrecision::F64,
             panic_at: None,
         }
@@ -84,9 +82,6 @@ pub struct EngineReport {
     /// Effective worker shard count the engine actually ran with (after
     /// the `max(1)` clamp) — report this, not the requested config.
     pub n_shards: usize,
-    /// Per-shard cost counters in shard order — the load-balance view
-    /// (`per_shard[i].n_ticks` is shard `i`'s tick share).
-    pub per_shard: Vec<StreamStats>,
 }
 
 /// One engine checkpoint: the serialized state plus the verdicts the cut
@@ -203,7 +198,7 @@ impl Engine {
         let mut workers = Vec::with_capacity(n_shards);
         let mut queue_gauges = Vec::with_capacity(n_shards);
         for (shard, (states, quarantined)) in init.drain(..).enumerate() {
-            let (tx, rx) = mpsc::sync_channel::<ShardMsg>(cfg.queue_depth.max(1));
+            let (tx, rx) = mpsc::sync_channel::<ShardMsg>(SHARD_QUEUE_DEPTH);
             let model = Arc::clone(&model);
             // Registration is idempotent: this resolves to the same
             // underlying gauge the worker's `ShardMetrics` decrements.
@@ -517,19 +512,14 @@ impl Engine {
         let mut verdicts = Vec::new();
         let mut stats = self.carried_stats;
         let mut faults = self.carried_faults;
-        let mut per_shard = Vec::with_capacity(self.workers.len());
         for handle in self.workers {
             match handle.join() {
                 Ok((v, s, f)) => {
                     verdicts.extend(v);
                     stats.merge(&s);
                     faults.merge(&f);
-                    per_shard.push(s);
                 }
-                Err(_) => {
-                    faults.worker_crashes += 1;
-                    per_shard.push(StreamStats::default());
-                }
+                Err(_) => faults.worker_crashes += 1,
             }
         }
         verdicts.sort_by_key(|v| (v.node, v.step));
@@ -539,7 +529,6 @@ impl Engine {
             faults,
             wall_seconds: self.started.elapsed().as_secs_f64(),
             n_shards: self.n_shards,
-            per_shard,
         }
     }
 }

@@ -59,7 +59,7 @@
 //!   enclosing segment.
 //! * **Stuck sensors** are detected by exact-repeat run length: when at
 //!   least a quarter of the watched (non-counter) columns repeat their
-//!   value for `stuck_run` consecutive delivered ticks, the run's rows
+//!   value for 8 consecutive delivered ticks, the run's rows
 //!   are marked faulty and degrade their segment.
 //! * **Worker panics** (e.g. the [`EngineConfig::panic_at`] chaos hook)
 //!   are caught per tick; the offending node is quarantined and its

@@ -18,6 +18,10 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Exact-repeat run length, in delivered ticks, that confirms a stuck
+/// sensor.
+const STUCK_RUN: usize = 8;
+
 /// Provenance of one preprocessed row, tracked from tick ingestion
 /// through segment close.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,7 +64,7 @@ fn kinds_from_ordinals(bytes: &[u8]) -> Result<Vec<RowKind>, SnapshotError> {
 /// are frozen there — later retro-taints cannot reach it, and when the
 /// phase runs cannot change any verdict bit.
 #[derive(Default)]
-pub(crate) struct Segment {
+struct Segment {
     /// Global step of the segment's first row.
     start: usize,
     /// The segment's preprocessed rows.
@@ -122,7 +126,7 @@ impl Segment {
 /// gaps are synthesized as lost samples, and long gaps trigger a full
 /// blackout resync. See the crate docs for the fault model.
 pub struct NodeState {
-    pub(crate) model: Arc<NodeSentry>,
+    model: Arc<NodeSentry>,
     node: usize,
     split: usize,
     /// Next step to ingest; everything below it is consumed.
@@ -137,7 +141,7 @@ pub struct NodeState {
     /// The segment being assembled (test span only).
     open: Segment,
     /// Closed segments awaiting the next scoring phase (FIFO).
-    pub(crate) jobs: VecDeque<Segment>,
+    jobs: VecDeque<Segment>,
     /// The open segment reached `match_period` rows; its probe match is
     /// deferred to the next scoring phase.
     probe_pending: bool,
@@ -155,7 +159,6 @@ pub struct NodeState {
     pub(crate) ahead: BTreeMap<usize, Tick>,
     reorder_bound: usize,
     blackout_gap: usize,
-    stuck_run: usize,
     smooth_window: usize,
     /// Provenance of rows pushed into `pre` but not yet absorbed; front
     /// corresponds to global row `next_row`.
@@ -206,7 +209,6 @@ impl NodeState {
             ahead: BTreeMap::new(),
             reorder_bound: cfg.reorder_bound.max(1),
             blackout_gap: cfg.blackout_gap.max(2),
-            stuck_run: cfg.stuck_run.max(2),
             smooth_window: cfg.smooth_window,
             row_kinds: VecDeque::new(),
             resync_degraded: false,
@@ -247,17 +249,18 @@ impl NodeState {
                     return Vec::new();
                 }
             }
-            return self.settle();
+            return self.settle(self.reorder_bound);
         }
         self.ingest_now(tick);
-        self.settle()
+        self.settle(self.reorder_bound)
     }
 
     /// Drain the reorder buffer as far as policy allows: contiguous ticks
     /// ingest immediately, a gap of `blackout_gap` resets the node, and a
     /// buffer spanning more than `reorder_bound` steps forces the oldest
     /// missing step to be synthesized (the straggler is declared lost).
-    fn settle(&mut self) -> Vec<Verdict> {
+    /// A bound of 0 empties the buffer.
+    fn settle(&mut self, reorder_bound: usize) -> Vec<Verdict> {
         let mut out = Vec::new();
         loop {
             while let Some(t) = self.ahead.remove(&self.next_step) {
@@ -275,7 +278,7 @@ impl NodeState {
                 Some((&last, _)) => last - self.next_step,
                 None => break,
             };
-            if span > self.reorder_bound {
+            if span > reorder_bound {
                 self.ingest_missing();
             } else {
                 break; // wait for the straggler
@@ -328,17 +331,17 @@ impl NodeState {
                 self.runs[c] = 0;
             }
             self.prev_raw[c] = v;
-            if self.runs[c] >= self.stuck_run as u32 {
+            if self.runs[c] >= STUCK_RUN as u32 {
                 stuck_cols += 1;
             }
         }
         // Continuous gauge signals essentially never repeat bit-exactly;
-        // a quarter of them frozen for `stuck_run` ticks is a collector
+        // a quarter of them frozen for `STUCK_RUN` ticks is a collector
         // fault, not chance.
         if self.n_watch > 0 && stuck_cols * 4 >= self.n_watch {
             self.faults.stuck_rows += 1;
-            // The run began `stuck_run` rows back; taint those too.
-            for k in step.saturating_sub(self.stuck_run)..step {
+            // The run began `STUCK_RUN` rows back; taint those too.
+            for k in step.saturating_sub(STUCK_RUN)..step {
                 self.mark_row_faulty(k);
             }
             return RowKind::Faulty;
@@ -409,19 +412,7 @@ impl NodeState {
     /// arrive), flush the preprocessing tail, close the last segment, and
     /// drain the smoothing lag.
     pub fn flush(&mut self) -> Vec<Verdict> {
-        let mut out = Vec::new();
-        while let Some((&front, _)) = self.ahead.first_key_value() {
-            if front - self.next_step >= self.blackout_gap {
-                out.extend(self.blackout_reset(front));
-            } else {
-                while self.next_step < front {
-                    self.ingest_missing();
-                }
-            }
-            while let Some(t) = self.ahead.remove(&self.next_step) {
-                self.ingest_now(&t);
-            }
-        }
+        let mut out = self.settle(0);
         out.extend(self.flush_tail(false));
         out
     }
@@ -518,12 +509,7 @@ impl NodeState {
     /// Push one scored segment through the smoothing → k-sigma chain;
     /// returns finalized verdicts. `cost_share` is this segment's share
     /// of scoring wall time (the batch's elapsed, split by rows).
-    pub(crate) fn apply_scored(
-        &mut self,
-        seg: Segment,
-        scores: Vec<f64>,
-        cost_share: f64,
-    ) -> Vec<Verdict> {
+    fn apply_scored(&mut self, seg: Segment, scores: Vec<f64>, cost_share: f64) -> Vec<Verdict> {
         // Invariant: `resolve_probes` ran before the segment was scored.
         let cluster = seg.matched.unwrap_or(0);
         let mut out = Vec::new();
@@ -553,7 +539,7 @@ impl NodeState {
     /// Probe matches waiting for the scoring phase: queued jobs that
     /// closed before reaching `match_period` rows, plus the open
     /// segment's pending probe.
-    pub(crate) fn pending_probe_count(&self) -> u64 {
+    fn pending_probe_count(&self) -> u64 {
         self.probe_pending as u64 + self.jobs.iter().filter(|j| j.matched.is_none()).count() as u64
     }
 
@@ -566,7 +552,7 @@ impl NodeState {
     /// probe and any queued job that closed unmatched. Matching reads
     /// only frozen row values, so the cluster does not depend on when
     /// this runs.
-    pub(crate) fn resolve_probes(&mut self) {
+    fn resolve_probes(&mut self) {
         let open = std::mem::take(&mut self.probe_pending).then_some(&mut self.open);
         for seg in open.into_iter().chain(self.jobs.iter_mut()) {
             if seg.matched.is_some() || seg.rows.is_empty() {
@@ -584,20 +570,10 @@ impl NodeState {
         }
     }
 
-    /// Single-node drain (flush/blackout/quarantine paths): resolve
-    /// probes, score every queued job — still batched per shared model —
-    /// and apply in FIFO order.
+    /// [`score_deferred`] on this node alone (the flush, blackout and
+    /// quarantine paths).
     pub(crate) fn drain_jobs(&mut self) -> Vec<Verdict> {
-        if !self.has_deferred_work() {
-            return Vec::new();
-        }
-        self.resolve_probes();
-        let jobs: Vec<Segment> = std::mem::take(&mut self.jobs).into();
-        let mut out = Vec::new();
-        for (seg, scores, share) in score_resolved_jobs(&self.model, jobs, self.precision) {
-            out.extend(self.apply_scored(seg, scores, share));
-        }
-        out
+        score_deferred(&mut [self]).0
     }
 
     /// Feed smoothed scores through the k-sigma detector; each decision
@@ -718,20 +694,38 @@ impl NodeState {
     }
 }
 
-/// Score a FIFO run of probe-resolved segments: group them by the shared
-/// model their matched cluster maps to, score each group with one
-/// `score_series_batch` call on that model (row-capped batched forwards
-/// fanned over this thread's pool width; bit-identical per series to
-/// `score_series`), normalize each segment against its own probe
-/// baseline, and return `(segment, scores, cost share)` in the original
-/// order. The cost share is the group's scoring wall time split by
+/// One scoring phase over `states` (the nodes sharing one model, sorted
+/// here into ascending node id): resolve every deferred probe, take every
+/// queued segment, group the segments by the shared model their matched
+/// cluster maps to, score each group with one `score_series_batch` call
+/// on that model (row-capped batched forwards fanned over this thread's
+/// pool width; bit-identical per series to `score_series`), normalize
+/// each segment against its own probe baseline, and push the segments
+/// through their nodes' smoothing → k-sigma chains node by node, each
+/// node's in FIFO order. Returns the verdicts and how many probes were
+/// resolved.
+///
+/// A segment's cost share is its group's scoring wall time split by
 /// rows: a forward costs per row, so a short segment batched beside a
 /// long one is charged for its own rows, not for half the group.
-pub(crate) fn score_resolved_jobs(
-    model: &NodeSentry,
-    jobs: Vec<Segment>,
-    precision: ScoringPrecision,
-) -> Vec<(Segment, Vec<f64>, f64)> {
+pub(crate) fn score_deferred(states: &mut [&mut NodeState]) -> (Vec<Verdict>, u64) {
+    states.sort_unstable_by_key(|s| s.node);
+    let mut n_probes = 0;
+    let mut owners: Vec<usize> = Vec::new();
+    let mut jobs: Vec<Segment> = Vec::new();
+    for (i, state) in states.iter_mut().enumerate() {
+        n_probes += state.pending_probe_count();
+        state.resolve_probes();
+        for job in std::mem::take(&mut state.jobs) {
+            owners.push(i);
+            jobs.push(job);
+        }
+    }
+    let mut out = Vec::new();
+    let Some(first) = states.first() else {
+        return (out, n_probes);
+    };
+    let (model, precision) = (Arc::clone(&first.model), first.precision);
     let mut groups: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
     for (i, job) in jobs.iter().enumerate() {
         // Invariant: `resolve_probes` ran first, so `matched` is set
@@ -764,11 +758,9 @@ pub(crate) fn score_resolved_jobs(
             scored[i] = Some((scores, share));
         }
     }
-    jobs.into_iter()
-        .zip(scored)
-        .map(|(job, s)| {
-            let (scores, share) = s.unwrap_or_default();
-            (job, scores, share)
-        })
-        .collect()
+    for ((owner, job), s) in owners.into_iter().zip(jobs).zip(scored) {
+        let (scores, share) = s.unwrap_or_default();
+        out.extend(states[owner].apply_scored(job, scores, share));
+    }
+    (out, n_probes)
 }

@@ -3,11 +3,9 @@
 //! the live metering of what it emits.
 
 use crate::metrics::{node_metrics, ShardMetrics};
-use crate::node::{score_resolved_jobs, NodeState, Segment};
+use crate::node::{score_deferred, NodeState};
 use crate::snapshot::NodeSnap;
-use crate::{
-    status, EngineConfig, FaultCounters, ScoringPrecision, StreamStats, Tick, Verdict, VerdictKind,
-};
+use crate::{status, EngineConfig, FaultCounters, StreamStats, Tick, Verdict, VerdictKind};
 use nodesentry_core::NodeSentry;
 use ns_obs::events::{self, EventKind};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -40,63 +38,24 @@ pub(crate) enum ShardMsg {
     Checkpoint(mpsc::Sender<ShardCheckpoint>),
 }
 
-/// Cross-node batched scoring phase: after a tick batch lands, collect
-/// every deferred probe and queued segment across the shard's nodes,
-/// resolve the probes, score all segments through per-cluster batched
-/// forwards, and fan the verdicts back out per node. Nodes are visited
-/// in ascending id and each node's jobs in FIFO order, so every node's
-/// smoother/detector chain sees its segments in stream order.
-fn scoring_phase(
-    states: &mut FxHashMap<usize, NodeState>,
-    verdicts: &mut Vec<Verdict>,
-    precision: ScoringPrecision,
-) {
-    let mut nodes: Vec<usize> = states
-        .iter()
-        .filter(|(_, s)| s.has_deferred_work())
-        .map(|(&n, _)| n)
+/// Cross-node batched scoring phase: after a tick batch lands, every
+/// node with deferred work goes through one [`score_deferred`], so all
+/// of the shard's ready probes and segments share its per-cluster
+/// batched forwards.
+fn scoring_phase(states: &mut FxHashMap<usize, NodeState>, verdicts: &mut Vec<Verdict>) {
+    let mut ready: Vec<&mut NodeState> = states
+        .values_mut()
+        .filter(|s| s.has_deferred_work())
         .collect();
-    if nodes.is_empty() {
+    if ready.is_empty() {
         return;
     }
-    nodes.sort_unstable();
-    let mut owners: Vec<usize> = Vec::new();
-    let mut jobs: Vec<Segment> = Vec::new();
-    let mut n_probes = 0u64;
-    let mut model = None;
-    for &n in &nodes {
-        // Invariant: ids came out of the map above.
-        let Some(state) = states.get_mut(&n) else {
-            continue;
-        };
-        n_probes += state.pending_probe_count();
-        state.resolve_probes();
-        for job in std::mem::take(&mut state.jobs) {
-            owners.push(n);
-            jobs.push(job);
-        }
-        model.get_or_insert_with(|| Arc::clone(&state.model));
-    }
+    let (vs, n_probes) = score_deferred(&mut ready);
     if n_probes > 0 {
         node_metrics().batch_probes.observe(n_probes as f64);
     }
-    let Some(model) = model else {
-        return;
-    };
-    if jobs.is_empty() {
-        return;
-    }
-    for (owner, (seg, scores, share)) in owners
-        .into_iter()
-        .zip(score_resolved_jobs(&model, jobs, precision))
-    {
-        let Some(state) = states.get_mut(&owner) else {
-            continue;
-        };
-        let vs = state.apply_scored(seg, scores, share);
-        meter_verdicts(&vs);
-        verdicts.extend(vs);
-    }
+    meter_verdicts(&vs);
+    verdicts.extend(vs);
 }
 
 /// Count newly emitted verdicts into the live by-kind counters, append
@@ -250,7 +209,7 @@ pub(crate) fn worker_loop(
                 }
             }
         }
-        scoring_phase(&mut states, &mut verdicts, cfg.scoring_precision);
+        scoring_phase(&mut states, &mut verdicts);
         publish_shard_metrics(&m, &states, &faults, &mut published);
     }
     // Channel closed: flush in node order so shard output is

@@ -14,8 +14,9 @@
 //!   windowed state: a Degraded-rate spike (`note_verdicts`: ≥ 50%
 //!   degraded over a ≥ [`SPIKE_WINDOW`]-verdict window) and a wire-error
 //!   burst (`note_wire_error`: ≥ [`BURST_THRESHOLD`] protocol errors
-//!   inside [`BURST_WINDOW`]). Quarantine, checkpoint-failure and
-//!   restore-failure fire unconditionally at their sites in `lib.rs`.
+//!   inside [`BURST_WINDOW`]). Quarantine (in `shard.rs`),
+//!   checkpoint-failure and restore-failure (in `engine.rs`) fire
+//!   unconditionally at their sites.
 //!   All predicates are no-ops while the recorder is disarmed — one
 //!   relaxed atomic load.
 
@@ -79,7 +80,6 @@ struct EngineContext {
     smooth_window: usize,
     reorder_bound: usize,
     blackout_gap: usize,
-    stuck_run: usize,
     /// The lowercase [`ScoringPrecision::as_str`](crate::ScoringPrecision::as_str)
     /// label, not the enum's own `F64` spelling.
     scoring_precision: &'static str,
@@ -94,7 +94,6 @@ impl EngineContext {
             smooth_window: cfg.smooth_window,
             reorder_bound: cfg.reorder_bound,
             blackout_gap: cfg.blackout_gap,
-            stuck_run: cfg.stuck_run,
             scoring_precision: cfg.scoring_precision.as_str(),
         }
     }
@@ -416,7 +415,6 @@ mod tests {
                 "smooth_window",
                 "reorder_bound",
                 "blackout_gap",
-                "stuck_run",
                 "scoring_precision"
             ]
         );

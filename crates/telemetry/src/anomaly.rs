@@ -273,60 +273,6 @@ fn poisson_like(rng: &mut ChaCha8Rng, lambda: f64) -> usize {
     c
 }
 
-/// Sample a non-overlapping per-node injection plan.
-pub fn plan_events(n_nodes: usize, cfg: &InjectionConfig) -> Vec<AnomalyEvent> {
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut events = Vec::new();
-    let span = cfg.window_end.saturating_sub(cfg.window_start);
-    if span == 0 {
-        return events;
-    }
-    for node in 0..n_nodes {
-        // Poisson-ish count.
-        let lambda = cfg.events_per_node;
-        let count = {
-            let mut c = 0usize;
-            let mut acc = 1.0f64;
-            let limit = (-lambda).exp();
-            loop {
-                acc *= rng.gen_range(0.0..1.0f64);
-                if acc <= limit {
-                    break;
-                }
-                c += 1;
-                if c > 20 {
-                    break;
-                }
-            }
-            c
-        };
-        let mut taken: Vec<(usize, usize)> = Vec::new();
-        for _ in 0..count {
-            let dur = rng.gen_range(cfg.min_duration..=cfg.max_duration.max(cfg.min_duration));
-            if dur >= span {
-                continue;
-            }
-            for _attempt in 0..8 {
-                let start = cfg.window_start + rng.gen_range(0..span - dur);
-                let end = start + dur;
-                if taken.iter().all(|&(s, e)| end <= s || start >= e) {
-                    taken.push((start, end));
-                    let kind = ALL_ANOMALIES[rng.gen_range(0..ALL_ANOMALIES.len())];
-                    events.push(AnomalyEvent {
-                        node,
-                        kind,
-                        start,
-                        end,
-                    });
-                    break;
-                }
-            }
-        }
-    }
-    events.sort_by_key(|e| (e.node, e.start));
-    events
-}
-
 /// Point-wise ground-truth labels for one node over `[0, horizon)`.
 pub fn labels_for_node(events: &[AnomalyEvent], node: usize, horizon: usize) -> Vec<bool> {
     let mut labels = vec![false; horizon];
@@ -401,30 +347,55 @@ mod tests {
         assert!(mid[Signal::NetTxBytes as usize] < 0.1);
     }
 
-    #[test]
-    fn plan_is_non_overlapping_within_node_and_inside_window() {
-        let cfg = InjectionConfig {
+    /// Job spans for `n` nodes: three usable jobs inside the window
+    /// `[100, 1000)`, one job before it, one too short to hold an event,
+    /// and a last node with no spans at all.
+    fn job_spans(n: usize) -> Vec<Vec<(usize, usize)>> {
+        let mut spans: Vec<Vec<(usize, usize)>> = (0..n)
+            .map(|i| vec![(0, 90), (100 + i, 400), (400, 408), (420, 700), (700, 1000)])
+            .collect();
+        spans.push(Vec::new());
+        spans
+    }
+
+    fn span_cfg(seed: u64) -> InjectionConfig {
+        InjectionConfig {
             window_start: 100,
             window_end: 1000,
             events_per_node: 3.0,
             min_duration: 10,
             max_duration: 60,
-            seed: 9,
-        };
-        let events = plan_events(20, &cfg);
+            seed,
+        }
+    }
+
+    #[test]
+    fn plan_is_non_overlapping_within_node_and_inside_one_span() {
+        let spans = job_spans(20);
+        let cfg = span_cfg(9);
+        let events = plan_events_in_spans(&spans, &cfg);
         assert!(!events.is_empty());
         for e in &events {
             assert!(e.start >= 100 && e.end <= 1000);
             assert!(e.end > e.start);
+            let inside = spans[e.node]
+                .iter()
+                .filter(|&&(s, end)| s >= 100 && end - s > cfg.min_duration)
+                .any(|&(s, end)| e.start >= s && e.end <= end);
+            assert!(inside, "{e:?} lies in no allowed span");
         }
+        assert!(
+            events.iter().all(|e| e.node < 20),
+            "a node without spans got events"
+        );
         for node in 0..20 {
-            let mut spans: Vec<(usize, usize)> = events
+            let mut taken: Vec<(usize, usize)> = events
                 .iter()
                 .filter(|e| e.node == node)
                 .map(|e| (e.start, e.end))
                 .collect();
-            spans.sort_unstable();
-            for w in spans.windows(2) {
+            taken.sort_unstable();
+            for w in taken.windows(2) {
                 assert!(w[0].1 <= w[1].0, "node {node} overlap");
             }
         }
@@ -455,15 +426,11 @@ mod tests {
 
     #[test]
     fn plan_is_deterministic() {
-        let cfg = InjectionConfig {
-            window_start: 0,
-            window_end: 500,
-            events_per_node: 2.0,
-            min_duration: 5,
-            max_duration: 30,
-            seed: 11,
-        };
-        assert_eq!(plan_events(10, &cfg), plan_events(10, &cfg));
+        let spans = job_spans(10);
+        assert_eq!(
+            plan_events_in_spans(&spans, &span_cfg(11)),
+            plan_events_in_spans(&spans, &span_cfg(11))
+        );
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl Signal {
             Signal::Uptime => "uptime",
         }
     }
-
-    /// Signal from its frame index.
-    pub fn from_index(i: usize) -> Signal {
-        ALL_SIGNALS[i]
-    }
 }
 
 /// One timestamp's worth of latent state.
@@ -153,7 +148,6 @@ mod tests {
     fn signal_indices_are_dense_and_unique() {
         for (i, s) in ALL_SIGNALS.iter().enumerate() {
             assert_eq!(*s as usize, i);
-            assert_eq!(Signal::from_index(i), *s);
         }
     }
 
