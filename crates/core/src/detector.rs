@@ -454,10 +454,12 @@ impl NodeSentry {
     /// `+0.0` differ and one flipped mantissa bit changes the digest.
     ///
     /// Costs one pass over the weights and allocates nothing for them.
-    /// Deliberately **not** cached: the fields are `pub` and
-    /// [`NodeSentry::incremental_update`] rewrites weights and centroids
-    /// in place, so a stored digest could go stale and a restore would
-    /// then accept a snapshot taken against a different model.
+    /// Always a recompute from content, never cached here: the fields are
+    /// `pub` and [`NodeSentry::incremental_update`] rewrites weights and
+    /// centroids in place, so a digest stored in the model could go stale
+    /// and a restore would then accept a snapshot taken against a
+    /// different model. (The streaming engine memoises it per `Arc`
+    /// allocation instead, where no `&mut` can reach the hashed value.)
     pub fn fingerprint(&self) -> u64 {
         let NodeSentry {
             cfg,

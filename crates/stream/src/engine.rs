@@ -9,8 +9,8 @@ use crate::{status, EngineError, FaultCounters, ScoringPrecision, StreamStats, T
 use nodesentry_core::NodeSentry;
 use ns_obs::events::{self, EventKind};
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{mpsc, Arc, Mutex, PoisonError, Weak};
 use std::time::Instant;
 
 /// Bounded per-shard queue depth (tick batches). Ingest blocks when a
@@ -137,7 +137,7 @@ impl Engine {
     }
 
     pub fn try_new(model: Arc<NodeSentry>, cfg: EngineConfig) -> Result<Self, EngineError> {
-        let model_fingerprint = model.fingerprint();
+        let model_fingerprint = model_fingerprint(&model);
         Self::spawn(
             model,
             model_fingerprint,
@@ -150,7 +150,7 @@ impl Engine {
 
     /// Spawn the worker pool, seeding shard `i` with `init[i]` (restored
     /// node states + quarantined ids) when provided. `model_fingerprint`
-    /// is the caller's one digest of `model` for this engine: computed by
+    /// is the caller's one digest of `model` for this engine: taken by
     /// [`Engine::try_new`], or by [`Engine::restore`] where it has just
     /// been checked against the snapshot's.
     fn spawn(
@@ -242,9 +242,10 @@ impl Engine {
     /// agree on the bit-critical config fields (`split`,
     /// `smooth_window`); `cfg.n_shards` is free — node states are
     /// re-routed by `node % n_shards`, which is how live resharding and
-    /// shard rebalancing work. The node states take over their buffers
-    /// from one clone of `snap`; [`Engine::restore_bytes`] hands over the
-    /// decoded ones and copies nothing.
+    /// shard rebalancing work. `snap` is checked where it lies, and the
+    /// node states take over their buffers from one clone of it only once
+    /// it is accepted; [`Engine::restore_bytes`] hands over the decoded
+    /// ones and copies nothing.
     pub fn restore(
         model: Arc<NodeSentry>,
         cfg: EngineConfig,
@@ -254,7 +255,7 @@ impl Engine {
             Instant::now(),
             model,
             cfg,
-            snap.clone(),
+            Cow::Borrowed(snap),
         ))
     }
 
@@ -268,7 +269,7 @@ impl Engine {
         Self::restore_noted(
             EngineSnapshot::from_bytes(bytes)
                 .map_err(EngineError::from)
-                .and_then(|snap| Self::restore_since(t0, model, cfg, snap)),
+                .and_then(|snap| Self::restore_since(t0, model, cfg, Cow::Owned(snap))),
         )
     }
 
@@ -284,19 +285,20 @@ impl Engine {
         res
     }
 
-    /// [`Engine::restore`] of an owned snapshot, with the
-    /// `ns_stream_restore_seconds` clock started by the caller, so a
-    /// restore from bytes is timed from before its decode. Observes the
-    /// histogram exactly once per successful restore.
+    /// [`Engine::restore`], with the `ns_stream_restore_seconds` clock
+    /// started by the caller, so a restore from bytes is timed from
+    /// before its decode. A borrowed snapshot is cloned only once it has
+    /// passed the checks. Observes the histogram exactly once per
+    /// successful restore.
     fn restore_since(
         t0: Instant,
         model: Arc<NodeSentry>,
         cfg: EngineConfig,
-        snap: EngineSnapshot,
+        snap: Cow<'_, EngineSnapshot>,
     ) -> Result<Self, EngineError> {
-        // The engine's one digest: recomputed from the model's content,
-        // checked here before any state is built, then handed to `spawn`.
-        let fp = model.fingerprint();
+        // The engine's one digest, checked here before any state is built
+        // (or anything copied), then handed to `spawn`.
+        let fp = model_fingerprint(&model);
         if snap.model_fingerprint != fp {
             return Err(SnapshotError::ModelMismatch {
                 snapshot: snap.model_fingerprint,
@@ -326,6 +328,7 @@ impl Engine {
                 .into());
             }
         }
+        let snap = snap.into_owned();
         let n_shards = cfg.n_shards.max(1);
         let n_nodes = snap.nodes.len();
         let mut init: Vec<(FxHashMap<usize, NodeState>, FxHashSet<usize>)> = Vec::new();
@@ -533,6 +536,46 @@ impl Engine {
     }
 }
 
+/// [`NodeSentry::fingerprint`] of `model`, computed once per model
+/// allocation: a process-wide memo holds a `(Weak, digest)` entry per live
+/// model an engine was built or restored with. Dead entries are pruned on
+/// every call, so it needs no size bound; the hashing runs outside the
+/// lock.
+///
+/// A hit cannot be stale. `NodeSentry` is not `Clone`, so `Arc::make_mut`
+/// does not apply; while the entry's `Weak` exists `Arc::get_mut` returns
+/// `None`, so safe code gets no `&mut` to the hashed value; taking the
+/// value out (`Arc::into_inner`, `Arc::try_unwrap`) ends its life in the
+/// allocation, and the entry reads dead; and the `Weak` keeps the
+/// allocation, so no other model is placed at its address while the entry
+/// exists. A hit names exactly the bytes that were hashed — given that
+/// nothing the digest covers is interior-mutable (a model's
+/// `SessionPool`s serialize as `null` and are not covered).
+fn model_fingerprint(model: &Arc<NodeSentry>) -> u64 {
+    type Memo = Vec<(Weak<NodeSentry>, u64)>;
+    static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
+    // Every update leaves the memo valid, so a poisoned lock is too.
+    let memo = || MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    let lookup = |memo: &mut Memo| {
+        memo.retain(|(weak, _)| weak.strong_count() > 0);
+        memo.iter()
+            .find(|(weak, _)| std::ptr::eq(weak.as_ptr(), Arc::as_ptr(model)))
+            .map(|&(_, fp)| fp)
+    };
+    if let Some(fp) = lookup(&mut memo()) {
+        return fp;
+    }
+    let weak = Arc::downgrade(model);
+    let fp = model.fingerprint();
+    #[cfg(test)]
+    tests::DIGESTS.with(|n| n.set(n.get() + 1));
+    let mut memo = memo();
+    if lookup(&mut memo).is_none() {
+        memo.push((weak, fp));
+    }
+    fp
+}
+
 /// What a failed checkpoint or restore leaves besides its `/statusz`
 /// count: a `"failed"` event and, while armed, an incident.
 fn note_failure(kind: EventKind, trigger: &'static str, e: &EngineError) {
@@ -540,5 +583,179 @@ fn note_failure(kind: EventKind, trigger: &'static str, e: &EngineError) {
     if ns_obs::incident::is_armed() {
         let what = trigger.trim_end_matches("_failure");
         ns_obs::incident::capture(trigger, &format!("engine {what} failed: {e}"));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nodesentry_core::{CoarseConfig, NodeInput, NodeSentryConfig, SharingConfig};
+    use ns_features::FeatureCatalog;
+    use ns_linalg::matrix::Matrix;
+    use ns_telemetry::DatasetProfile;
+    use std::cell::Cell;
+    use std::sync::OnceLock;
+
+    thread_local! {
+        /// Content digests [`model_fingerprint`] computed on this thread.
+        pub(super) static DIGESTS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Content digests computed while `f` ran.
+    fn digests_in(f: impl FnOnce()) -> usize {
+        let before = DIGESTS.with(Cell::get);
+        f();
+        DIGESTS.with(Cell::get) - before
+    }
+
+    struct Fixture {
+        /// A small fitted model's file: each `from_json` of it is a new
+        /// model, equal to every other.
+        json: String,
+        split: usize,
+        /// Preprocessed rows of one node, for `incremental_update`.
+        segment: Matrix,
+    }
+
+    fn fixture() -> &'static Fixture {
+        static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let ds = DatasetProfile::tiny().generate();
+            let inputs: Vec<NodeInput> = (0..ds.n_nodes())
+                .map(|n| NodeInput {
+                    raw: ds.raw_node(n),
+                    transitions: Vec::new(),
+                })
+                .collect();
+            let cfg = NodeSentryConfig {
+                coarse: CoarseConfig {
+                    catalog: FeatureCatalog::compact(),
+                    k_max: 4,
+                    ..Default::default()
+                },
+                sharing: SharingConfig {
+                    window: 12,
+                    stride: 12,
+                    d_model: 8,
+                    n_heads: 2,
+                    n_layers: 1,
+                    hidden: 16,
+                    n_experts: 2,
+                    epochs: 1,
+                    batch: 16,
+                    k_nearest: 2,
+                    ..Default::default()
+                },
+                match_period: 40,
+                min_segment_len: 8,
+                ..Default::default()
+            };
+            let model = NodeSentry::fit(cfg, &inputs, &ds.catalog.group_ids(), ds.split);
+            Fixture {
+                json: model.to_json(false).expect("serialize"),
+                split: ds.split,
+                segment: model.preprocess(&inputs[0].raw).slice_rows(0, 60),
+            }
+        })
+    }
+
+    fn model() -> Arc<NodeSentry> {
+        Arc::new(NodeSentry::from_json(&fixture().json).expect("model file"))
+    }
+
+    fn cfg() -> EngineConfig {
+        let mut cfg = EngineConfig::new(fixture().split);
+        cfg.n_shards = 1;
+        cfg
+    }
+
+    /// The bytes of a new engine's checkpoint over `model`, with the engine
+    /// joined: the caller holds the only strong reference again.
+    fn checkpoint(model: &Arc<NodeSentry>) -> Vec<u8> {
+        let engine = Engine::new(Arc::clone(model), cfg());
+        let bytes = engine.checkpoint().expect("checkpoint").bytes;
+        engine.finish();
+        bytes
+    }
+
+    fn restore(model: &Arc<NodeSentry>, bytes: &[u8]) -> Result<(), EngineError> {
+        Engine::restore_bytes(Arc::clone(model), cfg(), bytes).map(|engine| {
+            engine.finish();
+        })
+    }
+
+    /// `model` taken out of its allocation, changed by `change`, and put
+    /// back in a new one, which must refuse `bytes`, the checkpoint of the
+    /// old value: the memo answers for an allocation, never for a value.
+    fn refuses_after(
+        model: Arc<NodeSentry>,
+        bytes: &[u8],
+        change: impl FnOnce(&mut NodeSentry),
+    ) -> Arc<NodeSentry> {
+        let taken_with = model.fingerprint();
+        let mut value = Arc::into_inner(model).expect("the engines are joined");
+        change(&mut value);
+        let changed = Arc::new(value);
+        match restore(&changed, bytes) {
+            Err(EngineError::Snapshot(SnapshotError::ModelMismatch { snapshot, model })) => {
+                assert_eq!(snapshot, taken_with);
+                assert_eq!(model, changed.fingerprint());
+                assert_ne!(model, taken_with);
+            }
+            other => panic!("a changed model restored the old checkpoint: {other:?}"),
+        }
+        changed
+    }
+
+    #[test]
+    fn memo_hashes_one_allocation_once_across_new_and_restores() {
+        let model = model();
+        let computed = digests_in(|| {
+            let bytes = checkpoint(&model);
+            restore(&model, &bytes).expect("restore");
+            restore(&model, &bytes).expect("restore again");
+        });
+        assert_eq!(computed, 1);
+    }
+
+    #[test]
+    fn memo_hashes_equal_models_once_per_allocation() {
+        let (a, b) = (model(), model());
+        assert_eq!(a.fingerprint(), b.fingerprint(), "equal models");
+        let computed = digests_in(|| {
+            let bytes = checkpoint(&a);
+            restore(&b, &bytes).expect("an equal model restores");
+            restore(&a, &bytes).expect("restore");
+            checkpoint(&b);
+        });
+        assert_eq!(computed, 2);
+    }
+
+    #[test]
+    fn memo_entry_denies_get_mut_on_the_hashed_model() {
+        let mut model = model();
+        checkpoint(&model);
+        assert_eq!(Arc::strong_count(&model), 1, "the engine is joined");
+        assert!(Arc::get_mut(&mut model).is_none());
+    }
+
+    #[test]
+    fn memo_does_not_outlive_a_model_taken_out_of_its_allocation() {
+        let model = model();
+        let bytes = checkpoint(&model);
+        let model = refuses_after(model, &bytes, |m| {
+            let params = &mut m.shared_models.last_mut().expect("a model").params;
+            let last = params.len() - 1;
+            let w = params
+                .get_mut(last)
+                .as_mut_slice()
+                .last_mut()
+                .expect("a weight");
+            *w = f64::from_bits(w.to_bits() ^ 1);
+        });
+        let bytes = checkpoint(&model);
+        refuses_after(model, &bytes, |m| {
+            m.incremental_update(&fixture().segment, 1);
+        });
     }
 }

@@ -32,7 +32,9 @@
 //! * *Digest.* Byte-wise FNV-1a 64 over each 64 KiB block of the payload,
 //!   folded as header ‖ block digests ‖ payload length
 //!   ([`fnv1a64_blocks`]): the blocks are independent, so four advance
-//!   per pass (≈ 0.37 ms/MB).
+//!   per pass (≈ 0.36 ms/MiB on one core), and from 512 KiB of payload
+//!   runs of them hash on every core of the pool, on the way out and on
+//!   the way in alike (≈ 0.21 ms/MiB on two).
 //! * *Packed rows.* A `Vec<f64>` is tag 8, a count and the raw values —
 //!   one bounds check and one copy each way; open-segment rows are ≈ 99 %
 //!   of a snapshot's bytes.
@@ -202,10 +204,10 @@ pub struct NodeSnap {
 pub struct EngineSnapshot {
     /// Fingerprint of the trained model this state belongs to
     /// ([`NodeSentry::fingerprint`](nodesentry_core::NodeSentry::fingerprint),
-    /// a digest of the model's content that the checkpointing engine
-    /// computed once, at construction); restore recomputes it from the
-    /// model it is given and refuses any other with
-    /// [`SnapshotError::ModelMismatch`].
+    /// a digest of the model's content that the checkpointing engine took
+    /// at construction); restore takes it of the model it is given —
+    /// hashed once per model allocation, however many engines share it —
+    /// and refuses any other with [`SnapshotError::ModelMismatch`].
     pub model_fingerprint: u64,
     /// First test step of the checkpointed engine (bit-critical).
     pub split: usize,

@@ -54,6 +54,7 @@
 //! interleaved loop, each digest equal to [`fnv1a64`] of its frame.
 
 use nodesentry_core::Tick;
+use rayon::prelude::*;
 
 /// Leading magic of every frame: `NSWP` ("NodeSentry Wire Protocol").
 pub const WIRE_MAGIC: [u8; 4] = *b"NSWP";
@@ -762,6 +763,14 @@ fn fnv1a64_lanes(lanes: [&[u8]; LANES]) -> [u64; LANES] {
     h
 }
 
+/// Body bytes from which [`fnv1a64_blocks`] hashes on the pool. Measured
+/// on the 2-vCPU bench box at 64 KiB blocks (a 256 KiB group is ≈ 90 µs
+/// on one core, a dispatch a few µs): two runs read 1.75× of one at
+/// 512 KiB and 1.47–1.86× from 640 KiB to 20 MiB. Just past two groups
+/// (513 KiB) one run holds nearly all the work and it reads 0.99×; below
+/// 512 KiB the second run can be such a sliver alone.
+const PAR_MIN_BYTES: usize = 1 << 19;
+
 /// FNV-1a 64 over `head ‖ d₀ ‖ d₁ ‖ … ‖ body.len()`, where `dᵢ` is the
 /// [`fnv1a64`] of the `i`-th `block`-byte piece of `body` (the last one
 /// ragged, none for an empty body) and digests and length go in as u64
@@ -770,16 +779,36 @@ fn fnv1a64_lanes(lanes: [&[u8]; LANES]) -> [u64; LANES] {
 /// a flipped bit changes its block's digest and with it the fold; but
 /// blocks are independent strings, so four of them advance per pass
 /// and a long body hashes at the multiplier's throughput, not its latency.
+///
+/// From 512 KiB of body on, the groups of four blocks are dealt to the
+/// pool in one contiguous run per participant (below it, one run on this
+/// thread — the same loop); the digests land in block order and are
+/// folded here, so the split decides only who hashes a block, never the
+/// value.
 pub fn fnv1a64_blocks(head: &[u8], body: &[u8], block: usize) -> u64 {
     assert!(block > 0, "zero-sized digest blocks");
-    let mut h = fnv1a64(head);
-    for group in body.chunks(block.saturating_mul(LANES)) {
-        let mut blocks = group.chunks(block);
-        let lanes: [&[u8]; LANES] = std::array::from_fn(|_| blocks.next().unwrap_or_default());
-        for digest in &fnv1a64_lanes(lanes)[..group.len().div_ceil(block)] {
-            h = fnv1a64_from(h, &digest.to_le_bytes());
-        }
-    }
+    let group_len = block.saturating_mul(LANES);
+    let width = if body.len() < PAR_MIN_BYTES {
+        1
+    } else {
+        rayon::current_num_threads()
+    };
+    let run_groups = body.len().div_ceil(group_len).div_ceil(width).max(1);
+    let mut digests = vec![0u64; body.len().div_ceil(block)];
+    digests
+        .par_chunks_mut(run_groups * LANES)
+        .enumerate()
+        .for_each(|(run, digests)| {
+            let groups = body[run * run_groups * group_len..].chunks(group_len);
+            for (group, digests) in groups.zip(digests.chunks_mut(LANES)) {
+                let mut blocks = group.chunks(block);
+                let lanes = std::array::from_fn(|_| blocks.next().unwrap_or_default());
+                digests.copy_from_slice(&fnv1a64_lanes(lanes)[..digests.len()]);
+            }
+        });
+    let h = digests
+        .iter()
+        .fold(fnv1a64(head), |h, d| fnv1a64_from(h, &d.to_le_bytes()));
     fnv1a64_from(h, &(body.len() as u64).to_le_bytes())
 }
 
@@ -1347,8 +1376,68 @@ mod tests {
     }
 
     mod lanes {
-        use super::super::{fnv1a64, fnv1a64_blocks, fnv1a64_lanes, LANES};
+        use super::super::{fnv1a64, fnv1a64_blocks, fnv1a64_lanes, LANES, PAR_MIN_BYTES};
         use proptest::prelude::*;
+        use std::sync::Mutex;
+
+        /// `len` bytes of a xorshift stream.
+        fn bytes(seed: u64, len: usize) -> Vec<u8> {
+            let mut x = seed | 1;
+            (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect()
+        }
+
+        /// The block digest's definition: one plain chain per block.
+        fn by_definition(head: &[u8], body: &[u8], block: usize) -> u64 {
+            let mut preimage = head.to_vec();
+            for piece in body.chunks(block) {
+                preimage.extend_from_slice(&fnv1a64(piece).to_le_bytes());
+            }
+            preimage.extend_from_slice(&(body.len() as u64).to_le_bytes());
+            fnv1a64(&preimage)
+        }
+
+        /// `fnv1a64_blocks` at pool widths 1, 2 and 4. The width is
+        /// process-wide, so the tests that set it take turns.
+        fn at_every_width(head: &[u8], body: &[u8], block: usize) -> [u64; 3] {
+            static WIDTH: Mutex<()> = Mutex::new(());
+            let _turn = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+            let digests = [1, 2, 4].map(|width| {
+                rayon::set_thread_count_override(Some(width));
+                fnv1a64_blocks(head, body, block)
+            });
+            rayon::set_thread_count_override(None);
+            digests
+        }
+
+        #[test]
+        fn block_digest_fans_out_at_the_snapshot_block() {
+            // 64 KiB blocks: either side of the gate, a ragged last block,
+            // a ragged last group, and several groups past the gate.
+            let block = 64 << 10;
+            let body = bytes(0x5EED, PAR_MIN_BYTES + 6 * LANES * block + 777);
+            for len in [
+                PAR_MIN_BYTES - 1,
+                PAR_MIN_BYTES,
+                PAR_MIN_BYTES + 1,
+                PAR_MIN_BYTES + 2 * block + 9,
+                body.len() - 777,
+                body.len(),
+            ] {
+                let want = by_definition(b"NSSN", &body[..len], block);
+                assert_eq!(
+                    at_every_width(b"NSSN", &body[..len], block),
+                    [want; 3],
+                    "{len} bytes"
+                );
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
@@ -1381,20 +1470,27 @@ mod tests {
             }
 
             // The block digest against its definition, one plain chain
-            // per block: ragged last blocks, bodies shorter than a block,
-            // groups short of four blocks, the empty body.
+            // per block, at pool widths 1, 2 and 4: ragged last blocks,
+            // bodies shorter than a block, groups short of four blocks,
+            // the empty body — and bodies from two groups below the pool
+            // gate to at least six past it, where groups go out in runs.
             #[test]
             fn block_digest_equals_its_byte_serial_definition(
                 head in prop::collection::vec(0u8..=255u8, 0..20),
-                body in prop::collection::vec(0u8..=255u8, 0..400),
+                short in 0usize..400,
+                past_gate in 0usize..8 * LANES * 70,
+                near_gate in any::<bool>(),
+                seed in any::<u64>(),
                 block in 1usize..70,
             ) {
-                let mut preimage = head.clone();
-                for piece in body.chunks(block) {
-                    preimage.extend_from_slice(&fnv1a64(piece).to_le_bytes());
-                }
-                preimage.extend_from_slice(&(body.len() as u64).to_le_bytes());
-                prop_assert_eq!(fnv1a64_blocks(&head, &body, block), fnv1a64(&preimage));
+                let len = if near_gate {
+                    PAR_MIN_BYTES - 2 * LANES * block + past_gate
+                } else {
+                    short
+                };
+                let body = bytes(seed, len);
+                let want = by_definition(&head, &body, block);
+                prop_assert_eq!(at_every_width(&head, &body, block), [want; 3]);
             }
         }
     }
