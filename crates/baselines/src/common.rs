@@ -1,5 +1,6 @@
 //! Shared plumbing for baseline detectors: the `Detector` trait and
-//! window utilities. Baselines consume *preprocessed* node matrices (the
+//! window utilities (windows tile a span by `ns_nn::window_starts`, the
+//! shared models' tiling). Baselines consume *preprocessed* node matrices (the
 //! same cleaning/reduction/standardization NodeSentry uses), so the
 //! comparison isolates the detection strategy itself.
 
@@ -15,22 +16,6 @@ pub trait Detector {
 
     /// Per-timestep anomaly scores for one node's `[split, rows)` span.
     fn score_node(&self, node_idx: usize, data: &Matrix, split: usize) -> Vec<f64>;
-}
-
-/// Tile `[start, end)` into fixed windows, final window aligned to the
-/// end. Returns window start offsets (relative to `start`).
-pub fn window_starts(len: usize, window: usize) -> Vec<usize> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let w = window.min(len).max(1);
-    let mut starts: Vec<usize> = (0..=len.saturating_sub(w)).step_by(w).collect();
-    if let Some(&last) = starts.last() {
-        if last + w < len {
-            starts.push(len - w);
-        }
-    }
-    starts
 }
 
 /// Summary features of one window: per-metric `[mean, std, min, max]`
@@ -69,14 +54,7 @@ pub fn spread_window_scores(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn window_starts_tile_and_align() {
-        assert_eq!(window_starts(10, 4), vec![0, 4, 6]);
-        assert_eq!(window_starts(8, 4), vec![0, 4]);
-        assert_eq!(window_starts(3, 4), vec![0]);
-        assert!(window_starts(0, 4).is_empty());
-    }
+    use ns_nn::window_starts;
 
     #[test]
     fn summary_has_four_per_metric() {

@@ -3,10 +3,10 @@
 //! model shared by all nodes; no job awareness — which is exactly why it
 //! struggles with HPC sub-pattern diversity (paper §6).
 
-use crate::common::{spread_window_scores, window_starts, window_summary, Detector};
+use crate::common::{spread_window_scores, window_summary, Detector};
 use ns_linalg::matrix::Matrix;
 use ns_nn::vae::{standard_normal, Vae};
-use ns_nn::{Adam, Graph, ParamStore};
+use ns_nn::{window_starts, Adam, Graph, ParamStore};
 
 /// Configuration.
 #[derive(Clone, Debug)]

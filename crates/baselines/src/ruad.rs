@@ -3,10 +3,10 @@
 //! one deep model per node is its defining cost — the paper's Table 4
 //! shows it as the slowest offline method.
 
-use crate::common::{spread_window_scores, window_starts, Detector};
+use crate::common::{spread_window_scores, Detector};
 use ns_linalg::matrix::Matrix;
 use ns_nn::lstm::LstmAutoencoder;
-use ns_nn::{Adam, Graph, ParamStore};
+use ns_nn::{window_starts, Adam, Graph, ParamStore};
 use rayon::prelude::*;
 
 /// Configuration.

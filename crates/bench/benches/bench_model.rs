@@ -58,7 +58,7 @@ fn bench_model(c: &mut Criterion) {
                     let x = g.input(window.clone());
                     let p = g.input(pe.clone());
                     let wn = g.input(w.clone());
-                    let l = model.loss(&mut g, x, p, wn);
+                    let l = model.loss(&mut g, x, x, p, wn);
                     g.backward(l)
                 };
                 opt.step(&mut params, &grads);
@@ -139,7 +139,7 @@ fn train_window(
             let x = g.input(window.clone());
             let p = g.input(pe.clone());
             let wn = g.input(w.clone());
-            let l = model.loss(&mut g, x, p, wn);
+            let l = model.loss(&mut g, x, x, p, wn);
             g.backward(l)
         })
     });
@@ -151,7 +151,7 @@ fn train_window(
             let x = g.input_from(&window);
             let p = g.input_from(&pe);
             let wn = g.input_from(&w);
-            let l = model.loss(&mut g, x, p, wn);
+            let l = model.loss(&mut g, x, x, p, wn);
             g.backward_into(l, &mut grads);
             tape = g.into_tape();
         })

@@ -4,7 +4,7 @@
 //! Every experiment binary prints the paper's rows to stdout and writes
 //! a JSON record to `target/experiments/<name>.json` for EXPERIMENTS.md.
 
-use nodesentry_core::{NodeSentry, NodeSentryConfig, NodeSource, Variant};
+use nodesentry_core::{fit_preprocessor, NodeSentry, NodeSentryConfig, NodeSource, Variant};
 use ns_baselines::Detector;
 use ns_eval::metrics::{
     adjusted_confusion, aggregate, roc_auc_adjusted, transition_mask, AggregateScores, NodeScores,
@@ -180,17 +180,14 @@ pub fn run_nodesentry(ds: &Dataset, cfg: NodeSentryConfig) -> (MethodResult, Nod
     )
 }
 
-/// Preprocess every node once with a NodeSentry-style preprocessor (the
-/// baselines consume the same reduced representation).
+/// Preprocess every node once with the preprocessor a default NodeSentry
+/// fit builds ([`fit_preprocessor`]): the baselines consume the same
+/// reduced representation, bit for bit.
 pub fn preprocessed_nodes(ds: &Dataset) -> Vec<Matrix> {
     ns_obs::span!("preprocess_nodes");
     let groups = ds.catalog.group_ids();
-    let sample_n = 4.min(ds.n_nodes());
-    let sample: Vec<Matrix> = (0..sample_n)
-        .map(|n| ds.raw_node(n).slice_rows(0, ds.split))
-        .collect();
-    let stacked = Matrix::vstack(&sample.iter().collect::<Vec<_>>());
-    let pp = nodesentry_core::Preprocessor::fit(&stacked, &groups, 0.99, 0.05);
+    let sample_nodes = NodeSentryConfig::default().fit_sample_nodes;
+    let pp = fit_preprocessor(&DatasetSource(ds), &groups, ds.split, sample_nodes);
     {
         use rayon::prelude::*;
         (0..ds.n_nodes())
@@ -315,4 +312,54 @@ pub fn print_method_row(r: &MethodResult) {
         ns_eval::timing::format_duration(r.offline_s),
         ns_eval::timing::format_duration(r.online_s_per_node),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nodesentry_core::{CoarseConfig, SharingConfig};
+    use ns_features::FeatureCatalog;
+
+    /// The baselines' input is what a default-config NodeSentry fit feeds
+    /// its own models: `preprocessed_nodes` equals `NodeSentry::preprocess`
+    /// of the same fit bit for bit, on every node. The tiny profile gets
+    /// more nodes than the fit samples, so a sample of the wrong size
+    /// changes the statistics.
+    #[test]
+    fn baselines_get_the_detectors_preprocessing() {
+        let mut profile = DatasetProfile::tiny();
+        profile.schedule.n_nodes = 6;
+        let ds = profile.generate();
+        let cfg = NodeSentryConfig {
+            coarse: CoarseConfig {
+                catalog: FeatureCatalog::compact(),
+                k_max: 3,
+                ..Default::default()
+            },
+            sharing: SharingConfig {
+                window: 12,
+                d_model: 8,
+                n_heads: 2,
+                n_layers: 1,
+                hidden: 8,
+                n_experts: 2,
+                epochs: 1,
+                k_nearest: 2,
+                ..Default::default()
+            },
+            match_period: 40,
+            ..Default::default()
+        };
+        assert!(cfg.fit_sample_nodes < ds.n_nodes());
+        let groups = ds.catalog.group_ids();
+        let model = NodeSentry::fit_from_source(cfg, &DatasetSource(&ds), &groups, ds.split);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let nodes = preprocessed_nodes(&ds);
+        assert_eq!(nodes.len(), ds.n_nodes());
+        for (n, got) in nodes.iter().enumerate() {
+            let want = model.preprocess(&ds.raw_node(n));
+            assert_eq!(got.shape(), want.shape(), "node {n}");
+            assert_eq!(bits(got), bits(&want), "node {n}");
+        }
+    }
 }

@@ -56,8 +56,8 @@ pub struct NodeSentryConfig {
     /// Moving-average smoothing (points) applied to scores before the
     /// threshold; real anomalies persist across sampling points.
     pub smooth_window: usize,
-    /// How many randomly sampled nodes the preprocessor statistics are
-    /// fitted on (bounds memory on wide clusters).
+    /// How many nodes — the first ones — the preprocessor statistics are
+    /// fitted on (bounds memory on wide clusters; see [`fit_preprocessor`]).
     pub fit_sample_nodes: usize,
     pub seed: u64,
 }
@@ -126,6 +126,27 @@ impl NodeSource for [NodeInput] {
     }
 }
 
+/// The preprocessing every method is compared on (§3.2; the baselines of
+/// §4 consume its output too): statistics fitted on the training rows
+/// `[0, split)` of the first `sample_nodes` nodes (at least one, at most
+/// all), stacked, with Pearson pruning at 0.99 and 5 % outlier trimming.
+pub fn fit_preprocessor<S: NodeSource + ?Sized>(
+    nodes: &S,
+    groups: &[usize],
+    split: usize,
+    sample_nodes: usize,
+) -> Preprocessor {
+    let sample: Vec<Matrix> = (0..sample_nodes.clamp(1, nodes.n_nodes()))
+        .map(|i| {
+            let raw = nodes.raw(i);
+            raw.slice_rows(0, split.min(raw.rows()))
+        })
+        .collect();
+    let stacked = Matrix::vstack(&sample.iter().collect::<Vec<_>>());
+    drop(sample);
+    Preprocessor::fit(&stacked, groups, 0.99, 0.05)
+}
+
 /// Outcome of matching one segment's probe against the cluster library
 /// ([`NodeSentry::match_probe`]).
 #[derive(Clone, Debug, PartialEq)]
@@ -180,18 +201,7 @@ impl NodeSentry {
         cfg.coarse.probe_len = Some(cfg.match_period);
         // 1. Preprocessing statistics from a sample of nodes.
         let pre_span = ns_obs::trace::span("preprocess");
-        let sample_n = cfg.fit_sample_nodes.clamp(1, nodes.n_nodes());
-        let sample: Vec<Matrix> = (0..sample_n)
-            .map(|i| {
-                let raw = nodes.raw(i);
-                let upto = split.min(raw.rows());
-                raw.slice_rows(0, upto)
-            })
-            .collect();
-        let stacked = Matrix::vstack(&sample.iter().collect::<Vec<_>>());
-        drop(sample);
-        let preprocessor = Preprocessor::fit(&stacked, groups, 0.99, 0.05);
-        drop(stacked);
+        let preprocessor = fit_preprocessor(nodes, groups, split, cfg.fit_sample_nodes);
         drop(pre_span);
 
         // 2. Preprocess + segment each node's training split, in
@@ -497,7 +507,7 @@ impl NodeSentry {
     }
 }
 
-/// Streaming FNV-1a 64 (the constants of `ns_wire::fnv1a64`) over the
+/// Streaming FNV-1a 64 (`ns_wire`'s chain, step by step) over the
 /// tagged encoding of the events a [`Serialize`] walk emits — what
 /// [`NodeSentry::fingerprint`] hashes instead of JSON text. Tags: 0 Null,
 /// 1 Bool, 2 I64, 3 U64, 4 F64 (raw IEEE bits), 5 Str, 6 Array, 7 Object;
@@ -506,14 +516,11 @@ struct Fnv1a(u64);
 
 impl Fnv1a {
     fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
+        Fnv1a(ns_wire::FNV_OFFSET)
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0 = ns_wire::fnv1a64_from(self.0, bytes);
     }
 
     fn tagged(&mut self, tag: u8, word: u64) {

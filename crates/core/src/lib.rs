@@ -20,15 +20,20 @@
 //!   scores, sliding-window k-sigma thresholds, incremental fine-tuning
 //!   for matched new patterns and cluster spawning for unmatched ones —
 //!   plus the C1–C5 ablation variants of §4.4.
+//!
+//! [`fit_preprocessor`] is the one preprocessing fit: the detector's, and
+//! through `ns-bench`'s harness the baselines'. The online sample type,
+//! `Tick`, lives in `ns-wire` beside the codec that frames it; this crate
+//! takes only FNV-1a's step from there, for [`NodeSentry::fingerprint`].
 
 pub mod coarse;
 pub mod detector;
 pub mod preprocess;
 pub mod sharing;
-pub mod tick;
 
 pub use coarse::{ClusterModel, CoarseConfig};
-pub use detector::{NodeInput, NodeSentry, NodeSentryConfig, NodeSource, ProbeMatch, Variant};
+pub use detector::{
+    fit_preprocessor, NodeInput, NodeSentry, NodeSentryConfig, NodeSource, ProbeMatch, Variant,
+};
 pub use preprocess::{Preprocessor, Segment, Standardizer};
 pub use sharing::{SharedModel, SharingConfig};
-pub use tick::Tick;

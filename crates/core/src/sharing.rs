@@ -7,8 +7,9 @@ use crate::preprocess::Segment;
 use ns_linalg::matrix::Matrix;
 use ns_linalg::stats;
 use ns_nn::{
-    sinusoidal_pe_at, Adam, BlockKind, GradStore, Graph, ParamStore, ReconstructionTransformer,
-    SessionPool, SessionPoolF32, Tape, Tier, TransformerConfig, WindowSpec,
+    sinusoidal_pe_at, window_starts, Adam, BlockKind, GradStore, Graph, ParamStore,
+    ReconstructionTransformer, SessionPool, SessionPoolF32, Tape, Tier, TransformerConfig,
+    WindowSpec,
 };
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -352,15 +353,7 @@ impl SharedModel {
                         let target = g.input_from(&win.data);
                         let pe = g.input_from(&win.pe);
                         let wn = g.input_from(&w_row);
-                        let (recon, aux) = self.model.forward(&mut g, x, pe);
-                        let wmse = g.wmse(recon, target, wn);
-                        let loss = match aux {
-                            Some(a) if self.model.cfg.aux_weight > 0.0 => {
-                                let wa = g.scale(a, self.model.cfg.aux_weight);
-                                g.add(wmse, wa)
-                            }
-                            _ => wmse,
-                        };
+                        let loss = self.model.loss(&mut g, x, target, pe, wn);
                         g.backward_into(loss, &mut wgrads);
                         let l = g.scalar(loss);
                         g.into_tape().park();
@@ -415,8 +408,7 @@ impl SharedModel {
         let t = data.rows();
         let w = self.cfg.window.min(t).max(1);
         let mut scores = vec![0.0f64; t];
-        let partial: Vec<(usize, Vec<f64>)> = self
-            .window_starts(t)
+        let partial: Vec<(usize, Vec<f64>)> = window_starts(t, self.cfg.window)
             .par_iter()
             .map(|&s| {
                 let e = (s + w).min(t);
@@ -472,24 +464,6 @@ impl SharedModel {
     /// is the f64 tier, compared statistically, not bitwise.
     pub fn score_series_batch_f32(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
         self.score_stacked(&self.infer32, series)
-    }
-
-    /// Window start offsets tiling `[0, t)` in steps of the model's
-    /// window, plus a final window aligned to the series end when the
-    /// tiling leaves a ragged tail. Empty for an empty series.
-    fn window_starts(&self, t: usize) -> Vec<usize> {
-        if t == 0 {
-            return Vec::new();
-        }
-        let w = self.cfg.window.min(t).max(1);
-        let mut starts: Vec<usize> = (0..t.saturating_sub(w - 1)).step_by(w).collect();
-        if starts.is_empty() {
-            starts.push(0);
-        }
-        if starts.last().map(|&s| s + w < t).unwrap_or(false) {
-            starts.push(t - w);
-        }
-        starts
     }
 
     /// The window of `data` starting at row `start`.
@@ -568,7 +542,7 @@ impl SharedModel {
         let mut specs: Vec<WindowSpec> = Vec::new();
         let mut owners: Vec<usize> = Vec::new();
         for (si, data) in series.iter().enumerate() {
-            for s in self.window_starts(data.rows()) {
+            for s in window_starts(data.rows(), self.cfg.window) {
                 specs.push(self.window_spec(data, s, &pos_fns[si]));
                 owners.push(si);
             }
@@ -793,6 +767,29 @@ mod tests {
                 assert_eq!(bits(&batched[i]), taped, "batched {ctx}");
             }
         }
+    }
+
+    /// The trained weights of two small fits — MoE, so with the auxiliary
+    /// loss, and dense — pinned by FNV-1a over their bits: the training
+    /// step (noised input, clean target, WMSE plus the weighted auxiliary
+    /// loss) cannot change without this failing.
+    #[test]
+    fn trained_weights_are_pinned() {
+        let segs = [pattern_segment(48, 3, 0.3), pattern_segment(60, 3, 0.3)];
+        let refs: Vec<&Matrix> = segs.iter().collect();
+        let mut cfg = quick_cfg();
+        cfg.epochs = 3;
+        let mut h = ns_wire::FNV_OFFSET;
+        for dense in [false, true] {
+            cfg.dense_ffn = dense;
+            let shared = SharedModel::train(&cfg, &refs);
+            for id in 0..shared.params.len() {
+                for v in shared.params.get(id).as_slice() {
+                    h = ns_wire::fnv1a64_from(h, &v.to_bits().to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(format!("{h:016x}"), "efc0ddd41b2cb800");
     }
 
     #[test]

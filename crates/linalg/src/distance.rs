@@ -10,36 +10,17 @@
 use crate::matrix::Matrix;
 use rayon::prelude::*;
 
-/// Index and Euclidean distance of the row of `rows` nearest to `query`,
-/// with monotone early-abandon pruning.
+/// Index and Euclidean distance of the row of `rows` nearest to `query`:
+/// each row's squared distance summed in ascending element order from
+/// `+0.0`, the strict-`<` argmin taken over those sums (ties keep the
+/// earlier index; a NaN sum is never selected), and its square root
+/// returned. `sqrt` is strictly monotone on `[0, ∞]`, so this is the
+/// argmin of the distances themselves. An empty matrix returns
+/// `(0, f64::INFINITY)`.
 ///
-/// Bit-identical to the reference scan
-///
-/// ```text
-/// let mut best = (0, f64::INFINITY);
-/// for (c, row) in rows { let d = vecops::euclidean(query, row);
-///     if d < best.1 { best = (c, d); } }
-/// ```
-///
-/// Why pruning cannot change the answer:
-/// - The comparison runs in *squared* space. `sqrt` is strictly monotone
-///   and injective on `[0, ∞]`, so `d_i < d_j ⟺ d_i² < d_j²` — the strict
-///   `<` argmin (ties keep the earlier index) is the same in either space.
-/// - Partial sums of squares are nondecreasing, so once a candidate's
-///   running sum reaches the current best it can never win a strict `<`
-///   and may be abandoned without being selected — exactly the outcome
-///   the full scan would reach.
-/// - A NaN sum compares false both against the prune bound and against
-///   the best, so NaN rows are skipped just as `d < best` skips them.
-/// - The winning row is always accumulated to completion in ascending
-///   element order — the exact order of [`crate::vecops::euclidean_sq`] —
-///   so `best_sq.sqrt()` reproduces `vecops::euclidean` to the bit.
-///
-/// An empty matrix returns `(0, f64::INFINITY)`. This is the definition
-/// the online matcher, [`nearest_row_standardized`], is held to.
+/// The plain scan the online matcher, [`nearest_row_standardized`], is
+/// held to.
 pub fn nearest_row(rows: &Matrix, query: &[f64]) -> (usize, f64) {
-    let mut best_idx = 0usize;
-    let mut best_sq = f64::INFINITY;
     if rows.rows() > 0 {
         assert_eq!(
             query.len(),
@@ -47,18 +28,18 @@ pub fn nearest_row(rows: &Matrix, query: &[f64]) -> (usize, f64) {
             "query length must match row width"
         );
     }
+    let mut best = (0usize, f64::INFINITY);
     for c in 0..rows.rows() {
-        // The bounded kernel checks the running sum against the current
-        // best once per 8 elements and abandons once it can no longer
-        // win; a surviving row's sum is bit-identical to the full scan
-        // (see `kernels::squared_distance_bounded`).
-        let s = crate::kernels::squared_distance_bounded(query, rows.row(c), best_sq);
-        if s < best_sq {
-            best_idx = c;
-            best_sq = s;
+        let mut s = 0.0f64;
+        for (q, r) in query.iter().zip(rows.row(c)) {
+            let d = q - r;
+            s += d * d;
+        }
+        if s < best.1 {
+            best = (c, s);
         }
     }
-    (best_idx, best_sq.sqrt())
+    (best.0, best.1.sqrt())
 }
 
 /// Rows whose running sums one pass of [`nearest_row_standardized`] keeps
@@ -181,7 +162,6 @@ impl CondensedDistance {
         let mut data = vec![0.0f32; n * (n - 1) / 2];
         // Parallelise over i: row i owns the contiguous range of pairs
         // (i, i+1..n) in condensed order.
-        let offsets: Vec<usize> = (0..n).map(|i| Self::row_offset(n, i)).collect();
         let mut bands: Vec<(usize, &mut [f32])> = Vec::with_capacity(n);
         {
             let mut rest: &mut [f32] = &mut data;
@@ -193,7 +173,6 @@ impl CondensedDistance {
             }
             debug_assert!(rest.is_empty());
         }
-        let _ = &offsets; // offsets are implied by the split order
         bands.into_par_iter().for_each(|(i, band)| {
             for (k, slot) in band.iter_mut().enumerate() {
                 let j = i + 1 + k;
@@ -303,8 +282,6 @@ mod tests {
 
     #[test]
     fn nearest_row_matches_reference_scan() {
-        // Widths spanning <8, exactly 8, and >8 exercise both the chunked
-        // prune loop and the remainder path.
         for width in [1, 3, 8, 11, 19, 64] {
             let rows = Matrix::from_fn(13, width, |r, c| {
                 ((r * 31 + c * 7) as f64 * 0.37).sin() * 3.0
@@ -360,8 +337,8 @@ mod tests {
 
     #[test]
     fn nearest_row_prunes_distant_candidates_without_changing_result() {
-        // One near row among many far ones: every far row after the near
-        // one abandons early, and the result still matches the full scan.
+        // One near row among many far ones: the rows after it lose the
+        // strict `<`, and the result matches the reference scan.
         let mut raw = vec![vec![100.0; 32]; 40];
         raw[7] = vec![0.5; 32];
         let rows = Matrix::from_rows(&raw);

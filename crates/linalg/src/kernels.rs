@@ -3,8 +3,8 @@
 //! Every dense matmul — [`Mat::matmul`](crate::matrix::Mat::matmul), its
 //! `_into` and transposed-operand forms, and through them the training
 //! tape's forward and backward and the inference session — bottoms out in
-//! [`gemm`]; the probe matcher's early-abandon distance scan and the slice
-//! helpers in [`crate::vecops`] bottom out in the small kernels below it. Centralising them buys two things:
+//! [`gemm`]; the slice helpers in [`crate::vecops`] bottom out in the
+//! small kernels below it. Centralising them buys two things:
 //!
 //! 1. **One place to hold the codegen line.** [`gemm`] is a
 //!    register-blocked microkernel: a four-row tile of accumulators,
@@ -19,21 +19,21 @@
 //!    `bench_kernels` (ns-bench) asserts the resulting throughput so a
 //!    regression in either property fails CI.
 //! 2. **One place to state the bit-exactness contract.** Every reduction
-//!    ([`gemm`]'s per-element k-sum, `dot`, `squared_distance*`)
+//!    ([`gemm`]'s per-element k-sum, `dot`, `squared_distance`)
 //!    accumulates in strict ascending element order into a *single* chain
 //!    per output, never reassociating the adds, and Rust never contracts
 //!    `a * b + c` into a fused multiply-add — so the tile shape, the
 //!    operand form, the vector width, banding and thread count are all
 //!    invisible in the result bits. Elementwise kernels (`axpy`) have no
 //!    reduction at all and vectorise freely. That is what lets the
-//!    matmuls, the matcher, and the parallel combinators above them
-//!    promise bitwise determinism.
+//!    matmuls and the parallel combinators above them promise bitwise
+//!    determinism.
 //!
 //! [`gemm`], `axpy`, `dot_from` and `dot` are generic over [`Scalar`]: the
 //! `f64` and `f32` instantiations run the same operations in the same
 //! order, so each tier is deterministic within itself; no bit
-//! relationship *between* the tiers is promised. The distance kernels
-//! serve only the f64 probe matcher.
+//! relationship *between* the tiers is promised. The distance kernel is
+//! f64 only.
 
 use crate::scalar::Scalar;
 use std::ops::Range;
@@ -312,42 +312,12 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
         .sum()
 }
 
-/// Early-abandon squared distance for the probe matcher: accumulates
-/// `(a[i] - b[i])²` in strict ascending order, checking the running sum
-/// against `bound` once per 8 elements. Returns the partial sum at the
-/// point of abandonment (some value `≥ bound`) or the exact full
-/// [`squared_distance`] when the row survives every check.
-///
-/// Why abandonment cannot change a strict-`<` argmin over these sums is
-/// argued at the call site ([`crate::distance::nearest_row`]); the
-/// contract this kernel owns is narrower: the accumulation order is
-/// exactly the matcher's historical `+0.0`-seeded scan (squares are
-/// never `-0.0`, so it matches [`squared_distance`] on every non-empty
-/// row), a surviving row's sum is bit-identical to the full scan, and a
-/// NaN sum (which compares false against any bound) always runs to
-/// completion.
-#[inline]
-pub fn squared_distance_bounded(a: &[f64], b: &[f64], bound: f64) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut s = 0.0f64;
-    let mut achunks = a.chunks_exact(8);
-    let mut bchunks = b.chunks_exact(8);
-    for (ac, bc) in (&mut achunks).zip(&mut bchunks) {
-        for (av, bv) in ac.iter().zip(bc) {
-            let d = av - bv;
-            s += d * d;
-        }
-        if s >= bound {
-            return s;
-        }
-    }
-    for (av, bv) in achunks.remainder().iter().zip(bchunks.remainder()) {
-        let d = av - bv;
-        s += d * d;
-    }
-    s
-}
-
+/// Each form of [`gemm`] (NN / NT / TN) equals the definitional triple
+/// loop (`+0.0` seed, ascending k) over ragged-tile shapes at both scalars,
+/// with NaN, signed-zero and subnormal entries; the transposed forms equal
+/// NN on the materialised transpose; where the CPU has AVX2 that
+/// instantiation equals the baseline one; and any row range equals those
+/// rows of the whole product.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,7 +334,7 @@ mod tests {
         v.to_f64().to_bits()
     }
 
-    /// Widths spanning remainder sizes around the matcher's 8-block.
+    /// Widths spanning remainder sizes around an 8-element block.
     const WIDTHS: [usize; 9] = [0, 1, 3, 4, 7, 8, 11, 16, 129];
 
     /// Run one generic kernel check at both scalars.
@@ -631,45 +601,5 @@ mod tests {
             }
             assert_eq!(squared_distance(&a, &b).to_bits(), naive.to_bits(), "n={n}");
         }
-    }
-
-    #[test]
-    fn bounded_distance_exact_when_surviving() {
-        for n in WIDTHS {
-            if n == 0 {
-                // The seeds are the one place the conventions split:
-                // bounded keeps the matcher's historical +0.0, the full
-                // kernel keeps `Sum`'s -0.0.
-                let z = squared_distance_bounded(&[], &[], f64::INFINITY);
-                assert_eq!(z.to_bits(), 0.0f64.to_bits());
-                assert_eq!(squared_distance(&[], &[]).to_bits(), (-0.0f64).to_bits());
-                continue;
-            }
-            let a = series::<f64>(8, n);
-            let b = series::<f64>(9, n);
-            let full = squared_distance(&a, &b);
-            let got = squared_distance_bounded(&a, &b, f64::INFINITY);
-            assert_eq!(got.to_bits(), full.to_bits(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn bounded_distance_abandons_at_or_over_bound() {
-        let a = vec![10.0; 64];
-        let b = vec![0.0; 64];
-        let s = squared_distance_bounded(&a, &b, 150.0);
-        // Abandoned: the partial sum must already disqualify the row …
-        assert!(s >= 150.0);
-        // … after the first 8-block (8 × 100), not the full row.
-        assert_eq!(s, 800.0);
-    }
-
-    #[test]
-    fn bounded_distance_runs_nan_rows_to_completion() {
-        let mut a = vec![0.0; 16];
-        a[0] = f64::NAN;
-        let b = vec![1.0; 16];
-        let s = squared_distance_bounded(&a, &b, 0.5);
-        assert!(s.is_nan());
     }
 }

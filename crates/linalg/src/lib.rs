@@ -19,8 +19,9 @@
 //! * decompositions used by the Gaussian-mixture baseline
 //!   ([`decomp::cholesky`], [`decomp::solve`], [`decomp::inverse`]),
 //! * condensed pairwise-distance storage ([`distance::CondensedDistance`])
-//!   shared by the clustering crate, and an early-abandon nearest-row
-//!   kernel ([`distance::nearest_row`]) for contiguous centroid matching.
+//!   shared by the clustering crate, and the probe matcher's centroid scan
+//!   ([`distance::nearest_row_standardized`]), held to the plain
+//!   [`distance::nearest_row`].
 //!
 //! The crate is BLAS-free by design: this repository re-implements the whole
 //! paper stack from scratch, and the matrix sizes involved (model dims of a

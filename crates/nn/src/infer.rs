@@ -44,6 +44,23 @@ pub struct WindowSpec<'a> {
     pub weights: &'a [f64],
 }
 
+/// Start rows of the windows that tile a `len`-row series: steps of
+/// `min(window, len)`, plus a final window aligned to the series end when
+/// the steps leave a ragged tail. Empty for an empty series. The one
+/// tiling of scoring — the shared models' [`WindowSpec`]s and the
+/// window-level baselines alike.
+pub fn window_starts(len: usize, window: usize) -> Vec<usize> {
+    if len == 0 {
+        return Vec::new();
+    }
+    let w = window.min(len).max(1);
+    let mut starts: Vec<usize> = (0..=len - w).step_by(w).collect();
+    if starts.last().is_some_and(|&s| s + w < len) {
+        starts.push(len - w);
+    }
+    starts
+}
+
 /// Reusable forward-pass executor for one [`ReconstructionTransformer`],
 /// at scalar `T`.
 ///
@@ -295,6 +312,14 @@ mod tests {
             block,
             aux_weight: 0.01,
         }
+    }
+
+    #[test]
+    fn window_starts_tile_and_align() {
+        assert_eq!(window_starts(10, 4), vec![0, 4, 6]);
+        assert_eq!(window_starts(8, 4), vec![0, 4]);
+        assert_eq!(window_starts(3, 4), vec![0]);
+        assert!(window_starts(0, 4).is_empty());
     }
 
     fn window(t: usize, m: usize, phase: f64) -> Matrix {

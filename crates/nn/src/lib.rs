@@ -43,7 +43,8 @@ pub mod transformer;
 pub mod vae;
 
 pub use infer::{
-    InferenceSession, InferenceSessionF32, Session, SessionPool, SessionPoolF32, WindowSpec,
+    window_starts, InferenceSession, InferenceSessionF32, Session, SessionPool, SessionPoolF32,
+    WindowSpec,
 };
 pub use layers::{
     sinusoidal_pe, sinusoidal_pe_at, FeedForward, LayerNorm, Linear, MultiHeadAttention,

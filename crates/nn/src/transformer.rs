@@ -216,17 +216,19 @@ impl ReconstructionTransformer {
         (recon, aux_total)
     }
 
-    /// Training loss for one window: WMSE reconstruction (Eq. 5) plus the
-    /// weighted MoE auxiliary loss.
+    /// Training loss for one window: WMSE (Eq. 5) of the reconstruction of
+    /// `x` against `target` — `x` itself, or the clean window when `x` is
+    /// a noised copy of it — plus the weighted MoE auxiliary loss.
     pub fn loss(
         &self,
         g: &mut Graph<'_>,
         x: NodeId,
+        target: NodeId,
         pos_encoding: NodeId,
         weights: NodeId,
     ) -> NodeId {
         let (recon, aux) = self.forward(g, x, pos_encoding);
-        let wmse = g.wmse(recon, x, weights);
+        let wmse = g.wmse(recon, target, weights);
         match aux {
             Some(a) if self.cfg.aux_weight > 0.0 => {
                 let wa = g.scale(a, self.cfg.aux_weight);
@@ -307,7 +309,7 @@ mod tests {
                 let x = g.input(data.clone());
                 let p = g.input(pe.clone());
                 let wn = g.input(w.clone());
-                let l = model.loss(&mut g, x, p, wn);
+                let l = model.loss(&mut g, x, x, p, wn);
                 (g.scalar(l), g.backward(l))
             };
             if first.is_none() {
@@ -338,7 +340,7 @@ mod tests {
                 let x = g.input(data.clone());
                 let p = g.input(pe.clone());
                 let wn = g.input(w.clone());
-                let l = model.loss(&mut g, x, p, wn);
+                let l = model.loss(&mut g, x, x, p, wn);
                 (g.scalar(l), g.backward(l))
             };
             if first.is_none() {
@@ -375,7 +377,7 @@ mod tests {
                 let x = g.input(train.clone());
                 let p = g.input(pe.clone());
                 let wn = g.input(w.clone());
-                let l = model.loss(&mut g, x, p, wn);
+                let l = model.loss(&mut g, x, x, p, wn);
                 g.backward(l)
             };
             opt.step(&mut params, &grads);

@@ -65,7 +65,7 @@ fn build(
     let x = g.input_from(data);
     let p = g.input_from(pe);
     let w = g.input_fill(1, INPUT_DIM, |w| w.fill(1.0));
-    model.loss(g, x, p, w)
+    model.loss(g, x, x, p, w)
 }
 
 fn assert_same_grads(got: &GradStore, want: &GradStore, what: &str) {

@@ -88,7 +88,7 @@ fn warm_recycled_tape_trains_a_window_without_allocating() {
             let x = g.input_from(&window);
             let p = g.input_from(&pe);
             let w = g.input_from(&weights);
-            let loss = model.loss(&mut g, x, p, w);
+            let loss = model.loss(&mut g, x, x, p, w);
             g.backward_into(loss, &mut grads);
             *tape = Some(g.into_tape());
         };

@@ -37,9 +37,8 @@
 
 use crate::metrics::wire_metrics;
 use crate::{status, Engine, EngineReport, Verdict, VerdictKind};
-use nodesentry_core::Tick;
 use ns_obs::events::{self, EventKind};
-use ns_wire::{error_code, Frame, FrameAssembler, ReportMsg, Role, VerdictMsg, WireError};
+use ns_wire::{error_code, Frame, FrameAssembler, ReportMsg, Role, Tick, VerdictMsg, WireError};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -3,7 +3,8 @@
 //!
 //! The batch API ([`NodeSentry::score_node`]) scores a node from its full
 //! raw matrix after the fact. A monitoring deployment instead sees one
-//! telemetry sample per node per sampling step and must emit verdicts as
+//! telemetry sample per node per sampling step — a [`Tick`], defined in
+//! `ns-wire` beside the codec that frames it — and must emit verdicts as
 //! the data arrives. This crate provides that path without changing the
 //! answer: every stage of the batch pipeline is replayed incrementally —
 //!
@@ -103,11 +104,13 @@ use serde::{Deserialize, Serialize};
 
 pub use engine::{Engine, EngineCheckpoint, EngineConfig, EngineReport};
 pub use node::NodeState;
-pub use nodesentry_core::Tick;
 /// Re-exported from [`ns_wire`]: the engine's scoring tier is announced
 /// on Hello frames and validated at snapshot restore, so one type serves
 /// config, wire and snapshot layers.
 pub use ns_wire::ScoringPrecision;
+/// Re-exported from [`ns_wire`], which frames it: the one sample type of
+/// the in-process, simulated and over-the-wire feeds.
+pub use ns_wire::Tick;
 pub use preprocess::{PreRow, StreamingPreprocessor};
 
 /// How trustworthy a verdict is.

@@ -52,9 +52,8 @@
 //! the layout is pinned by the golden fixture in `tests/serde_roundtrip.rs`.
 
 use crate::{FaultCounters, ScoringPrecision, StreamStats};
-use nodesentry_core::Tick;
 use ns_eval::streaming::{KSigmaState, SmootherState};
-use ns_wire::{fnv1a64, fnv1a64_blocks};
+use ns_wire::{fnv1a64, fnv1a64_blocks, Tick};
 use serde::{Deserialize, Event, Serialize, Sink, Source};
 
 /// Leading magic of every snapshot: `NSSN` ("NodeSentry SNapshot").

@@ -5,10 +5,10 @@
 //! there a bad segment takes the whole shard down, `ingest` starts
 //! returning `ShardClosed` and `finish` loses every node on it.
 
-use nodesentry_core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig, Tick};
+use nodesentry_core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
 use ns_features::FeatureCatalog;
 use ns_stream::snapshot::{EngineSnapshot, JobSnap, NodeSnap, SnapshotError};
-use ns_stream::{Engine, EngineConfig, EngineError};
+use ns_stream::{Engine, EngineConfig, EngineError, Tick};
 use ns_telemetry::DatasetProfile;
 use std::sync::Arc;
 

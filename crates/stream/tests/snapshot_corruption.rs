@@ -2,6 +2,13 @@
 //! truncation, every single-bit flip, and every crafted header must come
 //! back as a typed [`SnapshotError`] — never a panic, never a silent
 //! success. Restores are total functions over arbitrary bytes.
+//!
+//! Covered: the streaming decoder against the tree decoder kept as its
+//! oracle over truncated, bit-flipped and spliced payloads; the
+//! key-semantics table (duplicate, unknown, reordered, missing); a flip in
+//! any digest block or in the fold, and swapped blocks; a packed count
+//! past the remaining bytes; ragged and empty payloads; other versions
+//! refused.
 
 #[path = "../../../tests/snapshot_common/envelope.rs"]
 mod envelope;

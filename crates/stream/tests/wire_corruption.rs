@@ -11,9 +11,9 @@
 //!    a correct run afterwards. Receiving the error frame before EOF is
 //!    the proof the connection died cleanly rather than by panic.
 
-use nodesentry_core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig, Tick};
+use nodesentry_core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
 use ns_features::FeatureCatalog;
-use ns_stream::{Engine, EngineConfig};
+use ns_stream::{Engine, EngineConfig, Tick};
 use ns_telemetry::{DatasetProfile, IngestClient};
 use ns_wire::{
     decode_frame, encode_frame, error_code, fnv1a64, read_frame, Frame, WireError, HEADER_LEN,

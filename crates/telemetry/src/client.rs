@@ -17,10 +17,9 @@
 //! it without changing a verdict bit.
 
 use crate::faults::{SocketFaultAction, SocketFaultCounters, SocketFaultInjector, SocketFaultPlan};
-use nodesentry_core::Tick;
 use ns_wire::{
     encode_frame, encode_ticks_into, error_code, tick_frame_len, Frame, FrameAssembler, ReportMsg,
-    Role, ScoringPrecision, VerdictMsg, WireError,
+    Role, ScoringPrecision, Tick, VerdictMsg, WireError,
 };
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};

@@ -16,7 +16,7 @@
 //! `Vec<Tick>` out, plus the set of `(node, step)` labels that were never
 //! delivered at all. It knows nothing about the detector.
 
-use nodesentry_core::Tick;
+use ns_wire::Tick;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -8,7 +8,10 @@
 //! over TCP. This crate defines the transport unit — one [`Frame`] — and
 //! nothing else: no sockets are opened here, so the codec is testable
 //! byte by byte and both sides (the ingest server in `ns-stream`, the
-//! client in `ns-telemetry`) share one grammar.
+//! client in `ns-telemetry`) share one grammar. [`Tick`], the sample a
+//! frame carries, is defined here too, so the simulator, the client and the
+//! engine agree on it while this crate depends on nothing but `serde` and
+//! `rayon`.
 //!
 //! # Frame layout (version 1)
 //!
@@ -53,8 +56,8 @@
 //! ([`encode_ticks_into`]) and the assembler hash four of them in one
 //! interleaved loop, each digest equal to [`fnv1a64`] of its frame.
 
-use nodesentry_core::Tick;
 use rayon::prelude::*;
+use serde::{Deserialize, Serialize};
 
 /// Leading magic of every frame: `NSWP` ("NodeSentry Wire Protocol").
 pub const WIRE_MAGIC: [u8; 4] = *b"NSWP";
@@ -68,6 +71,28 @@ pub const TRAILER_LEN: usize = 8;
 /// is ~8 KiB; anything near this bound is hostile, not telemetry, and is
 /// rejected before any allocation or blocking read sized from it.
 pub const MAX_PAYLOAD_LEN: u32 = 1 << 20;
+
+/// One telemetry sample for one node — the unit every online consumer of
+/// NodeSentry speaks: the engine in `ns-stream` ingests them, the fault
+/// layer in `ns-telemetry::faults` perturbs sequences of them, and
+/// [`Frame::Tick`] carries one over a socket.
+///
+/// A *clean* feed delivers, per node, exactly one tick per step starting
+/// at 0 with no gaps, duplicates, or reordering. A *real* feed does not:
+/// collectors drop samples, deliver late and twice, reset counters, skew
+/// clocks, and black out whole nodes. The streaming engine is hardened
+/// against all of those (see `ns-stream`); the fault model is documented
+/// in DESIGN.md §"Fault model & degraded mode".
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Tick {
+    pub node: usize,
+    /// Global step index over the monitoring horizon.
+    pub step: usize,
+    /// Raw metric values (may contain NaN for lost samples).
+    pub values: Vec<f64>,
+    /// Whether a job transition occurs at this step (from the scheduler).
+    pub transition: bool,
+}
 
 /// Typed failures of the wire layer. Decoding is total: hostile bytes
 /// land here, never in a panic.
@@ -691,11 +716,15 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
     Ok((decode_checked(frame, fnv1a64(frame_body(frame)))?, total))
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64 offset basis: the state of a chain over no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// Continue an FNV-1a 64 chain at state `h` over `bytes`.
-fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
+/// Continue an FNV-1a 64 chain at state `h` over `bytes` — the one
+/// byte-wise step every digest here is built from, and the step the model
+/// fingerprint (`NodeSentry::fingerprint`) streams its tagged walk through.
+#[inline]
+pub fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -705,10 +734,7 @@ fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
 
 /// FNV-1a 64 over a byte slice — the checksum of this protocol's frames
 /// (the `NSSN` snapshot envelope cuts its payload into blocks:
-/// [`fnv1a64_blocks`]; only its retired version 1 used this chain), and
-/// the same constants as the model fingerprint
-/// (`NodeSentry::fingerprint` keeps a streaming copy: `nodesentry-core`
-/// does not depend on this crate).
+/// [`fnv1a64_blocks`]; only its retired version 1 used this chain).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_from(FNV_OFFSET, bytes)
 }

@@ -1,6 +1,8 @@
-//! Cross-crate contract: every baseline detector consumes the same
-//! preprocessed representation NodeSentry uses, produces finite scores of
-//! the right length, and separates an easy synthetic anomaly.
+//! Cross-crate contract: every baseline detector produces finite scores of
+//! the right length and separates an easy synthetic anomaly. That the
+//! baselines consume the same preprocessed representation NodeSentry uses
+//! is checked where the harness builds it:
+//! `baselines_get_the_detectors_preprocessing` in `crates/bench/src/harness.rs`.
 
 use nodesentry::baselines::{
     Detector, Examon, ExamonConfig, Isc20, Isc20Config, Prodigy, ProdigyConfig, Ruad, RuadConfig,

@@ -3,7 +3,8 @@
 //! counts, checkpoint → kill → restore-from-bytes → replay-tail must be
 //! indistinguishable — bit for bit — from the engine that never
 //! stopped, and the snapshot itself must survive a restore→checkpoint
-//! round trip byte-identically.
+//! round trip byte-identically. The streamed encoder's bytes must also
+//! equal those of the test-side v2 tree codec for the same snapshot.
 
 #[path = "snapshot_common/mod.rs"]
 mod common;

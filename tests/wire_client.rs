@@ -6,7 +6,8 @@
 //! suite pins the *byte* side: a clean cycle reaches a raw listener as
 //! exactly the concatenation of its single-frame encodings, however the
 //! client batches its writes, and a seeded chaos plan still exercises
-//! every fault class while delivering every tick.
+//! every fault class while delivering every tick. On the server side,
+//! valid frames that share a read with a corrupt one are still ingested.
 
 #[path = "snapshot_common/mod.rs"]
 mod common;
