@@ -1,6 +1,7 @@
 //! Diagnostic: isolate which scale dimension degrades precision.
 
-use ns_bench::{default_ns_config, run_nodesentry};
+use nodesentry_core::NodeSentryConfig;
+use ns_bench::run_nodesentry;
 use ns_telemetry::DatasetProfile;
 
 fn main() {
@@ -14,7 +15,7 @@ fn main() {
         p.schedule.n_nodes = nodes;
         p.schedule.horizon = horizon;
         let ds = p.generate();
-        let (r, _) = run_nodesentry(&ds, default_ns_config());
+        let (r, _) = run_nodesentry(&ds, NodeSentryConfig::default());
         println!(
             "{label}: P={:.3} R={:.3} AUC={:.3} F1={:.3} (offline {:.0}s)",
             r.precision, r.recall, r.auc, r.f1, r.offline_s

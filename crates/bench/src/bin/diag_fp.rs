@@ -1,8 +1,8 @@
 //! Diagnostic: where do NodeSentry's false positives come from on the
 //! full profiles, and which anomaly kinds get missed?
 
-use nodesentry_core::NodeSentry;
-use ns_bench::{default_ns_config, transitions_of, DatasetSource, SMOOTH_WINDOW};
+use nodesentry_core::{NodeSentry, NodeSentryConfig};
+use ns_bench::{DatasetSource, SMOOTH_WINDOW};
 use ns_eval::threshold::{ksigma_detect, smooth_scores};
 use ns_telemetry::DatasetProfile;
 use std::collections::BTreeMap;
@@ -14,7 +14,7 @@ fn main() {
     } else {
         ns_bench::sweep_profile_d1().generate()
     };
-    let cfg = default_ns_config();
+    let cfg = NodeSentryConfig::default();
     let threshold = cfg.threshold;
     let groups = ds.catalog.group_ids();
     let model = NodeSentry::fit_from_source(cfg, &DatasetSource(&ds), &groups, ds.split);
@@ -30,7 +30,7 @@ fn main() {
     let mut total_tp = 0usize;
     for node in 0..ds.n_nodes() {
         let raw = ds.raw_node(node);
-        let (scores, _matches) = model.score_node(&raw, &transitions_of(&ds, node), ds.split);
+        let (scores, _matches) = model.score_node(&raw, &ds.transitions(node), ds.split);
         let sm = smooth_scores(&scores, SMOOTH_WINDOW);
         let pred = ksigma_detect(&sm, &threshold);
         let truth = ds.labels(node);

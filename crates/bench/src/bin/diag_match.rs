@@ -1,11 +1,11 @@
 //! Diagnostic: per-test-segment matching quality and scores.
 
-use nodesentry_core::NodeSentry;
-use ns_bench::{default_ns_config, transitions_of, DatasetSource};
+use nodesentry_core::{NodeSentry, NodeSentryConfig};
+use ns_bench::DatasetSource;
 
 fn main() {
     let ds = ns_bench::sweep_profile_d1().generate();
-    let cfg = default_ns_config();
+    let cfg = NodeSentryConfig::default();
     let groups = ds.catalog.group_ids();
     let model = NodeSentry::fit_from_source(cfg, &DatasetSource(&ds), &groups, ds.split);
     eprintln!("clusters: {}", model.n_clusters());
@@ -28,7 +28,7 @@ fn main() {
     }
     for node in 0..2 {
         let raw = ds.raw_node(node);
-        let (scores, matches) = model.score_node(&raw, &transitions_of(&ds, node), ds.split);
+        let (scores, matches) = model.score_node(&raw, &ds.transitions(node), ds.split);
         let labels = ds.labels(node);
         eprintln!("--- node {node} test segments ---");
         for (start, end, cluster) in matches {

@@ -1,11 +1,11 @@
 //! Diagnostic: inspect NodeSentry score distributions on one sweep node.
 
-use nodesentry_core::NodeSentry;
-use ns_bench::{default_ns_config, transitions_of, DatasetSource};
+use nodesentry_core::{NodeSentry, NodeSentryConfig};
+use ns_bench::DatasetSource;
 
 fn main() {
     let ds = ns_bench::sweep_profile_d1().generate();
-    let cfg = default_ns_config();
+    let cfg = NodeSentryConfig::default();
     let groups = ds.catalog.group_ids();
     let model = NodeSentry::fit_from_source(cfg, &DatasetSource(&ds), &groups, ds.split);
     eprintln!(
@@ -28,7 +28,7 @@ fn main() {
     }
     for node in 0..3 {
         let raw = ds.raw_node(node);
-        let (scores, matches) = model.score_node(&raw, &transitions_of(&ds, node), ds.split);
+        let (scores, matches) = model.score_node(&raw, &ds.transitions(node), ds.split);
         let labels = ds.labels(node);
         let truth = &labels[ds.split..];
         let mut normal = Vec::new();

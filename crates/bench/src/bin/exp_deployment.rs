@@ -8,12 +8,11 @@
 //! wire cost, precision tiers, shard scaling and recorder overhead are
 //! `nsbench` metrics (CHANGES.md, PR 18, has the name of each).
 
-use nodesentry_core::NodeSentry;
-use ns_bench::{default_ns_config, evaluate_flags, transitions_of, write_json, DatasetSource};
-use ns_stream::{Engine, EngineConfig, Tick};
+use nodesentry_core::{NodeSentry, NodeSentryConfig};
+use ns_bench::{evaluate_flags, write_json, DatasetSource};
+use ns_stream::{Engine, EngineConfig};
 use ns_telemetry::DatasetProfile;
 use serde_json::json;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 fn main() {
@@ -30,16 +29,23 @@ fn main() {
         ds.horizon() as f64 * profile.interval_s / 86_400.0
     );
     let groups = ds.catalog.group_ids();
-    let model =
-        NodeSentry::fit_from_source(default_ns_config(), &DatasetSource(&ds), &groups, ds.split);
+    let model = NodeSentry::fit_from_source(
+        NodeSentryConfig::default(),
+        &DatasetSource(&ds),
+        &groups,
+        ds.split,
+    );
     println!("offline phase done: {} clusters", model.n_clusters());
 
     // Online loop through the streaming engine: nodes are sharded across
     // workers and ticks arrive in step-major monitoring cycles (every
     // node's sample for one step in one batch — the collector's real
-    // cadence), one `ingest` per monitoring hour. Shards cap at the
-    // machine's parallelism: oversubscribed worker threads preempt each
-    // other inside the timed match and score stages.
+    // cadence), one `ingest` per monitoring hour. The feed is generated
+    // before the engine starts, so generation stays out of its timed
+    // stages. Shards cap at the machine's parallelism: oversubscribed
+    // worker threads preempt each other inside the timed match and score
+    // stages.
+    let feed = ds.ticks();
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -47,28 +53,9 @@ fn main() {
     engine_cfg.n_shards = ds.n_nodes().clamp(2, 4).min(cores);
     engine_cfg.smooth_window = 1; // raw k-sigma verdicts, as in the paper's loop
     let engine = Engine::new(Arc::new(model), engine_cfg);
-
-    let raws: Vec<_> = (0..ds.n_nodes()).map(|n| ds.raw_node(n)).collect();
-    let transition_sets: Vec<HashSet<usize>> = (0..ds.n_nodes())
-        .map(|n| transitions_of(&ds, n).into_iter().collect())
-        .collect();
-    let mut cycle: Vec<Tick> = Vec::with_capacity(ds.n_nodes() * steps_per_hour);
-    for step in 0..ds.horizon() {
-        for (n, raw) in raws.iter().enumerate() {
-            cycle.push(Tick {
-                node: n,
-                step,
-                values: raw.row(step).to_vec(),
-                transition: transition_sets[n].contains(&step),
-            });
-        }
-        if (step + 1) % steps_per_hour == 0 {
-            engine
-                .ingest(std::mem::take(&mut cycle))
-                .expect("stream shard alive");
-        }
+    for cycle in feed.chunks(ds.n_nodes() * steps_per_hour) {
+        engine.ingest(cycle.to_vec()).expect("stream shard alive");
     }
-    engine.ingest(cycle).expect("stream shard alive");
     let report = engine.finish();
 
     // Verdicts against the injected ground truth, by the harness's one

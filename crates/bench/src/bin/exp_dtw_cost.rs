@@ -6,7 +6,7 @@
 //! per-pair Euclidean cost on real simulated segments, then extrapolate
 //! both to the paper's segment population.
 
-use ns_bench::{transitions_of, write_json};
+use ns_bench::write_json;
 use ns_cluster::dtw::{dtw_distance_mts, dtw_distance_mts_cutoff};
 use ns_eval::timing::Stopwatch;
 use ns_features::FeatureCatalog;
@@ -20,7 +20,7 @@ fn main() {
     let mut segments: Vec<Vec<Vec<f64>>> = Vec::new();
     for node in 0..ds.n_nodes() {
         let mut cuts = vec![0usize];
-        cuts.extend(transitions_of(&ds, node));
+        cuts.extend(ds.transitions(node));
         cuts.push(ds.horizon());
         for w in cuts.windows(2) {
             if w[1] - w[0] < 20 {

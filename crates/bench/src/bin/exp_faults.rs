@@ -19,12 +19,11 @@
 //! Results land in `target/experiments/faults.json`.
 
 use nodesentry_core::{NodeSentry, NodeSentryConfig};
-use ns_bench::{evaluate_flags, transitions_of, write_bench_json, write_json, DatasetSource};
+use ns_bench::{evaluate_flags, write_bench_json, write_json, DatasetSource};
 use ns_eval::metrics::interval_mask;
 use ns_stream::{Engine, EngineConfig, Tick};
 use ns_telemetry::{DatasetProfile, FaultInjector, FaultPlan, FaultPlanSpec, ALL_FAULTS};
 use serde_json::json;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 const RATES: [f64; 3] = [0.02, 0.05, 0.10];
@@ -115,21 +114,7 @@ fn main() {
         model.n_clusters()
     );
     let model = Arc::new(model);
-
-    let transition_sets: Vec<HashSet<usize>> = (0..ds.n_nodes())
-        .map(|n| transitions_of(&ds, n).into_iter().collect())
-        .collect();
-    let mut clean = Vec::new();
-    for step in 0..ds.horizon() {
-        for (node, transitions) in transition_sets.iter().enumerate() {
-            clean.push(Tick {
-                node,
-                step,
-                values: ds.raw_node(node).row(step).to_vec(),
-                transition: transitions.contains(&step),
-            });
-        }
-    }
+    let clean = ds.ticks();
 
     let pp = &model.preprocessor;
     let n_cols = pp.groups.len();

@@ -5,9 +5,7 @@
 //! `target/experiments/fig6<panel>.json`.
 
 use nodesentry_core::{NodeSentry, NodeSentryConfig};
-use ns_bench::{
-    default_ns_config, evaluate_scores, run_nodesentry, transitions_of, write_json, DatasetSource,
-};
+use ns_bench::{evaluate_scores, run_nodesentry, write_json, DatasetSource};
 use ns_telemetry::Dataset;
 use serde::Serialize;
 use serde_json::{json, to_value, Value};
@@ -123,7 +121,7 @@ const PANELS: [Panel; 6] = [
 
 /// F1 of a default-config detector after `tweak`.
 fn f1_with(ds: &Dataset, tweak: impl FnOnce(&mut NodeSentryConfig)) -> f64 {
-    let mut cfg = default_ns_config();
+    let mut cfg = NodeSentryConfig::default();
     tweak(&mut cfg);
     run_nodesentry(ds, cfg).0.f1
 }
@@ -131,7 +129,7 @@ fn f1_with(ds: &Dataset, tweak: impl FnOnce(&mut NodeSentryConfig)) -> f64 {
 /// F1 when only the first `frac` of the training window is fitted on;
 /// scoring and evaluation still start at the dataset's split.
 fn f1_with_fraction(ds: &Dataset, frac: f64) -> f64 {
-    let cfg = default_ns_config();
+    let cfg = NodeSentryConfig::default();
     let threshold = cfg.threshold;
     let fit_split = ((ds.split as f64) * frac) as usize;
     let groups = ds.catalog.group_ids();
@@ -139,7 +137,7 @@ fn f1_with_fraction(ds: &Dataset, frac: f64) -> f64 {
     let per_node: Vec<Vec<f64>> = (0..ds.n_nodes())
         .map(|n| {
             let raw = ds.raw_node(n);
-            model.score_node(&raw, &transitions_of(ds, n), ds.split).0
+            model.score_node(&raw, &ds.transitions(n), ds.split).0
         })
         .collect();
     evaluate_scores(ds, &per_node, &threshold).f1
@@ -181,7 +179,7 @@ fn row_sweep<X: Copy + Serialize>(
 fn cluster_count_sweep(dss: &[Dataset]) -> Vec<Value> {
     dss.iter()
         .map(|ds| {
-            let (auto, model) = run_nodesentry(ds, default_ns_config());
+            let (auto, model) = run_nodesentry(ds, NodeSentryConfig::default());
             let k_auto = model.n_clusters();
             println!("{}: auto k = {k_auto} (F1 {:.3})", ds.profile.name, auto.f1);
             let mut series = vec![json!({ "factor": 1.0, "k": k_auto, "f1": auto.f1 })];

@@ -3,7 +3,8 @@
 //! library and flags the anomaly *before* the job fails, giving
 //! operators lead time (paper: 54 minutes).
 
-use ns_bench::{default_ns_config, run_nodesentry, transitions_of, write_json};
+use nodesentry_core::NodeSentryConfig;
+use ns_bench::{run_nodesentry, write_json};
 use ns_telemetry::{AnomalyEvent, AnomalyKind};
 use serde_json::json;
 
@@ -53,7 +54,7 @@ fn main() {
     );
     println!("anomaly onset step {ev_start}, job failure step {failure_step}");
 
-    let (result, model) = run_nodesentry(&ds, default_ns_config());
+    let (result, model) = run_nodesentry(&ds, NodeSentryConfig::default());
     println!(
         "detector trained: {} clusters, F1 on this scenario {:.3}",
         model.n_clusters(),
@@ -61,7 +62,7 @@ fn main() {
     );
 
     let raw = ds.raw_node(0);
-    let pred = model.detect_node(&raw, &transitions_of(&ds, 0), split);
+    let pred = model.detect_node(&raw, &ds.transitions(0), split);
     let first_detection = pred
         .iter()
         .enumerate()

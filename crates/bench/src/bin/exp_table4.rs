@@ -4,10 +4,11 @@
 //! Pass `--sweep-profiles` to run on the smaller sweep datasets instead
 //! (faster smoke run).
 
+use nodesentry_core::NodeSentryConfig;
 use ns_baselines::{Detector, Examon, Isc20, Prodigy, Ruad};
 use ns_bench::{
-    default_ns_config, print_method_row, run_baseline, run_nodesentry, sweep_profile_d1,
-    sweep_profile_d2, write_json, MethodResult,
+    print_method_row, run_baseline, run_nodesentry, sweep_profile_d1, sweep_profile_d2, write_json,
+    MethodResult,
 };
 use ns_telemetry::DatasetProfile;
 
@@ -26,9 +27,9 @@ fn main() {
             profile.name, profile.schedule.n_nodes, profile.schedule.horizon
         );
         let ds = profile.generate();
-        let threshold = default_ns_config().threshold;
+        let threshold = NodeSentryConfig::default().threshold;
 
-        let (r, _model) = run_nodesentry(&ds, default_ns_config());
+        let (r, _model) = run_nodesentry(&ds, NodeSentryConfig::default());
         print_method_row(&r);
         results.push(r);
 

@@ -1,8 +1,8 @@
 //! Table 5 — ablation study: the full pipeline vs variants C1–C5 on D1′
 //! and D2′ (paper §4.4).
 
-use nodesentry_core::Variant;
-use ns_bench::{print_method_row, run_variant, write_json, MethodResult};
+use nodesentry_core::{NodeSentryConfig, Variant};
+use ns_bench::{print_method_row, run_nodesentry, write_json, MethodResult};
 use ns_telemetry::DatasetProfile;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
             Variant::C4NoSegmentPe,
             Variant::C5DenseFfn,
         ] {
-            let r = run_variant(&ds, variant);
+            let (r, _) = run_nodesentry(&ds, NodeSentryConfig::default().with_variant(variant));
             print_method_row(&r);
             results.push(r);
         }

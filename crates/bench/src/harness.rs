@@ -4,7 +4,7 @@
 //! Every experiment binary prints the paper's rows to stdout and writes
 //! a JSON record to `target/experiments/<name>.json` for EXPERIMENTS.md.
 
-use nodesentry_core::{fit_preprocessor, NodeSentry, NodeSentryConfig, NodeSource, Variant};
+use nodesentry_core::{fit_preprocessor, NodeSentry, NodeSentryConfig, NodeSource};
 use ns_baselines::Detector;
 use ns_eval::metrics::{
     adjusted_confusion, aggregate, roc_auc_adjusted, transition_mask, AggregateScores, NodeScores,
@@ -37,18 +37,8 @@ impl NodeSource for DatasetSource<'_> {
     }
 
     fn transitions(&self, node: usize) -> Vec<usize> {
-        transitions_of(self.0, node)
+        self.0.transitions(node)
     }
-}
-
-/// Job-transition steps of a node (segment starts, excluding 0).
-pub fn transitions_of(ds: &Dataset, node: usize) -> Vec<usize> {
-    ds.schedule
-        .node_timeline(node)
-        .iter()
-        .map(|seg| seg.start)
-        .filter(|&s| s > 0)
-        .collect()
 }
 
 /// One method's evaluated outcome (Table 4 row).
@@ -123,7 +113,8 @@ pub fn evaluate_scores(
         .iter()
         .enumerate()
         .map(|(n, scores)| {
-            let transitions: Vec<usize> = transitions_of(ds, n)
+            let transitions: Vec<usize> = ds
+                .transitions(n)
                 .into_iter()
                 .filter(|&t| t >= split)
                 .map(|t| t - split)
@@ -157,7 +148,7 @@ pub fn run_nodesentry(ds: &Dataset, cfg: NodeSentryConfig) -> (MethodResult, Nod
             .into_par_iter()
             .map(|n| {
                 let raw = ds.raw_node(n);
-                let (scores, _) = model.score_node(&raw, &transitions_of(ds, n), ds.split);
+                let (scores, _) = model.score_node(&raw, &ds.transitions(n), ds.split);
                 scores
             })
             .collect()
@@ -229,12 +220,6 @@ pub fn run_baseline(
     }
 }
 
-/// Default NodeSentry configuration used across experiments (artifact
-/// hyperparameters at laptop scale).
-pub fn default_ns_config() -> NodeSentryConfig {
-    NodeSentryConfig::default()
-}
-
 /// A reduced-size dataset profile for the hyperparameter sweeps of
 /// Fig. 6 (each sweep retrains NodeSentry several times).
 pub fn sweep_profile_d1() -> DatasetProfile {
@@ -252,12 +237,6 @@ pub fn sweep_profile_d2() -> DatasetProfile {
     p.schedule.n_nodes = 6;
     p.schedule.horizon = 2880;
     p
-}
-
-/// Variant runner over a dataset with the default config.
-pub fn run_variant(ds: &Dataset, variant: Variant) -> MethodResult {
-    let cfg = default_ns_config().with_variant(variant);
-    run_nodesentry(ds, cfg).0
 }
 
 /// Write an experiment record under `target/experiments/<name>.json`.

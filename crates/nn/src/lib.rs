@@ -14,7 +14,7 @@
 //! * [`params`] — shared [`params::ParamStore`] + [`params::GradStore`];
 //!   batches train data-parallel by building one graph per example on
 //!   rayon workers and merging gradient stores.
-//! * [`optim`] — Adam and SGD(+momentum).
+//! * [`optim`] — Adam.
 //! * [`layers`] — Linear, LayerNorm, FeedForward, multi-head
 //!   self-attention, sinusoidal positional encoding.
 //! * [`moe`] — the sparse top-k Mixture-of-Experts layer (§3.4, Eq. 3–4)
@@ -50,7 +50,7 @@ pub use layers::{
     sinusoidal_pe, sinusoidal_pe_at, FeedForward, LayerNorm, Linear, MultiHeadAttention,
 };
 pub use moe::{MoeLayer, MoeOutput};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use params::{GradStore, ParamId, ParamStore};
 pub use tape::{Graph, NodeId, Tape, Tier};
 pub use transformer::{BlockKind, EncoderLayer, ReconstructionTransformer, TransformerConfig};

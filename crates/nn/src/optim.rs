@@ -1,47 +1,7 @@
-//! Optimizers: SGD (with momentum) and Adam.
+//! The optimizer every trainer uses: Adam.
 
 use crate::params::{GradStore, ParamStore};
 use ns_linalg::matrix::Matrix;
-
-/// Plain SGD with optional momentum.
-pub struct Sgd {
-    pub lr: f64,
-    pub momentum: f64,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    pub fn new(lr: f64, momentum: f64) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Apply one update step.
-    pub fn step(&mut self, params: &mut ParamStore, grads: &GradStore) {
-        if self.velocity.is_empty() {
-            self.velocity = (0..params.len())
-                .map(|i| {
-                    let (r, c) = params.get(i).shape();
-                    Matrix::zeros(r, c)
-                })
-                .collect();
-        }
-        for i in 0..params.len() {
-            let g = grads.get(i);
-            let v = &mut self.velocity[i];
-            for (vv, gv) in v.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                *vv = self.momentum * *vv + gv;
-            }
-            let p = params.get_mut(i);
-            for (pv, vv) in p.as_mut_slice().iter_mut().zip(v.as_slice()) {
-                *pv -= self.lr * vv;
-            }
-        }
-    }
-}
 
 /// Adam (Kingma & Ba) with bias correction.
 pub struct Adam {
@@ -137,41 +97,6 @@ mod tests {
             last = loss;
         }
         last
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.2, 0.0);
-        let final_loss = quadratic_descent(&mut |p, g| opt.step(p, g));
-        assert!(final_loss < 1e-8, "final loss {final_loss}");
-    }
-
-    #[test]
-    fn sgd_momentum_accelerates() {
-        // Count steps until |w| < 1 on f(w) = w²; the heavy-ball variant
-        // must get there in strictly fewer steps.
-        let steps_to_threshold = |momentum: f64| {
-            let mut opt = Sgd::new(0.01, momentum);
-            let mut params = ParamStore::new(9);
-            let w = params.add("w", Matrix::filled(1, 1, 10.0));
-            for step in 0..1000 {
-                if params.get(w)[(0, 0)].abs() < 1.0 {
-                    return step;
-                }
-                let grads = {
-                    let mut g = Graph::new(&params);
-                    let wn = g.param(w);
-                    let sq = g.mul(wn, wn);
-                    let l = g.mean_all(sq);
-                    g.backward(l)
-                };
-                opt.step(&mut params, &grads);
-            }
-            1000
-        };
-        let plain = steps_to_threshold(0.0);
-        let heavy = steps_to_threshold(0.9);
-        assert!(heavy < plain, "momentum {heavy} steps vs plain {plain}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! past the remaining bytes; ragged and empty payloads; other versions
 //! refused.
 
-#[path = "../../../tests/snapshot_common/envelope.rs"]
+#[path = "../../../tests/common/envelope.rs"]
 mod envelope;
 
 use envelope::{reseal, seal, tagged, DIGEST_BLOCK};

@@ -127,13 +127,7 @@ fn tiny_model_and_split() -> &'static (Arc<NodeSentry>, usize, Vec<Tick>) {
         let inputs: Vec<NodeInput> = (0..ds.n_nodes())
             .map(|n| NodeInput {
                 raw: ds.raw_node(n),
-                transitions: ds
-                    .schedule
-                    .node_timeline(n)
-                    .iter()
-                    .map(|s| s.start)
-                    .filter(|&s| s > 0)
-                    .collect(),
+                transitions: ds.transitions(n),
             })
             .collect();
         let cfg = NodeSentryConfig {
@@ -161,16 +155,10 @@ fn tiny_model_and_split() -> &'static (Arc<NodeSentry>, usize, Vec<Tick>) {
             ..Default::default()
         };
         let model = NodeSentry::fit(cfg, &inputs, &groups, ds.split);
-        let mut ticks = Vec::new();
-        for step in 0..ds.horizon() {
-            for (node, input) in inputs.iter().enumerate() {
-                ticks.push(Tick {
-                    node,
-                    step,
-                    values: input.raw.row(step).to_vec(),
-                    transition: false,
-                });
-            }
+        // The clean feed, sent with every transition flag cleared.
+        let mut ticks = ds.ticks();
+        for tick in &mut ticks {
+            tick.transition = false;
         }
         (Arc::new(model), ds.split, ticks)
     })

@@ -7,6 +7,7 @@ use crate::schedule::{Schedule, ScheduleConfig};
 use crate::signals::SignalFrame;
 use crate::simulator::simulate_cluster;
 use ns_linalg::matrix::Matrix;
+use ns_wire::Tick;
 
 /// Everything needed to generate a dataset deterministically.
 #[derive(Clone, Debug)]
@@ -209,6 +210,47 @@ impl Dataset {
         m
     }
 
+    /// The node's job transitions, ascending: every step where a segment
+    /// of its timeline starts, except step 0. The schedule stands in for
+    /// the sacct records the paper segments at (§3.2).
+    pub fn transitions(&self, node: usize) -> Vec<usize> {
+        self.schedule
+            .node_timeline(node)
+            .iter()
+            .map(|seg| seg.start)
+            .filter(|&s| s > 0)
+            .collect()
+    }
+
+    /// The clean feed: one tick per node per step, step-major and
+    /// node-ascending within a step. Values are [`raw_node`](Self::raw_node)
+    /// rows, and `transition` marks the steps in
+    /// [`transitions`](Self::transitions). Built one node at a time, so the
+    /// peak is the feed plus one node's matrix.
+    pub fn ticks(&self) -> Vec<Tick> {
+        let n_nodes = self.n_nodes();
+        let mut feed: Vec<Tick> = (0..self.horizon())
+            .flat_map(|step| {
+                (0..n_nodes).map(move |node| Tick {
+                    node,
+                    step,
+                    values: Vec::new(),
+                    transition: false,
+                })
+            })
+            .collect();
+        for node in 0..n_nodes {
+            let raw = self.raw_node(node);
+            for (step, tick) in feed.iter_mut().skip(node).step_by(n_nodes).enumerate() {
+                tick.values = raw.row(step).to_vec();
+            }
+            for step in self.transitions(node) {
+                feed[step * n_nodes + node].transition = true;
+            }
+        }
+        feed
+    }
+
     /// Ground-truth point labels for a node over the full horizon.
     pub fn labels(&self, node: usize) -> Vec<bool> {
         labels_for_node(&self.events, node, self.horizon())
@@ -302,6 +344,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn transitions_are_the_segment_starts_inside_the_horizon() {
+        let ds = DatasetProfile::tiny().generate();
+        for node in 0..ds.n_nodes() {
+            let tr = ds.transitions(node);
+            assert!(!tr.is_empty(), "node {node} has no transition");
+            assert!(tr.windows(2).all(|w| w[0] < w[1]), "node {node}: {tr:?}");
+            assert!(tr.iter().all(|&t| t > 0 && t < ds.horizon()));
+            let starts: Vec<usize> = ds
+                .schedule
+                .node_timeline(node)
+                .iter()
+                .map(|seg| seg.start)
+                .collect();
+            assert_eq!(starts[0], 0);
+            assert_eq!(tr, starts[1..]);
+        }
+    }
+
+    #[test]
+    fn ticks_are_the_raw_rows_step_major_with_transition_flags() {
+        let ds = DatasetProfile::tiny().generate();
+        let (n_nodes, horizon) = (ds.n_nodes(), ds.horizon());
+        let feed = ds.ticks();
+        assert_eq!(feed.len(), n_nodes * horizon);
+        for node in 0..n_nodes {
+            let raw = ds.raw_node(node);
+            let tr = ds.transitions(node);
+            for step in 0..horizon {
+                let tick = &feed[step * n_nodes + node];
+                assert_eq!((tick.node, tick.step), (node, step));
+                let want: Vec<u64> = raw.row(step).iter().map(|v| v.to_bits()).collect();
+                let got: Vec<u64> = tick.values.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "values of node {node} step {step}");
+                assert_eq!(
+                    tick.transition,
+                    tr.contains(&step),
+                    "node {node} step {step}"
+                );
+            }
+        }
+    }
+
+    /// FNV-1a of the tiny profile's encoded clean feed, as the hand-built
+    /// step-major loop over `raw_node` rows and segment starts produced it.
+    #[test]
+    fn tiny_feed_digest_is_pinned() {
+        let mut bytes = Vec::new();
+        ns_wire::encode_ticks_into(&DatasetProfile::tiny().generate().ticks(), &mut bytes);
+        assert_eq!(
+            format!("{:016x}", ns_wire::fnv1a64(&bytes)),
+            "b31e510ee5d1244b"
+        );
     }
 
     #[test]

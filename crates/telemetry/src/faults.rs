@@ -14,7 +14,8 @@
 //!
 //! The injector is purely a stream transformer: `Vec<Tick>` in,
 //! `Vec<Tick>` out, plus the set of `(node, step)` labels that were never
-//! delivered at all. It knows nothing about the detector.
+//! delivered at all. It knows nothing about the detector. Its input is a
+//! dataset's clean feed, [`Dataset::ticks`](crate::Dataset::ticks).
 
 use ns_wire::Tick;
 use rand::seq::SliceRandom;
@@ -231,8 +232,8 @@ pub struct FaultOutcome {
 /// Applies a [`FaultPlan`] to a clean tick stream.
 ///
 /// The clean stream must carry, per node, exactly one tick per step from
-/// 0 to that node's horizon — the contract the generators in this crate
-/// already satisfy. Value faults mutate payloads in place; delivery
+/// 0 to that node's horizon — the contract
+/// [`Dataset::ticks`](crate::Dataset::ticks) satisfies. Value faults mutate payloads in place; delivery
 /// faults then drop, duplicate, displace, or relabel ticks. The output
 /// preserves global step-major interleaving except where a fault says
 /// otherwise.

@@ -26,13 +26,7 @@ fn main() {
     let inputs: Vec<nodesentry::core::NodeInput> = (0..dataset.n_nodes())
         .map(|n| nodesentry::core::NodeInput {
             raw: dataset.raw_node(n),
-            transitions: dataset
-                .schedule
-                .node_timeline(n)
-                .iter()
-                .map(|s| s.start)
-                .filter(|&s| s > 0)
-                .collect(),
+            transitions: dataset.transitions(n),
         })
         .collect();
     let sw = Stopwatch::start();

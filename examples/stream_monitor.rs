@@ -23,10 +23,9 @@
 
 use nodesentry::core::{NodeSentry, NodeSentryConfig};
 use nodesentry::obs;
-use nodesentry::stream::{Engine, EngineConfig, Tick};
+use nodesentry::stream::{Engine, EngineConfig};
 use nodesentry::telemetry::{http_get, DatasetProfile};
 use serde_json::Value;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The compact JSON text of the field at `path` in a `/statusz` document.
@@ -60,21 +59,17 @@ fn main() {
     let inputs: Vec<nodesentry::core::NodeInput> = (0..dataset.n_nodes())
         .map(|n| nodesentry::core::NodeInput {
             raw: dataset.raw_node(n),
-            transitions: dataset
-                .schedule
-                .node_timeline(n)
-                .iter()
-                .map(|s| s.start)
-                .filter(|&s| s > 0)
-                .collect(),
+            transitions: dataset.transitions(n),
         })
         .collect();
     let model = NodeSentry::fit(NodeSentryConfig::default(), &inputs, &groups, dataset.split);
     println!("trained: {} pattern clusters", model.n_clusters());
 
     // 3. Online phase: feed the telemetry step-major (all nodes at step t,
-    //    then step t+1, …) through the engine. `ingest` blocks when a
-    //    shard's bounded queue is full — backpressure, not buffering.
+    //    then step t+1, …) through the engine, one step per `ingest`.
+    //    `ingest` blocks when a shard's bounded queue is full —
+    //    backpressure, not buffering.
+    let feed = dataset.ticks();
     let mut cfg = EngineConfig::new(dataset.split);
     cfg.n_shards = 3;
     cfg.smooth_window = model.cfg.smooth_window; // flag on smoothed scores, as detect_node does
@@ -85,21 +80,9 @@ fn main() {
     let metrics_server = Engine::serve_metrics("127.0.0.1:0").expect("bind metrics endpoint");
     let addr = metrics_server.local_addr();
     println!("operational surface: http://{addr}/statusz  (also /metrics /healthz /debug/events /debug/incidents)");
-    let transitions: Vec<HashSet<usize>> = inputs
-        .iter()
-        .map(|i| i.transitions.iter().copied().collect())
-        .collect();
     let poll_every = dataset.horizon() / 4;
-    for step in 0..dataset.horizon() {
-        let batch: Vec<Tick> = (0..dataset.n_nodes())
-            .map(|node| Tick {
-                node,
-                step,
-                values: inputs[node].raw.row(step).to_vec(),
-                transition: transitions[node].contains(&step),
-            })
-            .collect();
-        engine.ingest(batch).expect("stream shard alive");
+    for (step, batch) in feed.chunks(dataset.n_nodes()).enumerate() {
+        engine.ingest(batch.to_vec()).expect("stream shard alive");
         // Poll our own /statusz a few times mid-replay: the live shard
         // view an operator would watch.
         if step > 0 && step % poll_every == 0 {

@@ -8,7 +8,6 @@
 //! model or bit-critical config with typed errors instead of silently
 //! diverging.
 
-#[path = "snapshot_common/mod.rs"]
 mod common;
 
 use common::{

@@ -2,51 +2,29 @@
 //! detection → evaluation protocol, at a deliberately small scale so the
 //! test runs in a debug build.
 
-use nodesentry::core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
-use nodesentry::eval::metrics::{adjusted_confusion, roc_auc_adjusted};
-use nodesentry::features::FeatureCatalog;
-use nodesentry::telemetry::{Dataset, DatasetProfile};
+mod common;
 
-fn quick_cfg() -> NodeSentryConfig {
-    NodeSentryConfig {
-        coarse: CoarseConfig {
-            catalog: FeatureCatalog::compact(),
-            k_max: 8,
-            ..Default::default()
-        },
-        sharing: SharingConfig {
-            window: 12,
-            stride: 6,
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 2,
-            hidden: 32,
-            n_experts: 2,
-            epochs: 14,
-            lr: 3e-3,
-            batch: 16,
-            k_nearest: 6,
-            ..Default::default()
-        },
-        match_period: 40,
-        min_segment_len: 8,
-        ..Default::default()
-    }
+use common::{quick_cfg, Setup};
+use nodesentry::core::{NodeSentry, NodeSentryConfig};
+use nodesentry::eval::metrics::{adjusted_confusion, roc_auc_adjusted};
+use nodesentry::telemetry::DatasetProfile;
+use std::sync::{Arc, OnceLock};
+
+/// [`quick_cfg`] with a larger model: more clusters, two layers, longer
+/// training and more neighbours.
+fn e2e_cfg() -> NodeSentryConfig {
+    let mut cfg = quick_cfg();
+    cfg.coarse.k_max = 8;
+    cfg.sharing.n_layers = 2;
+    cfg.sharing.epochs = 14;
+    cfg.sharing.k_nearest = 6;
+    cfg
 }
 
-fn inputs_of(ds: &Dataset) -> Vec<NodeInput> {
-    (0..ds.n_nodes())
-        .map(|n| NodeInput {
-            raw: ds.raw_node(n),
-            transitions: ds
-                .schedule
-                .node_timeline(n)
-                .iter()
-                .map(|s| s.start)
-                .filter(|&s| s > 0)
-                .collect(),
-        })
-        .collect()
+/// [`e2e_cfg`] fitted on `tiny`.
+fn tiny() -> &'static Setup {
+    static TINY: OnceLock<Setup> = OnceLock::new();
+    TINY.get_or_init(|| Setup::fit(&DatasetProfile::tiny(), e2e_cfg()))
 }
 
 #[test]
@@ -57,10 +35,8 @@ fn full_pipeline_detects_better_than_chance() {
     profile.schedule.n_nodes = 6;
     profile.schedule.horizon = 1600;
     profile.events_per_node = 2.5;
-    let ds = profile.generate();
-    let groups = ds.catalog.group_ids();
-    let inputs = inputs_of(&ds);
-    let model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
+    let setup = Setup::fit(&profile, e2e_cfg());
+    let (ds, model) = (&setup.ds, &setup.model);
 
     assert!(model.n_clusters() >= 2, "multiple patterns should emerge");
     assert!(model.preprocessor.out_dim() >= 10);
@@ -73,7 +49,7 @@ fn full_pipeline_detects_better_than_chance() {
 
     // Score every node; AUC averaged over anomalous nodes must beat 0.5.
     let mut aucs = Vec::new();
-    for (n, input) in inputs.iter().enumerate() {
+    for (n, input) in setup.inputs.iter().enumerate() {
         let truth = ds.labels(n);
         if !truth[ds.split..].iter().any(|&b| b) {
             continue;
@@ -97,11 +73,9 @@ fn full_pipeline_detects_better_than_chance() {
 
 #[test]
 fn detection_protocol_produces_consistent_confusion() {
-    let ds = DatasetProfile::tiny().generate();
-    let groups = ds.catalog.group_ids();
-    let inputs = inputs_of(&ds);
-    let model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
-    for (n, input) in inputs.iter().enumerate() {
+    let setup = tiny();
+    let (ds, model) = (&setup.ds, &setup.model);
+    for (n, input) in setup.inputs.iter().enumerate() {
         let pred = model.detect_node(&input.raw, &input.transitions, ds.split);
         let truth = ds.labels(n);
         let c = adjusted_confusion(&pred, &truth[ds.split..], None);
@@ -117,15 +91,15 @@ fn detection_protocol_produces_consistent_confusion() {
 #[test]
 fn ablation_variants_run_end_to_end() {
     use nodesentry::core::Variant;
-    let ds = DatasetProfile::tiny().generate();
+    let setup = tiny();
+    let (ds, inputs) = (&setup.ds, &setup.inputs);
     let groups = ds.catalog.group_ids();
-    let inputs = inputs_of(&ds);
     for v in [
         Variant::C1SingleModel,
         Variant::C3EqualLength,
         Variant::C5DenseFfn,
     ] {
-        let model = NodeSentry::fit(quick_cfg().with_variant(v), &inputs, &groups, ds.split);
+        let model = NodeSentry::fit(e2e_cfg().with_variant(v), inputs, &groups, ds.split);
         let (scores, _) = model.score_node(&inputs[0].raw, &inputs[0].transitions, ds.split);
         assert!(scores.iter().all(|s| s.is_finite()), "{v:?} produced NaNs");
     }
@@ -133,10 +107,8 @@ fn ablation_variants_run_end_to_end() {
 
 #[test]
 fn incremental_pipeline_extends_cluster_library() {
-    let ds = DatasetProfile::tiny().generate();
-    let groups = ds.catalog.group_ids();
-    let inputs = inputs_of(&ds);
-    let mut model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
+    let mut setup = Setup::fit(&DatasetProfile::tiny(), e2e_cfg());
+    let model = Arc::get_mut(&mut setup.model).expect("sole owner of a fresh fit");
     let k0 = model.n_clusters();
     // A segment the library has seen must match without a new cluster.
     let known = model.train_segments[0].data.clone();

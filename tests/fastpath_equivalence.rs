@@ -9,41 +9,12 @@
 //!
 //! [`InferenceSession`]: nodesentry::nn::InferenceSession
 
+mod common;
+
+use common::{quick_cfg, Setup};
 use nodesentry::core::preprocess::segment_at_transitions;
-use nodesentry::core::{
-    CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig, Variant,
-};
-use nodesentry::features::FeatureCatalog;
 use nodesentry::linalg::matrix::Matrix;
 use nodesentry::telemetry::DatasetProfile;
-
-fn quick_cfg() -> NodeSentryConfig {
-    NodeSentryConfig {
-        coarse: CoarseConfig {
-            catalog: FeatureCatalog::compact(),
-            k_max: 6,
-            ..Default::default()
-        },
-        sharing: SharingConfig {
-            window: 12,
-            stride: 6,
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 1,
-            hidden: 32,
-            n_experts: 2,
-            epochs: 4,
-            lr: 3e-3,
-            batch: 16,
-            k_nearest: 4,
-            ..Default::default()
-        },
-        match_period: 40,
-        min_segment_len: 8,
-        variant: Variant::Full,
-        ..Default::default()
-    }
-}
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -51,25 +22,14 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 #[test]
 fn serving_schedules_bit_identical_to_taped_reference() {
-    let ds = DatasetProfile::tiny().generate();
-    let groups = ds.catalog.group_ids();
-    let inputs: Vec<NodeInput> = (0..ds.n_nodes())
-        .map(|n| NodeInput {
-            raw: ds.raw_node(n),
-            transitions: ds
-                .schedule
-                .node_timeline(n)
-                .iter()
-                .map(|s| s.start)
-                .filter(|&s| s > 0)
-                .collect(),
-        })
-        .collect();
-    let model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
+    let mut cfg = quick_cfg();
+    cfg.sharing.epochs = 4;
+    let setup = Setup::fit(&DatasetProfile::tiny(), cfg);
+    let (ds, model) = (&setup.ds, &setup.model);
 
     // The test-span segments exactly as `score_node` cuts them.
     let mut segments: Vec<Matrix> = Vec::new();
-    for input in &inputs {
+    for input in &setup.inputs {
         let test = model
             .preprocess(&input.raw)
             .slice_rows(ds.split, ds.horizon());

@@ -15,162 +15,25 @@
 //! * the engine finishes without panic or deadlock at 1, 2, and 4
 //!   shards, and no state leaks across a blackout rejoin.
 
-use nodesentry::core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
-use nodesentry::eval::ksigma_detect;
-use nodesentry::features::FeatureCatalog;
-use nodesentry::stream::{Engine, EngineConfig, EngineReport, Tick, VerdictKind};
-use nodesentry::telemetry::{
-    Dataset, DatasetProfile, FaultEvent, FaultInjector, FaultKind, FaultOutcome, FaultPlan,
-};
+mod common;
+
+use common::{engine_cfg, run_uninterrupted, setup, Setup};
+use nodesentry::stream::{EngineReport, VerdictKind};
+use nodesentry::telemetry::{FaultEvent, FaultInjector, FaultKind, FaultOutcome, FaultPlan};
 use std::collections::HashMap;
-use std::collections::HashSet;
-use std::sync::{Arc, OnceLock};
 
 const SHARDS: [usize; 3] = [1, 2, 4];
-const REORDER_BOUND: usize = 16;
-const BLACKOUT_GAP: usize = 48;
 /// Rows of guard on each side of a fault window for cross-row coupling
 /// (NaN interpolation reaches backward, counter rates one row forward).
 const GUARD_BACK: usize = 4;
 const GUARD_FWD: usize = 1;
 
-fn quick_cfg() -> NodeSentryConfig {
-    NodeSentryConfig {
-        coarse: CoarseConfig {
-            catalog: FeatureCatalog::compact(),
-            k_max: 6,
-            ..Default::default()
-        },
-        sharing: SharingConfig {
-            window: 12,
-            stride: 6,
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 1,
-            hidden: 32,
-            n_experts: 2,
-            epochs: 6,
-            lr: 3e-3,
-            batch: 16,
-            k_nearest: 4,
-            ..Default::default()
-        },
-        match_period: 40,
-        min_segment_len: 8,
-        ..Default::default()
-    }
-}
-
-/// Batch reference for one node.
-struct Oracle {
-    /// `scores[step - split]`, from `score_node` on the clean stream.
-    scores: Vec<f64>,
-    flags: Vec<bool>,
-    clusters: Vec<usize>,
-    /// Oracle segment spans `[start, end)` in global steps.
-    segments: Vec<(usize, usize)>,
-}
-
-struct Setup {
-    ds: Dataset,
-    model: Arc<NodeSentry>,
-    clean: Vec<Tick>,
-    oracles: Vec<Oracle>,
-    /// Raw columns feeding kept cumulative counter groups.
-    counter_cols: Vec<usize>,
-    /// Flag-comparison washout after each dirty window.
-    washout: usize,
-}
-
-static SETUP: OnceLock<Setup> = OnceLock::new();
-
-fn setup() -> &'static Setup {
-    SETUP.get_or_init(|| {
-        let ds = DatasetProfile::tiny().generate();
-        let groups = ds.catalog.group_ids();
-        let inputs: Vec<NodeInput> = (0..ds.n_nodes())
-            .map(|n| NodeInput {
-                raw: ds.raw_node(n),
-                transitions: ds
-                    .schedule
-                    .node_timeline(n)
-                    .iter()
-                    .map(|s| s.start)
-                    .filter(|&s| s > 0)
-                    .collect(),
-            })
-            .collect();
-        let model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
-        let mut oracles = Vec::new();
-        for input in &inputs {
-            let (scores, matches) = model.score_node(&input.raw, &input.transitions, ds.split);
-            let mut clusters = vec![usize::MAX; scores.len()];
-            for &(start, end, cluster) in &matches {
-                for slot in clusters[start - ds.split..end - ds.split].iter_mut() {
-                    *slot = cluster;
-                }
-            }
-            assert!(clusters.iter().all(|&c| c != usize::MAX));
-            oracles.push(Oracle {
-                flags: ksigma_detect(&scores, &model.cfg.threshold),
-                segments: matches.iter().map(|&(s, e, _)| (s, e)).collect(),
-                scores,
-                clusters,
-            });
-        }
-        let pp = &model.preprocessor;
-        let counter_cols: Vec<usize> = (0..pp.groups.len())
-            .filter(|&c| pp.counters[pp.groups[c]] && pp.kept.contains(&pp.groups[c]))
-            .collect();
-        assert!(
-            !counter_cols.is_empty(),
-            "tiny catalog must keep at least one counter group"
-        );
-        let transition_sets: Vec<HashSet<usize>> = inputs
-            .iter()
-            .map(|i| i.transitions.iter().copied().collect())
-            .collect();
-        let mut clean = Vec::new();
-        for step in 0..ds.horizon() {
-            for (node, input) in inputs.iter().enumerate() {
-                clean.push(Tick {
-                    node,
-                    step,
-                    values: input.raw.row(step).to_vec(),
-                    transition: transition_sets[node].contains(&step),
-                });
-            }
-        }
-        // The k-sigma reference excludes previously-flagged points and
-        // looks back up to 3·window candidates, so flag history needs up
-        // to ~4·window clean steps to forget a fault.
-        let washout = model.cfg.threshold.window * 4 + 8;
-        Setup {
-            ds,
-            model: Arc::new(model),
-            clean,
-            oracles,
-            counter_cols,
-            washout,
-        }
-    })
-}
-
-fn engine_cfg(setup: &Setup, shards: usize) -> EngineConfig {
-    let mut cfg = EngineConfig::new(setup.ds.split);
-    cfg.n_shards = shards;
-    cfg.smooth_window = 1;
-    cfg.reorder_bound = REORDER_BOUND;
-    cfg.blackout_gap = BLACKOUT_GAP;
-    cfg
-}
-
-fn run_stream(setup: &Setup, stream: &[Tick], cfg: EngineConfig) -> EngineReport {
-    let engine = Engine::new(Arc::clone(&setup.model), cfg);
-    for chunk in stream.chunks(256) {
-        engine.ingest(chunk.to_vec()).expect("stream shard alive");
-    }
-    engine.finish()
+/// Flag-comparison washout after each dirty window. The k-sigma
+/// reference excludes previously-flagged points and looks back up to
+/// 3·window candidates, so flag history needs up to ~4·window clean steps
+/// to forget a fault.
+fn washout(setup: &Setup) -> usize {
+    setup.model.cfg.threshold.window * 4 + 8
 }
 
 /// Widen a dirty step range by the coupling guards, then to the oracle's
@@ -181,7 +44,7 @@ fn expand(setup: &Setup, node: usize, s: usize, e: usize) -> (usize, usize) {
     let eg = e + GUARD_FWD;
     let mut lo = sg.max(setup.ds.split);
     let mut hi = eg.min(setup.ds.horizon());
-    for &(ss, se) in &setup.oracles[node].segments {
+    for &(ss, se) in &setup.oracles()[node].segments {
         if ss < eg && se > sg {
             lo = lo.min(ss);
             hi = hi.max(se);
@@ -232,7 +95,7 @@ fn differential_check(
         );
     }
     for (node, win) in windows.iter().enumerate() {
-        let oracle = &setup.oracles[node];
+        let oracle = &setup.oracles()[node];
         for step in split..horizon {
             let k = step - split;
             let inside = in_windows(win, step);
@@ -262,7 +125,7 @@ fn differential_check(
                     VerdictKind::Ok,
                     "{tag}: clean verdict degraded at node {node} step {step}"
                 );
-                if !in_washout(win, step, setup.washout) {
+                if !in_washout(win, step, washout(setup)) {
                     assert_eq!(
                         v.anomalous, oracle.flags[k],
                         "{tag}: flag diverged at node {node} step {step}"
@@ -297,7 +160,7 @@ fn run_class(event: FaultEvent, dirty: Option<(usize, usize)>, tag: &str) -> Vec
     let outcome = FaultInjector::new(plan).apply(&setup.clean);
     let mut reports = Vec::new();
     for shards in SHARDS {
-        let report = run_stream(setup, &outcome.stream, engine_cfg(setup, shards));
+        let report = run_uninterrupted(setup, &outcome.stream, engine_cfg(setup, shards));
         differential_check(
             setup,
             &report,
@@ -403,7 +266,7 @@ fn counter_resets_degrade_the_reset_segment() {
     // spike at `end` is indistinguishable from a real burst, so it must
     // land in the same (already degraded) segment for the contract to
     // hold.
-    let (ss, se) = setup.oracles[1]
+    let (ss, se) = setup.oracles()[1]
         .segments
         .iter()
         .copied()
@@ -440,7 +303,7 @@ fn blackout_resyncs_without_leaking_state() {
     let (start, end) = (400usize, 460usize);
     // Engine state realigns with the oracle at the first transition after
     // rejoin; everything from the blackout to that cut is dirty.
-    let resync_cut = setup.oracles[3]
+    let resync_cut = setup.oracles()[3]
         .segments
         .iter()
         .map(|&(_, se)| se)
@@ -471,13 +334,13 @@ fn chaos_panic_quarantines_one_node_only() {
     let setup = setup();
     let mut cfg = engine_cfg(setup, 2);
     cfg.panic_at = Some((1, 450));
-    let report = run_stream(setup, &setup.clean, cfg);
+    let report = run_uninterrupted(setup, &setup.clean, cfg);
     assert_eq!(report.faults.quarantined_nodes, 1);
     assert!(report.faults.quarantine_dropped > 0);
     assert_eq!(report.faults.worker_crashes, 0, "the shard itself survives");
     // Every other node is bit-exact end to end.
     for node in [0usize, 2, 3] {
-        let oracle = &setup.oracles[node];
+        let oracle = &setup.oracles()[node];
         let verdicts: Vec<_> = report.verdicts.iter().filter(|v| v.node == node).collect();
         assert_eq!(verdicts.len(), setup.ds.horizon() - setup.ds.split);
         for v in verdicts {
@@ -491,7 +354,7 @@ fn chaos_panic_quarantines_one_node_only() {
     for v in report.verdicts.iter().filter(|v| v.node == 1) {
         assert!(v.step < 450, "no verdicts after the panic step");
         let k = v.step - setup.ds.split;
-        assert_eq!(v.score.to_bits(), setup.oracles[1].scores[k].to_bits());
+        assert_eq!(v.score.to_bits(), setup.oracles()[1].scores[k].to_bits());
     }
 }
 
@@ -512,7 +375,7 @@ fn all_fault_classes_at_once_still_conform() {
     for ev in &events {
         let (s, e) = match ev.kind {
             FaultKind::Blackout => {
-                let resync = setup.oracles[ev.node]
+                let resync = setup.oracles()[ev.node]
                     .segments
                     .iter()
                     .map(|&(_, se)| se)
@@ -532,7 +395,7 @@ fn all_fault_classes_at_once_still_conform() {
     };
     let outcome = FaultInjector::new(plan).apply(&setup.clean);
     for shards in SHARDS {
-        let report = run_stream(setup, &outcome.stream, engine_cfg(setup, shards));
+        let report = run_uninterrupted(setup, &outcome.stream, engine_cfg(setup, shards));
         differential_check(
             setup,
             &report,

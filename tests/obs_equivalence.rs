@@ -9,13 +9,12 @@
 //! registry), so they serialize on a shared lock; the trained model is a
 //! shared fixture because training dominates the runtime.
 
-use nodesentry::core::{
-    CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig, Variant,
-};
-use nodesentry::features::FeatureCatalog;
+mod common;
+
+use common::{quick_cfg, Setup};
 use nodesentry::obs;
-use nodesentry::stream::{metrics as sm, Engine, EngineConfig, FaultCounters, Tick, Verdict};
-use nodesentry::telemetry::{Dataset, DatasetProfile};
+use nodesentry::stream::{metrics as sm, Engine, EngineConfig, FaultCounters, Verdict};
+use nodesentry::telemetry::DatasetProfile;
 use std::collections::{BTreeMap, HashSet};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -28,102 +27,30 @@ fn test_lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-fn quick_cfg() -> NodeSentryConfig {
-    NodeSentryConfig {
-        coarse: CoarseConfig {
-            catalog: FeatureCatalog::compact(),
-            k_max: 6,
-            ..Default::default()
-        },
-        sharing: SharingConfig {
-            window: 12,
-            stride: 6,
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 1,
-            hidden: 32,
-            n_experts: 2,
-            epochs: 4,
-            lr: 3e-3,
-            batch: 16,
-            k_nearest: 4,
-            ..Default::default()
-        },
-        match_period: 40,
-        min_segment_len: 8,
-        variant: Variant::Full,
-        ..Default::default()
-    }
-}
-
-struct Fixture {
-    model: Arc<NodeSentry>,
-    batches: Vec<Vec<Tick>>,
-    split: usize,
-}
-
-fn fixture() -> &'static Fixture {
-    static CELL: OnceLock<Fixture> = OnceLock::new();
+/// [`quick_cfg`] trained for four epochs on `tiny`.
+fn fixture() -> &'static Setup {
+    static CELL: OnceLock<Setup> = OnceLock::new();
     CELL.get_or_init(|| {
         // Train with observability off so the fixture is the plain
         // baseline; each test toggles the flags around its own runs.
         obs::disable_all();
-        let ds: Dataset = DatasetProfile::tiny().generate();
-        let groups = ds.catalog.group_ids();
-        let inputs: Vec<NodeInput> = (0..ds.n_nodes())
-            .map(|n| NodeInput {
-                raw: ds.raw_node(n),
-                transitions: ds
-                    .schedule
-                    .node_timeline(n)
-                    .iter()
-                    .map(|s| s.start)
-                    .filter(|&s| s > 0)
-                    .collect(),
-            })
-            .collect();
-        let model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
-        let transition_sets: Vec<HashSet<usize>> = inputs
-            .iter()
-            .map(|i| i.transitions.iter().copied().collect())
-            .collect();
-        let batches = (0..ds.horizon())
-            .map(|step| {
-                inputs
-                    .iter()
-                    .enumerate()
-                    .map(|(node, input)| Tick {
-                        node,
-                        step,
-                        values: input.raw.row(step).to_vec(),
-                        transition: transition_sets[node].contains(&step),
-                    })
-                    .collect()
-            })
-            .collect();
-        Fixture {
-            model: Arc::new(model),
-            batches,
-            split: ds.split,
-        }
+        let mut cfg = quick_cfg();
+        cfg.sharing.epochs = 4;
+        Setup::fit(&DatasetProfile::tiny(), cfg)
     })
 }
 
-fn run_stream(fx: &Fixture, n_shards: usize) -> Vec<Verdict> {
+fn run_stream(fx: &Setup, n_shards: usize) -> Vec<Verdict> {
     run_stream_with(fx, n_shards, None)
 }
 
-fn run_stream_with(
-    fx: &Fixture,
-    n_shards: usize,
-    panic_at: Option<(usize, usize)>,
-) -> Vec<Verdict> {
-    let mut cfg = EngineConfig::new(fx.split);
+fn run_stream_with(fx: &Setup, n_shards: usize, panic_at: Option<(usize, usize)>) -> Vec<Verdict> {
+    let mut cfg = EngineConfig::new(fx.ds.split);
     cfg.n_shards = n_shards;
     cfg.panic_at = panic_at;
     let engine = Engine::new(Arc::clone(&fx.model), cfg);
-    for batch in &fx.batches {
-        engine.ingest(batch.clone()).expect("stream shard alive");
+    for batch in fx.clean.chunks(fx.ds.n_nodes()) {
+        engine.ingest(batch.to_vec()).expect("stream shard alive");
     }
     engine.finish().verdicts
 }
@@ -296,7 +223,7 @@ fn recorder_and_triggers_hold_bit_identity_on_a_faulted_feed() {
     let _l = test_lock();
     let fx = fixture();
     let panic_node = 1usize;
-    let panic_step = fx.split + 3;
+    let panic_step = fx.ds.split + 3;
     let fingerprint = format!("{:016x}", fx.model.fingerprint());
 
     for n_shards in [1usize, 2, 4] {
@@ -441,7 +368,7 @@ fn operational_routes_serve_live_state_over_a_socket() {
     obs::enable_all();
     obs::incident::set_armed(true);
     obs::incident::set_min_interval(std::time::Duration::ZERO);
-    let verdicts = run_stream_with(fx, 2, Some((0, fx.split + 2)));
+    let verdicts = run_stream_with(fx, 2, Some((0, fx.ds.split + 2)));
     obs::disable_all();
     obs::incident::set_min_interval(obs::incident::DEFAULT_MIN_INTERVAL);
     assert!(!verdicts.is_empty());

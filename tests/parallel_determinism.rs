@@ -12,10 +12,10 @@
 //! width and fans them over the pool, so the width decides the grouping —
 //! which must never reach a score bit, in either precision tier.
 
-use nodesentry::core::{
-    CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharedModel, SharingConfig,
-};
-use nodesentry::features::FeatureCatalog;
+mod common;
+
+use common::{inputs, quick_cfg};
+use nodesentry::core::{NodeInput, NodeSentry, SharedModel, SharingConfig};
 use nodesentry::linalg::matrix::Matrix;
 use nodesentry::telemetry::{Dataset, DatasetProfile};
 use std::sync::{Mutex, MutexGuard};
@@ -23,48 +23,6 @@ use std::sync::{Mutex, MutexGuard};
 fn width_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn quick_cfg() -> NodeSentryConfig {
-    NodeSentryConfig {
-        coarse: CoarseConfig {
-            catalog: FeatureCatalog::compact(),
-            k_max: 6,
-            ..Default::default()
-        },
-        sharing: SharingConfig {
-            window: 12,
-            stride: 6,
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 1,
-            hidden: 32,
-            n_experts: 2,
-            epochs: 6,
-            lr: 3e-3,
-            batch: 16,
-            k_nearest: 4,
-            ..Default::default()
-        },
-        match_period: 40,
-        min_segment_len: 8,
-        ..Default::default()
-    }
-}
-
-fn inputs_of(ds: &Dataset) -> Vec<NodeInput> {
-    (0..ds.n_nodes())
-        .map(|n| NodeInput {
-            raw: ds.raw_node(n),
-            transitions: ds
-                .schedule
-                .node_timeline(n)
-                .iter()
-                .map(|s| s.start)
-                .filter(|&s| s > 0)
-                .collect(),
-        })
-        .collect()
 }
 
 fn fit_and_score(ds: &Dataset, inputs: &[NodeInput]) -> (String, Vec<Vec<u64>>) {
@@ -86,7 +44,7 @@ fn fit_and_score(ds: &Dataset, inputs: &[NodeInput]) -> (String, Vec<Vec<u64>>) 
 fn fit_is_bitwise_identical_across_thread_counts() {
     let _g = width_lock();
     let ds = DatasetProfile::tiny().generate();
-    let inputs = inputs_of(&ds);
+    let inputs = inputs(&ds);
 
     rayon::set_thread_count_override(Some(1));
     let (model_serial, scores_serial) = fit_and_score(&ds, &inputs);

@@ -17,21 +17,22 @@
 //!   tier and announcing a mismatched tier over the wire both fail with
 //!   typed errors, never a panic, and matching announcements succeed.
 
-use nodesentry::core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
-use nodesentry::features::FeatureCatalog;
+mod common;
+
+use common::{
+    assert_verdicts_identical, quick_cfg, run_uninterrupted, setup, Setup, BLACKOUT_GAP,
+    REORDER_BOUND,
+};
 use nodesentry::nn::{
     BlockKind, InferenceSession, InferenceSessionF32, ParamStore, ReconstructionTransformer,
     TransformerConfig,
 };
 use nodesentry::stream::snapshot::SnapshotError;
-use nodesentry::stream::{
-    Engine, EngineConfig, EngineError, EngineReport, ScoringPrecision, Tick, Verdict,
-};
+use nodesentry::stream::{Engine, EngineConfig, EngineError, ScoringPrecision};
 use nodesentry::telemetry::{
-    Dataset, DatasetProfile, FaultEvent, FaultInjector, FaultKind, FaultPlan, IngestClient,
+    DatasetProfile, FaultEvent, FaultInjector, FaultKind, FaultPlan, IngestClient,
 };
 use proptest::prelude::*;
-use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 const SHARDS: [usize; 3] = [1, 2, 4];
@@ -43,84 +44,6 @@ const SHARDS: [usize; 3] = [1, 2, 4];
 /// real fidelity loss, not on a single borderline point.
 const AGREEMENT_FLOOR: f64 = 0.995;
 
-fn quick_cfg() -> NodeSentryConfig {
-    NodeSentryConfig {
-        coarse: CoarseConfig {
-            catalog: FeatureCatalog::compact(),
-            k_max: 6,
-            ..Default::default()
-        },
-        sharing: SharingConfig {
-            window: 12,
-            stride: 6,
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 1,
-            hidden: 32,
-            n_experts: 2,
-            epochs: 6,
-            lr: 3e-3,
-            batch: 16,
-            k_nearest: 4,
-            ..Default::default()
-        },
-        match_period: 40,
-        min_segment_len: 8,
-        ..Default::default()
-    }
-}
-
-struct Setup {
-    ds: Dataset,
-    model: Arc<NodeSentry>,
-    /// Clean step-major tick stream (every node's sample per step).
-    clean: Vec<Tick>,
-}
-
-fn build(profile: DatasetProfile) -> Setup {
-    let ds = profile.generate();
-    let groups = ds.catalog.group_ids();
-    let inputs: Vec<NodeInput> = (0..ds.n_nodes())
-        .map(|n| NodeInput {
-            raw: ds.raw_node(n),
-            transitions: ds
-                .schedule
-                .node_timeline(n)
-                .iter()
-                .map(|s| s.start)
-                .filter(|&s| s > 0)
-                .collect(),
-        })
-        .collect();
-    let model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
-    let transition_sets: Vec<HashSet<usize>> = inputs
-        .iter()
-        .map(|i| i.transitions.iter().copied().collect())
-        .collect();
-    let mut clean = Vec::new();
-    for step in 0..ds.horizon() {
-        for (node, input) in inputs.iter().enumerate() {
-            clean.push(Tick {
-                node,
-                step,
-                values: input.raw.row(step).to_vec(),
-                transition: transition_sets[node].contains(&step),
-            });
-        }
-    }
-    Setup {
-        ds,
-        model: Arc::new(model),
-        clean,
-    }
-}
-
-static TINY: OnceLock<Setup> = OnceLock::new();
-
-fn tiny() -> &'static Setup {
-    TINY.get_or_init(|| build(DatasetProfile::tiny()))
-}
-
 static D2: OnceLock<Setup> = OnceLock::new();
 
 /// D2′-shaped feed at test scale: the real schedule/catalog shape and
@@ -130,46 +53,17 @@ fn d2() -> &'static Setup {
         let mut profile = DatasetProfile::d2_prime();
         profile.schedule.horizon = 720;
         profile.events_per_node = 2.0;
-        build(profile)
+        Setup::fit(&profile, quick_cfg())
     })
 }
 
 fn cfg_of(setup: &Setup, shards: usize, precision: ScoringPrecision) -> EngineConfig {
     let mut cfg = EngineConfig::new(setup.ds.split);
     cfg.n_shards = shards;
-    cfg.reorder_bound = 16;
-    cfg.blackout_gap = 48;
+    cfg.reorder_bound = REORDER_BOUND;
+    cfg.blackout_gap = BLACKOUT_GAP;
     cfg.scoring_precision = precision;
     cfg
-}
-
-fn run(setup: &Setup, stream: &[Tick], cfg: EngineConfig) -> EngineReport {
-    let engine = Engine::new(Arc::clone(&setup.model), cfg);
-    for batch in stream.chunks(256) {
-        engine.ingest(batch.to_vec()).expect("stream shard alive");
-    }
-    engine.finish()
-}
-
-fn assert_bit_identical(got: &[Verdict], oracle: &[Verdict], tag: &str) {
-    assert_eq!(got.len(), oracle.len(), "{tag}: verdict counts diverged");
-    for (g, o) in got.iter().zip(oracle) {
-        assert_eq!((g.node, g.step), (o.node, o.step), "{tag}: stream order");
-        assert_eq!(
-            g.score.to_bits(),
-            o.score.to_bits(),
-            "{tag}: score bits diverged at node {} step {}",
-            g.node,
-            g.step
-        );
-        assert_eq!(
-            (g.anomalous, g.cluster, g.kind),
-            (o.anomalous, o.cluster, o.kind),
-            "{tag}: verdict diverged at node {} step {}",
-            g.node,
-            g.step
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -178,13 +72,13 @@ fn assert_bit_identical(got: &[Verdict], oracle: &[Verdict], tag: &str) {
 
 #[test]
 fn f64_tier_is_bit_identical_to_default_config() {
-    let setup = tiny();
+    let setup = setup();
     // Oracle: a config that never mentions the tier at all.
     let mut oracle_cfg = EngineConfig::new(setup.ds.split);
     oracle_cfg.n_shards = 1;
     oracle_cfg.reorder_bound = 16;
     oracle_cfg.blackout_gap = 48;
-    let oracle = run(setup, &setup.clean, oracle_cfg);
+    let oracle = run_uninterrupted(setup, &setup.clean, oracle_cfg);
     assert!(
         oracle
             .verdicts
@@ -193,18 +87,18 @@ fn f64_tier_is_bit_identical_to_default_config() {
         "default-config verdicts must carry the F64 tag"
     );
     for shards in SHARDS {
-        let got = run(
+        let got = run_uninterrupted(
             setup,
             &setup.clean,
             cfg_of(setup, shards, ScoringPrecision::F64),
         );
-        assert_bit_identical(&got.verdicts, &oracle.verdicts, &format!("clean/s{shards}"));
+        assert_verdicts_identical(&got.verdicts, &oracle.verdicts, &format!("clean/s{shards}"));
     }
 }
 
 #[test]
 fn f64_tier_is_bit_identical_under_faults() {
-    let setup = tiny();
+    let setup = setup();
     let mk = |node, kind, start, end, magnitude| FaultEvent {
         node,
         kind,
@@ -222,18 +116,18 @@ fn f64_tier_is_bit_identical_under_faults() {
         seed: 0xF1F0,
     };
     let outcome = FaultInjector::new(plan).apply(&setup.clean);
-    let oracle = run(
+    let oracle = run_uninterrupted(
         setup,
         &outcome.stream,
         cfg_of(setup, 1, ScoringPrecision::F64),
     );
     for shards in SHARDS {
-        let got = run(
+        let got = run_uninterrupted(
             setup,
             &outcome.stream,
             cfg_of(setup, shards, ScoringPrecision::F64),
         );
-        assert_bit_identical(&got.verdicts, &oracle.verdicts, &format!("fault/s{shards}"));
+        assert_verdicts_identical(&got.verdicts, &oracle.verdicts, &format!("fault/s{shards}"));
     }
 }
 
@@ -244,8 +138,8 @@ fn f64_tier_is_bit_identical_under_faults() {
 #[test]
 fn f32_tier_agreement_meets_pinned_floor() {
     let setup = d2();
-    let oracle = run(setup, &setup.clean, cfg_of(setup, 2, ScoringPrecision::F64));
-    let f32_run = run(setup, &setup.clean, cfg_of(setup, 2, ScoringPrecision::F32));
+    let oracle = run_uninterrupted(setup, &setup.clean, cfg_of(setup, 2, ScoringPrecision::F64));
+    let f32_run = run_uninterrupted(setup, &setup.clean, cfg_of(setup, 2, ScoringPrecision::F32));
     assert_eq!(
         f32_run.verdicts.len(),
         oracle.verdicts.len(),
@@ -284,8 +178,8 @@ fn f32_tier_agreement_meets_pinned_floor() {
 fn f32_tier_is_shard_invariant_within_itself() {
     // The tier may differ from f64, but it must be deterministic: the
     // same f32 feed at any shard count yields the same bits.
-    let setup = tiny();
-    let oracle = run(setup, &setup.clean, cfg_of(setup, 1, ScoringPrecision::F32));
+    let setup = setup();
+    let oracle = run_uninterrupted(setup, &setup.clean, cfg_of(setup, 1, ScoringPrecision::F32));
     assert!(
         oracle
             .verdicts
@@ -294,12 +188,12 @@ fn f32_tier_is_shard_invariant_within_itself() {
         "f32-tier verdicts must carry the F32 tag"
     );
     for shards in SHARDS {
-        let got = run(
+        let got = run_uninterrupted(
             setup,
             &setup.clean,
             cfg_of(setup, shards, ScoringPrecision::F32),
         );
-        assert_bit_identical(&got.verdicts, &oracle.verdicts, &format!("f32/s{shards}"));
+        assert_verdicts_identical(&got.verdicts, &oracle.verdicts, &format!("f32/s{shards}"));
     }
 }
 
@@ -373,7 +267,7 @@ proptest! {
 
 #[test]
 fn restore_refuses_precision_mismatch_with_typed_error() {
-    let setup = tiny();
+    let setup = setup();
     for (ckpt_tier, restore_tier) in [
         (ScoringPrecision::F64, ScoringPrecision::F32),
         (ScoringPrecision::F32, ScoringPrecision::F64),
@@ -425,7 +319,7 @@ fn restore_refuses_precision_mismatch_with_typed_error() {
 
 #[test]
 fn wire_hello_refuses_precision_mismatch_with_typed_error() {
-    let setup = tiny();
+    let setup = setup();
     for engine_tier in [ScoringPrecision::F64, ScoringPrecision::F32] {
         let engine = Engine::new(Arc::clone(&setup.model), cfg_of(setup, 1, engine_tier));
         let server = engine.serve_ingest("127.0.0.1:0").expect("bind ingest");

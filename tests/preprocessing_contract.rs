@@ -72,12 +72,7 @@ fn name_based_grouping_matches_catalog_structure() {
 fn transitions_from_schedule_segment_the_timeline() {
     let ds = DatasetProfile::tiny().generate();
     for node in 0..ds.n_nodes() {
-        let timeline = ds.schedule.node_timeline(node);
-        let transitions: Vec<usize> = timeline
-            .iter()
-            .map(|s| s.start)
-            .filter(|&s| s > 0)
-            .collect();
+        let transitions = ds.transitions(node);
         let raw = ds.raw_node(node);
         let groups = ds.catalog.group_ids();
         let pp = Preprocessor::fit(&raw.slice_rows(0, ds.split), &groups, 0.99, 0.05);

@@ -7,100 +7,14 @@
 //!   out duplicate verdicts) and confined to the test window;
 //! * a step that was never delivered never gets a verdict.
 
-use nodesentry::core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
-use nodesentry::features::FeatureCatalog;
-use nodesentry::stream::{Engine, EngineConfig, Tick};
-use nodesentry::telemetry::{
-    Dataset, DatasetProfile, FaultInjector, FaultPlan, FaultPlanSpec, ALL_FAULTS,
-};
+mod common;
+
+use common::setup;
+use nodesentry::stream::{Engine, EngineConfig};
+use nodesentry::telemetry::{FaultInjector, FaultPlan, FaultPlanSpec, ALL_FAULTS};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::collections::HashSet;
-use std::sync::{Arc, OnceLock};
-
-fn quick_cfg() -> NodeSentryConfig {
-    NodeSentryConfig {
-        coarse: CoarseConfig {
-            catalog: FeatureCatalog::compact(),
-            k_max: 6,
-            ..Default::default()
-        },
-        sharing: SharingConfig {
-            window: 12,
-            stride: 6,
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 1,
-            hidden: 32,
-            n_experts: 2,
-            epochs: 6,
-            lr: 3e-3,
-            batch: 16,
-            k_nearest: 4,
-            ..Default::default()
-        },
-        match_period: 40,
-        min_segment_len: 8,
-        ..Default::default()
-    }
-}
-
-struct Harness {
-    ds: Dataset,
-    model: Arc<NodeSentry>,
-    clean: Vec<Tick>,
-    n_cols: usize,
-    counter_cols: Vec<usize>,
-}
-
-static HARNESS: OnceLock<Harness> = OnceLock::new();
-
-fn harness() -> &'static Harness {
-    HARNESS.get_or_init(|| {
-        let ds = DatasetProfile::tiny().generate();
-        let groups = ds.catalog.group_ids();
-        let inputs: Vec<NodeInput> = (0..ds.n_nodes())
-            .map(|n| NodeInput {
-                raw: ds.raw_node(n),
-                transitions: ds
-                    .schedule
-                    .node_timeline(n)
-                    .iter()
-                    .map(|s| s.start)
-                    .filter(|&s| s > 0)
-                    .collect(),
-            })
-            .collect();
-        let model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
-        let pp = &model.preprocessor;
-        let n_cols = pp.groups.len();
-        let counter_cols: Vec<usize> = (0..n_cols)
-            .filter(|&c| pp.counters[pp.groups[c]] && pp.kept.contains(&pp.groups[c]))
-            .collect();
-        let transition_sets: Vec<HashSet<usize>> = inputs
-            .iter()
-            .map(|i| i.transitions.iter().copied().collect())
-            .collect();
-        let mut clean = Vec::new();
-        for step in 0..ds.horizon() {
-            for (node, input) in inputs.iter().enumerate() {
-                clean.push(Tick {
-                    node,
-                    step,
-                    values: input.raw.row(step).to_vec(),
-                    transition: transition_sets[node].contains(&step),
-                });
-            }
-        }
-        Harness {
-            ds,
-            model: Arc::new(model),
-            clean,
-            n_cols,
-            counter_cols,
-        }
-    })
-}
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
@@ -114,7 +28,7 @@ proptest! {
         len_span in 1usize..40,
         chunk in 16usize..400,
     ) {
-        let h = harness();
+        let h = setup();
         let spec = FaultPlanSpec {
             seed,
             window: (1, h.ds.horizon()),
@@ -173,7 +87,7 @@ proptest! {
         shards in 1usize..5,
         chunk in 16usize..400,
     ) {
-        let h = harness();
+        let h = setup();
         let mut cfg = EngineConfig::new(h.ds.split);
         cfg.n_shards = shards;
         cfg.smooth_window = 1;

@@ -6,7 +6,6 @@
 //! round trip byte-identically. The streamed encoder's bytes must also
 //! equal those of the test-side v2 tree codec for the same snapshot.
 
-#[path = "snapshot_common/mod.rs"]
 mod common;
 
 use common::{assert_verdicts_identical, engine_cfg, run_uninterrupted, setup, CHUNK};
@@ -140,7 +139,7 @@ proptest! {
     // `to_value()` tree in the tagged encoding with every `Vec<f64>` of
     // the schema packed under tag 8, sealed in the v2 envelope (block
     // digests folded into the trailer), all spelled out test-side in
-    // `snapshot_common/envelope.rs` — on both tiers, with the
+    // `common/envelope.rs` — on both tiers, with the
     // `scoring_precision` key omitted on F64 (the pinned key set) and
     // present on F32.
     #[test]

@@ -7,7 +7,6 @@
 //! uninterrupted run over the same feed: no dropped, duplicated, or
 //! invented verdicts.
 
-#[path = "snapshot_common/mod.rs"]
 mod common;
 
 use common::{

@@ -16,98 +16,21 @@
 //! (`stream_equivalence.rs`, `fault_tolerance.rs`); this suite only pins
 //! that scheduling is not an input.
 
-use nodesentry::core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
-use nodesentry::features::FeatureCatalog;
+mod common;
+
+use common::{setup, Setup, BLACKOUT_GAP, REORDER_BOUND};
 use nodesentry::stream::{Engine, EngineConfig, EngineReport, NodeState, Tick, Verdict};
-use nodesentry::telemetry::{
-    Dataset, DatasetProfile, FaultEvent, FaultInjector, FaultKind, FaultPlan,
-};
-use std::collections::{BTreeMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use nodesentry::telemetry::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const SHARDS: [usize; 3] = [1, 2, 4];
-
-fn quick_cfg() -> NodeSentryConfig {
-    NodeSentryConfig {
-        coarse: CoarseConfig {
-            catalog: FeatureCatalog::compact(),
-            k_max: 6,
-            ..Default::default()
-        },
-        sharing: SharingConfig {
-            window: 12,
-            stride: 6,
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 1,
-            hidden: 32,
-            n_experts: 2,
-            epochs: 6,
-            lr: 3e-3,
-            batch: 16,
-            k_nearest: 4,
-            ..Default::default()
-        },
-        match_period: 40,
-        min_segment_len: 8,
-        ..Default::default()
-    }
-}
-
-struct Setup {
-    ds: Dataset,
-    model: Arc<NodeSentry>,
-    /// Clean step-major tick stream (every node's sample per step).
-    clean: Vec<Tick>,
-}
-
-static SETUP: OnceLock<Setup> = OnceLock::new();
-
-fn setup() -> &'static Setup {
-    SETUP.get_or_init(|| {
-        let ds = DatasetProfile::tiny().generate();
-        let groups = ds.catalog.group_ids();
-        let inputs: Vec<NodeInput> = (0..ds.n_nodes())
-            .map(|n| NodeInput {
-                raw: ds.raw_node(n),
-                transitions: ds
-                    .schedule
-                    .node_timeline(n)
-                    .iter()
-                    .map(|s| s.start)
-                    .filter(|&s| s > 0)
-                    .collect(),
-            })
-            .collect();
-        let model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
-        let transition_sets: Vec<HashSet<usize>> = inputs
-            .iter()
-            .map(|i| i.transitions.iter().copied().collect())
-            .collect();
-        let mut clean = Vec::new();
-        for step in 0..ds.horizon() {
-            for (node, input) in inputs.iter().enumerate() {
-                clean.push(Tick {
-                    node,
-                    step,
-                    values: input.raw.row(step).to_vec(),
-                    transition: transition_sets[node].contains(&step),
-                });
-            }
-        }
-        Setup {
-            ds,
-            model: Arc::new(model),
-            clean,
-        }
-    })
-}
 
 fn cfg_of(setup: &Setup, shards: usize) -> EngineConfig {
     let mut cfg = EngineConfig::new(setup.ds.split);
     cfg.n_shards = shards;
-    cfg.reorder_bound = 16;
-    cfg.blackout_gap = 48;
+    cfg.reorder_bound = REORDER_BOUND;
+    cfg.blackout_gap = BLACKOUT_GAP;
     cfg
 }
 

@@ -3,54 +3,15 @@
 //! identically — both the slim deployment envelope (no training
 //! segments) and the full layout.
 
-use nodesentry::core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
-use nodesentry::features::FeatureCatalog;
-use nodesentry::telemetry::DatasetProfile;
+mod common;
 
-fn quick_cfg() -> NodeSentryConfig {
-    NodeSentryConfig {
-        coarse: CoarseConfig {
-            catalog: FeatureCatalog::compact(),
-            k_max: 6,
-            ..Default::default()
-        },
-        sharing: SharingConfig {
-            window: 12,
-            stride: 6,
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 1,
-            hidden: 32,
-            n_experts: 2,
-            epochs: 6,
-            lr: 3e-3,
-            batch: 16,
-            k_nearest: 4,
-            ..Default::default()
-        },
-        match_period: 40,
-        min_segment_len: 8,
-        ..Default::default()
-    }
-}
+use common::{quick_cfg, setup};
+use nodesentry::core::NodeSentry;
 
 #[test]
 fn fit_serialize_deserialize_scores_identically() {
-    let ds = DatasetProfile::tiny().generate();
-    let groups = ds.catalog.group_ids();
-    let inputs: Vec<NodeInput> = (0..ds.n_nodes())
-        .map(|n| NodeInput {
-            raw: ds.raw_node(n),
-            transitions: ds
-                .schedule
-                .node_timeline(n)
-                .iter()
-                .map(|s| s.start)
-                .filter(|&s| s > 0)
-                .collect(),
-        })
-        .collect();
-    let model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
+    let setup = setup();
+    let (ds, model) = (&setup.ds, &setup.model);
 
     for include_segments in [false, true] {
         let json = model.to_json(include_segments).expect("serialize");
@@ -69,7 +30,7 @@ fn fit_serialize_deserialize_scores_identically() {
             assert!(restored.train_segments.is_empty());
         }
         // Identical scoring, bit for bit, on every node.
-        for input in &inputs {
+        for input in &setup.inputs {
             let (before, matches_before) =
                 model.score_node(&input.raw, &input.transitions, ds.split);
             let (after, matches_after) =
@@ -87,7 +48,8 @@ fn fit_serialize_deserialize_scores_identically() {
 
     // Dropping the retained training segments leaves the digest alone, and
     // a second fit from the same inputs and seed reproduces it.
-    let mut again = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
+    let groups = ds.catalog.group_ids();
+    let mut again = NodeSentry::fit(quick_cfg(), &setup.inputs, &groups, ds.split);
     assert!(!again.train_segments.is_empty());
     assert_eq!(again.fingerprint(), model.fingerprint());
     again.train_segments.clear();
@@ -98,9 +60,6 @@ fn fit_serialize_deserialize_scores_identically() {
 // Snapshot wire format: value round trips and the pinned golden files
 // (v2: written and read; v1: refused as what it is)
 // ---------------------------------------------------------------------
-
-#[path = "snapshot_common/envelope.rs"]
-mod envelope;
 
 mod snapshot_format {
     use nodesentry::eval::streaming::{KSigmaState, SmootherState};
@@ -305,7 +264,10 @@ mod snapshot_format {
         // They are what the format's definition, spelled out test-side,
         // makes of the golden tree, and they decode to the golden value.
         use serde::Serialize;
-        assert_eq!(pinned, super::envelope::v2_bytes(&golden().to_value()));
+        assert_eq!(
+            pinned,
+            super::common::envelope::v2_bytes(&golden().to_value())
+        );
         let decoded = EngineSnapshot::from_bytes(&pinned).expect("decode fixture");
         assert_eq!(decoded, golden());
     }

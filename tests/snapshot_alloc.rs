@@ -15,13 +15,12 @@
 //! swap cannot perturb any other test (`crates/core/tests/match_zero_alloc.rs`
 //! is the pattern).
 
-#[path = "snapshot_common/mod.rs"]
 mod common;
 
 use common::{engine_cfg, setup, Setup, CHUNK};
 use nodesentry::core::NodeSentry;
 use nodesentry::stream::snapshot::{EngineSnapshot, SnapshotError};
-use nodesentry::stream::{Engine, EngineCheckpoint, EngineError, Tick};
+use nodesentry::stream::{Engine, EngineCheckpoint, EngineError};
 use nodesentry::telemetry::{DatasetProfile, ScheduleConfig};
 use serde::{Serialize, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -114,18 +113,12 @@ fn fleet_checkpoint(s: &Setup, n_nodes: usize) -> EngineCheckpoint {
         ..tiny
     }
     .generate();
-    let raws: Vec<_> = (0..fleet.n_nodes()).map(|n| fleet.raw_node(n)).collect();
     let cut = fleet.split + (fleet.horizon() - fleet.split) / 2;
-    let feed: Vec<Tick> = (0..cut)
-        .flat_map(|step| {
-            raws.iter().enumerate().map(move |(node, raw)| Tick {
-                node,
-                step,
-                values: raw.row(step).to_vec(),
-                transition: false,
-            })
-        })
-        .collect();
+    let mut feed = fleet.ticks();
+    feed.truncate(cut * fleet.n_nodes());
+    for tick in &mut feed {
+        tick.transition = false;
+    }
     let engine = Engine::new(Arc::clone(&s.model), engine_cfg(s, 2));
     for chunk in feed.chunks(CHUNK) {
         engine.ingest(chunk.to_vec()).expect("shard alive");

@@ -3,122 +3,35 @@
 //! verdicts of batch scoring — `f64::to_bits` equality, not tolerance —
 //! on seeded datasets with missing values, across multiple shards.
 
-use nodesentry::core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
+mod common;
+
+use common::{quick_cfg, setup, Setup};
 use nodesentry::eval::{ksigma_detect, smooth_scores};
-use nodesentry::features::FeatureCatalog;
-use nodesentry::stream::{Engine, EngineConfig, Tick};
-use nodesentry::telemetry::{Dataset, DatasetProfile};
-use std::collections::HashSet;
+use nodesentry::stream::{Engine, EngineConfig};
+use nodesentry::telemetry::DatasetProfile;
 use std::sync::Arc;
 
-fn quick_cfg() -> NodeSentryConfig {
-    NodeSentryConfig {
-        coarse: CoarseConfig {
-            catalog: FeatureCatalog::compact(),
-            k_max: 6,
-            ..Default::default()
-        },
-        sharing: SharingConfig {
-            window: 12,
-            stride: 6,
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 1,
-            hidden: 32,
-            n_experts: 2,
-            epochs: 6,
-            lr: 3e-3,
-            batch: 16,
-            k_nearest: 4,
-            ..Default::default()
-        },
-        match_period: 40,
-        min_segment_len: 8,
-        ..Default::default()
-    }
-}
-
-fn inputs_of(ds: &Dataset) -> Vec<NodeInput> {
-    (0..ds.n_nodes())
-        .map(|n| NodeInput {
-            raw: ds.raw_node(n),
-            transitions: ds
-                .schedule
-                .node_timeline(n)
-                .iter()
-                .map(|s| s.start)
-                .filter(|&s| s > 0)
-                .collect(),
-        })
-        .collect()
-}
-
-/// Step-major tick batches: each batch carries every node's sample for
-/// one step, so shards interleave the way a real collector would.
-fn tick_batches(inputs: &[NodeInput], horizon: usize) -> Vec<Vec<Tick>> {
-    let transition_sets: Vec<HashSet<usize>> = inputs
-        .iter()
-        .map(|i| i.transitions.iter().copied().collect())
-        .collect();
-    (0..horizon)
-        .map(|step| {
-            inputs
-                .iter()
-                .enumerate()
-                .map(|(node, input)| Tick {
-                    node,
-                    step,
-                    values: input.raw.row(step).to_vec(),
-                    transition: transition_sets[node].contains(&step),
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Fit on the dataset, run batch + streaming, and hold them to bitwise
-/// equality. Returns the trained model for further checks.
-fn assert_equivalence(ds: &Dataset, n_shards: usize) -> (NodeSentry, Vec<NodeInput>) {
-    let groups = ds.catalog.group_ids();
-    let inputs = inputs_of(ds);
-    let model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
+/// Replay the setup's clean feed one step per `ingest`: each batch
+/// carries every node's sample for one step, so shards interleave the
+/// way a real collector would. Hold the verdicts to the batch oracle
+/// bit for bit.
+fn assert_equivalence(setup: &Setup, n_shards: usize) {
+    let ds = &setup.ds;
     let horizon = ds.horizon();
-
-    // Batch reference: scores, segment clusters, unsmoothed k-sigma.
-    let mut batch_scores = Vec::new();
-    let mut batch_flags = Vec::new();
-    let mut batch_clusters = Vec::new();
-    for input in &inputs {
-        let (scores, matches) = model.score_node(&input.raw, &input.transitions, ds.split);
-        assert!(!matches.is_empty());
-        let mut clusters = vec![usize::MAX; scores.len()];
-        for &(start, end, cluster) in &matches {
-            for slot in clusters[start - ds.split..end - ds.split].iter_mut() {
-                *slot = cluster;
-            }
-        }
-        assert!(
-            clusters.iter().all(|&c| c != usize::MAX),
-            "segments must cover the span"
-        );
-        batch_flags.push(ksigma_detect(&scores, &model.cfg.threshold));
-        batch_scores.push(scores);
-        batch_clusters.push(clusters);
-    }
+    let oracles = setup.oracles();
 
     // Streaming run (smoothing off = raw ksigma_detect path).
-    let shared = Arc::new(model);
     let mut cfg = EngineConfig::new(ds.split);
     cfg.n_shards = n_shards;
-    let engine = Engine::new(Arc::clone(&shared), cfg);
-    for batch in tick_batches(&inputs, horizon) {
-        engine.ingest(batch).expect("stream shard alive");
+    let engine = Engine::new(Arc::clone(&setup.model), cfg);
+    for batch in setup.clean.chunks(ds.n_nodes()) {
+        engine.ingest(batch.to_vec()).expect("stream shard alive");
     }
     let report = engine.finish();
 
     assert_eq!(
         report.verdicts.len(),
-        inputs.len() * (horizon - ds.split),
+        ds.n_nodes() * (horizon - ds.split),
         "one verdict per node per test step"
     );
     assert_eq!(report.stats.n_points as usize, report.verdicts.len());
@@ -136,11 +49,8 @@ fn assert_equivalence(ds: &Dataset, n_shards: usize) -> (NodeSentry, Vec<NodeInp
 
     for v in &report.verdicts {
         let k = v.step - ds.split;
-        let (bs, bf, bc) = (
-            batch_scores[v.node][k],
-            batch_flags[v.node][k],
-            batch_clusters[v.node][k],
-        );
+        let oracle = &oracles[v.node];
+        let (bs, bf, bc) = (oracle.scores[k], oracle.flags[k], oracle.clusters[k]);
         assert_eq!(
             v.score.to_bits(),
             bs.to_bits(),
@@ -161,28 +71,30 @@ fn assert_equivalence(ds: &Dataset, n_shards: usize) -> (NodeSentry, Vec<NodeInp
             v.node, v.step
         );
     }
-
-    let model = Arc::into_inner(shared).expect("engine released the model");
-    (model, inputs)
+    assert_eq!(
+        Arc::strong_count(&setup.model),
+        1,
+        "engine released the model"
+    );
 }
 
 #[test]
 fn streaming_matches_batch_on_tiny_dataset() {
-    let ds = DatasetProfile::tiny().generate();
-    let (model, inputs) = assert_equivalence(&ds, 3);
+    let setup = setup();
+    assert_equivalence(setup, 3);
 
     // Smoothed path: engine with the config's smoothing window must
     // reproduce `detect_node` flag for flag.
-    let shared = Arc::new(model);
+    let (ds, shared) = (&setup.ds, &setup.model);
     let mut cfg = EngineConfig::new(ds.split);
     cfg.n_shards = 2;
     cfg.smooth_window = shared.cfg.smooth_window;
-    let engine = Engine::new(Arc::clone(&shared), cfg);
-    for batch in tick_batches(&inputs, ds.horizon()) {
-        engine.ingest(batch).expect("stream shard alive");
+    let engine = Engine::new(Arc::clone(shared), cfg);
+    for batch in setup.clean.chunks(ds.n_nodes()) {
+        engine.ingest(batch.to_vec()).expect("stream shard alive");
     }
     let report = engine.finish();
-    for (node, input) in inputs.iter().enumerate() {
+    for (node, input) in setup.inputs.iter().enumerate() {
         let batch_pred = shared.detect_node(&input.raw, &input.transitions, ds.split);
         let stream_pred: Vec<bool> = report
             .verdicts
@@ -212,6 +124,5 @@ fn streaming_matches_batch_on_reseeded_noisier_dataset() {
     profile.seed = 5150;
     profile.missing_rate = 0.02;
     profile.schedule.n_nodes = 5;
-    let ds = profile.generate();
-    assert_equivalence(&ds, 4);
+    assert_equivalence(&Setup::fit(&profile, quick_cfg()), 4);
 }

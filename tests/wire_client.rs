@@ -9,7 +9,6 @@
 //! every fault class while delivering every tick. On the server side,
 //! valid frames that share a read with a corrupt one are still ingested.
 
-#[path = "snapshot_common/mod.rs"]
 mod common;
 
 use nodesentry::stream::{Engine, Tick};

@@ -11,117 +11,18 @@
 //! rejected by the engine's existing duplicate/late hardening. Only the
 //! fault *counters* may differ between the two runs — never a verdict.
 
-use nodesentry::core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
-use nodesentry::features::FeatureCatalog;
+mod common;
+
+use common::{engine_cfg, run_uninterrupted, setup, Setup, CHUNK};
 use nodesentry::stream::{Engine, EngineConfig, EngineReport, Tick, VerdictKind};
 use nodesentry::telemetry::{
-    subscribe_verdicts, Dataset, DatasetProfile, FaultEvent, FaultInjector, FaultKind, FaultPlan,
-    IngestClient, SocketFaultPlan,
+    subscribe_verdicts, FaultEvent, FaultInjector, FaultKind, FaultPlan, IngestClient,
+    SocketFaultPlan,
 };
 use nodesentry::wire::{ReportMsg, VerdictMsg};
-use std::collections::HashSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 const SHARDS: [usize; 3] = [1, 2, 4];
-
-fn quick_cfg() -> NodeSentryConfig {
-    NodeSentryConfig {
-        coarse: CoarseConfig {
-            catalog: FeatureCatalog::compact(),
-            k_max: 6,
-            ..Default::default()
-        },
-        sharing: SharingConfig {
-            window: 12,
-            stride: 6,
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 1,
-            hidden: 32,
-            n_experts: 2,
-            epochs: 6,
-            lr: 3e-3,
-            batch: 16,
-            k_nearest: 4,
-            ..Default::default()
-        },
-        match_period: 40,
-        min_segment_len: 8,
-        ..Default::default()
-    }
-}
-
-struct Setup {
-    ds: Dataset,
-    model: Arc<NodeSentry>,
-    clean: Vec<Tick>,
-    counter_cols: Vec<usize>,
-}
-
-static SETUP: OnceLock<Setup> = OnceLock::new();
-
-fn setup() -> &'static Setup {
-    SETUP.get_or_init(|| {
-        let ds = DatasetProfile::tiny().generate();
-        let groups = ds.catalog.group_ids();
-        let inputs: Vec<NodeInput> = (0..ds.n_nodes())
-            .map(|n| NodeInput {
-                raw: ds.raw_node(n),
-                transitions: ds
-                    .schedule
-                    .node_timeline(n)
-                    .iter()
-                    .map(|s| s.start)
-                    .filter(|&s| s > 0)
-                    .collect(),
-            })
-            .collect();
-        let model = NodeSentry::fit(quick_cfg(), &inputs, &groups, ds.split);
-        let pp = &model.preprocessor;
-        let counter_cols: Vec<usize> = (0..pp.groups.len())
-            .filter(|&c| pp.counters[pp.groups[c]] && pp.kept.contains(&pp.groups[c]))
-            .collect();
-        let transition_sets: Vec<HashSet<usize>> = inputs
-            .iter()
-            .map(|i| i.transitions.iter().copied().collect())
-            .collect();
-        let mut clean = Vec::new();
-        for step in 0..ds.horizon() {
-            for (node, input) in inputs.iter().enumerate() {
-                clean.push(Tick {
-                    node,
-                    step,
-                    values: input.raw.row(step).to_vec(),
-                    transition: transition_sets[node].contains(&step),
-                });
-            }
-        }
-        Setup {
-            ds,
-            model: Arc::new(model),
-            clean,
-            counter_cols,
-        }
-    })
-}
-
-fn engine_cfg(setup: &Setup, shards: usize) -> EngineConfig {
-    let mut cfg = EngineConfig::new(setup.ds.split);
-    cfg.n_shards = shards;
-    cfg.smooth_window = 1;
-    cfg.reorder_bound = 16;
-    cfg.blackout_gap = 48;
-    cfg
-}
-
-/// The in-process baseline: same chunking the batch suites use.
-fn run_in_process(setup: &Setup, stream: &[Tick], cfg: EngineConfig) -> EngineReport {
-    let engine = Engine::new(Arc::clone(&setup.model), cfg);
-    for chunk in stream.chunks(256) {
-        engine.ingest(chunk.to_vec()).expect("shard alive");
-    }
-    engine.finish()
-}
 
 /// The over-the-wire run: serve the engine on an ephemeral localhost
 /// port, drive it with a (possibly fault-injecting) client, finalize
@@ -136,7 +37,7 @@ fn run_over_wire(
     let server = engine.serve_ingest("127.0.0.1:0").expect("bind ephemeral");
     let addr = server.local_addr();
     let mut client = IngestClient::with_faults(addr, plan).expect("connect");
-    for chunk in stream.chunks(256) {
+    for chunk in stream.chunks(CHUNK) {
         client.send_cycle(chunk).expect("send");
     }
     let counters = client.fault_counters;
@@ -204,7 +105,7 @@ fn assert_bit_identical(
 fn clean_feed_is_bit_identical_across_shards() {
     let setup = setup();
     for shards in SHARDS {
-        let baseline = run_in_process(setup, &setup.clean, engine_cfg(setup, shards));
+        let baseline = run_uninterrupted(setup, &setup.clean, engine_cfg(setup, shards));
         let (wire, report, stats) = run_over_wire(
             setup,
             &setup.clean,
@@ -253,7 +154,7 @@ fn all_fault_classes_with_socket_chaos_stay_bit_identical() {
     let setup = setup();
     let faulted = all_fault_stream(setup);
     for shards in SHARDS {
-        let baseline = run_in_process(setup, &faulted, engine_cfg(setup, shards));
+        let baseline = run_uninterrupted(setup, &faulted, engine_cfg(setup, shards));
         let (wire, report, stats) = run_over_wire(
             setup,
             &faulted,
@@ -278,7 +179,7 @@ fn all_fault_classes_with_socket_chaos_stay_bit_identical() {
 fn mid_stream_disconnect_and_reconnect_is_bit_identical() {
     let setup = setup();
     let cfg = engine_cfg(setup, 2);
-    let baseline = run_in_process(setup, &setup.clean, cfg);
+    let baseline = run_uninterrupted(setup, &setup.clean, cfg);
 
     // Same client object reconnecting mid-stream (sync, drop, redial).
     let engine = Engine::new(Arc::clone(&setup.model), cfg);
@@ -315,7 +216,7 @@ fn mid_stream_disconnect_and_reconnect_is_bit_identical() {
 fn verdict_subscribers_get_the_same_stream() {
     let setup = setup();
     let cfg = engine_cfg(setup, 2);
-    let baseline = run_in_process(setup, &setup.clean, cfg);
+    let baseline = run_uninterrupted(setup, &setup.clean, cfg);
     let engine = Engine::new(Arc::clone(&setup.model), cfg);
     let server = engine.serve_ingest("127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
