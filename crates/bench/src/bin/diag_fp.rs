@@ -2,8 +2,7 @@
 //! full profiles, and which anomaly kinds get missed?
 
 use nodesentry_core::{NodeSentry, NodeSentryConfig};
-use ns_bench::{DatasetSource, SMOOTH_WINDOW};
-use ns_eval::threshold::{ksigma_detect, smooth_scores};
+use ns_bench::{score_nodes, DatasetSource};
 use ns_telemetry::DatasetProfile;
 use std::collections::BTreeMap;
 
@@ -15,7 +14,6 @@ fn main() {
         ns_bench::sweep_profile_d1().generate()
     };
     let cfg = NodeSentryConfig::default();
-    let threshold = cfg.threshold;
     let groups = ds.catalog.group_ids();
     let model = NodeSentry::fit_from_source(cfg, &DatasetSource(&ds), &groups, ds.split);
     eprintln!(
@@ -28,11 +26,8 @@ fn main() {
     let mut events_hit: BTreeMap<String, (usize, usize)> = BTreeMap::new();
     let mut total_fp = 0usize;
     let mut total_tp = 0usize;
-    for node in 0..ds.n_nodes() {
-        let raw = ds.raw_node(node);
-        let (scores, _matches) = model.score_node(&raw, &ds.transitions(node), ds.split);
-        let sm = smooth_scores(&scores, SMOOTH_WINDOW);
-        let pred = ksigma_detect(&sm, &threshold);
+    for (node, scores) in score_nodes(&ds, &model).iter().enumerate() {
+        let pred = model.cfg.flag_scores(scores).1;
         let truth = ds.labels(node);
         for (i, &p) in pred.iter().enumerate() {
             let t = i + ds.split;

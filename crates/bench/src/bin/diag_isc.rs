@@ -1,8 +1,8 @@
 //! Diagnostic: which anomaly kinds remain pointwise-visible to ISC'20?
 
+use nodesentry_core::NodeSentryConfig;
 use ns_baselines::{Detector, Isc20};
-use ns_bench::{preprocessed_nodes, SMOOTH_WINDOW};
-use ns_eval::threshold::{ksigma_detect, smooth_scores, KSigmaConfig};
+use ns_bench::preprocessed_nodes;
 use ns_telemetry::DatasetProfile;
 use std::collections::BTreeMap;
 
@@ -11,13 +11,12 @@ fn main() {
     let nodes = preprocessed_nodes(&ds);
     let mut det = Isc20::default();
     det.fit(&nodes, ds.split);
-    let threshold = KSigmaConfig::default();
+    let cfg = NodeSentryConfig::default();
     let mut per_kind: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
     let mut fp = 0usize;
     for (n, data) in nodes.iter().enumerate() {
         let scores = det.score_node(n, data, ds.split);
-        let sm = smooth_scores(&scores, SMOOTH_WINDOW);
-        let pred = ksigma_detect(&sm, &threshold);
+        let pred = cfg.flag_scores(&scores).1;
         let truth = ds.labels(n);
         for (i, &p) in pred.iter().enumerate() {
             if p && !truth[i + ds.split] {

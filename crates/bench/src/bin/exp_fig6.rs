@@ -5,7 +5,7 @@
 //! `target/experiments/fig6<panel>.json`.
 
 use nodesentry_core::{NodeSentry, NodeSentryConfig};
-use ns_bench::{evaluate_scores, run_nodesentry, write_json, DatasetSource};
+use ns_bench::{evaluate_scores, run_nodesentry, score_nodes, write_json, DatasetSource};
 use ns_telemetry::Dataset;
 use serde::Serialize;
 use serde_json::{json, to_value, Value};
@@ -129,18 +129,15 @@ fn f1_with(ds: &Dataset, tweak: impl FnOnce(&mut NodeSentryConfig)) -> f64 {
 /// F1 when only the first `frac` of the training window is fitted on;
 /// scoring and evaluation still start at the dataset's split.
 fn f1_with_fraction(ds: &Dataset, frac: f64) -> f64 {
-    let cfg = NodeSentryConfig::default();
-    let threshold = cfg.threshold;
     let fit_split = ((ds.split as f64) * frac) as usize;
     let groups = ds.catalog.group_ids();
-    let model = NodeSentry::fit_from_source(cfg, &DatasetSource(ds), &groups, fit_split.max(100));
-    let per_node: Vec<Vec<f64>> = (0..ds.n_nodes())
-        .map(|n| {
-            let raw = ds.raw_node(n);
-            model.score_node(&raw, &ds.transitions(n), ds.split).0
-        })
-        .collect();
-    evaluate_scores(ds, &per_node, &threshold).f1
+    let model = NodeSentry::fit_from_source(
+        NodeSentryConfig::default(),
+        &DatasetSource(ds),
+        &groups,
+        fit_split.max(100),
+    );
+    evaluate_scores(ds, &score_nodes(ds, &model), &model.cfg).f1
 }
 
 /// One printed row and one `{dataset, series: [{<key>, f1}]}` record per

@@ -27,7 +27,6 @@ fn main() {
             profile.name, profile.schedule.n_nodes, profile.schedule.horizon
         );
         let ds = profile.generate();
-        let threshold = NodeSentryConfig::default().threshold;
 
         let (r, _model) = run_nodesentry(&ds, NodeSentryConfig::default());
         print_method_row(&r);
@@ -40,7 +39,7 @@ fn main() {
             Box::new(Isc20::default()),
         ];
         for det in baselines.iter_mut() {
-            let r = run_baseline(&ds, det.as_mut(), &threshold);
+            let r = run_baseline(&ds, det.as_mut());
             print_method_row(&r);
             results.push(r);
         }

@@ -3,18 +3,17 @@
 //!
 //! Every experiment binary prints the paper's rows to stdout and writes
 //! a JSON record to `target/experiments/<name>.json` for EXPERIMENTS.md.
+//!
+//! Every method is judged at a [`NodeSentryConfig`]'s operating point
+//! ([`NodeSentryConfig::flag_scores`]: score smoothing, then the k-sigma
+//! threshold): NodeSentry at its own config's, the baselines at
+//! `NodeSentryConfig::default()`'s.
 
 use nodesentry_core::{fit_preprocessor, NodeSentry, NodeSentryConfig, NodeSource};
 use ns_baselines::Detector;
 use ns_eval::metrics::{
     adjusted_confusion, aggregate, roc_auc_adjusted, transition_mask, AggregateScores, NodeScores,
 };
-use ns_eval::threshold::{ksigma_detect, smooth_scores};
-
-/// Smoothing window (points) applied to every method's score series
-/// before thresholding and AUC — single-point spikes are noise at 30 s
-/// sampling; real events last ≥ 15 steps.
-pub const SMOOTH_WINDOW: usize = 5;
 use ns_linalg::matrix::Matrix;
 use ns_telemetry::{Dataset, DatasetProfile};
 use serde::Serialize;
@@ -93,22 +92,20 @@ pub fn evaluate_flags(
 }
 
 /// Evaluate per-node score series against the dataset's ground truth
-/// with the paper's protocol: k-sigma thresholding, point adjustment,
-/// transition-boundary exclusion, per-node averaging ([`evaluate_flags`]).
+/// with the paper's protocol: `cfg`'s operating point
+/// ([`NodeSentryConfig::flag_scores`]; AUC ranks the smoothed scores),
+/// point adjustment, transition-boundary exclusion, per-node averaging
+/// ([`evaluate_flags`]).
 pub fn evaluate_scores(
     ds: &Dataset,
     per_node_scores: &[Vec<f64>],
-    threshold: &ns_eval::threshold::KSigmaConfig,
+    cfg: &NodeSentryConfig,
 ) -> AggregateScores {
     let split = ds.split;
-    let smoothed: Vec<Vec<f64>> = per_node_scores
+    let (smoothed, flags): (Vec<Vec<f64>>, Vec<Vec<bool>>) = per_node_scores
         .iter()
-        .map(|raw_scores| smooth_scores(raw_scores, SMOOTH_WINDOW))
-        .collect();
-    let flags: Vec<Vec<bool>> = smoothed
-        .iter()
-        .map(|scores| ksigma_detect(scores, threshold))
-        .collect();
+        .map(|scores| cfg.flag_scores(scores))
+        .unzip();
     let masks: Vec<Vec<bool>> = smoothed
         .iter()
         .enumerate()
@@ -127,9 +124,22 @@ pub fn evaluate_scores(
     })
 }
 
+/// Every node's test-span scores under `model`, in node order. Nodes
+/// score independently, in parallel; the order-preserving collection
+/// makes the result the serial loop's.
+pub fn score_nodes(ds: &Dataset, model: &NodeSentry) -> Vec<Vec<f64>> {
+    use rayon::prelude::*;
+    (0..ds.n_nodes())
+        .into_par_iter()
+        .map(|n| {
+            let raw = ds.raw_node(n);
+            model.score_node(&raw, &ds.transitions(n), ds.split).0
+        })
+        .collect()
+}
+
 /// Train + evaluate NodeSentry (or a variant) on a dataset.
 pub fn run_nodesentry(ds: &Dataset, cfg: NodeSentryConfig) -> (MethodResult, NodeSentry) {
-    let threshold = cfg.threshold;
     let variant = cfg.variant;
     // Timed via ns-obs spans: the durations come back directly from the
     // guard, and with tracing enabled the core pipeline's own `fit/...`
@@ -140,22 +150,10 @@ pub fn run_nodesentry(ds: &Dataset, cfg: NodeSentryConfig) -> (MethodResult, Nod
     let offline_s = offline_span.finish_seconds();
 
     let online_span = ns_obs::trace::span("online");
-    // Nodes score independently; parallelize with order-preserving
-    // collection so results are identical to the serial loop.
-    let per_node: Vec<Vec<f64>> = {
-        use rayon::prelude::*;
-        (0..ds.n_nodes())
-            .into_par_iter()
-            .map(|n| {
-                let raw = ds.raw_node(n);
-                let (scores, _) = model.score_node(&raw, &ds.transitions(n), ds.split);
-                scores
-            })
-            .collect()
-    };
+    let per_node = score_nodes(ds, &model);
     let online_s_per_node = online_span.finish_seconds() / ds.n_nodes().max(1) as f64;
 
-    let agg = evaluate_scores(ds, &per_node, &threshold);
+    let agg = evaluate_scores(ds, &per_node, &model.cfg);
     (
         MethodResult {
             method: variant.name().to_string(),
@@ -188,12 +186,8 @@ pub fn preprocessed_nodes(ds: &Dataset) -> Vec<Matrix> {
     }
 }
 
-/// Train + evaluate one baseline detector.
-pub fn run_baseline(
-    ds: &Dataset,
-    det: &mut dyn Detector,
-    threshold: &ns_eval::threshold::KSigmaConfig,
-) -> MethodResult {
+/// Train + evaluate one baseline detector at the default operating point.
+pub fn run_baseline(ds: &Dataset, det: &mut dyn Detector) -> MethodResult {
     let offline_span = ns_obs::trace::span("baseline_offline");
     let nodes = preprocessed_nodes(ds);
     det.fit(&nodes, ds.split);
@@ -207,7 +201,7 @@ pub fn run_baseline(
         .collect();
     let online_s_per_node = online_span.finish_seconds() / ds.n_nodes().max(1) as f64;
 
-    let agg = evaluate_scores(ds, &per_node, threshold);
+    let agg = evaluate_scores(ds, &per_node, &NodeSentryConfig::default());
     MethodResult {
         method: det.name().to_string(),
         dataset: ds.profile.name.clone(),
@@ -299,17 +293,9 @@ mod tests {
     use nodesentry_core::{CoarseConfig, SharingConfig};
     use ns_features::FeatureCatalog;
 
-    /// The baselines' input is what a default-config NodeSentry fit feeds
-    /// its own models: `preprocessed_nodes` equals `NodeSentry::preprocess`
-    /// of the same fit bit for bit, on every node. The tiny profile gets
-    /// more nodes than the fit samples, so a sample of the wrong size
-    /// changes the statistics.
-    #[test]
-    fn baselines_get_the_detectors_preprocessing() {
-        let mut profile = DatasetProfile::tiny();
-        profile.schedule.n_nodes = 6;
-        let ds = profile.generate();
-        let cfg = NodeSentryConfig {
+    /// A small, fast NodeSentry configuration for the `tiny` profile.
+    fn small_cfg() -> NodeSentryConfig {
+        NodeSentryConfig {
             coarse: CoarseConfig {
                 catalog: FeatureCatalog::compact(),
                 k_max: 3,
@@ -328,7 +314,20 @@ mod tests {
             },
             match_period: 40,
             ..Default::default()
-        };
+        }
+    }
+
+    /// The baselines' input is what a default-config NodeSentry fit feeds
+    /// its own models: `preprocessed_nodes` equals `NodeSentry::preprocess`
+    /// of the same fit bit for bit, on every node. The tiny profile gets
+    /// more nodes than the fit samples, so a sample of the wrong size
+    /// changes the statistics.
+    #[test]
+    fn baselines_get_the_detectors_preprocessing() {
+        let mut profile = DatasetProfile::tiny();
+        profile.schedule.n_nodes = 6;
+        let ds = profile.generate();
+        let cfg = small_cfg();
         assert!(cfg.fit_sample_nodes < ds.n_nodes());
         let groups = ds.catalog.group_ids();
         let model = NodeSentry::fit_from_source(cfg, &DatasetSource(&ds), &groups, ds.split);
@@ -340,5 +339,29 @@ mod tests {
             assert_eq!(got.shape(), want.shape(), "node {n}");
             assert_eq!(bits(got), bits(&want), "node {n}");
         }
+    }
+
+    /// The evaluation reads the smoothing window from the config it is
+    /// given: the same scores rank differently, so the AUC moves.
+    #[test]
+    fn evaluation_smooths_at_the_configs_window() {
+        let ds = DatasetProfile::tiny().generate();
+        let groups = ds.catalog.group_ids();
+        let model =
+            NodeSentry::fit_from_source(small_cfg(), &DatasetSource(&ds), &groups, ds.split);
+        let scores = score_nodes(&ds, &model);
+        let auc_at = |smooth_window| {
+            let cfg = NodeSentryConfig {
+                smooth_window,
+                ..small_cfg()
+            };
+            evaluate_scores(&ds, &scores, &cfg).auc
+        };
+        let (raw, smoothed) = (auc_at(1), auc_at(9));
+        assert_ne!(
+            raw.to_bits(),
+            smoothed.to_bits(),
+            "AUC {raw} at both windows"
+        );
     }
 }

@@ -29,11 +29,6 @@ pub struct CoarseConfig {
     pub sample_rate: f64,
     /// Override the silhouette selection with a fixed k (Fig. 6(b)).
     pub force_k: Option<usize>,
-    /// Online matching probe length in steps (§3.5: ~1 hour of
-    /// post-transition data). The matching library is built from the
-    /// first `probe_len` steps of each training segment so probe and
-    /// library features are length-comparable. `None` = full segments.
-    pub probe_len: Option<usize>,
 }
 
 impl Default for CoarseConfig {
@@ -45,7 +40,6 @@ impl Default for CoarseConfig {
             min_silhouette: 0.05,
             sample_rate: 1.0 / 30.0,
             force_k: None,
-            probe_len: None,
         }
     }
 }
@@ -235,11 +229,21 @@ impl Space {
 
 /// Fit the coarse clustering over training segments.
 ///
+/// The online matching library is built from the first `probe_len` steps
+/// of each segment (all of a shorter one), so that it is
+/// length-comparable with the post-transition probes it is matched
+/// against (§3.5; the detector passes its `match_period`).
+///
 /// `random_groups: Some(seed)` is the C2 ablation (§4.4): HAC still picks
 /// k, the silhouette and the matching radius, but the segments are dealt
 /// to k groups by a seeded shuffle, and the centroids and member
 /// distances are those of the random groups.
-pub fn fit(cfg: &CoarseConfig, segments: &[Segment], random_groups: Option<u64>) -> ClusterModel {
+pub fn fit(
+    cfg: &CoarseConfig,
+    segments: &[Segment],
+    probe_len: usize,
+    random_groups: Option<u64>,
+) -> ClusterModel {
     assert!(!segments.is_empty(), "cannot cluster zero segments");
     // 1. Features (parallel over segments), standardized across the
     // segment population. The span wraps the parallel region from the
@@ -288,16 +292,14 @@ pub fn fit(cfg: &CoarseConfig, segments: &[Segment], random_groups: Option<u64>)
     // 4. Probe-space matching library: features of the first `probe_len`
     // steps of each segment, standardized and averaged per cluster.
     let probe_span = ns_obs::trace::span("probe_library");
-    let probe_feats: Option<Vec<Vec<f64>>> = cfg.probe_len.map(|p| {
-        segments
-            .par_iter()
-            .map(|s| {
-                let take = p.clamp(1, s.data.rows());
-                segment_features(cfg, &s.data.slice_rows(0, take))
-            })
-            .collect()
-    });
-    let probe = Space::fit(probe_feats.as_deref().unwrap_or(&feats));
+    let probe_feats: Vec<Vec<f64>> = segments
+        .par_iter()
+        .map(|s| {
+            let take = probe_len.clamp(1, s.data.rows());
+            segment_features(cfg, &s.data.slice_rows(0, take))
+        })
+        .collect();
+    let probe = Space::fit(&probe_feats);
     // Matching radius: generous envelope of probe-space member distances
     // under HAC's grouping.
     let (mut probe_centroids, mut d) = probe.group(&hac_labels, k);
@@ -326,6 +328,10 @@ pub fn fit(cfg: &CoarseConfig, segments: &[Segment], random_groups: Option<u64>)
 mod tests {
     use super::*;
     use crate::preprocess::Segment;
+
+    /// A probe length past every segment's: the matching library is built
+    /// from whole segments.
+    const WHOLE: usize = usize::MAX;
 
     /// Segments of two obviously different shapes.
     fn two_family_segments() -> Vec<Segment> {
@@ -369,7 +375,7 @@ mod tests {
     #[test]
     fn separates_two_pattern_families_despite_length_variation() {
         let segs = two_family_segments();
-        let model = fit(&fast_cfg(), &segs, None);
+        let model = fit(&fast_cfg(), &segs, WHOLE, None);
         assert_eq!(model.k(), 2, "silhouette sweep: {:?}", model.silhouette);
         assert!(model.silhouette > 0.3);
         // All of family A shares a label; same for B; labels differ.
@@ -384,7 +390,7 @@ mod tests {
     fn matching_sends_new_segments_to_their_family() {
         let segs = two_family_segments();
         let cfg = fast_cfg();
-        let model = fit(&cfg, &segs, None);
+        let model = fit(&cfg, &segs, WHOLE, None);
         // A fresh family-A-like segment.
         let probe = Matrix::from_fn(77, 3, |r, c| ((r as f64) * 0.2 + c as f64).sin());
         let f = segment_features(&cfg, &probe);
@@ -401,7 +407,7 @@ mod tests {
     fn alien_pattern_is_unmatched() {
         let segs = two_family_segments();
         let cfg = fast_cfg();
-        let model = fit(&cfg, &segs, None);
+        let model = fit(&cfg, &segs, WHOLE, None);
         // A wild constant-spike pattern unlike either family.
         let probe = Matrix::from_fn(60, 3, |r, _| if r % 10 == 0 { 500.0 } else { -300.0 });
         let f = segment_features(&cfg, &probe);
@@ -416,7 +422,7 @@ mod tests {
             force_k: Some(4),
             ..fast_cfg()
         };
-        let model = fit(&cfg, &segs, None);
+        let model = fit(&cfg, &segs, WHOLE, None);
         assert_eq!(model.k(), 4);
     }
 
@@ -424,7 +430,7 @@ mod tests {
     fn add_and_refine_cluster() {
         let segs = two_family_segments();
         let cfg = fast_cfg();
-        let mut model = fit(&cfg, &segs, None);
+        let mut model = fit(&cfg, &segs, WHOLE, None);
         let probe = Matrix::from_fn(60, 3, |r, _| if r % 10 == 0 { 500.0 } else { -300.0 });
         let f = segment_features(&cfg, &probe);
         let k0 = model.k();
@@ -448,7 +454,7 @@ mod tests {
             end: 30,
             data: Matrix::from_fn(30, 2, |r, _| r as f64),
         }];
-        let model = fit(&fast_cfg(), &seg, None);
+        let model = fit(&fast_cfg(), &seg, WHOLE, None);
         assert_eq!(model.k(), 1);
         assert_eq!(model.labels, vec![0]);
     }

@@ -6,7 +6,7 @@
 use crate::coarse::{self, ClusterModel, CoarseConfig};
 use crate::preprocess::{segment_at_transitions, segment_equal_length, Preprocessor, Segment};
 use crate::sharing::{train_cluster_model, SharedModel, SharingConfig};
-use ns_eval::threshold::{ksigma_detect, KSigmaConfig};
+use ns_eval::threshold::{ksigma_detect, smooth_scores, KSigmaConfig};
 use ns_linalg::matrix::Matrix;
 use serde::{Deserialize, Serialize, Sink};
 
@@ -91,6 +91,17 @@ impl NodeSentryConfig {
             Variant::C5DenseFfn => self.sharing.dense_ffn = true,
         }
         self
+    }
+
+    /// The operating point (§3.5): a node's test-span scores smoothed over
+    /// `smooth_window` points, then flagged by the sliding k-sigma
+    /// `threshold`. Returns `(smoothed, flags)`. Every batch verdict —
+    /// [`NodeSentry::detect_node`], the experiment harness, for
+    /// NodeSentry and the baselines alike — is decided here.
+    pub fn flag_scores(&self, scores: &[f64]) -> (Vec<f64>, Vec<bool>) {
+        let smoothed = smooth_scores(scores, self.smooth_window);
+        let flags = ksigma_detect(&smoothed, &self.threshold);
+        (smoothed, flags)
     }
 }
 
@@ -189,16 +200,13 @@ impl NodeSentry {
     /// preprocessing runs in parallel; segment order (and therefore the
     /// trained model) is independent of the thread count.
     pub fn fit_from_source<S: NodeSource + ?Sized + Sync>(
-        mut cfg: NodeSentryConfig,
+        cfg: NodeSentryConfig,
         nodes: &S,
         groups: &[usize],
         split: usize,
     ) -> Self {
         assert!(nodes.n_nodes() > 0, "need at least one node");
         ns_obs::span!("fit");
-        // Build the online matching library at probe length so short
-        // post-transition probes are comparable to it (§3.5).
-        cfg.coarse.probe_len = Some(cfg.match_period);
         // 1. Preprocessing statistics from a sample of nodes.
         let pre_span = ns_obs::trace::span("preprocess");
         let preprocessor = fit_preprocessor(nodes, groups, split, cfg.fit_sample_nodes);
@@ -247,7 +255,12 @@ impl NodeSentry {
         // 3. Coarse clustering.
         let coarse_span = ns_obs::trace::span("coarse");
         let random_groups = (cfg.variant == Variant::C2RandomGroups).then_some(cfg.seed);
-        let cluster_model = coarse::fit(&cfg.coarse, &train_segments, random_groups);
+        let cluster_model = coarse::fit(
+            &cfg.coarse,
+            &train_segments,
+            cfg.match_period,
+            random_groups,
+        );
         drop(coarse_span);
 
         // 4. One shared model per cluster (§3.4).
@@ -372,12 +385,11 @@ impl NodeSentry {
         }
     }
 
-    /// Full online detection: scores → smoothing → sliding k-sigma
-    /// threshold.
+    /// Full online detection: scores at the config's operating point
+    /// ([`NodeSentryConfig::flag_scores`]).
     pub fn detect_node(&self, raw: &Matrix, transitions: &[usize], split: usize) -> Vec<bool> {
         let (scores, _) = self.score_node(raw, transitions, split);
-        let smoothed = ns_eval::threshold::smooth_scores(&scores, self.cfg.smooth_window);
-        ksigma_detect(&smoothed, &self.cfg.threshold)
+        self.cfg.flag_scores(&scores).1
     }
 
     /// Incremental update with a new (already preprocessed) segment
@@ -641,6 +653,17 @@ mod tests {
         );
         assert!(ns.preprocessor.out_dim() >= 1);
         assert!(!ns.train_segments.is_empty());
+    }
+
+    /// The fitted model carries exactly the caller's configuration: the
+    /// probe length reaches the cluster library as an argument, not by
+    /// rewriting the config.
+    #[test]
+    fn fit_from_source_keeps_the_callers_config() {
+        let (nodes, groups, split) = synthetic_nodes(600);
+        let want = serde_json::to_string(&quick_cfg()).unwrap();
+        let ns = NodeSentry::fit_from_source(quick_cfg(), nodes.as_slice(), &groups, split);
+        assert_eq!(serde_json::to_string(&ns.cfg).unwrap(), want);
     }
 
     #[test]

@@ -21,5 +21,5 @@ pub use metrics::{
     AggregateScores, Confusion, NodeScores,
 };
 pub use streaming::{StreamingKSigma, StreamingSmoother};
-pub use threshold::{ksigma_detect, smooth_scores, three_sigma, KSigmaConfig};
+pub use threshold::{ksigma_detect, smooth_scores, KSigmaConfig};
 pub use timing::{format_duration, Stopwatch};

@@ -103,17 +103,6 @@ pub(crate) fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
-/// Convenience: detect with the default 3-sigma config and a given window.
-pub fn three_sigma(scores: &[f64], window: usize) -> Vec<bool> {
-    ksigma_detect(
-        scores,
-        &KSigmaConfig {
-            window,
-            ..Default::default()
-        },
-    )
-}
-
 /// Centered moving-average smoothing of a score series. Real anomalies
 /// span many sampling points; single-point reconstruction spikes are
 /// noise, and a small smoothing window suppresses them before
@@ -138,10 +127,18 @@ pub fn smooth_scores(scores: &[f64], window: usize) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    /// The default 3-sigma config at a given reference window.
+    fn window(window: usize) -> KSigmaConfig {
+        KSigmaConfig {
+            window,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn flat_scores_never_flag() {
         let scores = vec![1.0; 200];
-        let det = three_sigma(&scores, 40);
+        let det = ksigma_detect(&scores, &window(40));
         assert!(det.iter().all(|&d| !d));
     }
 
@@ -149,7 +146,7 @@ mod tests {
     fn spike_is_flagged() {
         let mut scores: Vec<f64> = (0..200).map(|i| ((i * 31) % 7) as f64 * 0.01).collect();
         scores[150] = 5.0;
-        let det = three_sigma(&scores, 40);
+        let det = ksigma_detect(&scores, &window(40));
         assert!(det[150], "obvious spike missed");
         assert!(
             det[..150].iter().filter(|&&d| d).count() <= 2,
@@ -169,7 +166,7 @@ mod tests {
         for (i, s) in scores.iter_mut().enumerate() {
             *s += ((i * 17) % 5) as f64 * 0.01;
         }
-        let det = three_sigma(&scores, 50);
+        let det = ksigma_detect(&scores, &window(50));
         let flagged_after = det[200..].iter().filter(|&&d| d).count();
         assert!(flagged_after > 90, "only {flagged_after}/100 flagged");
     }
@@ -202,12 +199,12 @@ mod tests {
     #[test]
     fn early_points_never_flag_without_context() {
         let scores = [9.0, 0.0, 9.0];
-        let det = three_sigma(&scores, 10);
+        let det = ksigma_detect(&scores, &window(10));
         assert!(!det[0] && !det[1] && !det[2]);
     }
 
     #[test]
     fn empty_input() {
-        assert!(three_sigma(&[], 10).is_empty());
+        assert!(ksigma_detect(&[], &window(10)).is_empty());
     }
 }

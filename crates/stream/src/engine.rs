@@ -587,7 +587,7 @@ fn note_failure(kind: EventKind, trigger: &'static str, e: &EngineError) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use nodesentry_core::{CoarseConfig, NodeInput, NodeSentryConfig, SharingConfig};
     use ns_features::FeatureCatalog;
@@ -659,11 +659,11 @@ mod tests {
         })
     }
 
-    fn model() -> Arc<NodeSentry> {
+    pub(crate) fn model() -> Arc<NodeSentry> {
         Arc::new(NodeSentry::from_json(&fixture().json).expect("model file"))
     }
 
-    fn cfg() -> EngineConfig {
+    pub(crate) fn cfg() -> EngineConfig {
         let mut cfg = EngineConfig::new(fixture().split);
         cfg.n_shards = 1;
         cfg

@@ -53,16 +53,12 @@ static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(0);
 /// wait: how quickly a connection thread notices a server shutdown.
 const POLL: Duration = Duration::from_millis(100);
 
-/// A finalized over-the-wire run: the in-process report plus its wire
-/// rendering, retained so late verdict subscribers (and
-/// [`IngestServer::shutdown`]) can still read it.
+/// A finalized over-the-wire run, retained so late verdict subscribers
+/// (and [`IngestServer::shutdown`]) can still read it; each subscriber's
+/// frames are rendered from it as they are written.
 pub struct FinishedRun {
     /// Exactly what [`Engine::finish`] returned.
     pub report: EngineReport,
-    /// `report.verdicts` rendered as wire messages (same order).
-    pub verdict_msgs: Vec<VerdictMsg>,
-    /// The closing summary frame's payload.
-    pub report_msg: ReportMsg,
 }
 
 fn verdict_msg(v: &Verdict) -> VerdictMsg {
@@ -95,19 +91,8 @@ impl Shared {
             guard.take()
         };
         if let Some(engine) = taken {
-            let report = engine.finish();
-            let verdict_msgs: Vec<VerdictMsg> = report.verdicts.iter().map(verdict_msg).collect();
-            let n_degraded = verdict_msgs.iter().filter(|m| m.degraded).count() as u64;
-            let report_msg = ReportMsg {
-                n_verdicts: verdict_msgs.len() as u64,
-                n_degraded,
-                n_ticks: report.stats.n_ticks,
-                n_shards: report.n_shards as u64,
-            };
             let run = Arc::new(FinishedRun {
-                report,
-                verdict_msgs,
-                report_msg,
+                report: engine.finish(),
             });
             let mut done = self.done.lock().expect("done lock");
             *done = Some(Arc::clone(&run));
@@ -470,9 +455,13 @@ fn flush_batch(shared: &Shared, batch: &mut Vec<Tick>) -> Result<(), ConnExit> {
 fn stream_verdicts(stream: &mut TcpStream, run: &FinishedRun) -> Result<(), WireError> {
     let wm = wire_metrics();
     let verdict_counter = wm.frames("verdict");
+    let report = &run.report;
     let mut chunk: Vec<u8> = Vec::with_capacity(64 * 1024);
-    for msg in &run.verdict_msgs {
-        ns_wire::encode_frame_into(&Frame::Verdict(*msg), &mut chunk);
+    let mut n_degraded = 0;
+    for v in &report.verdicts {
+        let msg = verdict_msg(v);
+        n_degraded += msg.degraded as u64;
+        ns_wire::encode_frame_into(&Frame::Verdict(msg), &mut chunk);
         verdict_counter.inc();
         if chunk.len() >= 48 * 1024 {
             wm.tx_bytes.add(chunk.len() as u64);
@@ -480,7 +469,13 @@ fn stream_verdicts(stream: &mut TcpStream, run: &FinishedRun) -> Result<(), Wire
             chunk.clear();
         }
     }
-    ns_wire::encode_frame_into(&Frame::Report(run.report_msg), &mut chunk);
+    let summary = ReportMsg {
+        n_verdicts: report.verdicts.len() as u64,
+        n_degraded,
+        n_ticks: report.stats.n_ticks,
+        n_shards: report.n_shards as u64,
+    };
+    ns_wire::encode_frame_into(&Frame::Report(summary), &mut chunk);
     wm.frames("report").inc();
     wm.tx_bytes.add(chunk.len() as u64);
     stream.write_all(&chunk)?;

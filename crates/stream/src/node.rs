@@ -128,7 +128,9 @@ impl Segment {
 pub struct NodeState {
     model: Arc<NodeSentry>,
     node: usize,
-    split: usize,
+    /// The engine's configuration, with the reorder bound and blackout
+    /// gap clamped to their minimums.
+    cfg: EngineConfig,
     /// Next step to ingest; everything below it is consumed.
     next_step: usize,
     pre: StreamingPreprocessor,
@@ -148,8 +150,6 @@ pub struct NodeState {
     /// Scratch for `match_pattern_into` — the warm streaming match path
     /// allocates nothing (`crates/core/tests/match_zero_alloc.rs`).
     z_scratch: Vec<f64>,
-    /// Scoring tier every verdict from this node is tagged with.
-    precision: ScoringPrecision,
     smoother: StreamingSmoother,
     detector: StreamingKSigma,
     /// Scores awaiting their (lagged) smoothed verdict; `suppress` marks
@@ -157,9 +157,6 @@ pub struct NodeState {
     pending: VecDeque<PendingSnap>,
     /// Early ticks waiting for their gap to close, keyed by step.
     pub(crate) ahead: BTreeMap<usize, Tick>,
-    reorder_bound: usize,
-    blackout_gap: usize,
-    smooth_window: usize,
     /// Provenance of rows pushed into `pre` but not yet absorbed; front
     /// corresponds to global row `next_row`.
     row_kinds: VecDeque<RowKind>,
@@ -179,6 +176,11 @@ pub struct NodeState {
 
 impl NodeState {
     pub fn new(model: Arc<NodeSentry>, node: usize, cfg: &EngineConfig) -> Self {
+        let cfg = EngineConfig {
+            reorder_bound: cfg.reorder_bound.max(1),
+            blackout_gap: cfg.blackout_gap.max(2),
+            ..*cfg
+        };
         let pre = StreamingPreprocessor::new(&model.preprocessor);
         let detector = StreamingKSigma::new(model.cfg.threshold);
         let width = pre.width();
@@ -192,7 +194,7 @@ impl NodeState {
         NodeState {
             model,
             node,
-            split: cfg.split,
+            cfg,
             next_step: 0,
             pre,
             next_row: 0,
@@ -202,14 +204,10 @@ impl NodeState {
             jobs: VecDeque::new(),
             probe_pending: false,
             z_scratch: Vec::new(),
-            precision: cfg.scoring_precision,
             smoother: StreamingSmoother::new(cfg.smooth_window),
             detector,
             pending: VecDeque::new(),
             ahead: BTreeMap::new(),
-            reorder_bound: cfg.reorder_bound.max(1),
-            blackout_gap: cfg.blackout_gap.max(2),
-            smooth_window: cfg.smooth_window,
             row_kinds: VecDeque::new(),
             resync_degraded: false,
             prev_raw: vec![f64::NAN; width],
@@ -249,10 +247,10 @@ impl NodeState {
                     return Vec::new();
                 }
             }
-            return self.settle(self.reorder_bound);
+            return self.settle(self.cfg.reorder_bound);
         }
         self.ingest_now(tick);
-        self.settle(self.reorder_bound)
+        self.settle(self.cfg.reorder_bound)
     }
 
     /// Drain the reorder buffer as far as policy allows: contiguous ticks
@@ -269,7 +267,7 @@ impl NodeState {
             let Some((&front, _)) = self.ahead.first_key_value() else {
                 break;
             };
-            if front - self.next_step >= self.blackout_gap {
+            if front - self.next_step >= self.cfg.blackout_gap {
                 out.extend(self.blackout_reset(front));
                 continue;
             }
@@ -293,7 +291,7 @@ impl NodeState {
         self.next_step += 1;
         // Batch segmentation keeps transitions strictly inside the test
         // span: `t > split && t < horizon`.
-        if tick.transition && tick.step > self.split {
+        if tick.transition && tick.step > self.cfg.split {
             self.cuts.push_back(tick.step);
         }
         self.row_kinds.push_back(kind);
@@ -369,9 +367,10 @@ impl NodeState {
     }
 
     /// The node went dark for at least `blackout_gap` steps: flush the
-    /// stale state (degraded), then restart preprocessing, smoothing and
-    /// thresholding at the rejoin step. No state leaks across the reset —
-    /// the next segment is scored from scratch.
+    /// stale state (degraded), then start over as a fresh node at the
+    /// rejoin step. Only the reorder buffer, the counters, the cursors
+    /// and the resync mark carry over, so no other state leaks across the
+    /// reset — the next segment is scored from scratch.
     fn blackout_reset(&mut self, resync_at: usize) -> Vec<Verdict> {
         self.faults.blackouts += 1;
         events::record(
@@ -383,20 +382,14 @@ impl NodeState {
             self.next_step as u64,
         );
         let out = self.flush_tail(true);
-        self.pre = StreamingPreprocessor::new(&self.model.preprocessor);
-        self.smoother = StreamingSmoother::new(self.smooth_window);
-        self.detector = StreamingKSigma::new(self.model.cfg.threshold);
-        self.cuts.clear();
-        self.open = Segment::default();
-        self.row_kinds.clear();
-        self.pending.clear();
-        self.jobs.clear();
-        self.probe_pending = false;
+        let fresh = NodeState::new(Arc::clone(&self.model), self.node, &self.cfg);
+        let old = std::mem::replace(self, fresh);
+        self.ahead = old.ahead;
+        self.stats = old.stats;
+        self.faults = old.faults;
         self.next_step = resync_at;
         self.next_row = resync_at;
         self.resync_degraded = true;
-        self.runs.iter_mut().for_each(|r| *r = 0);
-        self.prev_raw.iter_mut().for_each(|p| *p = f64::NAN);
         events::record(
             EventKind::Resync,
             "",
@@ -466,7 +459,7 @@ impl NodeState {
                     kind = RowKind::Faulty;
                 }
             }
-            if r < self.split {
+            if r < self.cfg.split {
                 continue; // training span: context only
             }
             if self.cuts.front() == Some(&r) {
@@ -607,7 +600,7 @@ impl NodeState {
             anomalous,
             cluster: p.cluster,
             kind,
-            precision: self.precision,
+            precision: self.cfg.scoring_precision,
         })
     }
 
@@ -725,7 +718,7 @@ pub(crate) fn score_deferred(states: &mut [&mut NodeState]) -> (Vec<Verdict>, u6
     let Some(first) = states.first() else {
         return (out, n_probes);
     };
-    let (model, precision) = (Arc::clone(&first.model), first.precision);
+    let (model, precision) = (Arc::clone(&first.model), first.cfg.scoring_precision);
     let mut groups: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
     for (i, job) in jobs.iter().enumerate() {
         // Invariant: `resolve_probes` ran first, so `matched` is set
@@ -763,4 +756,56 @@ pub(crate) fn score_deferred(states: &mut [&mut NodeState]) -> (Vec<Verdict>, u6
         out.extend(states[owner].apply_scored(job, scores, share));
     }
     (out, n_probes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::{cfg, model};
+    use ns_telemetry::DatasetProfile;
+
+    /// A blackout reset leaves the node exactly as `NodeState::new` builds
+    /// it, apart from what it carries over: the reorder buffer, the
+    /// counters, the rejoin cursors and the resync mark.
+    #[test]
+    fn blackout_reset_is_a_fresh_node_plus_what_it_carries() {
+        let model = model();
+        let cfg = EngineConfig {
+            smooth_window: model.cfg.smooth_window,
+            ..cfg()
+        };
+        let feed: Vec<Tick> = DatasetProfile::tiny()
+            .generate()
+            .ticks()
+            .into_iter()
+            .filter(|t| t.node == 0)
+            .collect();
+        // Into the test span: rows in flight, an open segment, a pending
+        // probe, scores in the smoothing lag, and one early tick waiting
+        // in the reorder buffer when the reset comes.
+        let upto = cfg.split + model.cfg.match_period + 20;
+        let mut node = NodeState::new(Arc::clone(&model), 0, &cfg);
+        for tick in &feed[..upto] {
+            node.offer(tick);
+        }
+        let rejoin = upto + 3;
+        node.offer(&feed[rejoin]);
+        assert_eq!(node.ahead.len(), 1);
+        node.blackout_reset(rejoin);
+        assert_eq!(node.faults.blackouts, 1);
+        assert!(node.stats.n_points > 0);
+
+        let mut want = NodeState::new(model, 0, &cfg);
+        want.ahead = node.ahead.clone();
+        want.stats = node.stats;
+        want.faults = node.faults;
+        want.next_step = rejoin;
+        want.next_row = rejoin;
+        want.resync_degraded = true;
+        // Debug text compares the NaN-filled stuck watch as equal.
+        assert_eq!(
+            format!("{:?}", node.snapshot()),
+            format!("{:?}", want.snapshot())
+        );
+    }
 }

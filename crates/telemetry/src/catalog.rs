@@ -128,10 +128,11 @@ const NET_PER_IFACE_KINDS: usize = 120;
 const PROC_KINDS: usize = 12;
 const SYS_KINDS: usize = 44;
 
-/// A deterministic 64-bit mix (splitmix64) for per-metric parameters and
-/// observation noise — far cheaper than a full RNG per sample.
+/// A deterministic 64-bit mix (splitmix64) for per-metric parameters,
+/// observation noise and collection losses — far cheaper than a full RNG
+/// per sample.
 #[inline]
-fn mix(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -142,7 +143,7 @@ fn mix(mut x: u64) -> u64 {
 /// Uniform in `[-1, 1]` from a key.
 #[inline]
 fn noise_from(key: u64) -> f64 {
-    (mix(key) >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    (splitmix64(key) >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
 }
 
 /// The full metric catalog.
@@ -313,7 +314,7 @@ fn signal_for(category: Category, k: usize) -> usize {
 
 /// Transform family for a kind, chosen deterministically.
 fn transform_for(category: Category, k: usize) -> Transform {
-    match mix((category as u64) << 32 | k as u64) % 10 {
+    match splitmix64((category as u64) << 32 | k as u64) % 10 {
         0..=3 => Transform::Gauge,
         4 | 5 => Transform::Counter,
         6 => Transform::Lagged(1 + (k % 3)),
@@ -335,7 +336,7 @@ impl MetricCatalog {
                          unit_label: &str| {
             let sig = signal_for(category, k);
             let tr = transform_for(category, k);
-            let h = mix((category as u64) << 40 | (k as u64) << 8 | units as u64);
+            let h = splitmix64((category as u64) << 40 | (k as u64) << 8 | units as u64);
             let scale = 0.5 + (h % 1000) as f64 / 500.0; // 0.5 .. 2.5
             let offset = ((h >> 10) % 100) as f64 / 200.0; // 0 .. 0.5
             let noise = match tr {
@@ -488,24 +489,7 @@ impl MetricCatalog {
     /// matrix. Deterministic in `(node_seed, metric, t)`. Parallel over
     /// metrics.
     pub fn expand(&self, latent: &[SignalFrame], node_seed: u64) -> Matrix {
-        self.expand_range(latent, node_seed, 0, latent.len())
-    }
-
-    /// Expand only rows `[start, end)` of the raw matrix, bit-identical
-    /// to the same rows of [`expand`](Self::expand) over the full
-    /// timeline. Cumulative counter metrics replay their prefix sum over
-    /// `[0, start)` in the same order as the full expansion, so chunked
-    /// generation reproduces the exact batch values without ever
-    /// materialising the whole `T × M` matrix.
-    pub fn expand_range(
-        &self,
-        latent: &[SignalFrame],
-        node_seed: u64,
-        start: usize,
-        end: usize,
-    ) -> Matrix {
-        assert!(start <= end && end <= latent.len(), "row range in bounds");
-        let t_len = end - start;
+        let t_len = latent.len();
         let m = self.metrics.len();
         let mut out = Matrix::zeros(t_len, m);
         if t_len == 0 || m == 0 {
@@ -523,20 +507,13 @@ impl MetricCatalog {
                     Some((u, total)) => {
                         // Deterministic near-uniform share for this unit.
                         let w = 1.0 / total as f64;
-                        w * (1.0 + 0.25 * noise_from(node_seed ^ mix(j as u64) ^ u as u64))
+                        w * (1.0 + 0.25 * noise_from(node_seed ^ splitmix64(j as u64) ^ u as u64))
                     }
                     None => 1.0,
                 };
-                // Counters accumulate from t = 0; replay the prefix with
-                // the identical addition order so the range is bit-exact.
+                // Counters accumulate from t = 0.
                 let mut counter_acc = 0.0f64;
-                if matches!(def.transform, Transform::Counter) {
-                    for frame in &latent[..start] {
-                        let base = def.scale * frame[def.signal] * share_w + def.offset;
-                        counter_acc += base.max(0.0);
-                    }
-                }
-                for (t, frame) in latent.iter().enumerate().take(end).skip(start) {
+                for (t, frame) in latent.iter().enumerate() {
                     let sig_t = match def.transform {
                         Transform::Lagged(lag) => {
                             let idx = t.saturating_sub(lag);
@@ -554,7 +531,7 @@ impl MetricCatalog {
                         Transform::Saturated => (base + n).min(def.scale * 0.7 + def.offset),
                         _ => base + n,
                     };
-                    col[t - start] = v;
+                    col[t] = v;
                 }
             });
         for t in 0..t_len {
@@ -635,26 +612,6 @@ mod tests {
         assert_eq!(a, b);
         let c = cat.expand(&latent, 43);
         assert_ne!(a, c, "different node seeds must differ");
-    }
-
-    #[test]
-    fn expand_range_is_bit_identical_to_full_expansion() {
-        let cat = MetricCatalog::build(CatalogSpec::small());
-        let latent = ramp_latent(90);
-        let full = cat.expand(&latent, 42);
-        for (start, end) in [(0, 90), (0, 17), (17, 40), (40, 90), (89, 90), (30, 30)] {
-            let part = cat.expand_range(&latent, 42, start, end);
-            assert_eq!(part.shape(), (end - start, cat.len()));
-            for t in start..end {
-                for j in 0..cat.len() {
-                    assert_eq!(
-                        part[(t - start, j)].to_bits(),
-                        full[(t, j)].to_bits(),
-                        "cell ({t},{j}) of range {start}..{end}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

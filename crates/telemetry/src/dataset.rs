@@ -2,7 +2,7 @@
 //! production datasets from NG-Tianhe.
 
 use crate::anomaly::{labels_for_node, plan_events_in_spans, AnomalyEvent, InjectionConfig};
-use crate::catalog::{CatalogSpec, MetricCatalog};
+use crate::catalog::{splitmix64, CatalogSpec, MetricCatalog};
 use crate::schedule::{Schedule, ScheduleConfig};
 use crate::signals::SignalFrame;
 use crate::simulator::simulate_cluster;
@@ -173,32 +173,23 @@ impl Dataset {
     }
 
     /// Raw `T × M` metric matrix for a node, with collection losses
-    /// punched in as NaN at `missing_rate` (cleaned by preprocessing).
+    /// punched in as NaN at `missing_rate` (cleaned by preprocessing): a
+    /// pure per-cell hash of the node, step and metric.
     pub fn raw_node(&self, node: usize) -> Matrix {
-        self.raw_rows(node, 0, self.horizon())
-    }
-
-    /// Rows `[start, end)` of [`raw_node`](Self::raw_node), bit-identical
-    /// to the corresponding slice of the full matrix. The NaN punch is a
-    /// pure per-cell hash of the *global* step index, so chunked
-    /// generation reproduces the exact collection losses.
-    pub fn raw_rows(&self, node: usize, start: usize, end: usize) -> Matrix {
-        let mut m = self.catalog.expand_range(
+        let mut m = self.catalog.expand(
             &self.latent[node],
             self.profile.seed ^ ((node as u64) << 16),
-            start,
-            end,
         );
         if self.profile.missing_rate > 0.0 {
             let threshold = (self.profile.missing_rate * u32::MAX as f64) as u32;
             let cols = m.cols();
             for t in 0..m.rows() {
                 for j in 0..cols {
-                    let h = splitmix(
+                    let h = splitmix64(
                         self.profile.seed
                             ^ 0xBAD
                             ^ ((node as u64) << 48)
-                            ^ (((start + t) as u64) << 20)
+                            ^ ((t as u64) << 20)
                             ^ j as u64,
                     );
                     if (h as u32) < threshold {
@@ -285,15 +276,6 @@ impl Dataset {
     }
 }
 
-#[inline]
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,26 +305,6 @@ mod tests {
         for n in 0..ds.n_nodes() {
             let labels = ds.labels(n);
             assert!(labels[..ds.split].iter().all(|&b| !b));
-        }
-    }
-
-    #[test]
-    fn raw_rows_match_full_matrix_slices_bit_for_bit() {
-        let ds = DatasetProfile::tiny().generate();
-        let h = ds.horizon();
-        let full = ds.raw_node(1);
-        for (start, end) in [(0, h), (0, 64), (64, 200), (h - 1, h), (300, 300)] {
-            let part = ds.raw_rows(1, start, end);
-            assert_eq!(part.shape(), (end - start, full.cols()));
-            for t in start..end {
-                for j in 0..full.cols() {
-                    assert_eq!(
-                        part[(t - start, j)].to_bits(),
-                        full[(t, j)].to_bits(),
-                        "cell ({t},{j}) of range {start}..{end} (NaN punch included)"
-                    );
-                }
-            }
         }
     }
 

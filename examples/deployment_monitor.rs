@@ -8,7 +8,6 @@
 //! ```
 
 use nodesentry::core::{NodeSentry, NodeSentryConfig};
-use nodesentry::eval::threshold::{ksigma_detect, smooth_scores};
 use nodesentry::eval::timing::{format_duration, Stopwatch};
 use nodesentry::telemetry::DatasetProfile;
 
@@ -45,8 +44,7 @@ fn main() {
         let sw = Stopwatch::start();
         let (scores, matches) = model.score_node(&input.raw, &input.transitions, dataset.split);
         let per_point_ms = sw.seconds() * 1e3 / scores.len().max(1) as f64;
-        let smoothed = smooth_scores(&scores, model.cfg.smooth_window);
-        let flags = ksigma_detect(&smoothed, &model.cfg.threshold);
+        let flags = model.cfg.flag_scores(&scores).1;
         let truth = dataset.labels(n);
         for (cycle_start, chunk) in flags.chunks(steps_per_cycle).enumerate() {
             if let Some(offset) = chunk.iter().position(|&f| f) {
