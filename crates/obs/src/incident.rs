@@ -204,12 +204,13 @@ pub fn capture(trigger: &'static str, reason: &str) -> bool {
     for v in &values {
         let key = (v.name.clone(), v.labels.clone());
         let prev = rec.baseline.get(&key).copied().unwrap_or(0.0);
-        let delta = v.value - prev;
-        if delta != 0.0 {
+        // Compared, not subtracted: an infinite value that has not moved
+        // would read `inf - inf = NaN`, a delta that is not zero.
+        if v.value != prev {
             metrics_delta.push(MetricValue {
                 name: v.name.clone(),
                 labels: v.labels.clone(),
-                value: delta,
+                value: v.value - prev,
             });
         }
         rec.baseline.insert(key, v.value);
