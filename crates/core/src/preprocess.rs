@@ -341,19 +341,244 @@ impl Preprocessor {
     }
 
     /// Apply cleaning → aggregation → rate conversion → pruning →
-    /// standardization.
+    /// standardization. Every cleaned row is finished by the same
+    /// [`RowPlan`] the streaming replay uses.
     pub fn transform(&self, raw: &Matrix) -> Matrix {
+        assert_eq!(raw.cols(), self.groups.len(), "one group id per raw metric");
         let mut cleaned = raw.clone();
         interpolate_missing(&mut cleaned);
-        let mut aggregated = aggregate_groups(&cleaned, &self.groups);
-        rate_convert(&mut aggregated, &self.counters);
-        let reduced = aggregated.gather_cols(&self.kept);
-        self.standardizer.transform(&reduced)
+        let plan = RowPlan::new(self);
+        let mut rates = plan.rate_state();
+        let mut slots = vec![0.0; plan.slots()];
+        let mut out = Matrix::zeros(cleaned.rows(), self.kept.len());
+        for r in 0..cleaned.rows() {
+            plan.finish_row(
+                cleaned.row(r),
+                r == 0,
+                &mut rates,
+                &mut slots,
+                out.row_mut(r),
+            );
+        }
+        out
     }
 
     /// Width of the preprocessed output.
     pub fn out_dim(&self) -> usize {
         self.kept.len()
+    }
+}
+
+/// A group's sum taken over `members[from..to]`, then scaled.
+#[derive(Clone, Debug)]
+struct GroupSum {
+    slot: usize,
+    from: usize,
+    to: usize,
+    /// The exact reciprocal `2^-k` of a power-of-two member count, or the
+    /// count itself for a divide.
+    by: f64,
+}
+
+/// One counter group's place in the plan.
+#[derive(Clone, Debug)]
+struct CounterSlot {
+    slot: usize,
+    /// Group id: the index of its previous value in the rate state.
+    group: usize,
+    /// Kept after pruning, so a reset reaches the output.
+    watched: bool,
+}
+
+/// How one cleaned raw row becomes a preprocessed row: aggregation, rate
+/// conversion, pruning and standardization, computed only for the groups
+/// that reach the output (kept) or carry state (counters), bit for bit
+/// what the all-groups [`aggregate_groups`] → [`rate_convert`] → gather →
+/// [`Standardizer::transform`] chain produces.
+///
+/// The aggregated values live in `slots`: slot `j < kept.len()` is the
+/// `j`-th kept group, so standardization reads one contiguous array; the
+/// counters that were pruned follow. A group's sum starts at `+0.0` and
+/// adds its members in ascending raw-column order, as `aggregate_groups`
+/// does (so `-0.0` becomes `+0.0`). A one-member group is not divided
+/// (`x / 1` is `x`); a `2^k`-member group is multiplied by `2^-k`, which
+/// is exact: `x / 2^k` and `x · 2^-k` are the same real number, so IEEE-754
+/// rounds both to the same double, subnormals included. Any other count
+/// keeps its divide, since `1/n` is not representable and `x · fl(1/n)`
+/// can differ from `x / n` in the last bit.
+///
+/// Derived from a [`Preprocessor`] whenever it is needed and never
+/// serialized, so the model file does not carry it.
+#[derive(Clone, Debug)]
+pub struct RowPlan {
+    /// Raw columns of the planned groups, by group id, ascending within
+    /// a group.
+    members: Vec<usize>,
+    /// One-member groups: `(slot, raw column)`.
+    singles: Vec<(usize, usize)>,
+    /// Groups of `2^k ≥ 2` members (or none), scaled by `2^-k`.
+    scaled: Vec<GroupSum>,
+    /// Groups of any other member count, divided by it.
+    divided: Vec<GroupSum>,
+    counters: Vec<CounterSlot>,
+    /// `(slot, source slot)`: a group the fitted `kept` lists twice reads
+    /// its first slot's finished value.
+    repeats: Vec<(usize, usize)>,
+    n_slots: usize,
+    n_groups: usize,
+    mean: Vec<f64>,
+    std: Vec<f64>,
+    clip: f64,
+}
+
+impl RowPlan {
+    pub fn new(pre: &Preprocessor) -> Self {
+        let n_groups = pre.counters.len();
+        // A planned group's slot: its first place in `kept`, or after the
+        // kept ones for a pruned counter.
+        let mut slot_of = vec![usize::MAX; n_groups];
+        let mut repeats = Vec::new();
+        for (j, &g) in pre.kept.iter().enumerate() {
+            if slot_of[g] == usize::MAX {
+                slot_of[g] = j;
+            } else {
+                repeats.push((j, slot_of[g]));
+            }
+        }
+        let mut n_slots = pre.kept.len();
+        for (slot, _) in slot_of
+            .iter_mut()
+            .zip(&pre.counters)
+            .filter(|(s, &c)| c && **s == usize::MAX)
+        {
+            *slot = n_slots;
+            n_slots += 1;
+        }
+        // The planned groups' raw columns, by group id and ascending
+        // within a group: a counting sort.
+        let mut start = vec![0usize; n_groups + 1];
+        for &g in pre.groups.iter().filter(|&&g| slot_of[g] != usize::MAX) {
+            start[g + 1] += 1;
+        }
+        for g in 0..n_groups {
+            start[g + 1] += start[g];
+        }
+        let mut next = start.clone();
+        let mut members = vec![0usize; start[n_groups]];
+        for (c, &g) in pre.groups.iter().enumerate() {
+            if slot_of[g] != usize::MAX {
+                members[next[g]] = c;
+                next[g] += 1;
+            }
+        }
+        let planned = || (0..n_groups).filter(|&g| slot_of[g] != usize::MAX);
+        let n_singles = planned().filter(|&g| start[g + 1] - start[g] == 1).count();
+        let n_counters = planned().filter(|&g| pre.counters[g]).count();
+        let mut plan = RowPlan {
+            members,
+            singles: Vec::with_capacity(n_singles),
+            scaled: Vec::new(),
+            divided: Vec::new(),
+            counters: Vec::with_capacity(n_counters),
+            repeats,
+            n_slots,
+            n_groups,
+            mean: pre.standardizer.mean.clone(),
+            std: pre.standardizer.std.clone(),
+            clip: pre.standardizer.clip,
+        };
+        for g in planned() {
+            let (slot, from, to) = (slot_of[g], start[g], start[g + 1]);
+            let n = to - from;
+            if n == 1 {
+                plan.singles.push((slot, plan.members[from]));
+            } else if n == 0 || n.is_power_of_two() {
+                // An empty group stays `+0.0`, like `aggregate_groups`'.
+                let by = 1.0 / n.max(1) as f64;
+                plan.scaled.push(GroupSum { slot, from, to, by });
+            } else {
+                let by = n as f64;
+                plan.divided.push(GroupSum { slot, from, to, by });
+            }
+            if pre.counters[g] {
+                let watched = slot < pre.kept.len();
+                plan.counters.push(CounterSlot {
+                    slot,
+                    group: g,
+                    watched,
+                });
+            }
+        }
+        plan
+    }
+
+    /// Length of the `slots` scratch [`finish_row`](Self::finish_row) takes.
+    pub fn slots(&self) -> usize {
+        self.n_slots
+    }
+
+    /// A fresh rate state: each counter group's previous cumulative
+    /// value, indexed by group id (other groups' entries stay `0.0`).
+    pub fn rate_state(&self) -> Vec<f64> {
+        vec![0.0; self.n_groups]
+    }
+
+    /// Finish one cleaned raw row into `out` (one value per kept group).
+    /// `first` marks the series' first row, whose rates are `0.0`;
+    /// `rates` carries the counters' previous values between rows. Returns
+    /// whether a kept counter group moved backwards, beyond an epsilon,
+    /// since the previous row: the collecting daemon restarted, and the
+    /// row's rate is a large negative spike.
+    pub fn finish_row(
+        &self,
+        raw: &[f64],
+        first: bool,
+        rates: &mut [f64],
+        slots: &mut [f64],
+        out: &mut [f64],
+    ) -> bool {
+        for &(slot, c) in &self.singles {
+            slots[slot] = 0.0 + raw[c];
+        }
+        let sum = |g: &GroupSum| {
+            self.members[g.from..g.to]
+                .iter()
+                .fold(0.0, |acc, &c| acc + raw[c])
+        };
+        for g in &self.scaled {
+            slots[g.slot] = sum(g) * g.by;
+        }
+        for g in &self.divided {
+            slots[g.slot] = sum(g) / g.by;
+        }
+        // Clean counters are non-decreasing even through interpolation
+        // (linear fills) and tail clamping (constant), so an
+        // epsilon-guarded decrease is a true reset, not rounding.
+        let mut reset = false;
+        for k in &self.counters {
+            let cur = slots[k.slot];
+            let prev = rates[k.group];
+            slots[k.slot] = if first {
+                0.0
+            } else {
+                reset |= k.watched & (cur < prev - 1e-9 * prev.abs().max(1.0));
+                cur - prev
+            };
+            rates[k.group] = cur;
+        }
+        for &(slot, from) in &self.repeats {
+            slots[slot] = slots[from];
+        }
+        let clip = self.clip;
+        for (((o, &v), &m), &s) in out
+            .iter_mut()
+            .zip(slots.iter())
+            .zip(&self.mean)
+            .zip(&self.std)
+        {
+            *o = ((v - m) / s).clamp(-clip, clip);
+        }
+        reset
     }
 }
 

@@ -141,7 +141,10 @@ pub struct StreamingKSigma {
     exclusion_cap: usize,
     window: VecDeque<f64>,
     flagged_run: usize,
+    /// Scratch reused across points: the window, sorted...
     sorted: Vec<f64>,
+    /// ...and its absolute deviations from the median, sorted.
+    deviations: Vec<f64>,
 }
 
 impl StreamingKSigma {
@@ -154,6 +157,7 @@ impl StreamingKSigma {
             window: VecDeque::with_capacity(w + 1),
             flagged_run: 0,
             sorted: Vec::with_capacity(w),
+            deviations: Vec::with_capacity(w),
         }
     }
 
@@ -166,11 +170,11 @@ impl StreamingKSigma {
             self.sorted
                 .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
             let median = percentile_sorted(&self.sorted, 0.5);
-            let mad = {
-                let mut dev: Vec<f64> = self.sorted.iter().map(|v| (v - median).abs()).collect();
-                dev.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                percentile_sorted(&dev, 0.5)
-            };
+            let dev = &mut self.deviations;
+            dev.clear();
+            dev.extend(self.sorted.iter().map(|v| (v - median).abs()));
+            dev.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            let mad = percentile_sorted(dev, 0.5);
             let sigma = (1.4826 * mad)
                 .max(self.cfg.min_sigma)
                 .max(self.cfg.rel_floor * median.abs());

@@ -168,7 +168,8 @@ pub struct NodeState {
     /// legitimately repeat).
     prev_raw: Vec<f64>,
     runs: Vec<u32>,
-    stuck_watch: Vec<bool>,
+    /// All ones for a watched column, zero otherwise.
+    stuck_watch: Vec<u32>,
     n_watch: usize,
     pub stats: StreamStats,
     pub faults: FaultCounters,
@@ -184,13 +185,19 @@ impl NodeState {
         let pre = StreamingPreprocessor::new(&model.preprocessor);
         let detector = StreamingKSigma::new(model.cfg.threshold);
         let width = pre.width();
-        let stuck_watch: Vec<bool> = model
+        let stuck_watch: Vec<u32> = model
             .preprocessor
             .groups
             .iter()
-            .map(|&g| !model.preprocessor.counters[g])
+            .map(|&g| {
+                if model.preprocessor.counters[g] {
+                    0
+                } else {
+                    u32::MAX
+                }
+            })
             .collect();
-        let n_watch = stuck_watch.iter().filter(|&&w| w).count();
+        let n_watch = stuck_watch.iter().filter(|&&m| m != 0).count();
         NodeState {
             model,
             node,
@@ -314,29 +321,23 @@ impl NodeState {
     /// Update the stuck-sensor watch with a delivered raw row and return
     /// the row's provenance.
     fn observe_raw(&mut self, step: usize, values: &[f64]) -> RowKind {
-        let mut stuck_cols = 0usize;
-        for (c, &v) in values.iter().enumerate() {
-            if !self.stuck_watch[c] {
-                continue;
-            }
-            if v.is_nan() {
-                self.runs[c] = 0;
-                continue;
-            }
-            if !self.prev_raw[c].is_nan() && v == self.prev_raw[c] {
-                self.runs[c] += 1;
-            } else {
-                self.runs[c] = 0;
-            }
-            self.prev_raw[c] = v;
-            if self.runs[c] >= STUCK_RUN as u32 {
-                stuck_cols += 1;
-            }
+        // One pass of selects, no branch per column. A watched column's
+        // run grows on an exact repeat and restarts otherwise (a NaN
+        // equals nothing); a NaN leaves the last delivered value in place.
+        // The all-ones mask of a watched column lets the updates through;
+        // an unwatched column keeps its state and counts no run.
+        let mut stuck_cols = 0u32;
+        let cols = values.iter().zip(&self.stuck_watch);
+        for ((&v, &m), (prev, run)) in cols.zip(self.prev_raw.iter_mut().zip(&mut self.runs)) {
+            let next = run.wrapping_add(1) & 0u32.wrapping_sub((v == *prev) as u32) & m;
+            *run = next | (*run & !m);
+            *prev = if (m != 0) & !v.is_nan() { v } else { *prev };
+            stuck_cols += (next >= STUCK_RUN as u32) as u32;
         }
         // Continuous gauge signals essentially never repeat bit-exactly;
         // a quarter of them frozen for `STUCK_RUN` ticks is a collector
         // fault, not chance.
-        if self.n_watch > 0 && stuck_cols * 4 >= self.n_watch {
+        if self.n_watch > 0 && stuck_cols as usize * 4 >= self.n_watch {
             self.faults.stuck_rows += 1;
             // The run began `STUCK_RUN` rows back; taint those too.
             for k in step.saturating_sub(STUCK_RUN)..step {
@@ -656,7 +657,7 @@ impl NodeState {
         }
         st.next_step = s.next_step;
         st.next_row = s.next_row;
-        st.pre = StreamingPreprocessor::restore(&st.model.preprocessor, s.pre)?;
+        st.pre.resume(s.pre)?;
         st.cuts = s.cuts.into();
         let seg_width = st.model.preprocessor.out_dim();
         let open = JobSnap {

@@ -1,8 +1,12 @@
 //! Streaming replay of the fitted [`Preprocessor`], one raw row at a time.
 
 use crate::snapshot::{PreSnap, SnapshotError};
+use nodesentry_core::preprocess::RowPlan;
 use nodesentry_core::Preprocessor;
 use std::collections::VecDeque;
+
+/// `reach` of a column whose latest row observes it.
+const OBSERVED: usize = usize::MAX;
 
 /// One finalized preprocessed row plus fault annotations derived from the
 /// raw data that produced it.
@@ -28,21 +32,21 @@ pub struct PreRow {
 /// finalizes the tail, where the batch code extends the last observation
 /// forward (and zeroes never-observed columns).
 ///
+/// Per-column state changes only where a column's gap opens (a NaN after
+/// an observation) or closes (an observation after a NaN): a column the
+/// latest row observes keeps its last value in that row. A row with no
+/// NaN that arrives while no gap is open is final at once and costs one
+/// copy, one NaN scan and the [`RowPlan`]. Resolved rows go through the
+/// same plan as the batch [`Preprocessor::transform`].
+///
 /// Memory is bounded by the longest missing-value run, not the stream
 /// length.
 ///
 /// [`flush`]: StreamingPreprocessor::flush
 pub struct StreamingPreprocessor {
-    groups: Vec<usize>,
-    group_counts: Vec<usize>,
-    counters: Vec<bool>,
-    kept: Vec<usize>,
-    /// Kept aggregated counter groups — the only ones whose resets can
-    /// perturb the output and therefore the only ones watched.
-    reset_watch: Vec<usize>,
-    mean: Vec<f64>,
-    std: Vec<f64>,
-    clip: f64,
+    plan: RowPlan,
+    width: usize,
+    out_dim: usize,
     /// Raw rows not yet fully resolved; front is row `base`.
     buf: VecDeque<Vec<f64>>,
     /// Whether each buffered raw row arrived entirely NaN.
@@ -51,10 +55,23 @@ pub struct StreamingPreprocessor {
     n_pushed: usize,
     /// Rows `[0, resolved)` have been emitted.
     resolved: usize,
-    /// Per raw column: index of the latest observed (non-NaN) row.
-    last_obs: Vec<Option<usize>>,
-    /// Per raw column: value at `last_obs` (for gap and tail filling).
+    /// Per raw column: [`OBSERVED`] while the latest row observes it,
+    /// otherwise the first row its observations leave unresolved — one
+    /// past its latest observation, or `0` if it has none.
+    reach: Vec<usize>,
+    /// The columns whose gap is open (`reach` is not [`OBSERVED`]).
+    open: Vec<usize>,
+    /// Per raw column with an open gap: its latest observed value.
     last_val: Vec<f64>,
+    /// The latest raw row once it has left `buf`: an observed column's
+    /// last value.
+    tip: Vec<f64>,
+    /// At most one recycled row buffer.
+    spare: Vec<f64>,
+    /// The NaN columns of the row being pushed.
+    nans: Vec<usize>,
+    /// [`RowPlan::finish_row`]'s scratch.
+    slots: Vec<f64>,
     /// Per aggregated counter column: previous cumulative value.
     rate_prev: Vec<f64>,
     any_row: bool,
@@ -62,41 +79,32 @@ pub struct StreamingPreprocessor {
 
 impl StreamingPreprocessor {
     pub fn new(pre: &Preprocessor) -> Self {
-        let n_groups = pre.counters.len();
-        let mut group_counts = vec![0usize; n_groups];
-        for &g in &pre.groups {
-            group_counts[g] += 1;
-        }
-        let reset_watch = pre
-            .kept
-            .iter()
-            .copied()
-            .filter(|&g| pre.counters[g])
-            .collect();
+        let plan = RowPlan::new(pre);
+        let width = pre.groups.len();
         StreamingPreprocessor {
-            groups: pre.groups.clone(),
-            group_counts,
-            counters: pre.counters.clone(),
-            kept: pre.kept.clone(),
-            reset_watch,
-            mean: pre.standardizer.mean.clone(),
-            std: pre.standardizer.std.clone(),
-            clip: pre.standardizer.clip,
+            width,
+            out_dim: pre.kept.len(),
             buf: VecDeque::new(),
             nan_flags: VecDeque::new(),
             base: 0,
             n_pushed: 0,
             resolved: 0,
-            last_obs: vec![None; pre.groups.len()],
-            last_val: vec![0.0; pre.groups.len()],
-            rate_prev: vec![0.0; n_groups],
+            reach: vec![0; width],
+            open: (0..width).collect(),
+            last_val: vec![0.0; width],
+            tip: Vec::new(),
+            spare: Vec::new(),
+            nans: Vec::new(),
+            slots: vec![0.0; plan.slots()],
+            rate_prev: plan.rate_state(),
             any_row: false,
+            plan,
         }
     }
 
     /// Raw row width this preprocessor expects.
     pub fn width(&self) -> usize {
-        self.groups.len()
+        self.width
     }
 
     /// Ingest one raw row; returns the preprocessed rows that became
@@ -104,48 +112,85 @@ impl StreamingPreprocessor {
     pub fn push(&mut self, raw_row: &[f64]) -> Vec<PreRow> {
         // Width is guarded upstream: the engine counts wrong-width ticks
         // as malformed before they reach any node state.
-        assert_eq!(raw_row.len(), self.groups.len(), "raw row width");
+        assert_eq!(raw_row.len(), self.width, "raw row width");
+        nan_columns(raw_row, &mut self.nans);
+        let all_nan = self.nans.len() == self.width;
         let r = self.n_pushed;
-        self.buf.push_back(raw_row.to_vec());
-        self.nan_flags.push_back(raw_row.iter().all(|v| v.is_nan()));
         self.n_pushed += 1;
-        for (c, &v) in raw_row.iter().enumerate() {
-            if v.is_nan() {
+        if self.nans.is_empty() && self.open.is_empty() && self.buf.is_empty() {
+            self.tip.copy_from_slice(raw_row);
+            return vec![self.finish(raw_row, all_nan)];
+        }
+        // Close the gaps this row observes: batch `interpolate_missing`'s
+        // fill, verbatim.
+        let mut i = 0;
+        while i < self.open.len() {
+            let c = self.open[i];
+            let b = raw_row[c];
+            if b.is_nan() {
+                i += 1;
                 continue;
             }
-            match self.last_obs[c] {
-                Some(p) => {
-                    if r > p + 1 {
-                        // Batch `interpolate_missing` gap fill, verbatim.
-                        let a = self.last_val[c];
-                        let b = v;
-                        let gap = (r - p) as f64;
-                        for k in p + 1..r {
-                            let t = (k - p) as f64 / gap;
-                            self.buf[k - self.base][c] = a + (b - a) * t;
-                        }
+            self.open.swap_remove(i);
+            match self.reach[c] {
+                // Head fill: leading NaNs take the first observation.
+                0 => {
+                    for k in 0..r {
+                        self.buf[k - self.base][c] = b;
                     }
                 }
-                None => {
-                    // Head fill: leading NaNs take the first observation.
-                    for k in 0..r {
-                        self.buf[k - self.base][c] = v;
+                from => {
+                    let p = from - 1;
+                    let a = self.last_val[c];
+                    let gap = (r - p) as f64;
+                    for k in from..r {
+                        let t = (k - p) as f64 / gap;
+                        self.buf[k - self.base][c] = a + (b - a) * t;
                     }
                 }
             }
-            self.last_obs[c] = Some(r);
-            self.last_val[c] = v;
+            self.reach[c] = OBSERVED;
         }
-        self.drain_watermark()
+        // Open a gap where an observed column reads NaN; its last value
+        // is in the latest row.
+        let latest = self.buf.back().unwrap_or(&self.tip);
+        for &c in &self.nans {
+            if self.reach[c] == OBSERVED {
+                self.reach[c] = r;
+                self.last_val[c] = latest[c];
+                self.open.push(c);
+            }
+        }
+        let mut row = if self.buf.is_empty() {
+            std::mem::take(&mut self.tip)
+        } else {
+            std::mem::take(&mut self.spare)
+        };
+        row.clear();
+        row.extend_from_slice(raw_row);
+        self.buf.push_back(row);
+        self.nan_flags.push_back(all_nan);
+        // Each open gap holds back the rows from its `reach` on.
+        let watermark = self
+            .open
+            .iter()
+            .map(|&c| self.reach[c])
+            .min()
+            .unwrap_or(self.n_pushed);
+        let mut out = Vec::new();
+        while self.resolved < watermark {
+            out.push(self.emit_front());
+        }
+        out
     }
 
     /// End of stream: tail-fill every column (never-observed columns
     /// become zero, like the batch code) and emit the remaining rows.
     pub fn flush(&mut self) -> Vec<PreRow> {
-        for (c, lo) in self.last_obs.iter().enumerate() {
-            let (from, fill) = match lo {
-                Some(l) => (l + 1, self.last_val[c]),
-                None => (0, 0.0),
+        for &c in &self.open {
+            let (from, fill) = match self.reach[c] {
+                0 => (0, 0.0),
+                from => (from, self.last_val[c]),
             };
             for k in from.max(self.base)..self.n_pushed {
                 self.buf[k - self.base][c] = fill;
@@ -161,14 +206,22 @@ impl StreamingPreprocessor {
     /// Capture the mutable replay state (the fitted configuration lives
     /// in the model and is not duplicated here).
     pub fn state(&self) -> PreSnap {
+        let latest = self.buf.back().unwrap_or(&self.tip);
+        let (last_obs, last_val) = (0..self.width)
+            .map(|c| match self.reach[c] {
+                OBSERVED => (Some(self.n_pushed - 1), latest[c]),
+                0 => (None, self.last_val[c]),
+                from => (Some(from - 1), self.last_val[c]),
+            })
+            .unzip();
         PreSnap {
             buf: self.buf.iter().cloned().collect(),
             nan_flags: self.nan_flags.iter().copied().collect(),
             base: self.base,
             n_pushed: self.n_pushed,
             resolved: self.resolved,
-            last_obs: self.last_obs.clone(),
-            last_val: self.last_val.clone(),
+            last_obs,
+            last_val,
             rate_prev: self.rate_prev.clone(),
             any_row: self.any_row,
         }
@@ -182,10 +235,17 @@ impl StreamingPreprocessor {
     /// otherwise meet as an out-of-range buffer index.
     pub fn restore(pre: &Preprocessor, s: PreSnap) -> Result<Self, SnapshotError> {
         let mut sp = StreamingPreprocessor::new(pre);
-        let width = sp.groups.len();
+        sp.resume(s)?;
+        Ok(sp)
+    }
+
+    /// [`restore`](Self::restore) into this instance, which must be fresh
+    /// from [`new`](Self::new).
+    pub(crate) fn resume(&mut self, s: PreSnap) -> Result<(), SnapshotError> {
+        let width = self.width;
         if s.last_obs.len() != width
             || s.last_val.len() != width
-            || s.rate_prev.len() != sp.group_counts.len()
+            || s.rate_prev.len() != self.rate_prev.len()
             || s.buf.len() != s.nan_flags.len()
             || s.buf.iter().any(|row| row.len() != width)
         {
@@ -207,95 +267,85 @@ impl StreamingPreprocessor {
                 "preprocessor state cursors disagree".into(),
             ));
         }
-        sp.buf = s.buf.into();
-        sp.nan_flags = s.nan_flags.into();
-        sp.base = s.base;
-        sp.n_pushed = s.n_pushed;
-        sp.resolved = s.resolved;
-        sp.last_obs = s.last_obs;
-        sp.last_val = s.last_val;
-        sp.rate_prev = s.rate_prev;
-        sp.any_row = s.any_row;
-        Ok(sp)
-    }
-
-    /// Emit rows up to the minimum per-column resolution point.
-    fn drain_watermark(&mut self) -> Vec<PreRow> {
-        let watermark = self
+        self.reach = s
             .last_obs
             .iter()
-            .map(|lo| lo.map(|l| l + 1).unwrap_or(0))
-            .min()
-            .unwrap_or(0);
-        let mut out = Vec::new();
-        while self.resolved < watermark {
-            out.push(self.emit_front());
-        }
-        out
+            .map(|lo| match *lo {
+                Some(l) if l + 1 == s.n_pushed => OBSERVED,
+                Some(l) => l + 1,
+                None => 0,
+            })
+            .collect();
+        self.open = (0..width).filter(|&c| self.reach[c] != OBSERVED).collect();
+        // An observed column's last value is its latest row's; the tip
+        // stands in for that row until `buf` drains.
+        self.tip = s.last_val.clone();
+        self.last_val = s.last_val;
+        self.buf = s.buf.into();
+        self.nan_flags = s.nan_flags.into();
+        self.base = s.base;
+        self.n_pushed = s.n_pushed;
+        self.resolved = s.resolved;
+        self.rate_prev = s.rate_prev;
+        self.any_row = s.any_row;
+        Ok(())
     }
 
-    /// Pop the front (fully resolved) raw row and run aggregation → rate
-    /// conversion → pruning gather → standardization on it, matching the
-    /// batch arithmetic operation for operation.
+    /// Pop the front (fully resolved) raw row, finish it, and keep its
+    /// buffer: the latest row becomes the tip, an earlier one the spare.
     fn emit_front(&mut self) -> PreRow {
         // Invariant: callers only reach here while `resolved < n_pushed`,
         // so the front row (and its NaN flag) is always buffered.
         let raw = self.buf.pop_front().expect("resolved row buffered");
         let all_nan = self.nan_flags.pop_front().unwrap_or(false);
+        let row = self.finish(&raw, all_nan);
+        let free = if self.buf.is_empty() {
+            std::mem::replace(&mut self.tip, raw)
+        } else {
+            raw
+        };
+        if self.spare.capacity() == 0 {
+            self.spare = free;
+        }
+        row
+    }
+
+    /// Run one resolved raw row through the [`RowPlan`]: aggregation →
+    /// rate conversion → pruning gather → standardization.
+    fn finish(&mut self, raw: &[f64], all_nan: bool) -> PreRow {
         self.base += 1;
         self.resolved += 1;
-        // Aggregation: accumulate in raw-column order, then divide — the
-        // exact loop structure of `aggregate_groups`.
-        let mut agg = vec![0.0f64; self.group_counts.len()];
-        for (j, &g) in self.groups.iter().enumerate() {
-            agg[g] += raw[j];
-        }
-        for (g, v) in agg.iter_mut().enumerate() {
-            if self.group_counts[g] > 0 {
-                *v /= self.group_counts[g] as f64;
-            }
-        }
-        // Counter-reset watch: a kept cumulative group moving backwards
-        // means the collecting daemon lost its history. Clean counters
-        // are non-decreasing even through interpolation (linear fills
-        // between observations) and tail clamping (constant), so an
-        // epsilon-guarded decrease is a true reset, not rounding.
-        let mut counter_reset = false;
-        if self.any_row {
-            for &g in &self.reset_watch {
-                let prev = self.rate_prev[g];
-                let eps = 1e-9 * prev.abs().max(1.0);
-                if agg[g] < prev - eps {
-                    counter_reset = true;
-                    break;
-                }
-            }
-        }
-        // Rate conversion: first row becomes 0, later rows the difference.
-        for (g, v) in agg.iter_mut().enumerate() {
-            if !self.counters[g] {
-                continue;
-            }
-            let cur = *v;
-            *v = if self.any_row {
-                cur - self.rate_prev[g]
-            } else {
-                0.0
-            };
-            self.rate_prev[g] = cur;
-        }
+        let mut values = vec![0.0; self.out_dim];
+        let counter_reset = self.plan.finish_row(
+            raw,
+            !self.any_row,
+            &mut self.rate_prev,
+            &mut self.slots,
+            &mut values,
+        );
         self.any_row = true;
-        // Pruning gather + trimmed z-score with clipping.
-        let values = self
-            .kept
-            .iter()
-            .enumerate()
-            .map(|(j, &c)| ((agg[c] - self.mean[j]) / self.std[j]).clamp(-self.clip, self.clip))
-            .collect();
         PreRow {
             values,
             all_nan,
             counter_reset,
+        }
+    }
+}
+
+/// Collect the NaN positions of `row` into `out`: one branch-free test per
+/// block of eight values, and a look inside only a block that holds one.
+fn nan_columns(row: &[f64], out: &mut Vec<usize>) {
+    out.clear();
+    let mut blocks = row.chunks_exact(8);
+    for (b, block) in blocks.by_ref().enumerate() {
+        if block.iter().fold(false, |any, v| any | v.is_nan()) {
+            out.extend((0..8).filter(|&i| block[i].is_nan()).map(|i| b * 8 + i));
+        }
+    }
+    let at = row.len() - blocks.remainder().len();
+    for (i, v) in blocks.remainder().iter().enumerate() {
+        if v.is_nan() {
+            out.push(at + i);
         }
     }
 }
