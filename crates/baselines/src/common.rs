@@ -1,10 +1,14 @@
-//! Shared plumbing for baseline detectors: the `Detector` trait and
-//! window utilities (windows tile a span by `ns_nn::window_starts`, the
-//! shared models' tiling). Baselines consume *preprocessed* node matrices (the
+//! Shared plumbing for baseline detectors: the `Detector` trait, the one
+//! thinning rule for capped training sets ([`thin`]), and window
+//! utilities. A window-level baseline tiles a span with
+//! `ns_nn::windows(len, window, window)` — the shared models' tiling rule
+//! at their scoring stride — and spreads per-window scores back over
+//! those same ranges. Baselines consume *preprocessed* node matrices (the
 //! same cleaning/reduction/standardization NodeSentry uses), so the
 //! comparison isolates the detection strategy itself.
 
 use ns_linalg::matrix::Matrix;
+use std::ops::Range;
 
 /// A baseline anomaly detector over per-node preprocessed MTS.
 pub trait Detector {
@@ -33,18 +37,22 @@ pub fn window_summary(win: &Matrix) -> Vec<f64> {
     out
 }
 
+/// Keep at most about `cap` of `items`, evenly spaced: beyond the cap,
+/// every `len / cap + 1`-th item from the first.
+pub fn thin<T>(items: Vec<T>, cap: usize) -> Vec<T> {
+    if items.len() <= cap {
+        return items;
+    }
+    let step = items.len() / cap + 1;
+    items.into_iter().step_by(step).collect()
+}
+
 /// Spread per-window scores back to per-timestep scores over `len`
 /// points (overlaps keep the max).
-pub fn spread_window_scores(
-    len: usize,
-    window: usize,
-    starts: &[usize],
-    scores: &[f64],
-) -> Vec<f64> {
-    let w = window.min(len).max(1);
+pub fn spread_window_scores(len: usize, windows: &[Range<usize>], scores: &[f64]) -> Vec<f64> {
     let mut out = vec![0.0f64; len];
-    for (&s, &v) in starts.iter().zip(scores) {
-        for slot in out[s..(s + w).min(len)].iter_mut() {
+    for (w, &v) in windows.iter().zip(scores) {
+        for slot in out[w.clone()].iter_mut() {
             *slot = slot.max(v);
         }
     }
@@ -54,7 +62,7 @@ pub fn spread_window_scores(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ns_nn::window_starts;
+    use ns_nn::windows;
 
     #[test]
     fn summary_has_four_per_metric() {
@@ -69,11 +77,17 @@ mod tests {
 
     #[test]
     fn spreading_covers_all_points() {
-        let starts = window_starts(10, 4);
-        let spread = spread_window_scores(10, 4, &starts, &[1.0, 2.0, 3.0]);
+        let spread = spread_window_scores(10, &windows(10, 4, 4), &[1.0, 2.0, 3.0]);
         assert_eq!(spread.len(), 10);
         assert!(spread.iter().all(|&v| v > 0.0));
         // Overlap region takes the max.
         assert_eq!(spread[7], 3.0);
+    }
+
+    #[test]
+    fn thinning_keeps_every_step_th_item_beyond_the_cap() {
+        assert_eq!(thin((0..5).collect::<Vec<_>>(), 5), vec![0, 1, 2, 3, 4]);
+        assert_eq!(thin((0..10).collect::<Vec<_>>(), 4), vec![0, 3, 6, 9]);
+        assert_eq!(thin((0..9).collect::<Vec<_>>(), 3), vec![0, 4, 8]);
     }
 }

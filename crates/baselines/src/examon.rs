@@ -3,7 +3,7 @@
 //! reconstruction component (the paper's comparison protocol, §4.1.2,
 //! selects exactly this part).
 
-use crate::common::Detector;
+use crate::common::{thin, Detector};
 use ns_linalg::matrix::Matrix;
 use ns_nn::{Adam, Graph, Linear, ParamStore};
 use rayon::prelude::*;
@@ -88,12 +88,7 @@ impl Detector for Examon {
             .enumerate()
             .map(|(idx, node)| {
                 let upto = split.min(node.rows());
-                let mut train = node.slice_rows(0, upto);
-                if train.rows() > cfg.max_rows_per_node {
-                    let stride = train.rows() / cfg.max_rows_per_node + 1;
-                    let idxs: Vec<usize> = (0..train.rows()).step_by(stride).collect();
-                    train = train.gather_rows(&idxs);
-                }
+                let train = node.gather_rows(&thin((0..upto).collect(), cfg.max_rows_per_node));
                 let dim = train.cols();
                 let mut params = ParamStore::new(cfg.seed ^ (idx as u64) << 4);
                 let enc1 = Linear::new(&mut params, "e1", dim, cfg.hidden);

@@ -3,7 +3,7 @@
 //! distance to the nearest component. Cheapest to train (no deep model),
 //! weakest at modelling MTS dynamics — matching its Table 4 position.
 
-use crate::common::Detector;
+use crate::common::{thin, Detector};
 use ns_cluster::gmm::{Covariance, GaussianMixture, GmmConfig};
 use ns_linalg::matrix::Matrix;
 
@@ -63,10 +63,7 @@ impl Detector for Isc20 {
             }
         }
         assert!(!rows.is_empty(), "no training rows");
-        if rows.len() > self.cfg.max_rows {
-            let stride = rows.len() / self.cfg.max_rows + 1;
-            rows = rows.into_iter().step_by(stride).collect();
-        }
+        let rows = thin(rows, self.cfg.max_rows);
         let gmm = GaussianMixture::fit(
             &rows,
             &GmmConfig {

@@ -3,10 +3,10 @@
 //! model shared by all nodes; no job awareness — which is exactly why it
 //! struggles with HPC sub-pattern diversity (paper §6).
 
-use crate::common::{spread_window_scores, window_summary, Detector};
+use crate::common::{spread_window_scores, thin, window_summary, Detector};
 use ns_linalg::matrix::Matrix;
 use ns_nn::vae::{standard_normal, Vae};
-use ns_nn::{window_starts, Adam, Graph, ParamStore};
+use ns_nn::{windows, Adam, Graph, ParamStore};
 
 /// Configuration.
 #[derive(Clone, Debug)]
@@ -66,16 +66,12 @@ impl Detector for Prodigy {
         for node in nodes {
             let upto = split.min(node.rows());
             let train = node.slice_rows(0, upto);
-            for s in window_starts(train.rows(), self.cfg.window) {
-                let win = train.slice_rows(s, (s + self.cfg.window).min(train.rows()));
-                feats.push(window_summary(&win));
+            for w in windows(train.rows(), self.cfg.window, self.cfg.window) {
+                feats.push(window_summary(&train.slice_rows(w.start, w.end)));
             }
         }
         assert!(!feats.is_empty(), "no training windows");
-        if feats.len() > self.cfg.max_train_windows {
-            let stride = feats.len() / self.cfg.max_train_windows + 1;
-            feats = feats.into_iter().step_by(stride).collect();
-        }
+        let feats = thin(feats, self.cfg.max_train_windows);
         let dim = feats[0].len();
         let data = Matrix::from_rows(&feats);
         let mut params = ParamStore::new(self.cfg.seed);
@@ -107,17 +103,14 @@ impl Detector for Prodigy {
         if len == 0 {
             return Vec::new();
         }
-        let starts = window_starts(len, self.cfg.window);
-        let feats: Vec<Vec<f64>> = starts
+        let wins = windows(len, self.cfg.window, self.cfg.window);
+        let feats: Vec<Vec<f64>> = wins
             .iter()
-            .map(|&s| {
-                let win = test.slice_rows(s, (s + self.cfg.window).min(len));
-                window_summary(&win)
-            })
+            .map(|w| window_summary(&test.slice_rows(w.start, w.end)))
             .collect();
         let fm = Matrix::from_rows(&feats);
         let errs = vae.reconstruction_errors(params, &fm);
-        spread_window_scores(len, self.cfg.window, &starts, &errs)
+        spread_window_scores(len, &wins, &errs)
     }
 }
 

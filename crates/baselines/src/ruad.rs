@@ -3,10 +3,10 @@
 //! one deep model per node is its defining cost — the paper's Table 4
 //! shows it as the slowest offline method.
 
-use crate::common::{spread_window_scores, Detector};
+use crate::common::{spread_window_scores, thin, Detector};
 use ns_linalg::matrix::Matrix;
 use ns_nn::lstm::LstmAutoencoder;
-use ns_nn::{window_starts, Adam, Graph, ParamStore};
+use ns_nn::{windows, Adam, Graph, ParamStore};
 use rayon::prelude::*;
 
 /// Configuration.
@@ -72,15 +72,14 @@ impl Detector for Ruad {
                 let dim = train.cols();
                 let mut params = ParamStore::new(cfg.seed ^ (idx as u64) << 8);
                 let ae = LstmAutoencoder::new(&mut params, "ruad", dim, cfg.hidden);
-                let mut starts = window_starts(train.rows(), cfg.window);
-                if starts.len() > cfg.max_windows_per_node {
-                    let stride = starts.len() / cfg.max_windows_per_node + 1;
-                    starts = starts.into_iter().step_by(stride).collect();
-                }
+                let wins = thin(
+                    windows(train.rows(), cfg.window, cfg.window),
+                    cfg.max_windows_per_node,
+                );
                 let mut opt = Adam::new(cfg.lr);
                 for _epoch in 0..cfg.epochs {
-                    for &s in &starts {
-                        let win = train.slice_rows(s, (s + cfg.window).min(train.rows()));
+                    for w in &wins {
+                        let win = train.slice_rows(w.start, w.end);
                         if win.rows() < 2 {
                             continue;
                         }
@@ -104,11 +103,11 @@ impl Detector for Ruad {
         if len == 0 {
             return Vec::new();
         }
-        let starts = window_starts(len, self.cfg.window);
-        let errs: Vec<f64> = starts
+        let wins = windows(len, self.cfg.window, self.cfg.window);
+        let errs: Vec<f64> = wins
             .par_iter()
-            .map(|&s| {
-                let win = test.slice_rows(s, (s + self.cfg.window).min(len));
+            .map(|w| {
+                let win = test.slice_rows(w.start, w.end);
                 let mut g = Graph::new(params);
                 let recon = ae.reconstruct(&mut g, &win);
                 let rv = g.value(recon);
@@ -121,7 +120,7 @@ impl Detector for Ruad {
                 err / win.len() as f64
             })
             .collect();
-        spread_window_scores(len, self.cfg.window, &starts, &errs)
+        spread_window_scores(len, &wins, &errs)
     }
 }
 

@@ -23,7 +23,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nodesentry_core::preprocess::{interpolate_missing, Preprocessor};
 use nodesentry_core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
-use ns_bench::write_bench_json;
+use ns_bench::{best_ns, write_bench_json};
 use ns_eval::metrics::{adjusted_confusion, roc_auc_adjusted};
 use ns_eval::streaming::StreamingKSigma;
 use ns_eval::threshold::{ksigma_detect, KSigmaConfig};
@@ -33,7 +33,6 @@ use ns_stream::{EngineConfig, NodeState, StreamingPreprocessor, Tick};
 use ns_telemetry::{DatasetProfile, ScheduleConfig};
 use serde_json::json;
 use std::sync::Arc;
-use std::time::Instant;
 
 fn bench_detect(c: &mut Criterion) {
     let scores: Vec<f64> = (0..10_000)
@@ -74,26 +73,7 @@ fn bench_detect(c: &mut Criterion) {
         b.iter(|| pp.transform(&raw))
     });
     group.finish();
-    per_tick(timed(), &scores);
-}
-
-/// Whether this is a `cargo bench` run (the stand-in criterion's rule).
-fn timed() -> bool {
-    std::env::args().any(|a| a == "--bench")
-}
-
-/// Best of seven samples of `iters` calls, in ns per call.
-fn best_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    (0..7)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_secs_f64() * 1e9 / iters as f64
-        })
-        .fold(f64::INFINITY, f64::min)
+    per_tick(c.timed(), &scores);
 }
 
 /// A D2'-shaped dataset at `nsbench`'s replay size and a model fitted on

@@ -19,10 +19,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use nodesentry_core::coarse::ClusterModel;
+use ns_bench::best_ns;
 use ns_features::{FeatureCatalog, FeatureScratch};
 use ns_linalg::matrix::Matrix;
 use ns_linalg::stats;
-use std::time::Instant;
 
 /// The coarse stage's sample rate (one row per 30 s).
 const SAMPLE_RATE: f64 = 1.0 / 30.0;
@@ -52,26 +52,7 @@ fn bench_features(c: &mut Criterion) {
         b.iter(|| catalog.extract_mts(&segment, SAMPLE_RATE))
     });
     group.finish();
-    probe_shapes(timed());
-}
-
-/// Whether this is a `cargo bench` run (the stand-in criterion's rule).
-fn timed() -> bool {
-    std::env::args().any(|a| a == "--bench")
-}
-
-/// Best of seven samples of `iters` calls, in ns per call.
-fn best_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    (0..7)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_secs_f64() * 1e9 / iters as f64
-        })
-        .fold(f64::INFINITY, f64::min)
+    probe_shapes(c.timed());
 }
 
 /// A deterministic value in [-0.5, 0.5) per `(a, b)`.

@@ -163,8 +163,7 @@ fn bench_kernels(c: &mut Criterion) {
     });
 }
 
-fn throughput_report_and_assertions() {
-    let timed = std::env::args().any(|a| a == "--bench");
+fn throughput_report_and_assertions(timed: bool) {
     let a = series(4);
     let b = series(5);
     let mut y = series(6);
@@ -324,7 +323,8 @@ fn benches_then_report(c: &mut Criterion) {
     // thread to width 1): the report times kernels, not the pool's dispatch,
     // which on a 2-core runner costs a 25 µs f32 product more than half of
     // what the wider lanes save.
-    rayon::with_thread_parallelism_cap(Some(1), throughput_report_and_assertions);
+    let timed = c.timed();
+    rayon::with_thread_parallelism_cap(Some(1), || throughput_report_and_assertions(timed));
 }
 
 criterion_group!(benches, benches_then_report);

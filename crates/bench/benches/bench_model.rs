@@ -3,11 +3,14 @@
 //! and the two paths the pipeline runs at nsbench's model size:
 //! `train_window`, forward + backward of one 20×141 window through a
 //! fresh graph and through a recycled tape (what
-//! `SharedModel::fit_windows` runs), and `infer_nsbench`, one served
-//! forward (`Session::forward`) of a 20- and a 7-row window at both
-//! tiers — the per-forward node floor as a tracked number.
+//! `SharedModel::fit_windows` runs), `fit_epoch_nsbench`, one whole
+//! `fit_windows` epoch over a cluster's worth of segments, and
+//! `infer_nsbench`, one served forward (`Session::forward`) of a 20- and a
+//! 7-row window at both tiers — the per-forward node floor as a tracked
+//! number.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use nodesentry_core::{SharedModel, SharingConfig};
 use ns_linalg::matrix::Matrix;
 use ns_nn::{
     sinusoidal_pe, Adam, BlockKind, Graph, ParamStore, ReconstructionTransformer, Session, Tape,
@@ -74,6 +77,7 @@ fn bench_model(c: &mut Criterion) {
     }
     let (params, model) = nsbench_model();
     train_window(&mut group, &params, &model);
+    fit_epoch_nsbench(&mut group);
     infer_nsbench::<f64>(&mut group, &params, &model, "f64");
     infer_nsbench::<f32>(&mut group, &params, &model, "f32");
     group.finish();
@@ -155,6 +159,25 @@ fn train_window(
             g.backward_into(l, &mut grads);
             tape = g.into_tape();
         })
+    });
+}
+
+/// One `SharedModel::fit_windows` epoch at nsbench's model shape
+/// (`SharingConfig::default()`, 141 metrics) over `k_nearest` segments of
+/// 24–42 rows, 27 windows at the default window and stride: what the fit
+/// does per cluster and epoch, with the batch fanned over the pool.
+fn fit_epoch_nsbench(group: &mut criterion::BenchmarkGroup) {
+    let cfg = SharingConfig {
+        epochs: 1,
+        ..Default::default()
+    };
+    let segments: Vec<Matrix> = (0..cfg.k_nearest)
+        .map(|s| Matrix::from_fn(24 + 2 * s, 141, |r, m| ((r * 3 + m + s) as f64 * 0.1).sin()))
+        .collect();
+    let refs: Vec<&Matrix> = segments.iter().collect();
+    let mut shared = SharedModel::train(&cfg, &refs);
+    group.bench_function("fit_epoch_nsbench", |b| {
+        b.iter(|| shared.fit_windows(&refs, 1))
     });
 }
 

@@ -21,13 +21,25 @@
 use nodesentry_core::{NodeSentry, NodeSentryConfig};
 use ns_bench::{evaluate_flags, write_bench_json, write_json, DatasetSource};
 use ns_eval::metrics::interval_mask;
-use ns_stream::{Engine, EngineConfig, Tick};
+use ns_stream::{Engine, EngineConfig, FaultCounters, Tick};
 use ns_telemetry::{DatasetProfile, FaultInjector, FaultPlan, FaultPlanSpec, ALL_FAULTS};
 use serde_json::json;
 use std::sync::Arc;
 
 const RATES: [f64; 3] = [0.02, 0.05, 0.10];
 const N_SHARDS: usize = 3;
+
+/// Every fault counter as a JSON object keyed by its class name — the
+/// one shape of a cell's `counters` and of the BENCH record's `faults`.
+fn counters_json(faults: &FaultCounters) -> serde_json::Value {
+    serde_json::Value::Object(
+        faults
+            .as_pairs()
+            .iter()
+            .map(|&(class, v)| (class.to_string(), serde_json::to_value(&v)))
+            .collect(),
+    )
+}
 
 fn engine_cfg(split: usize) -> EngineConfig {
     let mut cfg = EngineConfig::new(split);
@@ -184,18 +196,6 @@ fn main() {
                 faults.suppressed_verdicts,
                 faults.quarantined_nodes,
             );
-            let counters = json!({
-                "late_ticks": faults.late_ticks,
-                "duplicate_ticks": faults.duplicate_ticks,
-                "reordered_ticks": faults.reordered_ticks,
-                "synthesized_rows": faults.synthesized_rows,
-                "nan_rows": faults.nan_rows,
-                "counter_resets": faults.counter_resets,
-                "stuck_rows": faults.stuck_rows,
-                "blackouts": faults.blackouts,
-                "degraded_verdicts": faults.degraded_verdicts,
-                "suppressed_verdicts": faults.suppressed_verdicts,
-            });
             records.push(json!({
                 "class": format!("{kind:?}"),
                 "rate": rate,
@@ -205,7 +205,7 @@ fn main() {
                 "recall_drop": base.recall - cell.recall,
                 "outside_precision": cell.outside_precision,
                 "outside_recall": cell.outside_recall,
-                "counters": counters,
+                "counters": counters_json(&faults),
             }));
         }
     }
@@ -229,13 +229,6 @@ fn main() {
         reg.histogram_quantile(ns_stream::metrics::POINT_SECONDS, &[], q)
             .unwrap_or(0.0)
     };
-    let faults = serde_json::Value::Object(
-        total_faults
-            .as_pairs()
-            .iter()
-            .map(|&(class, v)| (class.to_string(), serde_json::to_value(&v)))
-            .collect(),
-    );
     let point_latency = json!({
         "p50_ms": q(0.50) * 1e3,
         "p90_ms": q(0.90) * 1e3,
@@ -249,7 +242,7 @@ fn main() {
             "n_shards": N_SHARDS,
             "baseline": baseline,
             "point_latency": point_latency,
-            "faults": faults,
+            "faults": counters_json(&total_faults),
         }),
     );
 

@@ -235,22 +235,7 @@ pub fn sweep_profile_d2() -> DatasetProfile {
 
 /// Write an experiment record under `target/experiments/<name>.json`.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("target/experiments");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warn: cannot create {dir:?}: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(&path, s) {
-                eprintln!("warn: cannot write {path:?}: {e}");
-            } else {
-                eprintln!("[json] wrote {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warn: serialisation failed: {e}"),
-    }
+    write_pretty("target/experiments", &format!("{name}.json"), "json", value);
 }
 
 /// Write a machine-readable benchmark record as `BENCH_<name>.json` in
@@ -259,17 +244,45 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
 /// these land where CI and regression tooling can pick them up by the
 /// `BENCH_` prefix alone.
 pub fn write_bench_json<T: Serialize>(name: &str, value: &T) {
-    let path = std::path::PathBuf::from(format!("BENCH_{name}.json"));
+    write_pretty("", &format!("BENCH_{name}.json"), "bench", value);
+}
+
+/// The one record writer: `value` as pretty JSON at `dir/file` (`dir`
+/// created first; `""` is the working directory), logged as `[tag]
+/// wrote <path>`. A failure only warns: a record is a by-product of the
+/// run, never a reason to abort it.
+fn write_pretty<T: Serialize>(dir: &str, file: &str, tag: &str, value: &T) {
+    let dir = std::path::Path::new(dir);
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("warn: cannot create {dir:?}: {e}");
+        return;
+    }
+    let path = dir.join(file);
     match serde_json::to_string_pretty(value) {
         Ok(s) => {
             if let Err(e) = std::fs::write(&path, s) {
                 eprintln!("warn: cannot write {path:?}: {e}");
             } else {
-                eprintln!("[bench] wrote {}", path.display());
+                eprintln!("[{tag}] wrote {}", path.display());
             }
         }
         Err(e) => eprintln!("warn: serialisation failed: {e}"),
     }
+}
+
+/// Best of seven samples of `iters` calls of `f` (after one warm-up
+/// call), in ns per call — the micro-benchmarks' own timing rule.
+pub fn best_ns(iters: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    (0..7)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_secs_f64() * 1e9 / iters as f64
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Print a Table 4-style row.

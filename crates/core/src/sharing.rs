@@ -6,8 +6,9 @@
 use crate::preprocess::Segment;
 use ns_linalg::matrix::Matrix;
 use ns_linalg::stats;
+use ns_nn::layers::sinusoidal_pe_divisors;
 use ns_nn::{
-    sinusoidal_pe_at, window_starts, Adam, BlockKind, GradStore, Graph, ParamStore,
+    sinusoidal_pe_at, windows, Adam, BlockKind, GradStore, Graph, ParamStore,
     ReconstructionTransformer, SessionPool, SessionPoolF32, Tape, Tier, TransformerConfig,
     WindowSpec,
 };
@@ -88,13 +89,6 @@ impl Default for SharingConfig {
     }
 }
 
-/// A training window: data slice plus its positional-encoding table.
-#[derive(Clone, Debug)]
-struct TrainWindow {
-    data: Matrix,
-    pe: Matrix,
-}
-
 /// One cluster's shared reconstruction model.
 #[derive(Serialize, Deserialize)]
 pub struct SharedModel {
@@ -149,51 +143,48 @@ pub fn mac_weights(segments: &[&Matrix]) -> Vec<f64> {
     w
 }
 
-/// Build training windows. `ranks[i]` is segment `i`'s offset rank for
-/// the segment-aware positional encoding: windows of segment `i` are
-/// encoded at `ranks[i] · SEGMENT_PE_STRIDE + in_segment_position`.
-/// Training re-randomizes the ranks every epoch so the model can tell
-/// segments apart *within* an epoch yet stays invariant to the base
-/// offset — which is what lets a fresh online segment (scored at rank 0)
-/// reconstruct as well as the training data.
-fn windows_of(segments: &[&Matrix], cfg: &SharingConfig, ranks: &[usize]) -> Vec<TrainWindow> {
-    let mut out = Vec::new();
-    for (i, seg) in segments.iter().enumerate() {
-        let t = seg.rows();
-        if t < 4 {
-            continue;
-        }
-        let w = cfg.window.min(t);
-        let base = if cfg.segment_aware_pe {
-            (ranks.get(i).copied().unwrap_or(0) * SEGMENT_PE_STRIDE) as f64
-        } else {
-            0.0
-        };
-        let mut s = 0;
-        loop {
-            let e = (s + w).min(t);
-            let start = e - w; // final window aligns to the segment end
-            let positions: Vec<f64> = (start..e)
-                .map(|r| base + r as f64 * REL_PE_SCALE / t as f64)
-                .collect();
-            out.push(TrainWindow {
-                data: seg.slice_rows(start, e),
-                pe: sinusoidal_pe_at(&positions, cfg.d_model),
-            });
-            if e == t {
-                break;
-            }
-            s += cfg.stride.max(1);
-        }
-    }
-    out
+/// The one position rule: row `r` of a `t`-row series sits at `base`
+/// plus its segment-relative position, spanning `base..base +
+/// REL_PE_SCALE`. Scoring passes `base = 0.0`, which adds nothing to the
+/// bits (`0.0 + x == x` for every `x ≥ +0.0`); training passes the
+/// segment's [`segment_base`]. (Pre-dividing the scale would not be
+/// bit-identical to `r * SCALE / t`.)
+fn rel_position(t: usize, base: f64) -> impl Fn(usize) -> f64 + Sync {
+    move |r| base + r as f64 * REL_PE_SCALE / t as f64
 }
 
-/// Segment-relative position of row `r` in a `t`-row series, spanning
-/// `0..REL_PE_SCALE`. (Pre-dividing the scale would not be bit-identical
-/// to `r * SCALE / t`.)
-fn rel_position(t: usize) -> impl Fn(usize) -> f64 + Sync {
-    move |r| r as f64 * REL_PE_SCALE / t as f64
+/// Base position of a training segment at offset rank `rank`: `rank ·
+/// SEGMENT_PE_STRIDE` with the segment-aware encoding, 0 without.
+/// Training re-randomizes the ranks every epoch so the model can tell
+/// segments apart *within* an epoch yet stays invariant to the base
+/// offset — which is what lets a fresh online segment (scored at base 0)
+/// reconstruct as well as the training data.
+fn segment_base(cfg: &SharingConfig, rank: usize) -> f64 {
+    if cfg.segment_aware_pe {
+        (rank * SEGMENT_PE_STRIDE) as f64
+    } else {
+        0.0
+    }
+}
+
+/// `data`'s windows at `stride` ([`windows`] with `window`), positioned
+/// by `pos_of` and weighted by `weights` — the windows scoring forwards
+/// (`stride = window`) and training fits (`SharingConfig::stride`).
+fn window_specs<'a>(
+    data: &'a Matrix,
+    (window, stride): (usize, usize),
+    pos_of: &'a (dyn Fn(usize) -> f64 + Sync + 'a),
+    weights: &'a [f64],
+) -> impl Iterator<Item = WindowSpec<'a>> {
+    windows(data.rows(), window, stride)
+        .into_iter()
+        .map(move |w| WindowSpec {
+            data,
+            start: w.start,
+            end: w.end,
+            pos_of,
+            weights,
+        })
 }
 
 /// Fold one window's per-row errors into its rows of a series' scores:
@@ -289,10 +280,7 @@ impl SharedModel {
     /// model's raw per-point errors on its own training data define the
     /// "normal" score distribution.
     pub fn calibrate(&mut self, segments: &[&Matrix]) {
-        let mut all: Vec<f64> = Vec::new();
-        for seg in segments {
-            all.extend(self.score_series_raw(seg));
-        }
+        let all = self.score_stacked_raw(&self.infer, segments).concat();
         if all.len() < 4 {
             return;
         }
@@ -303,9 +291,15 @@ impl SharedModel {
 
     /// (Re-)train on the given segments for `epochs` epochs. Also the
     /// incremental fine-tuning path of §3.5.
+    ///
+    /// Segments under 4 rows are skipped; the rest are tiled at
+    /// `cfg.stride`. Each task reads its window in place: it fills the
+    /// noised input, the clean target and the positional encoding into
+    /// its recycled tape, as a scoring session does.
     pub fn fit_windows(&mut self, segments: &[&Matrix], epochs: usize) {
         let cfg = self.cfg.clone();
-        let w_row = Matrix::row_vector(&self.weights);
+        let divisors = sinusoidal_pe_divisors(cfg.d_model);
+        let weights = &self.weights;
         let mut opt = Adam::new(cfg.lr);
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xF17);
         let mut ranks: Vec<usize> = (0..segments.len()).collect();
@@ -317,13 +311,25 @@ impl SharedModel {
         let mut grads = self.params.zero_grads();
         for _epoch in 0..epochs {
             // Fresh segment-offset assignment every epoch (see
-            // `windows_of` for why).
+            // `segment_base` for why).
             ranks.shuffle(&mut rng);
-            let windows = windows_of(segments, &cfg, &ranks);
-            if windows.is_empty() {
+            let pos_fns: Vec<_> = segments
+                .iter()
+                .zip(&ranks)
+                .map(|(seg, &rank)| rel_position(seg.rows(), segment_base(&cfg, rank)))
+                .collect();
+            let specs: Vec<WindowSpec> = segments
+                .iter()
+                .zip(&pos_fns)
+                .filter(|(seg, _)| seg.rows() >= 4)
+                .flat_map(|(seg, pos_of)| {
+                    window_specs(seg, (cfg.window, cfg.stride), pos_of, weights)
+                })
+                .collect();
+            if specs.is_empty() {
                 return;
             }
-            let mut order: Vec<usize> = (0..windows.len()).collect();
+            let mut order: Vec<usize> = (0..specs.len()).collect();
             order.shuffle(&mut rng);
             let epoch_key: u64 = rng.gen();
             let mut epoch_loss = 0.0;
@@ -334,13 +340,14 @@ impl SharedModel {
                 let results: Vec<(f64, GradStore)> = chunk
                     .par_iter()
                     .map(|&wi| {
-                        let win = &windows[wi];
+                        let win = &specs[wi];
                         let wgrads = spare.lock().expect("no task panicked").pop();
                         let mut wgrads = wgrads.unwrap_or_else(|| self.params.zero_grads());
                         let mut g = Graph::recycle(&self.params, Tape::take_spare());
+                        let (rows, m) = (win.end - win.start, win.data.cols());
                         // Denoising: perturbed input, clean target.
-                        let x = g.input_fill(win.data.rows(), win.data.cols(), |x| {
-                            x.copy_from_slice(win.data.as_slice());
+                        let x = g.input_fill(rows, m, |x| {
+                            x.copy_from_slice(win.values());
                             if cfg.noise_aug > 0.0 {
                                 let mut nrng = ChaCha8Rng::seed_from_u64(
                                     epoch_key ^ ((wi as u64) << 24) ^ cfg.seed,
@@ -350,9 +357,9 @@ impl SharedModel {
                                 }
                             }
                         });
-                        let target = g.input_from(&win.data);
-                        let pe = g.input_from(&win.pe);
-                        let wn = g.input_from(&w_row);
+                        let target = g.input_fill(rows, m, |t| t.copy_from_slice(win.values()));
+                        let pe = g.input_fill(rows, cfg.d_model, |pe| win.fill_pe(&divisors, pe));
+                        let wn = g.input_fill(1, m, |w| w.copy_from_slice(win.weights));
                         let loss = self.model.loss(&mut g, x, target, pe, wn);
                         g.backward_into(loss, &mut wgrads);
                         let l = g.scalar(loss);
@@ -386,18 +393,9 @@ impl SharedModel {
     /// The one-series case of [`SharedModel::score_series_batch`]: same
     /// tiling, same schedule (`score_specs`), same bits.
     pub fn score_series(&self, data: &Matrix) -> Vec<f64> {
-        let mut scores = self.score_series_raw(data);
-        self.calibrate_scores(&mut scores);
-        scores
-    }
-
-    /// Per-timestep anomaly scores for a (preprocessed) series: weighted
-    /// reconstruction error per row, evaluated over tiled windows whose
-    /// final window aligns to the series end.
-    pub fn score_series_raw(&self, data: &Matrix) -> Vec<f64> {
-        self.score_stacked_raw(&self.infer, &[data])
+        self.score_series_batch(&[data])
             .pop()
-            .unwrap_or_default()
+            .expect("one series in, one out")
     }
 
     /// Reference for [`SharedModel::score_series`]: the same scores
@@ -406,12 +404,10 @@ impl SharedModel {
     /// bit for bit.
     pub fn score_series_taped(&self, data: &Matrix) -> Vec<f64> {
         let t = data.rows();
-        let w = self.cfg.window.min(t).max(1);
         let mut scores = vec![0.0f64; t];
-        let partial: Vec<(usize, Vec<f64>)> = window_starts(t, self.cfg.window)
-            .par_iter()
-            .map(|&s| {
-                let e = (s + w).min(t);
+        let partial: Vec<(usize, Vec<f64>)> = windows(t, self.cfg.window, self.cfg.window)
+            .into_par_iter()
+            .map(|std::ops::Range { start: s, end: e }| {
                 let win = data.slice_rows(s, e);
                 let mut g = Graph::new(&self.params);
                 let x = g.input(win.clone());
@@ -464,23 +460,6 @@ impl SharedModel {
     /// is the f64 tier, compared statistically, not bitwise.
     pub fn score_series_batch_f32(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
         self.score_stacked(&self.infer32, series)
-    }
-
-    /// The window of `data` starting at row `start`.
-    fn window_spec<'a>(
-        &'a self,
-        data: &'a Matrix,
-        start: usize,
-        pos_of: &'a (dyn Fn(usize) -> f64 + Sync + 'a),
-    ) -> WindowSpec<'a> {
-        let t = data.rows();
-        WindowSpec {
-            data,
-            start,
-            end: (start + self.cfg.window.min(t).max(1)).min(t),
-            pos_of,
-            weights: &self.weights,
-        }
     }
 
     /// The one scoring schedule: cut `specs` into [`row_tasks`] for this
@@ -538,12 +517,13 @@ impl SharedModel {
     ) -> Vec<Vec<f64>> {
         // The PE position scale depends on each series' own length, so
         // every series gets its own closure.
-        let pos_fns: Vec<_> = series.iter().map(|d| rel_position(d.rows())).collect();
+        let pos_fns: Vec<_> = series.iter().map(|d| rel_position(d.rows(), 0.0)).collect();
         let mut specs: Vec<WindowSpec> = Vec::new();
         let mut owners: Vec<usize> = Vec::new();
-        for (si, data) in series.iter().enumerate() {
-            for s in window_starts(data.rows(), self.cfg.window) {
-                specs.push(self.window_spec(data, s, &pos_fns[si]));
+        let window = self.cfg.window;
+        for (si, (data, pos_of)) in series.iter().zip(&pos_fns).enumerate() {
+            for spec in window_specs(data, (window, window), pos_of, &self.weights) {
+                specs.push(spec);
                 owners.push(si);
             }
         }
@@ -707,35 +687,20 @@ mod tests {
 
     #[test]
     fn segment_aware_pe_changes_offsets() {
-        let segs = [pattern_segment(24, 2, 0.4), pattern_segment(24, 2, 0.4)];
-        let refs: Vec<&Matrix> = segs.iter().collect();
-        let ranks = [0usize, 1];
-        let aware = windows_of(
-            &refs,
-            &SharingConfig {
-                segment_aware_pe: true,
-                window: 12,
-                stride: 12,
-                ..Default::default()
-            },
-            &ranks,
-        );
-        let plain = windows_of(
-            &refs,
-            &SharingConfig {
-                segment_aware_pe: false,
-                window: 12,
-                stride: 12,
-                ..Default::default()
-            },
-            &ranks,
-        );
         // With segment-aware PE, windows of segment rank 1 are shifted by
-        // the stride; without it every segment starts at position 0, so
-        // the PE tables of the two segments' first windows coincide.
-        assert_ne!(aware[0].pe, aware[aware.len() / 2].pe);
-        assert_eq!(plain[0].pe, plain[plain.len() / 2].pe);
-        assert_eq!(aware.len(), plain.len());
+        // the stride; without it every segment starts at position 0, as a
+        // scored segment does.
+        let first_row = |segment_aware_pe: bool, rank: usize| {
+            let cfg = SharingConfig {
+                segment_aware_pe,
+                ..Default::default()
+            };
+            rel_position(24, segment_base(&cfg, rank))(0)
+        };
+        assert_eq!(first_row(true, 0), 0.0);
+        assert_eq!(first_row(true, 1), SEGMENT_PE_STRIDE as f64);
+        assert_eq!(first_row(false, 0), 0.0);
+        assert_eq!(first_row(false, 1), 0.0);
     }
 
     #[test]
@@ -795,7 +760,7 @@ mod tests {
     #[test]
     fn row_tasks_cover_in_order_within_cap_and_fill_the_width() {
         let data = Matrix::zeros(64, 1);
-        let pos = rel_position(64);
+        let pos = rel_position(64, 0.0);
         let stack = |lens: &[usize]| -> Vec<WindowSpec<'_>> {
             lens.iter()
                 .map(|&n| WindowSpec {

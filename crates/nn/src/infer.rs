@@ -27,15 +27,18 @@ use crate::params::ParamStore;
 use crate::tape::{Graph, NodeId, Tape, Tier};
 use crate::transformer::ReconstructionTransformer;
 use ns_linalg::matrix::{Mat, Matrix};
+use ns_linalg::Scalar;
+use std::ops::Range;
 use std::sync::Mutex;
 
-/// One window of a batched scoring call
-/// ([`Session::score_windows_batch`]): rows `[start, end)` of
-/// `data`, positions from `pos_of` (a per-window closure, because the
-/// position scale depends on the owning series' length and pre-dividing
-/// it would not be bit-identical), and per-metric error weights. Every
-/// field is a shared borrow and `pos_of` is `Sync`, so a slice of specs
-/// can be split across pool threads, each part scored by its own session.
+/// One window of a series: rows `[start, end)` of `data`, positions from
+/// `pos_of` (a per-series closure, because the position scale depends on
+/// the owning series' length and pre-dividing it would not be
+/// bit-identical), and per-metric error weights. Scoring hands a slice of
+/// specs to [`Session::score_windows_batch`], fine training fills one
+/// training example from each. Every field is a shared borrow and
+/// `pos_of` is `Sync`, so a slice of specs can be split across pool
+/// threads.
 pub struct WindowSpec<'a> {
     pub data: &'a Matrix,
     pub start: usize,
@@ -44,21 +47,43 @@ pub struct WindowSpec<'a> {
     pub weights: &'a [f64],
 }
 
-/// Start rows of the windows that tile a `len`-row series: steps of
-/// `min(window, len)`, plus a final window aligned to the series end when
-/// the steps leave a ragged tail. Empty for an empty series. The one
-/// tiling of scoring — the shared models' [`WindowSpec`]s and the
-/// window-level baselines alike.
-pub fn window_starts(len: usize, window: usize) -> Vec<usize> {
+impl WindowSpec<'_> {
+    /// The window's rows of `data`, row-major.
+    pub fn values(&self) -> &[f64] {
+        let m = self.data.cols();
+        &self.data.as_slice()[self.start * m..self.end * m]
+    }
+
+    /// Write the window's positional encoding into `buf`, one row of
+    /// `divisors.len()` columns per window row at `pos_of(row)` —
+    /// bit-identical to `sinusoidal_pe_at` over the same positions. The
+    /// trigonometry runs in f64 at either tier and rounds once.
+    pub fn fill_pe<T: Scalar>(&self, divisors: &[f64], buf: &mut [T]) {
+        for (r, row) in (self.start..self.end).zip(buf.chunks_exact_mut(divisors.len())) {
+            sinusoidal_pe_row((self.pos_of)(r), divisors, row);
+        }
+    }
+}
+
+/// The windows that tile a `len`-row series: ranges of `min(window, len)`
+/// rows (at least 1) starting every `stride.max(1)` rows, plus a final
+/// range aligned to the series end when the steps leave a ragged tail.
+/// Empty for an empty series. The one tiling rule: scoring and the
+/// window-level baselines pass `stride = window`, fine training its
+/// configured stride.
+pub fn windows(len: usize, window: usize, stride: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
     }
     let w = window.min(len).max(1);
-    let mut starts: Vec<usize> = (0..=len - w).step_by(w).collect();
-    if starts.last().is_some_and(|&s| s + w < len) {
-        starts.push(len - w);
+    let mut out: Vec<Range<usize>> = (0..=len - w)
+        .step_by(stride.max(1))
+        .map(|s| s..s + w)
+        .collect();
+    if out.last().is_some_and(|r| r.end < len) {
+        out.push(len - w..len);
     }
-    starts
+    out
 }
 
 /// Reusable forward-pass executor for one [`ReconstructionTransformer`],
@@ -161,12 +186,12 @@ impl<T: Tier> Session<T> {
     }
 
     /// Score `specs`, one forward per window: each fills the input from
-    /// its rows of `data`, builds the positional encoding from `pos_of`
-    /// (bit-identical to `sinusoidal_pe_at`), reconstructs, and appends
-    /// its per-row weighted reconstruction errors — at `f64` the exact
-    /// arithmetic of the taped `SharedModel::score_series_taped`. Window
-    /// `b`'s errors are the `specs[b].end - specs[b].start` slots after
-    /// those of windows `0..b`; the slice is borrowed from the session.
+    /// its rows of `data` and its positional encoding
+    /// ([`WindowSpec::fill_pe`]), reconstructs, and appends its per-row
+    /// weighted reconstruction errors — at `f64` the exact arithmetic of
+    /// the taped `SharedModel::score_series_taped`. Window `b`'s errors
+    /// are the `specs[b].end - specs[b].start` slots after those of
+    /// windows `0..b`; the slice is borrowed from the session.
     ///
     /// Windows are arithmetically independent, so how a caller groups
     /// them into calls is unobservable in the output; a call is the unit
@@ -182,7 +207,6 @@ impl<T: Tier> Session<T> {
         if self.pe_divisors.len() != model.cfg.d_model {
             self.pe_divisors = sinusoidal_pe_divisors(model.cfg.d_model);
         }
-        let (d_model, divisors) = (model.cfg.d_model, &self.pe_divisors);
         for s in specs {
             let m = s.data.cols();
             assert_eq!(s.weights.len(), m, "one error weight per input column");
@@ -191,14 +215,8 @@ impl<T: Tier> Session<T> {
                 (params, &self.baked),
                 model,
                 (s.end - s.start, m),
-                |buf| round_into(buf, &s.data.as_slice()[s.start * m..s.end * m]),
-                |buf| {
-                    // The trigonometry runs in f64 at either tier and
-                    // rounds once.
-                    for (r, row) in (s.start..s.end).zip(buf.chunks_exact_mut(d_model)) {
-                        sinusoidal_pe_row((s.pos_of)(r), divisors, row);
-                    }
-                },
+                |buf| round_into(buf, s.values()),
+                |buf| s.fill_pe(&self.pe_divisors, buf),
             );
             let (x, out) = (self.tape.value(x), self.tape.value(recon));
             for r in 0..s.end - s.start {
@@ -314,12 +332,68 @@ mod tests {
         }
     }
 
+    /// The training tiling `windows` replaced, copied: steps of `stride`
+    /// from row 0, each `min(window, len)` rows, the last aligned to the
+    /// end.
+    fn training_loop(len: usize, window: usize, stride: usize) -> Vec<Range<usize>> {
+        let w = window.min(len);
+        let (mut out, mut s) = (Vec::new(), 0);
+        loop {
+            let e = (s + w).min(len);
+            out.push(e - w..e);
+            if e == len {
+                break;
+            }
+            s += stride.max(1);
+        }
+        out
+    }
+
+    /// The scoring tiling `windows` replaced, copied: `window_starts`
+    /// and the end rule its callers wrote.
+    fn scoring_tiling(len: usize, window: usize) -> Vec<Range<usize>> {
+        if len == 0 {
+            return Vec::new();
+        }
+        let w = window.min(len).max(1);
+        let mut starts: Vec<usize> = (0..=len - w).step_by(w).collect();
+        if starts.last().is_some_and(|&s| s + w < len) {
+            starts.push(len - w);
+        }
+        starts.into_iter().map(|s| s..(s + w).min(len)).collect()
+    }
+
     #[test]
-    fn window_starts_tile_and_align() {
-        assert_eq!(window_starts(10, 4), vec![0, 4, 6]);
-        assert_eq!(window_starts(8, 4), vec![0, 4]);
-        assert_eq!(window_starts(3, 4), vec![0]);
-        assert!(window_starts(0, 4).is_empty());
+    fn windows_equal_the_tilings_they_replace() {
+        for window in 1..=40 {
+            for len in 0..=300 {
+                let want = scoring_tiling(len, window);
+                assert_eq!(
+                    windows(len, window, window),
+                    want,
+                    "(len, window) {:?}",
+                    (len, window)
+                );
+                for stride in 1..=50 {
+                    let at = (len, window, stride);
+                    let got = windows(len, window, stride);
+                    if len == 0 {
+                        assert!(got.is_empty(), "{at:?}");
+                        continue;
+                    }
+                    assert_eq!(got, training_loop(len, window, stride), "{at:?}");
+                    assert!(got.iter().all(|r| r.len() == window.min(len)), "{at:?}");
+                    assert!(got.windows(2).all(|p| p[0].start < p[1].start), "{at:?}");
+                    assert_eq!((got[0].start, got[got.len() - 1].end), (0, len), "{at:?}");
+                    // No row is skipped unless the steps outrun the window.
+                    if stride <= window {
+                        assert!(got.windows(2).all(|p| p[1].start <= p[0].end), "{at:?}");
+                    }
+                }
+            }
+        }
+        assert_eq!(windows(10, 4, 4), [0..4, 4..8, 6..10]);
+        assert_eq!(windows(3, 4, 4), vec![0..3]);
     }
 
     fn window(t: usize, m: usize, phase: f64) -> Matrix {

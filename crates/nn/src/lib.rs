@@ -43,7 +43,7 @@ pub mod transformer;
 pub mod vae;
 
 pub use infer::{
-    window_starts, InferenceSession, InferenceSessionF32, Session, SessionPool, SessionPoolF32,
+    windows, InferenceSession, InferenceSessionF32, Session, SessionPool, SessionPoolF32,
     WindowSpec,
 };
 pub use layers::{

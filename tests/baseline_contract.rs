@@ -77,6 +77,36 @@ fn all_baselines_fit_and_score() {
     }
 }
 
+/// Each baseline's scores of both `easy_nodes`, pinned by FNV-1a over
+/// their bits: the baselines' tiling and thinning cannot move a window
+/// without this failing.
+#[test]
+fn baseline_score_bits_are_pinned() {
+    let (nodes, split, _, _) = easy_nodes();
+    let digests: Vec<String> = detectors()
+        .into_iter()
+        .map(|mut det| {
+            det.fit(&nodes, split);
+            let mut h = nodesentry::wire::FNV_OFFSET;
+            for (n, data) in nodes.iter().enumerate() {
+                for s in det.score_node(n, data, split) {
+                    h = nodesentry::wire::fnv1a64_from(h, &s.to_bits().to_le_bytes());
+                }
+            }
+            format!("{}:{h:016x}", det.name())
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            "Prodigy:04674f10e66fe805",
+            "RUAD:7f1f60d69f386f6d",
+            "ExaMon:5494d713adcadde6",
+            "ISC 20:f50bc92085fdfb6d",
+        ]
+    );
+}
+
 #[test]
 fn baseline_names_match_table4_rows() {
     let names: Vec<&str> = detectors().iter().map(|d| d.name()).collect();
