@@ -9,8 +9,7 @@ use ns_linalg::stats;
 use ns_nn::layers::sinusoidal_pe_divisors;
 use ns_nn::{
     sinusoidal_pe_at, windows, Adam, BlockKind, GradStore, Graph, ParamStore,
-    ReconstructionTransformer, SessionPool, SessionPoolF32, Tape, Tier, TransformerConfig,
-    WindowSpec,
+    ReconstructionTransformer, Session, Tape, Tier, TransformerConfig, WindowSpec,
 };
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -106,15 +105,6 @@ pub struct SharedModel {
     /// clusters' models are directly comparable on one node's timeline.
     pub score_mean: f64,
     pub score_std: f64,
-    /// Pool of this model's scoring sessions. Pure cache: serialized as
-    /// null, deserialized empty.
-    pub infer: SessionPool,
-    /// The same pool at `f32`, for the opt-in precision tier. Pure cache
-    /// like `infer`; its sessions keep this model's baked f32 weights
-    /// warm, invalidated by the store version on use — which is why the
-    /// pool is per model (`ParamStore::version` does not tell two
-    /// equally-trained models apart).
-    pub infer32: SessionPoolF32,
 }
 
 /// Compute WMSE weights from Mean Absolute Change over the cluster's
@@ -268,8 +258,6 @@ impl SharedModel {
             loss_history: Vec::new(),
             score_mean: 0.0,
             score_std: 1.0,
-            infer: SessionPool::new(),
-            infer32: SessionPoolF32::new(),
         };
         shared.fit_windows(segments, cfg.epochs);
         shared.calibrate(segments);
@@ -280,7 +268,7 @@ impl SharedModel {
     /// model's raw per-point errors on its own training data define the
     /// "normal" score distribution.
     pub fn calibrate(&mut self, segments: &[&Matrix]) {
-        let all = self.score_stacked_raw(&self.infer, segments).concat();
+        let all = self.score_stacked_raw::<f64>(segments).concat();
         if all.len() < 4 {
             return;
         }
@@ -450,23 +438,23 @@ impl SharedModel {
     /// (`crates/nn/tests/infer_batch_equivalence.rs`), and the merge runs
     /// on the caller in input order.
     pub fn score_series_batch(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
-        self.score_stacked(&self.infer, series)
+        self.score_stacked::<f64>(series)
     }
 
     /// f32-tier [`SharedModel::score_series_batch`]: same schedule,
     /// merge and f64 calibration arithmetic on the widened errors; only
-    /// the forward pass runs in f32 (through a pooled
-    /// [`ns_nn::InferenceSessionF32`] with baked weights). Its reference
+    /// the forward pass runs in f32 (an [`ns_nn::InferenceSessionF32`]
+    /// over the store's own f32 copy of the weights). Its reference
     /// is the f64 tier, compared statistically, not bitwise.
     pub fn score_series_batch_f32(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
-        self.score_stacked(&self.infer32, series)
+        self.score_stacked::<f32>(series)
     }
 
     /// The one scoring schedule: cut `specs` into [`row_tasks`] for this
     /// thread's pool width, run the tasks with the pool's ordered
-    /// `par_iter` — each acquires a session from `pool` (whose scalar is
-    /// the precision tier), scores its windows and releases the session
-    /// — and hand each window's per-row errors to
+    /// `par_iter` — each builds a [`Session`] at the precision tier `T`
+    /// around a spare tape, scores its windows and parks the tape — and
+    /// hand each window's per-row errors to
     /// `sink(window index, errors)` on the caller, in input order.
     ///
     /// A task caps its own thread to width 1 for the forward: the pool is
@@ -477,22 +465,17 @@ impl SharedModel {
     /// back to back on the caller. Windows are arithmetically independent
     /// and results come back in input order, so neither the width nor the
     /// grouping can reach a score bit.
-    fn score_specs<T: Tier>(
-        &self,
-        pool: &SessionPool<T>,
-        specs: &[WindowSpec<'_>],
-        mut sink: impl FnMut(usize, &[f64]),
-    ) {
+    fn score_specs<T: Tier>(&self, specs: &[WindowSpec<'_>], mut sink: impl FnMut(usize, &[f64])) {
         let tasks = row_tasks(specs, rayon::current_num_threads());
         let errs: Vec<Vec<f64>> = tasks
             .par_iter()
             .map(|task| {
                 rayon::with_thread_parallelism_cap(Some(1), || {
-                    let mut sess = pool.acquire();
+                    let mut sess = Session::<T>::take_spare();
                     let errs = sess
                         .score_windows_batch(&self.params, &self.model, &specs[task.clone()])
                         .to_vec();
-                    pool.release(sess);
+                    sess.park();
                     errs
                 })
             })
@@ -510,11 +493,7 @@ impl SharedModel {
     /// Raw (uncalibrated) scores of every series: list every window of
     /// every series for one [`SharedModel::score_specs`] call and
     /// max-merge the errors back per series.
-    fn score_stacked_raw<T: Tier>(
-        &self,
-        pool: &SessionPool<T>,
-        series: &[&Matrix],
-    ) -> Vec<Vec<f64>> {
+    fn score_stacked_raw<T: Tier>(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
         // The PE position scale depends on each series' own length, so
         // every series gets its own closure.
         let pos_fns: Vec<_> = series.iter().map(|d| rel_position(d.rows(), 0.0)).collect();
@@ -528,7 +507,7 @@ impl SharedModel {
             }
         }
         let mut out: Vec<Vec<f64>> = series.iter().map(|d| vec![0.0f64; d.rows()]).collect();
-        self.score_specs(pool, &specs, |i, errs| {
+        self.score_specs::<T>(&specs, |i, errs| {
             merge_max(&mut out[owners[i]][specs[i].start..specs[i].end], errs);
         });
         out
@@ -536,8 +515,8 @@ impl SharedModel {
 
     /// Both tiers' `score_series_batch`: [`SharedModel::score_stacked_raw`],
     /// calibrated.
-    fn score_stacked<T: Tier>(&self, pool: &SessionPool<T>, series: &[&Matrix]) -> Vec<Vec<f64>> {
-        let mut out = self.score_stacked_raw(pool, series);
+    fn score_stacked<T: Tier>(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
+        let mut out = self.score_stacked_raw::<T>(series);
         for sc in &mut out {
             self.calibrate_scores(sc);
         }
@@ -825,13 +804,12 @@ mod tests {
         }
     }
 
-    /// The `f32` bake is keyed by `ParamStore::version`, a per-store
-    /// step counter: two models trained alike share it while their
-    /// weights differ. Each model's pool owns its bakes, so alternating
+    /// Two models trained alike share every step count while their
+    /// weights differ. Each store owns its f32 copy, so alternating
     /// between them on one thread — through one and the same spare tape
     /// — still serves each its own weights.
     #[test]
-    fn f32_bake_is_per_model_when_versions_collide() {
+    fn f32_copy_is_per_model_for_equally_trained_models() {
         let mut cfg = quick_cfg();
         cfg.epochs = 3;
         let train = |freq: f64| {
@@ -839,7 +817,7 @@ mod tests {
             SharedModel::train(&cfg, &segs.iter().collect::<Vec<_>>())
         };
         let (a, b) = (train(0.3), train(0.9));
-        assert_eq!(a.params.version(), b.params.version());
+        assert_eq!(a.loss_history.len(), b.loss_history.len());
         assert_ne!(a.params.get(0), b.params.get(0), "models must differ");
         let series = pattern_segment(40, 3, 0.5);
         let bits = |m: &SharedModel| {
@@ -847,7 +825,7 @@ mod tests {
             scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         };
         // Training is deterministic: a second fit is the same model with
-        // cold pools, so its first score bakes afresh.
+        // a cold f32 copy, so its first score builds one afresh.
         let (want_a, want_b) = (bits(&train(0.3)), bits(&train(0.9)));
         assert_ne!(want_a, want_b);
         rayon::with_thread_parallelism_cap(Some(1), || {

@@ -313,7 +313,7 @@ impl<T: Scalar> Mat<T> {
 
     /// Refill from an `f64` matrix in place, rounding each element to `T`
     /// and reusing the allocation — how weights enter the `f32` tier: once
-    /// per store version, never per forward.
+    /// per store mutation, never per forward.
     pub fn copy_from_f64(&mut self, src: &Matrix) {
         self.rows = src.rows;
         self.cols = src.cols;

@@ -10,17 +10,16 @@
 //! `Session<f64>`, the bit-pinned default; [`InferenceSessionF32`] the
 //! opt-in tier that halves memory traffic.
 //!
-//! A session owns only what is per tier and per call: the tier's weight
-//! bake and its version (see [`Tier`]; empty at `f64`, which reads the
-//! store live), the rounding of inputs and positional encodings to `T` on
-//! entry, and the weighted-error reduction — summed in `T`, widened on
-//! exit. The bake is owned **per model**: it is keyed by
-//! [`ParamStore::version`], a per-store counter that two models trained
-//! for the same number of steps share, so a bake shared across models
-//! would serve one model's weights to the other. The tape holds no model
-//! state and is ≈ 10× a mirror session's scratch, so a [`SessionPool`]
-//! lends each task one of the process's spare tapes
-//! ([`Tape::take_spare`]) instead of keeping one per model.
+//! A session owns only what is per tier and per call: the rounding of
+//! inputs and positional encodings to `T` on entry, and the
+//! weighted-error reduction — summed in `T`, widened on exit. It owns no
+//! weights: `f64` reads the store live and `f32` reads the store's own
+//! copy ([`Tier::weights`]), which the store drops on every mutation, so
+//! one model's weights can never reach another's forward. Nor does it own
+//! its storage for long: the tape holds no model state, so a scoring task
+//! builds its session around one of the process's spare tapes
+//! ([`Session::take_spare`]) and parks it after, and warm tapes number one
+//! per concurrent task and tier however many models are served.
 
 use crate::layers::{sinusoidal_pe_divisors, sinusoidal_pe_row};
 use crate::params::ParamStore;
@@ -29,7 +28,6 @@ use crate::transformer::ReconstructionTransformer;
 use ns_linalg::matrix::{Mat, Matrix};
 use ns_linalg::Scalar;
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// One window of a series: rows `[start, end)` of `data`, positions from
 /// `pos_of` (a per-series closure, because the position scale depends on
@@ -86,25 +84,21 @@ pub fn windows(len: usize, window: usize, stride: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Reusable forward-pass executor for one [`ReconstructionTransformer`],
-/// at scalar `T`.
+/// Reusable forward-pass executor for [`ReconstructionTransformer`]s, at
+/// scalar `T`: a [`Tape`] and the calls that score into it.
 ///
-/// A session is cheap to create but expensive to warm (the first forward
-/// of each shape grows the tape, and the `f32` tier bakes its weights);
-/// keep one per worker thread — e.g. via a [`SessionPool`] — and reuse it
-/// across windows, always for the same model.
+/// A session holds no model state — every call reads the weights of the
+/// store it is given ([`Tier::weights`]) — so one session serves any
+/// model. It is cheap to create but expensive to warm (the first forward
+/// of each shape grows the tape): a scoring task builds one around a
+/// spare tape ([`Session::take_spare`]) and parks it after
+/// ([`Session::park`]).
 #[derive(Default)]
 pub struct Session<T: Tier> {
-    /// The tier's own weight copies, indexed by `ParamId` (see [`Tier`]):
-    /// always empty for `f64`.
-    baked: Vec<Mat<T>>,
-    /// Store version `baked` was taken at; `None` before first use.
-    baked_version: Option<u64>,
-    /// The storage forwards build into; results are borrowed from it.
+    /// The storage forwards build into; results are borrowed from it. Its
+    /// scoring scratch holds the error buffer and the
+    /// [`sinusoidal_pe_divisors`] of the last model width scored.
     tape: Tape<T>,
-    /// [`sinusoidal_pe_divisors`] of the model's width, computed once.
-    pe_divisors: Vec<f64>,
-    err: Vec<f64>,
 }
 
 /// One forward of `model` into `tape`: `fill_x` / `fill_pe` write the
@@ -112,13 +106,13 @@ pub struct Session<T: Tier> {
 /// to `T`. Returns the input and reconstruction nodes.
 fn reconstruct<T: Tier>(
     tape: &mut Tape<T>,
-    (params, baked): (&ParamStore, &[Mat<T>]),
+    params: &ParamStore,
     model: &ReconstructionTransformer,
     (rows, cols): (usize, usize),
     fill_x: impl FnOnce(&mut [T]),
     fill_pe: impl FnOnce(&mut [T]),
 ) -> (NodeId, NodeId) {
-    let mut g = Graph::at_tier(params, baked, std::mem::take(tape));
+    let mut g = Graph::at_tier(params, std::mem::take(tape));
     let x = g.input_fill(rows, cols, fill_x);
     let pe = g.input_fill(rows, model.cfg.d_model, fill_pe);
     let recon = model.reconstruct(&mut g, x, pe);
@@ -138,6 +132,19 @@ impl<T: Tier> Session<T> {
         Self::default()
     }
 
+    /// A session around one of the process's spare tapes
+    /// ([`Tape::take_spare`]).
+    pub fn take_spare() -> Self {
+        Self {
+            tape: Tape::take_spare(),
+        }
+    }
+
+    /// Hand the session's tape back to the spares ([`Tape::park`]).
+    pub fn park(self) {
+        self.tape.park();
+    }
+
     /// Forward of a `rows × input_dim` window with a precomputed
     /// positional-encoding table. Returns the reconstruction, borrowed
     /// from the session's tape (valid until the next call).
@@ -150,10 +157,9 @@ impl<T: Tier> Session<T> {
     ) -> &Mat<T> {
         assert_eq!(pe.rows(), x.rows(), "pe must have one row per input row");
         assert_eq!(pe.cols(), model.cfg.d_model, "pe width must equal d_model");
-        T::bake(&mut self.baked, &mut self.baked_version, params);
         let (_, recon) = reconstruct(
             &mut self.tape,
-            (params, &self.baked),
+            params,
             model,
             x.shape(),
             |buf| round_into(buf, x.as_slice()),
@@ -202,21 +208,24 @@ impl<T: Tier> Session<T> {
         model: &ReconstructionTransformer,
         specs: &[WindowSpec<'_>],
     ) -> &[f64] {
-        self.err.clear();
-        T::bake(&mut self.baked, &mut self.baked_version, params);
-        if self.pe_divisors.len() != model.cfg.d_model {
-            self.pe_divisors = sinusoidal_pe_divisors(model.cfg.d_model);
+        let d_model = model.cfg.d_model;
+        if self.tape.pe_divisors.len() != d_model {
+            self.tape.pe_divisors = sinusoidal_pe_divisors(d_model);
         }
+        // Both ride in the tape, which every forward lends to a graph.
+        let divisors = std::mem::take(&mut self.tape.pe_divisors);
+        let mut err = std::mem::take(&mut self.tape.err);
+        err.clear();
         for s in specs {
             let m = s.data.cols();
             assert_eq!(s.weights.len(), m, "one error weight per input column");
             let (x, recon) = reconstruct(
                 &mut self.tape,
-                (params, &self.baked),
+                params,
                 model,
                 (s.end - s.start, m),
                 |buf| round_into(buf, s.values()),
-                |buf| s.fill_pe(&self.pe_divisors, buf),
+                |buf| s.fill_pe(&divisors, buf),
             );
             let (x, out) = (self.tape.value(x), self.tape.value(recon));
             for r in 0..s.end - s.start {
@@ -228,10 +237,12 @@ impl<T: Tier> Session<T> {
                     .map(|((&a, &o), &w)| T::from_f64(w) * (a - o) * (a - o))
                     .sum::<T>()
                     / T::from_f64(m.max(1) as f64);
-                self.err.push(e.to_f64());
+                err.push(e.to_f64());
             }
         }
-        &self.err
+        self.tape.pe_divisors = divisors;
+        self.tape.err = err;
+        &self.tape.err
     }
 }
 
@@ -240,78 +251,6 @@ pub type InferenceSession = Session<f64>;
 
 /// The opt-in reduced-precision tier's session: the same forward at `f32`.
 pub type InferenceSessionF32 = Session<f32>;
-
-/// Thread-safe pool of one model's [`Session`]s of one tier, for scoring
-/// call sites that fan tasks out over rayon workers: a task pops a warm
-/// session (or starts a cold one), scores its windows and pushes it back,
-/// so the pool settles at one session per thread that ever scored at the
-/// same time — the pool's width plus its callers. A parked session keeps
-/// its `f32` bake warm (the version check on every call makes a stale one
-/// self-heal) but not a tape: [`SessionPool::acquire`] lends it one of
-/// the process's spares ([`Tape::take_spare`]) and
-/// [`SessionPool::release`] parks that again, so warm tapes number one
-/// per concurrent task and tier however many models are served.
-#[derive(Default)]
-pub struct SessionPool<T: Tier = f64> {
-    pool: Mutex<Vec<Session<T>>>,
-}
-
-/// The `f32` tier's [`SessionPool`].
-pub type SessionPoolF32 = SessionPool<f32>;
-
-/// Upper bound on pooled sessions — more than any sane rayon pool width;
-/// beyond it released sessions are simply dropped.
-const POOL_CAP: usize = 64;
-
-impl<T: Tier> SessionPool<T> {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pop a warm session, or create a cold one if the pool is empty, and
-    /// hand it a spare tape.
-    pub fn acquire(&self) -> Session<T> {
-        let mut session: Session<T> = self
-            .pool
-            .lock()
-            .map(|mut p| p.pop())
-            .unwrap_or(None)
-            .unwrap_or_default();
-        session.tape = Tape::take_spare();
-        session
-    }
-
-    /// Return a session for reuse, its tape to the spares.
-    pub fn release(&self, mut session: Session<T>) {
-        std::mem::take(&mut session.tape).park();
-        if let Ok(mut p) = self.pool.lock() {
-            if p.len() < POOL_CAP {
-                p.push(session);
-            }
-        }
-    }
-
-    /// Sessions currently parked in the pool.
-    pub fn warm(&self) -> usize {
-        self.pool.lock().map(|p| p.len()).unwrap_or(0)
-    }
-}
-
-/// Serialized as `Null`: warm sessions are pure caches, rebuilt on demand.
-impl<T: Tier> serde::Serialize for SessionPool<T> {
-    fn emit<S: serde::Sink>(&self, sink: &mut S) {
-        sink.null()
-    }
-}
-
-/// Deserializes from anything (including a missing field) to an empty
-/// pool — sessions re-bake lazily on first use.
-impl<T: Tier> serde::Deserialize for SessionPool<T> {
-    fn read<'de, S: serde::Source<'de>>(src: &mut S) -> Result<Self, serde::Error> {
-        src.skip()?;
-        Ok(Self::default())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -488,9 +427,9 @@ mod tests {
 
     /// One body for both tiers: a mutation through the store's only
     /// mutable path reaches the very next forward — `f64` reads the store
-    /// live, `f32` re-bakes on the version bump — and what it then serves
-    /// is what a cold session computes. Returns the fixture and that
-    /// post-mutation output.
+    /// live, `f32` rebuilds the store's copy after the mutation dropped it
+    /// — and what it then serves is what a cold session over a cold store
+    /// computes. Returns the fixture and that post-mutation output.
     fn mutation_reaches_next_forward<T: Tier>() -> (
         ParamStore,
         ReconstructionTransformer,
@@ -504,20 +443,21 @@ mod tests {
         let pe = sinusoidal_pe(6, 8, 0);
         let mut sess = Session::<T>::new();
         let before = sess.forward(&params, &model, &x, &pe).clone();
-        // White box, `f32` only (`baked` stays empty at `f64`): against an
-        // unchanged store version a warm forward serves the bake it has,
-        // so a tampered copy stays tampered.
-        if let Some(w) = sess.baked.get_mut(model.decoder.w) {
-            w.map_inplace(|v| v + T::ONE);
+        // White box, `f32` only (`f64` has no copy): an unmutated store
+        // serves the copy it has, so a tampered copy stays tampered.
+        if let Some(w) = params.f32_copy_mut(model.decoder.w) {
+            w.map_inplace(|v| v + 1.0);
             let served = sess.forward(&params, &model, &x, &pe);
-            assert_ne!(*served, before, "re-baked against an unchanged store");
+            assert_ne!(*served, before, "rebuilt against an unmutated store");
         }
         // Nudge one weight through the only mutation path.
         params.get_mut(model.decoder.w).map_inplace(|v| v + 0.25);
         let after = sess.forward(&params, &model, &x, &pe).clone();
         assert_ne!(before, after, "session ignored a param mutation");
+        // Cold on both sides: a new session over a clone, which starts
+        // without the store's copy.
         let cold = Session::<T>::new()
-            .forward(&params, &model, &x, &pe)
+            .forward(&params.clone(), &model, &x, &pe)
             .clone();
         assert_eq!(after, cold, "stale weights survived the mutation");
         (params, model, x, pe, after)

@@ -26,10 +26,11 @@
 //! * [`vae`] — variational autoencoder (Prodigy baseline).
 //! * [`infer`] — scoring sessions: [`infer::Session`] runs the
 //!   transformer's one description into a recycled tape with zero
-//!   steady-state heap allocations, and owns what is per tier — the `f32`
-//!   weights baked once per [`params::ParamStore::version`], input
-//!   rounding, the error reduction. [`infer::InferenceSession`] (`f64`)
-//!   is the taped forward; [`infer::InferenceSessionF32`] the same at `f32`.
+//!   steady-state heap allocations, and owns what is per tier — input
+//!   rounding, the error reduction. Weights come from the store: `f64`
+//!   reads its matrices, `f32` the copy the store rounds on first use and
+//!   drops on every mutation. [`infer::InferenceSession`] (`f64`) is the
+//!   taped forward; [`infer::InferenceSessionF32`] the same at `f32`.
 
 pub mod gradcheck;
 pub mod infer;
@@ -42,10 +43,7 @@ pub mod tape;
 pub mod transformer;
 pub mod vae;
 
-pub use infer::{
-    windows, InferenceSession, InferenceSessionF32, Session, SessionPool, SessionPoolF32,
-    WindowSpec,
-};
+pub use infer::{windows, InferenceSession, InferenceSessionF32, Session, WindowSpec};
 pub use layers::{
     sinusoidal_pe, sinusoidal_pe_at, FeedForward, LayerNorm, Linear, MultiHeadAttention,
 };

@@ -3,31 +3,63 @@
 //! Training loops build a [`crate::tape::Graph`] per example, so the
 //! learnable state lives here: a flat arena of named matrices, plus an
 //! aligned [`GradStore`] that accumulates gradients across a (possibly
-//! rayon-parallel) batch before an optimizer step.
+//! rayon-parallel) batch before an optimizer step. The store also owns
+//! the `f32` scoring tier's copy of its weights (see [`ParamStore`]).
 
-use ns_linalg::matrix::Matrix;
+use ns_linalg::matrix::{Mat, Matrix};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Index of a parameter inside a [`ParamStore`].
 pub type ParamId = usize;
 
 /// Named, ordered collection of learnable matrices.
+///
+/// It also owns the `f32` tier's copy of those matrices: built on the
+/// first `f32` read, once however many threads read at once, and dropped
+/// by every mutation ([`ParamStore::get_mut`], [`ParamStore::add`]), so it
+/// always matches the values it was rounded from and needs no key.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ParamStore {
     values: Vec<Matrix>,
     names: Vec<String>,
     rng: u64,
-    /// Mutation stamp, bumped by every [`ParamStore::get_mut`] — i.e. on
-    /// every optimizer step. Lets callers that derive state from the
-    /// parameters (caches, checkpointers) detect updates cheaply. The
-    /// `f32` tier's weight bake is such a caller (see [`crate::tape::Tier`]); the `f64`
-    /// tier reads the store live and never looks at it. It counts
-    /// mutations of *this* store: two stores stepped equally often share
-    /// it, so it identifies nothing across stores.
-    version: u64,
+    f32_weights: F32Weights,
+}
+
+/// The lazily built `f32` copy of a store's values.
+#[derive(Debug, Default)]
+struct F32Weights {
+    copy: OnceLock<Vec<Mat<f32>>>,
+    /// How many times this store has built its copy.
+    #[cfg(test)]
+    builds: std::sync::atomic::AtomicUsize,
+}
+
+/// A clone starts cold: its first `f32` read builds its own copy.
+impl Clone for F32Weights {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+/// Serialized as `Null`: the copy is a pure cache, rebuilt on demand.
+impl serde::Serialize for F32Weights {
+    fn emit<S: serde::Sink>(&self, sink: &mut S) {
+        sink.null()
+    }
+}
+
+/// Deserializes from anything (including a missing field) to a cold
+/// copy — the first `f32` read rebuilds it.
+impl serde::Deserialize for F32Weights {
+    fn read<'de, S: serde::Source<'de>>(src: &mut S) -> Result<Self, serde::Error> {
+        src.skip()?;
+        Ok(Self::default())
+    }
 }
 
 impl ParamStore {
@@ -37,7 +69,7 @@ impl ParamStore {
             values: Vec::new(),
             names: Vec::new(),
             rng: seed,
-            version: 0,
+            f32_weights: F32Weights::default(),
         }
     }
 
@@ -54,6 +86,7 @@ impl ParamStore {
 
     /// Register a parameter with explicit initial value.
     pub fn add(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
+        self.f32_weights.copy.take();
         self.values.push(value);
         self.names.push(name.into());
         self.values.len() - 1
@@ -102,14 +135,39 @@ impl ParamStore {
     }
 
     pub fn get_mut(&mut self, id: ParamId) -> &mut Matrix {
-        self.version = self.version.wrapping_add(1);
+        self.f32_weights.copy.take();
         &mut self.values[id]
     }
 
-    /// Current mutation stamp (see the `version` field). Changes whenever
-    /// any parameter is borrowed mutably.
-    pub fn version(&self) -> u64 {
-        self.version
+    /// Every parameter, indexed by [`ParamId`].
+    pub(crate) fn values(&self) -> &[Matrix] {
+        &self.values
+    }
+
+    /// Every parameter rounded to `f32`, indexed by [`ParamId`]: the
+    /// store's own copy, built on first use.
+    pub(crate) fn values_f32(&self) -> &[Mat<f32>] {
+        self.f32_weights.copy.get_or_init(|| {
+            #[cfg(test)]
+            self.f32_weights
+                .builds
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.values
+                .iter()
+                .map(|m| {
+                    let mut w = Mat::default();
+                    w.copy_from_f64(m);
+                    w
+                })
+                .collect()
+        })
+    }
+
+    /// White box for tests: parameter `id` of the built `f32` copy, if
+    /// there is one, borrowed without dropping it.
+    #[cfg(test)]
+    pub(crate) fn f32_copy_mut(&mut self, id: ParamId) -> Option<&mut Mat<f32>> {
+        self.f32_weights.copy.get_mut().map(|copy| &mut copy[id])
     }
 
     pub fn name(&self, id: ParamId) -> &str {
@@ -197,15 +255,137 @@ impl GradStore {
 mod tests {
     use super::*;
 
+    use crate::infer::Session;
+    use crate::layers::sinusoidal_pe;
+    use crate::tape::Tier;
+    use crate::transformer::{BlockKind, ReconstructionTransformer, TransformerConfig};
+    use rayon::prelude::*;
+    use std::sync::atomic::Ordering;
+
+    fn model(seed: u64) -> (ParamStore, ReconstructionTransformer) {
+        let mut params = ParamStore::new(seed);
+        let cfg = TransformerConfig {
+            input_dim: 3,
+            d_model: 8,
+            n_heads: 2,
+            n_layers: 1,
+            hidden: 16,
+            block: BlockKind::Moe {
+                n_experts: 2,
+                top_k: 1,
+            },
+            aux_weight: 0.01,
+        };
+        let model = ReconstructionTransformer::new(&mut params, cfg);
+        (params, model)
+    }
+
+    fn builds(p: &ParamStore) -> usize {
+        p.f32_weights.builds.load(Ordering::Relaxed)
+    }
+
+    /// The store's `f32` forward of a fixed window, as bits.
+    fn f32_bits(params: &ParamStore, model: &ReconstructionTransformer) -> Vec<u32> {
+        let x = Matrix::from_fn(7, 3, |r, c| ((r * 3 + c) as f64 * 0.37).sin());
+        let pe = sinusoidal_pe(7, 8, 0);
+        let mut sess = Session::<f32>::new();
+        let out = sess.forward(params, model, &x, &pe);
+        out.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn version_bumps_on_mutable_access_only() {
-        let mut p = ParamStore::new(1);
-        let w = p.xavier("w", 2, 2);
-        let v0 = p.version();
-        let _ = p.get(w);
-        assert_eq!(p.version(), v0, "read-only access must not bump");
-        p.get_mut(w).map_inplace(|x| x + 1.0);
-        assert_ne!(p.version(), v0, "get_mut must bump the stamp");
+    fn f32_copy_is_built_once_and_kept_across_reads() {
+        let (p, model) = model(3);
+        assert_eq!(builds(&p), 0, "a new store starts cold");
+        let first = f32_bits(&p, &model);
+        let at = f32::weights(&p).as_ptr();
+        let _ = p.get(0);
+        assert_eq!(f32_bits(&p, &model), first);
+        assert_eq!(
+            f32::weights(&p).as_ptr(),
+            at,
+            "one allocation serves every forward"
+        );
+        assert_eq!(builds(&p), 1);
+        assert_eq!(f32::weights(&p).len(), p.len());
+        for (id, w) in f32::weights(&p).iter().enumerate() {
+            let want: Vec<f32> = p.get(id).as_slice().iter().map(|&v| v as f32).collect();
+            assert_eq!(w.as_slice(), &want[..], "param {id}");
+        }
+    }
+
+    #[test]
+    fn f32_copy_is_rebuilt_after_get_mut_and_add() {
+        let (mut p, model) = model(4);
+        let before = f32_bits(&p, &model);
+        p.get_mut(model.decoder.w).map_inplace(|v| v + 0.25);
+        assert!(p.f32_weights.copy.get().is_none(), "get_mut drops the copy");
+        let after = f32_bits(&p, &model);
+        assert_ne!(after, before, "the mutation reaches the next f32 forward");
+        assert_eq!(builds(&p), 2);
+        let mut fresh = p.clone();
+        assert_eq!(
+            f32_bits(&fresh, &model),
+            after,
+            "a cold clone rebuilds the same copy"
+        );
+        let id = fresh.zeros("extra", 1, 2);
+        assert!(fresh.f32_weights.copy.get().is_none(), "add drops the copy");
+        assert_eq!(f32::weights(&fresh).len(), id + 1);
+        assert_eq!(f32::weights(&fresh)[id].shape(), (1, 2));
+        assert_eq!(builds(&fresh), 2);
+    }
+
+    #[test]
+    fn json_round_trip_carries_no_copy_and_scores_bit_equal_at_f32() {
+        let (p, model) = model(5);
+        let want = f32_bits(&p, &model);
+        let json = serde_json::to_string(&p).expect("store serializes");
+        assert!(
+            json.contains(r#""f32_weights":null"#),
+            "the copy is not written"
+        );
+        let back: ParamStore = serde_json::from_str(&json).expect("store deserializes");
+        assert!(
+            back.f32_weights.copy.get().is_none(),
+            "a loaded store starts cold"
+        );
+        assert_eq!(f32_bits(&back, &model), want);
+        assert_eq!(builds(&back), 1);
+    }
+
+    #[test]
+    fn cold_store_scored_from_several_pool_threads_bakes_once() {
+        let (p, model) = model(6);
+        let data = Matrix::from_fn(40, 3, |r, c| ((r + 5 * c) as f64 * 0.21).cos());
+        rayon::set_thread_count_override(Some(4));
+        let tasks: Vec<(usize, Vec<u64>)> = (0..16usize)
+            .into_par_iter()
+            .map(|i| {
+                let mut sess = Session::<f32>::take_spare();
+                let (start, end) = (i * 2, i * 2 + 8);
+                let errs = sess
+                    .score_window(&p, &model, &data, start, end, |r| r as f64, &[1.0; 3])
+                    .iter()
+                    .map(|e| e.to_bits())
+                    .collect();
+                sess.park();
+                (f32::weights(&p).as_ptr() as usize, errs)
+            })
+            .collect();
+        rayon::set_thread_count_override(None);
+        assert_eq!(builds(&p), 1, "the copy was built once");
+        assert!(tasks.iter().all(|(at, _)| *at == tasks[0].0));
+        for (i, (_, errs)) in tasks.iter().enumerate() {
+            let mut sess = Session::<f32>::new();
+            let (start, end) = (i * 2, i * 2 + 8);
+            let want: Vec<u64> = sess
+                .score_window(&p, &model, &data, start, end, |r| r as f64, &[1.0; 3])
+                .iter()
+                .map(|e| e.to_bits())
+                .collect();
+            assert_eq!(*errs, want, "task {i}");
+        }
     }
 
     #[test]

@@ -34,25 +34,19 @@ use std::sync::{Mutex, PoisonError};
 /// their weights, and where the tier's spare tapes wait. Implemented for
 /// `f64` and `f32` and, since [`Scalar`] is sealed, for nothing else.
 pub trait Tier: Scalar {
-    /// Bring a tier's own weight copies (`baked`, taken at store version
-    /// `version`) up to date with `params`. The pair must only ever be
-    /// baked from one store: `version` says nothing about which.
-    fn bake(baked: &mut Vec<Mat<Self>>, version: &mut Option<u64>, params: &ParamStore);
-
-    /// Parameter `id` as this tier multiplies by it.
-    fn weight<'a>(params: &'a ParamStore, baked: &'a [Mat<Self>], id: ParamId) -> &'a Mat<Self>;
+    /// Every parameter of `params` as this tier multiplies by it, indexed
+    /// by [`ParamId`].
+    fn weights(params: &ParamStore) -> &[Mat<Self>];
 
     /// The process's warm tapes of this tier that no task is building
     /// into (see [`Tape::take_spare`]).
     fn spare_tapes() -> &'static Mutex<Vec<Tape<Self>>>;
 }
 
-/// Borrows the store's matrices live: no copy, nothing to invalidate.
+/// The store's matrices themselves: no copy, nothing to invalidate.
 impl Tier for f64 {
-    fn bake(_: &mut Vec<Matrix>, _: &mut Option<u64>, _: &ParamStore) {}
-
-    fn weight<'a>(params: &'a ParamStore, _: &'a [Matrix], id: ParamId) -> &'a Matrix {
-        params.get(id)
+    fn weights(params: &ParamStore) -> &[Matrix] {
+        params.values()
     }
 
     fn spare_tapes() -> &'static Mutex<Vec<Tape>> {
@@ -61,23 +55,11 @@ impl Tier for f64 {
     }
 }
 
-/// Rounds every store matrix to `f32` once per [`ParamStore::version`]:
-/// any mutation (`incremental_update`, refit hot-swap) invalidates the bake
-/// and the next forward re-converts, reusing the allocations.
+/// The store's own `f32` copy, rounded once per mutation of the store
+/// (`incremental_update`, refit hot-swap) on the first read after it.
 impl Tier for f32 {
-    fn bake(baked: &mut Vec<Mat<f32>>, version: &mut Option<u64>, params: &ParamStore) {
-        if *version == Some(params.version()) && baked.len() == params.len() {
-            return;
-        }
-        baked.resize_with(params.len(), Mat::default);
-        for (id, w) in baked.iter_mut().enumerate() {
-            w.copy_from_f64(params.get(id));
-        }
-        *version = Some(params.version());
-    }
-
-    fn weight<'a>(_: &'a ParamStore, baked: &'a [Mat<f32>], id: ParamId) -> &'a Mat<f32> {
-        &baked[id]
+    fn weights(params: &ParamStore) -> &[Mat<f32>] {
+        params.values_f32()
     }
 
     fn spare_tapes() -> &'static Mutex<Vec<Tape<f32>>> {
@@ -96,7 +78,7 @@ pub type NodeId = usize;
 enum Op {
     /// Constant input (no gradient tracked beyond the tape).
     Input,
-    /// Learnable parameter leaf; its value is read through [`Tier::weight`].
+    /// Learnable parameter leaf; its value is read from [`Tier::weights`].
     Param(ParamId),
     Add(NodeId, NodeId),
     Sub(NodeId, NodeId),
@@ -167,6 +149,12 @@ pub struct Tape<T = f64> {
     /// a list of node ids or sort order, and per-expert token lists.
     pub(crate) ids: Vec<usize>,
     pub(crate) route: Vec<Vec<usize>>,
+    /// Scratch a scoring [`crate::infer::Session`] keeps with its tape,
+    /// so a session built around a spare tape starts warm: the
+    /// positional-encoding divisors of the last model width it scored,
+    /// and the per-row errors of its last call.
+    pub(crate) pe_divisors: Vec<f64>,
+    pub(crate) err: Vec<f64>,
 }
 
 /// Upper bound on spare tapes — more than any sane pool width; beyond it
@@ -206,8 +194,7 @@ impl<T: Tier> Tape<T> {
 
 /// Read access to the values of already-built nodes.
 struct Vals<'a, T> {
-    params: &'a ParamStore,
-    baked: &'a [Mat<T>],
+    weights: &'a [Mat<T>],
     ops: &'a [Op],
     values: &'a [Mat<T>],
 }
@@ -221,7 +208,7 @@ impl<'a, T: Tier> Vals<'a, T> {
     }
 
     fn weight(&self, pid: ParamId) -> &'a Mat<T> {
-        T::weight(self.params, self.baked, pid)
+        &self.weights[pid]
     }
 }
 
@@ -285,10 +272,12 @@ fn gather_into<T: Tier>(out: &mut Mat<T>, src: &Mat<T>, idx: &[usize]) {
 
 /// An autodiff tape bound to a [`ParamStore`], computing at scalar `T`:
 /// `f64` (the default, and the only one with a backward pass) over the
-/// store's live weights, or `f32` over a baked copy of them (see [`Tier`]).
+/// store's live weights, or `f32` over the store's copy of them (see
+/// [`Tier`]).
 pub struct Graph<'p, T: Tier = f64> {
     params: &'p ParamStore,
-    baked: &'p [Mat<T>],
+    /// [`Tier::weights`] of `params`, resolved once.
+    weights: &'p [Mat<T>],
     pub(crate) tape: Tape<T>,
 }
 
@@ -300,19 +289,18 @@ impl<'p> Graph<'p> {
     /// An empty graph that builds into `tape`'s buffers (see the module
     /// docs). Results are bit-identical to a [`Graph::new`] graph's.
     pub fn recycle(params: &'p ParamStore, tape: Tape) -> Self {
-        Self::at_tier(params, &[], tape)
+        Self::at_tier(params, tape)
     }
 }
 
 impl<'p, T: Tier> Graph<'p, T> {
-    /// [`Graph::recycle`] at any tier: parameter leaves resolve through
-    /// [`Tier::weight`] over `baked`, which the caller keeps current with
-    /// [`Tier::bake`] (`f64` reads the store and ignores it).
-    pub fn at_tier(params: &'p ParamStore, baked: &'p [Mat<T>], mut tape: Tape<T>) -> Self {
+    /// [`Graph::recycle`] at any tier: parameter leaves read
+    /// [`Tier::weights`] of `params`.
+    pub fn at_tier(params: &'p ParamStore, mut tape: Tape<T>) -> Self {
         tape.ops.clear();
         Self {
             params,
-            baked,
+            weights: T::weights(params),
             tape,
         }
     }
@@ -341,8 +329,7 @@ impl<'p, T: Tier> Graph<'p, T> {
         t.idx[id].extend(idx);
         let (built, slot) = t.values.split_at_mut(id);
         let vals = Vals {
-            params: self.params,
-            baked: self.baked,
+            weights: self.weights,
             ops: &t.ops,
             values: built,
         };
@@ -359,8 +346,7 @@ impl<'p, T: Tier> Graph<'p, T> {
     pub fn value(&self, id: NodeId) -> &Mat<T> {
         let t = &self.tape;
         Vals {
-            params: self.params,
-            baked: self.baked,
+            weights: self.weights,
             ops: &t.ops,
             values: &t.values,
         }
@@ -678,8 +664,7 @@ impl Graph<'_> {
         grads.zero();
         let t = &mut self.tape;
         let v = Vals {
-            params: self.params,
-            baked: self.baked,
+            weights: self.weights,
             ops: &t.ops,
             values: &t.values,
         };

@@ -174,8 +174,6 @@ fn recycled_forward_equals_fresh<T: Tier>() {
         },
         41,
     );
-    let (mut baked, mut version) = (Vec::new(), None);
-    T::bake(&mut baked, &mut version, &params);
     let windows = windows();
     let run = |tape: Tape<T>, (data, pe): &(Matrix, Matrix)| {
         let round = |m: &Matrix| {
@@ -183,7 +181,7 @@ fn recycled_forward_equals_fresh<T: Tier>() {
             out.copy_from_f64(m);
             out
         };
-        let mut g = Graph::at_tier(&params, &baked, tape);
+        let mut g = Graph::at_tier(&params, tape);
         let (x, p) = (g.input_from(&round(data)), g.input_from(&round(pe)));
         let recon = model.reconstruct(&mut g, x, p);
         // Widening is injective, so these are the value's own bits.

@@ -1,7 +1,7 @@
 //! The sharded engine: configuration, worker-pool lifecycle, tick
 //! routing with backpressure, and consistent checkpoint / restore.
 
-use crate::metrics::{self, ingest_seconds, snapshot_metrics};
+use crate::metrics::{ingest_seconds, snapshot_metrics, ShardMetrics};
 use crate::node::NodeState;
 use crate::shard::{worker_loop, ShardCheckpoint, ShardMsg, ShardOutput};
 use crate::snapshot::{EngineSnapshot, SnapshotError};
@@ -41,7 +41,7 @@ pub struct EngineConfig {
     /// Scoring tier (bit-critical). [`ScoringPrecision::F64`] (default)
     /// keeps streaming verdicts bit-identical to batch scoring.
     /// [`ScoringPrecision::F32`] runs segment scoring through the same
-    /// forward tape at f32 over weights baked to f32 once per model —
+    /// forward tape at f32 over each model's own f32 copy of its weights —
     /// faster, with an accuracy delta measured by the deployment bench
     /// rather than pinned. Probe matching is f64 in both tiers, so the
     /// matched cluster never depends on the tier. Every [`Verdict`] is
@@ -202,11 +202,7 @@ impl Engine {
             let model = Arc::clone(&model);
             // Registration is idempotent: this resolves to the same
             // underlying gauge the worker's `ShardMetrics` decrements.
-            queue_gauges.push(ns_obs::metrics::global().gauge(
-                metrics::QUEUE_DEPTH,
-                "Tick batches waiting in a shard's bounded queue.",
-                &[("shard", &shard.to_string())],
-            ));
+            queue_gauges.push(ShardMetrics::new(shard).queue_depth);
             let handle = std::thread::Builder::new()
                 .name(format!("ns-stream-{shard}"))
                 .spawn(move || {
@@ -497,8 +493,8 @@ impl Engine {
     }
 
     /// Serve the process-global ns-obs registry — every live engine
-    /// metric (see [`metrics`]) plus anything else the process registered
-    /// — as a Prometheus `/metrics` endpoint on `addr` (e.g.
+    /// metric (see [`metrics`](crate::metrics)) plus anything else the
+    /// process registered — as a Prometheus `/metrics` endpoint on `addr` (e.g.
     /// `"127.0.0.1:9184"`). Call [`ns_obs::enable_all`] first or every
     /// series reads zero. The server runs on its own thread until the
     /// returned handle is dropped or shut down.
@@ -549,8 +545,8 @@ impl Engine {
 /// allocation, and the entry reads dead; and the `Weak` keeps the
 /// allocation, so no other model is placed at its address while the entry
 /// exists. A hit names exactly the bytes that were hashed — given that
-/// nothing the digest covers is interior-mutable (a model's
-/// `SessionPool`s serialize as `null` and are not covered).
+/// nothing the digest covers is interior-mutable (a store's lazily built
+/// f32 weight copy serializes as `null` and is not covered).
 fn model_fingerprint(model: &Arc<NodeSentry>) -> u64 {
     type Memo = Vec<(Weak<NodeSentry>, u64)>;
     static MEMO: Mutex<Memo> = Mutex::new(Vec::new());

@@ -139,11 +139,6 @@ impl IngestServer {
         self.addr
     }
 
-    /// True once some client's `Finish` has finalized the run.
-    pub fn is_finished(&self) -> bool {
-        self.shared.done.lock().expect("done lock").is_some()
-    }
-
     /// Stop accepting, join every connection thread, and return the
     /// finished run if any client finalized it. An engine still live at
     /// shutdown is dropped without scoring its open segments (the caller

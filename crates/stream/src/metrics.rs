@@ -206,7 +206,7 @@ pub(crate) fn snapshot_metrics() -> &'static SnapshotMetrics {
 /// end-of-run [`EngineReport`](crate::EngineReport).
 pub(crate) struct FaultMeters {
     /// Index-aligned with [`FaultCounters::as_pairs`].
-    counters: Vec<Counter>,
+    pub counters: Vec<Counter>,
     /// Shard attribution for journal events.
     shard: i64,
 }
@@ -258,7 +258,8 @@ impl FaultMeters {
     }
 }
 
-/// Per-shard worker handles.
+/// Per-shard worker handles; also how the engine and `/statusz` reach a
+/// shard's series.
 pub(crate) struct ShardMetrics {
     pub queue_depth: Gauge,
     pub reorder_occupancy: Gauge,

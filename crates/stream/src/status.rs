@@ -8,8 +8,10 @@
 //!   connection view: model fingerprint, shard count, per-shard queue
 //!   depths and reorder occupancy, active wire connections, verdict and
 //!   fault counters, and the last checkpoint. Everything is read from
-//!   atomics and the idempotent metrics registry — rendering the page
-//!   never touches engine state.
+//!   atomics and through the metric writers' own handles and
+//!   constructors, so a page rendered before the engine has written a
+//!   series registers it with the writer's help text — rendering the
+//!   page never touches engine state.
 //! * **Trigger predicates** — the two flight-recorder triggers that need
 //!   windowed state: a Degraded-rate spike (`note_verdicts`: ≥ 50%
 //!   degraded over a ≥ [`SPIKE_WINDOW`]-verdict window) and a wire-error
@@ -20,10 +22,7 @@
 //!   All predicates are no-ops while the recorder is disarmed — one
 //!   relaxed atomic load.
 
-use crate::metrics::{
-    FAULTS_TOTAL, QUEUE_DEPTH, REORDER_OCCUPANCY, TICKS_TOTAL, VERDICTS_TOTAL,
-    WIRE_ACTIVE_CONNECTIONS,
-};
+use crate::metrics::{node_metrics, wire_metrics, FaultMeters, ShardMetrics};
 use crate::{EngineConfig, FaultCounters};
 use serde::{Serialize, Value};
 use std::collections::VecDeque;
@@ -159,22 +158,21 @@ struct LastCheckpoint {
     restore_failures: u64,
 }
 
-/// Read the `"stream"` `/statusz` section. Counter and gauge reads go
-/// through idempotent registration, so series the engine has not touched
-/// yet simply read zero.
+/// Read the `"stream"` `/statusz` section. Every series is read through
+/// the handles its writer uses (registration is idempotent), so series the
+/// engine has not touched yet simply read zero and carry their help text.
 fn section() -> StreamSection {
     let st = engine_status();
-    let reg = ns_obs::metrics::global();
     let n_shards = st.n_shards.load(Ordering::Relaxed);
     let (mut queue, mut reorder, mut ticks) = (Vec::new(), Vec::new(), Vec::new());
     for shard in 0..n_shards {
-        let label = shard.to_string();
-        let labels: &[(&str, &str)] = &[("shard", &label)];
-        queue.push(reg.gauge(QUEUE_DEPTH, "", labels).get());
-        reorder.push(reg.gauge(REORDER_OCCUPANCY, "", labels).get());
-        ticks.push(reg.counter(TICKS_TOTAL, "", labels).get());
+        let m = ShardMetrics::new(shard);
+        queue.push(m.queue_depth.get());
+        reorder.push(m.reorder_occupancy.get());
+        ticks.push(m.ticks_total.get());
     }
-    let verdicts = |kind| reg.counter(VERDICTS_TOTAL, "", &[("kind", kind)]).get();
+    let node = node_metrics();
+    let faults = FaultMeters::new(-1);
     StreamSection {
         model_fingerprint: format!("{:016x}", st.model_fingerprint.load(Ordering::Relaxed)),
         n_shards,
@@ -182,19 +180,17 @@ fn section() -> StreamSection {
         shard_queue_depths: queue,
         shard_reorder_occupancy: reorder,
         shard_ticks_total: ticks,
-        active_connections: reg.gauge(WIRE_ACTIVE_CONNECTIONS, "", &[]).get(),
+        active_connections: wire_metrics().active_connections.get(),
         verdicts: Verdicts {
-            ok: verdicts("ok"),
-            degraded: verdicts("degraded"),
+            ok: node.verdicts_ok.get(),
+            degraded: node.verdicts_degraded.get(),
         },
         faults: Value::Object(
             FaultCounters::default()
                 .as_pairs()
                 .iter()
-                .map(|(class, _)| {
-                    let v = reg.counter(FAULTS_TOTAL, "", &[("class", class)]).get();
-                    (class.to_string(), Value::U64(v))
-                })
+                .zip(&faults.counters)
+                .map(|((class, _), c)| (class.to_string(), Value::U64(c.get())))
                 .collect(),
         ),
         last_checkpoint: LastCheckpoint {

@@ -206,7 +206,7 @@ pub enum ScoringPrecision {
     /// batch scoring. The default everywhere.
     #[default]
     F64,
-    /// Opt-in f32 scoring pipeline (prebaked f32 weights, f32 kernels);
+    /// Opt-in f32 scoring pipeline (f32 weight copies, f32 kernels);
     /// faster, with a measured — not pinned — accuracy delta vs f64.
     F32,
 }

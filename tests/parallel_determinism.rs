@@ -147,14 +147,4 @@ fn scoring_schedule_is_bitwise_identical_across_widths_and_caps() {
     let capped = rayon::with_thread_parallelism_cap(Some(1), || score_burst(&model, &series));
     assert_eq!(capped, want, "caller capped at 1 under a width-8 pool");
     rayon::set_thread_count_override(None);
-
-    // A task holds a session only for its forward, so a pool never parks
-    // more sessions than threads that scored at once: the widest pool used.
-    let widest = *WIDTHS.iter().max().unwrap();
-    for (tier, warm) in [("f64", model.infer.warm()), ("f32", model.infer32.warm())] {
-        assert!(
-            (1..=widest).contains(&warm),
-            "{tier} pool parks {warm} sessions after scoring at widths {WIDTHS:?}"
-        );
-    }
 }
