@@ -118,7 +118,7 @@ pub fn dtw_distance_mts_cutoff(
         .map(|c| c.max(0.0) * c.max(0.0))
         .unwrap_or(f64::INFINITY);
     dtw_accumulate(n, m, w, cutoff_sq, |i, j| {
-        ns_linalg::vecops::euclidean_sq(&a[i], &b[j])
+        ns_linalg::kernels::squared_distance(&a[i], &b[j])
     })
     .sqrt()
 }

@@ -4,7 +4,7 @@
 //! characterises HPC performance variation with BGMM clustering and flags
 //! points by Mahalanobis distance to their closest component.
 
-use ns_linalg::{decomp, matrix::Matrix, vecops};
+use ns_linalg::{decomp, kernels, matrix::Matrix, vecops};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -183,7 +183,7 @@ impl GaussianMixture {
                     (nk + cfg.weight_prior) / (n as f64 + cfg.weight_prior * k as f64);
                 let mut mean = vec![0.0; dim];
                 for (i, x) in data.iter().enumerate() {
-                    vecops::axpy(&mut mean, resp[i * k + c], x);
+                    kernels::axpy(&mut mean, resp[i * k + c], x);
                 }
                 vecops::scale(&mut mean, 1.0 / nk_safe);
                 components[c].mean = mean;

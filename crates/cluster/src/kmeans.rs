@@ -1,7 +1,7 @@
 //! k-means with k-means++ initialisation. Used by the labeling toolkit's
 //! built-in clustering and as a baseline component.
 
-use ns_linalg::vecops;
+use ns_linalg::kernels;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -40,7 +40,7 @@ pub fn kmeans(data: &[Vec<f64>], k: usize, max_iter: usize, seed: u64) -> KMeans
     centroids.push(data[rng.gen_range(0..n)].clone());
     let mut d2: Vec<f64> = data
         .iter()
-        .map(|p| vecops::euclidean_sq(p, &centroids[0]))
+        .map(|p| kernels::squared_distance(p, &centroids[0]))
         .collect();
     while centroids.len() < k {
         let total: f64 = d2.iter().sum();
@@ -60,7 +60,7 @@ pub fn kmeans(data: &[Vec<f64>], k: usize, max_iter: usize, seed: u64) -> KMeans
         };
         centroids.push(data[next].clone());
         for (i, p) in data.iter().enumerate() {
-            let nd = vecops::euclidean_sq(p, centroids.last().unwrap());
+            let nd = kernels::squared_distance(p, centroids.last().unwrap());
             if nd < d2[i] {
                 d2[i] = nd;
             }
@@ -77,7 +77,7 @@ pub fn kmeans(data: &[Vec<f64>], k: usize, max_iter: usize, seed: u64) -> KMeans
             let mut best = 0usize;
             let mut bd = f64::INFINITY;
             for (c, cen) in centroids.iter().enumerate() {
-                let d = vecops::euclidean_sq(p, cen);
+                let d = kernels::squared_distance(p, cen);
                 if d < bd {
                     bd = d;
                     best = c;
@@ -93,7 +93,7 @@ pub fn kmeans(data: &[Vec<f64>], k: usize, max_iter: usize, seed: u64) -> KMeans
         let mut counts = vec![0usize; k];
         for (p, &l) in data.iter().zip(&labels) {
             counts[l] += 1;
-            vecops::axpy(&mut sums[l], 1.0, p);
+            kernels::axpy(&mut sums[l], 1.0, p);
         }
         for (c, (s, &cnt)) in sums.into_iter().zip(&counts).enumerate() {
             if cnt > 0 {
@@ -107,7 +107,7 @@ pub fn kmeans(data: &[Vec<f64>], k: usize, max_iter: usize, seed: u64) -> KMeans
     let inertia = data
         .iter()
         .zip(&labels)
-        .map(|(p, &l)| vecops::euclidean_sq(p, &centroids[l]))
+        .map(|(p, &l)| kernels::squared_distance(p, &centroids[l]))
         .sum();
     KMeansResult {
         centroids,

@@ -3,8 +3,8 @@
 //! Every dense matmul — [`Mat::matmul`](crate::matrix::Mat::matmul), its
 //! `_into` and transposed-operand forms, and through them the training
 //! tape's forward and backward and the inference session — bottoms out in
-//! [`gemm`]; the slice helpers in [`crate::vecops`] bottom out in the
-//! small kernels below it. Centralising them buys two things:
+//! [`gemm`]; dot products, squared distances and `axpy` over slices are
+//! the small kernels below it. Centralising them buys two things:
 //!
 //! 1. **One place to hold the codegen line.** [`gemm`] is a
 //!    register-blocked microkernel: a four-row tile of accumulators,
@@ -257,7 +257,7 @@ fn checked<T: Scalar>(p: Product<'_, T>, rows: &Range<usize>, c: &mut [T]) -> bo
     k > 0
 }
 
-/// `y[j] += a * x[j]` — [`crate::vecops::axpy`]'s body.
+/// `y[j] += a * x[j]`.
 ///
 /// Elementwise, so no loop shape can change results: each `y[j]` sees
 /// exactly one `+= a * x[j]`. The plain zip loop is the shape LLVM

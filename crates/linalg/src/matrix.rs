@@ -481,11 +481,6 @@ impl Mat<f64> {
         }
     }
 
-    /// Frobenius norm.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute element (0 for empty).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
@@ -707,7 +702,6 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(a.sum(), 10.0);
         assert_eq!(a.mean(), 2.5);
-        assert!((a.norm() - (30.0f64).sqrt()).abs() < 1e-12);
         assert_eq!(a.max_abs(), 4.0);
     }
 

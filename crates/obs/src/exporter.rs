@@ -1,9 +1,11 @@
 //! Operational HTTP surface over `std::net::TcpListener`.
 //!
-//! One accept-loop thread hands each connection to a short-lived worker
-//! thread with a hard per-connection deadline, so a stalled (slow-loris)
-//! client can never delay other scrapes. No HTTP library: the request
-//! line is parsed just far enough to route.
+//! One [`AcceptLoop`] hands each connection to a short-lived thread
+//! scoped to the loop, with a hard per-connection deadline, so a stalled
+//! (slow-loris) client can never delay other scrapes, and stopping the
+//! loop joins every thread it started. The ingest server
+//! (`ns_stream::Engine::serve_ingest`) runs on the same loop. No HTTP
+//! library: the request line is parsed just far enough to route.
 //!
 //! | Route               | Serves                                              |
 //! |---------------------|-----------------------------------------------------|
@@ -21,7 +23,7 @@ use crate::{events, incident, metrics, status};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Hard wall-clock budget for one connection (read + respond). A client
@@ -39,51 +41,102 @@ const CT_TEXT: &str = "text/plain; charset=utf-8";
 const CT_JSON: &str = "application/json";
 const CT_JSONL: &str = "application/x-ndjson";
 
-/// Handle to a running exporter. Dropping it (or calling
-/// [`shutdown`](MetricsServer::shutdown)) stops the accept loop and
-/// joins the serving threads.
-pub struct MetricsServer {
+/// One TCP accept loop with a thread per connection — the exporter's and
+/// the ingest server's (`ns_stream::Engine::serve_ingest`). The accept
+/// thread runs a [`std::thread::scope`], and every accepted connection is
+/// served on a named thread scoped to it, so the loop cannot end before
+/// each connection thread has been joined: a thread that finished is
+/// reclaimed by the scope at once, and none outlives the handle.
+///
+/// A connection that arrives after stop is dropped unserved, and so is
+/// one whose thread fails to spawn. A connection thread that panics does
+/// not stop the loop; the scope re-raises its panic on the accept thread
+/// when it ends, and [`shutdown`](AcceptLoop::shutdown) ignores it.
+///
+/// **Contract:** once the stop flag is set, a handler returns within a
+/// bounded time, or stopping waits for it. The exporter's connections
+/// end within their 2 s deadline; the ingest server's poll the flag every
+/// 100 ms, in their reads and in the verdict-subscriber wait.
+pub struct AcceptLoop {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
-    workers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
-impl MetricsServer {
+/// The exporter's handle is its accept loop. Dropping it (or calling
+/// [`shutdown`](AcceptLoop::shutdown)) stops the loop and joins every
+/// serving thread.
+pub type MetricsServer = AcceptLoop;
+
+impl AcceptLoop {
+    /// Accept on `listener` from a thread named `accept_name`, serving
+    /// each connection with `handler` on a thread named `conn_name`.
+    /// `stop` is the loop's flag: handlers read it to notice a stop.
+    pub fn spawn<H>(
+        listener: TcpListener,
+        accept_name: &str,
+        conn_name: &'static str,
+        stop: Arc<AtomicBool>,
+        handler: H,
+    ) -> std::io::Result<AcceptLoop>
+    where
+        H: Fn(TcpStream) + Send + Sync + 'static,
+    {
+        let addr = listener.local_addr()?;
+        let flag = Arc::clone(&stop);
+        let handle = std::thread::Builder::new()
+            .name(accept_name.into())
+            .spawn(move || {
+                let handler = &handler;
+                std::thread::scope(|scope| {
+                    for conn in listener.incoming() {
+                        if flag.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        match conn {
+                            // A slow client burns its own thread, not the
+                            // accept loop. The handle is not kept: the
+                            // scope joins the thread.
+                            Ok(stream) => {
+                                let _ = std::thread::Builder::new()
+                                    .name(conn_name.into())
+                                    .spawn_scoped(scope, move || handler(stream));
+                            }
+                            Err(e) if e.kind() == ErrorKind::WouldBlock => continue,
+                            Err(_) => break,
+                        }
+                    }
+                })
+            })?;
+        Ok(AcceptLoop {
+            addr,
+            stop,
+            handle: Some(handle),
+        })
+    }
+
     /// The bound address — with port 0 requested, the actual ephemeral
     /// port chosen by the OS.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Stop accepting connections and join the server threads.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        // In-flight connections finish within their deadline.
-        let drained: Vec<_> = {
-            let mut w = self.workers.lock().unwrap_or_else(|e| e.into_inner());
-            w.drain(..).collect()
-        };
-        for h in drained {
-            let _ = h.join();
-        }
+    /// Stop accepting, then join the accept thread and, through its
+    /// scope, every connection thread.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
-impl Drop for MetricsServer {
+impl Drop for AcceptLoop {
     fn drop(&mut self) {
-        if self.handle.is_some() {
-            self.stop_and_join();
-        }
+        let Some(handle) = self.handle.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::SeqCst);
+        // Unblock the accept loop with a throwaway connection.
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
+        let _ = handle.join();
     }
 }
 
@@ -93,46 +146,15 @@ impl Drop for MetricsServer {
 /// uptime counts from first serve at the latest.
 pub fn serve(addr: &str) -> std::io::Result<MetricsServer> {
     status::process_epoch();
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let workers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let pool = Arc::clone(&workers);
-    let handle = std::thread::Builder::new()
-        .name("ns-obs-http".into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if stop_flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                match conn {
-                    Ok(stream) => {
-                        // One short-lived thread per connection: a
-                        // stalled client burns its own deadline, not the
-                        // accept loop.
-                        let spawned = std::thread::Builder::new()
-                            .name("ns-obs-http-conn".into())
-                            .spawn(move || {
-                                let _ = handle_conn(stream);
-                            });
-                        let mut w = pool.lock().unwrap_or_else(|e| e.into_inner());
-                        w.retain(|h| !h.is_finished());
-                        if let Ok(h) = spawned {
-                            w.push(h);
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => continue,
-                    Err(_) => break,
-                }
-            }
-        })?;
-    Ok(MetricsServer {
-        addr: local,
-        stop,
-        handle: Some(handle),
-        workers,
-    })
+    AcceptLoop::spawn(
+        TcpListener::bind(addr)?,
+        "ns-obs-http",
+        "ns-obs-http-conn",
+        Arc::default(),
+        |stream| {
+            let _ = handle_conn(stream);
+        },
+    )
 }
 
 /// Route a request line's target to `(status, content-type, body)`.

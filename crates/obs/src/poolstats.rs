@@ -77,7 +77,7 @@ fn sync_from(snap: PoolStats) {
             "Per-worker busy time in microseconds.",
             &[("worker", &worker)],
         )
-        .add(d(busy, old) / 1_000);
+        .add(d(busy / 1_000, old / 1_000));
     }
     *last = Some(snap);
 }
@@ -161,5 +161,30 @@ mod tests {
         assert!(status.contains("\"workers\":2"), "{status}");
         assert!(status.contains("\"worker_busy_ms\":[2,7]"), "{status}");
         assert!(snapshot().is_some());
+    }
+
+    /// The exported busy time is `busy_ns / 1_000` after any sequence of
+    /// scrapes: sub-microsecond remainders carry over instead of being
+    /// dropped at every scrape.
+    #[test]
+    fn busy_time_is_not_truncated_per_scrape() {
+        let _l = crate::test_lock();
+        let busy0 = crate::metrics::global().counter(
+            "pool_worker_busy_us_total",
+            "Per-worker busy time in microseconds.",
+            &[("worker", "0")],
+        );
+        let start = busy0.get();
+        *LAST.lock().unwrap() = None;
+        crate::metrics::set_enabled(true);
+        for ns in [1_500, 3_000, 3_999, 10_001] {
+            sync_from(PoolStats {
+                busy_ns: vec![ns],
+                ..reading(0)
+            });
+            assert_eq!(busy0.get() - start, ns / 1_000, "after a {ns} ns reading");
+        }
+        crate::metrics::set_enabled(false);
+        *LAST.lock().unwrap() = None;
     }
 }

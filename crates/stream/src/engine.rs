@@ -10,6 +10,7 @@ use nodesentry_core::NodeSentry;
 use ns_obs::events::{self, EventKind};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, Weak};
 use std::time::Instant;
 
@@ -110,9 +111,16 @@ pub struct EngineCheckpoint {
 /// }
 /// let report = engine.finish();
 /// ```
+///
+/// Dropping an engine instead of finishing it abandons the run: each
+/// shard stops after its current batch without scoring its nodes' open
+/// segments, and `drop` returns once every shard thread has exited.
 pub struct Engine {
     senders: Vec<mpsc::SyncSender<ShardMsg>>,
     workers: Vec<std::thread::JoinHandle<ShardOutput>>,
+    /// Set by `Drop`: the shards discard what is still queued and skip
+    /// the end-of-stream flush.
+    abandon: Arc<AtomicBool>,
     n_shards: usize,
     cfg: EngineConfig,
     model_fingerprint: u64,
@@ -194,12 +202,14 @@ impl Engine {
                 None
             }
         };
+        let abandon = Arc::new(AtomicBool::new(false));
         let mut senders = Vec::with_capacity(n_shards);
         let mut workers = Vec::with_capacity(n_shards);
         let mut queue_gauges = Vec::with_capacity(n_shards);
         for (shard, (states, quarantined)) in init.drain(..).enumerate() {
             let (tx, rx) = mpsc::sync_channel::<ShardMsg>(SHARD_QUEUE_DEPTH);
             let model = Arc::clone(&model);
+            let abandon = Arc::clone(&abandon);
             // Registration is idempotent: this resolves to the same
             // underlying gauge the worker's `ShardMetrics` decrements.
             queue_gauges.push(ShardMetrics::new(shard).queue_depth);
@@ -211,7 +221,7 @@ impl Engine {
                     // included) without touching other shards or the
                     // caller, and is restored even if the loop unwinds.
                     rayon::with_thread_parallelism_cap(kernel_cap, || {
-                        worker_loop(shard, rx, model, cfg, states, quarantined)
+                        worker_loop(shard, rx, &abandon, model, cfg, states, quarantined)
                     })
                 })
                 .map_err(|e| EngineError::SpawnFailed(e.to_string()))?;
@@ -221,6 +231,7 @@ impl Engine {
         Ok(Engine {
             senders,
             workers,
+            abandon,
             n_shards,
             cfg,
             model_fingerprint,
@@ -506,12 +517,12 @@ impl Engine {
     /// all verdicts plus cost statistics. A worker lost to a panic is
     /// recorded in [`FaultCounters::worker_crashes`] instead of
     /// propagating.
-    pub fn finish(self) -> EngineReport {
-        drop(self.senders);
+    pub fn finish(mut self) -> EngineReport {
+        self.senders.clear();
         let mut verdicts = Vec::new();
         let mut stats = self.carried_stats;
         let mut faults = self.carried_faults;
-        for handle in self.workers {
+        for handle in std::mem::take(&mut self.workers) {
             match handle.join() {
                 Ok((v, s, f)) => {
                     verdicts.extend(v);
@@ -528,6 +539,16 @@ impl Engine {
             faults,
             wall_seconds: self.started.elapsed().as_secs_f64(),
             n_shards: self.n_shards,
+        }
+    }
+}
+
+impl Drop for Engine {
+    fn drop(&mut self) {
+        self.abandon.store(true, Ordering::SeqCst);
+        self.senders.clear();
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
         }
     }
 }

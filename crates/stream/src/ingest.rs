@@ -3,9 +3,10 @@
 //!
 //! # Shape
 //!
-//! [`Engine::serve_ingest`] consumes the engine and binds a listener.
-//! Each accepted connection gets its own thread reading frames through a
-//! [`FrameAssembler`]:
+//! [`Engine::serve_ingest`] consumes the engine and binds a listener. It
+//! runs on the exporter's [`AcceptLoop`]: each accepted connection gets
+//! its own thread, scoped to the loop so that shutdown joins it, reading
+//! frames through a [`FrameAssembler`]:
 //!
 //! * **Ingest connections** (the default) send [`Frame::Tick`]s,
 //!   optionally probe liveness with [`Frame::Ping`], and may finalize the
@@ -38,6 +39,7 @@
 use crate::metrics::wire_metrics;
 use crate::{status, Engine, EngineReport, Verdict, VerdictKind};
 use ns_obs::events::{self, EventKind};
+use ns_obs::exporter::AcceptLoop;
 use ns_wire::{error_code, Frame, FrameAssembler, ReportMsg, Role, Tick, VerdictMsg, WireError};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -79,7 +81,8 @@ struct Shared {
     /// Set once the run finalizes; guarded by `done_cond`.
     done: Mutex<Option<Arc<FinishedRun>>>,
     done_cond: Condvar,
-    stop: AtomicBool,
+    /// The accept loop's stop flag.
+    stop: Arc<AtomicBool>,
 }
 
 impl Shared {
@@ -122,58 +125,32 @@ impl Shared {
     }
 }
 
-/// Handle to a running ingest server. Keeps the listener thread and
-/// every live connection thread; [`shutdown`](IngestServer::shutdown)
-/// (or drop) stops and joins them all.
+/// Handle to a running ingest server: its accept loop, whose scope holds
+/// every live connection thread, and the state they share.
+/// [`shutdown`](IngestServer::shutdown) (or drop) stops and joins them
+/// all.
 pub struct IngestServer {
-    addr: SocketAddr,
+    /// Declared first, so a dropped server stops its connections before
+    /// the engine goes.
+    accept: AcceptLoop,
     shared: Arc<Shared>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
 impl IngestServer {
     /// The bound address — with port 0 requested, the ephemeral port the
     /// OS picked.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.local_addr()
     }
 
     /// Stop accepting, join every connection thread, and return the
     /// finished run if any client finalized it. An engine still live at
     /// shutdown is dropped without scoring its open segments (the caller
     /// chose not to finish).
-    pub fn shutdown(mut self) -> Option<Arc<FinishedRun>> {
-        self.stop_and_join();
+    pub fn shutdown(self) -> Option<Arc<FinishedRun>> {
+        self.accept.shutdown();
+        drop(self.shared.engine.write().expect("engine lock").take());
         self.shared.done.lock().expect("done lock").clone()
-    }
-
-    fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        let handles: Vec<_> = self
-            .conns
-            .lock()
-            .expect("conn registry")
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
-        }
-        // Tear down a never-finished engine so its workers exit.
-        self.shared.engine.write().expect("engine lock").take();
-    }
-}
-
-impl Drop for IngestServer {
-    fn drop(&mut self) {
-        if self.accept_handle.is_some() {
-            self.stop_and_join();
-        }
     }
 }
 
@@ -183,46 +160,22 @@ impl Engine {
     /// docs](crate::ingest) for the connection protocol, backpressure
     /// and failure semantics.
     pub fn serve_ingest(self, addr: &str) -> std::io::Result<IngestServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
             engine: RwLock::new(Some(self)),
             done: Mutex::new(None),
             done_cond: Condvar::new(),
-            stop: AtomicBool::new(false),
+            stop: Arc::clone(&stop),
         });
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept_shared = Arc::clone(&shared);
-        let accept_conns = Arc::clone(&conns);
-        let accept_handle = std::thread::Builder::new()
-            .name("ns-wire-ingest".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if accept_shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match conn {
-                        Ok(stream) => {
-                            let conn_shared = Arc::clone(&accept_shared);
-                            let spawned = std::thread::Builder::new()
-                                .name("ns-wire-conn".into())
-                                .spawn(move || handle_conn(stream, conn_shared));
-                            match spawned {
-                                Ok(h) => accept_conns.lock().expect("conn registry").push(h),
-                                Err(_) => continue,
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => continue,
-                        Err(_) => break,
-                    }
-                }
-            })?;
-        Ok(IngestServer {
-            addr: local,
-            shared,
-            accept_handle: Some(accept_handle),
-            conns,
-        })
+        let conn_shared = Arc::clone(&shared);
+        let accept = AcceptLoop::spawn(
+            TcpListener::bind(addr)?,
+            "ns-wire-ingest",
+            "ns-wire-conn",
+            stop,
+            move |stream| handle_conn(stream, &conn_shared),
+        )?;
+        Ok(IngestServer { accept, shared })
     }
 }
 
@@ -239,7 +192,7 @@ enum ConnExit {
     Fail { code: u8, msg: String },
 }
 
-fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>) {
+fn handle_conn(mut stream: TcpStream, shared: &Shared) {
     let wm = wire_metrics();
     wm.connections_ingest.inc();
     let _active = wm.active_connections.hold();
@@ -249,7 +202,7 @@ fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_nodelay(true);
 
-    let exit = conn_loop(&mut stream, &shared, conn_id);
+    let exit = conn_loop(&mut stream, shared, conn_id);
     let exit_label = match &exit {
         ConnExit::Closed => "closed",
         ConnExit::Finished => "finished",

@@ -10,6 +10,7 @@ use nodesentry_core::NodeSentry;
 use ns_obs::events::{self, EventKind};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -102,6 +103,7 @@ fn meter_verdicts(vs: &[Verdict]) {
 pub(crate) fn worker_loop(
     shard: usize,
     rx: mpsc::Receiver<ShardMsg>,
+    abandon: &AtomicBool,
     model: Arc<NodeSentry>,
     cfg: EngineConfig,
     mut states: FxHashMap<usize, NodeState>,
@@ -144,6 +146,10 @@ pub(crate) fn worker_loop(
             }
         };
         m.queue_depth.sub(1);
+        // A dropped engine's queued batches are discarded.
+        if abandon.load(Ordering::SeqCst) {
+            continue;
+        }
         m.ticks_total.add(batch.len() as u64);
         for tick in batch {
             if quarantined.contains(&tick.node) {
@@ -211,6 +217,10 @@ pub(crate) fn worker_loop(
         }
         scoring_phase(&mut states, &mut verdicts);
         publish_shard_metrics(&m, &states, &faults, &mut published);
+    }
+    // Nobody can receive what an abandoned engine would flush.
+    if abandon.load(Ordering::SeqCst) {
+        return (verdicts, stats, faults);
     }
     // Channel closed: flush in node order so shard output is
     // deterministic.

@@ -60,6 +60,13 @@ pub struct IngestClient {
     next_token: u64,
 }
 
+/// The first address `addr` resolves to.
+fn resolve(addr: impl ToSocketAddrs) -> Result<SocketAddr, WireError> {
+    addr.to_socket_addrs()?
+        .next()
+        .ok_or_else(|| WireError::Io("address resolved to nothing".into()))
+}
+
 fn connect(addr: &SocketAddr) -> Result<TcpStream, WireError> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
@@ -76,10 +83,7 @@ impl IngestClient {
     /// Connect with a seeded socket-fault schedule perturbing every
     /// outgoing frame (see [`SocketFaultPlan`]).
     pub fn with_faults(addr: impl ToSocketAddrs, plan: SocketFaultPlan) -> Result<Self, WireError> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| WireError::Io("address resolved to nothing".into()))?;
+        let addr = resolve(addr)?;
         let stream = connect(&addr)?;
         let faults = if plan.is_none() {
             None
@@ -105,6 +109,12 @@ impl IngestClient {
     /// so far is already in the engine before the socket drops.
     pub fn reconnect(&mut self) -> Result<(), WireError> {
         self.ping()?;
+        self.reopen()
+    }
+
+    /// Replace the stream with a fresh connection, dropping whatever the
+    /// old one had decoded.
+    fn reopen(&mut self) -> Result<(), WireError> {
         self.stream = connect(&self.addr)?;
         self.asm = FrameAssembler::new();
         self.pending.clear();
@@ -201,9 +211,7 @@ impl IngestClient {
                 let cut = (bytes.len() / 2).max(1);
                 self.stream.write_all(&bytes[..cut])?;
                 self.stream.flush()?;
-                self.stream = connect(&self.addr)?;
-                self.asm = FrameAssembler::new();
-                self.pending.clear();
+                self.reopen()?;
                 self.stream.write_all(&bytes)?;
             }
             SocketFaultAction::DuplicateConn => {
@@ -352,11 +360,7 @@ pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> std::io::Result<String>
 pub fn subscribe_verdicts(
     addr: impl ToSocketAddrs,
 ) -> Result<(Vec<VerdictMsg>, ReportMsg), WireError> {
-    let addr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| WireError::Io("address resolved to nothing".into()))?;
-    let mut stream = connect(&addr)?;
+    let mut stream = connect(&resolve(addr)?)?;
     stream.write_all(&encode_frame(&Frame::Hello {
         role: Role::Verdicts,
         client_id: 0,
@@ -376,11 +380,40 @@ fn collect_verdicts(
 ) -> Result<(Vec<VerdictMsg>, ReportMsg), WireError> {
     let t0 = Instant::now();
     let mut verdicts = Vec::new();
-    for frame in initial {
+    let mut frames = initial;
+    let mut buf = [0u8; 64 * 1024];
+    loop {
+        if let Some(report) = take_verdicts(frames.drain(..), &mut verdicts)? {
+            return Ok((verdicts, report));
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => {
+                return Err(WireError::Io(
+                    "connection closed before the report frame".into(),
+                ))
+            }
+            Ok(n) => frames = asm.push(&buf[..n])?,
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                if t0.elapsed() > RESPONSE_DEADLINE {
+                    return Err(WireError::Io("server response deadline exceeded".into()));
+                }
+            }
+            Err(e) => return Err(e.into()),
+        }
+    }
+}
+
+/// Append the verdicts among `frames` to `verdicts`, returning the
+/// closing report once it arrives.
+fn take_verdicts(
+    frames: impl Iterator<Item = Frame>,
+    verdicts: &mut Vec<VerdictMsg>,
+) -> Result<Option<ReportMsg>, WireError> {
+    for frame in frames {
         match frame {
             Frame::Verdict(v) => verdicts.push(v),
-            Frame::Report(r) => return Ok((verdicts, r)),
-            Frame::Pong { .. } => continue,
+            Frame::Report(r) => return Ok(Some(r)),
+            Frame::Pong { .. } => continue, // stale ping crossing finish
             Frame::Error { code, msg } => return Err(server_error(code, msg)),
             other => {
                 return Err(WireError::Decode(format!(
@@ -390,36 +423,5 @@ fn collect_verdicts(
             }
         }
     }
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) => {
-                return Err(WireError::Io(
-                    "connection closed before the report frame".into(),
-                ))
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if t0.elapsed() > RESPONSE_DEADLINE {
-                    return Err(WireError::Io("server response deadline exceeded".into()));
-                }
-                continue;
-            }
-            Err(e) => return Err(e.into()),
-        };
-        for frame in asm.push(&buf[..n])? {
-            match frame {
-                Frame::Verdict(v) => verdicts.push(v),
-                Frame::Report(r) => return Ok((verdicts, r)),
-                Frame::Pong { .. } => continue, // stale ping crossing finish
-                Frame::Error { code, msg } => return Err(server_error(code, msg)),
-                other => {
-                    return Err(WireError::Decode(format!(
-                        "unexpected {} frame in verdict stream",
-                        other.kind_label()
-                    )))
-                }
-            }
-        }
-    }
+    Ok(None)
 }
