@@ -18,14 +18,12 @@
 //! closure runs once and nothing is timed.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use nodesentry_core::coarse::ClusterModel;
+use nodesentry_core::coarse::{ClusterModel, SAMPLE_RATE_HZ};
 use ns_bench::best_ns;
 use ns_features::{FeatureCatalog, FeatureScratch};
 use ns_linalg::matrix::Matrix;
 use ns_linalg::stats;
 
-/// The coarse stage's sample rate (one row per 30 s).
-const SAMPLE_RATE: f64 = 1.0 / 30.0;
 /// Metrics per probe in `nsbench`'s model (feature width 141 × 134).
 const METRICS: usize = 141;
 /// Centroids in `nsbench`'s fitted library.
@@ -41,15 +39,15 @@ fn bench_features(c: &mut Criterion) {
             .map(|i| (i as f64 * 0.13).sin() * 2.0 + 0.4)
             .collect();
         group.bench_with_input(BenchmarkId::new("standard_134", len), &series, |b, s| {
-            b.iter(|| catalog.extract(s, SAMPLE_RATE))
+            b.iter(|| catalog.extract(s, SAMPLE_RATE_HZ))
         });
         group.bench_with_input(BenchmarkId::new("compact_21", len), &series, |b, s| {
-            b.iter(|| compact.extract(s, SAMPLE_RATE))
+            b.iter(|| compact.extract(s, SAMPLE_RATE_HZ))
         });
     }
     let segment = Matrix::from_fn(240, 30, |r, c2| ((r * (c2 + 1)) as f64 * 0.05).sin());
     group.bench_function("mts_240x30_standard", |b| {
-        b.iter(|| catalog.extract_mts(&segment, SAMPLE_RATE))
+        b.iter(|| catalog.extract_mts(&segment, SAMPLE_RATE_HZ))
     });
     group.finish();
     probe_shapes(c.timed());
@@ -90,7 +88,7 @@ fn probe(rows: usize, family: usize, draw: usize) -> Matrix {
 /// probes per family across all of them and average per family.
 fn library(catalog: &FeatureCatalog, rows: usize) -> ClusterModel {
     let feats: Vec<Vec<f64>> = (0..CLUSTERS * 4)
-        .map(|i| catalog.extract_mts(&probe(rows, i % CLUSTERS, i), SAMPLE_RATE))
+        .map(|i| catalog.extract_mts(&probe(rows, i % CLUSTERS, i), SAMPLE_RATE_HZ))
         .collect();
     let dim = feats[0].len();
     let (mut mean, mut std) = (vec![0.0; dim], vec![0.0; dim]);
@@ -107,15 +105,12 @@ fn library(catalog: &FeatureCatalog, rows: usize) -> ClusterModel {
         }
     }
     ClusterModel {
-        feat_mean: mean.clone(),
-        feat_std: std.clone(),
         labels: (0..feats.len()).map(|i| i % CLUSTERS).collect(),
         member_distances: vec![0.0; feats.len()],
         silhouette: 0.0,
         probe_feat_mean: mean,
         probe_feat_std: std,
         probe_centroids: Matrix::from_rows(&centroids),
-        centroids,
         match_radius: f64::INFINITY,
     }
 }
@@ -136,18 +131,18 @@ fn probe_shapes(timed: bool) {
         let cols: Vec<Vec<f64>> = (0..METRICS).map(|c| seg.col(c)).collect();
         let ns = best_ns(scale(20), || {
             for col in &cols {
-                catalog.extract_into(col, SAMPLE_RATE, &mut scratch, &mut out);
+                catalog.extract_into(col, SAMPLE_RATE_HZ, &mut scratch, &mut out);
                 black_box(&out);
             }
         });
         report(&format!("column/{rows}"), ns / METRICS as f64);
         let ns = best_ns(scale(20), || {
-            black_box(catalog.extract_mts(&seg, SAMPLE_RATE));
+            black_box(catalog.extract_mts(&seg, SAMPLE_RATE_HZ));
         });
         report(&format!("extract_mts/{rows}x{METRICS}"), ns);
     }
     let model = library(&catalog, 42);
-    let query = catalog.extract_mts(&probe(42, 5, 99), SAMPLE_RATE);
+    let query = catalog.extract_mts(&probe(42, 5, 99), SAMPLE_RATE_HZ);
     let mut z = Vec::new();
     let ns = best_ns(scale(200), || {
         black_box(model.match_pattern_into(&query, &mut z));

@@ -6,13 +6,14 @@
 //! per-pair Euclidean cost on real simulated segments, then extrapolate
 //! both to the paper's segment population.
 
+use nodesentry_core::coarse::SAMPLE_RATE_HZ;
 use ns_bench::write_json;
 use ns_cluster::dtw::{dtw_distance_mts, dtw_distance_mts_cutoff};
-use ns_eval::timing::Stopwatch;
 use ns_features::FeatureCatalog;
 use ns_linalg::vecops;
 use ns_telemetry::DatasetProfile;
 use serde_json::json;
+use std::time::Instant;
 
 fn main() {
     let ds = DatasetProfile::d2_prime().generate();
@@ -42,7 +43,7 @@ fn main() {
     println!("=== DTW vs feature clustering cost ({n} segments, 8 metrics) ===");
 
     // DTW pair cost.
-    let sw = Stopwatch::start();
+    let sw = Instant::now();
     let mut pairs = 0usize;
     for i in 0..n.min(12) {
         for j in i + 1..n.min(12) {
@@ -50,14 +51,14 @@ fn main() {
             pairs += 1;
         }
     }
-    let dtw_per_pair = sw.seconds() / pairs.max(1) as f64;
+    let dtw_per_pair = sw.elapsed().as_secs_f64() / pairs.max(1) as f64;
 
     // Same pairs through the early-abandon variant, nearest-neighbor
     // style: each row of the pair loop carries its running best as the
     // cutoff, so hopeless alignments abandon as soon as a full DP row
     // exceeds it. Exact where it matters — the winning distance is
     // bit-identical to the unconstrained call.
-    let sw = Stopwatch::start();
+    let sw = Instant::now();
     let mut cpairs = 0usize;
     for i in 0..n.min(12) {
         let mut best = f64::INFINITY;
@@ -72,20 +73,20 @@ fn main() {
             cpairs += 1;
         }
     }
-    let dtw_cutoff_per_pair = sw.seconds() / cpairs.max(1) as f64;
+    let dtw_cutoff_per_pair = sw.elapsed().as_secs_f64() / cpairs.max(1) as f64;
 
     // Feature extraction + Euclidean pair cost.
     let catalog = FeatureCatalog::standard();
-    let sw = Stopwatch::start();
+    let sw = Instant::now();
     let feats: Vec<Vec<f64>> = segments
         .iter()
         .map(|rows| {
             let m = ns_linalg::matrix::Matrix::from_rows(rows);
-            catalog.extract_mts(&m, 1.0 / 30.0)
+            catalog.extract_mts(&m, SAMPLE_RATE_HZ)
         })
         .collect();
-    let feat_per_segment = sw.seconds() / n as f64;
-    let sw = Stopwatch::start();
+    let feat_per_segment = sw.elapsed().as_secs_f64() / n as f64;
+    let sw = Instant::now();
     let mut epairs = 0usize;
     for i in 0..n {
         for j in i + 1..n {
@@ -93,7 +94,7 @@ fn main() {
             epairs += 1;
         }
     }
-    let euclid_per_pair = sw.seconds() / epairs.max(1) as f64;
+    let euclid_per_pair = sw.elapsed().as_secs_f64() / epairs.max(1) as f64;
 
     println!(
         "DTW (banded, 8 metrics):      {:>12.3} ms / pair",

@@ -169,14 +169,13 @@ pub fn run_nodesentry(ds: &Dataset, cfg: NodeSentryConfig) -> (MethodResult, Nod
     )
 }
 
-/// Preprocess every node once with the preprocessor a default NodeSentry
-/// fit builds ([`fit_preprocessor`]): the baselines consume the same
+/// Preprocess every node once with the preprocessor every NodeSentry fit
+/// builds ([`fit_preprocessor`]): the baselines consume the same
 /// reduced representation, bit for bit.
 pub fn preprocessed_nodes(ds: &Dataset) -> Vec<Matrix> {
     ns_obs::span!("preprocess_nodes");
     let groups = ds.catalog.group_ids();
-    let sample_nodes = NodeSentryConfig::default().fit_sample_nodes;
-    let pp = fit_preprocessor(&DatasetSource(ds), &groups, ds.split, sample_nodes);
+    let pp = fit_preprocessor(&DatasetSource(ds), &groups, ds.split);
     {
         use rayon::prelude::*;
         (0..ds.n_nodes())
@@ -341,7 +340,7 @@ mod tests {
         profile.schedule.n_nodes = 6;
         let ds = profile.generate();
         let cfg = small_cfg();
-        assert!(cfg.fit_sample_nodes < ds.n_nodes());
+        assert!(nodesentry_core::detector::FIT_SAMPLE_NODES < ds.n_nodes());
         let groups = ds.catalog.group_ids();
         let model = NodeSentry::fit_from_source(cfg, &DatasetSource(&ds), &groups, ds.split);
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

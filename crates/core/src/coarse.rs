@@ -2,6 +2,12 @@
 //! fixed-width feature vectors (TSFEL-style catalog) → HAC under
 //! Euclidean distance → silhouette-selected cluster count → centroid
 //! library for online pattern matching.
+//!
+//! Two feature spaces take part in a fit. HAC groups the whole segments'
+//! features; that space lives only inside [`fit`]. The library it leaves
+//! behind is built in *probe* space — the features of each segment's
+//! first `probe_len` steps — because that is all the online phase sees
+//! of a new job before it must pick a model (§3.5).
 
 use crate::preprocess::Segment;
 use ns_cluster::{linkage_from_distance, select_k, Linkage};
@@ -15,18 +21,23 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+/// Sample rate, in Hz, handed to the spectral features: every dataset
+/// profile samples its telemetry every 30 s.
+pub const SAMPLE_RATE_HZ: f64 = 1.0 / 30.0;
+
+/// HAC linkage over the full-segment features.
+const LINKAGE: Linkage = Linkage::Ward;
+
+/// The silhouette sweep falls back to one cluster below this score.
+const MIN_SILHOUETTE: f64 = 0.05;
+
 /// Configuration for the coarse stage.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CoarseConfig {
     /// Feature catalog applied per metric (default: the 134-feature set).
     pub catalog: FeatureCatalog,
-    pub linkage: Linkage,
     /// Upper bound of the silhouette sweep.
     pub k_max: usize,
-    /// Fall back to one cluster below this silhouette.
-    pub min_silhouette: f64,
-    /// Sample rate handed to spectral features.
-    pub sample_rate: f64,
     /// Override the silhouette selection with a fixed k (Fig. 6(b)).
     pub force_k: Option<usize>,
 }
@@ -35,26 +46,22 @@ impl Default for CoarseConfig {
     fn default() -> Self {
         Self {
             catalog: FeatureCatalog::standard(),
-            linkage: Linkage::Ward,
             k_max: 12,
-            min_silhouette: 0.05,
-            sample_rate: 1.0 / 30.0,
             force_k: None,
         }
     }
 }
 
-/// The fitted cluster library: feature-space scaler, centroids, and the
-/// matching threshold used online to decide "known pattern vs new".
+/// The fitted cluster library, in probe space only: the probe scaler,
+/// one centroid per cluster, and the matching radius used online to
+/// decide "known pattern vs new". The full-segment space HAC grouped in
+/// is not kept — nothing online reads it.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ClusterModel {
-    pub feat_mean: Vec<f64>,
-    pub feat_std: Vec<f64>,
-    /// Cluster centroids in standardized (full-segment) feature space.
-    pub centroids: Vec<Vec<f64>>,
     /// Training-segment labels (aligned with the fit input order).
     pub labels: Vec<usize>,
-    /// Distances of each training segment to its centroid.
+    /// Distances of each training segment to its centroid in the
+    /// full-segment space.
     pub member_distances: Vec<f64>,
     /// Silhouette at the chosen k (0 when k = 1 or forced).
     pub silhouette: f64,
@@ -73,7 +80,7 @@ pub struct ClusterModel {
 
 impl ClusterModel {
     pub fn k(&self) -> usize {
-        self.centroids.len()
+        self.probe_centroids.rows()
     }
 
     /// Standardize a raw probe feature vector.
@@ -153,13 +160,11 @@ impl ClusterModel {
 
     /// Add a brand-new cluster centered at the given *raw probe* feature
     /// vector (online new-pattern path, §3.5). Returns the new cluster
-    /// id. The full-segment centroid is seeded at the probe position so
-    /// both libraries stay aligned.
+    /// id.
     pub fn add_cluster(&mut self, raw_probe_feat: &[f64]) -> usize {
         let z = self.standardize_probe(raw_probe_feat);
         self.probe_centroids.push_row(&z);
-        self.centroids.push(z);
-        self.centroids.len() - 1
+        self.k() - 1
     }
 
     /// Shift a probe centroid toward a newly matched raw probe feature
@@ -176,7 +181,7 @@ impl ClusterModel {
 
 /// Extract the fixed-width feature vector of one segment.
 pub fn segment_features(cfg: &CoarseConfig, seg: &Matrix) -> Vec<f64> {
-    cfg.catalog.extract_mts(seg, cfg.sample_rate)
+    cfg.catalog.extract_mts(seg, SAMPLE_RATE_HZ)
 }
 
 /// One feature space of the library (§3.3): the per-column z-score
@@ -260,7 +265,7 @@ pub fn fit(
     let zfeats = &full.z;
     let n = zfeats.len();
     let dist = CondensedDistance::compute(n, |i, j| vecops::euclidean(&zfeats[i], &zfeats[j]));
-    let dendrogram = linkage_from_distance(&dist, cfg.linkage);
+    let dendrogram = linkage_from_distance(&dist, LINKAGE);
     let (hac_labels, silhouette) = match cfg.force_k {
         Some(k) => {
             let k = k.clamp(1, n);
@@ -273,12 +278,12 @@ pub fn fit(
             (labels, s)
         }
         None => {
-            let sel = select_k(&dist, &dendrogram, cfg.k_max, cfg.min_silhouette);
+            let sel = select_k(&dist, &dendrogram, cfg.k_max, MIN_SILHOUETTE);
             (sel.labels, sel.score)
         }
     };
-    // 3. Centroids + member distances, under HAC's grouping or C2's
-    // random one (a shuffled deck, so every group keeps members).
+    // 3. Member distances, under HAC's grouping or C2's random one (a
+    // shuffled deck, so every group keeps members).
     let k = hac_labels.iter().max().map_or(1, |m| m + 1);
     let random_labels = random_groups.map(|seed| {
         let mut labels: Vec<usize> = (0..n).map(|i| i % k).collect();
@@ -286,7 +291,7 @@ pub fn fit(
         labels
     });
     let labels = random_labels.as_ref().unwrap_or(&hac_labels);
-    let (centroids, member_distances) = full.group(labels, k);
+    let (_, member_distances) = full.group(labels, k);
     drop(linkage_span);
 
     // 4. Probe-space matching library: features of the first `probe_len`
@@ -310,9 +315,6 @@ pub fn fit(
     }
     drop(probe_span);
     ClusterModel {
-        feat_mean: full.mean,
-        feat_std: full.std,
-        centroids,
         labels: random_labels.unwrap_or(hac_labels),
         member_distances,
         silhouette,
@@ -383,7 +385,33 @@ mod tests {
         assert!(model.labels[..6].iter().all(|&l| l == a));
         assert!(model.labels[6..].iter().all(|&l| l != a));
         assert_eq!(model.labels.len(), 12);
-        assert_eq!(model.feat_mean.len(), FeatureCatalog::compact().len() * 3);
+        assert_eq!(
+            model.probe_feat_mean.len(),
+            FeatureCatalog::compact().len() * 3
+        );
+    }
+
+    /// The library keeps probe space only: the labels, member distances
+    /// and silhouette the fit reports, and what online matching reads.
+    #[test]
+    fn cluster_model_json_keys_are_pinned() {
+        let model = fit(&fast_cfg(), &two_family_segments(), WHOLE, None);
+        let keys: Vec<String> = match model.to_value() {
+            serde::Value::Object(fields) => fields.into_iter().map(|(k, _)| k).collect(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys,
+            [
+                "labels",
+                "member_distances",
+                "silhouette",
+                "probe_feat_mean",
+                "probe_feat_std",
+                "probe_centroids",
+                "match_radius"
+            ]
+        );
     }
 
     #[test]

@@ -56,9 +56,6 @@ pub struct NodeSentryConfig {
     /// Moving-average smoothing (points) applied to scores before the
     /// threshold; real anomalies persist across sampling points.
     pub smooth_window: usize,
-    /// How many nodes — the first ones — the preprocessor statistics are
-    /// fitted on (bounds memory on wide clusters; see [`fit_preprocessor`]).
-    pub fit_sample_nodes: usize,
     pub seed: u64,
 }
 
@@ -72,7 +69,6 @@ impl Default for NodeSentryConfig {
             match_period: 120,
             threshold: KSigmaConfig::default(),
             smooth_window: 5,
-            fit_sample_nodes: 4,
             seed: 17,
         }
     }
@@ -137,17 +133,21 @@ impl NodeSource for [NodeInput] {
     }
 }
 
+/// How many nodes — the first ones — the preprocessor statistics are
+/// fitted on (bounds memory on wide clusters; see [`fit_preprocessor`]).
+pub const FIT_SAMPLE_NODES: usize = 4;
+
 /// The preprocessing every method is compared on (§3.2; the baselines of
 /// §4 consume its output too): statistics fitted on the training rows
-/// `[0, split)` of the first `sample_nodes` nodes (at least one, at most
-/// all), stacked, with Pearson pruning at 0.99 and 5 % outlier trimming.
+/// `[0, split)` of the first [`FIT_SAMPLE_NODES`] nodes (all of them when
+/// there are fewer), stacked, with Pearson pruning at 0.99 and 5 % outlier
+/// trimming.
 pub fn fit_preprocessor<S: NodeSource + ?Sized>(
     nodes: &S,
     groups: &[usize],
     split: usize,
-    sample_nodes: usize,
 ) -> Preprocessor {
-    let sample: Vec<Matrix> = (0..sample_nodes.clamp(1, nodes.n_nodes()))
+    let sample: Vec<Matrix> = (0..FIT_SAMPLE_NODES.min(nodes.n_nodes()))
         .map(|i| {
             let raw = nodes.raw(i);
             raw.slice_rows(0, split.min(raw.rows()))
@@ -209,7 +209,7 @@ impl NodeSentry {
         ns_obs::span!("fit");
         // 1. Preprocessing statistics from a sample of nodes.
         let pre_span = ns_obs::trace::span("preprocess");
-        let preprocessor = fit_preprocessor(nodes, groups, split, cfg.fit_sample_nodes);
+        let preprocessor = fit_preprocessor(nodes, groups, split);
         drop(pre_span);
 
         // 2. Preprocess + segment each node's training split, in
@@ -631,14 +631,60 @@ mod tests {
                 ..Default::default()
             },
             match_period: 20,
-            threshold: KSigmaConfig {
-                window: 30,
-                k: 3.0,
-                ..Default::default()
-            },
+            threshold: KSigmaConfig { window: 30, k: 3.0 },
             min_segment_len: 8,
             ..Default::default()
         }
+    }
+
+    fn keys(v: &serde::Value) -> Vec<&str> {
+        match v {
+            serde::Value::Object(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    /// Every settable value of the configuration, nested configs
+    /// included: 25 knobs that a caller varies, or a seed.
+    #[test]
+    fn config_json_keys_are_pinned() {
+        let cfg = NodeSentryConfig::default().to_value();
+        assert_eq!(
+            keys(&cfg),
+            [
+                "coarse",
+                "sharing",
+                "variant",
+                "min_segment_len",
+                "match_period",
+                "threshold",
+                "smooth_window",
+                "seed"
+            ]
+        );
+        let field = |name: &str| cfg.get(name).expect(name);
+        assert_eq!(keys(field("coarse")), ["catalog", "k_max", "force_k"]);
+        assert_eq!(
+            keys(field("sharing")),
+            [
+                "window",
+                "stride",
+                "d_model",
+                "n_heads",
+                "n_layers",
+                "hidden",
+                "n_experts",
+                "top_k",
+                "dense_ffn",
+                "segment_aware_pe",
+                "epochs",
+                "lr",
+                "batch",
+                "k_nearest",
+                "seed"
+            ]
+        );
+        assert_eq!(keys(field("threshold")), ["window", "k"]);
     }
 
     #[test]
@@ -753,12 +799,15 @@ mod tests {
     /// The cluster library's JSON, Full and C2, pinned by FNV-1a: the
     /// scaler, centroids, labels, member distances, silhouette and radius
     /// must not move a bit when the library's arithmetic is reorganised.
+    /// Each pin equals the digest of the library's JSON from before the
+    /// full-segment scaler and centroids were dropped, with their three
+    /// keys cut out: dropping them moved no kept value.
     #[test]
     fn cluster_model_json_digest_is_pinned() {
         let (nodes, groups, split) = synthetic_nodes(600);
         for (variant, want) in [
-            (Variant::Full, 0x855a_5e9d_dd55_6ae5),
-            (Variant::C2RandomGroups, 0xa6a3_be09_b4fb_e534),
+            (Variant::Full, 0xf5a8_03e8_cf12_f2e5),
+            (Variant::C2RandomGroups, 0x61d7_744d_8003_3d18),
         ] {
             let ns = NodeSentry::fit(quick_cfg().with_variant(variant), &nodes, &groups, split);
             let json = serde_json::to_string(&ns.cluster_model).unwrap();

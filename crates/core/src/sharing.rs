@@ -36,6 +36,11 @@ pub const SEGMENT_PE_STRIDE: usize = 997;
 /// encoding regardless of how long the job ran.
 pub const REL_PE_SCALE: f64 = 512.0;
 
+/// Denoising augmentation: std of the Gaussian noise added to training
+/// inputs (targets stay clean). Makes the model tolerant of benign
+/// per-job intensity jitter without dulling real anomalies.
+const NOISE_AUG: f64 = 0.08;
+
 /// Hyperparameters of the shared model (defaults follow the paper's
 /// artifact description: window 20, batch 50, 3 layers / 3 heads /
 /// 3 experts with top-1 gating; epochs are scaled down for CPU training).
@@ -58,10 +63,6 @@ pub struct SharingConfig {
     pub batch: usize,
     /// K segments nearest the centroid used for training (§3.4).
     pub k_nearest: usize,
-    /// Denoising augmentation: std of Gaussian noise added to training
-    /// inputs (targets stay clean). Makes the model tolerant of benign
-    /// per-job intensity jitter without dulling real anomalies.
-    pub noise_aug: f64,
     pub seed: u64,
 }
 
@@ -82,7 +83,6 @@ impl Default for SharingConfig {
             lr: 2e-3,
             batch: 50,
             k_nearest: 10,
-            noise_aug: 0.08,
             seed: 1,
         }
     }
@@ -336,13 +336,11 @@ impl SharedModel {
                         // Denoising: perturbed input, clean target.
                         let x = g.input_fill(rows, m, |x| {
                             x.copy_from_slice(win.values());
-                            if cfg.noise_aug > 0.0 {
-                                let mut nrng = ChaCha8Rng::seed_from_u64(
-                                    epoch_key ^ ((wi as u64) << 24) ^ cfg.seed,
-                                );
-                                for v in x.iter_mut() {
-                                    *v += cfg.noise_aug * gaussian(&mut nrng);
-                                }
+                            let mut nrng = ChaCha8Rng::seed_from_u64(
+                                epoch_key ^ ((wi as u64) << 24) ^ cfg.seed,
+                            );
+                            for v in x.iter_mut() {
+                                *v += NOISE_AUG * gaussian(&mut nrng);
                             }
                         });
                         let target = g.input_fill(rows, m, |t| t.copy_from_slice(win.values()));

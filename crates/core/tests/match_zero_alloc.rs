@@ -62,9 +62,6 @@ fn allocations(f: impl FnOnce()) -> usize {
 fn library(k: usize, dim: usize) -> ClusterModel {
     let centroids = Matrix::from_fn(k, dim, |r, c| ((r * 13 + c * 7) as f64 * 0.31).sin() * 2.0);
     ClusterModel {
-        feat_mean: vec![0.0; dim],
-        feat_std: vec![1.0; dim],
-        centroids: (0..k).map(|r| centroids.row(r).to_vec()).collect(),
         labels: (0..k).collect(),
         member_distances: vec![0.0; k],
         silhouette: 0.5,

@@ -8,8 +8,8 @@
 //!   §3.5 (3-sigma by default, window swept by Fig. 6(f)).
 //! * [`streaming`] — incremental, bit-exact replays of the smoothing and
 //!   k-sigma detectors for one-point-at-a-time deployment (`ns-stream`).
-//! * [`timing`] — stopwatch + the paper's duration formatting for the
-//!   Table 4 cost columns.
+//! * [`timing`] — the paper's duration formatting for the Table 4 cost
+//!   columns (callers time with `std::time::Instant`).
 
 pub mod metrics;
 pub mod streaming;
@@ -22,4 +22,4 @@ pub use metrics::{
 };
 pub use streaming::{StreamingKSigma, StreamingSmoother};
 pub use threshold::{ksigma_detect, smooth_scores, KSigmaConfig};
-pub use timing::{format_duration, Stopwatch};
+pub use timing::format_duration;

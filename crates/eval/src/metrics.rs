@@ -10,6 +10,7 @@
 //!    nodes; F1 is computed from the averaged P and R.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Confusion counts over included points.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,27 +52,25 @@ pub fn f1_from(p: f64, r: f64) -> f64 {
     }
 }
 
+/// Each maximal run of `true` in `flags`, in order, as a half-open range.
+pub fn runs(flags: &[bool]) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let start = i + flags[i..].iter().position(|&f| f)?;
+        let len = flags[start..].iter().take_while(|&&f| f).count();
+        i = start + len;
+        Some(start..i)
+    })
+}
+
 /// Apply the segment adjustment: any predicted positive inside a
 /// continuous true-anomaly run marks the entire run as predicted.
 pub fn point_adjust(pred: &[bool], truth: &[bool]) -> Vec<bool> {
     assert_eq!(pred.len(), truth.len());
     let mut adjusted = pred.to_vec();
-    let n = truth.len();
-    let mut i = 0;
-    while i < n {
-        if truth[i] {
-            let start = i;
-            while i < n && truth[i] {
-                i += 1;
-            }
-            let end = i;
-            if pred[start..end].iter().any(|&p| p) {
-                for slot in adjusted[start..end].iter_mut() {
-                    *slot = true;
-                }
-            }
-        } else {
-            i += 1;
+    for run in runs(truth) {
+        if pred[run.clone()].iter().any(|&p| p) {
+            adjusted[run].fill(true);
         }
     }
     adjusted
@@ -134,27 +133,14 @@ pub fn transition_mask(len: usize, transitions: &[usize], radius: usize) -> Vec<
 /// maximum score first (the AUC analogue of point adjustment).
 pub fn roc_auc_adjusted(scores: &[f64], truth: &[bool], include: Option<&[bool]>) -> f64 {
     assert_eq!(scores.len(), truth.len());
-    let n = truth.len();
     // Propagate run-max scores across each anomaly run.
     let mut adj_scores = scores.to_vec();
-    let mut i = 0;
-    while i < n {
-        if truth[i] {
-            let start = i;
-            while i < n && truth[i] {
-                i += 1;
-            }
-            let end = i;
-            let maxv = scores[start..end]
-                .iter()
-                .cloned()
-                .fold(f64::NEG_INFINITY, f64::max);
-            for s in adj_scores[start..end].iter_mut() {
-                *s = maxv;
-            }
-        } else {
-            i += 1;
-        }
+    for run in runs(truth) {
+        let maxv = scores[run.clone()]
+            .iter()
+            .cloned()
+            .fold(f64::NEG_INFINITY, f64::max);
+        adj_scores[run].fill(maxv);
     }
     // Mann–Whitney U with tie handling (average ranks).
     let mut pairs: Vec<(f64, bool)> = adj_scores

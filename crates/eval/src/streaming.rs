@@ -10,7 +10,7 @@
 //! The differential tests at the bottom (and `tests/stream_equivalence.rs`
 //! at the workspace root) hold them to `f64::to_bits` equality.
 
-use crate::threshold::{percentile_sorted, KSigmaConfig};
+use crate::threshold::{percentile_sorted, robust_sigma, KSigmaConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -175,9 +175,7 @@ impl StreamingKSigma {
             dev.extend(self.sorted.iter().map(|v| (v - median).abs()));
             dev.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
             let mad = percentile_sorted(dev, 0.5);
-            let sigma = (1.4826 * mad)
-                .max(self.cfg.min_sigma)
-                .max(self.cfg.rel_floor * median.abs());
+            let sigma = robust_sigma(median, mad);
             if score > median + self.cfg.k * sigma {
                 flagged = true;
             }

@@ -12,25 +12,30 @@ pub struct KSigmaConfig {
     pub window: usize,
     /// Sigma multiplier (3.0 in practice).
     pub k: f64,
-    /// Minimum sigma floor, preventing zero-variance windows from
-    /// flagging everything.
-    pub min_sigma: f64,
-    /// Scale-free sigma floor: sigma is never below `rel_floor` times the
-    /// window's mean absolute score, so near-perfect reconstruction
-    /// stretches (tiny variance) don't flag every ripple regardless of
-    /// the method's score scale.
-    pub rel_floor: f64,
 }
 
 impl Default for KSigmaConfig {
     fn default() -> Self {
-        Self {
-            window: 40,
-            k: 3.0,
-            min_sigma: 1e-6,
-            rel_floor: 0.3,
-        }
+        Self { window: 40, k: 3.0 }
     }
+}
+
+/// Absolute sigma floor, preventing zero-variance windows from flagging
+/// everything.
+const MIN_SIGMA: f64 = 1e-6;
+
+/// Scale-free sigma floor: sigma is never below `REL_FLOOR` times the
+/// absolute value of the window's median score, so near-perfect
+/// reconstruction stretches (tiny variance) don't flag every ripple
+/// regardless of the method's score scale.
+const REL_FLOOR: f64 = 0.3;
+
+/// The robust sigma of a reference window from its median and MAD, with
+/// both floors applied — the one rule of the batch and streaming
+/// detectors.
+#[inline]
+pub(crate) fn robust_sigma(median: f64, mad: f64) -> f64 {
+    (1.4826 * mad).max(MIN_SIGMA).max(REL_FLOOR * median.abs())
 }
 
 /// Apply the detector: `out[t]` is true when `scores[t]` exceeds the
@@ -67,9 +72,7 @@ pub fn ksigma_detect(scores: &[f64], cfg: &KSigmaConfig) -> Vec<bool> {
                 dev.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
                 percentile_sorted(&dev, 0.5)
             };
-            let sigma = (1.4826 * mad)
-                .max(cfg.min_sigma)
-                .max(cfg.rel_floor * median.abs());
+            let sigma = robust_sigma(median, mad);
             if scores[t] > median + cfg.k * sigma {
                 out[t] = true;
             }
@@ -175,22 +178,8 @@ mod tests {
     fn higher_k_is_stricter() {
         let mut scores: Vec<f64> = (0..300).map(|i| ((i * 13) % 11) as f64 * 0.05).collect();
         scores[250] = 1.2;
-        let loose = ksigma_detect(
-            &scores,
-            &KSigmaConfig {
-                window: 50,
-                k: 1.0,
-                ..Default::default()
-            },
-        );
-        let strict = ksigma_detect(
-            &scores,
-            &KSigmaConfig {
-                window: 50,
-                k: 4.0,
-                ..Default::default()
-            },
-        );
+        let loose = ksigma_detect(&scores, &KSigmaConfig { window: 50, k: 1.0 });
+        let strict = ksigma_detect(&scores, &KSigmaConfig { window: 50, k: 4.0 });
         let nl = loose.iter().filter(|&&d| d).count();
         let ns = strict.iter().filter(|&&d| d).count();
         assert!(nl >= ns, "loose {nl} < strict {ns}");

@@ -1,35 +1,4 @@
-//! Wall-clock measurement helpers for the Table 4 cost columns.
-
-use std::time::{Duration, Instant};
-
-/// A simple stopwatch accumulating named phases.
-#[derive(Debug)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    pub fn start() -> Self {
-        Self {
-            start: Instant::now(),
-        }
-    }
-
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Elapsed seconds as f64.
-    pub fn seconds(&self) -> f64 {
-        self.elapsed().as_secs_f64()
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
-}
+//! Duration formatting for the Table 4 cost columns.
 
 /// Format seconds the way the paper's Table 4 does: days / hours /
 /// minutes / seconds / milliseconds with two decimals.
@@ -58,16 +27,5 @@ mod tests {
         assert_eq!(format_duration(90.0), "1.50 min");
         assert_eq!(format_duration(2.47), "2.47 s");
         assert_eq!(format_duration(0.036), "36.00 ms");
-    }
-
-    #[test]
-    fn stopwatch_measures_nonzero() {
-        let sw = Stopwatch::start();
-        let mut x = 0u64;
-        for i in 0..100_000u64 {
-            x = x.wrapping_add(i * i);
-        }
-        std::hint::black_box(x);
-        assert!(sw.seconds() >= 0.0);
     }
 }

@@ -20,22 +20,10 @@ pub struct Suggestion {
 /// Convert a boolean flag series to merged intervals, dropping runs
 /// shorter than `min_len`.
 pub fn flags_to_intervals(flags: &[bool], min_len: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < flags.len() {
-        if flags[i] {
-            let start = i;
-            while i < flags.len() && flags[i] {
-                i += 1;
-            }
-            if i - start >= min_len.max(1) {
-                out.push((start, i));
-            }
-        } else {
-            i += 1;
-        }
-    }
-    out
+    ns_eval::metrics::runs(flags)
+        .filter(|run| run.len() >= min_len.max(1))
+        .map(|run| (run.start, run.end))
+        .collect()
 }
 
 /// Suggest anomalies over an MTS by running a k-sigma detector per metric

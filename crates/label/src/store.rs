@@ -117,17 +117,23 @@ impl LabelStore {
         out
     }
 
-    /// Serialise one node's labels as CSV (`start,end,note`).
+    /// Serialise one node's labels as CSV (`start,end,note`). A note's
+    /// commas and line breaks are written as `;`, so every interval is
+    /// one row.
     pub fn to_csv(&self, node: usize) -> String {
         let mut s = String::from("start,end,note\n");
         for iv in self.intervals(node) {
-            let _ = writeln!(s, "{},{},{}", iv.start, iv.end, iv.note.replace(',', ";"));
+            let note = iv.note.replace([',', '\n', '\r'], ";");
+            let _ = writeln!(s, "{},{},{}", iv.start, iv.end, note);
         }
         s
     }
 
     /// Parse one node's labels from CSV produced by [`Self::to_csv`].
+    /// Every row is parsed before any is applied, so a load that fails
+    /// leaves the store as it was.
     pub fn load_csv(&mut self, node: usize, csv: &str) -> Result<(), String> {
+        let mut rows = Vec::new();
         for (lineno, line) in csv.lines().enumerate().skip(1) {
             if line.trim().is_empty() {
                 continue;
@@ -149,7 +155,10 @@ impl LabelStore {
                 return Err(format!("line {lineno}: empty interval {start}..{end}"));
             }
             let note = parts.next().unwrap_or("").to_string();
-            self.label(node, Interval { start, end, note });
+            rows.push(Interval { start, end, note });
+        }
+        for iv in rows {
+            self.label(node, iv);
         }
         Ok(())
     }
@@ -203,6 +212,32 @@ mod tests {
         s2.load_csv(7, &csv).unwrap();
         assert_eq!(s2.intervals(7).len(), 2);
         assert_eq!(s2.intervals(7)[0].note, "net; partition");
+    }
+
+    #[test]
+    fn csv_roundtrip_keeps_a_note_with_a_line_break() {
+        let mut s = LabelStore::new();
+        s.label(2, Interval::new(10, 20, "disk full\nsee ticket"));
+        s.label(2, Interval::new(40, 50, "ok"));
+        let mut s2 = LabelStore::new();
+        s2.load_csv(2, &s.to_csv(2)).unwrap();
+        assert_eq!(
+            s2.intervals(2),
+            &[
+                Interval::new(10, 20, "disk full;see ticket"),
+                Interval::new(40, 50, "ok")
+            ]
+        );
+    }
+
+    #[test]
+    fn failed_load_leaves_the_store_unchanged() {
+        let mut s = LabelStore::new();
+        s.label(2, Interval::new(0, 5, "kept"));
+        let before = s.intervals(2).to_vec();
+        let csv = "start,end,note\n10,20,first\n30,x,bad\n";
+        assert!(s.load_csv(2, csv).is_err());
+        assert_eq!(s.intervals(2), &before[..]);
     }
 
     #[test]

@@ -252,12 +252,14 @@ pub fn size_buckets() -> Vec<f64> {
 // Registry
 // ---------------------------------------------------------------------
 
+#[derive(Clone)]
 enum Series {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
 }
 
+#[derive(Clone, Copy, PartialEq)]
 enum FamilyKind {
     Counter,
     Gauge,
@@ -313,49 +315,59 @@ fn escape_label(v: &str) -> String {
 }
 
 impl Registry {
+    /// Find or create the family `name` of `kind` (a family registered
+    /// under another kind panics), then the series for `labels` in it,
+    /// created by `make` — the one upsert behind [`Registry::counter`],
+    /// [`Registry::gauge`] and [`Registry::histogram`].
+    fn series(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        kind: FamilyKind,
+        make: impl FnOnce() -> Series,
+    ) -> Series {
+        let mut fams = self.lock();
+        let fam = fams.entry(name.to_string()).or_insert_with(|| Family {
+            help: help.to_string(),
+            kind,
+            series: BTreeMap::new(),
+        });
+        assert!(
+            fam.kind == kind,
+            "metric {name} already registered with a different type"
+        );
+        fam.series
+            .entry(label_key(labels))
+            .or_insert_with(make)
+            .clone()
+    }
+
     /// Register (or fetch) a counter series. Registration is idempotent:
     /// the same `(name, labels)` always returns a handle to the same
     /// underlying value.
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let mut fams = self.lock();
-        let fam = fams.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind: FamilyKind::Counter,
-            series: BTreeMap::new(),
-        });
-        assert!(
-            matches!(fam.kind, FamilyKind::Counter),
-            "metric {name} already registered with a different type"
-        );
-        match fam.series.entry(label_key(labels)).or_insert_with(|| {
+        let make = || {
             Series::Counter(Counter {
                 value: Arc::new(AtomicU64::new(0)),
             })
-        }) {
-            Series::Counter(c) => c.clone(),
-            _ => unreachable!("family kind checked above"),
+        };
+        match self.series(name, help, labels, FamilyKind::Counter, make) {
+            Series::Counter(c) => c,
+            _ => unreachable!("family kind checked in `series`"),
         }
     }
 
     /// Register (or fetch) a gauge series.
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let mut fams = self.lock();
-        let fam = fams.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind: FamilyKind::Gauge,
-            series: BTreeMap::new(),
-        });
-        assert!(
-            matches!(fam.kind, FamilyKind::Gauge),
-            "metric {name} already registered with a different type"
-        );
-        match fam.series.entry(label_key(labels)).or_insert_with(|| {
+        let make = || {
             Series::Gauge(Gauge {
                 value: Arc::new(AtomicI64::new(0)),
             })
-        }) {
-            Series::Gauge(g) => g.clone(),
-            _ => unreachable!("family kind checked above"),
+        };
+        match self.series(name, help, labels, FamilyKind::Gauge, make) {
+            Series::Gauge(g) => g,
+            _ => unreachable!("family kind checked in `series`"),
         }
     }
 
@@ -373,17 +385,7 @@ impl Registry {
             buckets.windows(2).all(|w| w[0] < w[1]) && !buckets.is_empty(),
             "histogram {name}: bounds must be non-empty and strictly increasing"
         );
-        let mut fams = self.lock();
-        let fam = fams.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind: FamilyKind::Histogram,
-            series: BTreeMap::new(),
-        });
-        assert!(
-            matches!(fam.kind, FamilyKind::Histogram),
-            "metric {name} already registered with a different type"
-        );
-        match fam.series.entry(label_key(labels)).or_insert_with(|| {
+        let make = || {
             Series::Histogram(Histogram {
                 inner: Arc::new(HistogramInner {
                     bounds: buckets.to_vec(),
@@ -392,9 +394,10 @@ impl Registry {
                     count: AtomicU64::new(0),
                 }),
             })
-        }) {
-            Series::Histogram(h) => h.clone(),
-            _ => unreachable!("family kind checked above"),
+        };
+        match self.series(name, help, labels, FamilyKind::Histogram, make) {
+            Series::Histogram(h) => h,
+            _ => unreachable!("family kind checked in `series`"),
         }
     }
 

@@ -8,6 +8,7 @@
 //! ```
 
 use nodesentry::cluster::{linkage, Linkage};
+use nodesentry::core::coarse::SAMPLE_RATE_HZ;
 use nodesentry::features::FeatureCatalog;
 use nodesentry::label::ClusterAdjustment;
 use nodesentry::telemetry::DatasetProfile;
@@ -28,7 +29,7 @@ fn main() {
             let m = nodesentry::linalg::Matrix::from_fn(seg.len(), 6, |r, c| {
                 dataset.latent[node][seg.start + r][c]
             });
-            features.push(catalog.extract_mts(&m, 1.0 / 30.0));
+            features.push(catalog.extract_mts(&m, SAMPLE_RATE_HZ));
             let label = match seg.job {
                 Some(j) => format!("{:?}", dataset.schedule.jobs[j].archetype),
                 None => "Idle".into(),

@@ -8,8 +8,9 @@
 //! ```
 
 use nodesentry::core::{NodeSentry, NodeSentryConfig};
-use nodesentry::eval::timing::{format_duration, Stopwatch};
+use nodesentry::eval::timing::format_duration;
 use nodesentry::telemetry::DatasetProfile;
+use std::time::Instant;
 
 fn main() {
     let mut profile = DatasetProfile::tiny();
@@ -28,11 +29,11 @@ fn main() {
             transitions: dataset.transitions(n),
         })
         .collect();
-    let sw = Stopwatch::start();
+    let sw = Instant::now();
     let mut model = NodeSentry::fit(cfg, &inputs, &groups, dataset.split);
     println!(
         "offline training done in {} — {} clusters in the pattern library",
-        format_duration(sw.seconds()),
+        format_duration(sw.elapsed().as_secs_f64()),
         model.n_clusters()
     );
 
@@ -41,9 +42,9 @@ fn main() {
     let mut alerts = 0usize;
     let mut true_alerts = 0usize;
     for (n, input) in inputs.iter().enumerate() {
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         let (scores, matches) = model.score_node(&input.raw, &input.transitions, dataset.split);
-        let per_point_ms = sw.seconds() * 1e3 / scores.len().max(1) as f64;
+        let per_point_ms = sw.elapsed().as_secs_f64() * 1e3 / scores.len().max(1) as f64;
         let flags = model.cfg.flag_scores(&scores).1;
         let truth = dataset.labels(n);
         for (cycle_start, chunk) in flags.chunks(steps_per_cycle).enumerate() {

@@ -167,7 +167,7 @@ proptest! {
         window in 1usize..50,
         k_tenths in 10usize..60
     ) {
-        let cfg = KSigmaConfig { window, k: k_tenths as f64 / 10.0, ..Default::default() };
+        let cfg = KSigmaConfig { window, k: k_tenths as f64 / 10.0 };
         let batch = ksigma_detect(&scores, &cfg);
         let mut det = StreamingKSigma::new(cfg);
         let streamed: Vec<bool> = scores.iter().map(|&s| det.push(s)).collect();
