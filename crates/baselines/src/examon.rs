@@ -11,27 +11,24 @@ use rayon::prelude::*;
 /// Configuration.
 #[derive(Clone, Debug)]
 pub struct ExamonConfig {
-    pub hidden: usize,
-    pub bottleneck: usize,
     pub epochs: usize,
-    pub lr: f64,
-    /// Training rows per node are subsampled to this cap.
-    pub max_rows_per_node: usize,
     pub seed: u64,
 }
 
 impl Default for ExamonConfig {
     fn default() -> Self {
         Self {
-            hidden: 32,
-            bottleneck: 8,
             epochs: 120,
-            lr: 3e-3,
-            max_rows_per_node: 1200,
             seed: 11,
         }
     }
 }
+
+const HIDDEN: usize = 32;
+const BOTTLENECK: usize = 8;
+const LR: f64 = 3e-3;
+/// Training rows per node are subsampled to this cap.
+const MAX_ROWS_PER_NODE: usize = 1200;
 
 struct NodeAe {
     params: ParamStore,
@@ -88,14 +85,14 @@ impl Detector for Examon {
             .enumerate()
             .map(|(idx, node)| {
                 let upto = split.min(node.rows());
-                let train = node.gather_rows(&thin((0..upto).collect(), cfg.max_rows_per_node));
+                let train = node.gather_rows(&thin((0..upto).collect(), MAX_ROWS_PER_NODE));
                 let dim = train.cols();
                 let mut params = ParamStore::new(cfg.seed ^ (idx as u64) << 4);
-                let enc1 = Linear::new(&mut params, "e1", dim, cfg.hidden);
-                let enc2 = Linear::new(&mut params, "e2", cfg.hidden, cfg.bottleneck);
-                let dec1 = Linear::new(&mut params, "d1", cfg.bottleneck, cfg.hidden);
-                let dec2 = Linear::new(&mut params, "d2", cfg.hidden, dim);
-                let mut opt = Adam::new(cfg.lr);
+                let enc1 = Linear::new(&mut params, "e1", dim, HIDDEN);
+                let enc2 = Linear::new(&mut params, "e2", HIDDEN, BOTTLENECK);
+                let dec1 = Linear::new(&mut params, "d1", BOTTLENECK, HIDDEN);
+                let dec2 = Linear::new(&mut params, "d2", HIDDEN, dim);
+                let mut opt = Adam::new(LR);
                 for _ in 0..cfg.epochs {
                     let grads = {
                         let mut g = Graph::new(&params);

@@ -4,16 +4,13 @@
 //! weakest at modelling MTS dynamics — matching its Table 4 position.
 
 use crate::common::{thin, Detector};
-use ns_cluster::gmm::{Covariance, GaussianMixture, GmmConfig};
+use ns_cluster::gmm::{GaussianMixture, GmmConfig};
 use ns_linalg::matrix::Matrix;
 
 /// Configuration.
 #[derive(Clone, Debug)]
 pub struct Isc20Config {
-    pub n_components: usize,
     pub max_iter: usize,
-    /// Dirichlet weight prior (the "Bayesian" in BGMM).
-    pub weight_prior: f64,
     /// Training rows subsampled to this cap across all nodes.
     pub max_rows: usize,
     pub seed: u64,
@@ -22,14 +19,17 @@ pub struct Isc20Config {
 impl Default for Isc20Config {
     fn default() -> Self {
         Self {
-            n_components: 6,
             max_iter: 60,
-            weight_prior: 5.0,
             max_rows: 4000,
             seed: 13,
         }
     }
 }
+
+/// Mixture components fitted.
+const N_COMPONENTS: usize = 6;
+/// Dirichlet weight prior (the "Bayesian" in BGMM).
+const WEIGHT_PRIOR: f64 = 5.0;
 
 /// The fitted detector.
 pub struct Isc20 {
@@ -67,12 +67,10 @@ impl Detector for Isc20 {
         let gmm = GaussianMixture::fit(
             &rows,
             &GmmConfig {
-                n_components: self.cfg.n_components,
-                covariance: Covariance::Diagonal,
+                n_components: N_COMPONENTS,
                 max_iter: self.cfg.max_iter,
-                weight_prior: self.cfg.weight_prior,
+                weight_prior: WEIGHT_PRIOR,
                 seed: self.cfg.seed,
-                ..Default::default()
             },
         );
         self.model = Some(gmm);

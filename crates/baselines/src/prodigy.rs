@@ -11,31 +11,28 @@ use ns_nn::{windows, Adam, Graph, ParamStore};
 /// Configuration.
 #[derive(Clone, Debug)]
 pub struct ProdigyConfig {
-    pub window: usize,
-    pub hidden: usize,
-    pub latent: usize,
     pub epochs: usize,
-    pub lr: f64,
-    pub beta: f64,
-    /// Cap on training windows (subsampled uniformly beyond this).
-    pub max_train_windows: usize,
     pub seed: u64,
 }
 
 impl Default for ProdigyConfig {
     fn default() -> Self {
         Self {
-            window: 20,
-            hidden: 48,
-            latent: 8,
             epochs: 60,
-            lr: 2e-3,
-            beta: 1e-3,
-            max_train_windows: 1500,
             seed: 3,
         }
     }
 }
+
+/// Rows per window summary.
+const WINDOW: usize = 20;
+const HIDDEN: usize = 48;
+const LATENT: usize = 8;
+const LR: f64 = 2e-3;
+/// Weight of the KL term in the VAE loss.
+const BETA: f64 = 1e-3;
+/// Cap on training windows (subsampled uniformly beyond this).
+const MAX_TRAIN_WINDOWS: usize = 1500;
 
 /// The fitted detector.
 pub struct Prodigy {
@@ -66,29 +63,23 @@ impl Detector for Prodigy {
         for node in nodes {
             let upto = split.min(node.rows());
             let train = node.slice_rows(0, upto);
-            for w in windows(train.rows(), self.cfg.window, self.cfg.window) {
+            for w in windows(train.rows(), WINDOW, WINDOW) {
                 feats.push(window_summary(&train.slice_rows(w.start, w.end)));
             }
         }
         assert!(!feats.is_empty(), "no training windows");
-        let feats = thin(feats, self.cfg.max_train_windows);
+        let feats = thin(feats, MAX_TRAIN_WINDOWS);
         let dim = feats[0].len();
         let data = Matrix::from_rows(&feats);
         let mut params = ParamStore::new(self.cfg.seed);
-        let vae = Vae::new(
-            &mut params,
-            "prodigy",
-            dim,
-            self.cfg.hidden,
-            self.cfg.latent,
-        );
-        let mut opt = Adam::new(self.cfg.lr);
+        let vae = Vae::new(&mut params, "prodigy", dim, HIDDEN, LATENT);
+        let mut opt = Adam::new(LR);
         for epoch in 0..self.cfg.epochs {
-            let eps = standard_normal(data.rows(), self.cfg.latent, self.cfg.seed ^ epoch as u64);
+            let eps = standard_normal(data.rows(), LATENT, self.cfg.seed ^ epoch as u64);
             let grads = {
                 let mut g = Graph::new(&params);
                 let x = g.input(data.clone());
-                let l = vae.loss(&mut g, x, &eps, self.cfg.beta);
+                let l = vae.loss(&mut g, x, &eps, BETA);
                 g.backward(l)
             };
             opt.step(&mut params, &grads);
@@ -103,7 +94,7 @@ impl Detector for Prodigy {
         if len == 0 {
             return Vec::new();
         }
-        let wins = windows(len, self.cfg.window, self.cfg.window);
+        let wins = windows(len, WINDOW, WINDOW);
         let feats: Vec<Vec<f64>> = wins
             .iter()
             .map(|w| window_summary(&test.slice_rows(w.start, w.end)))

@@ -12,10 +12,7 @@ use rayon::prelude::*;
 /// Configuration.
 #[derive(Clone, Debug)]
 pub struct RuadConfig {
-    pub window: usize,
-    pub hidden: usize,
     pub epochs: usize,
-    pub lr: f64,
     /// Cap on training windows per node.
     pub max_windows_per_node: usize,
     pub seed: u64,
@@ -24,15 +21,18 @@ pub struct RuadConfig {
 impl Default for RuadConfig {
     fn default() -> Self {
         Self {
-            window: 16,
-            hidden: 24,
             epochs: 6,
-            lr: 4e-3,
             max_windows_per_node: 120,
             seed: 5,
         }
     }
 }
+
+/// Rows per LSTM window.
+const WINDOW: usize = 16;
+/// LSTM hidden width.
+const HIDDEN: usize = 24;
+const LR: f64 = 4e-3;
 
 /// Per-node LSTM autoencoders.
 pub struct Ruad {
@@ -71,12 +71,12 @@ impl Detector for Ruad {
                 let train = node.slice_rows(0, upto);
                 let dim = train.cols();
                 let mut params = ParamStore::new(cfg.seed ^ (idx as u64) << 8);
-                let ae = LstmAutoencoder::new(&mut params, "ruad", dim, cfg.hidden);
+                let ae = LstmAutoencoder::new(&mut params, "ruad", dim, HIDDEN);
                 let wins = thin(
-                    windows(train.rows(), cfg.window, cfg.window),
+                    windows(train.rows(), WINDOW, WINDOW),
                     cfg.max_windows_per_node,
                 );
-                let mut opt = Adam::new(cfg.lr);
+                let mut opt = Adam::new(LR);
                 for _epoch in 0..cfg.epochs {
                     for w in &wins {
                         let win = train.slice_rows(w.start, w.end);
@@ -103,7 +103,7 @@ impl Detector for Ruad {
         if len == 0 {
             return Vec::new();
         }
-        let wins = windows(len, self.cfg.window, self.cfg.window);
+        let wins = windows(len, WINDOW, WINDOW);
         let errs: Vec<f64> = wins
             .par_iter()
             .map(|w| {

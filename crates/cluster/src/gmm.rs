@@ -1,33 +1,19 @@
-//! Gaussian mixture models fit by EM, with a Bayesian-flavoured variant
-//! (Dirichlet weight prior, so components can be effectively pruned) and
-//! Mahalanobis scoring — the machinery behind the ISC'20 baseline, which
-//! characterises HPC performance variation with BGMM clustering and flags
-//! points by Mahalanobis distance to their closest component.
+//! Gaussian mixtures with diagonal covariances, fit by EM, with a
+//! Bayesian-flavoured variant (Dirichlet weight prior, so components can
+//! be effectively pruned) and Mahalanobis scoring — the machinery behind
+//! the ISC'20 baseline, which characterises HPC performance variation
+//! with BGMM clustering and flags points by Mahalanobis distance to their
+//! closest component.
 
-use ns_linalg::{decomp, kernels, matrix::Matrix, vecops};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
-/// Covariance structure of the mixture components.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Covariance {
-    /// Diagonal covariances — robust at high dimension / few samples.
-    Diagonal,
-    /// Full covariances with a ridge for invertibility.
-    Full,
-}
+use ns_linalg::{kernels, vecops};
 
 /// One fitted Gaussian component.
 #[derive(Clone, Debug)]
 pub struct Component {
     pub weight: f64,
     pub mean: Vec<f64>,
-    /// Diagonal variances (always kept; Full additionally stores `cov`).
+    /// Diagonal variances.
     pub var: Vec<f64>,
-    /// Full covariance (only for [`Covariance::Full`]).
-    pub cov: Option<Matrix>,
-    /// Cached inverse covariance for Mahalanobis scoring.
-    inv_cov: Option<Matrix>,
     log_det: f64,
 }
 
@@ -35,7 +21,6 @@ pub struct Component {
 #[derive(Clone, Debug)]
 pub struct GaussianMixture {
     pub components: Vec<Component>,
-    pub covariance: Covariance,
     /// Final mean log-likelihood per sample.
     pub log_likelihood: f64,
     pub iterations: usize,
@@ -45,11 +30,7 @@ pub struct GaussianMixture {
 #[derive(Clone, Debug)]
 pub struct GmmConfig {
     pub n_components: usize,
-    pub covariance: Covariance,
     pub max_iter: usize,
-    pub tol: f64,
-    /// Variance floor / ridge added to covariances.
-    pub reg: f64,
     /// Dirichlet concentration prior on weights; > 0 makes this the
     /// "Bayesian" GMM of the ISC'20 baseline (small components shrink).
     pub weight_prior: f64,
@@ -60,61 +41,40 @@ impl Default for GmmConfig {
     fn default() -> Self {
         Self {
             n_components: 4,
-            covariance: Covariance::Diagonal,
             max_iter: 100,
-            tol: 1e-5,
-            reg: 1e-6,
             weight_prior: 0.0,
             seed: 0,
         }
     }
 }
 
+/// EM stops once the mean log-likelihood moves by less than this.
+const TOL: f64 = 1e-5;
+/// Variance floor.
+const REG: f64 = 1e-6;
 const LOG_2PI: f64 = 1.8378770664093453; // ln(2π)
 
 impl Component {
-    fn log_pdf(&self, x: &[f64], covariance: Covariance) -> f64 {
+    fn log_pdf(&self, x: &[f64]) -> f64 {
         let d = x.len() as f64;
-        match covariance {
-            Covariance::Diagonal => {
-                let mut q = 0.0;
-                for ((&xi, &mi), &vi) in x.iter().zip(&self.mean).zip(&self.var) {
-                    let dx = xi - mi;
-                    q += dx * dx / vi;
-                }
-                -0.5 * (d * LOG_2PI + self.log_det + q)
-            }
-            Covariance::Full => {
-                let q = self.mahalanobis_sq(x, covariance);
-                -0.5 * (d * LOG_2PI + self.log_det + q)
-            }
+        let mut q = 0.0;
+        for ((&xi, &mi), &vi) in x.iter().zip(&self.mean).zip(&self.var) {
+            let dx = xi - mi;
+            q += dx * dx / vi;
         }
+        -0.5 * (d * LOG_2PI + self.log_det + q)
     }
 
     /// Squared Mahalanobis distance to this component.
-    pub fn mahalanobis_sq(&self, x: &[f64], covariance: Covariance) -> f64 {
-        match covariance {
-            Covariance::Diagonal => x
-                .iter()
-                .zip(&self.mean)
-                .zip(&self.var)
-                .map(|((&xi, &mi), &vi)| {
-                    let dx = xi - mi;
-                    dx * dx / vi
-                })
-                .sum(),
-            Covariance::Full => match self.inv_cov.as_ref() {
-                Some(inv) => {
-                    let d: Vec<f64> = x.iter().zip(&self.mean).map(|(a, b)| a - b).collect();
-                    let dv = Matrix::col_vector(&d);
-                    let tmp = inv.matmul(&dv);
-                    d.iter().zip(tmp.as_slice()).map(|(a, b)| a * b).sum()
-                }
-                // Before the first M step, components only carry diagonal
-                // seed variances: fall back to the diagonal form.
-                None => self.mahalanobis_sq(x, Covariance::Diagonal),
-            },
-        }
+    pub fn mahalanobis_sq(&self, x: &[f64]) -> f64 {
+        x.iter()
+            .zip(&self.mean)
+            .zip(&self.var)
+            .map(|((&xi, &mi), &vi)| {
+                let dx = xi - mi;
+                dx * dx / vi
+            })
+            .sum()
     }
 }
 
@@ -125,15 +85,13 @@ impl GaussianMixture {
         assert!(n > 0, "GMM requires at least one sample");
         let dim = data[0].len();
         let k = cfg.n_components.min(n).max(1);
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let _ = &mut rng;
 
         // Seed means via k-means (few iterations) for stable EM starts.
         let km = crate::kmeans::kmeans(data, k, 10, cfg.seed);
         let global_var: Vec<f64> = (0..dim)
             .map(|j| {
                 let col: Vec<f64> = data.iter().map(|p| p[j]).collect();
-                ns_linalg::stats::variance(&col).max(cfg.reg)
+                ns_linalg::stats::variance(&col).max(REG)
             })
             .collect();
         let mut components: Vec<Component> = km
@@ -143,8 +101,6 @@ impl GaussianMixture {
                 weight: 1.0 / k as f64,
                 mean: c.clone(),
                 var: global_var.clone(),
-                cov: None,
-                inv_cov: None,
                 log_det: global_var.iter().map(|v| v.ln()).sum(),
             })
             .collect();
@@ -159,7 +115,7 @@ impl GaussianMixture {
             for (i, x) in data.iter().enumerate() {
                 let logs: Vec<f64> = components
                     .iter()
-                    .map(|c| c.weight.max(1e-300).ln() + c.log_pdf(x, cfg.covariance))
+                    .map(|c| c.weight.max(1e-300).ln() + c.log_pdf(x))
                     .collect();
                 let m = logs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 let mut denom = 0.0;
@@ -187,57 +143,19 @@ impl GaussianMixture {
                 }
                 vecops::scale(&mut mean, 1.0 / nk_safe);
                 components[c].mean = mean;
-                match cfg.covariance {
-                    Covariance::Diagonal => {
-                        let mut var = vec![0.0; dim];
-                        for (i, x) in data.iter().enumerate() {
-                            let r = resp[i * k + c];
-                            for (j, slot) in var.iter_mut().enumerate() {
-                                let dx = x[j] - components[c].mean[j];
-                                *slot += r * dx * dx;
-                            }
-                        }
-                        for v in var.iter_mut() {
-                            *v = (*v / nk_safe).max(cfg.reg);
-                        }
-                        components[c].log_det = var.iter().map(|v| v.ln()).sum();
-                        components[c].var = var;
-                    }
-                    Covariance::Full => {
-                        let mut cov = Matrix::zeros(dim, dim);
-                        for (i, x) in data.iter().enumerate() {
-                            let r = resp[i * k + c];
-                            for a in 0..dim {
-                                let da = x[a] - components[c].mean[a];
-                                for b in 0..dim {
-                                    let db = x[b] - components[c].mean[b];
-                                    cov[(a, b)] += r * da * db;
-                                }
-                            }
-                        }
-                        for a in 0..dim {
-                            for b in 0..dim {
-                                cov[(a, b)] /= nk_safe;
-                            }
-                            cov[(a, a)] += cfg.reg;
-                        }
-                        let inv = decomp::inverse(&cov).unwrap_or_else(|_| {
-                            // Degenerate: fall back to the diagonal inverse.
-                            let mut m = Matrix::zeros(dim, dim);
-                            for a in 0..dim {
-                                m[(a, a)] = 1.0 / cov[(a, a)].max(cfg.reg);
-                            }
-                            m
-                        });
-                        let ld = decomp::log_det(&cov).unwrap_or_else(|_| {
-                            (0..dim).map(|a| cov[(a, a)].max(cfg.reg).ln()).sum()
-                        });
-                        components[c].var = (0..dim).map(|a| cov[(a, a)]).collect();
-                        components[c].cov = Some(cov);
-                        components[c].inv_cov = Some(inv);
-                        components[c].log_det = ld;
+                let mut var = vec![0.0; dim];
+                for (i, x) in data.iter().enumerate() {
+                    let r = resp[i * k + c];
+                    for (j, slot) in var.iter_mut().enumerate() {
+                        let dx = x[j] - components[c].mean[j];
+                        *slot += r * dx * dx;
                     }
                 }
+                for v in var.iter_mut() {
+                    *v = (*v / nk_safe).max(REG);
+                }
+                components[c].log_det = var.iter().map(|v| v.ln()).sum();
+                components[c].var = var;
             }
             // Renormalise weights (prior update can drift slightly).
             let wsum: f64 = components.iter().map(|c| c.weight).sum();
@@ -245,7 +163,7 @@ impl GaussianMixture {
                 c.weight /= wsum;
             }
 
-            if (ll - prev_ll).abs() < cfg.tol && it > 2 {
+            if (ll - prev_ll).abs() < TOL && it > 2 {
                 prev_ll = ll;
                 break;
             }
@@ -254,7 +172,6 @@ impl GaussianMixture {
 
         GaussianMixture {
             components,
-            covariance: cfg.covariance,
             log_likelihood: prev_ll,
             iterations,
         }
@@ -265,7 +182,7 @@ impl GaussianMixture {
     pub fn min_mahalanobis(&self, x: &[f64]) -> f64 {
         self.components
             .iter()
-            .map(|c| c.mahalanobis_sq(x, self.covariance).sqrt())
+            .map(|c| c.mahalanobis_sq(x).sqrt())
             .fold(f64::INFINITY, f64::min)
     }
 }
@@ -307,29 +224,24 @@ mod tests {
     }
 
     #[test]
-    fn full_covariance_fits_correlated_data() {
-        // Strongly correlated 2-D Gaussian.
-        let data: Vec<Vec<f64>> = (0..80)
-            .map(|i| {
-                let t = ((i * 29) % 17) as f64 - 8.0;
-                let n = ((i * 31) % 7) as f64 / 10.0;
-                vec![t, t + n]
-            })
-            .collect();
+    fn mahalanobis_is_zero_at_the_mean_and_one_a_standard_deviation_out() {
+        let data = two_gaussians();
         let gmm = GaussianMixture::fit(
             &data,
             &GmmConfig {
-                n_components: 1,
-                covariance: Covariance::Full,
+                n_components: 2,
                 ..Default::default()
             },
         );
-        let cov = gmm.components[0].cov.as_ref().unwrap();
-        // Off-diagonal should be close to the diagonal (corr ≈ 1).
-        assert!(cov[(0, 1)] > 0.8 * cov[(0, 0)]);
-        // Mahalanobis of the mean is ~0.
-        let m = gmm.components[0].mean.clone();
-        assert!(gmm.components[0].mahalanobis_sq(&m, Covariance::Full) < 1e-9);
+        for c in &gmm.components {
+            assert_eq!(c.mahalanobis_sq(&c.mean), 0.0);
+            for j in 0..c.mean.len() {
+                let mut x = c.mean.clone();
+                x[j] += c.var[j].sqrt();
+                let d = c.mahalanobis_sq(&x);
+                assert!((d - 1.0).abs() < 1e-12, "axis {j}: {d}");
+            }
+        }
     }
 
     #[test]

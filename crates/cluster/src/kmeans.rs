@@ -1,5 +1,5 @@
-//! k-means with k-means++ initialisation. Used by the labeling toolkit's
-//! built-in clustering and as a baseline component.
+//! k-means with k-means++ initialisation. Its one caller is
+//! [`crate::gmm`], which seeds the mixture's means with it.
 
 use ns_linalg::kernels;
 use rand::Rng;

@@ -3,15 +3,16 @@
 //! The paper's coarse-grained stage needs Hierarchical Agglomerative
 //! Clustering with automatic cluster-count selection via the silhouette
 //! coefficient (§3.3); the baselines need Gaussian mixtures (ISC'20); the
-//! Challenge-1 cost argument needs DTW; utilities need k-means. This
-//! crate provides all of them, implemented from scratch over `ns-linalg`:
+//! Challenge-1 cost argument needs DTW; the mixture's means are seeded by
+//! k-means. This crate provides all of them, implemented from scratch over
+//! `ns-linalg`:
 //!
 //! * [`hac`] — NN-chain HAC with single/complete/average/Ward linkage and
 //!   dendrogram cuts,
 //! * [`silhouette`] — silhouette scoring and [`silhouette::select_k`],
-//! * [`kmeans`] — k-means++,
+//! * [`kmeans`] — k-means++, the mixture's mean seeding,
 //! * [`gmm`] — EM-fitted (Bayesian-optional) Gaussian mixtures with
-//!   Mahalanobis scoring,
+//!   diagonal covariances and Mahalanobis scoring,
 //! * [`dtw`] — (banded) dynamic time warping, uni- and multivariate.
 
 pub mod dtw;

@@ -76,14 +76,25 @@ impl AnnotationHistory {
             .join("\n")
     }
 
-    /// Parse a JSON-lines log.
+    /// Parse a JSON-lines log. An action over an empty interval
+    /// (`start >= end`) is refused, as [`LabelStore::load_csv`] refuses
+    /// such a row: the store would hold an inverted interval.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
         let mut actions = Vec::new();
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            actions.push(serde_json::from_str(line).map_err(|e| format!("line {i}: {e}"))?);
+            let action: Action =
+                serde_json::from_str(line).map_err(|e| format!("line {i}: {e}"))?;
+            let (start, end) = match &action {
+                Action::Label { interval, .. } => (interval.start, interval.end),
+                Action::Unlabel { start, end, .. } => (*start, *end),
+            };
+            if start >= end {
+                return Err(format!("line {i}: empty interval {start}..{end}"));
+            }
+            actions.push(action);
         }
         Ok(Self { actions })
     }
@@ -161,5 +172,24 @@ mod tests {
     #[test]
     fn corrupt_jsonl_is_an_error() {
         assert!(AnnotationHistory::from_jsonl("not json").is_err());
+    }
+
+    #[test]
+    fn jsonl_with_an_empty_interval_is_an_error() {
+        let inverted_label = r#"{"Label":{"node":0,"interval":{"start":5,"end":2,"note":"x"}}}"#;
+        assert_eq!(
+            AnnotationHistory::from_jsonl(inverted_label)
+                .err()
+                .as_deref(),
+            Some("line 0: empty interval 5..2")
+        );
+        let label = r#"{"Label":{"node":0,"interval":{"start":0,"end":10,"note":""}}}"#;
+        let inverted_unlabel = r#"{"Unlabel":{"node":0,"start":5,"end":2}}"#;
+        assert_eq!(
+            AnnotationHistory::from_jsonl(&format!("{label}\n{inverted_unlabel}"))
+                .err()
+                .as_deref(),
+            Some("line 1: empty interval 5..2")
+        );
     }
 }

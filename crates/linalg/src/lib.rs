@@ -16,8 +16,6 @@
 //! * a register-blocked [`Matrix::matmul`] ([`kernels::gemm`]), banded over
 //!   the pool when a product is large,
 //! * reductions and per-row/per-column statistics,
-//! * decompositions used by the Gaussian-mixture baseline
-//!   ([`decomp::cholesky`], [`decomp::solve`], [`decomp::inverse`]),
 //! * condensed pairwise-distance storage ([`distance::CondensedDistance`])
 //!   shared by the clustering crate, and the probe matcher's centroid scan
 //!   ([`distance::nearest_row_standardized`]), held to the plain
@@ -28,7 +26,6 @@
 //! few dozen, feature matrices of a few thousand rows) are served well by a
 //! register-blocked tile kernel at the CPU's vector width.
 
-pub mod decomp;
 pub mod distance;
 pub mod kernels;
 pub mod matrix;

@@ -138,15 +138,6 @@ impl<T: Scalar> Mat<T> {
         }
     }
 
-    /// An `n × 1` column vector.
-    pub fn col_vector(v: &[T]) -> Self {
-        Self {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     #[inline]
     pub fn rows(&self) -> usize {
         self.rows
