@@ -4,8 +4,8 @@
 //! series beside the paper's expected shape and writes
 //! `target/experiments/fig6<panel>.json`.
 
-use nodesentry_core::{NodeSentry, NodeSentryConfig};
-use ns_bench::{evaluate_scores, run_nodesentry, score_nodes, write_json, DatasetSource};
+use nodesentry_core::NodeSentryConfig;
+use ns_bench::{run_nodesentry, write_json};
 use ns_telemetry::Dataset;
 use serde::Serialize;
 use serde_json::{json, to_value, Value};
@@ -123,21 +123,16 @@ const PANELS: [Panel; 6] = [
 fn f1_with(ds: &Dataset, tweak: impl FnOnce(&mut NodeSentryConfig)) -> f64 {
     let mut cfg = NodeSentryConfig::default();
     tweak(&mut cfg);
-    run_nodesentry(ds, cfg).0.f1
+    run_nodesentry(ds, cfg, ds.split).0.f1
 }
 
 /// F1 when only the first `frac` of the training window is fitted on;
 /// scoring and evaluation still start at the dataset's split.
 fn f1_with_fraction(ds: &Dataset, frac: f64) -> f64 {
     let fit_split = ((ds.split as f64) * frac) as usize;
-    let groups = ds.catalog.group_ids();
-    let model = NodeSentry::fit_from_source(
-        NodeSentryConfig::default(),
-        &DatasetSource(ds),
-        &groups,
-        fit_split.max(100),
-    );
-    evaluate_scores(ds, &score_nodes(ds, &model), &model.cfg).f1
+    run_nodesentry(ds, NodeSentryConfig::default(), fit_split.max(100))
+        .0
+        .f1
 }
 
 /// One printed row and one `{dataset, series: [{<key>, f1}]}` record per
@@ -176,7 +171,7 @@ fn row_sweep<X: Copy + Serialize>(
 fn cluster_count_sweep(dss: &[Dataset]) -> Vec<Value> {
     dss.iter()
         .map(|ds| {
-            let (auto, model) = run_nodesentry(ds, NodeSentryConfig::default());
+            let (auto, model, _) = run_nodesentry(ds, NodeSentryConfig::default(), ds.split);
             let k_auto = model.n_clusters();
             println!("{}: auto k = {k_auto} (F1 {:.3})", ds.profile.name, auto.f1);
             let mut series = vec![json!({ "factor": 1.0, "k": k_auto, "f1": auto.f1 })];

@@ -54,16 +54,14 @@ fn main() {
     );
     println!("anomaly onset step {ev_start}, job failure step {failure_step}");
 
-    let (result, model) = run_nodesentry(&ds, NodeSentryConfig::default());
+    let (result, model, flags) = run_nodesentry(&ds, NodeSentryConfig::default(), split);
     println!(
         "detector trained: {} clusters, F1 on this scenario {:.3}",
         model.n_clusters(),
         result.f1
     );
 
-    let raw = ds.raw_node(0);
-    let pred = model.detect_node(&raw, &ds.transitions(0), split);
-    let first_detection = pred
+    let first_detection = flags[0]
         .iter()
         .enumerate()
         .filter(|(t, &p)| p && t + split >= ev_start)

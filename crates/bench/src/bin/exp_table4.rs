@@ -1,34 +1,27 @@
 //! Table 4 — overall effectiveness: NodeSentry vs Prodigy, RUAD, ExaMon
 //! and ISC'20 on D1′ and D2′ (P / R / AUC / F1 + offline/online cost).
 //!
-//! Pass `--sweep-profiles` to run on the smaller sweep datasets instead
-//! (faster smoke run).
+//! Each row is printed with its breakdown (and NodeSentry's with its
+//! cluster table) and written to `table4.json`. Pass `--sweep-profiles` to
+//! run on the smaller sweep datasets instead (faster smoke run).
 
 use nodesentry_core::NodeSentryConfig;
 use ns_baselines::{Detector, Examon, Isc20, Prodigy, Ruad};
 use ns_bench::{
-    print_method_row, run_baseline, run_nodesentry, sweep_profile_d1, sweep_profile_d2, write_json,
-    MethodResult,
+    print_method_row, run_baseline, run_nodesentry, table_profiles, write_json, MethodResult,
 };
-use ns_telemetry::DatasetProfile;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--sweep-profiles");
-    let profiles = if quick {
-        vec![sweep_profile_d1(), sweep_profile_d2()]
-    } else {
-        vec![DatasetProfile::d1_prime(), DatasetProfile::d2_prime()]
-    };
     println!("=== Table 4: effectiveness of anomaly detection ===\n");
     let mut results: Vec<MethodResult> = Vec::new();
-    for profile in profiles {
+    for profile in table_profiles() {
         println!(
             "--- dataset {} ({} nodes, {} steps) ---",
             profile.name, profile.schedule.n_nodes, profile.schedule.horizon
         );
         let ds = profile.generate();
 
-        let (r, _model) = run_nodesentry(&ds, NodeSentryConfig::default());
+        let (r, _, _) = run_nodesentry(&ds, NodeSentryConfig::default(), ds.split);
         print_method_row(&r);
         results.push(r);
 

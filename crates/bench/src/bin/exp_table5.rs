@@ -1,20 +1,14 @@
 //! Table 5 — ablation study: the full pipeline vs variants C1–C5 on D1′
-//! and D2′ (paper §4.4).
+//! and D2′ (paper §4.4), each row with its breakdown and cluster table.
+//! `--sweep-profiles` runs on the smaller sweep datasets instead.
 
 use nodesentry_core::{NodeSentryConfig, Variant};
-use ns_bench::{print_method_row, run_nodesentry, write_json, MethodResult};
-use ns_telemetry::DatasetProfile;
+use ns_bench::{print_method_row, run_nodesentry, table_profiles, write_json, MethodResult};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--sweep-profiles");
-    let profiles = if quick {
-        vec![ns_bench::sweep_profile_d1(), ns_bench::sweep_profile_d2()]
-    } else {
-        vec![DatasetProfile::d1_prime(), DatasetProfile::d2_prime()]
-    };
     println!("=== Table 5: ablation study (C1 no clustering, C2 random groups, C3 equal-length, C4 no segment PE, C5 dense FFN) ===\n");
     let mut results: Vec<MethodResult> = Vec::new();
-    for profile in profiles {
+    for profile in table_profiles() {
         println!("--- dataset {} ---", profile.name);
         let ds = profile.generate();
         for variant in [
@@ -25,7 +19,8 @@ fn main() {
             Variant::C4NoSegmentPe,
             Variant::C5DenseFfn,
         ] {
-            let (r, _) = run_nodesentry(&ds, NodeSentryConfig::default().with_variant(variant));
+            let cfg = NodeSentryConfig::default().with_variant(variant);
+            let (r, _, _) = run_nodesentry(&ds, cfg, ds.split);
             print_method_row(&r);
             results.push(r);
         }
