@@ -11,8 +11,8 @@
 //!   per-tick path does;
 //! * `preprocess_push`: `StreamingPreprocessor::push`, plus the tail flush;
 //! * `node_offer`: `NodeState::offer`, the whole per-tick half of a node
-//!   (stuck-sensor watch, preprocessing, segment assembly; scoring is
-//!   deferred to a scoring phase that never runs here);
+//!   (stuck-sensor watch, preprocessing, segment assembly; closed
+//!   segments queue as scoring jobs that are never handed out here);
 //!
 //! and `ksigma_push` per point of a 10k-point score series. Each is the
 //! best of seven samples, printed and written to `BENCH_detect.json`. No

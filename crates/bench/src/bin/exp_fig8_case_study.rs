@@ -34,17 +34,15 @@ fn main() {
         start: ev_start,
         end: job.end,
     };
-    // Re-simulate with the single event.
-    ds = {
-        let mut p = profile.clone();
-        p.events_per_node = 0.0;
-        let mut d = p.generate();
-        let events = vec![event.clone()];
-        d.latent =
-            ns_telemetry::simulator::simulate_cluster(&d.schedule, &events, p.interval_s, p.seed);
-        d.events = events;
-        d
-    };
+    // Re-simulate the same schedule with the single event.
+    let events = vec![event.clone()];
+    ds.latent = ns_telemetry::simulator::simulate_cluster(
+        &ds.schedule,
+        &events,
+        profile.interval_s,
+        profile.seed,
+    );
+    ds.events = events;
     let failure_step = ds.failure_step(&event).expect("event overlaps the job");
 
     println!("=== Fig. 8 case study: memory exhaustion on node 0 ===");

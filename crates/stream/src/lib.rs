@@ -23,15 +23,17 @@
 //!   positional encoding spans the whole segment, so scores finalize
 //!   there), applies the per-segment baseline normalization, and feeds a
 //!   node-level [`StreamingSmoother`] → [`StreamingKSigma`] chain. Ready
-//!   probes and closed segments queue on the node; a *scoring phase*
-//!   works the queue off.
+//!   probes and closed segments queue on the node until they are handed
+//!   out as *scoring jobs*.
 //! * [`Engine`] shards nodes across a worker pool over bounded channels
 //!   (ingest blocks when a shard falls behind — backpressure, not
-//!   unbounded buffering), runs one scoring phase per shard after every
-//!   tick batch — everything ready across the shard's nodes goes through
-//!   one `score_series_batch` call per shared model, fanned over the
-//!   shard's share of the thread pool — and returns every
-//!   [`Verdict`] plus deployment cost statistics and [`FaultCounters`].
+//!   unbounded buffering). After every tick batch a shard hands each
+//!   ready probe and closed segment to the thread pool as one job and
+//!   goes back to its queue; finished jobs are applied at the next batch
+//!   boundary in per-node order, and every synchronous path (checkpoint,
+//!   flush, blackout reset, quarantine) first drains them. The engine
+//!   returns every [`Verdict`] plus deployment cost statistics and
+//!   [`FaultCounters`].
 //!
 //! # Fault model & degraded mode
 //!

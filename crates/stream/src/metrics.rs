@@ -13,10 +13,10 @@
 //! | [`REORDER_OCCUPANCY`] | gauge | `shard` | ticks parked in the shard's per-node reorder buffers |
 //! | [`INGEST_SECONDS`] | histogram | — | wall time of one `Engine::ingest` call (includes backpressure blocking) |
 //! | [`MATCH_SECONDS`] | histogram | — | one probe feature-extraction + library-match cycle |
-//! | [`SCORE_SECONDS`] | histogram | — | one segment scored through its shared model |
+//! | [`SCORE_SECONDS`] | histogram | — | one segment scored through its shared model (its job's own elapsed time) |
 //! | [`POINT_SECONDS`] | histogram | — | scoring compute attributed per emitted point |
-//! | [`SCORE_BATCH_SEGMENTS`] | histogram | — | segments scored together in one batched forward (batch occupancy) |
-//! | [`MATCH_BATCH_PROBES`] | histogram | — | probes resolved together in one scoring phase (burst size) |
+//! | [`SCORE_BATCH_SEGMENTS`] | histogram | — | segment jobs handed out by one submission (a shard's batch boundary, end-of-stream flush, or one node's drain) |
+//! | [`MATCH_BATCH_PROBES`] | histogram | — | probe matches handed out by one submission (burst size) |
 //! | [`TICKS_TOTAL`] | counter | `shard` | ticks accepted off the queue |
 //! | [`VERDICTS_TOTAL`] | counter | `kind` (`ok`/`degraded`) | verdicts emitted |
 //! | [`FAULTS_TOTAL`] | counter | `class` | live view of every [`FaultCounters`] field |
@@ -60,9 +60,9 @@ pub const MATCH_SECONDS: &str = "ns_stream_match_seconds";
 pub const SCORE_SECONDS: &str = "ns_stream_score_seconds";
 /// Histogram: scoring seconds attributed to each emitted point.
 pub const POINT_SECONDS: &str = "ns_stream_point_seconds";
-/// Histogram: segments stacked into one batched scoring forward.
+/// Histogram: segment jobs handed out by one submission.
 pub const SCORE_BATCH_SEGMENTS: &str = "ns_stream_score_batch_segments";
-/// Histogram: probes resolved together in one cross-node scoring phase.
+/// Histogram: probe matches handed out by one submission.
 pub const MATCH_BATCH_PROBES: &str = "ns_stream_match_batch_probes";
 /// Counter: ticks accepted by shard workers (`shard` label).
 pub const TICKS_TOTAL: &str = "ns_stream_ticks_total";
@@ -142,13 +142,13 @@ pub(crate) fn node_metrics() -> &'static NodeMetrics {
             ),
             batch_segments: reg.histogram(
                 SCORE_BATCH_SEGMENTS,
-                "Segments stacked into one batched scoring forward.",
+                "Segment jobs handed out by one submission.",
                 &[],
                 &counts,
             ),
             batch_probes: reg.histogram(
                 MATCH_BATCH_PROBES,
-                "Probes resolved together in one cross-node scoring phase.",
+                "Probe matches handed out by one submission.",
                 &[],
                 &counts,
             ),

@@ -1,7 +1,8 @@
 //! Per-node incremental detection state: reorder buffer, streaming
-//! preprocessing, segment assembly, deferred probe matching and scoring,
-//! and the smoothing → k-sigma chain (see the crate docs for the fault
-//! model).
+//! preprocessing, segment assembly, the scoring jobs a node hands out
+//! (probe match, shared-model pass, baseline normalization) and applies
+//! back in its own order, and the smoothing → k-sigma chain (see the
+//! crate docs for the fault model).
 
 use crate::metrics::node_metrics;
 use crate::preprocess::{PreRow, StreamingPreprocessor};
@@ -13,7 +14,8 @@ use nodesentry_core::NodeSentry;
 use ns_eval::streaming::{StreamingKSigma, StreamingSmoother};
 use ns_linalg::matrix::Matrix;
 use ns_obs::events::{self, EventKind};
-use rustc_hash::FxHashMap;
+use rayon::{Task, TaskRef};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,10 +61,10 @@ fn kinds_from_ordinals(bytes: &[u8]) -> Result<Vec<RowKind>, SnapshotError> {
 }
 
 /// One job segment of a node's test span: the open one still taking
-/// rows, or a closed one queued for a scoring phase. Closing moves the
+/// rows, or a closed one waiting for its scoring job. Closing moves the
 /// segment out of the node, so its rows, provenance and degraded flag
-/// are frozen there — later retro-taints cannot reach it, and when the
-/// phase runs cannot change any verdict bit.
+/// are frozen there — later retro-taints cannot reach it, and when or
+/// where its job runs cannot change any verdict bit.
 #[derive(Default)]
 struct Segment {
     /// Global step of the segment's first row.
@@ -90,8 +92,8 @@ impl Segment {
 
     /// Take over a snapshotted segment's buffers. Its rows are about to
     /// be stacked into matrices of the model's preprocessed `width` by a
-    /// scoring phase that runs outside any panic guard, so their shape is
-    /// settled here; only the open segment may be empty.
+    /// scoring job whose panic would take the shard down, so their shape
+    /// is settled here; only the open segment may be empty.
     fn restore(s: JobSnap, width: usize, open: bool) -> Result<Self, SnapshotError> {
         let fault = if s.kinds.len() != s.rows.len() {
             "segment provenance out of sync with rows"
@@ -110,6 +112,102 @@ impl Segment {
         };
         Err(SnapshotError::Decode(fault.into()))
     }
+}
+
+/// A probe match one job ran.
+#[derive(Clone, Copy)]
+struct Matched {
+    cluster: usize,
+    seconds: f64,
+}
+
+/// What one segment job hands back: the segment (its rows dropped), its
+/// normalized scores, the probe match it ran if it closed unmatched, and
+/// the seconds its shared-model pass took — the segment's cost share.
+struct Scored {
+    seg: Segment,
+    scores: Vec<f64>,
+    matched: Option<Matched>,
+    seconds: f64,
+}
+
+/// Jobs handed out by one submission (see [`NodeState::submit`]).
+#[derive(Default)]
+pub(crate) struct Handout {
+    /// One handle per job, in the order handed out.
+    pub(crate) tasks: Vec<TaskRef>,
+    pub(crate) segments: u64,
+    pub(crate) probes: u64,
+}
+
+impl Handout {
+    /// One observation per submission of the batch histograms: how many
+    /// segments and probe matches it handed out together.
+    pub(crate) fn observe(&self) {
+        let nm = node_metrics();
+        if self.segments > 0 {
+            nm.batch_segments.observe(self.segments as f64);
+        }
+        if self.probes > 0 {
+            nm.batch_probes.observe(self.probes as f64);
+        }
+    }
+}
+
+thread_local! {
+    /// Standardization scratch of the probe matches this thread runs; a
+    /// warm one keeps the library scan off the heap
+    /// (`crates/core/tests/match_zero_alloc.rs`).
+    static MATCH_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One probe feature-extraction + library-match cycle over the first
+/// [`NodeSentry::probe_len`] of `rows`. Matching reads only frozen row
+/// values, so the cluster does not depend on when or where this runs.
+fn match_probe(model: &NodeSentry, rows: &[Vec<f64>]) -> Matched {
+    let t0 = Instant::now();
+    let probe = Matrix::from_rows(&rows[..model.probe_len(rows.len())]);
+    let cluster = MATCH_SCRATCH.with(|z| model.match_probe(&probe, &mut z.borrow_mut()).cluster);
+    Matched {
+        cluster,
+        seconds: t0.elapsed().as_secs_f64(),
+    }
+}
+
+/// One closed segment's online step: its probe match if it closed
+/// unmatched, one `score_series_batch` pass of its shared model over it
+/// alone (bit-identical per series to any grouping), and the baseline
+/// normalization.
+fn score_segment(model: &NodeSentry, precision: ScoringPrecision, mut seg: Segment) -> Scored {
+    let matched = seg.matched.is_none().then(|| match_probe(model, &seg.rows));
+    if let Some(m) = matched {
+        seg.matched = Some(m.cluster);
+    }
+    // Invariant: set just above if it was not (empty segments are never
+    // queued).
+    let cluster = seg.matched.unwrap_or(0);
+    let t0 = Instant::now();
+    let series = Matrix::from_rows(&std::mem::take(&mut seg.rows));
+    let shared = &model.shared_models[model.model_index(cluster)];
+    let mut scores = match precision {
+        ScoringPrecision::F64 => shared.score_series_batch(&[&series]),
+        ScoringPrecision::F32 => shared.score_series_batch_f32(&[&series]),
+    }
+    .pop()
+    .unwrap_or_default();
+    model.normalize_segment(&mut scores);
+    Scored {
+        seg,
+        scores,
+        matched,
+        seconds: t0.elapsed().as_secs_f64(),
+    }
+}
+
+/// Hand `job` to the pool; it runs at kernel width 1 wherever it runs,
+/// since its parallelism is running beside ingestion and the other jobs.
+fn spawn<R: Send + 'static>(job: impl FnOnce() -> R + Send + 'static) -> Task<R> {
+    rayon::submit(move || rayon::with_thread_parallelism_cap(Some(1), job))
 }
 
 /// Incremental detection state for a single node.
@@ -142,14 +240,16 @@ pub struct NodeState {
     cuts: VecDeque<usize>,
     /// The segment being assembled (test span only).
     open: Segment,
-    /// Closed segments awaiting the next scoring phase (FIFO).
+    /// Closed segments not yet handed out as scoring jobs (FIFO).
     jobs: VecDeque<Segment>,
     /// The open segment reached `match_period` rows; its probe match is
-    /// deferred to the next scoring phase.
+    /// not yet handed out.
     probe_pending: bool,
-    /// Scratch for `match_pattern_into` — the warm streaming match path
-    /// allocates nothing (`crates/core/tests/match_zero_alloc.rs`).
-    z_scratch: Vec<f64>,
+    /// The open segment's probe match, handed out and not yet applied.
+    probe: Option<Task<Matched>>,
+    /// Segment jobs handed out and not yet applied, in close order: the
+    /// order they go through the smoothing → k-sigma chain.
+    running: VecDeque<Task<Scored>>,
     smoother: StreamingSmoother,
     detector: StreamingKSigma,
     /// Scores awaiting their (lagged) smoothed verdict; `suppress` marks
@@ -210,7 +310,8 @@ impl NodeState {
             open: Segment::default(),
             jobs: VecDeque::new(),
             probe_pending: false,
-            z_scratch: Vec::new(),
+            probe: None,
+            running: VecDeque::new(),
             smoother: StreamingSmoother::new(cfg.smooth_window),
             detector,
             pending: VecDeque::new(),
@@ -227,9 +328,9 @@ impl NodeState {
     }
 
     /// Offer one tick in arbitrary arrival order. A segment the tick
-    /// closes is queued, not scored: its verdicts come out of the shard's
-    /// next scoring phase (inside an [`Engine`](crate::Engine)) or of
-    /// [`NodeState::flush`] (driven inline), so the only verdicts
+    /// closes is queued, not scored: its verdicts come out of the scoring
+    /// job the shard hands it to (inside an [`Engine`](crate::Engine)) or
+    /// of [`NodeState::flush`] (driven inline), so the only verdicts
     /// returned here are those a blackout reset flushes. Never panics on
     /// malformed sequencing: out-of-contract ticks are buffered,
     /// rejected, or synthesized around, and counted in
@@ -406,8 +507,21 @@ impl NodeState {
     /// arrive), flush the preprocessing tail, close the last segment, and
     /// drain the smoothing lag.
     pub fn flush(&mut self) -> Vec<Verdict> {
-        let mut out = self.settle(0);
-        out.extend(self.flush_tail(false));
+        let mut handout = Handout::default();
+        let mut out = self.end_of_stream(&mut handout);
+        handout.observe();
+        out.extend(self.finish_tail(false));
+        out
+    }
+
+    /// The first half of [`NodeState::flush`]: resolve every remaining
+    /// gap, close the last segment and hand its job out into `handout`.
+    /// The shard runs it over all its nodes before finishing any, so the
+    /// last segments are scored side by side.
+    pub(crate) fn end_of_stream(&mut self, handout: &mut Handout) -> Vec<Verdict> {
+        let out = self.settle(0);
+        self.close_tail();
+        self.submit(handout);
         out
     }
 
@@ -419,12 +533,24 @@ impl NodeState {
         // Jobs queued before this flush are segments that closed before
         // it; drain them first so the degrade marking below cannot touch
         // their verdicts. (Verdicts their scores release during the
-        // flush — the smoothing-lag tail — land in `out` below and are
-        // marked.)
+        // flush — the smoothing-lag tail — land in `finish_tail`'s and
+        // are marked.)
         let mut pre = self.drain_jobs();
+        self.close_tail();
+        pre.extend(self.finish_tail(degrade));
+        pre
+    }
+
+    /// Flush the preprocessing tail into the open segment and close it.
+    fn close_tail(&mut self) {
         let rows = self.pre.flush();
         self.absorb_rows(rows);
         self.close_open_segment();
+    }
+
+    /// Drain every job, then the smoothing lag, marking the verdicts
+    /// released here with `degrade` (see [`NodeState::flush_tail`]).
+    pub(crate) fn finish_tail(&mut self, degrade: bool) -> Vec<Verdict> {
         let mut out = self.drain_jobs();
         let t0 = Instant::now();
         let tail = self.smoother.flush();
@@ -439,8 +565,7 @@ impl NodeState {
                 }
             }
         }
-        pre.extend(out);
-        pre
+        out
     }
 
     fn absorb_rows(&mut self, rows: Vec<PreRow>) {
@@ -475,21 +600,24 @@ impl NodeState {
             // Early pattern matching: the probe is the segment's first
             // `match_period` rows, available long before the segment
             // closes. This is the deployment's per-transition match cycle;
-            // the next scoring phase resolves it over the frozen probe
-            // rows.
+            // the node's next submission hands it out as a job over a copy
+            // of the frozen probe rows.
             if self.open.matched.is_none() && self.open.rows.len() == self.model.cfg.match_period {
                 self.probe_pending = true;
             }
         }
     }
 
-    /// Close the open segment, if it has rows, and queue it for the next
-    /// scoring phase. The degraded flag is evaluated here, at close
-    /// time, so a segment scored later yields the same verdict bits.
+    /// Close the open segment, if it has rows, and queue it for the
+    /// node's next submission. A probe match already handed out for it is
+    /// waited for first, so the segment leaves with its cluster. The
+    /// degraded flag is evaluated here, at close time, so a segment scored
+    /// later yields the same verdict bits.
     fn close_open_segment(&mut self) {
         if self.open.rows.is_empty() {
             return;
         }
+        self.apply_probe();
         let mut seg = std::mem::take(&mut self.open);
         // Any tainted row poisons the whole segment: scoring is
         // segment-local (positional encoding + baseline), so no verdict
@@ -501,11 +629,21 @@ impl NodeState {
     }
 
     /// Push one scored segment through the smoothing → k-sigma chain;
-    /// returns finalized verdicts. `cost_share` is this segment's share
-    /// of scoring wall time (the batch's elapsed, split by rows).
-    fn apply_scored(&mut self, seg: Segment, scores: Vec<f64>, cost_share: f64) -> Vec<Verdict> {
-        // Invariant: `resolve_probes` ran before the segment was scored.
+    /// returns finalized verdicts. The job's own elapsed time is the
+    /// segment's cost share.
+    fn apply_scored(&mut self, done: Scored) -> Vec<Verdict> {
+        let Scored {
+            seg,
+            scores,
+            matched,
+            seconds,
+        } = done;
+        if let Some(m) = matched {
+            self.note_match(m);
+        }
+        // Invariant: the job set it before scoring.
         let cluster = seg.matched.unwrap_or(0);
+        let n_rows = scores.len();
         let mut out = Vec::new();
         for (k, score) in scores.into_iter().enumerate() {
             let suppress = seg.kinds[k] == RowKind::Synthesized;
@@ -519,55 +657,103 @@ impl NodeState {
             let smoothed = self.smoother.push(score);
             self.threshold(smoothed, &mut out);
         }
-        let n_rows = seg.rows.len();
-        self.stats.score_seconds += cost_share;
+        self.stats.score_seconds += seconds;
         let nm = node_metrics();
-        nm.score_seconds.observe(cost_share);
+        nm.score_seconds.observe(seconds);
         if n_rows > 0 {
             nm.point_seconds
-                .observe_n(cost_share / n_rows as f64, n_rows as u64);
+                .observe_n(seconds / n_rows as f64, n_rows as u64);
         }
         out
     }
 
-    /// Probe matches waiting for the scoring phase: queued jobs that
-    /// closed before reaching `match_period` rows, plus the open
-    /// segment's pending probe.
-    fn pending_probe_count(&self) -> u64 {
-        self.probe_pending as u64 + self.jobs.iter().filter(|j| j.matched.is_none()).count() as u64
+    fn note_match(&mut self, m: Matched) {
+        self.stats.match_seconds += m.seconds;
+        self.stats.n_matches += 1;
+        node_metrics().match_seconds.observe(m.seconds);
     }
 
-    /// Deferred work for the shard's scoring phase to pick up?
+    /// Work not yet handed out as jobs?
     pub(crate) fn has_deferred_work(&self) -> bool {
         !self.jobs.is_empty() || self.probe_pending
     }
 
-    /// Resolve every deferred probe match: the open segment's pending
-    /// probe and any queued job that closed unmatched. Matching reads
-    /// only frozen row values, so the cluster does not depend on when
-    /// this runs.
-    fn resolve_probes(&mut self) {
-        let open = std::mem::take(&mut self.probe_pending).then_some(&mut self.open);
-        for seg in open.into_iter().chain(self.jobs.iter_mut()) {
-            if seg.matched.is_some() || seg.rows.is_empty() {
-                continue;
-            }
-            // One probe feature-extraction + library-match cycle; past
-            // feature extraction a warm scratch keeps it off the heap.
-            let t0 = Instant::now();
-            let probe = Matrix::from_rows(&seg.rows[..self.model.probe_len(seg.rows.len())]);
-            seg.matched = Some(self.model.match_probe(&probe, &mut self.z_scratch).cluster);
-            let elapsed = t0.elapsed().as_secs_f64();
-            self.stats.match_seconds += elapsed;
-            self.stats.n_matches += 1;
-            node_metrics().match_seconds.observe(elapsed);
+    /// Hand out every deferred job into `handout`: the open segment's
+    /// pending probe match, over a copy of its probe rows, and each queued
+    /// segment, moved out of the node (one that closed unmatched runs its
+    /// own probe match).
+    pub(crate) fn submit(&mut self, handout: &mut Handout) {
+        if std::mem::take(&mut self.probe_pending) {
+            let model = Arc::clone(&self.model);
+            let rows = self.open.rows[..self.model.probe_len(self.open.rows.len())].to_vec();
+            let task = spawn(move || match_probe(&model, &rows));
+            handout.tasks.push(task.handle());
+            handout.probes += 1;
+            self.probe = Some(task);
+        }
+        let precision = self.cfg.scoring_precision;
+        for seg in std::mem::take(&mut self.jobs) {
+            handout.probes += seg.matched.is_none() as u64;
+            handout.segments += 1;
+            let model = Arc::clone(&self.model);
+            let task = spawn(move || score_segment(&model, precision, seg));
+            handout.tasks.push(task.handle());
+            self.running.push_back(task);
         }
     }
 
-    /// [`score_deferred`] on this node alone (the flush, blackout and
-    /// quarantine paths).
+    /// Jobs handed out and not yet applied.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.probe.is_some() as usize + self.running.len()
+    }
+
+    /// Apply every finished job whose predecessors are applied: the
+    /// probe's cluster, and segment jobs from the front while they are
+    /// done. Returns how many jobs are still in flight.
+    pub(crate) fn apply_finished(&mut self, out: &mut Vec<Verdict>) -> usize {
+        if self.probe.as_ref().is_some_and(Task::is_finished) {
+            self.apply_probe();
+        }
+        while self.running.front().is_some_and(Task::is_finished) {
+            if let Some(task) = self.running.pop_front() {
+                out.extend(self.apply_scored(task.join()));
+            }
+        }
+        self.in_flight()
+    }
+
+    /// The handed-out probe's cluster onto the open segment, waiting for
+    /// the job (running it here if nobody has started it).
+    fn apply_probe(&mut self) {
+        if let Some(task) = self.probe.take() {
+            let m = task.join();
+            self.open.matched = Some(m.cluster);
+            self.note_match(m);
+        }
+    }
+
+    /// The barrier every synchronous path takes (flush, blackout reset,
+    /// quarantine, checkpoint): hand out whatever is deferred, then wait
+    /// for each job in flight in order — running any nobody has started
+    /// here — and apply it.
     pub(crate) fn drain_jobs(&mut self) -> Vec<Verdict> {
-        score_deferred(&mut [self]).0
+        let mut handout = Handout::default();
+        self.submit(&mut handout);
+        handout.observe();
+        // Oldest first, run here every job nobody has started — beside
+        // whichever worker takes the others — then wait for the rest.
+        if let Some(task) = &self.probe {
+            task.run_here();
+        }
+        for task in &self.running {
+            task.run_here();
+        }
+        self.apply_probe();
+        let mut out = Vec::new();
+        while let Some(task) = self.running.pop_front() {
+            out.extend(self.apply_scored(task.join()));
+        }
+        out
     }
 
     /// Feed smoothed scores through the k-sigma detector; each decision
@@ -607,8 +793,10 @@ impl NodeState {
 
     /// Capture every field that can influence a future verdict bit.
     /// Configuration-derived fields (widths, watch masks, bounds) are
-    /// rebuilt from the model and [`EngineConfig`] at restore.
+    /// rebuilt from the model and [`EngineConfig`] at restore. Jobs in
+    /// flight are not state: the caller drains them first.
     pub(crate) fn snapshot(&self) -> NodeSnap {
+        debug_assert_eq!(self.in_flight(), 0, "snapshot with jobs in flight");
         let open = self.open.snapshot();
         NodeSnap {
             node: self.node,
@@ -688,77 +876,6 @@ impl NodeState {
     }
 }
 
-/// One scoring phase over `states` (the nodes sharing one model, sorted
-/// here into ascending node id): resolve every deferred probe, take every
-/// queued segment, group the segments by the shared model their matched
-/// cluster maps to, score each group with one `score_series_batch` call
-/// on that model (row-capped batched forwards fanned over this thread's
-/// pool width; bit-identical per series to `score_series`), normalize
-/// each segment against its own probe baseline, and push the segments
-/// through their nodes' smoothing → k-sigma chains node by node, each
-/// node's in FIFO order. Returns the verdicts and how many probes were
-/// resolved.
-///
-/// A segment's cost share is its group's scoring wall time split by
-/// rows: a forward costs per row, so a short segment batched beside a
-/// long one is charged for its own rows, not for half the group.
-pub(crate) fn score_deferred(states: &mut [&mut NodeState]) -> (Vec<Verdict>, u64) {
-    states.sort_unstable_by_key(|s| s.node);
-    let mut n_probes = 0;
-    let mut owners: Vec<usize> = Vec::new();
-    let mut jobs: Vec<Segment> = Vec::new();
-    for (i, state) in states.iter_mut().enumerate() {
-        n_probes += state.pending_probe_count();
-        state.resolve_probes();
-        for job in std::mem::take(&mut state.jobs) {
-            owners.push(i);
-            jobs.push(job);
-        }
-    }
-    let mut out = Vec::new();
-    let Some(first) = states.first() else {
-        return (out, n_probes);
-    };
-    let (model, precision) = (Arc::clone(&first.model), first.cfg.scoring_precision);
-    let mut groups: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-    for (i, job) in jobs.iter().enumerate() {
-        // Invariant: `resolve_probes` ran first, so `matched` is set
-        // (empty segments are never queued).
-        let shared = model.model_index(job.matched.unwrap_or(0));
-        groups.entry(shared).or_default().push(i);
-    }
-    let mut scored: Vec<Option<(Vec<f64>, f64)>> = (0..jobs.len()).map(|_| None).collect();
-    let mut group_ids: Vec<usize> = groups.keys().copied().collect();
-    group_ids.sort_unstable();
-    let nm = node_metrics();
-    for g in group_ids {
-        let idxs = &groups[&g];
-        let t0 = Instant::now();
-        let mats: Vec<Matrix> = idxs
-            .iter()
-            .map(|&i| Matrix::from_rows(&jobs[i].rows))
-            .collect();
-        let refs: Vec<&Matrix> = mats.iter().collect();
-        let many = match precision {
-            ScoringPrecision::F64 => model.shared_models[g].score_series_batch(&refs),
-            ScoringPrecision::F32 => model.shared_models[g].score_series_batch_f32(&refs),
-        };
-        let rows: usize = refs.iter().map(|m| m.rows()).sum();
-        let per_row = t0.elapsed().as_secs_f64() / rows.max(1) as f64;
-        nm.batch_segments.observe(idxs.len() as f64);
-        for (&i, mut scores) in idxs.iter().zip(many) {
-            model.normalize_segment(&mut scores);
-            let share = per_row * scores.len() as f64;
-            scored[i] = Some((scores, share));
-        }
-    }
-    for ((owner, job), s) in owners.into_iter().zip(jobs).zip(scored) {
-        let (scores, share) = s.unwrap_or_default();
-        out.extend(states[owner].apply_scored(job, scores, share));
-    }
-    (out, n_probes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -808,5 +925,107 @@ mod tests {
             format!("{:?}", node.snapshot()),
             format!("{:?}", want.snapshot())
         );
+    }
+
+    /// Keeps every pool worker busy until dropped, so jobs handed out
+    /// meanwhile stay unstarted until this thread runs them.
+    struct HoldWorkers {
+        gate: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+        blockers: Vec<rayon::Task<()>>,
+    }
+
+    impl HoldWorkers {
+        fn new() -> Self {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+            let started = Arc::new(AtomicUsize::new(0));
+            // More blockers than workers can exist: a worker spawned
+            // later claims a queued blocker before any job behind it.
+            let n = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
+            let blockers = (0..n)
+                .map(|_| {
+                    let (gate, started) = (Arc::clone(&gate), Arc::clone(&started));
+                    rayon::submit(move || {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        let (open, cv) = &*gate;
+                        let mut open = open.lock().unwrap();
+                        while !*open {
+                            open = cv.wait(open).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            while started.load(Ordering::SeqCst) < rayon::pool_stats().workers.min(n) {
+                std::thread::yield_now();
+            }
+            HoldWorkers { gate, blockers }
+        }
+    }
+
+    impl Drop for HoldWorkers {
+        fn drop(&mut self) {
+            *self.gate.0.lock().unwrap() = true;
+            self.gate.1.notify_all();
+            // Blockers nobody claimed are dropped unrun.
+            self.blockers.clear();
+        }
+    }
+
+    /// Segment jobs that finish in reverse order are applied in the
+    /// node's own: a finished job waits for its predecessors, and the
+    /// verdict sequence equals in-order application.
+    #[test]
+    fn jobs_finished_in_reverse_apply_in_node_order() {
+        let model = model();
+        let cfg = EngineConfig {
+            smooth_window: model.cfg.smooth_window,
+            ..cfg()
+        };
+        let feed: Vec<Tick> = DatasetProfile::tiny()
+            .generate()
+            .ticks()
+            .into_iter()
+            .filter(|t| t.node == 0)
+            .collect();
+        let offered = || {
+            let mut node = NodeState::new(Arc::clone(&model), 0, &cfg);
+            for tick in &feed {
+                assert!(node.offer(tick).is_empty());
+            }
+            node
+        };
+        // In order, each job run where it is handed out.
+        let mut node = offered();
+        let want = rayon::with_thread_parallelism_cap(Some(1), || node.flush());
+
+        let prev = rayon::thread_count_override();
+        rayon::set_thread_count_override(Some(2));
+        let mut node = offered();
+        let hold = HoldWorkers::new();
+        let mut handout = Handout::default();
+        let mut got = node.end_of_stream(&mut handout);
+        rayon::set_thread_count_override(prev);
+        assert!(got.is_empty());
+        assert!(handout.segments >= 3, "{} segments", handout.segments);
+        let tasks = &handout.tasks;
+        assert!(tasks.iter().all(|t| !t.is_finished()), "held jobs ran");
+        // Every job but the first finishes, last first: none applies.
+        for task in tasks[1..].iter().rev() {
+            assert!(task.run_here());
+            assert_eq!(node.apply_finished(&mut got), tasks.len());
+        }
+        assert!(got.is_empty());
+        // The first one finishes: all of them apply, in order.
+        assert!(tasks[0].run_here());
+        assert_eq!(node.apply_finished(&mut got), 0);
+        drop(hold);
+        got.extend(node.finish_tail(false));
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(
+                (g.step, g.score.to_bits(), g.anomalous, g.cluster, g.kind),
+                (w.step, w.score.to_bits(), w.anomalous, w.cluster, w.kind)
+            );
+        }
     }
 }

@@ -1,18 +1,38 @@
 //! One shard of the engine: the worker thread's receive loop, the
-//! cross-node batched scoring phase it runs after every tick batch, and
-//! the live metering of what it emits.
+//! scoring jobs it hands out beside ingestion and applies back in
+//! per-node order, and the live metering of what it emits.
+//!
+//! After every tick batch the shard hands each node's deferred work —
+//! a closed segment, or the open segment's probe — to the thread pool as
+//! one job and goes back to its queue without waiting; at the next batch
+//! boundary it applies every finished job whose predecessors on the same
+//! node are applied. A shard whose width is 1 runs each job where it
+//! hands it out, so its jobs are applied at the boundary that made them.
+//! Otherwise the shard thread runs the oldest job nobody has started
+//! whenever its queue is empty or [`JOBS_PER_CORE`] jobs per core of its
+//! width are in flight, so no core idles while a job waits. Every path
+//! that reads a node's scoring chain synchronously — a checkpoint, the
+//! end-of-stream flush, a blackout reset, a quarantine — first drains
+//! that node's jobs ([`NodeState::drain_jobs`]).
 
 use crate::metrics::{node_metrics, ShardMetrics};
-use crate::node::{score_deferred, NodeState};
+use crate::node::{Handout, NodeState};
 use crate::snapshot::NodeSnap;
 use crate::{status, EngineConfig, FaultCounters, StreamStats, Tick, Verdict, VerdictKind};
 use nodesentry_core::NodeSentry;
 use ns_obs::events::{self, EventKind};
+use rayon::TaskRef;
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Arc;
+
+/// Scoring jobs in flight per core of the shard's width before the shard
+/// stops taking ticks and runs them itself. The bound also caps the rows
+/// and scores that jobs in flight hold.
+const JOBS_PER_CORE: usize = 2;
 
 /// Everything one shard hands back for a checkpoint.
 pub(crate) struct ShardCheckpoint {
@@ -39,24 +59,99 @@ pub(crate) enum ShardMsg {
     Checkpoint(mpsc::Sender<ShardCheckpoint>),
 }
 
-/// Cross-node batched scoring phase: after a tick batch lands, every
-/// node with deferred work goes through one [`score_deferred`], so all
-/// of the shard's ready probes and segments share its per-cluster
-/// batched forwards.
-fn scoring_phase(states: &mut FxHashMap<usize, NodeState>, verdicts: &mut Vec<Verdict>) {
-    let mut ready: Vec<&mut NodeState> = states
-        .values_mut()
-        .filter(|s| s.has_deferred_work())
-        .collect();
-    if ready.is_empty() {
-        return;
+/// The shard's scoring jobs in flight.
+struct Jobs {
+    /// Nodes holding a job that is handed out and not yet applied.
+    busy: BTreeSet<usize>,
+    /// Every job handed out, oldest first, until it finishes: where the
+    /// shard thread finds the oldest job nobody has started.
+    order: VecDeque<TaskRef>,
+    /// Jobs in flight at which the shard runs them itself.
+    bound: usize,
+}
+
+impl Jobs {
+    fn new() -> Self {
+        Jobs {
+            busy: BTreeSet::new(),
+            order: VecDeque::new(),
+            bound: JOBS_PER_CORE * rayon::current_num_threads(),
+        }
     }
-    let (vs, n_probes) = score_deferred(&mut ready);
-    if n_probes > 0 {
-        node_metrics().batch_probes.observe(n_probes as f64);
+
+    /// Take over one submission's handles.
+    fn track(&mut self, handout: Handout) {
+        handout.observe();
+        let unfinished = handout.tasks.into_iter().filter(|t| !t.is_finished());
+        self.order.extend(unfinished);
     }
-    meter_verdicts(&vs);
-    verdicts.extend(vs);
+
+    /// The batch boundary: hand out every node's deferred work as one
+    /// submission, apply what has finished, and run jobs here until fewer
+    /// than the bound are in flight.
+    fn submit(&mut self, states: &mut FxHashMap<usize, NodeState>, verdicts: &mut Vec<Verdict>) {
+        let mut handout = Handout::default();
+        for (&node, state) in states.iter_mut() {
+            if state.has_deferred_work() {
+                state.submit(&mut handout);
+                self.busy.insert(node);
+            }
+        }
+        self.track(handout);
+        while self.apply(states, verdicts) >= self.bound {
+            if !self.run_oldest() {
+                // Every job in flight is running elsewhere: wait for the
+                // oldest.
+                let Some(task) = self.order.front() else {
+                    break;
+                };
+                task.wait();
+            }
+        }
+    }
+
+    /// Apply, node by node, every finished job whose predecessors on its
+    /// node are applied. Returns how many jobs are still in flight.
+    fn apply(
+        &mut self,
+        states: &mut FxHashMap<usize, NodeState>,
+        verdicts: &mut Vec<Verdict>,
+    ) -> usize {
+        let mut in_flight = 0;
+        self.busy.retain(|node| {
+            let Some(state) = states.get_mut(node) else {
+                return false;
+            };
+            let mut vs = Vec::new();
+            let left = state.apply_finished(&mut vs);
+            meter_verdicts(&vs);
+            verdicts.extend(vs);
+            in_flight += left;
+            left > 0
+        });
+        in_flight
+    }
+
+    /// Run the oldest job nobody has started on this thread; false if
+    /// there is none.
+    fn run_oldest(&mut self) -> bool {
+        self.order.retain(|t| !t.is_finished());
+        self.order.iter().any(|t| t.run_here())
+    }
+
+    /// Wait for every job in flight, running here, oldest first, each one
+    /// nobody has started, and apply them all.
+    fn drain(&mut self, states: &mut FxHashMap<usize, NodeState>, verdicts: &mut Vec<Verdict>) {
+        while self.run_oldest() {}
+        for node in std::mem::take(&mut self.busy) {
+            if let Some(state) = states.get_mut(&node) {
+                let vs = state.drain_jobs();
+                meter_verdicts(&vs);
+                verdicts.extend(vs);
+            }
+        }
+        self.order.clear();
+    }
 }
 
 /// Count newly emitted verdicts into the live by-kind counters, append
@@ -122,10 +217,28 @@ pub(crate) fn worker_loop(
     for state in states.values() {
         published.merge(&state.faults);
     }
-    while let Ok(msg) = rx.recv() {
+    let mut jobs = Jobs::new();
+    loop {
+        let msg = match rx.try_recv() {
+            Ok(msg) => msg,
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {
+                // Nothing to ingest: run a job rather than idle.
+                if jobs.run_oldest() {
+                    jobs.apply(&mut states, &mut verdicts);
+                    continue;
+                }
+                match rx.recv() {
+                    Ok(msg) => msg,
+                    Err(_) => break,
+                }
+            }
+        };
         let batch = match msg {
             ShardMsg::Batch(batch) => batch,
             ShardMsg::Checkpoint(reply) => {
+                // The cut captures every job's verdicts and state.
+                jobs.drain(&mut states, &mut verdicts);
                 let mut node_ids: Vec<usize> = states.keys().copied().collect();
                 node_ids.sort_unstable();
                 let part = ShardCheckpoint {
@@ -215,27 +328,50 @@ pub(crate) fn worker_loop(
                 }
             }
         }
-        scoring_phase(&mut states, &mut verdicts);
+        jobs.submit(&mut states, &mut verdicts);
         publish_shard_metrics(&m, &states, &faults, &mut published);
     }
-    // Nobody can receive what an abandoned engine would flush.
+    // Nobody can receive what an abandoned engine would flush. (Dropping
+    // the states drops their unstarted jobs unrun.)
     if abandon.load(Ordering::SeqCst) {
         return (verdicts, stats, faults);
     }
-    // Channel closed: flush in node order so shard output is
-    // deterministic.
+    // Channel closed: close every node's last segment and hand all of
+    // them out before finishing any, then finish in node order so shard
+    // output is deterministic.
     let mut nodes: Vec<usize> = states.keys().copied().collect();
     nodes.sort_unstable();
-    for n in nodes {
+    let mut handout = Handout::default();
+    let mut failed = FxHashSet::default();
+    for &n in &nodes {
         let Some(state) = states.get_mut(&n) else {
             continue;
         };
-        match catch_unwind(AssertUnwindSafe(|| state.flush())) {
+        match catch_unwind(AssertUnwindSafe(|| state.end_of_stream(&mut handout))) {
             Ok(vs) => {
                 meter_verdicts(&vs);
                 verdicts.extend(vs);
             }
-            Err(_) => faults.quarantined_nodes += 1,
+            Err(_) => {
+                faults.quarantined_nodes += 1;
+                failed.insert(n);
+            }
+        }
+    }
+    jobs.track(handout);
+    while jobs.run_oldest() {}
+    for n in nodes {
+        let Some(state) = states.get_mut(&n) else {
+            continue;
+        };
+        if !failed.contains(&n) {
+            match catch_unwind(AssertUnwindSafe(|| state.finish_tail(false))) {
+                Ok(vs) => {
+                    meter_verdicts(&vs);
+                    verdicts.extend(vs);
+                }
+                Err(_) => faults.quarantined_nodes += 1,
+            }
         }
         stats.merge(&state.stats);
         faults.merge(&state.faults);

@@ -144,7 +144,7 @@ pub struct PreSnap {
     pub any_row: bool,
 }
 
-/// A deferred segment awaiting the batched scoring phase.
+/// A closed segment not yet handed out as a scoring job.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct JobSnap {
     pub start: usize,
