@@ -19,7 +19,11 @@
 //! * a **width** floor, only where the CPU reports AVX2: the dispatched
 //!   `gemm` must be ≥ 1.3× `gemm_baseline` at 20×36×36. Losing it means
 //!   the `#[target_feature]` instantiation stopped using the wider
-//!   registers (or the dispatch stopped reaching it).
+//!   registers (or the dispatch stopped reaching it);
+//! * a **digest** floor: the snapshot envelope's version-3 block digest
+//!   (a word chain, eight bytes a step) must hash a 32 MiB body on one
+//!   thread ≥ 3× as fast as the version-2 one (a byte chain). Losing it
+//!   means the word loop stopped compiling to four independent chains.
 //!
 //! There is no kernel-vs-naive parity floor: `dot`, `axpy` and
 //! `squared_distance` *are* the rolled loops (the 4-blocked bodies read
@@ -30,14 +34,17 @@
 //! they only run in timed mode: under `cargo test` the closures execute
 //! once for coverage and no timing is asserted. A manual pass at the end
 //! writes `BENCH_kernels.json` with GFLOP/s per kernel — and GMAC/s of
-//! `gemm` per model shape × operand form × width — for the README perf
-//! table and CI artifacts.
+//! `gemm` per model shape × operand form × width, both snapshot digests'
+//! GB/s, and `to_bytes` / `from_bytes` of a synthetic 128-node snapshot
+//! (≈ 30 MiB) at pool widths 1 and 2 — for the README perf table and CI
+//! artifacts.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ns_bench::write_bench_json;
 use ns_linalg::kernels::{self, Form, Product};
 use ns_linalg::matrix::{Mat, Matrix};
 use ns_linalg::Scalar;
+use ns_stream::snapshot::{EngineSnapshot, NodeSnap, PreSnap};
 use serde_json::json;
 use std::time::Instant;
 
@@ -126,6 +133,150 @@ fn gemm_gmacs<T: Scalar>((m, k, n): (usize, usize, usize), iters: usize) -> [[f6
     })
 }
 
+/// `len` bytes of a xorshift stream.
+fn noise(len: usize) -> Vec<u8> {
+    let mut x = 0x5EED_u64;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect()
+}
+
+/// A snapshot of 128 nodes shaped like `elastic_128`'s: per node an open
+/// segment of `rows` rows of 141 model features and a preprocessor
+/// holding three raw rows of 564 metrics (≈ 30 MiB at 200 rows).
+fn synthetic_snapshot(rows: usize) -> EngineSnapshot {
+    let values = |seed: usize, n: usize| -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i * 31 + seed * 17) as f64 * 0.123).sin())
+            .collect()
+    };
+    let node = |id: usize| NodeSnap {
+        node: id,
+        next_step: 4_000,
+        next_row: 3_900,
+        pre: PreSnap {
+            buf: (0..3).map(|r| values(id * 3 + r, 564)).collect(),
+            nan_flags: vec![false; 3],
+            base: 3_897,
+            n_pushed: 3_900,
+            resolved: 3_897,
+            last_obs: vec![Some(3_899); 564],
+            last_val: values(id, 564),
+            rate_prev: values(id + 1, 564),
+            any_row: true,
+        },
+        cuts: vec![3_000, 3_600],
+        seg_start: 3_900 - rows,
+        seg_rows: (0..rows).map(|r| values(id * rows + r, 141)).collect(),
+        seg_row_kinds: vec![0; rows],
+        matched: Some(id % 8),
+        jobs: Vec::new(),
+        probe_pending: false,
+        smoother: ns_eval::streaming::SmootherState {
+            buf: values(id, 4),
+            n_pushed: 3_900,
+            next_out: 3_897,
+        },
+        detector: ns_eval::streaming::KSigmaState {
+            window: values(id + 2, 120),
+            flagged_run: 0,
+        },
+        pending: Vec::new(),
+        ahead: Vec::new(),
+        row_kinds: Vec::new(),
+        resync_degraded: false,
+        prev_raw: values(id + 3, 564),
+        runs: vec![0; 564],
+        stats: Default::default(),
+        faults: Default::default(),
+    };
+    EngineSnapshot {
+        model_fingerprint: 0x0123_4567_89AB_CDEF,
+        split: 360,
+        smooth_window: 1,
+        scoring_precision: ns_stream::ScoringPrecision::F64,
+        n_shards: 1,
+        nodes: (0..128).map(node).collect(),
+        quarantined: Vec::new(),
+        carried_stats: Default::default(),
+        carried_faults: Default::default(),
+    }
+}
+
+/// The snapshot rows: both block digests over a 32 MiB body on one
+/// thread (GB/s), and `to_bytes` / `from_bytes` of the synthetic
+/// snapshot at pool widths 1 and 2 (ms, median of five samples of one
+/// call; the bytes are checked equal at both widths first). Untimed, the snapshot is small
+/// and every closure runs for coverage.
+fn snapshot_rows(timed: bool) -> serde_json::Value {
+    const BLOCK: usize = 64 << 10;
+    let body = noise(if timed { 32 << 20 } else { 1 << 20 });
+    let iters = if timed { 4 } else { 1 };
+    let gbps = |ns: f64| body.len() as f64 / ns;
+    let [v2, v3] = rayon::with_thread_parallelism_cap(Some(1), || {
+        [
+            median_ns(iters, || {
+                black_box(ns_wire::fnv1a64_blocks(b"NSSN", black_box(&body), BLOCK));
+            }),
+            median_ns(iters, || {
+                black_box(ns_wire::word64_blocks(b"NSSN", black_box(&body), BLOCK));
+            }),
+        ]
+        .map(gbps)
+    });
+    let snap = synthetic_snapshot(if timed { 200 } else { 4 });
+    let bytes = snap.to_bytes();
+    let codec = [1, 2].map(|width| {
+        rayon::set_thread_count_override(Some(width));
+        assert!(snap.to_bytes() == bytes, "the same bytes at every width");
+        let encode = median_ns(1, || {
+            black_box(snap.to_bytes());
+        });
+        let decode = median_ns(1, || {
+            black_box(EngineSnapshot::from_bytes(black_box(&bytes)).expect("decode"));
+        });
+        rayon::set_thread_count_override(None);
+        (width, encode * 1e-6, decode * 1e-6)
+    });
+    let mib = bytes.len() as f64 / (1 << 20) as f64;
+    println!(
+        "snapshot digest GB/s over {} MiB, one thread: v2 {v2:.2} -> v3 {v3:.2} ({:.2}x)",
+        body.len() >> 20,
+        v3 / v2
+    );
+    for (width, encode, decode) in codec {
+        println!(
+            "snapshot {mib:.1} MiB, 128 nodes, pool width {width}: to_bytes {encode:.2} ms, \
+             from_bytes {decode:.2} ms"
+        );
+    }
+    if timed {
+        // Digest canary (see the header): ≈ 4.5× here, DRAM-bound on the
+        // word side; 3× absorbs runner noise.
+        assert!(
+            v3 >= 3.0 * v2,
+            "v3 block digest lost its word loop: {:.2}x v2 (want >=3x)",
+            v3 / v2
+        );
+    }
+    json!({
+        "digest_gbps_one_thread": json!({"v2": v2, "v3": v3}),
+        "digest_v3_vs_v2": v3 / v2,
+        "codec_mib": mib,
+        "codec_ms": codec
+            .iter()
+            .map(|(width, encode, decode)| {
+                json!({"width": width, "to_bytes_ms": encode, "from_bytes_ms": decode})
+            })
+            .collect::<Vec<_>>(),
+    })
+}
+
 fn bench_kernels(c: &mut Criterion) {
     let a = series(1);
     let b = series(2);
@@ -163,7 +314,7 @@ fn bench_kernels(c: &mut Criterion) {
     });
 }
 
-fn throughput_report_and_assertions(timed: bool) {
+fn throughput_report_and_assertions(timed: bool, snapshot: serde_json::Value) {
     let a = series(4);
     let b = series(5);
     let mut y = series(6);
@@ -258,6 +409,7 @@ fn throughput_report_and_assertions(timed: bool) {
                 "axpy": axpy_ns / axpy32_ns,
                 "matmul_128x36x72": mm_ns / mm32_ns,
             }),
+            "snapshot": snapshot,
         }),
     );
     println!(
@@ -324,7 +476,11 @@ fn benches_then_report(c: &mut Criterion) {
     // which on a 2-core runner costs a 25 µs f32 product more than half of
     // what the wider lanes save.
     let timed = c.timed();
-    rayon::with_thread_parallelism_cap(Some(1), || throughput_report_and_assertions(timed));
+    // The codec rows set the pool width themselves, so they run uncapped.
+    let snapshot = snapshot_rows(timed);
+    rayon::with_thread_parallelism_cap(Some(1), || {
+        throughput_report_and_assertions(timed, snapshot)
+    });
 }
 
 criterion_group!(benches, benches_then_report);

@@ -27,21 +27,33 @@
 //! ```
 //!
 //! and the digest is verified before any payload byte is trusted. This
-//! build writes and reads **version 2**:
+//! build writes and reads **version 3**:
 //!
-//! * *Digest.* Byte-wise FNV-1a 64 over each 64 KiB block of the payload,
-//!   folded as header ‖ block digests ‖ payload length
-//!   ([`fnv1a64_blocks`]): the blocks are independent, so four advance
-//!   per pass (≈ 0.36 ms/MiB on one core), and from 512 KiB of payload
-//!   runs of them hash on every core of the pool, on the way out and on
-//!   the way in alike (≈ 0.21 ms/MiB on two).
+//! * *Digest.* The payload is cut into 64 KiB blocks; each block's digest
+//!   is a 64-bit chain over its little-endian `u64` words,
+//!   `h = rotl((h ^ w)·0x9E3779B97F4A7C15, 31)` from the FNV-1a offset
+//!   basis, a ragged tail of 1–7 bytes zero-padded to one more word; the
+//!   block digests are folded by FNV-1a as header ‖ block digests ‖
+//!   payload length ([`word64_blocks`]). Every
+//!   step is a bijection in its word, so any single-bit flip changes the
+//!   trailer. Blocks are independent, so four advance per pass, and from
+//!   512 KiB of payload runs of them hash on every core of the pool.
 //! * *Packed rows.* A `Vec<f64>` is tag 8, a count and the raw values —
 //!   one bounds check and one copy each way; open-segment rows are ≈ 99 %
 //!   of a snapshot's bytes.
+//! * *Sections.* The payload bytes are version 2's. What changed is who
+//!   writes them: [`EngineSnapshot::to_bytes`] sizes each node's section
+//!   with a counting walk, allocates the envelope zeroed and untouched,
+//!   and from 512 KiB of payload writes runs of node sections on every
+//!   core of the pool, straight into their disjoint slices — so the
+//!   output's first-touch page faults are taken on every core — each run
+//!   hashing the blocks it has just written. The bytes are those of the
+//!   serial [`encode`].
 //!
 //! Every other version is refused with `UnsupportedVersion` when its
-//! envelope is intact — under the version-2 digest, or, for version 1,
-//! under the one plain FNV-1a chain that version sealed itself with — and
+//! envelope is intact — under the version-3 digest, or under the one its
+//! own builds sealed it with (version 1: one plain FNV-1a chain; version
+//! 2: one byte-wise FNV-1a chain per block, [`fnv1a64_blocks`]) — and
 //! with `ChecksumMismatch` when it is not, so an old or future file is
 //! told apart from a damaged one.
 //!
@@ -53,14 +65,18 @@
 
 use crate::{FaultCounters, ScoringPrecision, StreamStats};
 use ns_eval::streaming::{KSigmaState, SmootherState};
-use ns_wire::{fnv1a64, fnv1a64_blocks, Tick};
+use ns_wire::{
+    fnv1a64, fnv1a64_blocks, fold_block_digests, word64_block_digests, word64_blocks, Tick,
+    PAR_MIN_BYTES,
+};
+use rayon::prelude::*;
 use serde::{Deserialize, Event, Serialize, Sink, Source};
 
 /// Leading magic of every snapshot: `NSSN` ("NodeSentry SNapshot").
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NSSN";
 /// The on-disk format version this build writes, and the only one it
 /// reads.
-pub const SNAPSHOT_VERSION: u16 = 2;
+pub const SNAPSHOT_VERSION: u16 = 3;
 /// Payload bytes under each block digest of the envelope.
 const DIGEST_BLOCK: usize = 64 << 10;
 /// Nesting the decoder will follow before declaring the bytes hostile.
@@ -237,26 +253,20 @@ pub struct EngineSnapshot {
 // `tests/serde_roundtrip.rs` holds this closed.
 impl Serialize for EngineSnapshot {
     fn emit<S: Sink>(&self, sink: &mut S) {
-        let tiered = self.scoring_precision != ScoringPrecision::F64;
-        sink.object(8 + tiered as usize);
-        serde::emit_field(sink, "model_fingerprint", &self.model_fingerprint);
-        serde::emit_field(sink, "split", &self.split);
-        serde::emit_field(sink, "smooth_window", &self.smooth_window);
-        serde::emit_field(sink, "n_shards", &self.n_shards);
-        serde::emit_field(sink, "nodes", &self.nodes);
-        serde::emit_field(sink, "quarantined", &self.quarantined);
-        serde::emit_field(sink, "carried_stats", &self.carried_stats);
-        serde::emit_field(sink, "carried_faults", &self.carried_faults);
-        if tiered {
-            serde::emit_field(sink, "scoring_precision", &self.scoring_precision);
+        self.emit_head(sink);
+        for node in &self.nodes {
+            node.emit(sink);
         }
+        self.emit_tail(sink);
     }
 }
 
 impl EngineSnapshot {
-    /// Encode into the versioned, checksummed envelope.
+    /// Encode into the versioned, checksummed envelope: the bytes of
+    /// [`encode`], with node sections written on every core of the pool
+    /// from 512 KiB of payload on.
     pub fn to_bytes(&self) -> Vec<u8> {
-        encode(self)
+        encode_sections(self)
     }
 
     /// Decode and validate an envelope. Total: malformed input of any
@@ -264,26 +274,256 @@ impl EngineSnapshot {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         decode(bytes)
     }
+
+    /// The events before the node sections: the object, the fields
+    /// before `nodes`, its key and its array head.
+    fn emit_head<S: Sink>(&self, sink: &mut S) {
+        let tiered = self.scoring_precision != ScoringPrecision::F64;
+        sink.object(8 + tiered as usize);
+        serde::emit_field(sink, "model_fingerprint", &self.model_fingerprint);
+        serde::emit_field(sink, "split", &self.split);
+        serde::emit_field(sink, "smooth_window", &self.smooth_window);
+        serde::emit_field(sink, "n_shards", &self.n_shards);
+        sink.key("nodes");
+        sink.array(self.nodes.len());
+    }
+
+    /// The events after the node sections.
+    fn emit_tail<S: Sink>(&self, sink: &mut S) {
+        serde::emit_field(sink, "quarantined", &self.quarantined);
+        serde::emit_field(sink, "carried_stats", &self.carried_stats);
+        serde::emit_field(sink, "carried_faults", &self.carried_faults);
+        if self.scoring_precision != ScoringPrecision::F64 {
+            serde::emit_field(sink, "scoring_precision", &self.scoring_precision);
+        }
+    }
 }
 
 /// Bytes before the payload: magic, version, payload length.
 const HEADER: usize = 4 + 2 + 8;
 
-/// [`EngineSnapshot::to_bytes`] over any payload type: the value's events
-/// stream straight into the envelope, which a first, counting walk has
-/// sized — one allocation, however large the state. (A `serde::Value`
-/// encodes with its arrays unpacked; both spellings read back alike.)
+/// Bytes the events `emit` pushes take in the payload.
+fn emitted_len(emit: impl FnOnce(&mut ByteSink<'_, usize>)) -> usize {
+    let mut len = 0;
+    emit(&mut ByteSink(&mut len));
+    len
+}
+
+/// An envelope for `payload_len` payload bytes with its header written
+/// and every other byte zero. A large zeroed allocation is fresh mapped
+/// memory that nothing has touched, so its pages are faulted in by
+/// whichever thread writes them first.
+fn envelope(payload_len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; HEADER + payload_len + 8];
+    advise_huge_pages(&mut out);
+    out[..4].copy_from_slice(&SNAPSHOT_MAGIC);
+    out[4..6].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    out[6..HEADER].copy_from_slice(&(payload_len as u64).to_le_bytes());
+    out
+}
+
+/// Ask the kernel to back every whole 2 MiB-aligned stretch of `buf` with
+/// transparent huge pages, so that a fresh output takes one first-touch
+/// fault per 2 MiB instead of one per 4 KiB. Measured on a 2-vCPU box
+/// (THP in `madvise` mode) for a 44.7 MiB output: 39.5 → 22.1 ms on one
+/// thread, 26.3 → 13.0 ms on two. Advice only: the bytes and the
+/// allocation are unchanged, and a kernel without huge pages ignores it.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn advise_huge_pages(buf: &mut [u8]) {
+    const HUGE_PAGE: usize = 2 << 20;
+    const MADV_HUGEPAGE: i32 = 14;
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    let addr = buf.as_mut_ptr() as usize;
+    let start = addr.next_multiple_of(HUGE_PAGE);
+    let end = (addr + buf.len()) / HUGE_PAGE * HUGE_PAGE;
+    if end > start {
+        // SAFETY: `start..end` lies inside `buf`, which is borrowed
+        // mutably here; MADV_HUGEPAGE changes how its pages are backed,
+        // never what they hold, and a refusal (the return value) changes
+        // nothing.
+        unsafe { madvise(start as *mut std::ffi::c_void, end - start, MADV_HUGEPAGE) };
+    }
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+fn advise_huge_pages(_buf: &mut [u8]) {}
+
+/// Write the trailer of `out`, whose payload's block digests are
+/// `digests`.
+fn seal(out: &mut [u8], digests: &[u64]) {
+    let (body, trailer) = out.split_at_mut(out.len() - 8);
+    let sum = fold_block_digests(&body[..HEADER], digests, body.len() - HEADER);
+    trailer.copy_from_slice(&sum.to_le_bytes());
+}
+
+/// [`EngineSnapshot::to_bytes`] over any payload type, on this thread:
+/// the value's events stream straight into the envelope, which a first,
+/// counting walk has sized — one allocation, however large the state.
+/// (A `serde::Value` encodes with its arrays unpacked; both spellings
+/// read back alike.)
 pub fn encode<T: Serialize>(value: &T) -> Vec<u8> {
-    let mut payload_len = 0usize;
-    value.emit(&mut ByteSink(&mut payload_len));
-    let mut out = Vec::with_capacity(HEADER + payload_len + 8);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload_len as u64).to_le_bytes());
-    value.emit(&mut ByteSink(&mut out));
-    assert_eq!(out.len(), HEADER + payload_len, "both walks emit alike");
-    let sum = fnv1a64_blocks(&out[..HEADER], &out[HEADER..], DIGEST_BLOCK);
-    out.extend_from_slice(&sum.to_le_bytes());
+    let payload_len = emitted_len(|sink| value.emit(sink));
+    let mut out = envelope(payload_len);
+    let mut rest = &mut out[HEADER..HEADER + payload_len];
+    value.emit(&mut ByteSink(&mut rest));
+    assert!(rest.is_empty(), "both walks emit alike");
+    let mut digests = vec![0u64; payload_len.div_ceil(DIGEST_BLOCK)];
+    word64_block_digests(
+        &out[HEADER..HEADER + payload_len],
+        DIGEST_BLOCK,
+        &mut digests,
+    );
+    seal(&mut out, &digests);
+    out
+}
+
+/// One participant's share of a sectioned encode: consecutive node
+/// sections, and the payload blocks that lie wholly inside its bytes.
+struct Run<'a> {
+    nodes: &'a [NodeSnap],
+    /// Section length of each of `nodes`.
+    lens: &'a [usize],
+    /// Payload offset of `bytes`.
+    start: usize,
+    /// The run's payload bytes: the first run's begin with the
+    /// snapshot's head, the last run's end with its tail.
+    bytes: &'a mut [u8],
+    /// Index of the first block the run hashes.
+    first_block: usize,
+    /// Digests of the blocks the run hashes.
+    digests: &'a mut [u64],
+}
+
+impl Run<'_> {
+    /// Write the run's events, hashing each group of four of its blocks
+    /// as soon as it is written (while it is still in cache), the rest at
+    /// the end.
+    fn write(self, snap: &EngineSnapshot, payload_len: usize) {
+        let Run {
+            nodes,
+            lens,
+            start,
+            bytes,
+            first_block,
+            digests,
+        } = self;
+        let tail = start + bytes.len() == payload_len;
+        let (mut pos, mut hashed) = (0, 0);
+        let mut put = |len: usize, emit: &dyn Fn(&mut ByteSink<'_, &mut [u8]>)| {
+            let mut rest = &mut bytes[pos..pos + len];
+            emit(&mut ByteSink(&mut rest));
+            assert!(rest.is_empty(), "both walks emit alike");
+            pos += len;
+            let written = ((start + pos) / DIGEST_BLOCK).saturating_sub(first_block);
+            let ready = written.min(digests.len()) / 4 * 4;
+            if ready > hashed {
+                let from = (first_block + hashed) * DIGEST_BLOCK - start;
+                let to = (first_block + ready) * DIGEST_BLOCK - start;
+                word64_block_digests(&bytes[from..to], DIGEST_BLOCK, &mut digests[hashed..ready]);
+                hashed = ready;
+            }
+        };
+        if start == 0 {
+            put(emitted_len(|s| snap.emit_head(s)), &|s| snap.emit_head(s));
+        }
+        for (node, &len) in nodes.iter().zip(lens) {
+            put(len, &|s| node.emit(s));
+        }
+        if tail {
+            put(emitted_len(|s| snap.emit_tail(s)), &|s| snap.emit_tail(s));
+        }
+        if hashed < digests.len() {
+            let from = (first_block + hashed) * DIGEST_BLOCK - start;
+            let to = ((first_block + digests.len()) * DIGEST_BLOCK).min(payload_len) - start;
+            word64_block_digests(&bytes[from..to], DIGEST_BLOCK, &mut digests[hashed..]);
+        }
+    }
+}
+
+/// [`EngineSnapshot::to_bytes`]: the bytes of [`encode`], with the node
+/// sections as the unit of parallel work. One counting walk per node
+/// sizes its section; from [`PAR_MIN_BYTES`] of payload the sections are
+/// dealt into one run of about equal bytes per pool participant (below
+/// it, one run on this thread), each run writes straight into its slice
+/// of the zeroed output and hashes the blocks wholly inside it, and the
+/// blocks that straddle two runs are hashed here once all are written.
+fn encode_sections(snap: &EngineSnapshot) -> Vec<u8> {
+    let head = emitted_len(|s| snap.emit_head(s));
+    let lens: Vec<usize> = snap
+        .nodes
+        .iter()
+        .map(|node| emitted_len(|s| node.emit(s)))
+        .collect();
+    let sections: usize = lens.iter().sum();
+    let payload_len = head + sections + emitted_len(|s| snap.emit_tail(s));
+    let mut out = envelope(payload_len);
+    let width = if payload_len < PAR_MIN_BYTES {
+        1
+    } else {
+        rayon::current_num_threads().clamp(1, snap.nodes.len().max(1))
+    };
+    let mut digests = vec![0u64; payload_len.div_ceil(DIGEST_BLOCK)];
+    let blocks = digests.len();
+
+    // Deal the nodes: run `r` ends with the first node whose section ends
+    // at or past `r + 1` of `width` equal shares of the sections, the last
+    // run with the tail. A run hashes the blocks that lie wholly inside
+    // its bytes (the payload's ragged last block is the last run's), and
+    // `gaps` keeps the blocks that straddle two runs.
+    let mut runs = Vec::with_capacity(width);
+    let mut gaps = Vec::with_capacity(width);
+    let mut bytes = &mut out[HEADER..HEADER + payload_len];
+    let mut free = &mut digests[..];
+    let (mut start, mut node, mut block, mut written) = (0usize, 0, 0, 0);
+    while runs.len() < width {
+        let last = runs.len() + 1 == width;
+        let share = sections * (runs.len() + 1) / width;
+        let mut end = node;
+        while end < lens.len() && (last || written < share) {
+            written += lens[end];
+            end += 1;
+        }
+        let stop = if last { payload_len } else { head + written };
+        let first_block = start.div_ceil(DIGEST_BLOCK);
+        let last_block = if last {
+            blocks
+        } else {
+            (stop / DIGEST_BLOCK).max(first_block)
+        };
+        let (mine, rest) = std::mem::take(&mut bytes).split_at_mut(stop - start);
+        let (_, rest_digests) = std::mem::take(&mut free).split_at_mut(first_block - block);
+        let (own, rest_digests) = rest_digests.split_at_mut(last_block - first_block);
+        if first_block > block {
+            gaps.push(block..first_block);
+        }
+        runs.push(Run {
+            nodes: &snap.nodes[node..end],
+            lens: &lens[node..end],
+            start,
+            bytes: mine,
+            first_block,
+            digests: own,
+        });
+        (bytes, free) = (rest, rest_digests);
+        (start, node, block) = (stop, end, last_block);
+    }
+    runs.into_par_iter()
+        .for_each(|run| run.write(snap, payload_len));
+
+    let payload = &out[HEADER..HEADER + payload_len];
+    for gap in gaps {
+        let bytes = &payload[gap.start * DIGEST_BLOCK..(gap.end * DIGEST_BLOCK).min(payload_len)];
+        word64_block_digests(bytes, DIGEST_BLOCK, &mut digests[gap]);
+    }
+    seal(&mut out, &digests);
     out
 }
 
@@ -324,11 +564,13 @@ pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, SnapshotError> {
     let body = &bytes[..total - 8];
     let stored = u64::from_le_bytes(bytes[total - 8..total].try_into().expect("8 bytes"));
     let (header, payload) = body.split_at(HEADER);
-    // Version 1 alone sealed its envelope with one plain chain; the rule
-    // is kept so that an intact version-1 file is refused as what it is.
+    // Versions 1 and 2 sealed their envelopes with byte chains of their
+    // own; the rules are kept so that an intact old file is refused as
+    // what it is.
     let sum = match version {
         1 => fnv1a64(body),
-        _ => fnv1a64_blocks(header, payload, DIGEST_BLOCK),
+        2 => fnv1a64_blocks(header, payload, DIGEST_BLOCK),
+        _ => word64_blocks(header, payload, DIGEST_BLOCK),
     };
     if sum != stored {
         return Err(SnapshotError::ChecksumMismatch);
@@ -385,12 +627,19 @@ trait Out {
     fn put_f64s(&mut self, vs: &[f64]);
 }
 
-impl Out for Vec<u8> {
+/// The bytes not yet written of a slice the counting walk has sized.
+impl Out for &mut [u8] {
     fn put(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
+        let (head, rest) = std::mem::take(self).split_at_mut(bytes.len());
+        head.copy_from_slice(bytes);
+        *self = rest;
     }
     fn put_f64s(&mut self, vs: &[f64]) {
-        self.extend(vs.iter().flat_map(|v| v.to_le_bytes()));
+        let (head, rest) = std::mem::take(self).split_at_mut(8 * vs.len());
+        for (word, v) in head.chunks_exact_mut(8).zip(vs) {
+            word.copy_from_slice(&v.to_le_bytes());
+        }
+        *self = rest;
     }
 }
 
@@ -593,8 +842,8 @@ mod tests {
 
     /// The payload bytes of `v` (a tree never packs; a typed `Vec<f64>` does).
     fn encoded<T: Serialize>(v: &T) -> Vec<u8> {
-        let mut buf = Vec::new();
-        v.emit(&mut ByteSink(&mut buf));
+        let mut buf = vec![0; emitted_len(|sink| v.emit(sink))];
+        v.emit(&mut ByteSink(&mut &mut buf[..]));
         buf
     }
 

@@ -1,7 +1,7 @@
 //! A snapshot is outside input even when its checksum holds: whatever in
 //! a [`NodeSnap`] the restored node would later index, stack into a
 //! matrix or clamp against must be refused at restore, typed, because
-//! the scoring phase that would meet it runs outside any panic guard —
+//! the scoring job that would meet it runs outside any panic guard —
 //! there a bad segment takes the whole shard down, `ingest` starts
 //! returning `ShardClosed` and `finish` loses every node on it.
 
@@ -110,8 +110,8 @@ fn malformed_node_state_is_refused_at_restore_not_met_by_a_worker() {
             Err(EngineError::Snapshot(SnapshotError::Decode(_))) => {}
             Err(other) => panic!("{what}: wrong error {other:?}"),
             Ok(engine) => {
-                // What the refusal prevents: the next scoring phase
-                // panics outside the per-tick guard and the shard is gone.
+                // What the refusal prevents: the next scoring job panics
+                // outside the per-tick guard and the shard is gone.
                 let alive = engine.ingest(s.tail.clone()).is_ok();
                 let crashes = engine.finish().faults.worker_crashes;
                 panic!("{what}: restored (tail ingested: {alive}, worker crashes: {crashes})");
@@ -119,7 +119,7 @@ fn malformed_node_state_is_refused_at_restore_not_met_by_a_worker() {
         }
     };
 
-    // Segments a scoring phase would stack and clamp against.
+    // Segments a scoring job would stack and clamp against.
     refused("queued job with no rows", &|n| n.jobs.push(job(Vec::new())));
     refused("ragged open-segment row", &|n| {
         n.seg_rows[1].pop();

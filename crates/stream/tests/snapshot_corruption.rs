@@ -124,16 +124,17 @@ fn wrong_magic_is_bad_magic() {
 
 #[test]
 fn unknown_version_with_valid_checksum_is_unsupported_version() {
-    // A well-formed envelope from "the future" — the next version, a far
-    // one — or from before the first: sealed the way every version after
-    // 1 is. The decoder must identify the version gap, not cry
-    // corruption, and say what it can read.
-    for unknown in [3u16, 99, 0, u16::MAX] {
+    // A well-formed envelope from the previous version (sealed the way
+    // its builds sealed it), from "the future" — the next version, a far
+    // one — or from before the first (sealed the way this version is).
+    // The decoder must identify the version gap, not cry corruption, and
+    // say what it can read.
+    for unknown in [2u16, 4, 99, 0, u16::MAX] {
         let mut bytes = sample().to_bytes();
         bytes[4..6].copy_from_slice(&unknown.to_le_bytes());
         match EngineSnapshot::from_bytes(&reseal(bytes)) {
             Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (unknown, 2));
+                assert_eq!((found, supported), (unknown, 3));
             }
             other => panic!("relabelled {unknown}: {other:?}"),
         }
@@ -152,7 +153,7 @@ fn unknown_version_with_valid_checksum_is_unsupported_version() {
         plain_chain(1),
         Err(SnapshotError::UnsupportedVersion {
             found: 1,
-            supported: 2
+            supported: 3
         })
     );
     assert_eq!(plain_chain(3), Err(SnapshotError::ChecksumMismatch));
@@ -179,7 +180,7 @@ fn a_payload_that_packs_no_floats_reads_as_the_same_snapshot() {
     let snap = sample();
     let mut unpacked = Vec::new();
     tagged(&snap.to_value(), &mut unpacked);
-    let read = EngineSnapshot::from_bytes(&seal(2, &unpacked)).expect("unpacked v2");
+    let read = EngineSnapshot::from_bytes(&seal(3, &unpacked)).expect("unpacked v3");
     assert!(read.to_bytes() == snap.to_bytes());
 }
 
@@ -190,7 +191,7 @@ fn resealed_garbage_payload_is_a_decode_error() {
     for tag in [6u8, 7, 8] {
         // Array / Object / packed floats, u64::MAX items.
         let payload = [tag, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF];
-        match EngineSnapshot::from_bytes(&seal(2, &payload)) {
+        match EngineSnapshot::from_bytes(&seal(3, &payload)) {
             Err(SnapshotError::Truncated { .. }) | Err(SnapshotError::Decode(_)) => {}
             other => panic!("hostile count under tag {tag}: {other:?}"),
         }
@@ -201,7 +202,7 @@ fn resealed_garbage_payload_is_a_decode_error() {
 fn well_typed_but_wrong_shaped_payload_is_a_decode_error() {
     // A checksum-valid snapshot whose payload decodes as a Value but not
     // as an EngineSnapshot (wrong field types): a single Null (tag 0).
-    match EngineSnapshot::from_bytes(&seal(2, &[0])) {
+    match EngineSnapshot::from_bytes(&seal(3, &[0])) {
         Err(SnapshotError::Decode(msg)) => {
             assert!(!msg.is_empty(), "decode error carries a message");
         }
@@ -304,7 +305,7 @@ fn ragged_exact_and_empty_payloads_round_trip() {
         let bytes = encode(&text);
         assert_eq!(
             bytes,
-            seal(2, &bytes[14..bytes.len() - 8]),
+            seal(3, &bytes[14..bytes.len() - 8]),
             "{len}: the digest's definition"
         );
         assert_eq!(
@@ -314,7 +315,7 @@ fn ragged_exact_and_empty_payloads_round_trip() {
         );
     }
     // No payload at all: a sealed envelope, and nothing to decode in it.
-    let empty = seal(2, &[]);
+    let empty = seal(3, &[]);
     assert_eq!(empty.len(), 22);
     match decode::<Value>(&empty) {
         Err(SnapshotError::Truncated {
@@ -353,7 +354,7 @@ fn packed_count_beyond_the_remaining_bytes_is_refused_before_allocating() {
             left / 8
         );
         assert_eq!(
-            EngineSnapshot::from_bytes(&seal(2, &bad)),
+            EngineSnapshot::from_bytes(&seal(3, &bad)),
             Err(SnapshotError::Decode(want))
         );
     }
@@ -393,7 +394,7 @@ fn errors_render_and_compare() {
     assert!(boxed.to_string().contains("magic"));
     assert_eq!(
         errs[3].to_string(),
-        "snapshot version 7 unsupported (this build reads version 2)"
+        "snapshot version 7 unsupported (this build reads version 3)"
     );
 }
 
@@ -510,7 +511,7 @@ const TYPE_ERROR: &str = "type error: ";
 
 /// Seal `payload` and hold `from_bytes` to both oracles.
 fn assert_payload_agrees(payload: &[u8], what: &str) -> Result<EngineSnapshot, SnapshotError> {
-    let direct = assert_agrees(&seal(2, payload), what);
+    let direct = assert_agrees(&seal(3, payload), what);
     match (&direct, &old_payload_decode(payload)) {
         (Ok(a), Ok(b)) => assert!(a.to_bytes() == b.to_bytes(), "{what}: state differs (old)"),
         // Structural messages are the old ones word for word; a type

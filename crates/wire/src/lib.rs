@@ -733,8 +733,9 @@ pub fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a 64 over a byte slice — the checksum of this protocol's frames
-/// (the `NSSN` snapshot envelope cuts its payload into blocks:
-/// [`fnv1a64_blocks`]; only its retired version 1 used this chain).
+/// (the `NSSN` snapshot envelope cuts its payload into blocks and hashes
+/// them a word at a time: [`word64_blocks`]; only its retired version 1
+/// used this chain, and its retired version 2 one per block).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_from(FNV_OFFSET, bytes)
 }
@@ -748,7 +749,8 @@ const LANES: usize = 4;
 /// [`fnv1a64`] of each lane, all chains advanced in one loop. The lanes
 /// must be independent byte strings: whole frames, which a cycle or a
 /// socket read holds several of, or the fixed-size blocks a digest is
-/// *defined* over ([`fnv1a64_blocks`], the version-2 snapshot envelope).
+/// *defined* over ([`fnv1a64_blocks`], the retired version-2 snapshot
+/// envelope).
 /// One long string under one plain [`fnv1a64`] — a frame, a version-1
 /// snapshot — is a single chain and cannot be split.
 ///
@@ -789,29 +791,125 @@ fn fnv1a64_lanes(lanes: [&[u8]; LANES]) -> [u64; LANES] {
     h
 }
 
-/// Body bytes from which [`fnv1a64_blocks`] hashes on the pool. Measured
-/// on the 2-vCPU bench box at 64 KiB blocks (a 256 KiB group is ≈ 90 µs
-/// on one core, a dispatch a few µs): two runs read 1.75× of one at
-/// 512 KiB and 1.47–1.86× from 640 KiB to 20 MiB. Just past two groups
-/// (513 KiB) one run holds nearly all the work and it reads 0.99×; below
-/// 512 KiB the second run can be such a sliver alone.
-const PAR_MIN_BYTES: usize = 1 << 19;
+/// Body bytes from which [`word64_blocks`] hashes on the pool, and from
+/// which the snapshot encoder writes its node sections there. Measured
+/// on the 2-vCPU bench box for the byte chain this digest replaced, at
+/// 64 KiB blocks: two runs read 1.75× of one at 512 KiB and 1.47–1.86×
+/// from 640 KiB to 20 MiB; just past two groups (513 KiB) one run holds
+/// nearly all the work and it reads 0.99×.
+pub const PAR_MIN_BYTES: usize = 1 << 19;
 
-/// FNV-1a 64 over `head ‖ d₀ ‖ d₁ ‖ … ‖ body.len()`, where `dᵢ` is the
-/// [`fnv1a64`] of the `i`-th `block`-byte piece of `body` (the last one
-/// ragged, none for an empty body) and digests and length go in as u64
-/// LE — the checksum of the version-2 `NSSN` snapshot envelope. Every
-/// byte passes through the same byte-wise chain as under [`fnv1a64`], so
-/// a flipped bit changes its block's digest and with it the fold; but
-/// blocks are independent strings, so four of them advance per pass
-/// and a long body hashes at the multiplier's throughput, not its latency.
-///
-/// From 512 KiB of body on, the groups of four blocks are dealt to the
-/// pool in one contiguous run per participant (below it, one run on this
-/// thread — the same loop); the digests land in block order and are
-/// folded here, so the split decides only who hashes a block, never the
-/// value.
+/// FNV-1a 64 over `head ‖ d₀ ‖ d₁ ‖ … ‖ body_len`, digests and length as
+/// u64 LE: the fold every block digest of an `NSSN` snapshot envelope
+/// ends in, whichever chain made the `dᵢ`.
+pub fn fold_block_digests(head: &[u8], digests: &[u64], body_len: usize) -> u64 {
+    let h = digests
+        .iter()
+        .fold(fnv1a64(head), |h, d| fnv1a64_from(h, &d.to_le_bytes()));
+    fnv1a64_from(h, &(body_len as u64).to_le_bytes())
+}
+
+/// The version-2 snapshot checksum: [`fold_block_digests`] of the
+/// [`fnv1a64`] of each `block`-byte piece of `body` (the last one ragged,
+/// none for an empty body), four blocks per pass on this thread. Kept so
+/// that an intact version-2 file is told apart from a damaged one.
 pub fn fnv1a64_blocks(head: &[u8], body: &[u8], block: usize) -> u64 {
+    assert!(block > 0, "zero-sized digest blocks");
+    let mut digests = Vec::with_capacity(body.len().div_ceil(block));
+    for group in body.chunks(block.saturating_mul(LANES)) {
+        let mut blocks = group.chunks(block);
+        let lanes = std::array::from_fn(|_| blocks.next().unwrap_or_default());
+        digests.extend_from_slice(&fnv1a64_lanes(lanes)[..group.len().div_ceil(block)]);
+    }
+    fold_block_digests(head, &digests, body.len())
+}
+
+/// Odd, so `h ↦ h·P` is a bijection on `u64`.
+const WORD_PRIME: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One step of the word chain: a bijection in `w` for a fixed state and
+/// in the state for a fixed `w`, so a change confined to one word always
+/// changes the chain's end. The multiply carries a flipped bit only
+/// upward; the rotate brings the top bits back down, so two bit-63 flips
+/// in successive words do not cancel as they would under a bare
+/// `(h ^ w)·P`.
+#[inline(always)]
+fn word_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(WORD_PRIME).rotate_left(31)
+}
+
+/// The word chain from state `h` over `bytes`: one [`word_step`] per
+/// little-endian `u64`, then — when `bytes.len()` is not a multiple of
+/// eight — one more over the 1–7 trailing bytes zero-padded to a word.
+/// (The padding is unambiguous where it is used: the envelope folds the
+/// body length in, which fixes every block's length.)
+fn word_chain(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = word_step(h, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = word_step(h, u64::from_le_bytes(last));
+    }
+    h
+}
+
+/// [`word_chain`] from [`FNV_OFFSET`] of each lane, the chains advanced
+/// in lock-step over the words every lane has, each lane's rest alone.
+/// A word step is a dependent xor, multiply and rotate (≈ 5 cycles), so
+/// four independent chains keep the multiplier busy.
+fn word_chain_lanes(lanes: [&[u8]; LANES]) -> [u64; LANES] {
+    let words = lanes.iter().map(|lane| lane.len() / 8).min().unwrap_or(0);
+    let [a, b, c, d] = lanes.map(|lane| lane[..8 * words].chunks_exact(8));
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+    let mut h = [FNV_OFFSET; LANES];
+    for (((a, b), c), d) in a.zip(b).zip(c).zip(d) {
+        h[0] = word_step(h[0], word(a));
+        h[1] = word_step(h[1], word(b));
+        h[2] = word_step(h[2], word(c));
+        h[3] = word_step(h[3], word(d));
+    }
+    std::array::from_fn(|k| word_chain(h[k], &lanes[k][8 * words..]))
+}
+
+/// The version-3 block digests of `body` into `digests` (one per
+/// `block`-byte piece, the last one ragged): from [`FNV_OFFSET`], one
+/// step `h = rotl((h ^ w)·0x9E3779B97F4A7C15, 31)` per little-endian
+/// word `w` of the block, a 1–7-byte tail zero-padded to one more word;
+/// four blocks per pass on this thread. A run of
+/// whole blocks cut from a longer body gets the digests those blocks
+/// have there, which is what lets a writer hash the blocks it has just
+/// written.
+pub fn word64_block_digests(body: &[u8], block: usize, digests: &mut [u64]) {
+    assert!(block > 0, "zero-sized digest blocks");
+    assert_eq!(
+        digests.len(),
+        body.len().div_ceil(block),
+        "one digest a block"
+    );
+    for (group, digests) in body
+        .chunks(block.saturating_mul(LANES))
+        .zip(digests.chunks_mut(LANES))
+    {
+        let mut blocks = group.chunks(block);
+        let lanes = std::array::from_fn(|_| blocks.next().unwrap_or_default());
+        digests.copy_from_slice(&word_chain_lanes(lanes)[..digests.len()]);
+    }
+}
+
+/// The version-3 snapshot checksum: [`fold_block_digests`] of the
+/// [`word64_block_digests`] of `body`. Eight bytes a step instead of
+/// one, and blocks independent, so four advance per pass.
+///
+/// From [`PAR_MIN_BYTES`] of body on, the groups of four blocks are dealt
+/// to the pool in one contiguous run per participant (below it, one run
+/// on this thread — the same loop); the digests land in block order and
+/// are folded here, so the split decides only who hashes a block, never
+/// the value.
+pub fn word64_blocks(head: &[u8], body: &[u8], block: usize) -> u64 {
     assert!(block > 0, "zero-sized digest blocks");
     let group_len = block.saturating_mul(LANES);
     let width = if body.len() < PAR_MIN_BYTES {
@@ -820,22 +918,17 @@ pub fn fnv1a64_blocks(head: &[u8], body: &[u8], block: usize) -> u64 {
         rayon::current_num_threads()
     };
     let run_groups = body.len().div_ceil(group_len).div_ceil(width).max(1);
+    let run_len = run_groups.saturating_mul(group_len);
     let mut digests = vec![0u64; body.len().div_ceil(block)];
     digests
         .par_chunks_mut(run_groups * LANES)
         .enumerate()
         .for_each(|(run, digests)| {
-            let groups = body[run * run_groups * group_len..].chunks(group_len);
-            for (group, digests) in groups.zip(digests.chunks_mut(LANES)) {
-                let mut blocks = group.chunks(block);
-                let lanes = std::array::from_fn(|_| blocks.next().unwrap_or_default());
-                digests.copy_from_slice(&fnv1a64_lanes(lanes)[..digests.len()]);
-            }
+            let start = run * run_len;
+            let end = start.saturating_add(run_len).min(body.len());
+            word64_block_digests(&body[start..end], block, digests);
         });
-    let h = digests
-        .iter()
-        .fold(fnv1a64(head), |h, d| fnv1a64_from(h, &d.to_le_bytes()));
-    fnv1a64_from(h, &(body.len() as u64).to_le_bytes())
+    fold_block_digests(head, &digests, body.len())
 }
 
 // ---------------------------------------------------------------------
@@ -1402,7 +1495,9 @@ mod tests {
     }
 
     mod lanes {
-        use super::super::{fnv1a64, fnv1a64_blocks, fnv1a64_lanes, LANES, PAR_MIN_BYTES};
+        use super::super::{
+            fnv1a64, fnv1a64_blocks, fnv1a64_lanes, word64_blocks, LANES, PAR_MIN_BYTES,
+        };
         use proptest::prelude::*;
         use std::sync::Mutex;
 
@@ -1419,24 +1514,38 @@ mod tests {
                 .collect()
         }
 
-        /// The block digest's definition: one plain chain per block.
-        fn by_definition(head: &[u8], body: &[u8], block: usize) -> u64 {
+        /// A block digest's definition: `block_digest` of each block, the
+        /// digests and the body length folded by one plain chain.
+        fn folded(head: &[u8], body: &[u8], block: usize, digest: fn(&[u8]) -> u64) -> u64 {
             let mut preimage = head.to_vec();
             for piece in body.chunks(block) {
-                preimage.extend_from_slice(&fnv1a64(piece).to_le_bytes());
+                preimage.extend_from_slice(&digest(piece).to_le_bytes());
             }
             preimage.extend_from_slice(&(body.len() as u64).to_le_bytes());
             fnv1a64(&preimage)
         }
 
-        /// `fnv1a64_blocks` at pool widths 1, 2 and 4. The width is
+        /// The version-3 block chain, spelled out: from the FNV offset
+        /// basis, per little-endian word (a ragged tail zero-padded to
+        /// one), `h = rotl((h ^ w) * 0x9E3779B97F4A7C15, 31)`.
+        fn word_chain_by_definition(block: &[u8]) -> u64 {
+            block.chunks(8).fold(0xcbf2_9ce4_8422_2325, |h, piece| {
+                let mut word = [0u8; 8];
+                word[..piece.len()].copy_from_slice(piece);
+                (h ^ u64::from_le_bytes(word))
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .rotate_left(31)
+            })
+        }
+
+        /// `word64_blocks` at pool widths 1, 2 and 4. The width is
         /// process-wide, so the tests that set it take turns.
         fn at_every_width(head: &[u8], body: &[u8], block: usize) -> [u64; 3] {
             static WIDTH: Mutex<()> = Mutex::new(());
             let _turn = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
             let digests = [1, 2, 4].map(|width| {
                 rayon::set_thread_count_override(Some(width));
-                fnv1a64_blocks(head, body, block)
+                word64_blocks(head, body, block)
             });
             rayon::set_thread_count_override(None);
             digests
@@ -1444,11 +1553,21 @@ mod tests {
 
         #[test]
         fn block_digest_fans_out_at_the_snapshot_block() {
-            // 64 KiB blocks: either side of the gate, a ragged last block,
-            // a ragged last group, and several groups past the gate.
+            // 64 KiB blocks: ragged words and blocks at every scale,
+            // either side of the pool gate, a ragged last group, and
+            // several groups past the gate.
             let block = 64 << 10;
             let body = bytes(0x5EED, PAR_MIN_BYTES + 6 * LANES * block + 777);
             for len in [
+                0,
+                1,
+                7,
+                8,
+                9,
+                block - 1,
+                block,
+                block + 1,
+                5 * block + 3,
                 PAR_MIN_BYTES - 1,
                 PAR_MIN_BYTES,
                 PAR_MIN_BYTES + 1,
@@ -1456,10 +1575,23 @@ mod tests {
                 body.len() - 777,
                 body.len(),
             ] {
-                let want = by_definition(b"NSSN", &body[..len], block);
+                let want = folded(b"NSSN", &body[..len], block, word_chain_by_definition);
                 assert_eq!(
                     at_every_width(b"NSSN", &body[..len], block),
                     [want; 3],
+                    "{len} bytes"
+                );
+            }
+        }
+
+        #[test]
+        fn version_2_block_digest_is_one_byte_chain_per_block() {
+            let block = 64 << 10;
+            let body = bytes(0xB10C, 6 * block + 5);
+            for len in [0, 1, block - 1, block, block + 1, 4 * block, body.len()] {
+                assert_eq!(
+                    fnv1a64_blocks(b"NSSN", &body[..len], block),
+                    folded(b"NSSN", &body[..len], block, fnv1a64),
                     "{len} bytes"
                 );
             }
@@ -1495,9 +1627,9 @@ mod tests {
                 }
             }
 
-            // The block digest against its definition, one plain chain
-            // per block, at pool widths 1, 2 and 4: ragged last blocks,
-            // bodies shorter than a block, groups short of four blocks,
+            // The block digest against its definition, one word chain
+            // per block, at pool widths 1, 2 and 4: ragged words and last
+            // blocks, bodies shorter than a block, groups short of four blocks,
             // the empty body — and bodies from two groups below the pool
             // gate to at least six past it, where groups go out in runs.
             #[test]
@@ -1515,7 +1647,7 @@ mod tests {
                     short
                 };
                 let body = bytes(seed, len);
-                let want = by_definition(&head, &body, block);
+                let want = folded(&head, &body, block, word_chain_by_definition);
                 prop_assert_eq!(at_every_width(&head, &body, block), [want; 3]);
             }
         }

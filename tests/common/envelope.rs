@@ -33,11 +33,11 @@ pub fn tagged(v: &Value, out: &mut Vec<u8>) {
     tagged_under(v, None, out)
 }
 
-/// The version-2 payload of an `EngineSnapshot` tree: [`tagged`], except
-/// that every `Vec<f64>` of the schema is tag 8, a count, and the raw
-/// values. A tree cannot tell an empty `Vec<f64>` from any other empty
-/// array, so the schema's float vectors are named here, as (the key their
-/// struct sits under, field).
+/// The payload of an `EngineSnapshot` tree under versions 2 and 3:
+/// [`tagged`], except that every `Vec<f64>` of the schema is tag 8, a
+/// count, and the raw values. A tree cannot tell an empty `Vec<f64>` from
+/// any other empty array, so the schema's float vectors are named here,
+/// as (the key their struct sits under, field).
 pub fn tagged_v2(v: &Value, out: &mut Vec<u8>) {
     tagged_under(v, Some(("", "")), out)
 }
@@ -111,16 +111,33 @@ fn tagged_under(v: &Value, at: Option<(&str, &str)>, out: &mut Vec<u8>) {
     }
 }
 
-/// Payload bytes under each block digest of a version-2 envelope.
+/// Payload bytes under each block digest of a version-2 or -3 envelope.
 pub const DIGEST_BLOCK: usize = 64 << 10;
 
+/// A version-3 block digest: from the FNV-1a offset basis, one step per
+/// little-endian `u64` word, `h = rotl((h ^ w) * 0x9E3779B97F4A7C15, 31)`,
+/// a ragged tail of 1–7 bytes zero-padded to one more word.
+pub fn word_chain(block: &[u8]) -> u64 {
+    block.chunks(8).fold(0xcbf2_9ce4_8422_2325, |h, piece| {
+        let mut word = [0u8; 8];
+        word[..piece.len()].copy_from_slice(piece);
+        (h ^ u64::from_le_bytes(word))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(31)
+    })
+}
+
 /// The trailer of an envelope whose header (magic, version, payload
-/// length) and payload are given: one chain over header ‖ the digest of
-/// each [`DIGEST_BLOCK`] of the payload ‖ the payload's length.
+/// length) and payload are given: one FNV-1a chain over header ‖ the
+/// digest of each [`DIGEST_BLOCK`] of the payload ‖ the payload's length.
+/// A block's digest is [`fnv1a64`] under version 2 and [`word_chain`]
+/// under every other version the header may name.
 pub fn digest(header: &[u8], payload: &[u8]) -> u64 {
+    let version = u16::from_le_bytes([header[4], header[5]]);
+    let block_digest = if version == 2 { fnv1a64 } else { word_chain };
     let mut preimage = header.to_vec();
     for block in payload.chunks(DIGEST_BLOCK) {
-        preimage.extend_from_slice(&fnv1a64(block).to_le_bytes());
+        preimage.extend_from_slice(&block_digest(block).to_le_bytes());
     }
     preimage.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     fnv1a64(&preimage)
@@ -147,7 +164,15 @@ pub fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
 }
 
 /// What this build writes for the snapshot whose `to_value()` tree is
-/// `tree`.
+/// `tree`: the version-2 payload (versions 2 and 3 lay it out alike)
+/// sealed as version 3.
+pub fn v3_bytes(tree: &Value) -> Vec<u8> {
+    let mut payload = Vec::new();
+    tagged_v2(tree, &mut payload);
+    seal(3, &payload)
+}
+
+/// What version-2 builds wrote for the same snapshot.
 pub fn v2_bytes(tree: &Value) -> Vec<u8> {
     let mut payload = Vec::new();
     tagged_v2(tree, &mut payload);

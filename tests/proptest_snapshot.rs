@@ -4,7 +4,7 @@
 //! indistinguishable — bit for bit — from the engine that never
 //! stopped, and the snapshot itself must survive a restore→checkpoint
 //! round trip byte-identically. The streamed encoder's bytes must also
-//! equal those of the test-side v2 tree codec for the same snapshot.
+//! equal those of the test-side v3 tree codec for the same snapshot.
 
 mod common;
 
@@ -137,7 +137,7 @@ proptest! {
     // `to_bytes` never builds a `Value`; the bytes it streams must still
     // be exactly what a tree codec would write — the snapshot's
     // `to_value()` tree in the tagged encoding with every `Vec<f64>` of
-    // the schema packed under tag 8, sealed in the v2 envelope (block
+    // the schema packed under tag 8, sealed in the v3 envelope (block
     // digests folded into the trailer), all spelled out test-side in
     // `common/envelope.rs` — on both tiers, with the
     // `scoring_precision` key omitted on F64 (the pinned key set) and
@@ -151,7 +151,7 @@ proptest! {
         chunk in 32usize..400,
         f32_tier in any::<bool>(),
     ) {
-        use common::envelope::v2_bytes;
+        use common::envelope::v3_bytes;
         use nodesentry::stream::snapshot::{decode, encode, SNAPSHOT_VERSION};
         use nodesentry::stream::ScoringPrecision;
         use serde::{Deserialize, Serialize};
@@ -184,8 +184,8 @@ proptest! {
         prop_assert_eq!(tree.get("scoring_precision").is_some(), f32_tier);
 
         // Oracle 1: the tree codec, spelled out test-side.
-        prop_assert_eq!(SNAPSHOT_VERSION, 2);
-        prop_assert!(ckpt.bytes == v2_bytes(&tree), "streamed bytes differ from the tree codec's");
+        prop_assert_eq!(SNAPSHOT_VERSION, 3);
+        prop_assert!(ckpt.bytes == v3_bytes(&tree), "streamed bytes differ from the tree codec's");
 
         // Oracle 2: the tree through the production byte sink. A tree
         // does not know its float vectors from its other arrays, so it

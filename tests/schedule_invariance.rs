@@ -1,16 +1,18 @@
 //! The deferred scoring schedule must be invisible in the output. The
-//! engine never scores a segment where it closes: closed segments and
-//! ready probes wait for the shard's next scoring phase, which runs after
-//! every tick batch and stacks whatever is ready across the shard's nodes
-//! into batched forwards. *When* that phase runs — how the feed is
-//! chunked into `ingest` calls, how nodes are spread over shards — must
-//! not move one verdict bit (`f64::to_bits` on scores; equality on node,
+//! engine never scores a segment where it closes: at every tick batch
+//! boundary the shard hands each closed segment and each ready probe to
+//! the thread pool as a scoring job, and applies finished jobs at a later
+//! boundary in per-node order; every synchronous path (checkpoint,
+//! end-of-stream flush, blackout reset, quarantine) first waits at a
+//! barrier for the node's jobs. *When* a job runs and is applied — how
+//! the feed is chunked into `ingest` calls, how nodes are spread over
+//! shards — must not move one verdict bit (`f64::to_bits` on scores; equality on node,
 //! step, flag, cluster and kind; equal point and match-cycle counts), on
 //! clean feeds and under fault-injection plans (drops, reorders, NaN
 //! bursts, blackouts, chaos panics). On the clean and single-fault feeds
 //! the engine is also held to a per-node inline
-//! `NodeState::offer`/`flush` replay: no shards, no scoring phase between
-//! batches, no cross-node stacking.
+//! `NodeState::offer`/`flush` replay: no shards, no scoring job in flight
+//! between batches, every job run where it is handed out.
 //!
 //! The engine's *correctness* reference is `NodeSentry::score_node`
 //! (`stream_equivalence.rs`, `fault_tolerance.rs`); this suite only pins
@@ -62,8 +64,8 @@ impl From<EngineReport> for Outcome {
 
 /// Per-node inline replay: one `NodeState` per node, offered its ticks
 /// in stream order and flushed at the end. Every closed segment waits in
-/// the node's own queue until `flush`, so nothing is stacked across
-/// nodes and no scoring phase runs mid-stream.
+/// the node's own queue until `flush`, so no scoring job is in flight
+/// mid-stream.
 fn run_inline(setup: &Setup, stream: &[Tick]) -> Outcome {
     let cfg = cfg_of(setup, 1);
     let mut states: BTreeMap<usize, NodeState> = BTreeMap::new();
@@ -169,7 +171,7 @@ fn all_chunkings() -> [usize; 4] {
 fn clean_feed_step_major_batches() {
     let setup = setup();
     // One batch per step: every node's segment-close and probe-ready
-    // events of a cycle land in the same scoring phase.
+    // events of a cycle are handed out as jobs at the same boundary.
     check_stream(
         &setup.clean,
         &[setup.ds.n_nodes()],
@@ -182,8 +184,8 @@ fn clean_feed_step_major_batches() {
 #[test]
 fn clean_feed_arbitrary_chunking() {
     // Chunk sizes that split steps across batches and bundle several
-    // steps per batch: arrival framing decides only when scoring phases
-    // run, never what they compute.
+    // steps per batch: arrival framing decides only when scoring jobs
+    // are handed out and applied, never what they compute.
     check_stream(&setup().clean, &all_chunkings(), None, true, "clean");
 }
 
@@ -251,8 +253,8 @@ fn fault_plans_stay_bit_identical() {
 #[test]
 fn multi_event_plan_stays_bit_identical() {
     // Several fault classes live in one plan, hitting different nodes:
-    // the scoring phase sees degraded, suppressed and clean segments in
-    // the same sweep.
+    // degraded, suppressed and clean segments are in flight as scoring
+    // jobs at the same boundaries.
     let setup = setup();
     let mk = |node, kind, start, end, magnitude| FaultEvent {
         node,

@@ -58,7 +58,7 @@ fn fit_serialize_deserialize_scores_identically() {
 
 // ---------------------------------------------------------------------
 // Snapshot wire format: value round trips and the pinned golden files
-// (v2: written and read; v1: refused as what it is)
+// (v3: written and read; v1 and v2: refused as what they are)
 // ---------------------------------------------------------------------
 
 mod snapshot_format {
@@ -177,6 +177,10 @@ mod snapshot_format {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/engine_snapshot_v2.bin"
     );
+    const FIXTURE_V3: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/engine_snapshot_v3.bin"
+    );
 
     /// Every snapshot type survives the self-describing `Value` layer —
     /// the same layer the binary codec serializes — losslessly.
@@ -210,10 +214,10 @@ mod snapshot_format {
         assert!(PreSnap::from_value(&node.jobs[0].to_value()).is_err());
     }
 
-    /// The checked-in version-1 fixture is what the previous format's
-    /// builds persisted, sealed with that version's plain checksum chain.
-    /// This build reads version 2 alone and must say so: an intact old
-    /// file is an unsupported version, not a damaged one.
+    /// The checked-in version-1 fixture is what the first format's builds
+    /// persisted, sealed with that version's plain checksum chain. This
+    /// build reads version 3 alone and must say so: an intact old file is
+    /// an unsupported version, not a damaged one.
     #[test]
     fn version_1_fixture_is_refused_as_unsupported_version() {
         let v1 = std::fs::read(FIXTURE_V1).expect("v1 fixture is checked in");
@@ -223,12 +227,12 @@ mod snapshot_format {
             refusal,
             SnapshotError::UnsupportedVersion {
                 found: 1,
-                supported: 2
+                supported: 3
             }
         );
         assert_eq!(
             refusal.to_string(),
-            "snapshot version 1 unsupported (this build reads version 2)"
+            "snapshot version 1 unsupported (this build reads version 3)"
         );
         // One flipped payload bit and it is damage again.
         let mut rotten = v1;
@@ -239,37 +243,150 @@ mod snapshot_format {
         );
     }
 
-    /// The version-2 fixture pins the current on-disk format: if this
+    /// The checked-in version-2 fixture is what version-2 builds persisted
+    /// for the golden snapshot, sealed with one byte-wise FNV-1a chain per
+    /// block. Its payload is byte for byte version 3's — only the digest
+    /// changed — and it is refused as the version it is.
+    #[test]
+    fn version_2_fixture_is_refused_as_unsupported_version() {
+        use serde::Serialize;
+        let v2 = std::fs::read(FIXTURE_V2).expect("v2 fixture is checked in");
+        assert_eq!(u16::from_le_bytes([v2[4], v2[5]]), 2);
+        let tree = golden().to_value();
+        assert_eq!(v2, super::common::envelope::v2_bytes(&tree));
+        let v3 = golden().to_bytes();
+        assert_eq!(
+            v2[14..v2.len() - 8],
+            v3[14..v3.len() - 8],
+            "versions 2 and 3 lay the payload out alike"
+        );
+        assert_ne!(v2[v2.len() - 8..], v3[v3.len() - 8..]);
+        let refusal = EngineSnapshot::from_bytes(&v2).expect_err("v2 is not read");
+        assert_eq!(
+            refusal,
+            SnapshotError::UnsupportedVersion {
+                found: 2,
+                supported: 3
+            }
+        );
+        assert_eq!(
+            refusal.to_string(),
+            "snapshot version 2 unsupported (this build reads version 3)"
+        );
+        let mut rotten = v2;
+        rotten[40] ^= 1;
+        assert_eq!(
+            EngineSnapshot::from_bytes(&rotten),
+            Err(SnapshotError::ChecksumMismatch)
+        );
+    }
+
+    /// The version-3 fixture pins the current on-disk format: if this
     /// test fails, the wire encoding changed, which breaks every snapshot
     /// already persisted by a deployment. Bump `SNAPSHOT_VERSION`, add a
-    /// v3 fixture beside this one, and only then regenerate with
+    /// v4 fixture beside this one, and only then regenerate with
     /// `NS_REGEN_FIXTURES=1 cargo test --test serde_roundtrip`.
     #[test]
-    fn golden_fixture_pins_the_v2_wire_format() {
+    fn golden_fixture_pins_the_v3_wire_format() {
         let bytes = golden().to_bytes();
         if std::env::var_os("NS_REGEN_FIXTURES").is_some() {
-            std::fs::write(FIXTURE_V2, &bytes).expect("write fixture");
-            eprintln!("regenerated {FIXTURE_V2} ({} bytes)", bytes.len());
+            std::fs::write(FIXTURE_V3, &bytes).expect("write fixture");
+            eprintln!("regenerated {FIXTURE_V3} ({} bytes)", bytes.len());
         }
-        let pinned = std::fs::read(FIXTURE_V2)
+        let pinned = std::fs::read(FIXTURE_V3)
             .expect("fixture missing — run with NS_REGEN_FIXTURES=1 once to create it");
         assert_eq!(
-            SNAPSHOT_VERSION, 2,
-            "version bumped: add a new fixture instead of editing v2's"
+            SNAPSHOT_VERSION, 3,
+            "version bumped: add a new fixture instead of editing v3's"
         );
         assert_eq!(
             bytes, pinned,
-            "snapshot wire encoding drifted from the checked-in v2 fixture"
+            "snapshot wire encoding drifted from the checked-in v3 fixture"
         );
         // They are what the format's definition, spelled out test-side,
         // makes of the golden tree, and they decode to the golden value.
         use serde::Serialize;
         assert_eq!(
             pinned,
-            super::common::envelope::v2_bytes(&golden().to_value())
+            super::common::envelope::v3_bytes(&golden().to_value())
         );
         let decoded = EngineSnapshot::from_bytes(&pinned).expect("decode fixture");
         assert_eq!(decoded, golden());
+    }
+
+    /// `to_bytes` writes node sections on the pool from 512 KiB of
+    /// payload, one run of about equal bytes per participant. Its bytes
+    /// are the serial `encode`'s and the test-side tree codec's for no
+    /// node, one node and many, either side of that gate, for runs that
+    /// hold no node (one section larger than the others together) and for
+    /// fewer nodes than participants — at pool widths 1, 2 and 4.
+    #[test]
+    fn sectioned_bytes_equal_the_serial_and_tree_codecs() {
+        use nodesentry::stream::snapshot::{decode, encode};
+        use serde::Serialize;
+
+        // The golden node with `rows` open-segment rows of `width` values.
+        let node = |id: usize, rows: usize, width: usize| {
+            let mut n = golden().nodes[1].clone();
+            n.node = id;
+            n.seg_rows = (0..rows)
+                .map(|r| {
+                    (0..width)
+                        .map(|c| (id * 7 + r * 3 + c) as f64 * 0.5)
+                        .collect()
+                })
+                .collect();
+            n.seg_row_kinds = vec![0; rows];
+            n
+        };
+        let with = |nodes: Vec<NodeSnap>| EngineSnapshot { nodes, ..golden() };
+        let gate = 512 << 10;
+        let cases = [
+            ("no node", with(Vec::new())),
+            ("one node", with(vec![node(0, 3, 5)])),
+            (
+                "many below",
+                with((0..40).map(|i| node(i, 2 + i % 5, 9)).collect()),
+            ),
+            (
+                "many above",
+                with((0..48).map(|i| node(i, 20 + i % 13, 64 + i % 3)).collect()),
+            ),
+            ("one above", with(vec![node(0, 1100, 64)])),
+            (
+                "three above",
+                with((0..3).map(|i| node(i, 400 + i, 64)).collect()),
+            ),
+            (
+                "one giant",
+                with(
+                    (0..9)
+                        .map(|i| node(i, if i == 2 { 1500 } else { 3 }, 64))
+                        .collect(),
+                ),
+            ),
+        ];
+        for (what, snap) in &cases {
+            let serial = encode(snap);
+            let payload = serial.len() - 22;
+            assert_eq!(
+                payload >= gate,
+                what.contains("above") || *what == "one giant",
+                "{what}"
+            );
+            assert!(
+                serial == super::common::envelope::v3_bytes(&snap.to_value()),
+                "{what}"
+            );
+            for width in [1, 2, 4] {
+                rayon::set_thread_count_override(Some(width));
+                let bytes = snap.to_bytes();
+                rayon::set_thread_count_override(None);
+                assert!(bytes == serial, "{what} at width {width}");
+            }
+            let back: EngineSnapshot = decode(&serial).expect("decode");
+            assert_eq!(&back, snap, "{what}");
+        }
     }
 }
 
