@@ -9,7 +9,8 @@
 //!
 //! * `column/{42,120}`: one column through `extract_into`, single thread,
 //!   the mean over the probe's 141 columns;
-//! * `extract_mts/{42,120}x141`: the whole probe, columns over the pool;
+//! * `extract_mts/{42,120}x141`: the whole probe, one column after
+//!   another on one thread;
 //! * `match_pattern_into/8x18894`: standardise and scan an 8-centroid
 //!   library at that probe's feature width.
 //!

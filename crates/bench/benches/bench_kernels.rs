@@ -471,10 +471,10 @@ fn throughput_report_and_assertions(timed: bool, snapshot: serde_json::Value) {
 
 fn benches_then_report(c: &mut Criterion) {
     bench_kernels(c);
-    // One band per matmul, as inside a scoring task (`score_specs` caps its
-    // thread to width 1): the report times kernels, not the pool's dispatch,
-    // which on a 2-core runner costs a 25 µs f32 product more than half of
-    // what the wider lanes save.
+    // One band per matmul, as in scoring (`SharedModel::score_series_batch`
+    // caps its thread to width 1): the report times kernels, not the pool's
+    // dispatch, which on a 2-core runner costs a 25 µs f32 product more
+    // than half of what the wider lanes save.
     let timed = c.timed();
     // The codec rows set the pool width themselves, so they run uncapped.
     let snapshot = snapshot_rows(timed);

@@ -157,26 +157,6 @@ fn segment_base(cfg: &SharingConfig, rank: usize) -> f64 {
     }
 }
 
-/// `data`'s windows at `stride` ([`windows`] with `window`), positioned
-/// by `pos_of` and weighted by `weights` — the windows scoring forwards
-/// (`stride = window`) and training fits (`SharingConfig::stride`).
-fn window_specs<'a>(
-    data: &'a Matrix,
-    (window, stride): (usize, usize),
-    pos_of: &'a (dyn Fn(usize) -> f64 + Sync + 'a),
-    weights: &'a [f64],
-) -> impl Iterator<Item = WindowSpec<'a>> {
-    windows(data.rows(), window, stride)
-        .into_iter()
-        .map(move |w| WindowSpec {
-            data,
-            start: w.start,
-            end: w.end,
-            pos_of,
-            weights,
-        })
-}
-
 /// Fold one window's per-row errors into its rows of a series' scores:
 /// rows covered twice (the end-aligned tail window overlaps its
 /// predecessor) keep the max error.
@@ -184,41 +164,6 @@ fn merge_max(rows: &mut [f64], errs: &[f64]) {
     for (slot, &v) in rows.iter_mut().zip(errs) {
         *slot = slot.max(v);
     }
-}
-
-/// Upper bound on the rows of one task of [`SharedModel::score_specs`] —
-/// the unit of pool dispatch; a task's windows are forwarded one by one.
-/// Grouping is unobservable in the output, so this is a scheduling
-/// constant, not a tunable. One default window: the smallest tasks let
-/// stealing absorb a woken worker's late start, and a bigger task buys
-/// nothing per row (DESIGN §10).
-const TASK_ROW_CAP: usize = 20;
-
-/// Cut `specs` into contiguous tasks of balanced row counts: at least
-/// `min(width, windows)` of them, none above [`TASK_ROW_CAP`] rows
-/// unless a single window is. Each task aims at an even share of the
-/// rows still unassigned, so an undershoot is absorbed by the tasks
-/// after it instead of piling onto the last one.
-fn row_tasks(specs: &[WindowSpec<'_>], width: usize) -> Vec<std::ops::Range<usize>> {
-    let rows = |i: usize| specs[i].end - specs[i].start;
-    let mut left_rows: usize = (0..specs.len()).map(rows).sum();
-    let mut left_tasks = width.max(left_rows.div_ceil(TASK_ROW_CAP)).min(specs.len());
-    let mut tasks = Vec::with_capacity(left_tasks);
-    let mut lo = 0;
-    while lo < specs.len() {
-        let target = left_rows.div_ceil(left_tasks).min(TASK_ROW_CAP);
-        let (mut hi, mut taken) = (lo + 1, rows(lo));
-        // Grow to the target, but leave a window for every task owed.
-        while hi < specs.len() && taken + rows(hi) <= target && specs.len() - hi >= left_tasks {
-            taken += rows(hi);
-            hi += 1;
-        }
-        tasks.push(lo..hi);
-        left_rows -= taken;
-        left_tasks = left_tasks.saturating_sub(1).max(1);
-        lo = hi;
-    }
-    tasks
 }
 
 impl SharedModel {
@@ -310,8 +255,15 @@ impl SharedModel {
                 .iter()
                 .zip(&pos_fns)
                 .filter(|(seg, _)| seg.rows() >= 4)
-                .flat_map(|(seg, pos_of)| {
-                    window_specs(seg, (cfg.window, cfg.stride), pos_of, weights)
+                .flat_map(|(&data, pos_of)| {
+                    let tiles = windows(data.rows(), cfg.window, cfg.stride).into_iter();
+                    tiles.map(move |w| WindowSpec {
+                        data,
+                        start: w.start,
+                        end: w.end,
+                        pos_of,
+                        weights,
+                    })
                 })
                 .collect();
             if specs.is_empty() {
@@ -377,7 +329,7 @@ impl SharedModel {
     /// training-error distribution (z-units, clamped at 0 below).
     ///
     /// The one-series case of [`SharedModel::score_series_batch`]: same
-    /// tiling, same schedule (`score_specs`), same bits.
+    /// tiling, same session loop, same bits.
     pub fn score_series(&self, data: &Matrix) -> Vec<f64> {
         self.score_series_batch(&[data])
             .pop()
@@ -385,9 +337,9 @@ impl SharedModel {
     }
 
     /// Reference for [`SharedModel::score_series`]: the same scores
-    /// through a fresh [`Graph`] per window, no session, pool or
-    /// schedule. The equivalence tests hold both serving schedules to it
-    /// bit for bit.
+    /// through a fresh [`Graph`] per window, no session. The equivalence
+    /// tests hold `score_series` and `score_series_batch` to it bit for
+    /// bit.
     pub fn score_series_taped(&self, data: &Matrix) -> Vec<f64> {
         let t = data.rows();
         let mut scores = vec![0.0f64; t];
@@ -423,23 +375,18 @@ impl SharedModel {
         scores
     }
 
-    /// Calibrated scores for many series in one schedule: every window of
-    /// every series joins one list, which the scheduler (`score_specs`)
-    /// cuts into row-balanced, row-capped tasks and fans over the pool —
-    /// each task one [`ns_nn::InferenceSession::score_windows_batch`]
-    /// call — then per-window errors are max-merged and calibrated per
-    /// series.
+    /// Calibrated scores for many series, scored on the calling thread
+    /// (`score_stacked_raw`) and calibrated per series.
     ///
     /// Bit-identical per series to [`SharedModel::score_series`], which
     /// is this function on a one-series list: windows are scored
-    /// independently however the list is grouped
-    /// (`crates/nn/tests/infer_batch_equivalence.rs`), and the merge runs
-    /// on the caller in input order.
+    /// independently of each other
+    /// (`crates/nn/tests/infer_batch_equivalence.rs`).
     pub fn score_series_batch(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
         self.score_stacked::<f64>(series)
     }
 
-    /// f32-tier [`SharedModel::score_series_batch`]: same schedule,
+    /// f32-tier [`SharedModel::score_series_batch`]: same session loop,
     /// merge and f64 calibration arithmetic on the widened errors; only
     /// the forward pass runs in f32 (an [`ns_nn::InferenceSessionF32`]
     /// over the store's own f32 copy of the weights). Its reference
@@ -448,67 +395,41 @@ impl SharedModel {
         self.score_stacked::<f32>(series)
     }
 
-    /// The one scoring schedule: cut `specs` into [`row_tasks`] for this
-    /// thread's pool width, run the tasks with the pool's ordered
-    /// `par_iter` — each builds a [`Session`] at the precision tier `T`
-    /// around a spare tape, scores its windows and parks the tape — and
-    /// hand each window's per-row errors to
-    /// `sink(window index, errors)` on the caller, in input order.
-    ///
-    /// A task caps its own thread to width 1 for the forward: the pool is
-    /// already busy with the sibling tasks, and waking a worker for half
-    /// of a `rows × 36` matmul costs more than the half. Under a capped
-    /// caller (an engine shard thread holding its fair share of the
-    /// cores) the fan-out width is that cap; at 1 the tasks simply run
-    /// back to back on the caller. Windows are arithmetically independent
-    /// and results come back in input order, so neither the width nor the
-    /// grouping can reach a score bit.
-    fn score_specs<T: Tier>(&self, specs: &[WindowSpec<'_>], mut sink: impl FnMut(usize, &[f64])) {
-        let tasks = row_tasks(specs, rayon::current_num_threads());
-        let errs: Vec<Vec<f64>> = tasks
-            .par_iter()
-            .map(|task| {
-                rayon::with_thread_parallelism_cap(Some(1), || {
-                    let mut sess = Session::<T>::take_spare();
-                    let errs = sess
-                        .score_windows_batch(&self.params, &self.model, &specs[task.clone()])
-                        .to_vec();
-                    sess.park();
-                    errs
-                })
-            })
-            .collect();
-        for (task, errs) in tasks.iter().zip(&errs) {
-            let mut off = 0usize;
-            for i in task.clone() {
-                let n = specs[i].end - specs[i].start;
-                sink(i, &errs[off..off + n]);
-                off += n;
-            }
-        }
-    }
-
-    /// Raw (uncalibrated) scores of every series: list every window of
-    /// every series for one [`SharedModel::score_specs`] call and
-    /// max-merge the errors back per series.
+    /// Raw (uncalibrated) scores of every series, on the calling thread:
+    /// one spare [`Session`] at the precision tier `T` forwards every
+    /// window of every series in input order, each window's per-row
+    /// errors are max-merged into its series, and the session is parked
+    /// once. The kernels run one band (`with_thread_parallelism_cap(Some(1),
+    /// …)`): parallelism lives above the segment — engine jobs, harness
+    /// nodes, fit clusters and segments (DESIGN §10).
     fn score_stacked_raw<T: Tier>(&self, series: &[&Matrix]) -> Vec<Vec<f64>> {
-        // The PE position scale depends on each series' own length, so
-        // every series gets its own closure.
-        let pos_fns: Vec<_> = series.iter().map(|d| rel_position(d.rows(), 0.0)).collect();
-        let mut specs: Vec<WindowSpec> = Vec::new();
-        let mut owners: Vec<usize> = Vec::new();
         let window = self.cfg.window;
-        for (si, (data, pos_of)) in series.iter().zip(&pos_fns).enumerate() {
-            for spec in window_specs(data, (window, window), pos_of, &self.weights) {
-                specs.push(spec);
-                owners.push(si);
-            }
-        }
-        let mut out: Vec<Vec<f64>> = series.iter().map(|d| vec![0.0f64; d.rows()]).collect();
-        self.score_specs::<T>(&specs, |i, errs| {
-            merge_max(&mut out[owners[i]][specs[i].start..specs[i].end], errs);
-        });
-        out
+        rayon::with_thread_parallelism_cap(Some(1), || {
+            let mut sess = Session::<T>::take_spare();
+            let out = series
+                .iter()
+                .map(|data| {
+                    // The PE position scale depends on the series' own length.
+                    let pos_of = rel_position(data.rows(), 0.0);
+                    let mut scores = vec![0.0f64; data.rows()];
+                    for w in windows(data.rows(), window, window) {
+                        let errs = sess.score_window(
+                            &self.params,
+                            &self.model,
+                            data,
+                            w.start,
+                            w.end,
+                            &pos_of,
+                            &self.weights,
+                        );
+                        merge_max(&mut scores[w], errs);
+                    }
+                    scores
+                })
+                .collect();
+            sess.park();
+            out
+        })
     }
 
     /// Both tiers' `score_series_batch`: [`SharedModel::score_stacked_raw`],
@@ -732,46 +653,6 @@ mod tests {
             }
         }
         assert_eq!(format!("{h:016x}"), "efc0ddd41b2cb800");
-    }
-
-    #[test]
-    fn row_tasks_cover_in_order_within_cap_and_fill_the_width() {
-        let data = Matrix::zeros(64, 1);
-        let pos = rel_position(64, 0.0);
-        let stack = |lens: &[usize]| -> Vec<WindowSpec<'_>> {
-            lens.iter()
-                .map(|&n| WindowSpec {
-                    data: &data,
-                    start: 0,
-                    end: n,
-                    pos_of: &pos,
-                    weights: &[],
-                })
-                .collect()
-        };
-        let cases: [&[usize]; 7] = [
-            &[],
-            &[7],
-            &[1, 1, 20],
-            &[20, 1, 1],
-            &[5; 40],
-            &[20; 9],
-            &[3, 64, 2, 2, 2, 9, 9, 1],
-        ];
-        for lens in cases {
-            let specs = stack(lens);
-            for width in [1usize, 2, 3, 8] {
-                let tasks = row_tasks(&specs, width);
-                let ctx = format!("{lens:?} at width {width}: {tasks:?}");
-                let covered: Vec<usize> = tasks.iter().flat_map(|t| t.clone()).collect();
-                assert_eq!(covered, (0..lens.len()).collect::<Vec<_>>(), "{ctx}");
-                assert!(tasks.len() >= width.min(lens.len()), "{ctx}");
-                for t in &tasks {
-                    let rows: usize = lens[t.clone()].iter().sum();
-                    assert!(t.len() == 1 || rows <= TASK_ROW_CAP, "{ctx}");
-                }
-            }
-        }
     }
 
     #[test]

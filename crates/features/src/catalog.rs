@@ -13,7 +13,6 @@
 use crate::{dwt, fft, spectral, statistical, temporal};
 use ns_linalg::matrix::Matrix;
 use ns_linalg::stats;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Feature domain, following the paper's statistical/temporal/spectral
@@ -749,8 +748,7 @@ fn median_deviation(sorted: &[f64], med: f64) -> f64 {
 
 thread_local! {
     /// Per-thread scratch backing the allocating convenience APIs
-    /// ([`FeatureCatalog::extract`]) and the rayon workers of
-    /// [`FeatureCatalog::extract_mts`].
+    /// ([`FeatureCatalog::extract`], [`FeatureCatalog::extract_mts`]).
     static SCRATCH: std::cell::RefCell<FeatureScratch> =
         std::cell::RefCell::new(FeatureScratch::new());
 }
@@ -1136,31 +1134,27 @@ impl FeatureCatalog {
     /// timestamps, columns are metrics): per-metric feature vectors are
     /// concatenated column-major, giving a fixed `M * len()` width
     /// regardless of segment length — exactly the property coarse-grained
-    /// clustering needs. Metrics are processed in parallel, each rayon
-    /// worker reusing its thread-local [`FeatureScratch`] and writing its
-    /// block of the output directly (order-preserving by construction —
-    /// chunk `c` of the output is metric `c`).
+    /// clustering needs. Metrics are processed one after another on this
+    /// thread's [`FeatureScratch`], each writing its block of the output
+    /// directly (chunk `c` of the output is metric `c`).
     pub fn extract_mts(&self, segment: &Matrix, sample_rate: f64) -> Vec<f64> {
-        let m = segment.cols();
         let len = self.kinds.len();
-        let mut out = vec![0.0; m * len];
+        let mut out = vec![0.0; segment.cols() * len];
         if len == 0 {
             return out;
         }
-        out.par_chunks_mut(len).enumerate().for_each(|(c, chunk)| {
-            SCRATCH.with(|s| {
-                let scratch = &mut *s.borrow_mut();
-                // Detach the column buffer so the rest of the scratch
-                // can back the derived views; reattach afterwards so
-                // its capacity survives to the next metric.
-                let mut col = std::mem::take(&mut scratch.col);
+        SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            // Detach the column buffer so the rest of the scratch can back
+            // the derived views; reattach afterwards so its capacity
+            // survives to the next call.
+            let mut col = std::mem::take(&mut scratch.col);
+            for (c, chunk) in out.chunks_mut(len).enumerate() {
                 col.clear();
-                for r in 0..segment.rows() {
-                    col.push(segment[(r, c)]);
-                }
+                col.extend((0..segment.rows()).map(|r| segment[(r, c)]));
                 self.extract_into(&col, sample_rate, scratch, chunk);
-                scratch.col = col;
-            });
+            }
+            scratch.col = col;
         });
         out
     }

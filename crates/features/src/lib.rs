@@ -13,7 +13,7 @@
 //! * [`catalog`] — the ordered, named [`FeatureCatalog`] (default: exactly
 //!   134 features) and the MTS extraction engine
 //!   ([`FeatureCatalog::extract_mts`]) that turns a `T × M` segment into an
-//!   `M · 134`-wide vector, parallelised over metrics.
+//!   `M · 134`-wide vector, one metric after another.
 //!
 //! Every feature evaluation is total: hostile inputs (empty, constant,
 //! single-sample series) produce finite values, never NaNs — a hard

@@ -200,8 +200,7 @@ impl<T: Tier> Session<T> {
     /// windows `0..b`; the slice is borrowed from the session.
     ///
     /// Windows are arithmetically independent, so how a caller groups
-    /// them into calls is unobservable in the output; a call is the unit
-    /// `SharedModel::score_specs` dispatches to a pool thread.
+    /// them into calls is unobservable in the output.
     pub fn score_windows_batch(
         &mut self,
         params: &ParamStore,

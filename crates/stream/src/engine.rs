@@ -175,13 +175,14 @@ impl Engine {
         let n_shards = cfg.n_shards.max(1);
         init.resize_with(n_shards, Default::default);
         status::on_engine_spawn(model_fingerprint, n_shards, &cfg);
-        // Oversubscription clamp: every shard worker fans its scoring
-        // tasks out at `rayon::current_num_threads()` width, so an
-        // unclamped engine would put `n_shards × width` runnable threads
-        // on `cores` hardware threads. Cap each worker's width to its
-        // fair share (at 1 its tasks run back to back on the worker).
-        // Results are unaffected — every parallel combinator is bitwise
-        // deterministic in the width — only scheduling changes.
+        // Oversubscription clamp: a shard worker capped to width 1 runs
+        // each scoring job inline through `rayon::submit` instead of
+        // publishing it to the pool, and the same cap sizes its jobs in
+        // flight (`Jobs::bound`). Uncapped, `n_shards` workers would keep
+        // `n_shards × width` threads busy on `cores` hardware threads, so
+        // each worker gets its fair share. Results are unaffected — jobs
+        // apply in per-node order whatever the width — only scheduling
+        // changes.
         let kernel_cap = {
             let cores = std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -217,7 +218,7 @@ impl Engine {
                 .name(format!("ns-stream-{shard}"))
                 .spawn(move || {
                     // Thread-local and scoped: caps every parallel
-                    // dispatch this worker makes (its scoring fan-out
+                    // dispatch this worker makes (its scoring jobs
                     // included) without touching other shards or the
                     // caller, and is restored even if the loop unwinds.
                     rayon::with_thread_parallelism_cap(kernel_cap, || {

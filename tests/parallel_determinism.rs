@@ -7,10 +7,10 @@
 //! in-process hook the pool exposes for exactly this test. The override
 //! is process-global, so every test here takes [`width_lock`] around it.
 //!
-//! The scoring schedule gets its own case: `SharedModel::score_specs`
-//! cuts a stack of windows into row-capped tasks for the *current* pool
-//! width and fans them over the pool, so the width decides the grouping —
-//! which must never reach a score bit, in either precision tier.
+//! Scoring gets its own case: `SharedModel::score_series_batch` forwards
+//! every window on the calling thread with its kernels capped to one
+//! band, so neither the pool width nor a caller's cap may reach a score
+//! bit, in either precision tier.
 
 mod common;
 
@@ -112,8 +112,7 @@ fn scoring_schedule_is_bitwise_identical_across_widths_and_caps() {
     let model = SharedModel::train(&cfg, &train.iter().collect::<Vec<_>>());
 
     // Exact-tile, ragged-tail, shorter-than-window and empty series, plus
-    // two far longer than the scheduler's row cap, so that one series
-    // alone is cut into many tasks at every width.
+    // two of well over a hundred windows each.
     let burst: Vec<Matrix> = [48usize, 29, 5, 0, 1500, 1501, 17]
         .iter()
         .enumerate()
@@ -141,8 +140,7 @@ fn scoring_schedule_is_bitwise_identical_across_widths_and_caps() {
             );
         }
     }
-    // A capped caller (an engine shard thread on its fair share) runs the
-    // same tasks back to back on itself.
+    // A capped caller (an engine scoring job) scores the same way.
     rayon::set_thread_count_override(Some(8));
     let capped = rayon::with_thread_parallelism_cap(Some(1), || score_burst(&model, &series));
     assert_eq!(capped, want, "caller capped at 1 under a width-8 pool");
